@@ -31,7 +31,7 @@ bench:
 # op chains and adversarial window sizes (empty, all-filtered, exact batch
 # boundaries), the bulk keytab/dyn-table probes against their scalar
 # counterparts, and the full-workload differential proves WindowReports are
-# bit-identical to the scalar oracle sequentially and at 1/2/8 workers.
+# bit-identical to the scalar oracle inline and at 2/8 workers.
 check-batch:
 	$(GO) test -run 'TestBatched|TestContainsKeyBatch' ./internal/stream
 	$(GO) test -run 'TestLookupBulk' ./internal/keytab
@@ -45,7 +45,7 @@ check-metrics:
 	$(GO) test -run 'TestMetricsLint|TestLint' ./internal/runtime ./internal/telemetry
 
 # Subscription delivery gate, under the race detector: the differential test
-# proves concurrent subscribers observe the sequential runtime's per-window
+# proves concurrent subscribers observe the one-shard runtime's per-window
 # result sequence bit-identically at 1/2/8 workers, and the backpressure test
 # proves a stalled consumer is evicted without delaying window close.
 check-subscribe:
@@ -68,26 +68,10 @@ bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
 		-bench 'BenchmarkSwitchProcess$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
 
-# Quick perf regression probe: the four hot-path benchmarks, sequential vs
-# sharded, at a fixed iteration count, swept at -cpu 1 (pure sharding
-# overhead: one worker, no parallelism) and -cpu 4 (the parallel win when the
-# runner has the cores). The trailing awk pass distills the headline into a
-# named metric per cpu count — `sharded_vs_sequential_sp_tuples_ratio` — so
-# the uploaded CI artifact carries the ratio without anyone re-deriving it
-# from raw benchmark lines. Non-gating in `make check` (perf noise must not
-# fail CI); run it by hand and compare against BENCH_pr10.json.
+# Quick perf regression probe: the benchmark harness (bench/README.md) at
+# smoke size — all four workloads, plain and traced, ~30 s — leaving the
+# record in bench/out/record.json, which CI uploads. Non-gating in `make
+# check` (perf noise must not fail CI); for a before/after verdict run
+# `go run ./bench` on both commits and `go run ./bench -compare old new`.
 bench-smoke:
-	@rm -f bench-smoke.raw
-	@for n in 1 4; do \
-		$(GO) test -run xxx -benchtime 10x -cpu $$n \
-			-bench 'BenchmarkEndToEndWindow|BenchmarkFig7bMultiQuery|BenchmarkEmitterRoundTrip|BenchmarkSwitchProcess' . \
-			| tee -a bench-smoke.raw || exit 1; \
-	done
-	@awk '/^BenchmarkEndToEndWindow\/(sequential|sharded)/ { \
-		cpu = $$1; sub(/^[^ ]*-/, "", cpu); if (cpu !~ /^[0-9]+$$/) cpu = 1; \
-		v = 0; for (i = 1; i <= NF; i++) if ($$i == "sp_tuples/s") v = $$(i-1); \
-		if ($$1 ~ /sequential/) seq[cpu] = v; else sh[cpu] = v } \
-		END { for (c in sh) if (seq[c] > 0) \
-			printf "sharded_vs_sequential_sp_tuples_ratio cpu=%s %.3f\n", c, sh[c] / seq[c] }' \
-		bench-smoke.raw
-	@rm -f bench-smoke.raw
+	$(GO) run ./bench -quick

@@ -40,8 +40,7 @@ import (
 func main() {
 	scaleFlag := flag.String("scale", "medium", "workload scale: small, medium, or large")
 	outDir := flag.String("out", "", "directory for TSV outputs (optional)")
-	workers := flag.Int("workers", goruntime.GOMAXPROCS(0), "window-pipeline worker shards (1 = sequential)")
-	batch := flag.Int("batch", 0, "frames per pipeline batch (0 = default; the sharded fan-out unit)")
+	workers := flag.Int("workers", goruntime.GOMAXPROCS(0), "window-pipeline shards (1 = one shard on the calling goroutine)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof/ on this address (with -top: the address to poll)")
 	subscribeAddr := flag.String("subscribe-addr", "", "serve gNMI-style result subscriptions on this address")
 	top := flag.Bool("top", false, "poll a running process's /debug/queries and render a refreshing top view")
@@ -59,7 +58,6 @@ func main() {
 	}
 
 	eval.DefaultWorkers = *workers
-	eval.DefaultBatchSize = *batch
 
 	// The registry and flight recorder always exist (instrumentation is free
 	// when nothing reads it); the endpoints are opt-in.

@@ -73,8 +73,7 @@ func main() {
 	pkts := flag.Int("pkts", 100_000, "synthetic packets per window")
 	nWindows := flag.Int("windows", 6, "synthetic windows")
 	verbose := flag.Bool("v", false, "print every result tuple")
-	workers := flag.Int("workers", goruntime.GOMAXPROCS(0), "window-pipeline worker shards (1 = sequential)")
-	batch := flag.Int("batch", 0, "frames per pipeline batch (0 = default; the sharded fan-out unit)")
+	workers := flag.Int("workers", goruntime.GOMAXPROCS(0), "window-pipeline shards (1 = one shard on the calling goroutine)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof/, and /debug/queries on this address (with -top: the address to poll)")
 	tracePath := flag.String("trace", "", "append per-window lifecycle spans as JSONL to this file (\"-\" for stderr)")
 	frCap := flag.Int("flightrec", flightrec.DefaultCapacity, "flight-recorder ring capacity (windows retained)")
@@ -218,7 +217,7 @@ func main() {
 	plannerOpts := planner.DefaultOptions()
 	plannerOpts.Mode = mode
 	s := core.New(core.Config{Planner: plannerOpts, Window: *window, Switch: pisa.DefaultConfig(),
-		Workers: *workers, BatchSize: *batch})
+		Workers: *workers})
 	for _, q := range qs {
 		q.ID = 0 // renumber in registration order
 		s.Register(q)

@@ -63,6 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ar.Close()
 
 	fmt.Println("window  pkts     collisions  collision-rate  replanned")
 	for w := 0; w < heavyGen.Windows(); w++ {

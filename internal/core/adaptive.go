@@ -45,6 +45,10 @@ func (a *AdaptiveRuntime) Runtime() *runtime.Runtime { return a.rt }
 // Replans counts how many times the loop re-trained and redeployed.
 func (a *AdaptiveRuntime) Replans() int { return a.replans }
 
+// Close stops the current deployment's shard workers (see runtime.Close);
+// call it when done processing.
+func (a *AdaptiveRuntime) Close() { a.rt.Close() }
+
 // ProcessWindow processes one window and, if the collision signal fired,
 // re-trains and redeploys before returning. The returned flag reports
 // whether a re-plan happened; dynamic refinement state restarts after one
@@ -67,6 +71,7 @@ func (a *AdaptiveRuntime) ProcessWindow(frames [][]byte) (*runtime.WindowReport,
 	if err != nil {
 		return rep, false, fmt.Errorf("core: redeploying after collision signal: %w", err)
 	}
+	a.rt.Close() // the replaced deployment's workers would otherwise stay parked
 	a.rt = rt
 	a.replans++
 	return rep, true, nil

@@ -35,13 +35,9 @@ type Config struct {
 	// Window is the query window W; zero means 3 seconds.
 	Window time.Duration
 	// Workers shards the deployed window pipeline across this many workers;
-	// 0 or 1 deploys the sequential pipeline. Reports are identical either
-	// way; only wall time changes.
+	// 0 or 1 deploys one shard on the calling goroutine. Reports are
+	// identical either way; only wall time changes.
 	Workers int
-	// BatchSize is the frame-batch granularity of the deployed pipeline —
-	// the fan-out unit in sharded mode, the view-buffer size in sequential
-	// mode. 0 means runtime.DefaultBatchSize.
-	BatchSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -130,5 +126,5 @@ func (s *Sonata) Deploy() (*runtime.Runtime, error) {
 		return nil, err
 	}
 	return runtime.NewWithOptions(plan, s.cfg.Switch,
-		runtime.Options{Workers: s.cfg.Workers, BatchSize: s.cfg.BatchSize})
+		runtime.Options{Workers: s.cfg.Workers})
 }

@@ -72,7 +72,7 @@ func CaseStudy(scale Scale) (*CaseStudyResult, error) {
 		return nil, err
 	}
 	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(),
-		runtime.Options{Workers: DefaultWorkers, BatchSize: DefaultBatchSize})
+		runtime.Options{Workers: DefaultWorkers})
 	if err != nil {
 		return nil, err
 	}

@@ -18,16 +18,10 @@ import (
 // the figure harness is observable while it runs.
 var DefaultTelemetry *telemetry.Registry
 
-// DefaultWorkers, when positive, sets the sharded-pipeline worker count for
-// every experiment built with NewExperiment. Zero keeps the sequential
-// pipeline. cmd/eval wires its -workers flag here.
+// DefaultWorkers sets the shard count for every experiment built with
+// NewExperiment (0 or 1: one shard on the calling goroutine). cmd/eval
+// wires its -workers flag here.
 var DefaultWorkers int
-
-// DefaultBatchSize, when positive, sets the frame-batch granularity for
-// every experiment built with NewExperiment (the sharded fan-out unit and
-// the sequential view-buffer size). Zero keeps runtime.DefaultBatchSize.
-// cmd/eval wires its -batch flag here.
-var DefaultBatchSize int
 
 // DefaultResultSink, when non-nil, receives every deployed runtime's
 // window reports (cmd/eval's -subscribe-addr wires a subscription server
@@ -65,15 +59,13 @@ type RunResult struct {
 	// ShardBusySum / ShardBusyMax accumulate per-window shard busy time:
 	// total work across shards vs the critical path (each window's slowest
 	// shard). Their ratio is the run's achievable parallel speedup,
-	// independent of the host's core count; both stay zero on the
-	// sequential pipeline.
+	// independent of the host's core count.
 	ShardBusySum time.Duration
 	ShardBusyMax time.Duration
 }
 
 // SpeedupPotential is the achievable parallel speedup of a sharded run:
-// total shard work divided by the critical path. It returns 1 for a
-// sequential run.
+// total shard work divided by the critical path (1 for a one-shard run).
 func (r *RunResult) SpeedupPotential() float64 {
 	if r.ShardBusyMax == 0 {
 		return 1
@@ -113,13 +105,10 @@ type Experiment struct {
 	// Telemetry, when set, instruments every runtime the experiment deploys
 	// against this registry (cmd/eval's -debug-addr wires it).
 	Telemetry *telemetry.Registry
-	// Workers shards the window pipeline across this many workers (0 or 1
-	// runs the sequential pipeline). Results are identical either way; only
-	// wall time changes.
+	// Workers shards the window pipeline across this many workers (0 or 1:
+	// one shard on the calling goroutine). Results are identical either way;
+	// only wall time changes.
 	Workers int
-	// BatchSize is the frame-batch granularity (0 means
-	// runtime.DefaultBatchSize). Results are batch-size independent.
-	BatchSize int
 	// FlightRec, when set, is attached to every runtime the experiment
 	// deploys (the recorder resets per deployment, so it tracks the live one).
 	FlightRec *flightrec.Recorder
@@ -137,7 +126,6 @@ type Experiment struct {
 func NewExperiment(w *Workload, qs []*query.Query) *Experiment {
 	return &Experiment{W: w, Queries: qs, Levels: []int{8, 16, 24},
 		Telemetry: DefaultTelemetry, Workers: DefaultWorkers,
-		BatchSize: DefaultBatchSize,
 		FlightRec: DefaultFlightRec, Sink: DefaultResultSink,
 		Tracez: DefaultTracez}
 }
@@ -168,7 +156,7 @@ func (e *Experiment) Run(cfg pisa.Config, mode planner.Mode) (*RunResult, error)
 		return nil, err
 	}
 	rt, err := runtime.NewWithOptions(plan, cfg,
-		runtime.Options{Workers: e.Workers, BatchSize: e.BatchSize})
+		runtime.Options{Workers: e.Workers})
 	if err != nil {
 		return nil, err
 	}

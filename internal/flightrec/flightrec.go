@@ -55,7 +55,7 @@ type StageInfo struct {
 type TrackConfig struct {
 	QID   uint16
 	Level uint8
-	// Shard is the worker shard owning the instance (0 in sequential mode).
+	// Shard is the shard owning the instance.
 	Shard int
 	// EstWork is the planner's trained per-window work estimate for the
 	// instance (InstancePlan.EstWork summed over sides, floor 1).
@@ -256,8 +256,7 @@ type Record struct {
 	FreshNS int64 `json:"fresh_ns"`
 	// BusyNS is the shard busy time attributed to this instance: the owner
 	// shard's window busy time scaled by the instance's share of the
-	// shard's observed work (0 in sequential mode, which reports no
-	// per-shard busy times).
+	// shard's observed work.
 	BusyNS int64 `json:"busy_ns"`
 	// EstWork is the planner's trained estimate; ObsWork the same cost
 	// model evaluated on this window's observed per-op tuple counts

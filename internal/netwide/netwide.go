@@ -19,9 +19,9 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/emitter"
-	"repro/internal/fields"
 	"repro/internal/pisa"
 	"repro/internal/planner"
+	"repro/internal/runtime"
 	"repro/internal/stream"
 )
 
@@ -46,17 +46,9 @@ type Fabric struct {
 	switches []*pisa.Switch
 	engine   *stream.Engine
 	em       *emitter.Emitter
-	links    []link
+	links    []runtime.Link
 	finest   map[uint16]uint8
 	window   int
-}
-
-type link struct {
-	qid    uint16
-	from   uint8
-	to     uint8
-	keyCol int
-	field  fields.ID
 }
 
 // New builds a fabric of n switches all running the plan's program.
@@ -67,7 +59,11 @@ func New(plan *planner.Plan, cfg pisa.Config, n int) (*Fabric, error) {
 	dyn := stream.NewDynTables()
 	engine := stream.NewEngine(dyn)
 	em := emitter.New(engine)
-	f := &Fabric{engine: engine, em: em, finest: make(map[uint16]uint8)}
+	links, err := runtime.Links(plan)
+	if err != nil {
+		return nil, err
+	}
+	f := &Fabric{engine: engine, em: em, links: links, finest: make(map[uint16]uint8)}
 	prog := dropDumpThresholds(plan.Program)
 	for i := 0; i < n; i++ {
 		sw, err := pisa.NewSwitch(cfg, prog, em.HandleMirror)
@@ -87,15 +83,6 @@ func New(plan *planner.Plan, cfg pisa.Config, n int) (*Fabric, error) {
 			}
 			if li == len(qp.Levels)-1 {
 				f.finest[qp.Query.ID] = uint8(lp.Level)
-			}
-			if li+1 < len(qp.Levels) {
-				keyCol := lp.Aug.FinalSchema().Index(qp.Key.Field)
-				if keyCol < 0 {
-					return nil, fmt.Errorf("netwide: q%d level %d lacks refinement key column", qp.Query.ID, lp.Level)
-				}
-				f.links = append(f.links, link{qid: qp.Query.ID,
-					from: uint8(lp.Level), to: uint8(qp.Levels[li+1].Level),
-					keyCol: keyCol, field: qp.Key.Field})
 			}
 		}
 	}
@@ -156,46 +143,19 @@ func (f *Fabric) CloseWindow() *WindowReport {
 	}
 
 	start := time.Now()
-	for _, l := range f.links {
-		keys := refinedKeys(results, l)
-		table := planner.DynTableName(l.qid, int(l.to))
-		f.engine.Dyn().Replace(table, keys)
+	for li := range f.links {
+		l := &f.links[li]
+		keys := l.Keys(results)
+		f.engine.Dyn().Replace(l.Table, keys)
 		for _, sw := range f.switches {
 			for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
-				if n, err := sw.UpdateDynTable(l.qid, l.to, side, 0, keys); err == nil {
+				if n, err := sw.UpdateDynTable(l.QID, l.To, side, 0, keys); err == nil {
 					rep.FilterUpdates += n
 				}
 			}
 		}
+		rep.FilterUpdates += len(keys) // the SP-side table update
 	}
 	rep.UpdateDuration = time.Since(start)
 	return rep
-}
-
-// refinedKeys mirrors the single-switch runtime's gating logic: sub-query
-// outputs for join queries, final results otherwise.
-func refinedKeys(results []stream.Result, l link) []string {
-	var keys []string
-	for i := range results {
-		res := &results[i]
-		if res.QID != l.qid || res.Level != l.from {
-			continue
-		}
-		if res.RightOutputs == nil && res.LeftOutputs == nil {
-			for _, t := range res.Tuples {
-				if l.keyCol < len(t) {
-					keys = append(keys, stream.DynKeyFromValue(l.field, t[l.keyCol], int(l.from)))
-				}
-			}
-			continue
-		}
-		if col := res.RightSchema.Index(l.field); col >= 0 {
-			for _, t := range res.RightOutputs {
-				if col < len(t) {
-					keys = append(keys, stream.DynKeyFromValue(l.field, t[col], int(l.from)))
-				}
-			}
-		}
-	}
-	return keys
 }

@@ -1,14 +1,19 @@
 package netwide
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/eval"
 	"repro/internal/fields"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/planner"
+	"repro/internal/queries"
 	"repro/internal/query"
+	"repro/internal/runtime"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -175,5 +180,63 @@ func TestFabricValidation(t *testing.T) {
 	plan := buildPlan(t, g, 100)
 	if _, err := New(plan, pisa.DefaultConfig(), 0); err == nil {
 		t.Error("zero-switch fabric accepted")
+	}
+}
+
+// TestOneSwitchFabricMatchesRuntime pins the fabric's refinement gate to the
+// runtime's: over the evaluation workload and all eleven queries (joins
+// included, where the gate is the left∩right sub-query intersection), a
+// fabric with a single vantage point must report the runtime's Results and
+// write the same number of filter entries, window by window.
+func TestOneSwitchFabricMatchesRuntime(t *testing.T) {
+	scale := eval.SmallScale()
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := queries.All(eval.ScaledParams(scale))
+	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pisa.DefaultConfig()
+	plan, err := planner.PlanQueries(tr, qs, cfg, planner.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := runtime.New(plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric, err := New(plan, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(results []stream.Result) string {
+		out := ""
+		for _, res := range results {
+			out += fmt.Sprintf("q%d/%d %v\n", res.QID, res.Level, res.Tuples)
+		}
+		return out
+	}
+	updates := 0
+	for i := 0; i < w.Gen.Windows(); i++ {
+		frames := w.Frames(i)
+		want := rt.ProcessWindow(frames)
+		for _, f := range frames {
+			fabric.Process(0, f)
+		}
+		got := fabric.CloseWindow()
+		if g, r := render(got.Results), render(want.Results); g != r {
+			t.Errorf("window %d results diverged:\n--- runtime\n%s--- fabric\n%s", i, r, g)
+		}
+		if got.FilterUpdates != want.FilterUpdates {
+			t.Errorf("window %d: fabric wrote %d filter entries, runtime %d",
+				i, got.FilterUpdates, want.FilterUpdates)
+		}
+		updates += want.FilterUpdates
+	}
+	if updates == 0 {
+		t.Fatal("workload wrote no filter entries; test is vacuous")
 	}
 }

@@ -20,24 +20,16 @@ type switchMetrics struct {
 	regCapacity *telemetry.Gauge
 }
 
-// Instrument registers the switch's metrics against reg (nil disables).
-// Call once after NewSwitch; the register-capacity gauge is fixed at that
-// point, occupancy updates at every window boundary.
-func (sw *Switch) Instrument(reg *telemetry.Registry) {
-	sw.instrument(reg, nil)
-}
-
-// InstrumentShard registers the metrics of one shard of a sharded
-// deployment. Counter families are shared with the sequential series — the
-// registry returns the same handle for the same (family, labels), so
-// per-shard increments fold into one total automatically. The register
-// gauges are Set (not added), so they get a shard label to keep each
-// shard's occupancy and capacity as its own series.
-func (sw *Switch) InstrumentShard(reg *telemetry.Registry, shard int) {
-	sw.instrument(reg, []string{"shard", strconv.Itoa(shard)})
-}
-
-func (sw *Switch) instrument(reg *telemetry.Registry, gaugeLabels []string) {
+// Instrument registers the switch's metrics against reg (nil disables) as
+// shard number shard of its deployment. Counter families are shared across
+// shards — the registry returns the same handle for the same (family,
+// labels), so per-shard increments fold into one total. The register gauges
+// are Set (not added), so they carry a shard label that keeps each shard's
+// occupancy and capacity as its own series. Call once after NewSwitch; the
+// capacity gauge is fixed at that point, occupancy updates at every window
+// boundary.
+func (sw *Switch) Instrument(reg *telemetry.Registry, shard int) {
+	label := strconv.Itoa(shard)
 	sw.m = switchMetrics{
 		packets: reg.Counter("sonata_switch_packets_total",
 			"Frames processed by the data plane."),
@@ -50,9 +42,9 @@ func (sw *Switch) instrument(reg *telemetry.Registry, gaugeLabels []string) {
 		dynUpdates: reg.Counter("sonata_switch_dyn_table_updates_total",
 			"Dynamic filter entries written by refinement updates."),
 		regUsed: reg.Gauge("sonata_switch_register_entries_used",
-			"Register slots occupied at the last window boundary.", gaugeLabels...),
+			"Register slots occupied at the last window boundary.", "shard", label),
 		regCapacity: reg.Gauge("sonata_switch_register_entries_capacity",
-			"Total register slots across all installed banks.", gaugeLabels...),
+			"Total register slots across all installed banks.", "shard", label),
 	}
 	sw.m.regCapacity.Set(sw.registerCapacity())
 }

@@ -1,0 +1,257 @@
+package pisa
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/compile"
+	"repro/internal/fields"
+	"repro/internal/flightrec"
+	"repro/internal/packet"
+	"repro/internal/query"
+	"repro/internal/stream"
+	"repro/internal/tuple"
+)
+
+// oracleProgram is a program that takes every branch the batched walks fork
+// on: static leading filters (two instances sharing the SYN atom, one with a
+// second clause), a populated and an unpopulated leading dynamic filter, an
+// instance with no screenable prefix running a mid-pipeline distinct, a
+// one-slot bank that overflows, and an All-SP instance with nothing on the
+// switch.
+func oracleProgram() *Program {
+	full := func(q *query.Query, qid uint16, level uint8, regEntries int) *InstanceSpec {
+		spec := specFor(q, len(compile.CompilePipeline(q.Left.Ops).Tables), regEntries)
+		spec.QID, spec.Level = qid, level
+		return spec
+	}
+	dynGated := func(table string) *query.Query {
+		q := query1(1)
+		q.Left.Ops = append([]query.Op{query.NewDynPacketFilter(table, fields.DstIP, 8)}, q.Left.Ops...)
+		return q
+	}
+	spread := query.NewBuilder("spread", time.Second).
+		Map(query.F(fields.SrcIP), query.F(fields.DstIP)).
+		Distinct().
+		Map(query.C(fields.SrcIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.SrcIP).
+		Filter(query.Gt(fields.AggVal, 2)).
+		MustBuild()
+	web := query.NewBuilder("web_syn", time.Second).
+		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN), query.Eq(fields.DstPort, 80)).
+		Map(query.F(fields.SrcIP), query.F(fields.DstIP)).
+		MustBuild()
+
+	overflow := full(query1(1), 1, 0, 1) // one slot per chain: most keys shunt
+	populated := full(dynGated("q2.r8"), 2, 16, 512)
+	unpopulated := full(dynGated("q3.r8"), 3, 16, 512)
+	distinct := specFor(spread, 4, 1024) // cut after the second map: distinct is mid-pipeline
+	distinct.QID = 4
+	stateless := specFor(web, 2, 0)
+	stateless.QID = 5
+	allSP := specFor(query1(1), 0, 0)
+	allSP.QID = 6
+	return &Program{Instances: []*InstanceSpec{overflow, populated, unpopulated, distinct, stateless, allSP}}
+}
+
+// oracleFrames mixes clean TCP frames over a small address space (so keys
+// repeat and collide) with unsupported-layer frames, which still run the
+// pipeline, and truncated ones, which do not.
+func oracleFrames(r *rand.Rand, n int) [][]byte {
+	frames := make([][]byte, n)
+	for i := range frames {
+		flags := byte(fields.FlagSYN)
+		if r.Intn(3) == 0 {
+			flags = fields.FlagACK
+		}
+		f := packet.BuildFrame(nil, &packet.FrameSpec{
+			SrcIP: uint32(r.Intn(40) + 1), DstIP: packet.IPv4Addr(byte(9+r.Intn(3)), 1, 1, byte(r.Intn(30))),
+			Proto: 6, SrcPort: uint16(r.Intn(100) + 1), DstPort: uint16(80 + r.Intn(2)),
+			TCPFlags: flags, Pad: 60})
+		switch r.Intn(10) {
+		case 0:
+			f[12], f[13] = 0x08, 0x06 // ARP ethertype: unsupported layer
+		case 1:
+			f = f[:14+r.Intn(12)] // cut inside the IPv4 header: malformed
+		}
+		frames[i] = f
+	}
+	return frames
+}
+
+// oracleOutcome is everything a window's walk is observable through.
+type oracleOutcome struct {
+	mirrors map[string][]string // per instance, in emission order
+	dumps   []string
+	stats   WindowStats
+	funnel  string // flight-recorder records; empty without probes
+}
+
+func (o *oracleOutcome) diff(want *oracleOutcome) string {
+	for name, w := range want.mirrors {
+		if g := o.mirrors[name]; strings.Join(g, "\n") != strings.Join(w, "\n") {
+			return fmt.Sprintf("%s mirror sequence: got %d mirrors, want %d\ngot  %v\nwant %v", name, len(g), len(w), g, w)
+		}
+	}
+	if len(o.mirrors) != len(want.mirrors) {
+		return fmt.Sprintf("mirrors from %d instances, want %d", len(o.mirrors), len(want.mirrors))
+	}
+	if g, w := strings.Join(o.dumps, "\n"), strings.Join(want.dumps, "\n"); g != w {
+		return fmt.Sprintf("dumps:\ngot\n%s\nwant\n%s", g, w)
+	}
+	if o.stats != want.stats {
+		return fmt.Sprintf("stats: got %+v, want %+v", o.stats, want.stats)
+	}
+	if o.funnel != want.funnel {
+		return fmt.Sprintf("funnel:\ngot\n%s\nwant\n%s", o.funnel, want.funnel)
+	}
+	return ""
+}
+
+// oracleRun replays the windows through a fresh switch, feeding each window
+// with walk, and returns the outcome per window. The populated dynamic
+// filter is written before the first window and rewritten between windows,
+// as the runtime does at window close.
+func oracleRun(t *testing.T, windows [][][]byte, probes bool,
+	walk func(sw *Switch, ps *Prescreen, frames [][]byte)) []oracleOutcome {
+	t.Helper()
+	prog := oracleProgram()
+	out := &oracleOutcome{}
+	ps := NewPrescreen()
+	sw, err := NewSwitchShared(DefaultConfig(), prog, func(m Mirror) {
+		name := fmt.Sprintf("q%d/r%d", m.QID, m.Level)
+		out.mirrors[name] = append(out.mirrors[name], fmt.Sprintf("ovf=%v merge=%d entry=%d vals=%v parsed=%v pkt=%x",
+			m.Overflow, m.MergeOp, m.EntryOp, m.Vals, m.Parsed != nil, m.Packet))
+	}, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *flightrec.Recorder
+	if probes {
+		rec = flightrec.New(len(windows), nil)
+		byKey := map[[2]int]*flightrec.Probe{}
+		for _, spec := range prog.Instances {
+			stages := make([]flightrec.StageInfo, len(spec.Ops))
+			for i := range stages {
+				stages[i] = flightrec.StageInfo{Label: fmt.Sprintf("L%d", i), Stateful: spec.Ops[i].Stateful()}
+			}
+			for t := 0; t < spec.CutAt; t++ {
+				stages[spec.Tables[t].OpIdx].OnSwitch = true
+			}
+			byKey[[2]int{int(spec.QID), int(spec.Level)}] = rec.Track(flightrec.TrackConfig{
+				QID: spec.QID, Level: spec.Level, RefFrom: -1, NumLeft: len(stages), Stages: stages})
+		}
+		sw.AttachFlightRec(func(qid uint16, level uint8) *flightrec.Probe {
+			return byKey[[2]int{int(qid), int(level)}]
+		})
+	}
+	var outcomes []oracleOutcome
+	for wi, frames := range windows {
+		keys := []string{
+			stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(byte(9+wi), 0, 0, 0))), 8)}
+		if _, err := sw.UpdateDynTable(2, 16, SideLeft, 0, keys); err != nil {
+			t.Fatal(err)
+		}
+		out = &oracleOutcome{mirrors: map[string][]string{}}
+		walk(sw, ps, frames)
+		dumps, stats := sw.EndWindow()
+		for _, d := range dumps {
+			out.dumps = append(out.dumps, fmt.Sprintf("q%d/r%d merge=%d key=%v val=%d", d.QID, d.Level, d.MergeOp, d.KeyVals, d.Val))
+		}
+		// Only Process counts PacketsIn; on the view paths the parse side
+		// owns it.
+		stats.PacketsIn = 0
+		out.stats = stats
+		if probes {
+			rec.Commit(wi, uint64(len(frames)), nil)
+			for _, r := range rec.Snapshot(0).Queries {
+				out.funnel += fmt.Sprintf("q%d/r%d mirrored=%d collisions=%d dumps=%d reg=%d/%d ops=%v\n",
+					r.QID, r.Level, r.Mirrored, r.Collisions, r.DumpTuples, r.RegUsed, r.RegCapacity, r.Ops)
+			}
+		}
+		outcomes = append(outcomes, *out)
+	}
+	return outcomes
+}
+
+// TestBatchedWalksMatchProcess is the switch-level oracle: every way of
+// walking a batch of views — ProcessViews, dispatch-side Prescreen.Eval +
+// ProcessViewsPre, and ProcessView per view — must be indistinguishable from
+// frame-at-a-time Process in each instance's mirror sequence, the window's
+// register dumps and its stats, at batch lengths on both sides of the bitmap
+// word boundary. With flight-recorder probes attached (where the batched
+// walks skip the prescreen to keep per-packet funnel semantics) the
+// per-stage entering counts must match too.
+func TestBatchedWalksMatchProcess(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	windows := [][][]byte{oracleFrames(r, 700), oracleFrames(r, 500)}
+
+	batched := func(batch int, run func(sw *Switch, ps *Prescreen, views []View)) func(*Switch, *Prescreen, [][]byte) {
+		parser := packet.NewParser(packet.ParserOptions{})
+		views := make([]View, batch)
+		return func(sw *Switch, ps *Prescreen, frames [][]byte) {
+			for len(frames) > 0 {
+				n := min(batch, len(frames))
+				for i, f := range frames[:n] {
+					views[i].Prepare(parser, f)
+				}
+				run(sw, ps, views[:n])
+				frames = frames[n:]
+			}
+		}
+	}
+	var masks PrescreenMasks
+	walks := []struct {
+		name string
+		run  func(sw *Switch, ps *Prescreen, views []View)
+	}{
+		{"ProcessViews", func(sw *Switch, _ *Prescreen, vs []View) { sw.ProcessViews(vs) }},
+		{"ProcessViewsPre", func(sw *Switch, ps *Prescreen, vs []View) {
+			ps.Eval(vs, &masks)
+			sw.ProcessViewsPre(vs, &masks)
+		}},
+		{"ProcessView", func(sw *Switch, _ *Prescreen, vs []View) {
+			for i := range vs {
+				sw.ProcessView(&vs[i])
+			}
+		}},
+	}
+
+	for _, probes := range []bool{false, true} {
+		want := oracleRun(t, windows, probes, func(sw *Switch, _ *Prescreen, frames [][]byte) {
+			for _, f := range frames {
+				sw.Process(f)
+			}
+		})
+		// The program must actually take the branches it was built for.
+		if probes {
+			first := want[0]
+			for _, name := range []string{"q1/r0", "q4/r0", "q5/r0", "q6/r0"} {
+				if len(first.mirrors[name]) == 0 {
+					t.Fatalf("%s mirrored nothing; the oracle is vacuous", name)
+				}
+			}
+			if first.stats.Collisions == 0 || len(first.dumps) == 0 {
+				t.Fatalf("no collisions or no dumps (%+v); the oracle is vacuous", first.stats)
+			}
+			if !strings.Contains(strings.Join(first.dumps, "\n"), "q2/r16") ||
+				strings.Contains(strings.Join(first.dumps, "\n"), "q3/r16") {
+				t.Fatalf("dyn-gated instances: populated must dump, unpopulated must not:\n%v", first.dumps)
+			}
+		}
+		for _, batch := range []int{1, 63, 64, 65, 256} {
+			for _, w := range walks {
+				got := oracleRun(t, windows, probes, batched(batch, w.run))
+				for wi := range want {
+					if d := got[wi].diff(&want[wi]); d != "" {
+						t.Errorf("%s batch=%d probes=%v window %d diverged from Process: %s",
+							w.name, batch, probes, wi, d)
+					}
+				}
+			}
+		}
+	}
+}

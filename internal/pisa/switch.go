@@ -138,17 +138,6 @@ func (st *instState) nextVals(n int) []tuple.Value {
 	return buf[:n]
 }
 
-// packetView pairs a parsed packet with its raw frame so mirrors can carry
-// the original bytes when the stream processor needs them. clean marks a
-// fully decoded frame whose parse mirrors may re-use (ErrUnsupportedLayer
-// frames still run the pipeline but the emitter treats their embedded
-// packets as malformed, so their parse must not be forwarded).
-type packetView struct {
-	pkt   *packet.Packet
-	frame []byte
-	clean bool
-}
-
 // View is one frame parsed once for fan-out to switch shards. The embedded
 // Packet owns its own scratch storage, so a batch of Views can be pooled
 // and re-Prepared without allocation; after Prepare the view is read-only
@@ -160,11 +149,14 @@ type View struct {
 	// the parse succeeded, or failed with ErrUnsupportedLayer (the decoded
 	// prefix is valid and the frame is forwarded like any other traffic).
 	Runnable bool
-	clean    bool
+	// clean marks a fully decoded frame whose parse mirrors may re-use
+	// (ErrUnsupportedLayer frames still run the pipeline but the emitter
+	// treats their embedded packets as malformed, so their parse must not be
+	// forwarded).
+	clean bool
 }
 
-// Prepare parses frame into the view using p. It mirrors exactly the parse
-// decision Process makes inline.
+// Prepare parses frame into the view using p.
 func (v *View) Prepare(p *packet.Parser, frame []byte) {
 	v.Frame = frame
 	err := p.Parse(frame, &v.Pkt)
@@ -176,12 +168,12 @@ func (v *View) Prepare(p *packet.Parser, frame []byte) {
 // instance's tables; reports leave via the mirror callback; registers dump
 // at window boundaries.
 type Switch struct {
-	cfg     Config
-	insts   []*instState
-	mirror  func(Mirror)
-	stats   WindowStats
-	parser  *packet.Parser
-	scratch packet.Packet
+	cfg    Config
+	insts  []*instState
+	mirror func(Mirror)
+	stats  WindowStats
+	parser *packet.Parser
+	view   View // Process's parse scratch
 	// dumpScratch is EndWindow's reusable (keys + aggregate) row buffer for
 	// merged threshold filters; dumpBuf is its reusable RegDump slice (the
 	// returned dumps are valid until the next EndWindow).
@@ -383,33 +375,22 @@ func (sw *Switch) AttachFlightRec(lookup func(qid uint16, level uint8) *flightre
 func (sw *Switch) Process(frame []byte) int {
 	sw.stats.PacketsIn++
 	sw.m.packets.Inc()
-	err := sw.parser.Parse(frame, &sw.scratch)
-	if err != nil && !errors.Is(err, packet.ErrUnsupportedLayer) {
-		return 0
-	}
-	view := packetView{pkt: &sw.scratch, frame: frame, clean: err == nil}
-	reports := 0
-	for _, st := range sw.insts {
-		if sw.processInstance(st, &view, 0) {
-			reports++
-		}
-	}
-	return reports
+	sw.view.Prepare(sw.parser, frame)
+	return sw.ProcessView(&sw.view)
 }
 
 // ProcessView runs an already-parsed frame through every installed
-// instance — the sharded fan-out path, where one parse is shared by all
-// shards. It does not count PacketsIn (every shard sees every frame; the
-// parse side owns that count) and skips non-Runnable views' processing the
-// same way Process drops hard parse errors.
+// instance, unscreened and from table 0: the frame-at-a-time reference walk
+// the batched paths are tested against. It does not count PacketsIn (a view
+// may be shared by several switches; the parse side owns that count) and
+// skips non-Runnable views: hard parse errors see no telemetry processing.
 func (sw *Switch) ProcessView(v *View) int {
 	if !v.Runnable {
 		return 0
 	}
-	view := packetView{pkt: &v.Pkt, frame: v.Frame, clean: v.clean}
 	reports := 0
 	for _, st := range sw.insts {
-		if sw.processInstance(st, &view, 0) {
+		if sw.processInstance(st, v, 0) {
 			reports++
 		}
 	}
@@ -490,9 +471,7 @@ func (sw *Switch) processViewsScreened(vs []View, m *PrescreenMasks) int {
 			}
 			for w, word := range comb {
 				for b := word; b != 0; b &= b - 1 {
-					v := &vs[w<<6|bits.TrailingZeros64(b)]
-					view := packetView{pkt: &v.Pkt, frame: v.Frame, clean: v.clean}
-					if sw.processInstance(st, &view, st.screenTables) {
+					if sw.processInstance(st, &vs[w<<6|bits.TrailingZeros64(b)], st.screenTables) {
 						reports++
 					}
 				}
@@ -504,8 +483,7 @@ func (sw *Switch) processViewsScreened(vs []View, m *PrescreenMasks) int {
 			if !v.Runnable {
 				continue
 			}
-			view := packetView{pkt: &v.Pkt, frame: v.Frame, clean: v.clean}
-			if sw.processInstance(st, &view, 0) {
+			if sw.processInstance(st, v, 0) {
 				reports++
 			}
 		}
@@ -549,14 +527,14 @@ func (sw *Switch) applyDynScreen(st *instState, t int, vs []View, comb []uint64)
 // index from (non-zero only on the prescreened batch path, where the
 // leading filter tables already passed). It returns true if a mirror report
 // was emitted.
-func (sw *Switch) processInstance(st *instState, pkt *packetView, from int) bool {
+func (sw *Switch) processInstance(st *instState, pv *View, from int) bool {
 	spec := st.spec
 	if spec.CutAt == 0 {
 		// Nothing on the switch: mirror every packet (the All-SP plan).
 		m := Mirror{QID: spec.QID, Level: spec.Level, Side: spec.Side,
-			EntryOp: 0, Packet: pkt.frame}
-		if pkt.clean {
-			m.Parsed = pkt.pkt
+			EntryOp: 0, Packet: pv.Frame}
+		if pv.clean {
+			m.Parsed = &pv.Pkt
 		}
 		sw.emit(st, m)
 		return true
@@ -581,7 +559,7 @@ func (sw *Switch) processInstance(st *instState, pkt *packetView, from int) bool
 				}
 			} else {
 				for i := range o.Clauses {
-					if !o.Clauses[i].MatchPacket(pkt.pkt) {
+					if !o.Clauses[i].MatchPacket(&pv.Pkt) {
 						return false
 					}
 				}
@@ -591,7 +569,7 @@ func (sw *Switch) processInstance(st *instState, pkt *packetView, from int) bool
 			if rp == nil || rp.empty() {
 				return false // not yet populated: finer level idle
 			}
-			v, ok := pkt.pkt.Field(o.DynKeyField)
+			v, ok := pv.Pkt.Field(o.DynKeyField)
 			if !ok {
 				return false
 			}
@@ -621,7 +599,7 @@ func (sw *Switch) processInstance(st *instState, pkt *packetView, from int) bool
 				}
 			} else {
 				for i := range o.Cols {
-					v, ok := o.Cols[i].Expr.EvalPacket(pkt.pkt)
+					v, ok := o.Cols[i].Expr.EvalPacket(&pv.Pkt)
 					if !ok {
 						return false
 					}
@@ -648,9 +626,9 @@ func (sw *Switch) processInstance(st *instState, pkt *packetView, from int) bool
 				m := Mirror{QID: spec.QID, Level: spec.Level, Side: spec.Side,
 					Overflow: true, MergeOp: tab.OpIdx, Vals: vals}
 				if spec.NeedsPacket {
-					m.Packet = pkt.frame
-					if pkt.clean {
-						m.Parsed = pkt.pkt
+					m.Packet = pv.Frame
+					if pv.clean {
+						m.Parsed = &pv.Pkt
 					}
 				}
 				sw.emit(st, m)
@@ -702,9 +680,9 @@ func (sw *Switch) processInstance(st *instState, pkt *packetView, from int) bool
 		m.Vals = vals
 	}
 	if !inTuplePhase || spec.NeedsPacket {
-		m.Packet = pkt.frame
-		if pkt.clean {
-			m.Parsed = pkt.pkt
+		m.Packet = pv.Frame
+		if pv.clean {
+			m.Parsed = &pv.Pkt
 		}
 	}
 	sw.emit(st, m)

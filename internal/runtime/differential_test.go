@@ -20,10 +20,10 @@ import (
 // traffic plus the standard attack suite, all eleven queries), every window
 // report must be identical to the scalar per-tuple oracle's — results,
 // tuple counts, switch counters, filter updates, and emitter volume alike.
-// The oracle (Options.Scalar, workers 0) is byte-for-byte the classic
-// frame-at-a-time, tuple-at-a-time interpreter; against it run the batched
-// sequential runtime and 1/2/8-worker sharded runtimes (whose engines use
-// the columnar batched executor).
+// The oracle (Options.Scalar on one inline shard) is the frame-at-a-time,
+// tuple-at-a-time interpreter; against it run the batched inline shard and
+// 2/8-worker shard sets (prescreened switch batches, columnar engines), plus
+// the scalar walk itself spread over workers.
 func TestShardedMatchesSequential(t *testing.T) {
 	scale := eval.SmallScale()
 	w, err := eval.NewWorkload(scale)
@@ -61,10 +61,11 @@ func TestShardedMatchesSequential(t *testing.T) {
 		name string
 		opts runtime.Options
 	}{
-		{"batched-sequential", runtime.Options{}},
+		{"inline", runtime.Options{}},
 		{"workers=1", runtime.Options{Workers: 1}},
 		{"workers=2", runtime.Options{Workers: 2}},
 		{"workers=8", runtime.Options{Workers: 8}},
+		{"workers=1-scalar", runtime.Options{Workers: 1, Scalar: true}},
 		{"workers=2-scalar", runtime.Options{Workers: 2, Scalar: true}},
 	}
 	for _, mode := range modes {
@@ -80,8 +81,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 
 // snapshotReport renders a window report into a canonical string. Result
 // tuples are already sorted by the engine; join sub-pipeline outputs are
-// sorted here because their order is map-iteration dependent even on the
-// sequential path.
+// sorted here because their order is map-iteration dependent even on one
+// shard.
 func snapshotReport(rep *runtime.WindowReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "window=%d tuplesToSP=%d filterUpdates=%d emitterFrames=%d emitterMalformed=%d\n",

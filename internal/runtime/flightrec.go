@@ -23,7 +23,7 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 		rec.Reset()
 		refFrom := make(map[stream.QueryKey]int, len(r.links))
 		for _, l := range r.links {
-			refFrom[stream.QueryKey{QID: l.qid, Level: l.to}] = int(l.from)
+			refFrom[stream.QueryKey{QID: l.QID, Level: l.To}] = int(l.From)
 		}
 		r.frProbes = make(map[stream.QueryKey]*flightrec.Probe, len(r.infos))
 		for _, in := range r.infos {
@@ -35,7 +35,7 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 			r.frProbes[in.key] = rec.Track(flightrec.TrackConfig{
 				QID:     in.key.QID,
 				Level:   in.key.Level,
-				Shard:   r.owner[in.key], // zero for the sequential runtime
+				Shard:   r.owner[in.key],
 				EstWork: uint64(in.cost),
 				RefFrom: from,
 				NumLeft: nLeft, NumRight: nRight,
@@ -53,17 +53,11 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 	if a, ok := r.sink.(FlightRecAttacher); ok {
 		a.AttachFlightRec(lookup)
 	}
-	if len(r.shards) > 0 {
-		for _, s := range r.shards {
-			s.sw.AttachFlightRec(lookup)
-			s.engine.AttachFlightRec(lookup)
-			s.em.AttachFlightRec(lookup)
-		}
-		return
+	for _, s := range r.shards {
+		s.sw.AttachFlightRec(lookup)
+		s.engine.AttachFlightRec(lookup)
+		s.em.AttachFlightRec(lookup)
 	}
-	r.sw.AttachFlightRec(lookup)
-	r.engine.AttachFlightRec(lookup)
-	r.em.AttachFlightRec(lookup)
 }
 
 // stageInfos flattens one augmented query into the probe's global stage

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/eval"
@@ -13,7 +14,7 @@ import (
 // lifecyclePlan builds a small multi-query plan shared by the persistent-
 // worker lifecycle tests below. They run under the race detector via the
 // `race` target in make check, so every path they take — zero-frame closes,
-// mid-window Close, degraded inline processing — is exercised against the
+// mid-window Close, inline execution after it — is exercised against the
 // worker goroutines' ring and barrier synchronization.
 func lifecyclePlan(t *testing.T) (*eval.Workload, *planner.Plan, pisa.Config) {
 	t.Helper()
@@ -35,26 +36,35 @@ func lifecyclePlan(t *testing.T) (*eval.Workload, *planner.Plan, pisa.Config) {
 	return w, plan, cfg
 }
 
-func newLifecycleRuntime(t *testing.T, plan *planner.Plan, cfg pisa.Config, workers int) *runtime.Runtime {
+func newLifecycleRuntime(t *testing.T, plan *planner.Plan, cfg pisa.Config, opts runtime.Options) *runtime.Runtime {
 	t.Helper()
-	rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{Workers: workers})
+	rt, err := runtime.NewWithOptions(plan, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rt
 }
 
+// lifecycleModes are the deployments every lifecycle schedule runs on: one
+// shard executing inline on the caller, and shard sets with live workers.
+// Each is compared against the scalar reference walk (lifecycleOracle) run
+// through the same schedule.
+var (
+	lifecycleOracle = runtime.Options{Scalar: true}
+	lifecycleModes  = []runtime.Options{{Workers: 1}, {Workers: 2}, {Workers: 8}}
+)
+
 // TestShardedZeroFrameWindows closes windows that saw no frames — before any
-// traffic, between two real windows, and several in a row — and requires the
-// sharded runtime's reports to match the batched sequential runtime's for the
-// same schedule. A zero-frame close still runs the full barrier (every worker
-// executes EndWindow on its shard), so under -race this doubles as a check
+// traffic, between two real windows, and several in a row — and requires
+// every deployment's reports to match the scalar reference's for the same
+// schedule. A zero-frame close still runs the full barrier (every shard
+// executes EndWindow on its state), so under -race this doubles as a check
 // that an empty epoch leaves no shard state behind.
 func TestShardedZeroFrameWindows(t *testing.T) {
 	w, plan, cfg := lifecyclePlan(t)
 
-	run := func(workers int) []string {
-		rt := newLifecycleRuntime(t, plan, cfg, workers)
+	run := func(opts runtime.Options) []string {
+		rt := newLifecycleRuntime(t, plan, cfg, opts)
 		defer rt.Close()
 		var snaps []string
 		snap := func() { snaps = append(snaps, snapshotReport(rt.CloseWindow())) }
@@ -73,13 +83,13 @@ func TestShardedZeroFrameWindows(t *testing.T) {
 		return snaps
 	}
 
-	want := run(1)
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
+	want := run(lifecycleOracle)
+	for _, opts := range lifecycleModes {
+		got := run(opts)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("workers=%d window %d diverged:\n--- sequential\n%s\n--- sharded\n%s",
-					workers, i, want[i], got[i])
+				t.Errorf("workers=%d window %d diverged:\n--- reference\n%s\n--- got\n%s",
+					opts.Workers, i, want[i], got[i])
 			}
 		}
 	}
@@ -89,14 +99,14 @@ func TestShardedZeroFrameWindows(t *testing.T) {
 // window. The contract: frames already pushed are fully processed before the
 // workers exit, the rest of the window runs inline on the caller, and the
 // window's report is bit-identical to one from a runtime that was never
-// closed. Close must also be safe to repeat and after-close windows must
-// keep producing correct (degraded, single-threaded) reports.
+// closed. Close must also be safe to repeat, after-close windows must keep
+// producing correct (single-goroutine) reports, and on one shard — which
+// never had workers — Close changes nothing.
 func TestShardedCloseMidWindow(t *testing.T) {
 	w, plan, cfg := lifecyclePlan(t)
 
 	baseline := func() []string {
-		rt := newLifecycleRuntime(t, plan, cfg, 4)
-		defer rt.Close()
+		rt := newLifecycleRuntime(t, plan, cfg, lifecycleOracle)
 		var snaps []string
 		for i := 0; i < 2; i++ {
 			for _, f := range w.Frames(i) {
@@ -107,40 +117,42 @@ func TestShardedCloseMidWindow(t *testing.T) {
 		return snaps
 	}()
 
-	rt := newLifecycleRuntime(t, plan, cfg, 4)
-	frames := w.Frames(0)
-	for _, f := range frames[:len(frames)/2] {
-		rt.Process(f)
+	for _, opts := range lifecycleModes {
+		rt := newLifecycleRuntime(t, plan, cfg, opts)
+		frames := w.Frames(0)
+		for _, f := range frames[:len(frames)/2] {
+			rt.Process(f)
+		}
+		rt.Close() // mid-window: workers drain their rings and exit
+		rt.Close() // repeat must be a no-op
+		for _, f := range frames[len(frames)/2:] {
+			rt.Process(f)
+		}
+		if got := snapshotReport(rt.CloseWindow()); got != baseline[0] {
+			t.Errorf("workers=%d: window spanning Close diverged:\n--- never closed\n%s\n--- closed mid-window\n%s",
+				opts.Workers, baseline[0], got)
+		}
+		// The runtime stays usable after Close: subsequent windows run inline.
+		for _, f := range w.Frames(1) {
+			rt.Process(f)
+		}
+		if got := snapshotReport(rt.CloseWindow()); got != baseline[1] {
+			t.Errorf("workers=%d: window after Close diverged:\n--- never closed\n%s\n--- after Close\n%s",
+				opts.Workers, baseline[1], got)
+		}
+		rt.Close()
 	}
-	rt.Close() // mid-window: workers drain their rings and exit
-	rt.Close() // repeat must be a no-op
-	for _, f := range frames[len(frames)/2:] {
-		rt.Process(f)
-	}
-	if got := snapshotReport(rt.CloseWindow()); got != baseline[0] {
-		t.Errorf("window spanning Close diverged:\n--- never closed\n%s\n--- closed mid-window\n%s",
-			baseline[0], got)
-	}
-	// The runtime stays usable after Close: subsequent windows run inline.
-	for _, f := range w.Frames(1) {
-		rt.Process(f)
-	}
-	if got := snapshotReport(rt.CloseWindow()); got != baseline[1] {
-		t.Errorf("window after Close diverged:\n--- never closed\n%s\n--- degraded\n%s",
-			baseline[1], got)
-	}
-	rt.Close()
 }
 
 // TestShardedBackToBackCloseWindow hammers the close barrier: many
 // CloseWindow calls with no Process in between, racing each epoch's
-// close/merge against the previous one's worker-side reset, then a real
+// close/merge against the previous one's shard-side reset, then a real
 // window to prove the pipeline state survived.
 func TestShardedBackToBackCloseWindow(t *testing.T) {
 	w, plan, cfg := lifecyclePlan(t)
 
-	run := func(workers int) []string {
-		rt := newLifecycleRuntime(t, plan, cfg, workers)
+	run := func(opts runtime.Options) []string {
+		rt := newLifecycleRuntime(t, plan, cfg, opts)
 		defer rt.Close()
 		var snaps []string
 		for _, f := range w.Frames(0) {
@@ -157,14 +169,30 @@ func TestShardedBackToBackCloseWindow(t *testing.T) {
 		return snaps
 	}
 
-	want := run(1)
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
+	want := run(lifecycleOracle)
+	for _, opts := range lifecycleModes {
+		got := run(opts)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("workers=%d snapshot %d diverged:\n--- sequential\n%s\n--- sharded\n%s",
-					workers, i, want[i], got[i])
+				t.Errorf("workers=%d snapshot %d diverged:\n--- reference\n%s\n--- got\n%s",
+					opts.Workers, i, want[i], got[i])
 			}
+		}
+	}
+}
+
+// TestOneShardStartsNoGoroutine: Workers <= 1 is a single-goroutine
+// pipeline — the one shard executes on the caller, so neither construction
+// nor a window starts a goroutine.
+func TestOneShardStartsNoGoroutine(t *testing.T) {
+	w, plan, cfg := lifecyclePlan(t)
+	for _, workers := range []int{0, 1} {
+		before := goruntime.NumGoroutine()
+		rt := newLifecycleRuntime(t, plan, cfg, runtime.Options{Workers: workers})
+		rt.ProcessWindow(w.Frames(0))
+		// Workers of earlier tests may still be exiting, so only growth counts.
+		if after := goruntime.NumGoroutine(); after > before {
+			t.Errorf("Workers=%d: %d goroutines with a runtime deployed, %d before", workers, after, before)
 		}
 	}
 }

@@ -47,9 +47,9 @@ type WindowReport struct {
 	// EmitterFrames / EmitterMalformed report the monitoring-port volume.
 	EmitterFrames    uint64
 	EmitterMalformed uint64
-	// ShardBusy holds each worker shard's busy time inside this window (nil
-	// for the sequential runtime). sum/max estimates the achievable parallel
-	// speedup independently of how many cores the host actually has.
+	// ShardBusy holds each shard's busy time inside this window, one entry
+	// per shard. sum/max estimates the achievable parallel speedup
+	// independently of how many cores the host actually has.
 	ShardBusy []time.Duration
 }
 
@@ -94,61 +94,61 @@ func (r *Runtime) SetResultSink(sink ResultSink) {
 	}
 }
 
-// Options tunes a runtime's execution mode.
+// Options tunes a runtime's execution.
 type Options struct {
-	// Workers is the number of parallel shards the installed (query, level)
-	// instances are partitioned across. 0 or 1 selects the sequential path,
-	// which is byte-for-byte the classic single-goroutine runtime; values
-	// above the instance count are clamped to it.
+	// Workers is the number of shards the installed (query, level) instances
+	// are partitioned across. 0 or 1 builds one shard, which runs on the
+	// calling goroutine (no worker is started); more start one persistent
+	// worker per shard. Values above the instance count are clamped to it.
 	Workers int
-	// BatchSize is the number of frames per processing batch: the fan-out
-	// granularity in sharded mode, the view-batch size in sequential mode
-	// (0 means DefaultBatchSize).
-	BatchSize int
-	// Scalar forces the classic per-tuple execution everywhere: the
-	// sequential switch path runs frame-at-a-time (no view batching) and the
-	// stream engines use the per-tuple interpreter instead of the columnar
-	// batched executor. The two modes produce bit-identical WindowReports;
-	// Scalar exists as the differential-testing oracle and an escape hatch.
+	// Scalar selects the reference execution the differential tests compare
+	// against: every shard walks views one at a time through
+	// pisa.Switch.ProcessView (unscreened, from table 0) and the stream
+	// engines use the per-tuple interpreter instead of the columnar batched
+	// executor, at any worker count. WindowReports are bit-identical either
+	// way.
 	Scalar bool
 }
 
-// DefaultBatchSize is the fan-out batch granularity: large enough to
-// amortize the channel handoff, small enough that shards stay busy inside
-// one window.
+// DefaultBatchSize is the number of frames per view batch, the unit handed
+// to the shards: large enough to amortize the handoff, small enough that
+// shards stay busy inside one window.
 const DefaultBatchSize = 256
 
 // shard owns one slice of the deployment: the switch instances assigned to
 // it (with their registers and dynamic tables), a private emitter, and the
-// matching stream-engine instances. Its worker goroutine is spawned once at
-// construction and lives until Runtime.Close: during a window (and during
-// the window close it executes on the runtime's behalf) only the worker
-// touches this state, so the hot path takes no locks; the runtime's close
-// barrier hands ownership back to the main goroutine between windows.
+// matching stream-engine instances. Exactly one goroutine executes a shard's
+// messages (exec): its persistent worker while the runtime has live workers,
+// the runtime's caller otherwise. During a window (and the window close)
+// only that goroutine touches this state, so the hot path takes no locks;
+// the close barrier hands ownership back to the caller between windows.
 type shard struct {
 	sw     *pisa.Switch
 	engine *stream.Engine
 	em     *emitter.Emitter
-	// q is the shard's inbound SPSC ring: view batches during the window,
-	// then a close (or stop) message acting as the epoch barrier — FIFO
-	// order guarantees every batch of the window is processed before the
-	// close runs.
+	// slots[j] is the installation-order position (index into
+	// Runtime.infos) of the j-th instance installed on this shard's engine,
+	// which is also the position of its j-th window result.
+	slots []int
+	// q is the shard's inbound SPSC ring while workers are live: view
+	// batches during the window, then a close (or stop) message acting as
+	// the epoch barrier — FIFO order guarantees every batch of the window is
+	// processed before the close runs.
 	q spscRing
 	// lane is the shard's tracez lane (lane index+1), cached at Instrument;
-	// nil when tracing is off. The main goroutine re-parents it before each
-	// close barrier, the worker records op spans into it during the close.
+	// nil when tracing is off. The caller re-parents it before each close
+	// barrier, exec records op spans into it during the close.
 	lane *tracez.Ring
-	// busy accumulates time spent processing batches (and closing the
-	// window) this window; only the worker writes it while running, and the
-	// close barrier publishes it to the runtime via cr.
+	// busy accumulates time spent processing batches this window; the close
+	// publishes it to the runtime via cr.
 	busy time.Duration
-	// cr is the shard's close-phase output, written by the worker before it
-	// signals the barrier and read by the main goroutine after.
+	// cr is the shard's close-phase output, written by exec before it
+	// signals the barrier and read by the caller after.
 	cr closeResult
 }
 
 // closeResult carries one shard's window-close products across the epoch
-// barrier: everything the serial close loop used to read inline.
+// barrier.
 type closeResult struct {
 	busy      time.Duration
 	stats     pisa.WindowStats
@@ -161,9 +161,9 @@ type closeResult struct {
 
 // viewBatch is a refcounted batch of frames parsed once and shared
 // read-only by every shard; the last shard to finish a batch recycles it.
-// When the runtime's shared prescreen is active, dispatch evaluates the
-// static leading-filter atoms once into masks and every shard consumes the
-// bitmaps read-only (masked reports whether masks are valid for this trip).
+// When the shared prescreen is active, fanOut evaluates the static
+// leading-filter atoms once into masks and every shard consumes the bitmaps
+// read-only (masked reports whether masks are valid for this trip).
 type viewBatch struct {
 	views  []pisa.View
 	n      int
@@ -177,37 +177,29 @@ type Runtime struct {
 	plan *planner.Plan
 	cfg  pisa.Config
 	opts Options
-	// Sequential components (Workers <= 1). Nil in sharded mode, where
-	// shards carries the per-worker slices instead.
-	sw     *pisa.Switch
-	engine *stream.Engine
-	em     *emitter.Emitter
-	// Sharded mode: owner maps each instance to its shard, order preserves
-	// global installation order so merged results match the sequential
-	// engine's ordering exactly, parser is the shared parse-once front end.
+	// shards carries the execution state; every instance is owned by exactly
+	// one (owner), and infos keeps global installation order so merged
+	// results come out in the order one engine would produce them. parser is
+	// the shared parse-once front end.
 	shards    []*shard
 	owner     map[stream.QueryKey]int
-	order     []stream.QueryKey
 	parser    *packet.Parser
 	batchPool *sync.Pool
 	fill      *viewBatch // batch currently being filled
-	framesIn  uint64     // frames ingested this window (merged PacketsIn)
-	// pre is the shard switches' shared prescreen atom space; dispatch
+	framesIn  uint64     // frames ingested this window (PacketsIn)
+	// pre is the shard switches' shared prescreen atom space; fanOut
 	// evaluates it once per batch so shards only AND precomputed bitmaps.
 	pre *pisa.Prescreen
-	// closeWG is the epoch barrier for window closes, stopWG for worker
-	// shutdown; closed flips once Close has joined the workers, after which
-	// the runtime degrades to inline (single-goroutine) shard execution.
+	// live reports whether persistent workers are draining the shards'
+	// rings: true from construction with more than one shard until Close has
+	// joined them. While false, fanOut executes shard messages on the
+	// calling goroutine. closeWG is the epoch barrier for window closes,
+	// stopWG for worker shutdown.
+	live    bool
 	closeWG sync.WaitGroup
 	stopWG  sync.WaitGroup
-	closed  bool
-	// Sequential view batching (nil in scalar or sharded mode): frames are
-	// Prepared into seqViews and flushed through sw.ProcessViews at capacity
-	// and at window close.
-	seqViews []pisa.View
-	seqN     int
 
-	links  []link
+	links  []Link
 	finest map[uint16]uint8
 	window int
 	// infos preserves the flattened plan (installation order); the flight
@@ -241,20 +233,42 @@ type Runtime struct {
 	rootOpen bool
 }
 
-type link struct {
-	qid    uint16
-	from   uint8
-	to     uint8
+// Link is one dynamic-refinement edge of a plan (Section 4.1): the window
+// results of query QID at level From decide which keys its level To admits
+// in the next window.
+type Link struct {
+	QID  uint16
+	From uint8
+	To   uint8
+	// Table is level To's dynamic filter table name.
+	Table  string
 	keyCol int
 	field  fields.ID // the refinement key
-	// table is the target level's dyn-table name, precomputed so the close
-	// path doesn't Sprintf it every window. keys and the side-key sets are
-	// the per-window refinement-candidate scratch, reused across windows
-	// (Replace/UpdateDynTable copy what they keep).
+	// keys and the side-key sets are Keys' per-window scratch, reused across
+	// windows.
 	keys []string
 	rset map[string]struct{}
 	lset map[string]struct{}
-	tabl string
+}
+
+// Links derives a plan's refinement links, in installation order.
+func Links(plan *planner.Plan) ([]Link, error) {
+	var links []Link
+	for _, qp := range plan.Queries {
+		for li := 0; li+1 < len(qp.Levels); li++ {
+			lp, next := &qp.Levels[li], qp.Levels[li+1].Level
+			keyCol := lp.Aug.FinalSchema().Index(qp.Key.Field)
+			if keyCol < 0 {
+				return nil, fmt.Errorf("runtime: q%d level %d: refinement key %s missing from result schema %s",
+					qp.Query.ID, lp.Level, qp.Key.Field, lp.Aug.FinalSchema())
+			}
+			links = append(links, Link{QID: qp.Query.ID,
+				From: uint8(lp.Level), To: uint8(next),
+				Table:  planner.DynTableName(qp.Query.ID, next),
+				keyCol: keyCol, field: qp.Key.Field})
+		}
+	}
+	return links, nil
 }
 
 // instInfo is one planned (query, level) instance in installation order.
@@ -268,7 +282,7 @@ type instInfo struct {
 	cost int
 }
 
-// New wires a sequential runtime from a plan.
+// New wires a one-shard runtime from a plan.
 func New(plan *planner.Plan, cfg pisa.Config) (*Runtime, error) {
 	return NewWithOptions(plan, cfg, Options{})
 }
@@ -278,9 +292,7 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 	r := &Runtime{plan: plan, cfg: cfg, opts: opts,
 		finest: make(map[uint16]uint8), lastKeys: make(map[int]string)}
 
-	// Flatten the plan into installation-ordered instances and derive the
-	// refinement links; both execution modes share this pass.
-	var infos []instInfo
+	// Flatten the plan into installation-ordered instances.
 	for _, qp := range plan.Queries {
 		for li, lp := range qp.Levels {
 			part := stream.Partition{
@@ -291,94 +303,42 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 				part.RightStart = entryOp(lp.Right)
 			}
 			key := stream.QueryKey{QID: qp.Query.ID, Level: uint8(lp.Level)}
-			infos = append(infos, instInfo{key: key, aug: lp.Aug, part: part,
+			r.infos = append(r.infos, instInfo{key: key, aug: lp.Aug, part: part,
 				cost: instanceCost(&lp)})
-			r.order = append(r.order, key)
 			if li == len(qp.Levels)-1 {
 				r.finest[qp.Query.ID] = key.Level
 			}
-			if li+1 < len(qp.Levels) {
-				next := qp.Levels[li+1]
-				keyCol := lp.Aug.FinalSchema().Index(qp.Key.Field)
-				if keyCol < 0 {
-					return nil, fmt.Errorf("runtime: q%d level %d: refinement key %s missing from result schema %s",
-						qp.Query.ID, lp.Level, qp.Key.Field, lp.Aug.FinalSchema())
-				}
-				r.links = append(r.links, link{qid: qp.Query.ID,
-					from: uint8(lp.Level), to: uint8(next.Level),
-					keyCol: keyCol, field: qp.Key.Field,
-					tabl: planner.DynTableName(qp.Query.ID, next.Level)})
-			}
 		}
 	}
-
-	r.infos = infos
-
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+	var err error
+	if r.links, err = Links(plan); err != nil {
+		return nil, err
 	}
-	if workers > len(infos) {
-		workers = len(infos)
-	}
-	if workers <= 1 {
-		return r, r.buildSequential(infos)
-	}
-	return r, r.buildSharded(infos, workers)
+	return r, r.buildShards(max(1, min(opts.Workers, len(r.infos))))
 }
 
-// buildSequential wires the classic single-goroutine pipeline.
-func (r *Runtime) buildSequential(infos []instInfo) error {
-	dyn := stream.NewDynTables()
-	engine := stream.NewEngine(dyn)
-	em := emitter.New(engine)
-	sw, err := pisa.NewSwitch(r.cfg, r.plan.Program, em.HandleMirror)
-	if err != nil {
-		return fmt.Errorf("runtime: installing switch program: %w", err)
-	}
-	r.sw, r.engine, r.em = sw, engine, em
-	if r.opts.Scalar {
-		engine.SetScalar(true)
-	} else {
-		// Batched sequential mode: frames are parsed into a reusable view
-		// buffer and run through the switch instance-major (ProcessViews),
-		// so one instance's tables stay cache-hot across the whole batch.
-		batch := r.opts.BatchSize
-		if batch <= 0 {
-			batch = DefaultBatchSize
-		}
-		r.parser = packet.NewParser(packet.ParserOptions{})
-		r.seqViews = make([]pisa.View, batch)
-	}
-	for _, in := range infos {
-		if err := engine.Install(in.aug, in.key.Level, in.part); err != nil {
-			return fmt.Errorf("runtime: installing q%d level %d: %w", in.key.QID, in.key.Level, err)
-		}
-	}
-	return nil
-}
-
-// buildSharded partitions the instances across workers. Each shard gets the
+// buildShards partitions the instances across n shards. Each shard gets the
 // switch program slice, emitter, and engine instances for the keys it owns;
 // both sides of a join instance share a key and so land on the same shard.
 //
-// Assignment is greedy longest-processing-time over each instance's cut
-// depth: instance costs are heavily skewed (a coarse level with a deep cut
-// runs many tables over every packet, a dyn-gated fine level drops almost
+// Assignment is greedy longest-processing-time over each instance's cost:
+// instance costs are heavily skewed (a coarse level with a deep cut runs
+// many tables over every packet, a dyn-gated fine level drops almost
 // everything at op 0), so round-robin leaves some shards nearly idle. The
 // result is deterministic — ties break on installation order and lowest
 // shard index — so a given plan always shards the same way.
-func (r *Runtime) buildSharded(infos []instInfo, workers int) error {
+func (r *Runtime) buildShards(n int) error {
+	infos := r.infos
 	r.owner = make(map[stream.QueryKey]int, len(infos))
 	ord := make([]int, len(infos))
 	for i := range ord {
 		ord[i] = i
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return infos[ord[a]].cost > infos[ord[b]].cost })
-	load := make([]int, workers)
+	load := make([]int, n)
 	for _, idx := range ord {
 		best := 0
-		for s := 1; s < workers; s++ {
+		for s := 1; s < n; s++ {
 			if load[s] < load[best] {
 				best = s
 			}
@@ -386,7 +346,7 @@ func (r *Runtime) buildSharded(infos []instInfo, workers int) error {
 		load[best] += infos[idx].cost
 		r.owner[infos[idx].key] = best
 	}
-	progs := make([]*pisa.Program, workers)
+	progs := make([]*pisa.Program, n)
 	for i := range progs {
 		progs[i] = &pisa.Program{}
 	}
@@ -398,11 +358,9 @@ func (r *Runtime) buildSharded(infos []instInfo, workers int) error {
 		progs[si].Instances = append(progs[si].Instances, spec)
 	}
 	r.pre = pisa.NewPrescreen()
-	for i := 0; i < workers; i++ {
+	for i := 0; i < n; i++ {
 		engine := stream.NewEngine(stream.NewDynTables())
-		if r.opts.Scalar {
-			engine.SetScalar(true)
-		}
+		engine.SetScalar(r.opts.Scalar)
 		em := emitter.New(engine)
 		sw, err := pisa.NewSwitchShared(r.cfg, progs[i], em.HandleMirror, r.pre)
 		if err != nil {
@@ -410,26 +368,28 @@ func (r *Runtime) buildSharded(infos []instInfo, workers int) error {
 		}
 		r.shards = append(r.shards, &shard{sw: sw, engine: engine, em: em})
 	}
-	for _, in := range infos {
+	for i, in := range infos {
 		s := r.shards[r.owner[in.key]]
 		if err := s.engine.Install(in.aug, in.key.Level, in.part); err != nil {
 			return fmt.Errorf("runtime: installing q%d level %d: %w", in.key.QID, in.key.Level, err)
 		}
-	}
-	batch := r.opts.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
+		s.slots = append(s.slots, i)
 	}
 	r.parser = packet.NewParser(packet.ParserOptions{})
 	r.batchPool = &sync.Pool{New: func() any {
-		return &viewBatch{views: make([]pisa.View, batch)}
+		return &viewBatch{views: make([]pisa.View, DefaultBatchSize)}
 	}}
-	// Persistent workers: spawned once here, joined only by Close. Windows
-	// are delimited by close messages through the rings (the epoch barrier),
-	// not by goroutine teardown.
-	for _, s := range r.shards {
-		s.q.init(shardQueueDepth)
-		go s.run(r)
+	// Persistent workers, when there is more than one shard: spawned once
+	// here, joined only by Close. Windows are delimited by close messages
+	// through the rings (the epoch barrier), not by goroutine teardown. One
+	// shard gains nothing from a second goroutine and runs on the caller's.
+	r.live = n > 1
+	if r.live {
+		for _, s := range r.shards {
+			s.q.init(shardQueueDepth)
+			r.stopWG.Add(1)
+			go s.run(r)
+		}
 	}
 	return nil
 }
@@ -454,38 +414,11 @@ func entryOp(inst *planner.InstancePlan) int {
 	return inst.Pipe.EntryFor(inst.Cut).StartOp
 }
 
-// Switch exposes the data plane (examples and tests inspect it). It is nil
-// for a sharded runtime, whose data plane is split across workers.
-func (r *Runtime) Switch() *pisa.Switch { return r.sw }
-
-// Engine exposes the stream processor (nil for a sharded runtime).
-func (r *Runtime) Engine() *stream.Engine { return r.engine }
-
 // Plan returns the installed plan.
 func (r *Runtime) Plan() *planner.Plan { return r.plan }
 
-// Workers returns the number of parallel shards (1 for the sequential
-// runtime).
-func (r *Runtime) Workers() int {
-	if len(r.shards) > 0 {
-		return len(r.shards)
-	}
-	return 1
-}
-
-// ShardOf reports which shard owns the given (query, level) instance, and
-// -1 for unknown instances or a sequential runtime. Pairs with
-// WindowReport.ShardBusy for balance inspection.
-func (r *Runtime) ShardOf(qid uint16, level uint8) int {
-	if len(r.shards) == 0 {
-		return -1
-	}
-	s, ok := r.owner[stream.QueryKey{QID: qid, Level: level}]
-	if !ok {
-		return -1
-	}
-	return s
-}
+// Workers returns the number of shards.
+func (r *Runtime) Workers() int { return len(r.shards) }
 
 // ProcessWindow pushes one window of frames through the data plane, closes
 // the window on both components, applies refinement updates for the next
@@ -493,69 +426,20 @@ func (r *Runtime) ShardOf(qid uint16, level uint8) int {
 func (r *Runtime) ProcessWindow(frames [][]byte) *WindowReport {
 	r.markWindowStart()
 	sp := r.lane.Start(tracez.NameSwitchPass)
-	switch {
-	case len(r.shards) > 0:
-		for _, f := range frames {
-			r.processSharded(f)
-		}
-	case r.seqViews != nil:
-		for _, f := range frames {
-			r.processSequential(f)
-		}
-	default:
-		for _, f := range frames {
-			r.sw.Process(f)
-		}
+	for _, f := range frames {
+		r.Process(f)
 	}
 	sp.Attr(tracez.AttrFrames, uint64(len(frames)))
 	sp.End()
 	return r.closeWindow()
 }
 
-// Process pushes a single frame (streaming use; pair with CloseWindow).
-// Both the sharded runtime and the batched sequential runtime alias the
-// frame in parsed views that outlive this call, so the caller must not
-// modify it until the window closes. (Only Options.Scalar consumes the
-// frame before returning.)
+// Process pushes a single frame (streaming use; pair with CloseWindow): it
+// parses the frame once into the filling view batch and hands a full batch
+// to every shard. The parsed views alias the frame and outlive this call,
+// so the caller must not modify it until the window closes.
 func (r *Runtime) Process(frame []byte) {
 	r.markWindowStart()
-	if len(r.shards) > 0 {
-		r.processSharded(frame)
-		return
-	}
-	if r.seqViews != nil {
-		r.processSequential(frame)
-		return
-	}
-	r.sw.Process(frame)
-}
-
-// processSequential parses the frame into the sequential view buffer,
-// flushing a full buffer through the switch instance-major. PacketsIn moves
-// to the runtime here (like the sharded path): ProcessViews does not count
-// it, and the registry's packet counter is the same series either way.
-func (r *Runtime) processSequential(frame []byte) {
-	r.framesIn++
-	r.m.packets.Inc()
-	r.seqViews[r.seqN].Prepare(r.parser, frame)
-	r.seqN++
-	if r.seqN == len(r.seqViews) {
-		r.flushSeq()
-	}
-}
-
-// flushSeq runs the buffered sequential views through the switch. A no-op
-// when the buffer is empty (and always in scalar or sharded mode).
-func (r *Runtime) flushSeq() {
-	if r.seqN > 0 {
-		r.sw.ProcessViews(r.seqViews[:r.seqN])
-		r.seqN = 0
-	}
-}
-
-// processSharded parses the frame once and fans the shared read-only view
-// out to every shard's persistent worker.
-func (r *Runtime) processSharded(frame []byte) {
 	r.framesIn++
 	r.m.packets.Inc()
 	b := r.fill
@@ -567,103 +451,91 @@ func (r *Runtime) processSharded(frame []byte) {
 	b.views[b.n].Prepare(r.parser, frame)
 	b.n++
 	if b.n == len(b.views) {
-		r.dispatch()
+		r.fanOut(r.takeFill(), msgBatch)
 	}
 }
 
-// dispatch hands the filling batch to every shard. The batch is read-only
-// from here on; the last shard to finish it returns it to the pool.
-func (r *Runtime) dispatch() {
-	b := r.takeFill()
-	if b == nil {
-		return
-	}
-	if r.closed {
-		r.processInline(b)
-		return
-	}
-	r.fanOut(b, msgBatch)
-}
-
-// takeFill detaches the filling batch, recycling an empty one.
+// takeFill detaches the filling batch (nil when no frame is buffered). The
+// batch is read-only from here on; the last shard to finish it returns it
+// to the pool.
 func (r *Runtime) takeFill() *viewBatch {
 	b := r.fill
 	r.fill = nil
-	if b != nil && b.n == 0 {
-		r.batchPool.Put(b)
-		b = nil
-	}
 	return b
 }
 
-// fanOut ships a message (optionally carrying a batch) to every shard's
-// ring. When the shared prescreen is active, the batch's static
-// leading-filter bitmaps are computed once here — on the dispatch side —
-// so every shard only ANDs the masks its own instances reference.
+// fanOut hands a message (optionally carrying a batch) to every shard:
+// through its ring while workers are live, by executing it here otherwise.
+// When the shared prescreen is active, the batch's static leading-filter
+// bitmaps are computed once here — on the dispatch side — so every shard
+// only ANDs the masks its own instances reference.
 func (r *Runtime) fanOut(b *viewBatch, kind uint8) {
 	if b != nil {
-		if r.pre.Active() {
+		b.masked = r.pre.Active() && !r.opts.Scalar
+		if b.masked {
 			r.pre.Eval(b.views[:b.n], &b.masks)
-			b.masked = true
 		}
 		b.refs.Store(int32(len(r.shards)))
 	}
+	m := shardMsg{batch: b, kind: kind}
 	for _, s := range r.shards {
-		s.q.push(shardMsg{batch: b, kind: kind})
+		if r.live {
+			s.q.push(m)
+		} else {
+			s.exec(r, m)
+		}
 	}
 }
 
-// processInline runs a batch through every shard on the calling goroutine —
-// the degraded single-threaded mode a Runtime falls back to after Close.
-func (r *Runtime) processInline(b *viewBatch) {
-	for _, s := range r.shards {
-		t0 := time.Now()
-		s.sw.ProcessViews(b.views[:b.n])
-		s.busy += time.Since(t0)
-	}
-	b.masked = false
-	r.batchPool.Put(b)
-}
-
-// run is a shard's persistent worker loop: drain batches, run the owned
-// instances over each view; on a close message, additionally close the
-// window on this shard's state and signal the epoch barrier. Ring FIFO
-// order is what makes the close a barrier: every batch pushed before the
-// close message is processed before the close runs.
+// run is a shard's persistent worker loop. Ring FIFO order is what makes the
+// close a barrier: every batch pushed before the close message is executed
+// before the close runs.
 func (s *shard) run(r *Runtime) {
-	for {
-		m := s.q.pop()
-		if b := m.batch; b != nil {
-			t0 := time.Now()
-			if b.masked {
-				s.sw.ProcessViewsPre(b.views[:b.n], &b.masks)
-			} else {
-				s.sw.ProcessViews(b.views[:b.n])
+	defer r.stopWG.Done()
+	for s.exec(r, s.q.pop()) {
+	}
+}
+
+// exec executes one shard message on the calling goroutine: run the owned
+// instances over the batch, if any; on a close message, additionally close
+// the window on this shard's state and signal the epoch barrier. It reports
+// false once the message was a stop.
+func (s *shard) exec(r *Runtime, m shardMsg) bool {
+	if b := m.batch; b != nil {
+		t0 := time.Now()
+		views := b.views[:b.n]
+		switch {
+		case r.opts.Scalar:
+			for i := range views {
+				s.sw.ProcessView(&views[i])
 			}
-			s.busy += time.Since(t0)
-			if b.refs.Add(-1) == 0 {
-				b.masked = false
-				r.batchPool.Put(b)
-			}
+		case b.masked:
+			s.sw.ProcessViewsPre(views, &b.masks)
+		default:
+			s.sw.ProcessViews(views)
 		}
-		switch m.kind {
-		case msgClose:
-			t0 := time.Now()
-			s.closeShard()
-			s.cr.busy += time.Since(t0)
-			r.closeWG.Done()
-		case msgStop:
-			r.stopWG.Done()
-			return
+		s.busy += time.Since(t0)
+		if b.refs.Add(-1) == 0 {
+			r.batchPool.Put(b)
 		}
 	}
+	switch m.kind {
+	case msgClose:
+		t0 := time.Now()
+		s.closeShard()
+		s.cr.busy += time.Since(t0)
+		r.closeWG.Done()
+	case msgStop:
+		return false
+	}
+	return true
 }
 
 // closeShard runs the window close on this shard's slice of the pipeline:
 // register dump, dump decode into the shard engine, stream-engine window
-// evaluation, emitter stats — everything the serial close loop used to do
-// inline, now concurrent across shards. The products land in s.cr; busy is
-// published alongside and reset for the next window.
+// evaluation, emitter stats — concurrent across shards while workers are
+// live. The products land in s.cr; busy is published alongside and reset
+// for the next window.
 func (s *shard) closeShard() {
 	cr := &s.cr
 	dumps, st := s.sw.EndWindow()
@@ -700,125 +572,85 @@ func (r *Runtime) openRoot() {
 // CloseWindow ends the current window explicitly.
 func (r *Runtime) CloseWindow() *WindowReport { return r.closeWindow() }
 
-// Close stops a sharded runtime's persistent workers and is safe to call
-// at any point, including mid-window and more than once. Frames already
-// handed to the workers are fully processed before they exit (the stop
-// message rides the same FIFO rings as the batches), frames still in the
-// filling batch stay buffered, and the runtime remains usable afterwards:
-// Process and CloseWindow degrade to inline single-goroutine execution
-// over the shard state, so a window spanning a Close still produces the
-// exact report it would have produced without one. Sequential runtimes
-// have no workers; Close is a no-op there.
+// Close stops the persistent workers, if any, and is safe to call at any
+// point, including mid-window and more than once. Frames already handed to
+// the workers are fully processed before they exit (the stop message rides
+// the same FIFO rings as the batches), frames still in the filling batch
+// stay buffered, and the runtime remains usable afterwards: with no live
+// workers every shard message executes on the caller's goroutine, so a
+// window spanning a Close still produces the exact report it would have
+// produced without one. A one-shard runtime never had workers; Close is a
+// no-op there.
 func (r *Runtime) Close() {
-	if len(r.shards) == 0 || r.closed {
+	if !r.live {
 		return
 	}
-	r.closed = true
-	r.stopWG.Add(len(r.shards))
-	for _, s := range r.shards {
-		s.q.push(shardMsg{kind: msgStop})
-	}
+	r.fanOut(nil, msgStop)
 	r.stopWG.Wait()
+	r.live = false
 }
 
 func (r *Runtime) closeWindow() *WindowReport {
 	r.openRoot() // zero-frame windows still get a (short) trace tree
+	// Each shard runs register dump, dump decode, and stream-engine
+	// evaluation on the state it owns — in parallel on the workers while
+	// they are live — and the barrier hands ownership of every shard back to
+	// this goroutine. The close message carries the window's tail batch.
+	// Both stage spans wrap the whole barrier (the phases overlap across
+	// shards), and each shard lane is re-parented before the close message
+	// so op spans recorded during the close nest under this window's
+	// stream_eval span — the ring handoff publishes the lane context to the
+	// worker.
+	ed := r.lane.Start(tracez.NameEmitterDecode)
+	se := r.lane.Start(tracez.NameStreamEval)
+	for _, s := range r.shards {
+		s.lane.SetContext(r.window, se.ID())
+	}
+	r.closeWG.Add(len(r.shards))
+	r.fanOut(r.takeFill(), msgClose)
+	r.closeWG.Wait()
+	// Deterministic merge, on this side of the barrier: shard order for the
+	// commutative counters, installation order for results. The per-query
+	// counts fold into the first shard's map, which its engine handed over.
 	var (
-		results   []stream.Result
-		metrics   stream.Metrics
 		stats     pisa.WindowStats
 		dumpCount int
 		emFrames  uint64
 		emBad     uint64
 	)
-	var shardBusy []time.Duration
-	if len(r.shards) > 0 {
-		// Parallel close: each shard's worker runs register dump, dump
-		// decode, and stream-engine evaluation on the state it owns; the
-		// barrier hands ownership of every shard back to this goroutine.
-		// Both stage spans wrap the whole barrier (the phases overlap across
-		// shards), and each shard lane is re-parented before the close
-		// message so op spans recorded by the workers nest under this
-		// window's stream_eval span — the ring handoff publishes the lane
-		// context to the worker.
-		ed := r.lane.Start(tracez.NameEmitterDecode)
-		se := r.lane.Start(tracez.NameStreamEval)
-		for _, s := range r.shards {
-			s.lane.SetContext(r.window, se.ID())
-		}
-		if r.closed {
-			// Degraded inline mode (after Close): the workers are gone, so
-			// run the tail batch and every shard's close on this goroutine.
-			if b := r.takeFill(); b != nil {
-				r.processInline(b)
-			}
-			for _, s := range r.shards {
-				s.closeShard()
-			}
-		} else {
-			r.closeWG.Add(len(r.shards))
-			r.fanOut(r.takeFill(), msgClose)
-			r.closeWG.Wait()
-		}
-		// Deterministic merge, on this side of the barrier: shard order for
-		// the commutative counters, global installation order for results —
-		// exactly as the sequential engine orders its output.
-		metrics.PerQuery = make(map[stream.QueryKey]uint64)
-		byKey := make(map[stream.QueryKey]stream.Result, len(r.order))
-		shardBusy = make([]time.Duration, len(r.shards))
-		for i, s := range r.shards {
-			cr := &s.cr
-			shardBusy[i] = cr.busy
-			dumpCount += cr.dumpCount
-			stats.Merge(cr.stats)
-			for j := range cr.results {
-				res := &cr.results[j]
-				byKey[stream.QueryKey{QID: res.QID, Level: res.Level}] = *res
-			}
+	metrics := r.shards[0].cr.metrics
+	shardBusy := make([]time.Duration, len(r.shards))
+	for i, s := range r.shards {
+		cr := &s.cr
+		shardBusy[i] = cr.busy
+		dumpCount += cr.dumpCount
+		stats.Merge(cr.stats)
+		emFrames += cr.emFrames
+		emBad += cr.emBad
+		if i > 0 {
 			metrics.Merge(cr.metrics)
-			emFrames += cr.emFrames
-			emBad += cr.emBad
 		}
-		// Shards do not count PacketsIn (each saw every frame); the fan-out
-		// side owns the count.
-		stats.PacketsIn = r.framesIn
-		r.framesIn = 0
-		results = make([]stream.Result, 0, len(r.order))
-		for _, k := range r.order {
-			if res, ok := byKey[k]; ok {
-				results = append(results, res)
+	}
+	// Each shard's results go to the slots fixed at construction, which is
+	// the order one engine holding every instance would produce; one shard's
+	// results are that sequence already.
+	results := r.shards[0].cr.results
+	if len(r.shards) > 1 {
+		results = make([]stream.Result, len(r.infos))
+		for _, s := range r.shards {
+			for j := range s.cr.results {
+				results[s.slots[j]] = s.cr.results[j]
 			}
 		}
-		ed.Attr(tracez.AttrDumpTuples, uint64(dumpCount))
-		ed.End()
-		se.Attr(tracez.AttrTuplesIn, metrics.TuplesIn)
-		se.End()
-	} else {
-		ed := r.lane.Start(tracez.NameEmitterDecode)
-		r.flushSeq()
-		dumps, st := r.sw.EndWindow()
-		r.em.HandleDumps(dumps)
-		dumpCount = len(dumps)
-		stats = st
-		if r.seqViews != nil {
-			// Batched sequential mode counts frames at the runtime, exactly
-			// like the sharded fan-out (ProcessViews never counts PacketsIn).
-			stats.PacketsIn = r.framesIn
-			r.framesIn = 0
-		}
-		ed.Attr(tracez.AttrDumpTuples, uint64(dumpCount))
-		ed.End()
-
-		se := r.lane.Start(tracez.NameStreamEval)
-		// The sequential engine shares the orchestration lane; re-parent it
-		// so its op spans nest under stream_eval rather than the root.
-		r.lane.SetContext(r.window, se.ID())
-		results, metrics = r.engine.EndWindow()
-		r.lane.SetContext(r.window, r.troot.ID())
-		emFrames, emBad = r.em.WindowStats()
-		se.Attr(tracez.AttrTuplesIn, metrics.TuplesIn)
-		se.End()
 	}
+	// Shards do not count PacketsIn (each saw every frame); the parse side
+	// owns the count.
+	stats.PacketsIn = r.framesIn
+	r.framesIn = 0
+	ed.Attr(tracez.AttrDumpTuples, uint64(dumpCount))
+	ed.End()
+	se.Attr(tracez.AttrTuplesIn, metrics.TuplesIn)
+	se.End()
 	// Register dumps become tuples at the stream processor; count them into
 	// the headline metric like any other delivered tuple.
 	rep := &WindowReport{
@@ -844,14 +676,15 @@ func (r *Runtime) closeWindow() *WindowReport {
 	start := time.Now()
 	for li := range r.links {
 		l := &r.links[li]
-		keys := r.refinedKeys(results, l)
-		r.dynOf(l.qid, l.to).Replace(l.tabl, keys)
-		sw := r.swOf(l.qid, l.to)
+		gated := stream.QueryKey{QID: l.QID, Level: l.To}
+		s := r.shards[r.owner[gated]]
+		keys := l.Keys(results)
+		s.engine.Dyn().Replace(l.Table, keys)
 		for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
 			// Op 0 is the dynamic filter by construction of AugmentQuery;
 			// instances whose cut keeps the filter at the stream processor
 			// reject the update, which is expected.
-			if n, err := sw.UpdateDynTable(l.qid, l.to, side, 0, keys); err == nil {
+			if n, err := s.sw.UpdateDynTable(l.QID, l.To, side, 0, keys); err == nil {
 				rep.FilterUpdates += n
 			}
 		}
@@ -863,7 +696,7 @@ func (r *Runtime) closeWindow() *WindowReport {
 		// The flight recorder attributes the transition to the gated (finer)
 		// instance: how many keys now admit its traffic, and whether the set
 		// moved this window.
-		if p := r.frProbes[stream.QueryKey{QID: l.qid, Level: l.to}]; p != nil {
+		if p := r.frProbes[gated]; p != nil {
 			p.Refined(uint64(len(keys)), changed)
 		}
 	}
@@ -919,48 +752,31 @@ func (r *Runtime) closeWindow() *WindowReport {
 	return rep
 }
 
-// swOf returns the switch hosting the given instance (the owner shard's in
-// sharded mode).
-func (r *Runtime) swOf(qid uint16, level uint8) *pisa.Switch {
-	if len(r.shards) > 0 {
-		return r.shards[r.owner[stream.QueryKey{QID: qid, Level: level}]].sw
-	}
-	return r.sw
-}
-
-// dynOf returns the dynamic filter tables guarding the given instance.
-func (r *Runtime) dynOf(qid uint16, level uint8) *stream.DynTables {
-	if len(r.shards) > 0 {
-		return r.shards[r.owner[stream.QueryKey{QID: qid, Level: level}]].engine.Dyn()
-	}
-	return r.engine.Dyn()
-}
-
-// refinedKeys extracts the dyn-table keys from one level's results into the
-// link's reused candidate slice (regenerating it each window used to be a
-// steady per-window allocation; consumers copy what they keep). For
-// join queries the gate is the intersection of the sub-queries' outputs
-// (the paper's Section 4.1: "their output at coarser levels determines
-// which portion of traffic to process for the finer levels") — the final
-// post-join condition (e.g. a payload keyword) must not gate refinement, or
-// the victim would never be zoomed in on.
-func (r *Runtime) refinedKeys(results []stream.Result, l *link) []string {
+// Keys extracts the dyn-table keys for level To from one window's results
+// into the link's reused candidate slice (valid until the next call;
+// consumers copy what they keep). For join queries the gate is the
+// intersection of the sub-queries' outputs (the paper's Section 4.1: "their
+// output at coarser levels determines which portion of traffic to process
+// for the finer levels") — the final post-join condition (e.g. a payload
+// keyword) must not gate refinement, or the victim would never be zoomed in
+// on.
+func (l *Link) Keys(results []stream.Result) []string {
 	keys := l.keys[:0]
 	for i := range results {
 		res := &results[i]
-		if res.QID != l.qid || res.Level != l.from {
+		if res.QID != l.QID || res.Level != l.From {
 			continue
 		}
 		if res.RightOutputs == nil && res.LeftOutputs == nil {
 			for _, t := range res.Tuples {
 				if l.keyCol < len(t) {
-					keys = append(keys, stream.DynKeyFromValue(l.field, t[l.keyCol], int(l.from)))
+					keys = append(keys, stream.DynKeyFromValue(l.field, t[l.keyCol], int(l.From)))
 				}
 			}
 			continue
 		}
-		l.rset = sideKeySet(l.rset, res.RightOutputs, res.RightSchema, l.field, int(l.from))
-		l.lset = sideKeySet(l.lset, res.LeftOutputs, res.LeftSchema, l.field, int(l.from))
+		l.rset = sideKeySet(l.rset, res.RightOutputs, res.RightSchema, l.field, int(l.From))
+		l.lset = sideKeySet(l.lset, res.LeftOutputs, res.LeftSchema, l.field, int(l.From))
 		switch {
 		case l.lset == nil:
 			for k := range l.rset {

@@ -27,10 +27,9 @@ type runtimeMetrics struct {
 	// carries the same observation per query for `sonata -top`.
 	freshNS    *telemetry.Histogram
 	freshByQID map[uint16]*telemetry.Histogram
-	// packets feeds sonata_switch_packets_total from the sharded fan-out
-	// path, where the runtime parses each frame once and the shard switches
-	// never see Process. The registry hands back the same handle the
-	// sequential switch uses, so the series is identical either way.
+	// packets feeds sonata_switch_packets_total: the runtime parses each
+	// frame once and the shard switches never see Process, so the parse side
+	// owns the count (the registry hands back the handle the switches hold).
 	packets *telemetry.Counter
 }
 
@@ -40,33 +39,26 @@ type runtimeMetrics struct {
 const freshHelp = "Result freshness per window in nanoseconds: first frame to publish completion."
 
 // Instrument registers the whole deployment against reg and attaches the
-// span tracer (either may be nil). It threads the registry through the
-// switch, the emitter, and the stream engine — per shard in sharded mode,
-// where counter series fold into the same totals and the register gauges
-// split per shard — so one call lights up the full pipeline. The tracer's
-// lanes are wired the same way: lane 0 carries the orchestration (window
-// root and lifecycle stages), lane i+1 carries shard i's op spans.
+// span tracer (either may be nil). It threads the registry through every
+// shard's switch, emitter, and stream engine — counter series fold into the
+// same totals, the register gauges split per shard — so one call lights up
+// the full pipeline. The tracer's lanes are wired the same way: lane 0
+// carries the orchestration (window root and lifecycle stages), lane i+1
+// carries shard i's op spans.
 func (r *Runtime) Instrument(reg *telemetry.Registry, tz *tracez.Tracer) {
 	r.tz = tz
 	r.lane = tz.Lane(0)
-	if len(r.shards) > 0 {
-		for i, s := range r.shards {
-			s.sw.InstrumentShard(reg, i)
-			s.engine.Instrument(reg)
-			// The shard's lane is cached so the close path can re-parent it
-			// without taking the tracer's lane mutex every window. The lane
-			// outlives every window: the worker writes spans into it during
-			// each close, with the close barrier ordering its writes against
-			// the runtime's SetContext.
-			s.lane = tz.Lane(i + 1)
-			s.engine.AttachTracez(s.lane)
-			s.em.Instrument(reg)
-		}
-	} else {
-		r.sw.Instrument(reg)
-		r.engine.Instrument(reg)
-		r.engine.AttachTracez(r.lane)
-		r.em.Instrument(reg)
+	for i, s := range r.shards {
+		s.sw.Instrument(reg, i)
+		s.engine.Instrument(reg)
+		// The shard's lane is cached so the close path can re-parent it
+		// without taking the tracer's lane mutex every window. The lane
+		// outlives every window: the shard writes spans into it during each
+		// close, with the close barrier ordering its writes against the
+		// runtime's SetContext.
+		s.lane = tz.Lane(i + 1)
+		s.engine.AttachTracez(s.lane)
+		s.em.Instrument(reg)
 	}
 	if a, ok := r.sink.(TracezAttacher); ok && r.lane != nil {
 		a.AttachTracez(r.lane)
