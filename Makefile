@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-alloc bench-smoke check-batch check-metrics check-subscribe check-trace
+.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-batch check-metrics check-subscribe check-trace
 
 check: fmt vet build test race check-batch check-metrics check-subscribe check-trace bench-alloc
 	-@$(MAKE) --no-print-directory bench-smoke
@@ -66,7 +66,7 @@ check-trace:
 # subject to perf noise and does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
+		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the
@@ -75,3 +75,15 @@ bench-alloc:
 # `go run ./bench` on both commits and `go run ./bench -compare old new`.
 bench-smoke:
 	$(GO) run ./bench -quick
+
+# Before/after verdict for a performance change: `make bench-ab BASE=<rev>
+# [PAIRS=10] [SECONDS=8]` checks BASE out into a temporary git worktree,
+# builds both harnesses, makes PAIRS full records per side (`-seed i`,
+# alternating which side runs first) and ends with `go run ./bench -compare
+# base1,...,baseN new1,...,newN`. About 2.5 minutes per pair at the defaults;
+# the records stay in bench/out/ab/. Non-gating, like bench-smoke.
+PAIRS ?= 10
+SECONDS ?= 8
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [PAIRS=10] [SECONDS=8]"; exit 2; }
+	./scripts/bench-ab.sh "$(BASE)" "$(PAIRS)" "$(SECONDS)"

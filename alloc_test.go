@@ -10,6 +10,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/emitter"
 	"repro/internal/fields"
+	"repro/internal/flightrec"
 	"repro/internal/keytab"
 	"repro/internal/packet"
 	"repro/internal/pisa"
@@ -55,6 +56,14 @@ func TestAllocBudget(t *testing.T) {
 		TCPFlags: fields.FlagSYN, Pad: 256})
 	sw.Process(frame) // warm: first touch appends to the bank's arena
 	check("SwitchProcess", func() { sw.Process(frame) })
+
+	// Data plane as deployed: a 256-view batch through the batched walk with
+	// flight-recorder probes attached, a populated dynamic filter and warm
+	// banks. Selections, columns, key scratch and the emit pass's rows are
+	// all reused, and funnel counts are bulk adds.
+	psw, views := allocBudgetProbedSwitch(t)
+	psw.ProcessViews(views) // warm: scratch grows to the batch, keys insert
+	check("SwitchProcessViewsProbed", func() { psw.ProcessViews(views) })
 
 	// Monitoring port: encode + decode of a mirror record through reused
 	// buffers.
@@ -206,6 +215,69 @@ func allocBudgetSwitch(t testing.TB) *pisa.Switch {
 		t.Fatal(err)
 	}
 	return sw
+}
+
+// allocBudgetProbedSwitch builds the deployed shape of the data plane — a
+// coarse instance, its refined sibling behind a populated dynamic filter,
+// and a mid-pipeline distinct that mirrors per tuple, all with
+// flight-recorder probes — plus one parsed 256-frame batch that exercises
+// each of them.
+func allocBudgetProbedSwitch(t testing.TB) (*pisa.Switch, []pisa.View) {
+	instance := func(q *query.Query, level uint8, cut int) *pisa.InstanceSpec {
+		pipe := compile.CompilePipeline(q.Left.Ops)
+		spec := &pisa.InstanceSpec{QID: q.ID, Level: level, Ops: q.Left.Ops, Tables: pipe.Tables,
+			CutAt: cut, StageOf: make([]int, len(pipe.Tables)), RegEntries: make([]int, len(pipe.Tables))}
+		for i := range pipe.Tables {
+			spec.StageOf[i] = i
+			if pipe.Tables[i].Stateful {
+				spec.RegEntries[i] = 1 << 10
+			}
+		}
+		return spec
+	}
+	coarse := allocBudgetQuery()
+	refined := allocBudgetQuery()
+	refined.Left.Ops = append([]query.Op{query.NewDynPacketFilter("q1.r16", fields.DstIP, 8)}, refined.Left.Ops...)
+	spread := query.NewBuilder("spread", 3*time.Second).
+		Map(query.F(fields.SrcIP), query.F(fields.DstIP)).
+		Distinct().
+		Map(query.C(fields.SrcIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.SrcIP).
+		MustBuild()
+	spread.ID = 2
+	prog := &pisa.Program{Instances: []*pisa.InstanceSpec{
+		instance(coarse, 8, 4), instance(refined, 16, 5), instance(spread, 32, 4)}}
+	sw, err := pisa.NewSwitch(pisa.DefaultConfig(), prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flightrec.New(4, nil)
+	probes := map[[2]int]*flightrec.Probe{}
+	for _, spec := range prog.Instances {
+		stages := make([]flightrec.StageInfo, len(spec.Ops))
+		for i := range stages {
+			stages[i] = flightrec.StageInfo{Label: spec.Ops[i].Kind.String(), Stateful: spec.Ops[i].Stateful(), OnSwitch: true}
+		}
+		probes[[2]int{int(spec.QID), int(spec.Level)}] = rec.Track(flightrec.TrackConfig{
+			QID: spec.QID, Level: spec.Level, RefFrom: -1, NumLeft: len(stages), Stages: stages})
+	}
+	sw.AttachFlightRec(func(qid uint16, level uint8) *flightrec.Probe { return probes[[2]int{int(qid), int(level)}] })
+	key := stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(10, 0, 0, 0))), 8)
+	if _, err := sw.UpdateDynTable(1, 16, pisa.SideLeft, 0, []string{key}); err != nil {
+		t.Fatal(err)
+	}
+	parser := packet.NewParser(packet.ParserOptions{})
+	views := make([]pisa.View, 256)
+	for i := range views {
+		flags := uint8(fields.FlagSYN)
+		if i%3 == 0 {
+			flags = fields.FlagACK
+		}
+		views[i].Prepare(parser, packet.BuildFrame(nil, &packet.FrameSpec{
+			SrcIP: uint32(1 + i%17), DstIP: packet.IPv4Addr(byte(10+i%2), 0, 0, byte(i%29)),
+			Proto: 6, DstPort: 80, TCPFlags: flags, Pad: 128}))
+	}
+	return sw, views
 }
 
 func allocBudgetEngine(t testing.TB) *stream.Engine {

@@ -20,6 +20,7 @@
 // Throughput benchmarks:
 //
 //	BenchmarkSwitchProcess              — data-plane packets/second
+//	BenchmarkSwitchProcessViewsProbed   — the batched, probed data plane, per 256-view batch
 //	BenchmarkEngineIngest               — stream-processor tuples/second
 package main
 
@@ -330,6 +331,20 @@ func BenchmarkSwitchProcess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw.Process(frame)
+	}
+}
+
+// BenchmarkSwitchProcessViewsProbed is the data plane as deployed: one
+// 256-view batch per iteration through the batched walk, flight-recorder
+// probes attached, a populated dynamic filter, warm banks (the shape
+// TestAllocBudget pins at zero allocations).
+func BenchmarkSwitchProcessViewsProbed(b *testing.B) {
+	sw, views := allocBudgetProbedSwitch(b)
+	sw.ProcessViews(views)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw.ProcessViews(views)
 	}
 }
 

@@ -59,8 +59,9 @@ func main() {
 
 	eval.DefaultWorkers = *workers
 
-	// The registry and flight recorder always exist (instrumentation is free
-	// when nothing reads it); the endpoints are opt-in.
+	// The registry and flight recorder always exist (their measured cost on
+	// the packet path is inside the harness's noise; see cmd/sonata); the
+	// endpoints are opt-in.
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterBuildInfo(reg, time.Now())
 	eval.DefaultTelemetry = reg // every deployed runtime registers here

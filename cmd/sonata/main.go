@@ -102,8 +102,12 @@ func main() {
 	}
 
 	// Observability: the registry, span tracer, and flight recorder always
-	// exist (instrumentation is free when nothing reads it); the endpoints
-	// and the JSONL file exporter are opt-in. The JSONL tracer is created
+	// exist; the endpoints and the JSONL file exporter are opt-in. What
+	// always-on costs is measured, not assumed: the harness's observer
+	// differentials on sonata-seq-100k (go run ./bench, CHANGES.md PR 16)
+	// put the recorder at flightrec.tax_ns_per_pkt = -14 ns/pkt (quartiles
+	// -41..+5 over ten seeds) of 981 ns/pkt ingest, and the registry and
+	// tracez taxes in the same band — all inside the differential's noise. The JSONL tracer is created
 	// first so the recorder's eviction spans land in the same stream as the
 	// window lifecycle stages tracez exports.
 	var tracer *telemetry.Tracer

@@ -72,7 +72,7 @@ func Fig3() *Table {
 	for _, ratio := range ratios {
 		row := []any{ratio}
 		for d := 1; d <= 4; d++ {
-			bank := pisa.NewRegisterBank(n, d)
+			bank := pisa.NewRegisterBank(n, d, []int{64})
 			r := rand.New(rand.NewSource(7))
 			keys := int(ratio * float64(n))
 			fails := 0

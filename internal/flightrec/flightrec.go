@@ -198,6 +198,15 @@ func (p *Probe) OpSwitch(stage int) {
 	}
 }
 
+// OpSwitchN counts n packets entering the given stage in the data plane: the
+// batched switch walk adds each stage's count once per batch, as the
+// popcount of the selection entering it.
+func (p *Probe) OpSwitchN(stage int, n uint64) {
+	if p != nil {
+		p.opInSw[stage] += n
+	}
+}
+
 // OpSP adds one stage's stream-processor entering/emission counts (the
 // engine flushes its per-op counters here at window end).
 func (p *Probe) OpSP(stage int, in, out uint64) {

@@ -140,6 +140,8 @@ type connMetrics struct {
 type Conn struct {
 	rw io.ReadWriter
 	m  connMetrics
+	// wbuf assembles each outgoing frame (header and body) for one Write.
+	wbuf []byte
 }
 
 // NewConn wraps a transport.
@@ -199,24 +201,21 @@ func (c *Conn) Send(t MsgType, payload any) error {
 
 // SendRaw writes one frame whose body is already encoded. This is the
 // fan-out fast path: a subscription server encodes an update once and writes
-// the same body to every subscriber without re-serializing, and the write
-// itself allocates nothing.
+// the same body to every subscriber without re-serializing. The frame goes
+// out in a single Write from the connection's reusable buffer, so a reader
+// of the transport never observes a header without its body, and the steady
+// state allocates nothing. Like every write on a Conn it is not safe for
+// concurrent use.
 func (c *Conn) SendRaw(t MsgType, body []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = byte(t)
-	if _, err := c.rw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("netproto: writing %v header: %w", t, err)
-	}
-	// Skip empty writes: a zero-length Write on a synchronous transport
-	// (net.Pipe) blocks until a matching zero-length Read that never comes.
-	if len(body) > 0 {
-		if _, err := c.rw.Write(body); err != nil {
-			return fmt.Errorf("netproto: writing %v body: %w", t, err)
-		}
+	frame := append(c.wbuf[:0], 0, 0, 0, 0, byte(t))
+	binary.BigEndian.PutUint32(frame, uint32(len(body)+1))
+	frame = append(frame, body...)
+	c.wbuf = frame
+	if _, err := c.rw.Write(frame); err != nil {
+		return fmt.Errorf("netproto: writing %v frame: %w", t, err)
 	}
 	c.m.framesSent.Inc()
-	c.m.bytesSent.Add(uint64(len(hdr) + len(body)))
+	c.m.bytesSent.Add(uint64(len(frame)))
 	return nil
 }
 

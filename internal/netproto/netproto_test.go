@@ -48,6 +48,66 @@ func TestEmptyPayloadFrames(t *testing.T) {
 	}
 }
 
+// countingDuplex is a duplex that records each Write as the writer saw it.
+type countingDuplex struct {
+	duplex
+	writes [][]byte
+}
+
+func (d *countingDuplex) Write(p []byte) (int, error) {
+	d.writes = append(d.writes, append([]byte(nil), p...))
+	return d.duplex.Write(p)
+}
+
+// TestOneWritePerFrame pins the framing contract readers of the transport
+// rely on: every frame — gob payload, raw body, or no body at all — reaches
+// the writer as exactly one Write holding header and body, so no reader can
+// catch a header without its body. The zero-length body matters on
+// synchronous transports (net.Pipe), where an empty second Write would block
+// forever.
+func TestOneWritePerFrame(t *testing.T) {
+	d := &countingDuplex{}
+	c := NewConn(d)
+	body := bytes.Repeat([]byte{0xAB}, 300)
+	sends := []struct {
+		name string
+		send func() error
+		typ  MsgType
+		body []byte // nil: whatever gob produced
+	}{
+		{"raw body", func() error { return c.SendRaw(MsgNotify, body) }, MsgNotify, body},
+		{"empty raw body", func() error { return c.SendRaw(MsgNotify, nil) }, MsgNotify, []byte{}},
+		{"gob payload", func() error { return c.Send(MsgUpdateOK, &UpdateResult{Entries: 3}) }, MsgUpdateOK, nil},
+		{"no payload", func() error { return c.Send(MsgEndWindow, nil) }, MsgEndWindow, []byte{}},
+		{"shorter raw body reusing the buffer", func() error { return c.SendRaw(MsgNotify, body[:7]) }, MsgNotify, body[:7]},
+	}
+	for i, s := range sends {
+		if err := s.send(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if len(d.writes) != i+1 {
+			t.Fatalf("%s: writer saw %d writes after %d frames", s.name, len(d.writes), i+1)
+		}
+		w := d.writes[i]
+		if n := int(uint32(w[0])<<24|uint32(w[1])<<16|uint32(w[2])<<8|uint32(w[3])) + 4; n != len(w) {
+			t.Errorf("%s: header says %d bytes, the write holds %d", s.name, n, len(w))
+		}
+		if MsgType(w[4]) != s.typ {
+			t.Errorf("%s: type byte %d, want %v", s.name, w[4], s.typ)
+		}
+		if s.body != nil && !bytes.Equal(w[5:], s.body) {
+			t.Errorf("%s: body %x, want %x", s.name, w[5:], s.body)
+		}
+	}
+	// The stream still parses frame by frame.
+	for _, s := range sends {
+		typ, got, err := c.RecvRaw()
+		if err != nil || typ != s.typ || (s.body != nil && !bytes.Equal(got, s.body)) {
+			t.Fatalf("%s: read back typ=%v len=%d err=%v", s.name, typ, len(got), err)
+		}
+	}
+}
+
 func TestErrorFramesSurfaceAsErrors(t *testing.T) {
 	d := &duplex{}
 	c := NewConn(d)

@@ -11,13 +11,18 @@ import (
 // call on a nil handle is a no-op, so the packet path carries no branch on
 // an "enabled" flag and no map lookups.
 type switchMetrics struct {
-	packets     *telemetry.Counter
-	mirrored    *telemetry.Counter
-	collisions  *telemetry.Counter
-	dumpTuples  *telemetry.Counter
-	dynUpdates  *telemetry.Counter
-	regUsed     *telemetry.Gauge
-	regCapacity *telemetry.Gauge
+	packets    *telemetry.Counter
+	mirrored   *telemetry.Counter
+	collisions *telemetry.Counter
+	dumpTuples *telemetry.Counter
+	dynUpdates *telemetry.Counter
+	// screenFrames and screenEntered are the two ends of the leading-filter
+	// prescreen: runnable frames offered to instances that have one, and the
+	// frames that survived it into the instance's first table behind it.
+	screenFrames  *telemetry.Counter
+	screenEntered *telemetry.Counter
+	regUsed       *telemetry.Gauge
+	regCapacity   *telemetry.Gauge
 }
 
 // Instrument registers the switch's metrics against reg (nil disables) as
@@ -41,6 +46,10 @@ func (sw *Switch) Instrument(reg *telemetry.Registry, shard int) {
 			"Aggregated (key, value) pairs dumped at window boundaries."),
 		dynUpdates: reg.Counter("sonata_switch_dyn_table_updates_total",
 			"Dynamic filter entries written by refinement updates."),
+		screenFrames: reg.Counter("sonata_pisa_prescreen_frames_total",
+			"Runnable frames offered to instances guarded by leading filters, summed over those instances.", "shard", label),
+		screenEntered: reg.Counter("sonata_pisa_prescreen_entered_total",
+			"Frames that passed an instance's leading filters into its first table behind them.", "shard", label),
 		regUsed: reg.Gauge("sonata_switch_register_entries_used",
 			"Register slots occupied at the last window boundary.", "shard", label),
 		regCapacity: reg.Gauge("sonata_switch_register_entries_capacity",

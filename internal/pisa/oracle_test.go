@@ -13,15 +13,19 @@ import (
 	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
-// oracleProgram is a program that takes every branch the batched walks fork
-// on: static leading filters (two instances sharing the SYN atom, one with a
+// oracleProgram is a program that takes every branch the batched walk has:
+// static leading filters (two instances sharing the SYN atom, one with a
 // second clause), a populated and an unpopulated leading dynamic filter, an
-// instance with no screenable prefix running a mid-pipeline distinct, a
-// one-slot bank that overflows, and an All-SP instance with nothing on the
-// switch.
+// instance with no screenable prefix running a mid-pipeline distinct, the
+// same pipeline over a small bank whose collision shunts interleave with
+// its tail mirrors, a one-slot last-table bank that overflows, a distinct
+// keyed on a string column (every key tagged), a mid-pipeline reduce whose
+// merged threshold filter passes the running aggregate on to a map, and an
+// All-SP instance with nothing on the switch.
 func oracleProgram() *Program {
 	full := func(q *query.Query, qid uint16, level uint8, regEntries int) *InstanceSpec {
 		spec := specFor(q, len(compile.CompilePipeline(q.Left.Ops).Tables), regEntries)
@@ -54,7 +58,26 @@ func oracleProgram() *Program {
 	stateless.QID = 5
 	allSP := specFor(query1(1), 0, 0)
 	allSP.QID = 6
-	return &Program{Instances: []*InstanceSpec{overflow, populated, unpopulated, distinct, stateless, allSP}}
+	shunting := specFor(spread, 4, 32) // the distinct's bank overflows mid-pipeline
+	shunting.QID = 7
+	payloads := query.NewBuilder("payloads", time.Second).
+		Filter(query.Eq(fields.DstPort, 80)).
+		Map(query.F(fields.SrcIP), query.F(fields.Payload)).
+		Distinct().
+		Map(query.C(fields.Payload), query.ConstCol(1)).
+		MustBuild()
+	strKey := specFor(payloads, 5, 64) // filter, map, hash, distinct, map
+	strKey.QID = 8
+	running := query.NewBuilder("running", time.Second).
+		Map(query.F(fields.DstIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.DstIP).
+		Filter(query.Gt(fields.AggVal, 3)).
+		Map(query.C(fields.DstIP), query.C(fields.AggVal)).
+		MustBuild()
+	midReduce := specFor(running, 4, 256) // map, hash, reduce + merged filter, map
+	midReduce.QID = 9
+	return &Program{Instances: []*InstanceSpec{overflow, populated, unpopulated, distinct, stateless, allSP,
+		shunting, strKey, midReduce}}
 }
 
 // oracleFrames mixes clean TCP frames over a small address space (so keys
@@ -70,7 +93,7 @@ func oracleFrames(r *rand.Rand, n int) [][]byte {
 		f := packet.BuildFrame(nil, &packet.FrameSpec{
 			SrcIP: uint32(r.Intn(40) + 1), DstIP: packet.IPv4Addr(byte(9+r.Intn(3)), 1, 1, byte(r.Intn(30))),
 			Proto: 6, SrcPort: uint16(r.Intn(100) + 1), DstPort: uint16(80 + r.Intn(2)),
-			TCPFlags: flags, Pad: 60})
+			TCPFlags: flags, Payload: []byte{'p', byte('a' + r.Intn(4))}, Pad: 60})
 		switch r.Intn(10) {
 		case 0:
 			f[12], f[13] = 0x08, 0x06 // ARP ethertype: unsupported layer
@@ -88,6 +111,11 @@ type oracleOutcome struct {
 	dumps   []string
 	stats   WindowStats
 	funnel  string // flight-recorder records; empty without probes
+	// offered and entered are the window's prescreen counters (zero on the
+	// frame-at-a-time walks, which have no prescreen); enteredOps is the same
+	// quantity as entered read off the funnel instead: the entering count of
+	// each guarded instance's first table behind its leading filters.
+	offered, entered, enteredOps uint64
 }
 
 func (o *oracleOutcome) diff(want *oracleOutcome) string {
@@ -129,6 +157,7 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 	if err != nil {
 		t.Fatal(err)
 	}
+	sw.Instrument(telemetry.NewRegistry(), 0)
 	var rec *flightrec.Recorder
 	if probes {
 		rec = flightrec.New(len(windows), nil)
@@ -156,7 +185,9 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 			t.Fatal(err)
 		}
 		out = &oracleOutcome{mirrors: map[string][]string{}}
+		offered, entered := sw.m.screenFrames.Value(), sw.m.screenEntered.Value()
 		walk(sw, ps, frames)
+		out.offered, out.entered = sw.m.screenFrames.Value()-offered, sw.m.screenEntered.Value()-entered
 		dumps, stats := sw.EndWindow()
 		for _, d := range dumps {
 			out.dumps = append(out.dumps, fmt.Sprintf("q%d/r%d merge=%d key=%v val=%d", d.QID, d.Level, d.MergeOp, d.KeyVals, d.Val))
@@ -170,6 +201,11 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 			for _, r := range rec.Snapshot(0).Queries {
 				out.funnel += fmt.Sprintf("q%d/r%d mirrored=%d collisions=%d dumps=%d reg=%d/%d ops=%v\n",
 					r.QID, r.Level, r.Mirrored, r.Collisions, r.DumpTuples, r.RegUsed, r.RegCapacity, r.Ops)
+				for _, st := range sw.insts {
+					if spec := st.spec; spec.QID == r.QID && spec.Level == r.Level && st.screenTables > 0 {
+						out.enteredOps += r.Ops[spec.Tables[st.screenTables].OpIdx].In
+					}
+				}
 			}
 		}
 		outcomes = append(outcomes, *out)
@@ -182,9 +218,11 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 // ProcessViewsPre, and ProcessView per view — must be indistinguishable from
 // frame-at-a-time Process in each instance's mirror sequence, the window's
 // register dumps and its stats, at batch lengths on both sides of the bitmap
-// word boundary. With flight-recorder probes attached (where the batched
-// walks skip the prescreen to keep per-packet funnel semantics) the
-// per-stage entering counts must match too.
+// word boundary. With flight-recorder probes attached the per-stage entering
+// counts must match too — and the probed batched walks must have gone
+// through the prescreen like the unprobed ones: their prescreen counters
+// show every guarded instance was offered every runnable frame and let in
+// exactly the frames the funnel says entered behind its leading filters.
 func TestBatchedWalksMatchProcess(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	windows := [][][]byte{oracleFrames(r, 700), oracleFrames(r, 500)}
@@ -200,6 +238,19 @@ func TestBatchedWalksMatchProcess(t *testing.T) {
 				}
 				run(sw, ps, views[:n])
 				frames = frames[n:]
+			}
+		}
+	}
+	// What the prescreen counters must add up to: every runnable frame of a
+	// window, offered once to each instance with leading filters.
+	const guarded = 5 // q1, q2, q3, q5 and q8 start with a filter
+	runnable := make([]uint64, len(windows))
+	parser := packet.NewParser(packet.ParserOptions{})
+	for wi, frames := range windows {
+		for _, f := range frames {
+			var v View
+			if v.Prepare(parser, f); v.Runnable {
+				runnable[wi]++
 			}
 		}
 	}
@@ -229,13 +280,27 @@ func TestBatchedWalksMatchProcess(t *testing.T) {
 		// The program must actually take the branches it was built for.
 		if probes {
 			first := want[0]
-			for _, name := range []string{"q1/r0", "q4/r0", "q5/r0", "q6/r0"} {
+			for _, name := range []string{"q1/r0", "q4/r0", "q5/r0", "q6/r0", "q7/r0", "q8/r0", "q9/r0"} {
 				if len(first.mirrors[name]) == 0 {
 					t.Fatalf("%s mirrored nothing; the oracle is vacuous", name)
 				}
 			}
 			if first.stats.Collisions == 0 || len(first.dumps) == 0 {
 				t.Fatalf("no collisions or no dumps (%+v); the oracle is vacuous", first.stats)
+			}
+			// q7's shunts and tail mirrors must alternate, or the emit pass's
+			// frame order is not under test; q8's keys must be strings.
+			flips := 0
+			for i, m := range first.mirrors["q7/r0"][1:] {
+				if strings.HasPrefix(m, "ovf=true") != strings.HasPrefix(first.mirrors["q7/r0"][i], "ovf=true") {
+					flips++
+				}
+			}
+			if flips < 4 {
+				t.Fatalf("q7/r0 shunts and tail mirrors do not interleave (%d flips); the oracle is vacuous", flips)
+			}
+			if !strings.Contains(first.mirrors["q8/r0"][0], `"p`) {
+				t.Fatalf("q8/r0 mirrors no string column: %s", first.mirrors["q8/r0"][0])
 			}
 			if !strings.Contains(strings.Join(first.dumps, "\n"), "q2/r16") ||
 				strings.Contains(strings.Join(first.dumps, "\n"), "q3/r16") {
@@ -249,6 +314,17 @@ func TestBatchedWalksMatchProcess(t *testing.T) {
 					if d := got[wi].diff(&want[wi]); d != "" {
 						t.Errorf("%s batch=%d probes=%v window %d diverged from Process: %s",
 							w.name, batch, probes, wi, d)
+					}
+					if w.name == "ProcessView" {
+						continue // the reference walk has no prescreen
+					}
+					if offered := guarded * runnable[wi]; got[wi].offered != offered {
+						t.Errorf("%s batch=%d probes=%v window %d: prescreen offered %d frames, want %d",
+							w.name, batch, probes, wi, got[wi].offered, offered)
+					}
+					if probes && (got[wi].entered != want[wi].enteredOps || got[wi].entered == 0) {
+						t.Errorf("%s batch=%d window %d: prescreen let in %d frames, the funnel says %d",
+							w.name, batch, wi, got[wi].entered, want[wi].enteredOps)
 					}
 				}
 			}

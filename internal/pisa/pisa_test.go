@@ -366,7 +366,7 @@ func TestProgramValidationConstraints(t *testing.T) {
 }
 
 func TestRegisterBankBasics(t *testing.T) {
-	b := NewRegisterBank(64, 2)
+	b := NewRegisterBank(64, 2, []int{32})
 	vals := []tuple.Value{tuple.U64(5)}
 	if _, newKey, ok := b.Update(vals, []int{0}, 3, query.AggSum); !ok || !newKey {
 		t.Fatal("first insert failed")
@@ -374,21 +374,20 @@ func TestRegisterBankBasics(t *testing.T) {
 	if v, newKey, ok := b.Update(vals, []int{0}, 4, query.AggSum); !ok || newKey || v != 7 {
 		t.Fatalf("second update: v=%d newKey=%v ok=%v", v, newKey, ok)
 	}
-	if v, ok := b.Lookup(vals, []int{0}); !ok || v != 7 {
-		t.Errorf("Lookup = %d, %v", v, ok)
+	if b.Stored() != 1 || b.Capacity() != 128 {
+		t.Errorf("Stored = %d, Capacity = %d", b.Stored(), b.Capacity())
 	}
-	if b.Stored() != 1 {
-		t.Errorf("Stored = %d", b.Stored())
-	}
-	dump := b.Dump()
-	if len(dump) != 1 || dump[0].Val != 7 || dump[0].KeyVals[0].U != 5 {
-		t.Errorf("Dump = %+v", dump)
+	if e := b.Entry(0); e.Val != 7 || len(e.KeyVals) != 1 || e.KeyVals[0].U != 5 {
+		t.Errorf("Entry(0) = %+v", e)
 	}
 	if col := b.Reset(); col != 0 {
 		t.Errorf("collisions = %d", col)
 	}
-	if _, ok := b.Lookup(vals, []int{0}); ok {
+	if b.Stored() != 0 {
 		t.Error("Reset did not clear")
+	}
+	if v, newKey, ok := b.Update(vals, []int{0}, 1, query.AggSum); !ok || !newKey || v != 1 {
+		t.Errorf("update after Reset: v=%d newKey=%v ok=%v, want a fresh key", v, newKey, ok)
 	}
 }
 
@@ -398,7 +397,7 @@ func TestRegisterBankBasics(t *testing.T) {
 func TestCollisionRateMatchesFigure3(t *testing.T) {
 	n := 1024
 	rate := func(d int, loadFactor float64) float64 {
-		b := NewRegisterBank(n, d)
+		b := NewRegisterBank(n, d, []int{64})
 		r := rand.New(rand.NewSource(42))
 		keys := int(loadFactor * float64(n))
 		fails := 0

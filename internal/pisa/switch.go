@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/compile"
@@ -107,22 +106,22 @@ type instState struct {
 	valsCur    int
 	dynScratch []byte
 	// fr is the instance's flight-recorder probe (nil when detached; nil
-	// probes no-op). frStage[t] is the probe's global stage index for table
-	// t's op, or -1 when an earlier table already counted that op (stateful
+	// probes no-op). frStage[t] is the op whose entering packets table t
+	// counts, or -1 when an earlier table already counted that op (stateful
 	// ops lower to a hash-index + state-update table pair). frBase offsets
 	// right-side instances into the probe's combined stage space.
 	fr      *flightrec.Probe
 	frStage []int
 	frBase  int
-	// screenTables is the number of leading packet-phase filter tables
-	// (static and dynamic) covered by the batch prescreen. screenAtoms
-	// indexes the shared static-clause bitmaps whose AND gates this
-	// instance's entry; screenDyn lists the leading dynamic filter tables,
-	// applied per batch against one rule-set snapshot. Zero when the
-	// instance's first table is not a filter (prescreen not applicable).
+	// screenTables is the number of leading filter tables (static and
+	// dynamic), which see the packet: the prescreen. atoms[t] indexes the
+	// shared static-clause bitmaps whose AND is packet-phase filter table t.
 	screenTables int
-	screenAtoms  []int
-	screenDyn    []int
+	atoms        [][]int
+	// mapStr[t] says, for map table t, which output columns are
+	// string-valued; the batched walk keeps those as tuple.Value columns and
+	// every other one as uint64s.
+	mapStr [][]bool
 }
 
 // nextVals returns an n-wide tuple buffer from the instance's ping-pong
@@ -174,11 +173,11 @@ type Switch struct {
 	stats  WindowStats
 	parser *packet.Parser
 	view   View // Process's parse scratch
-	// dumpScratch is EndWindow's reusable (keys + aggregate) row buffer for
-	// merged threshold filters; dumpBuf is its reusable RegDump slice (the
-	// returned dumps are valid until the next EndWindow).
-	dumpScratch []tuple.Value
-	dumpBuf     []RegDump
+	// dumpBuf is EndWindow's reusable RegDump slice (the returned dumps are
+	// valid until the next EndWindow), pollBuf the aggregates of the bank it
+	// is dumping.
+	dumpBuf []RegDump
+	pollBuf []uint64
 	// tableUpdates counts dynamic filter entry updates (the refinement
 	// overhead micro-benchmark).
 	tableUpdates uint64
@@ -186,20 +185,14 @@ type Switch struct {
 	// filter clauses ("atoms") that gate instance entry — program-wide, and
 	// possibly shared with other switches (worker shards) via
 	// NewSwitchShared. ProcessViews evaluates each atom once per batch into
-	// its bitmap (in ownMasks), and every instance ANDs its atoms' masks
-	// (into screenComb) to select the frames that enter its pipeline. A
-	// frame thus pays each distinct predicate once per batch instead of once
-	// per instance that shares it; with ProcessViewsPre the dispatch side
-	// pays it once per batch instead of once per shard.
-	// Dynamic filters in the leading run are screened per instance: one
-	// rule-set snapshot per batch, probed only for frames still selected.
-	// screenActive reports whether any of this switch's instances has a
-	// screenable prefix; the masks' runnable bitmap seeds the combined mask
-	// when an instance's prefix has dynamic filters but no static clauses.
-	pre          *Prescreen
-	ownMasks     PrescreenMasks
-	screenComb   []uint64
-	screenActive bool
+	// its bitmap (in ownMasks), and every instance ANDs its atoms' masks into
+	// its selection. A frame thus pays each distinct predicate once per batch
+	// instead of once per instance that shares it; with ProcessViewsPre the
+	// dispatch side pays it once per batch instead of once per shard.
+	pre      *Prescreen
+	ownMasks PrescreenMasks
+	// walk is the batched walk's reusable column and selection scratch.
+	walk walkScratch
 	// m holds pre-registered telemetry handles; the zero value is the
 	// uninstrumented (free) mode.
 	m switchMetrics
@@ -228,57 +221,70 @@ func NewSwitchShared(cfg Config, prog *Program, mirror func(Mirror), ps *Prescre
 	// The switch parser extracts headers only; deep (DNS/payload) parsing
 	// happens at the emitter/stream processor, as in the paper.
 	sw := &Switch{cfg: cfg, mirror: mirror, parser: packet.NewParser(packet.ParserOptions{})}
+	if ps == nil {
+		ps = NewPrescreen()
+	}
+	sw.pre = ps
 	for _, spec := range prog.Instances {
 		st := &instState{spec: spec, banks: make([]*RegisterBank, spec.CutAt),
-			dynRules: make([]atomic.Pointer[dynRuleSet], spec.CutAt)}
+			dynRules: make([]atomic.Pointer[dynRuleSet], spec.CutAt),
+			frStage:  make([]int, spec.CutAt), atoms: make([][]int, spec.CutAt),
+			mapStr: make([][]bool, spec.CutAt)}
+		// Until the first map runs, tables see the packet: that is the
+		// leading run of filter tables. Their static clauses become shared
+		// atoms, deduplicated across every switch sharing the prescreen —
+		// instances installed at several refinement levels (or partitioned
+		// across shards) share their entry filters, so the dedup is what buys
+		// the win.
+		var str []bool // which columns of the current tuple are strings; nil in packet phase
+		counted := -1  // last op a table counted entering packets for
 		for t := 0; t < spec.CutAt; t++ {
 			tab := &spec.Tables[t]
-			if tab.Stateful {
+			o := &spec.Ops[tab.OpIdx]
+			// A stateful op lowers to two tables (hash-index + state-update);
+			// count its entering packets at the first table only.
+			st.frStage[t] = -1
+			if tab.OpIdx != counted {
+				st.frStage[t], counted = tab.OpIdx, tab.OpIdx
+			}
+			if st.screenTables == t && (tab.Kind == compile.TableFilter || tab.Kind == compile.TableDynFilter) {
+				st.screenTables = t + 1
+				ps.active = true
+			}
+			switch {
+			case tab.Kind == compile.TableFilter && str == nil:
+				for _, cl := range o.Clauses {
+					st.atoms[t] = append(st.atoms[t], ps.intern(cl))
+				}
+			case tab.Kind == compile.TableMap:
+				out := make([]bool, len(o.Cols))
+				for c := range o.Cols {
+					out[c] = exprIsStr(&o.Cols[c].Expr, str)
+				}
+				st.mapStr[t], str = out, out
+			case tab.Stateful:
 				n := spec.RegEntries[t]
 				if n <= 0 {
 					return nil, fmt.Errorf("pisa: %s table %d: no register entries", spec.Name(), t)
 				}
-				st.banks[t] = NewRegisterBank(n, cfg.RegisterChains)
+				// One register slot holds the key at the column widths the
+				// compiler charges for it (their sum is tab.KeyBits).
+				in := o.InSchema()
+				keyBits := make([]int, len(o.KeyCols))
+				next := make([]bool, len(o.KeyCols), len(o.KeyCols)+1)
+				for j, k := range o.KeyCols {
+					keyBits[j], next[j] = in[k].Bits(), str[k]
+				}
+				st.banks[t] = NewRegisterBank(n, cfg.RegisterChains, keyBits)
+				if o.Kind == query.OpReduce {
+					next = append(next, false)
+				}
+				str = next
 			}
 		}
 		cp := compile.Pipeline{Ops: spec.Ops, Tables: spec.Tables}
 		st.entry = cp.EntryFor(spec.CutAt)
 		sw.insts = append(sw.insts, st)
-	}
-	// Collect the prescreen: each instance's leading run of packet-phase
-	// filter tables (no map has run yet, so all are packet-phase). Static
-	// clauses become shared atoms, deduplicated across every switch sharing
-	// the prescreen — instances installed at several refinement levels (or
-	// partitioned across shards) share their entry filters, so the dedup is
-	// what buys the win. Dynamic filter tables in the run are recorded per
-	// instance for the snapshot-per-batch screen.
-	if ps == nil {
-		ps = NewPrescreen()
-	}
-	sw.pre = ps
-	for _, st := range sw.insts {
-		spec := st.spec
-		t := 0
-	scan:
-		for t < spec.CutAt {
-			switch spec.Tables[t].Kind {
-			case compile.TableFilter:
-				o := &spec.Ops[spec.Tables[t].OpIdx]
-				for _, cl := range o.Clauses {
-					st.screenAtoms = append(st.screenAtoms, ps.intern(cl))
-				}
-			case compile.TableDynFilter:
-				st.screenDyn = append(st.screenDyn, t)
-			default:
-				break scan
-			}
-			t++
-		}
-		st.screenTables = t
-		if t > 0 {
-			sw.screenActive = true
-			ps.active = true
-		}
 	}
 	return sw, nil
 }
@@ -334,7 +340,7 @@ func (sw *Switch) TableUpdates() uint64 { return sw.tableUpdates }
 func (sw *Switch) AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec.Probe) {
 	for _, st := range sw.insts {
 		spec := st.spec
-		st.fr, st.frStage, st.frBase = nil, nil, 0
+		st.fr, st.frBase = nil, 0
 		if lookup == nil {
 			continue
 		}
@@ -345,19 +351,6 @@ func (sw *Switch) AttachFlightRec(lookup func(qid uint16, level uint8) *flightre
 		st.fr = p
 		if spec.Side == SideRight {
 			st.frBase = p.RightBase()
-		}
-		// A stateful op lowers to two tables (hash-index + state-update);
-		// count its entering packets at the first table only.
-		st.frStage = make([]int, spec.CutAt)
-		seen := make(map[int]bool, spec.CutAt)
-		for t := 0; t < spec.CutAt; t++ {
-			op := spec.Tables[t].OpIdx
-			if seen[op] {
-				st.frStage[t] = -1
-				continue
-			}
-			seen[op] = true
-			st.frStage[t] = st.frBase + op
 		}
 		for _, bank := range st.banks {
 			if bank != nil {
@@ -380,8 +373,8 @@ func (sw *Switch) Process(frame []byte) int {
 }
 
 // ProcessView runs an already-parsed frame through every installed
-// instance, unscreened and from table 0: the frame-at-a-time reference walk
-// the batched paths are tested against. It does not count PacketsIn (a view
+// instance, one table after the other: the frame-at-a-time reference walk
+// the batched walk is tested against. It does not count PacketsIn (a view
 // may be shared by several switches; the parse side owns that count) and
 // skips non-Runnable views: hard parse errors see no telemetry processing.
 func (sw *Switch) ProcessView(v *View) int {
@@ -390,7 +383,7 @@ func (sw *Switch) ProcessView(v *View) int {
 	}
 	reports := 0
 	for _, st := range sw.insts {
-		if sw.processInstance(st, v, 0) {
+		if sw.processInstance(st, v) {
 			reports++
 		}
 	}
@@ -398,27 +391,20 @@ func (sw *Switch) ProcessView(v *View) int {
 }
 
 // ProcessViews runs a batch of already-parsed frames through every installed
-// instance, instance-major: the outer loop walks instances, the inner one
-// frames, so one instance's tables, register banks, and dynamic rule
-// snapshots stay hot in cache across the whole batch. Before the instance
-// loop, each distinct leading filter clause ("atom") is evaluated once over
-// the batch into a selection bitmap; an instance whose entry is guarded by
-// such filters ANDs its atoms' bitmaps and walks only the surviving frames,
-// entering its pipeline past the prescreened tables. Per-instance frame
-// order is unchanged from view-at-a-time processing, and prescreened
-// rejection has exactly the side effects of a scalar first-filter
-// rejection (none) — only the interleaving across instances differs, which
-// no per-instance state observes — so window results are bit-identical to
-// calling ProcessView per view. Like ProcessView it does not count
-// PacketsIn and skips non-Runnable views. Instances with a flight-recorder
-// probe attached take the unscreened walk so per-stage funnel counts keep
-// their exact per-packet semantics.
+// instance, instance-major and table-at-a-time (walk.go): one instance's
+// tables, register banks, and dynamic rule snapshots stay hot in cache
+// across the whole batch. Each distinct leading filter clause ("atom") is
+// evaluated once over the batch into a selection bitmap first; an instance
+// narrows the batch's runnable frames table by table, and emits its mirrors
+// in frame order at the end. Per-instance frame order is unchanged from
+// view-at-a-time processing — only the interleaving across instances and
+// across one instance's tables differs, which no per-instance state
+// observes — so window results are bit-identical to calling ProcessView per
+// view. Like ProcessView it does not count PacketsIn and skips non-Runnable
+// views.
 func (sw *Switch) ProcessViews(vs []View) int {
-	if sw.screenActive && len(vs) > 0 {
-		sw.pre.Eval(vs, &sw.ownMasks)
-		return sw.processViewsScreened(vs, &sw.ownMasks)
-	}
-	return sw.processViewsScreened(vs, nil)
+	sw.pre.Eval(vs, &sw.ownMasks)
+	return sw.processViews(vs, &sw.ownMasks)
 }
 
 // ProcessViewsPre is ProcessViews with the prescreen bitmaps already
@@ -432,122 +418,41 @@ func (sw *Switch) ProcessViewsPre(vs []View, m *PrescreenMasks) int {
 	if m == nil {
 		return sw.ProcessViews(vs)
 	}
-	return sw.processViewsScreened(vs, m)
+	return sw.processViews(vs, m)
 }
 
-func (sw *Switch) processViewsScreened(vs []View, m *PrescreenMasks) int {
-	reports := 0
-	screened := sw.screenActive && len(vs) > 0 && m != nil
-	if screened {
-		words := (len(vs) + 63) >> 6
-		if cap(sw.screenComb) < words {
-			sw.screenComb = make([]uint64, words)
-		}
-		sw.screenComb = sw.screenComb[:words]
-	}
-	for _, st := range sw.insts {
-		if screened && st.screenTables > 0 && st.fr == nil {
-			comb := sw.screenComb
-			if len(st.screenAtoms) > 0 {
-				copy(comb, m.atoms[st.screenAtoms[0]])
-				for _, a := range st.screenAtoms[1:] {
-					am := m.atoms[a]
-					for w := range comb {
-						comb[w] &= am[w]
-					}
-				}
-			} else {
-				copy(comb, m.runnable)
-			}
-			idle := false
-			for _, t := range st.screenDyn {
-				if !sw.applyDynScreen(st, t, vs, comb) {
-					idle = true
-					break
-				}
-			}
-			if idle {
-				continue // unpopulated dynamic filter: no frame enters
-			}
-			for w, word := range comb {
-				for b := word; b != 0; b &= b - 1 {
-					if sw.processInstance(st, &vs[w<<6|bits.TrailingZeros64(b)], st.screenTables) {
-						reports++
-					}
-				}
-			}
-			continue
-		}
-		for i := range vs {
-			v := &vs[i]
-			if !v.Runnable {
-				continue
-			}
-			if sw.processInstance(st, v, 0) {
-				reports++
-			}
-		}
-	}
-	return reports
-}
-
-// applyDynScreen narrows comb to the frames whose masked key is in table
-// t's dynamic rule set, loading the copy-on-write snapshot once for the
-// whole batch (rule updates happen between batches — at window close — so
-// one snapshot per batch observes every update a per-packet load would).
-// Returns false when the set is empty or unpublished, meaning the instance
-// is idle and the whole batch is rejected.
-func (sw *Switch) applyDynScreen(st *instState, t int, vs []View, comb []uint64) bool {
-	rp := st.dynRules[t].Load()
-	if rp == nil || rp.empty() {
+// dynMatch reports whether the packet's key field, masked to dynamic filter
+// op o's level, is in the rule set.
+func (st *instState) dynMatch(rp *dynRuleSet, o *query.Op, p *packet.Packet) bool {
+	v, ok := p.Field(o.DynKeyField)
+	if !ok {
 		return false
 	}
-	o := &st.spec.Ops[st.spec.Tables[t].OpIdx]
-	for w, word := range comb {
-		for b := word; b != 0; b &= b - 1 {
-			i := w<<6 | bits.TrailingZeros64(b)
-			v, ok := vs[i].Pkt.Field(o.DynKeyField)
-			if ok {
-				if !v.Str {
-					_, ok = rp.nums[fields.TruncateU64(o.DynKeyField, v.U, o.DynLevel)]
-				} else {
-					st.dynScratch = stream.AppendDynKey(st.dynScratch[:0], o.DynKeyField, v, o.DynLevel)
-					_, ok = rp.strs[string(st.dynScratch)]
-				}
-			}
-			if !ok {
-				comb[w] &^= 1 << uint(i&63)
-			}
-		}
+	if !v.Str {
+		// Numeric fast path: mask in registers and probe the decoded set
+		// directly, skipping the key encoding and string hash.
+		_, ok = rp.nums[fields.TruncateU64(o.DynKeyField, v.U, o.DynLevel)]
+		return ok
 	}
-	return true
+	// Build the masked key into the per-instance scratch; the map index's
+	// string conversion does not escape, so the lookup is allocation-free.
+	st.dynScratch = stream.AppendDynKey(st.dynScratch[:0], o.DynKeyField, v, o.DynLevel)
+	_, ok = rp.strs[string(st.dynScratch)]
+	return ok
 }
 
-// processInstance walks one instance's switch-side tables starting at table
-// index from (non-zero only on the prescreened batch path, where the
-// leading filter tables already passed). It returns true if a mirror report
-// was emitted.
-func (sw *Switch) processInstance(st *instState, pv *View, from int) bool {
+// processInstance walks one packet through one instance's switch-side
+// tables. It returns true if a mirror report was emitted.
+func (sw *Switch) processInstance(st *instState, pv *View) bool {
 	spec := st.spec
-	if spec.CutAt == 0 {
-		// Nothing on the switch: mirror every packet (the All-SP plan).
-		m := Mirror{QID: spec.QID, Level: spec.Level, Side: spec.Side,
-			EntryOp: 0, Packet: pv.Frame}
-		if pv.clean {
-			m.Parsed = &pv.Pkt
-		}
-		sw.emit(st, m)
-		return true
-	}
-
 	var vals []tuple.Value // metadata tuple once past the first map
 	inTuplePhase := false
 
-	for t := from; t < spec.CutAt; t++ {
+	for t := 0; t < spec.CutAt; t++ {
 		tab := &spec.Tables[t]
 		o := &spec.Ops[tab.OpIdx]
-		if st.fr != nil && st.frStage[t] >= 0 {
-			st.fr.OpSwitch(st.frStage[t])
+		if s := st.frStage[t]; s >= 0 {
+			st.fr.OpSwitch(st.frBase + s)
 		}
 		switch tab.Kind {
 		case compile.TableFilter:
@@ -569,24 +474,7 @@ func (sw *Switch) processInstance(st *instState, pv *View, from int) bool {
 			if rp == nil || rp.empty() {
 				return false // not yet populated: finer level idle
 			}
-			v, ok := pv.Pkt.Field(o.DynKeyField)
-			if !ok {
-				return false
-			}
-			if !v.Str {
-				// Numeric fast path: mask in registers and probe the decoded
-				// set directly, skipping the key encoding and string hash.
-				masked := fields.TruncateU64(o.DynKeyField, v.U, o.DynLevel)
-				if _, ok := rp.nums[masked]; !ok {
-					return false
-				}
-				break
-			}
-			// Build the masked key into the per-instance scratch; the map
-			// index's string conversion does not escape, so the lookup is
-			// allocation-free.
-			st.dynScratch = stream.AppendDynKey(st.dynScratch[:0], o.DynKeyField, v, o.DynLevel)
-			if _, ok := rp.strs[string(st.dynScratch)]; !ok {
+			if !st.dynMatch(rp, o, &pv.Pkt) {
 				return false
 			}
 		case compile.TableMap:
@@ -611,58 +499,38 @@ func (sw *Switch) processInstance(st *instState, pv *View, from int) bool {
 		case compile.TableHashIndex:
 			// Index computation is folded into the bank update below.
 		case compile.TableStateUpdate:
-			bank := st.banks[t]
 			var inc uint64 = 1
 			if o.Kind == query.OpReduce {
 				inc = vals[o.ValCol].U
 			}
-			newVal, newKey, ok := bank.Update(vals, o.KeyCols, inc, statefulFunc(o))
+			newVal, newKey, ok := st.banks[t].Update(vals, o.KeyCols, inc, statefulFunc(o))
 			if !ok {
 				// Collision overflow: shunt to the stream processor, which
 				// executes the stateful op itself for this packet.
-				sw.stats.Collisions++
-				sw.m.collisions.Inc()
-				st.fr.Collision()
-				m := Mirror{QID: spec.QID, Level: spec.Level, Side: spec.Side,
-					Overflow: true, MergeOp: tab.OpIdx, Vals: vals}
-				if spec.NeedsPacket {
-					m.Packet = pv.Frame
-					if pv.clean {
-						m.Parsed = &pv.Pkt
-					}
-				}
-				sw.emit(st, m)
+				sw.shunted(st)
+				sw.emit(st, st.shuntMirror(pv, tab.OpIdx, vals))
 				return true
 			}
-			last := t == spec.CutAt-1
-			if last {
+			if t == spec.CutAt-1 {
 				// One report per key via the end-of-window register dump;
 				// nothing per packet.
 				return false
 			}
 			// Mid-pipeline stateful table: distinct passes first
 			// occurrences through; reduce carries the running aggregate.
-			if o.Kind == query.OpDistinct {
-				if !newKey {
-					return false
-				}
-				next := st.nextVals(len(o.KeyCols))
-				for i, j := range o.KeyCols {
-					next[i] = vals[j]
-				}
-				vals = next
-			} else {
-				next := st.nextVals(len(o.KeyCols) + 1)
-				for i, j := range o.KeyCols {
-					next[i] = vals[j]
-				}
-				next[len(o.KeyCols)] = tuple.U64(newVal)
-				vals = next
+			if o.Kind == query.OpDistinct && !newKey {
+				return false
 			}
+			next := st.nextVals(len(o.KeyCols) + 1)[:len(o.KeyCols)]
+			for i, j := range o.KeyCols {
+				next[i] = vals[j]
+			}
+			if o.Kind != query.OpDistinct {
+				next = append(next, tuple.U64(newVal))
+			}
+			vals = next
 			if m := tab.MergedFilterOp; m >= 0 {
-				if st.fr != nil {
-					st.fr.OpSwitch(st.frBase + m)
-				}
+				st.fr.OpSwitch(st.frBase + m)
 				mo := &spec.Ops[m]
 				for i := range mo.Clauses {
 					if !mo.Clauses[i].MatchTuple(vals) {
@@ -673,20 +541,51 @@ func (sw *Switch) processInstance(st *instState, pv *View, from int) bool {
 		}
 	}
 
-	// Survived every switch table with a stateless tail: report.
-	m := Mirror{QID: spec.QID, Level: spec.Level, Side: spec.Side,
+	// Survived every switch table with a stateless tail (or nothing runs on
+	// the switch — the All-SP plan — and every packet mirrors): report.
+	sw.emit(st, st.tailMirror(pv, vals, inTuplePhase))
+	return true
+}
+
+// shuntMirror is the report for a packet whose key collided in all d
+// registers of the stateful op mergeOp: the stream processor executes the op
+// itself on the tuple the table saw.
+func (st *instState) shuntMirror(pv *View, mergeOp int, vals []tuple.Value) Mirror {
+	m := Mirror{QID: st.spec.QID, Level: st.spec.Level, Side: st.spec.Side,
+		Overflow: true, MergeOp: mergeOp, Vals: vals}
+	if st.spec.NeedsPacket {
+		m.attach(pv)
+	}
+	return m
+}
+
+// tailMirror is the report for a packet that survived every switch table.
+func (st *instState) tailMirror(pv *View, vals []tuple.Value, inTuplePhase bool) Mirror {
+	m := Mirror{QID: st.spec.QID, Level: st.spec.Level, Side: st.spec.Side,
 		EntryOp: st.entry.StartOp}
 	if inTuplePhase {
 		m.Vals = vals
 	}
-	if !inTuplePhase || spec.NeedsPacket {
-		m.Packet = pv.Frame
-		if pv.clean {
-			m.Parsed = &pv.Pkt
-		}
+	if !inTuplePhase || st.spec.NeedsPacket {
+		m.attach(pv)
 	}
-	sw.emit(st, m)
-	return true
+	return m
+}
+
+// attach makes the mirror carry the original frame, with the switch's parse
+// of it when the frame decoded fully.
+func (m *Mirror) attach(pv *View) {
+	m.Packet = pv.Frame
+	if pv.clean {
+		m.Parsed = &pv.Pkt
+	}
+}
+
+// shunted counts one collision overflow.
+func (sw *Switch) shunted(st *instState) {
+	sw.stats.Collisions++
+	sw.m.collisions.Inc()
+	st.fr.Collision()
 }
 
 func (sw *Switch) emit(st *instState, m Mirror) {
@@ -722,24 +621,25 @@ func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
 				continue
 			}
 			tab := &spec.Tables[t]
-			last := t == spec.CutAt-1
-			if last {
-				for i, n := 0, bank.Stored(); i < n; i++ {
-					e := bank.Entry(i)
-					if m := tab.MergedFilterOp; m >= 0 {
-						if st.fr != nil {
-							st.fr.OpSwitch(st.frBase + m)
-						}
-						if !sw.dumpPasses(&spec.Ops[m], e) {
-							continue
-						}
+			stored := bank.Stored()
+			if t == spec.CutAt-1 {
+				var clauses []query.Clause
+				if m := tab.MergedFilterOp; m >= 0 {
+					st.fr.OpSwitchN(st.frBase+m, uint64(stored))
+					clauses = spec.Ops[m].Clauses
+				}
+				sw.pollBuf = bank.poll(sw.pollBuf[:0])
+				for i, val := range sw.pollBuf {
+					keys := bank.store.KeyVals(i)
+					if !dumpPasses(clauses, keys, val) {
+						continue
 					}
 					st.fr.DumpTuple()
 					dumps = append(dumps, RegDump{QID: spec.QID, Level: spec.Level,
-						Side: spec.Side, MergeOp: tab.OpIdx, KeyVals: e.KeyVals, Val: e.Val})
+						Side: spec.Side, MergeOp: tab.OpIdx, KeyVals: keys, Val: val})
 				}
 			}
-			st.fr.RegOccupied(uint64(bank.Stored()))
+			st.fr.RegOccupied(uint64(stored))
 			bank.Reset()
 		}
 	}
@@ -751,16 +651,17 @@ func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
 	return dumps, stats
 }
 
-// dumpPasses applies a merged threshold filter to a dump entry. The filter
-// compares the aggregate column, which sits after the keys; the row is
-// assembled in a switch-level scratch so a full-register dump does not
-// allocate per entry.
-func (sw *Switch) dumpPasses(o *query.Op, e DumpEntry) bool {
-	vals := append(sw.dumpScratch[:0], e.KeyVals...)
-	vals = append(vals, tuple.U64(e.Val))
-	sw.dumpScratch = vals[:0]
-	for i := range o.Clauses {
-		if !o.Clauses[i].MatchTuple(vals) {
+// dumpPasses applies a merged threshold filter to a dump entry: a row of
+// the key columns followed by the aggregate, which is the column the filter
+// usually compares.
+func dumpPasses(clauses []query.Clause, keys []tuple.Value, val uint64) bool {
+	for i := range clauses {
+		cl := &clauses[i]
+		v := tuple.U64(val)
+		if cl.Col < len(keys) {
+			v = keys[cl.Col]
+		}
+		if !cl.MatchValue(v) {
 			return false
 		}
 	}

@@ -274,6 +274,21 @@ func TestMetricsLint(t *testing.T) {
 	for _, problem := range reg.Lint() {
 		t.Errorf("metric lint: %s", problem)
 	}
+	// The prescreen's two ends are exported per shard, and the probed
+	// deployment goes through it: frames are offered, and fewer get in.
+	counters := reg.Snapshot().Counters
+	var offered, entered uint64
+	for _, shard := range []string{"0", "1"} {
+		f, okF := counters[`sonata_pisa_prescreen_frames_total{shard="`+shard+`"}`]
+		e, okE := counters[`sonata_pisa_prescreen_entered_total{shard="`+shard+`"}`]
+		if !okF || !okE {
+			t.Fatalf("shard %s exports no prescreen counters", shard)
+		}
+		offered, entered = offered+f, entered+e
+	}
+	if offered == 0 || entered == 0 || entered >= offered {
+		t.Errorf("prescreen offered %d frames and let in %d; want 0 < entered < offered", offered, entered)
+	}
 }
 
 // buildFloodTrace generates a deterministic trace whose SYN flood starts at

@@ -103,8 +103,8 @@ func TestFingerprintIgnoresWindowHeader(t *testing.T) {
 	}
 }
 
-// collectWriter records every completed notify frame body; SendRaw issues
-// two writes (header, body), so frames are reassembled from the stream.
+// collectWriter records every notify frame body. SendRaw issues one write
+// per frame, so a snapshot of the stream always ends on a frame boundary.
 type collectWriter struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
