@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-batch check-metrics check-subscribe check-trace
+.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-batch check-mirror check-metrics check-subscribe check-trace
 
-check: fmt vet build test race check-batch check-metrics check-subscribe check-trace bench-alloc
+check: fmt vet build test race check-batch check-mirror check-metrics check-subscribe check-trace bench-alloc
 	-@$(MAKE) --no-print-directory bench-smoke
 
 fmt:
@@ -38,6 +38,17 @@ check-batch:
 	$(GO) test -run 'TestAppendKeyCols' ./internal/tuple
 	$(GO) test -run 'TestShardedMatchesSequential' ./internal/runtime
 
+# Mirror-boundary gate, under the race detector: batch hand-off against the
+# wire codec's round trip in the emitter, every batched walk against
+# frame-at-a-time Process in the switch, and the sharded runtime against the
+# scalar oracle. View batches are shared read-only across shards while each
+# shard's emitter adopts them into its own scratch; the race detector is what
+# proves "read-only".
+check-mirror:
+	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
+	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths' ./internal/pisa
+	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential' ./internal/runtime
+
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
 # family (sonata_ prefix, counter/gauge/histogram suffix rules, HELP text).
@@ -66,7 +77,7 @@ check-trace:
 # subject to perf noise and does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
+		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

@@ -65,8 +65,19 @@ func TestAllocBudget(t *testing.T) {
 	psw.ProcessViews(views) // warm: scratch grows to the batch, keys insert
 	check("SwitchProcessViewsProbed", func() { psw.ProcessViews(views) })
 
-	// Monitoring port: encode + decode of a mirror record through reused
-	// buffers.
+	// Monitoring port as deployed: the same kind of batch through All-SP
+	// instances, so every runnable frame crosses to the stream processor once
+	// per instance — handed over a mirror batch at a time, adopted once per
+	// view into the emitter's scratch, filtered and mapped straight into the
+	// engines' column batches and folded into warm keys.
+	msw, mviews := allocBudgetMirrorBoundary(t)
+	for i := 0; i < 2; i++ { // warm: half the frames pass each filter, so two batches make the first flush
+		msw.ProcessViews(mviews)
+	}
+	check("MirrorBatchIngest", func() { msw.ProcessViews(mviews) })
+
+	// Monitoring port, reference path: encode + decode of a mirror record
+	// through reused buffers.
 	m := pisa.Mirror{QID: 1, Level: 32, EntryOp: 2,
 		Vals: []tuple.Value{tuple.U64(0xC0A80101), tuple.U64(1)}}
 	var buf []byte
@@ -99,16 +110,16 @@ func TestAllocBudget(t *testing.T) {
 	// Stream processor: tuple ingest folding into an existing reduce key.
 	eng := allocBudgetEngine(t)
 	tvals := []tuple.Value{tuple.U64(42), tuple.U64(1)}
-	eng.IngestTuple(1, 0, stream.SideLeft, tvals)
-	check("EngineReduceHit", func() { eng.IngestTuple(1, 0, stream.SideLeft, tvals) })
+	eng.Instance(1, 0).IngestTuple(stream.SideLeft, tvals)
+	check("EngineReduceHit", func() { eng.Instance(1, 0).IngestTuple(stream.SideLeft, tvals) })
 
 	// Scalar fallback ingest: the per-tuple interpreter through a tuple-phase
 	// map into a warm reduce key. The map's output row comes from the
 	// executor's per-op scratch, so the classic path is allocation-free too.
 	scEng := allocBudgetMapEngine(t, true)
 	mvals := []tuple.Value{tuple.U64(9), tuple.U64(42), tuple.U64(1)}
-	scEng.IngestTuple(1, 0, stream.SideLeft, mvals)
-	check("EngineScalarIngest", func() { scEng.IngestTuple(1, 0, stream.SideLeft, mvals) })
+	scEng.Instance(1, 0).IngestTuple(stream.SideLeft, mvals)
+	check("EngineScalarIngest", func() { scEng.Instance(1, 0).IngestTuple(stream.SideLeft, mvals) })
 
 	// Batched ingest: tuples buffered into the column-major batch and flushed
 	// through filter+map+reduce. Each run crosses a flush boundary (300 rows
@@ -118,14 +129,14 @@ func TestAllocBudget(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		for i := 0; i < 600; i++ {
 			mvals[0] = tuple.U64(uint64(i % 16))
-			bEng.IngestTuple(1, 0, stream.SideLeft, mvals)
+			bEng.Instance(1, 0).IngestTuple(stream.SideLeft, mvals)
 		}
 		bEng.EndWindow()
 	}
 	check("EngineBatchedIngest", func() {
 		for i := 0; i < 300; i++ {
 			mvals[0] = tuple.U64(uint64(i % 16))
-			bEng.IngestTuple(1, 0, stream.SideLeft, mvals)
+			bEng.Instance(1, 0).IngestTuple(stream.SideLeft, mvals)
 		}
 	})
 
@@ -276,6 +287,67 @@ func allocBudgetProbedSwitch(t testing.TB) (*pisa.Switch, []pisa.View) {
 		views[i].Prepare(parser, packet.BuildFrame(nil, &packet.FrameSpec{
 			SrcIP: uint32(1 + i%17), DstIP: packet.IPv4Addr(byte(10+i%2), 0, 0, byte(i%29)),
 			Proto: 6, DstPort: 80, TCPFlags: flags, Pad: 128}))
+	}
+	return sw, views
+}
+
+// allocBudgetMirrorBoundary builds the All-SP shape of the monitoring port —
+// a switch with nothing installed but the mirrors of a reduce, a distinct
+// and both sides of a join, wired to an emitter as its batch sink, the
+// engine behind it holding the whole queries, flight-recorder probes on
+// switch and engine — plus one parsed 256-frame batch of non-DNS traffic.
+func allocBudgetMirrorBoundary(t testing.TB) (*pisa.Switch, []pisa.View) {
+	spread := query.NewBuilder("spread", 3*time.Second).
+		Map(query.F(fields.SrcIP), query.F(fields.DstIP)).
+		Distinct().
+		Map(query.C(fields.SrcIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.SrcIP).
+		MustBuild()
+	acks := query.NewBuilder("acks", 3*time.Second).
+		Filter(query.Eq(fields.TCPFlags, fields.FlagACK)).
+		Map(query.F(fields.DstIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.DstIP)
+	flood := query.NewBuilder("flood", 3*time.Second).
+		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
+		Map(query.F(fields.DstIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.DstIP).
+		OuterJoin(acks, fields.DstIP).
+		Map(query.C(fields.DstIP), query.Diff(fields.AggVal, fields.AggVal2)).
+		MustBuild()
+	qs := []*query.Query{allocBudgetQuery(), spread, flood}
+	engine := stream.NewEngine(nil)
+	rec := flightrec.New(4, nil)
+	probes := map[uint16]*flightrec.Probe{}
+	prog := &pisa.Program{}
+	for i, q := range qs {
+		q.ID = uint16(i + 1)
+		if err := engine.Install(q, 0, stream.Partition{}); err != nil {
+			t.Fatal(err)
+		}
+		prog.Instances = append(prog.Instances, &pisa.InstanceSpec{QID: q.ID, Ops: q.Left.Ops})
+		cfg := flightrec.TrackConfig{QID: q.ID, RefFrom: -1, NumLeft: len(q.Left.Ops)}
+		n := len(q.Left.Ops)
+		if q.HasJoin() {
+			prog.Instances = append(prog.Instances, &pisa.InstanceSpec{QID: q.ID, Side: pisa.SideRight, Ops: q.Right.Ops})
+			cfg.NumRight = len(q.Right.Ops)
+			n += len(q.Right.Ops) + len(q.Post.Ops)
+		}
+		cfg.Stages = make([]flightrec.StageInfo, n)
+		probes[q.ID] = rec.Track(cfg)
+	}
+	lookup := func(qid uint16, _ uint8) *flightrec.Probe { return probes[qid] }
+	sw, err := pisa.NewSwitchShared(pisa.DefaultConfig(), prog, emitter.New(engine), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.AttachFlightRec(lookup)
+	engine.AttachFlightRec(lookup)
+	parser := packet.NewParser(packet.ParserOptions{})
+	views := make([]pisa.View, 256)
+	for i := range views {
+		views[i].Prepare(parser, packet.BuildFrame(nil, &packet.FrameSpec{
+			SrcIP: uint32(1 + i%17), DstIP: packet.IPv4Addr(10, 0, 0, byte(i%29)),
+			Proto: 6, DstPort: 80, TCPFlags: []uint8{fields.FlagSYN, fields.FlagACK}[i%2], Pad: 128}))
 	}
 	return sw, views
 }

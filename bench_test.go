@@ -372,7 +372,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			engine.IngestTuple(1, 0, stream.SideLeft, vals)
+			engine.Instance(1, 0).IngestTuple(stream.SideLeft, vals)
 			if i%100_000 == 99_999 {
 				engine.EndWindow()
 			}
@@ -391,6 +391,25 @@ func BenchmarkEngineIngest(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) { run(b, telemetry.NewRegistry()) })
 }
 
+// BenchmarkMirrorBatchIngest is the monitoring port as deployed: one
+// 256-view batch per iteration from the batched walk through the emitter's
+// batch hand-off into warm All-SP-shaped engine instances (the shape
+// TestAllocBudget pins at zero allocations). Four pipelines mirror every
+// frame, so one iteration delivers 1,024 packets to the stream processor.
+func BenchmarkMirrorBatchIngest(b *testing.B) {
+	sw, views := allocBudgetMirrorBoundary(b)
+	for i := 0; i < 2; i++ { // the engines' column batches flush every other iteration
+		sw.ProcessViews(views)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw.ProcessViews(views)
+	}
+}
+
+// BenchmarkEmitterRoundTrip is the wire codec — the reference path across
+// the monitoring port — on one tuple record.
 func BenchmarkEmitterRoundTrip(b *testing.B) {
 	m := pisa.Mirror{QID: 1, Level: 32, EntryOp: 2,
 		Vals: []tuple.Value{tuple.U64(0xC0A80101), tuple.U64(1)}}

@@ -6,18 +6,29 @@
 // into pre-aggregated tuples the engine merges with any collision-overflow
 // traffic it absorbed during the window.
 //
-// Mirrored records cross the monitoring port as real bytes in a compact
-// telemetry framing (a qid-tagged header, the metadata tuple, and
-// optionally the original frame), so the encode/decode path the paper's
-// Scapy-based emitter performs is exercised rather than bypassed.
+// The monitoring port has a wire format — a compact telemetry framing of a
+// qid-tagged header, the metadata tuple, and optionally the original frame —
+// and two ways across it. HandleMirror is the reference path and the one
+// for real wires: each record is encoded to bytes and parsed back, the
+// round trip the paper's Scapy-based emitter performs; the switch's
+// frame-at-a-time walk (and with it runtime.Options.Scalar, netwide.Fabric
+// and drivers.DataPlaneServer) delivers through it. HandleMirrorBatch is
+// the in-process path the deployed runtime takes: the batched walk hands
+// over one pisa.MirrorBatch per (instance, view batch), nothing is
+// serialized, each mirrored view is adopted and deep-decoded once per batch
+// whatever the number of instances mirroring it, and the monitoring-port
+// bytes are counted from the wire format's layout instead of from a buffer.
+// Both paths deliver the same records in the same order and count the same
+// frames, bytes and malformed records; TestMirrorBatchMatchesWire holds
+// them to that.
 package emitter
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
-	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/stream"
@@ -32,7 +43,30 @@ const (
 	flagOverflow = 1 << 0
 	flagVals     = 1 << 1
 	flagPacket   = 1 << 2
+
+	// headerLen is the fixed part of every record: magic, qid, level, side,
+	// flags, entry op, merge op.
+	headerLen = 8
 )
+
+// valsWireLen is the encoded size of a record's tuple section: the count
+// byte, then a tag and 8 bytes per number or a tag, a 2-byte length and the
+// bytes per string.
+func valsWireLen(vals []tuple.Value) uint64 {
+	n := uint64(1)
+	for i := range vals {
+		if vals[i].Str {
+			n += 3 + uint64(len(vals[i].S))
+		} else {
+			n += 9
+		}
+	}
+	return n
+}
+
+// packetWireLen is the encoded size of a record's frame section: a 2-byte
+// length and the frame's n bytes.
+func packetWireLen(n int) uint64 { return 2 + uint64(n) }
 
 // EncodeMirror serializes a mirror record into the telemetry framing,
 // appending to dst.
@@ -176,25 +210,31 @@ func decodeVals(dst []tuple.Value, data []byte, n int) ([]tuple.Value, []byte, e
 	return vals, data, nil
 }
 
-// Emitter bridges the switch's monitoring port to the stream engine.
+// Emitter bridges the switch's monitoring port to the stream engine. It is
+// a pisa.MirrorSink.
 type Emitter struct {
 	engine *stream.Engine
 	parser *packet.Parser
-	pkt    packet.Packet
-	// dec/decoded are the frame-decode scratch: the engine copies anything
-	// it retains, so one record and one value buffer serve every frame.
+	// Wire-path scratch: the engine copies anything it retains, so one
+	// record, one value buffer and one packet serve every frame.
 	dec     MirrorDecoder
 	decoded pisa.Mirror
+	pkt     [1]packet.Packet
+	// Batch-path scratch, per view of the current view batch and shared by
+	// every instance of the shard: pkts[i] is view i adopted and
+	// deep-decoded, valid where ready is set; bad marks the views that did
+	// not parse; flen caches frame lengths for the byte count. sel is the
+	// selection handed to the engine, row a tail tuple.
+	pkts       []packet.Packet
+	ready, bad []uint64
+	flen       []int
+	sel        []uint64
+	row        []tuple.Value
 	// Stats for the window.
 	frames   uint64
 	badFrame uint64
 	// m holds telemetry handles (zero value when uninstrumented).
 	m emitterMetrics
-	// frLookup/frCache attribute encoded byte volume to flight-recorder
-	// probes per (qid, level); the cache keeps the hot path map-lookup-free
-	// after the first frame of each instance.
-	frLookup func(qid uint16, level uint8) *flightrec.Probe
-	frCache  map[uint32]*flightrec.Probe
 }
 
 // bufPool shares encode buffers (which hold the mirror frame copy crossing
@@ -203,12 +243,17 @@ type Emitter struct {
 // growing one, and the encode path stays allocation-free once warm.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
+// oneSel selects the wire path's single packet.
+var oneSel = []uint64{1}
+
 // emitterMetrics is the monitoring-port slice of the registry.
 type emitterMetrics struct {
-	frames    *telemetry.Counter
-	malformed *telemetry.Counter
-	bytes     *telemetry.Counter
-	dumps     *telemetry.Counter
+	frames      *telemetry.Counter
+	malformed   *telemetry.Counter
+	bytes       *telemetry.Counter
+	batches     *telemetry.Counter
+	deepDecodes *telemetry.Counter
+	dumps       *telemetry.Counter
 }
 
 // Instrument registers the emitter's metrics against reg (nil disables).
@@ -217,9 +262,13 @@ func (e *Emitter) Instrument(reg *telemetry.Registry) {
 		frames: reg.Counter("sonata_emitter_frames_total",
 			"Telemetry frames decoded off the monitoring port."),
 		malformed: reg.Counter("sonata_emitter_malformed_total",
-			"Telemetry frames (or embedded packets) that failed to parse."),
+			"Telemetry frames (or embedded packets) that failed to parse, or that no installed instance takes."),
 		bytes: reg.Counter("sonata_emitter_bytes_total",
 			"Encoded telemetry bytes crossing the monitoring port."),
+		batches: reg.Counter("sonata_emitter_batches_total",
+			"Mirror batches handed over in process (frames per batch is the mean run the stream processor sees)."),
+		deepDecodes: reg.Counter("sonata_emitter_deep_decodes_total",
+			"Mirrored packets adopted or re-parsed and deep-decoded (DNS): once per view per batch in process, once per frame on the wire path."),
 		dumps: reg.Counter("sonata_emitter_dump_tuples_total",
 			"Register-dump tuples converted into pre-aggregated records."),
 	}
@@ -233,40 +282,30 @@ func New(engine *stream.Engine) *Emitter {
 		parser: packet.NewParser(packet.ParserOptions{DecodeDNS: true})}
 }
 
-// AttachFlightRec wires the flight recorder's probe lookup into the
-// emitter, which attributes the encoded byte volume of each mirror frame to
-// its (qid, level) instance. A nil lookup detaches.
-func (e *Emitter) AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec.Probe) {
-	e.frLookup = lookup
-	e.frCache = nil
-	if lookup != nil {
-		e.frCache = make(map[uint32]*flightrec.Probe)
+func streamSide(s pisa.Side) stream.Side {
+	if s == pisa.SideRight {
+		return stream.SideRight
 	}
+	return stream.SideLeft
 }
 
-// frProbe resolves (and caches) the probe for one instance.
-func (e *Emitter) frProbe(qid uint16, level uint8) *flightrec.Probe {
-	key := uint32(qid)<<8 | uint32(level)
-	p, ok := e.frCache[key]
-	if !ok {
-		p = e.frLookup(qid, level)
-		e.frCache[key] = p
-	}
-	return p
+// malformed counts n records dropped at the emitter.
+func (e *Emitter) malformed(n uint64) {
+	e.badFrame += n
+	e.m.malformed.Add(n)
 }
 
-// HandleMirror is wired as the switch's mirror callback: it performs the
-// encode/parse round trip the monitoring port implies and forwards the
-// tuple (or packet) to the engine.
+// HandleMirror is the wire path: it performs the encode/parse round trip a
+// monitoring port implies and forwards the tuple (or packet) to the engine.
+// The flight-recorder probe the bytes are attributed to is the engine
+// instance's own.
 func (e *Emitter) HandleMirror(m pisa.Mirror) {
 	bp := bufPool.Get().(*[]byte)
 	buf := EncodeMirror((*bp)[:0], &m)
 	e.frames++
 	e.m.frames.Inc()
 	e.m.bytes.Add(uint64(len(buf)))
-	if e.frLookup != nil {
-		e.frProbe(m.QID, m.Level).Bytes(uint64(len(buf)))
-	}
+	e.engine.Instance(m.QID, m.Level).Probe().Bytes(uint64(len(buf)))
 	if err := e.dec.Decode(buf, &e.decoded); err == nil {
 		// The parsed view rides beside the wire format, not in it: the
 		// monitoring port carries bytes, but within one process the decoded
@@ -274,43 +313,164 @@ func (e *Emitter) HandleMirror(m pisa.Mirror) {
 		e.decoded.Parsed = m.Parsed
 		e.Deliver(&e.decoded)
 	} else {
-		e.badFrame++
-		e.m.malformed.Inc()
+		e.malformed(1)
 	}
 	*bp = buf
 	bufPool.Put(bp)
 }
 
-// Deliver routes a decoded mirror record into the engine.
+// Deliver routes a decoded mirror record into the engine. A record no
+// installed instance takes — unknown (qid, level), the right side of a query
+// without a join, a shunt naming an op that is not stateful, a tuple of the
+// wrong width, a bare packet where the partition point takes tuples — counts
+// as malformed, like one that does not parse.
 func (e *Emitter) Deliver(m *pisa.Mirror) {
-	side := stream.SideLeft
-	if m.Side == pisa.SideRight {
-		side = stream.SideRight
+	inst := e.engine.Instance(m.QID, m.Level)
+	side := streamSide(m.Side)
+	if !inst.HasSide(side) {
+		e.malformed(1)
+		return
 	}
 	switch {
 	case m.Overflow:
 		// The switch could not store this key: the stream processor
 		// executes the stateful operator itself on the shunted input tuple.
-		e.engine.IngestTupleAt(m.QID, m.Level, side, m.MergeOp, m.Vals)
+		if !inst.IngestTupleAt(side, m.MergeOp, m.Vals) {
+			e.malformed(1)
+		}
 	case m.Vals != nil:
-		e.engine.IngestTuple(m.QID, m.Level, side, m.Vals)
+		if !inst.IngestTuple(side, m.Vals) {
+			e.malformed(1)
+		}
 	case m.Packet != nil:
+		if !inst.TakesPackets(side) {
+			e.malformed(1)
+			return
+		}
+		e.m.deepDecodes.Inc()
 		if m.Parsed != nil {
 			// The switch's header parse survived the round trip (same
 			// process); adopt it and apply only the deep DNS decode the
 			// switch-side parser skips.
-			e.parser.Adopt(m.Parsed, &e.pkt)
-		} else if err := e.parser.Parse(m.Packet, &e.pkt); err != nil {
-			e.badFrame++
-			e.m.malformed.Inc()
+			e.parser.Adopt(m.Parsed, &e.pkt[0])
+		} else if err := e.parser.Parse(m.Packet, &e.pkt[0]); err != nil {
+			e.malformed(1)
 			return
 		}
-		if side == stream.SideRight {
-			e.engine.IngestRightPacket(m.QID, m.Level, &e.pkt)
-		} else {
-			e.engine.IngestPacket(m.QID, m.Level, &e.pkt)
+		inst.IngestPackets(side, e.pkt[:], oneSel)
+	}
+}
+
+// HandleMirrorBatch is the in-process path: everything one instance reports
+// for one view batch, delivered in ascending frame order — the order
+// HandleMirror would have seen the same records in — with the instance
+// resolved once and frames and bytes added once. The byte count is what
+// EncodeMirror would have produced for each record.
+func (e *Emitter) HandleMirrorBatch(b *pisa.MirrorBatch) {
+	if b.NewViews {
+		e.beginViews(len(b.Views))
+	}
+	n := uint64(b.Len())
+	e.frames += n
+	e.m.frames.Add(n)
+	e.m.batches.Inc()
+	inst := e.engine.Instance(b.QID, b.Level)
+	side := streamSide(b.Side)
+	ok := inst.HasSide(side) && (b.TuplePhase || inst.TakesPackets(side))
+	if !ok {
+		e.malformed(n)
+	}
+	var wire uint64
+	if b.TuplePhase {
+		wire = e.deliverTuples(b, inst, side, ok)
+	} else {
+		wire = e.deliverPackets(b, inst, side, ok)
+	}
+	wire += n * headerLen
+	e.m.bytes.Add(wire)
+	inst.Probe().Bytes(wire)
+}
+
+// beginViews forgets what the previous view batch left in the per-view
+// scratch and sizes it for n views.
+func (e *Emitter) beginViews(n int) {
+	if len(e.pkts) < n {
+		e.pkts = append(e.pkts, make([]packet.Packet, n-len(e.pkts))...)
+		e.flen = make([]int, n)
+	}
+	words := (n + 63) >> 6
+	if cap(e.ready) < words {
+		e.ready, e.bad, e.sel = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+	}
+	e.ready, e.bad, e.sel = e.ready[:words], e.bad[:words], e.sel[:words]
+	clear(e.ready)
+	clear(e.bad)
+}
+
+// deliverPackets hands a packet-phase batch's tail frames (there are no
+// shunts before the first map) to the engine in one call, having adopted
+// each of them that no earlier instance of the shard already has. It returns
+// the records' encoded size past their headers.
+func (e *Emitter) deliverPackets(b *pisa.MirrorBatch, inst *stream.Instance, side stream.Side, ok bool) (wire uint64) {
+	var decoded, unparsed uint64
+	for w, tail := range b.Tail {
+		for rest := tail &^ (e.ready[w] | e.bad[w]); rest != 0; rest &= rest - 1 {
+			i := w<<6 | bits.TrailingZeros64(rest)
+			frame := b.Views[i].Frame
+			e.flen[i] = len(frame)
+			decoded++
+			if p := b.Parsed(i); p != nil {
+				e.parser.Adopt(p, &e.pkts[i])
+			} else if err := e.parser.Parse(frame, &e.pkts[i]); err != nil {
+				// An unsupported-layer frame ran the switch pipeline on its
+				// decoded prefix; here it is malformed, once per record.
+				e.bad[w] |= 1 << uint(i&63)
+				continue
+			}
+			e.ready[w] |= 1 << uint(i&63)
+		}
+		for rest := tail; rest != 0; rest &= rest - 1 {
+			wire += packetWireLen(e.flen[w<<6|bits.TrailingZeros64(rest)])
+		}
+		e.sel[w] = tail & e.ready[w]
+		unparsed += uint64(bits.OnesCount64(tail & e.bad[w]))
+	}
+	e.m.deepDecodes.Add(decoded)
+	if ok {
+		e.malformed(unparsed)
+		inst.IngestPackets(side, e.pkts, e.sel)
+	}
+	return wire
+}
+
+// deliverTuples walks a tuple-phase batch a record at a time, shunts and
+// tail reports interleaved in frame order as the stateful operators
+// downstream must see them. It returns the records' encoded size past their
+// headers.
+func (e *Emitter) deliverTuples(b *pisa.MirrorBatch, inst *stream.Instance, side stream.Side, ok bool) (wire uint64) {
+	for w := range b.Tail {
+		for rest := b.Tail[w] | b.Shunt[w]; rest != 0; rest &= rest - 1 {
+			bit := bits.TrailingZeros64(rest)
+			i := w<<6 | bit
+			if b.NeedsPacket {
+				wire += packetWireLen(len(b.Views[i].Frame))
+			}
+			if b.Shunt[w]>>uint(bit)&1 != 0 {
+				mergeOp, vals := b.ShuntAt(i)
+				wire += valsWireLen(vals)
+				if ok && !inst.IngestTupleAt(side, mergeOp, vals) {
+					e.malformed(1)
+				}
+				continue
+			}
+			e.row = b.TailVals(i, e.row[:0])
+			wire += valsWireLen(e.row)
+			if ok && !inst.IngestTuple(side, e.row) {
+				e.malformed(1)
+			}
 		}
 	}
+	return wire
 }
 
 // HandleDumps converts the end-of-window register dumps into pre-aggregated
@@ -320,11 +480,7 @@ func (e *Emitter) HandleDumps(dumps []pisa.RegDump) {
 	e.m.dumps.Add(uint64(len(dumps)))
 	for i := range dumps {
 		d := &dumps[i]
-		side := stream.SideLeft
-		if d.Side == pisa.SideRight {
-			side = stream.SideRight
-		}
-		e.engine.IngestAgg(d.QID, d.Level, side, d.MergeOp, d.KeyVals, d.Val)
+		e.engine.IngestAgg(d.QID, d.Level, streamSide(d.Side), d.MergeOp, d.KeyVals, d.Val)
 	}
 }
 

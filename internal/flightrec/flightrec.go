@@ -119,10 +119,24 @@ func (p *Probe) Tuple() {
 	}
 }
 
+// TupleN is Tuple for n tuples delivered in one hand-off.
+func (p *Probe) TupleN(n uint64) {
+	if p != nil {
+		p.tuplesToSP += n
+	}
+}
+
 // Mirror counts one mirror report leaving the switch.
 func (p *Probe) Mirror() {
 	if p != nil {
 		p.mirrored++
+	}
+}
+
+// MirrorN is Mirror for the n reports of one mirror batch.
+func (p *Probe) MirrorN(n uint64) {
+	if p != nil {
+		p.mirrored += n
 	}
 }
 

@@ -131,11 +131,17 @@ func DecodeDNS(msg []byte, d *DNS) error {
 	return nil
 }
 
+// maxDNSName is the longest dotted name accepted.
+const maxDNSName = 255
+
 // decodeDNSName decodes a possibly-compressed name starting at off. It
 // returns the dotted name and the number of bytes consumed at the original
-// position (pointers consume two bytes there).
+// position (pointers consume two bytes there). The name is assembled in a
+// fixed buffer — its length is capped — so the string is the only
+// allocation.
 func decodeDNSName(msg []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	var buf [maxDNSName]byte
+	n := 0
 	consumed := 0
 	jumped := false
 	pointers := 0
@@ -150,7 +156,7 @@ func decodeDNSName(msg []byte, off int) (string, int, error) {
 			if !jumped {
 				consumed = pos - off + 1
 			}
-			return sb.String(), consumed, nil
+			return string(buf[:n]), consumed, nil
 		case b&0xc0 == 0xc0:
 			if pos+1 >= len(msg) {
 				return "", 0, fmt.Errorf("truncated compression pointer")
@@ -174,14 +180,19 @@ func decodeDNSName(msg []byte, off int) (string, int, error) {
 			if pos+1+l > len(msg) {
 				return "", 0, fmt.Errorf("label runs past message end")
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			need := n + l
+			if n > 0 {
+				need++ // the separating dot
 			}
-			sb.Write(msg[pos+1 : pos+1+l])
+			if need > maxDNSName {
+				return "", 0, fmt.Errorf("name longer than %d bytes", maxDNSName)
+			}
+			if n > 0 {
+				buf[n] = '.'
+				n++
+			}
+			n += copy(buf[n:], msg[pos+1:pos+1+l])
 			pos += 1 + l
-			if sb.Len() > 255 {
-				return "", 0, fmt.Errorf("name longer than 255 bytes")
-			}
 		}
 	}
 }

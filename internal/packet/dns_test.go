@@ -79,6 +79,72 @@ func TestDNSPointerLoopRejected(t *testing.T) {
 	}
 }
 
+// dnsQuestionMsg is a header announcing one question, followed by name and
+// the question's type and class.
+func dnsQuestionMsg(name []byte) []byte {
+	msg := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+	msg = append(msg, name...)
+	return append(msg, 0, DNSTypeA, 0, 1)
+}
+
+// dnsLabels spells a name out of labels of the given lengths.
+func dnsLabels(lens ...int) []byte {
+	var raw []byte
+	for _, l := range lens {
+		raw = append(raw, byte(l))
+		raw = append(raw, bytes.Repeat([]byte{'a'}, l)...)
+	}
+	return append(raw, 0)
+}
+
+func TestDNSBadNamesRejected(t *testing.T) {
+	// 255 bytes dotted is the longest name accepted.
+	var d DNS
+	if err := DecodeDNS(dnsQuestionMsg(dnsLabels(63, 63, 63, 61, 1)), &d); err != nil || len(d.Questions[0].Name) != 255 {
+		t.Fatalf("255-byte name: err %v, questions %+v", err, d.Questions)
+	}
+	for name, raw := range map[string][]byte{
+		"forward pointer":     {0xc0, 40},
+		"reserved label 0x40": {0x40, 'x', 0},
+		"reserved label 0x80": {0x80, 'x', 0},
+		"256-byte name":       dnsLabels(63, 63, 63, 62, 1),
+		"319-byte name":       dnsLabels(63, 63, 63, 63, 63),
+	} {
+		if err := DecodeDNS(dnsQuestionMsg(raw), &d); err == nil {
+			t.Errorf("%s accepted: %+v", name, d.Questions)
+		}
+	}
+}
+
+// TestDNSNameAllocs pins the decode at one allocation per name — the string
+// itself — whether the name is spelled out or reached through a compression
+// pointer, in the question or the answer section.
+func TestDNSNameAllocs(t *testing.T) {
+	spelled := DNS{ID: 1, Response: true,
+		Questions: []DNSQuestion{{Name: "a.rather.long.tunnel.label.example.org", Type: DNSTypeA, Class: 1}},
+		Answers:   []DNSRecord{{Name: "a.rather.long.tunnel.label.example.org", Type: DNSTypeA, Class: 1, Data: []byte{1, 2, 3, 4}}}}
+	wire := AppendDNS(nil, &spelled)
+	// The same message with the answer's name as a pointer to the question's.
+	nameLen := len(appendDNSName(nil, spelled.Questions[0].Name))
+	pointed := append([]byte(nil), wire[:dnsHeaderLen+nameLen+4]...)
+	pointed = append(pointed, 0xc0, dnsHeaderLen)
+	pointed = append(pointed, wire[dnsHeaderLen+nameLen+4+nameLen:]...)
+	for name, msg := range map[string][]byte{"spelled out": wire, "compression pointer": pointed} {
+		var d DNS
+		if err := DecodeDNS(msg, &d); err != nil || d.Answers[0].Name != spelled.Answers[0].Name {
+			t.Fatalf("%s: err %v, answers %+v", name, err, d.Answers)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := DecodeDNS(msg, &d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 { // one question name, one answer name
+			t.Errorf("%s: %.1f allocations for two names, want 2", name, allocs)
+		}
+	}
+}
+
 func TestDNSTruncatedRejected(t *testing.T) {
 	q := DNS{ID: 1, Questions: []DNSQuestion{{Name: "x.io", Type: 1, Class: 1}}}
 	wire := AppendDNS(nil, &q)

@@ -77,19 +77,20 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 						}
 					}
 					parser := packet.NewParser(packet.ParserOptions{})
-					var pkt packet.Packet
+					var pkt [1]packet.Packet
+					one := []uint64{1} // selects pkt[0]
 					sw, err := NewSwitch(DefaultConfig(), &Program{Instances: []*InstanceSpec{spec}},
 						func(m Mirror) {
 							switch {
 							case m.Overflow:
 								vals := append([]tuple.Value(nil), m.Vals...)
-								engine.IngestTupleAt(1, 0, stream.SideLeft, m.MergeOp, vals)
+								engine.Instance(1, 0).IngestTupleAt(stream.SideLeft, m.MergeOp, vals)
 							case m.Vals != nil:
 								vals := append([]tuple.Value(nil), m.Vals...)
-								engine.IngestTuple(1, 0, stream.SideLeft, vals)
+								engine.Instance(1, 0).IngestTuple(stream.SideLeft, vals)
 							case m.Packet != nil:
-								if parser.Parse(m.Packet, &pkt) == nil {
-									engine.IngestPacket(1, 0, &pkt)
+								if parser.Parse(m.Packet, &pkt[0]) == nil {
+									engine.Instance(1, 0).IngestPackets(stream.SideLeft, pkt[:], one)
 								}
 							}
 						})
@@ -111,10 +112,9 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 					if err := ref.Install(q, 0, stream.Partition{}); err != nil {
 						t.Fatal(err)
 					}
-					var rp packet.Packet
 					for _, f := range frames {
-						if parser.Parse(f, &rp) == nil {
-							ref.IngestPacket(1, 0, &rp)
+						if parser.Parse(f, &pkt[0]) == nil {
+							ref.Instance(1, 0).IngestPackets(stream.SideLeft, pkt[:], one)
 						}
 					}
 					refResults, _ := ref.EndWindow()

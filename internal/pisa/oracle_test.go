@@ -105,12 +105,33 @@ func oracleFrames(r *rand.Rand, n int) [][]byte {
 	return frames
 }
 
+// oracleSink records every mirror a walk sends, expanding the batched walk's
+// batches into their records, and counts the hand-offs.
+type oracleSink struct {
+	record func(Mirror)
+	out    *oracleOutcome
+}
+
+func (s *oracleSink) HandleMirror(m Mirror) { s.record(m) }
+
+func (s *oracleSink) HandleMirrorBatch(b *MirrorBatch) {
+	s.out.batches++
+	if b.Len() == 0 {
+		s.out.emptyBatches++
+	}
+	b.records(s.record)
+}
+
 // oracleOutcome is everything a window's walk is observable through.
 type oracleOutcome struct {
 	mirrors map[string][]string // per instance, in emission order
-	dumps   []string
-	stats   WindowStats
-	funnel  string // flight-recorder records; empty without probes
+	// batches counts the batched walk's sink calls, emptyBatches those that
+	// carried nothing: an instance with an empty selection and an empty
+	// shunt mask must make none.
+	batches, emptyBatches int
+	dumps                 []string
+	stats                 WindowStats
+	funnel                string // flight-recorder records; empty without probes
 	// offered and entered are the window's prescreen counters (zero on the
 	// frame-at-a-time walks, which have no prescreen); enteredOps is the same
 	// quantity as entered read off the funnel instead: the entering count of
@@ -149,11 +170,12 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 	prog := oracleProgram()
 	out := &oracleOutcome{}
 	ps := NewPrescreen()
-	sw, err := NewSwitchShared(DefaultConfig(), prog, func(m Mirror) {
+	sink := &oracleSink{record: func(m Mirror) {
 		name := fmt.Sprintf("q%d/r%d", m.QID, m.Level)
 		out.mirrors[name] = append(out.mirrors[name], fmt.Sprintf("ovf=%v merge=%d entry=%d vals=%v parsed=%v pkt=%x",
 			m.Overflow, m.MergeOp, m.EntryOp, m.Vals, m.Parsed != nil, m.Packet))
-	}, ps)
+	}}
+	sw, err := NewSwitchShared(DefaultConfig(), prog, sink, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +207,7 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 			t.Fatal(err)
 		}
 		out = &oracleOutcome{mirrors: map[string][]string{}}
+		sink.out = out
 		offered, entered := sw.m.screenFrames.Value(), sw.m.screenEntered.Value()
 		walk(sw, ps, frames)
 		out.offered, out.entered = sw.m.screenFrames.Value()-offered, sw.m.screenEntered.Value()-entered
@@ -316,7 +339,11 @@ func TestBatchedWalksMatchProcess(t *testing.T) {
 							w.name, batch, probes, wi, d)
 					}
 					if w.name == "ProcessView" {
-						continue // the reference walk has no prescreen
+						continue // the reference walk has no prescreen and no batches
+					}
+					if got[wi].emptyBatches != 0 || got[wi].batches == 0 {
+						t.Errorf("%s batch=%d probes=%v window %d: %d of %d sink calls carried no record",
+							w.name, batch, probes, wi, got[wi].emptyBatches, got[wi].batches)
 					}
 					if offered := guarded * runnable[wi]; got[wi].offered != offered {
 						t.Errorf("%s batch=%d probes=%v window %d: prescreen offered %d frames, want %d",
@@ -328,6 +355,96 @@ func TestBatchedWalksMatchProcess(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// shuntTailSink records each record a walk sends and, on the batched walk,
+// whether any hand-off carried a shunt bit at or above frame 192.
+type shuntTailSink struct {
+	got       []string
+	highShunt bool
+}
+
+func (s *shuntTailSink) HandleMirror(m Mirror) {
+	s.got = append(s.got, fmt.Sprintf("q%d ovf=%v merge=%d vals=%v pkt=%x", m.QID, m.Overflow, m.MergeOp, m.Vals, m.Packet))
+}
+
+func (s *shuntTailSink) HandleMirrorBatch(b *MirrorBatch) {
+	if len(b.Shunt) > 3 && b.Shunt[3] != 0 {
+		s.highShunt = true
+	}
+	b.records(s.HandleMirror)
+}
+
+// TestShuntMaskClearedAcrossBatchLengths walks a full batch whose last
+// instance shunts in the top bitmap word, then a short batch, then a full one
+// that shunts nothing, then a full one — the full / partial / full sequence
+// every window close produces. The short batch's walks touch only the mask's
+// low words, so a clear that is skipped when the previous instance shunted
+// nothing would hand the third batch's instances the first batch's top-word
+// shunts.
+func TestShuntMaskClearedAcrossBatchLengths(t *testing.T) {
+	program := func() *Program {
+		allSP := specFor(query1(1), 0, 0)
+		allSP.QID = 6
+		overflow := specFor(query1(1), len(compile.CompilePipeline(query1(1).Left.Ops).Tables), 1)
+		overflow.QID = 1
+		return &Program{Instances: []*InstanceSpec{allSP, overflow}} // the shunting instance walks last
+	}
+	var frames [][]byte
+	for i := 0; i < 256+10+256; i++ {
+		build := synFrame
+		if i >= 256 && i < 256+10 {
+			// The short batch shunts nothing, so the walk's shunt count is zero
+			// going into the third batch.
+			build = ackFrame
+		}
+		frames = append(frames, build(uint32(i+1), packet.IPv4Addr(9, 1, byte(i>>8), byte(i))))
+	}
+
+	want := &shuntTailSink{}
+	sw, err := NewSwitchShared(DefaultConfig(), program(), want, NewPrescreen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		sw.Process(f)
+	}
+
+	got := &shuntTailSink{}
+	if sw, err = NewSwitchShared(DefaultConfig(), program(), got, NewPrescreen()); err != nil {
+		t.Fatal(err)
+	}
+	parser := packet.NewParser(packet.ParserOptions{})
+	views := make([]View, 256)
+	rest := frames
+	for _, n := range []int{256, 10, 256} {
+		for i, f := range rest[:n] {
+			views[i].Prepare(parser, f)
+		}
+		sw.ProcessViews(views[:n])
+		rest = rest[n:]
+	}
+	if !got.highShunt {
+		t.Fatal("no shunt at or above frame 192; the test is vacuous")
+	}
+	// Process interleaves the instances per frame, the batched walk per batch:
+	// compare each instance's own sequence.
+	for _, qid := range []string{"q6 ", "q1 "} {
+		var g, w []string
+		for _, m := range got.got {
+			if strings.HasPrefix(m, qid) {
+				g = append(g, m)
+			}
+		}
+		for _, m := range want.got {
+			if strings.HasPrefix(m, qid) {
+				w = append(w, m)
+			}
+		}
+		if strings.Join(g, "\n") != strings.Join(w, "\n") {
+			t.Errorf("%smirror sequence: got %d records, want %d", qid, len(g), len(w))
 		}
 	}
 }

@@ -95,7 +95,9 @@ type instState struct {
 	// dynRules holds the dynamic filter entry snapshot per table index
 	// (parallel to spec.Tables up to CutAt; nil until first populated).
 	dynRules []atomic.Pointer[dynRuleSet]
-	entry    compile.SPEntry
+	// out carries the instance's static mirror identity; the batched walk
+	// fills in the rest per batch and hands it to the sink.
+	out MirrorBatch
 	// valsBufs and dynScratch are per-packet buffers so the hot path does
 	// not allocate; mirrors may alias them (documented: callers must not
 	// retain Vals past the callback). valsBufs is a ping-pong pair: every
@@ -164,12 +166,12 @@ func (v *View) Prepare(p *packet.Parser, frame []byte) {
 }
 
 // Switch simulates the data plane: packets stream through every installed
-// instance's tables; reports leave via the mirror callback; registers dump
-// at window boundaries.
+// instance's tables; reports leave via the mirror sink; registers dump at
+// window boundaries.
 type Switch struct {
 	cfg    Config
 	insts  []*instState
-	mirror func(Mirror)
+	sink   MirrorSink
 	stats  WindowStats
 	parser *packet.Parser
 	view   View // Process's parse scratch
@@ -199,28 +201,33 @@ type Switch struct {
 }
 
 // NewSwitch validates and installs a program. The mirror callback receives
-// per-packet reports; it must not retain Vals or Packet beyond the call
-// unless it copies them.
+// per-packet reports, whichever walk produced them (the batched walk's
+// batches are expanded into records first); it must not retain Vals or
+// Packet beyond the call unless it copies them. A nil callback discards.
 func NewSwitch(cfg Config, prog *Program, mirror func(Mirror)) (*Switch, error) {
-	return NewSwitchShared(cfg, prog, mirror, nil)
+	var sink MirrorSink
+	if mirror != nil {
+		sink = recordSink(mirror)
+	}
+	return NewSwitchShared(cfg, prog, sink, nil)
 }
 
-// NewSwitchShared is NewSwitch with an externally owned prescreen atom
-// space. Worker shards built over slices of one program pass the same
-// Prescreen so their leading-filter clauses dedup program-wide; the
-// dispatch side then evaluates the atoms once per batch (Prescreen.Eval)
-// and each shard consumes the bitmaps via ProcessViewsPre. A nil ps gives
-// the switch a private atom space (identical to NewSwitch).
-func NewSwitchShared(cfg Config, prog *Program, mirror func(Mirror), ps *Prescreen) (*Switch, error) {
+// NewSwitchShared is NewSwitch taking the batch-capable sink, with an
+// externally owned prescreen atom space. Worker shards built over slices of
+// one program pass the same Prescreen so their leading-filter clauses dedup
+// program-wide; the dispatch side then evaluates the atoms once per batch
+// (Prescreen.Eval) and each shard consumes the bitmaps via ProcessViewsPre.
+// A nil ps gives the switch a private atom space; a nil sink discards.
+func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) (*Switch, error) {
 	if err := prog.Validate(cfg); err != nil {
 		return nil, err
 	}
-	if mirror == nil {
-		mirror = func(Mirror) {}
+	if sink == nil {
+		sink = nullSink{}
 	}
 	// The switch parser extracts headers only; deep (DNS/payload) parsing
 	// happens at the emitter/stream processor, as in the paper.
-	sw := &Switch{cfg: cfg, mirror: mirror, parser: packet.NewParser(packet.ParserOptions{})}
+	sw := &Switch{cfg: cfg, sink: sink, parser: packet.NewParser(packet.ParserOptions{})}
 	if ps == nil {
 		ps = NewPrescreen()
 	}
@@ -283,7 +290,8 @@ func NewSwitchShared(cfg Config, prog *Program, mirror func(Mirror), ps *Prescre
 			}
 		}
 		cp := compile.Pipeline{Ops: spec.Ops, Tables: spec.Tables}
-		st.entry = cp.EntryFor(spec.CutAt)
+		st.out = MirrorBatch{QID: spec.QID, Level: spec.Level, Side: spec.Side,
+			EntryOp: cp.EntryFor(spec.CutAt).StartOp, NeedsPacket: spec.NeedsPacket}
 		sw.insts = append(sw.insts, st)
 	}
 	return sw, nil
@@ -508,7 +516,7 @@ func (sw *Switch) processInstance(st *instState, pv *View) bool {
 				// Collision overflow: shunt to the stream processor, which
 				// executes the stateful op itself for this packet.
 				sw.shunted(st)
-				sw.emit(st, st.shuntMirror(pv, tab.OpIdx, vals))
+				sw.emit(st, st.out.shuntMirror(pv, tab.OpIdx, vals))
 				return true
 			}
 			if t == spec.CutAt-1 {
@@ -543,42 +551,8 @@ func (sw *Switch) processInstance(st *instState, pv *View) bool {
 
 	// Survived every switch table with a stateless tail (or nothing runs on
 	// the switch — the All-SP plan — and every packet mirrors): report.
-	sw.emit(st, st.tailMirror(pv, vals, inTuplePhase))
+	sw.emit(st, st.out.tailMirror(pv, vals, inTuplePhase))
 	return true
-}
-
-// shuntMirror is the report for a packet whose key collided in all d
-// registers of the stateful op mergeOp: the stream processor executes the op
-// itself on the tuple the table saw.
-func (st *instState) shuntMirror(pv *View, mergeOp int, vals []tuple.Value) Mirror {
-	m := Mirror{QID: st.spec.QID, Level: st.spec.Level, Side: st.spec.Side,
-		Overflow: true, MergeOp: mergeOp, Vals: vals}
-	if st.spec.NeedsPacket {
-		m.attach(pv)
-	}
-	return m
-}
-
-// tailMirror is the report for a packet that survived every switch table.
-func (st *instState) tailMirror(pv *View, vals []tuple.Value, inTuplePhase bool) Mirror {
-	m := Mirror{QID: st.spec.QID, Level: st.spec.Level, Side: st.spec.Side,
-		EntryOp: st.entry.StartOp}
-	if inTuplePhase {
-		m.Vals = vals
-	}
-	if !inTuplePhase || st.spec.NeedsPacket {
-		m.attach(pv)
-	}
-	return m
-}
-
-// attach makes the mirror carry the original frame, with the switch's parse
-// of it when the frame decoded fully.
-func (m *Mirror) attach(pv *View) {
-	m.Packet = pv.Frame
-	if pv.clean {
-		m.Parsed = &pv.Pkt
-	}
 }
 
 // shunted counts one collision overflow.
@@ -588,11 +562,13 @@ func (sw *Switch) shunted(st *instState) {
 	st.fr.Collision()
 }
 
+// emit sends one record of the frame-at-a-time walk out the monitoring
+// port.
 func (sw *Switch) emit(st *instState, m Mirror) {
 	sw.stats.Mirrored++
 	sw.m.mirrored.Inc()
 	st.fr.Mirror()
-	sw.mirror(m)
+	sw.sink.HandleMirror(m)
 }
 
 // statefulFunc returns the aggregation a stateful op applies on the switch.

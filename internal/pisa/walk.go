@@ -19,8 +19,9 @@ import (
 // register bank in a tight frame-order loop. Each stage's flight-recorder
 // entering count is the popcount of the selection entering it, whether or
 // not a probe is attached. Collision shunts are set aside as they happen and
-// emitted together with the tail mirrors in one final pass in frame order,
-// so an instance's mirror sequence is exactly the frame-at-a-time walk's.
+// handed to the sink together with the tail selection as one MirrorBatch per
+// instance, whose frame order is the frame-at-a-time walk's mirror sequence;
+// an instance with nothing to report makes no sink call.
 
 // column is one field of the batch's metadata tuples, indexed by frame:
 // numeric values in u, or string values in v — exactly one is non-nil.
@@ -86,12 +87,14 @@ type walkScratch struct {
 	shuntMask  []uint64
 	shuntAt    []shuntRec // by frame; valid where shuntMask is set
 	shuntVals  []tuple.Value
+	shunts     int    // bits set in shuntMask
+	handed     bool   // the sink has seen this view batch
 	touched    uint32 // sink for RegisterBank.touch
 }
 
 // begin sizes the per-frame scratch for a batch of n frames.
 func (ws *walkScratch) begin(n int) {
-	ws.n = n
+	ws.n, ws.handed = n, false
 	words := (n + 63) >> 6
 	if cap(ws.sel) < words {
 		ws.sel = make([]uint64, words)
@@ -139,14 +142,18 @@ func (ws *walkScratch) takeCols(w int) []column {
 	return out
 }
 
+// appendRow appends frame i's tuple to dst.
+func appendRow(dst []tuple.Value, cols []column, i int) []tuple.Value {
+	for c := range cols {
+		dst = append(dst, cols[c].at(i))
+	}
+	return dst
+}
+
 // rowOf gathers frame i's tuple into the row scratch.
 func (ws *walkScratch) rowOf(cols []column, i int) []tuple.Value {
-	row := ws.row[:0]
-	for c := range cols {
-		row = append(row, cols[c].at(i))
-	}
-	ws.row = row
-	return row
+	ws.row = appendRow(ws.row[:0], cols, i)
+	return ws.row
 }
 
 func popcount(sel []uint64) uint64 {
@@ -185,7 +192,11 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 	ws := &sw.walk
 	ws.nu, ws.nv, ws.nc = 0, 0, 0
 	ws.shuntVals = ws.shuntVals[:0]
+	// Unconditionally, and over the current batch's words: begin re-slices the
+	// mask, so bits a longer batch left above a shorter one's length are
+	// cleared here before any instance of the next long batch can see them.
 	clear(ws.shuntMask)
+	ws.shunts = 0
 	sel := ws.sel
 	copy(sel, m.runnable)
 
@@ -248,26 +259,22 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 		entered = popcount(sel) // every table is a leading filter: the tail is what they guard
 	}
 
-	// Emit pass, in frame order: a frame either was shunted at a stateful
-	// table or survived every table (a stateless tail, or nothing on the
-	// switch at all — the All-SP plan) and reports.
-	for w := range sel {
-		for b := sel[w] | ws.shuntMask[w]; b != 0; b &= b - 1 {
-			bit := bits.TrailingZeros64(b)
-			i := w<<6 | bit
-			if ws.shuntMask[w]>>uint(bit)&1 != 0 {
-				rec := &ws.shuntAt[i]
-				sw.emit(st, st.shuntMirror(&vs[i], rec.mergeOp, ws.shuntVals[rec.off:rec.end]))
-				continue
-			}
-			var vals []tuple.Value
-			if inTuplePhase {
-				vals = ws.rowOf(cols, i)
-			}
-			sw.emit(st, st.tailMirror(&vs[i], vals, inTuplePhase))
-		}
-		reports += uint64(bits.OnesCount64(sel[w] | ws.shuntMask[w]))
+	// Emit: a frame either was shunted at a stateful table or survived every
+	// table (a stateless tail, or nothing on the switch at all — the All-SP
+	// plan) and reports. The sink gets both sets at once.
+	reports = popcount(sel) + uint64(ws.shunts)
+	if reports == 0 {
+		return 0, entered
 	}
+	sw.stats.Mirrored += reports
+	sw.m.mirrored.Add(reports)
+	st.fr.MirrorN(reports)
+	b := &st.out
+	b.n = int(reports)
+	b.Views, b.NewViews, ws.handed = vs, !ws.handed, true
+	b.Tail, b.Shunt, b.TuplePhase = sel, ws.shuntMask, inTuplePhase
+	b.cols, b.shuntAt, b.shuntVals = cols, ws.shuntAt, ws.shuntVals
+	sw.sink.HandleMirrorBatch(b)
 	return reports, entered
 }
 
@@ -401,6 +408,7 @@ func (sw *Switch) stateUpdate(st *instState, t int, sel []uint64, cols []column,
 			}
 			ws.shuntAt[i] = shuntRec{mergeOp: tab.OpIdx, off: off, end: len(ws.shuntVals)}
 			ws.shuntMask[i>>6] |= 1 << uint(i&63)
+			ws.shunts++
 			sel[i>>6] &^= 1 << uint(i&63)
 		case last || distinct && !newKey:
 			sel[i>>6] &^= 1 << uint(i&63)

@@ -234,9 +234,7 @@ func runForKeys(qt *QueryTraining, p *query.Pipeline, level int, gate []string, 
 	if gate != nil {
 		prof.Dyn().Replace(DynTableName(qt.Query.ID, level), gate)
 	}
-	for i := range pkts {
-		prof.Feed(&pkts[i])
-	}
+	prof.Feed(pkts)
 	out := prof.EndWindow()
 	set := make(map[string]struct{}, len(out.Outputs))
 	for _, t := range out.Outputs {
@@ -264,9 +262,7 @@ func observeSide(qt *QueryTraining, p *query.Pipeline, level int, prefixes map[s
 	}
 	open := disableFinalFilter(p)
 	prof := stream.NewProfiler(open.Ops, nil)
-	for i := range pkts {
-		prof.Feed(&pkts[i])
-	}
+	prof.Feed(pkts)
 	out := prof.EndWindow()
 	var min *uint64
 	for _, t := range out.Outputs {
@@ -319,9 +315,7 @@ func profileSide(qt *QueryTraining, p *query.Pipeline, level int, gate []string,
 		if gate != nil {
 			prof.Dyn().Replace(DynTableName(qt.Query.ID, level), gate)
 		}
-		for i := range pkts {
-			prof.Feed(&pkts[i])
-		}
+		prof.Feed(pkts)
 		out := prof.EndWindow()
 		for ci, cut := range cuts {
 			perCut[ci] = append(perCut[ci], nForCut(&pipe, cut, &out, uint64(len(pkts))))

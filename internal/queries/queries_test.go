@@ -137,14 +137,16 @@ func TestEachQueryDetectsItsAttack(t *testing.T) {
 				t.Fatal(err)
 			}
 			parser := packet.NewParser(packet.ParserOptions{DecodeDNS: true})
-			var pkt packet.Packet
+			var pkt [1]packet.Packet
+			one := []uint64{1} // selects pkt[0]
+			inst := engine.Instance(1, 0)
 			for _, r := range g.WindowRecords(0).Records {
-				if parser.Parse(r.Data, &pkt) != nil {
+				if parser.Parse(r.Data, &pkt[0]) != nil {
 					continue
 				}
-				engine.IngestPacket(1, 0, &pkt)
+				inst.IngestPackets(stream.SideLeft, pkt[:], one)
 				if c.q.HasJoin() {
-					engine.IngestRightPacket(1, 0, &pkt)
+					inst.IngestPackets(stream.SideRight, pkt[:], one)
 				}
 			}
 			results, _ := engine.EndWindow()

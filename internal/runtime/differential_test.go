@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/flightrec"
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/queries"
 	"repro/internal/runtime"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
@@ -49,14 +51,33 @@ func TestShardedMatchesSequential(t *testing.T) {
 		if opts.Workers > 1 && rt.Workers() < 2 {
 			t.Fatalf("workers=%d built a %d-shard runtime", opts.Workers, rt.Workers())
 		}
-		snaps := make([]string, 0, w.Gen.Windows())
+		// The monitoring port is crossed through the wire codec under Scalar
+		// and a mirror batch at a time otherwise; what it is counted as
+		// carrying — in the registry and per instance in the flight recorder —
+		// must not depend on which.
+		reg := telemetry.NewRegistry()
+		rt.Instrument(reg, nil)
+		rec := flightrec.New(w.Gen.Windows(), nil)
+		rt.AttachFlightRecorder(rec)
+		snaps := make([]string, 0, w.Gen.Windows()+1)
 		for i := 0; i < w.Gen.Windows(); i++ {
 			snaps = append(snaps, snapshotReport(rt.ProcessWindow(w.Frames(i))))
 		}
-		return snaps
+		rt.Close()
+		port := fmt.Sprintf("emitter frames=%d bytes=%d malformed=%d\n",
+			reg.Counter("sonata_emitter_frames_total", "").Value(),
+			reg.Counter("sonata_emitter_bytes_total", "").Value(),
+			reg.Counter("sonata_emitter_malformed_total", "").Value())
+		for _, r := range rec.Snapshot(0).Queries {
+			port += fmt.Sprintf("q%d/%d mirror bytes=%d\n", r.QID, r.Level, r.CumBytes)
+		}
+		return append(snaps, port)
 	}
 
 	want := run(runtime.Options{Scalar: true}) // per-tuple oracle
+	if !strings.Contains(want[len(want)-1], "frames=") || strings.Contains(want[len(want)-1], "bytes=0 ") {
+		t.Fatalf("the oracle counted nothing at the monitoring port:\n%s", want[len(want)-1])
+	}
 	modes := []struct {
 		name string
 		opts runtime.Options

@@ -10,9 +10,10 @@ import (
 
 // AttachFlightRecorder wires a flight recorder into the deployment: one
 // probe per installed (query, level) instance, fed by the switch (per-stage
-// packet counts, collisions, mirrors, register occupancy), the emitter
-// (encoded byte volume), the engine (tuples in, per-stage SP counts, eval
-// time), and the runtime itself (refinement transitions, window commit).
+// packet counts, collisions, mirrors, register occupancy), the engine
+// (tuples in, per-stage SP counts, eval time — and, through the instance the
+// emitter resolves, the encoded byte volume), and the runtime itself
+// (refinement transitions, window commit).
 // The recorder is Reset first, so a recorder reused across deployments
 // always reflects the live one. A nil recorder detaches.
 func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
@@ -56,7 +57,6 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 	for _, s := range r.shards {
 		s.sw.AttachFlightRec(lookup)
 		s.engine.AttachFlightRec(lookup)
-		s.em.AttachFlightRec(lookup)
 	}
 }
 

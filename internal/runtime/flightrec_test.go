@@ -289,6 +289,16 @@ func TestMetricsLint(t *testing.T) {
 	if offered == 0 || entered == 0 || entered >= offered {
 		t.Errorf("prescreen offered %d frames and let in %d; want 0 < entered < offered", offered, entered)
 	}
+	// The mirror boundary's amortisation is exported: hand-offs and deep
+	// decodes, neither of which can exceed the frames they carried (this
+	// window's plan keeps most of them on the switch).
+	frames := counters["sonata_emitter_frames_total"]
+	batches, okB := counters["sonata_emitter_batches_total"]
+	decodes, okD := counters["sonata_emitter_deep_decodes_total"]
+	if !okB || !okD || batches > frames || decodes > frames || (frames > 0) != (batches > 0) {
+		t.Errorf("emitter: %d frames in %d batches (exported: %v), %d deep decodes (exported: %v)",
+			frames, batches, okB, decodes, okD)
+	}
 }
 
 // buildFloodTrace generates a deterministic trace whose SYN flood starts at

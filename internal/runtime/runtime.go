@@ -362,7 +362,7 @@ func (r *Runtime) buildShards(n int) error {
 		engine := stream.NewEngine(stream.NewDynTables())
 		engine.SetScalar(r.opts.Scalar)
 		em := emitter.New(engine)
-		sw, err := pisa.NewSwitchShared(r.cfg, progs[i], em.HandleMirror, r.pre)
+		sw, err := pisa.NewSwitchShared(r.cfg, progs[i], em, r.pre)
 		if err != nil {
 			return fmt.Errorf("runtime: installing shard %d program: %w", i, err)
 		}

@@ -19,9 +19,11 @@ package stream
 // bit-identical to the per-tuple interpreter's.
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/keytab"
+	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -60,21 +62,35 @@ func (e *pipeExec) bufferTuple(at int, vals []tuple.Value) {
 		e.outOffs = append(e.outOffs, len(e.outVals))
 		return
 	}
-	b := &e.batch
-	if b.n > 0 && (b.entry != at || b.width != len(vals)) {
-		e.flushBatch()
-	}
-	if b.n == 0 {
-		b.entry, b.width = at, len(vals)
-		for len(b.cols) < len(vals) {
-			b.cols = append(b.cols, nil)
-		}
-	}
+	b := e.openBatch(at, len(vals))
 	for j, v := range vals {
 		b.cols[j] = append(b.cols[j], v)
 	}
-	b.n++
-	if b.n >= batchCap {
+	e.closeRow()
+}
+
+// openBatch readies the batch for one more row of the given width entering
+// at op index at, flushing first if it holds rows for a different entry
+// point or width. The caller appends one value to each of the first width
+// columns and then calls closeRow.
+func (e *pipeExec) openBatch(at, width int) *colBatch {
+	b := &e.batch
+	if b.n > 0 && (b.entry != at || b.width != width) {
+		e.flushBatch()
+	}
+	if b.n == 0 {
+		b.entry, b.width = at, width
+		for len(b.cols) < width {
+			b.cols = append(b.cols, nil)
+		}
+	}
+	return b
+}
+
+// closeRow counts the row just appended and flushes a full batch.
+func (e *pipeExec) closeRow() {
+	e.batch.n++
+	if e.batch.n >= batchCap {
 		e.flushBatch()
 	}
 }
@@ -91,24 +107,129 @@ func (e *pipeExec) bufferReduceRow(at int, kv []tuple.Value, agg uint64) {
 		e.outOffs = append(e.outOffs, len(e.outVals))
 		return
 	}
-	w := len(kv) + 1
-	b := &e.batch
-	if b.n > 0 && (b.entry != at || b.width != w) {
-		e.flushBatch()
-	}
-	if b.n == 0 {
-		b.entry, b.width = at, w
-		for len(b.cols) < w {
-			b.cols = append(b.cols, nil)
-		}
-	}
+	b := e.openBatch(at, len(kv)+1)
 	for j, v := range kv {
 		b.cols[j] = append(b.cols[j], v)
 	}
 	b.cols[len(kv)] = append(b.cols[len(kv)], tuple.U64(agg))
-	b.n++
-	if b.n >= batchCap {
-		e.flushBatch()
+	e.closeRow()
+}
+
+// ingestPackets is ingestPacket over the selected packets of pkts, op by op
+// instead of packet by packet: filters clear selection bits, the per-op
+// counters move by popcount, and the landing map evaluates each surviving
+// packet straight into the batch's columns. Packets are taken in ascending
+// order and the batch flushes at capacity as it does for bufferTuple, so
+// the downstream keytabs see the first-touch order of per-packet ingest.
+// sel is not modified. It returns the selection of the packets that passed
+// every op and ended the pipeline still packets (none once a map has landed
+// them), valid until the next call.
+func (e *pipeExec) ingestPackets(at int, pkts []packet.Packet, sel []uint64) []uint64 {
+	e.pktSel = append(e.pktSel[:0], sel...)
+	sel = e.pktSel
+	if e.scalar {
+		for w, word := range sel {
+			for b := word; b != 0; b &= b - 1 {
+				bit := bits.TrailingZeros64(b)
+				if !e.ingestPacket(at, &pkts[w<<6|bit]) {
+					sel[w] &^= 1 << uint(bit)
+				}
+			}
+		}
+		return sel
+	}
+	live := popcount(sel)
+	for i := at; i < len(e.ops) && live > 0; i++ {
+		o := &e.ops[i]
+		e.inCounts[i] += live
+		switch {
+		case !o.PacketPhase():
+			panic(fmt.Sprintf("stream: op %d (%v) is tuple-phase but received a packet", i, o.Kind))
+		case o.Kind == query.OpFilter:
+			e.filterPackets(o, pkts, sel)
+			live = popcount(sel)
+			e.outCounts[i] += live
+		case o.Kind == query.OpMap:
+			e.mapPackets(i, pkts, sel)
+			clear(sel)
+			return sel
+		default:
+			panic(fmt.Sprintf("stream: stateful op %v in packet phase", o.Kind))
+		}
+	}
+	// Survivors ended the pipeline still in packet phase; record their
+	// passage as ingestPacket does.
+	e.outCounts[len(e.ops)] += live
+	return sel
+}
+
+// filterPackets clears the selection bit of every packet a packet-phase
+// filter rejects.
+func (e *pipeExec) filterPackets(o *query.Op, pkts []packet.Packet, sel []uint64) {
+	set := e.dynSet(o)
+	for w, word := range sel {
+		for b := word; b != 0; b &= b - 1 {
+			bit := bits.TrailingZeros64(b)
+			if !e.packetPasses(o, set, &pkts[w<<6|bit]) {
+				sel[w] &^= 1 << uint(bit)
+			}
+		}
+	}
+}
+
+// mapPackets is the landing map (op i) over the selected packets: each
+// output expression evaluates into the column the tuple continues in, with
+// no intermediate row. A packet lacking a required field leaves no row.
+func (e *pipeExec) mapPackets(i int, pkts []packet.Packet, sel []uint64) {
+	o := &e.ops[i]
+	if i+1 >= len(e.ops) {
+		// The map ends the pipeline: its rows are outputs, not batch rows.
+		forEachSet(sel, func(r int) {
+			if vals, ok := e.mapPacketRow(i, &pkts[r]); ok {
+				e.outCounts[i]++
+				e.bufferTuple(i+1, vals)
+			}
+		})
+		return
+	}
+	for w, word := range sel {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			pkt := &pkts[w<<6|bits.TrailingZeros64(rest)]
+			b := e.openBatch(i+1, len(o.Cols))
+			j := 0
+			for ; j < len(o.Cols); j++ {
+				v, ok := o.Cols[j].Expr.EvalPacket(pkt)
+				if !ok {
+					break
+				}
+				b.cols[j] = append(b.cols[j], v)
+			}
+			if j < len(o.Cols) {
+				for j--; j >= 0; j-- { // take the partial row back
+					b.cols[j] = b.cols[j][:b.n]
+				}
+				continue
+			}
+			e.outCounts[i]++
+			e.closeRow()
+		}
+	}
+}
+
+func popcount(sel []uint64) uint64 {
+	n := 0
+	for _, w := range sel {
+		n += bits.OnesCount64(w)
+	}
+	return uint64(n)
+}
+
+// forEachSet calls fn with the index of every set bit, ascending.
+func forEachSet(sel []uint64, fn func(r int)) {
+	for w, word := range sel {
+		for b := word; b != 0; b &= b - 1 {
+			fn(w<<6 | bits.TrailingZeros64(b))
+		}
 	}
 }
 

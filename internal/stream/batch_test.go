@@ -159,10 +159,16 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 						e.IngestAgg(q.ID, 0, SideLeft, mergeOp, kv, uint64(r.Intn(5)+1))
 					case mergeOp >= 0 && r.Intn(16) == 0:
 						// Collision-overflow path: explicit entry at the
-						// stateful op itself.
-						e.IngestTupleAt(q.ID, 0, SideLeft, mergeOp, vals)
+						// stateful op itself, with a tuple of the width it
+						// takes there.
+						vals = vals[:len(q.Left.Ops[mergeOp].InSchema())]
+						if !e.Instance(q.ID, 0).IngestTupleAt(SideLeft, mergeOp, vals) {
+							t.Fatalf("seed %d: op %d did not take %v", seed, mergeOp, vals)
+						}
 					default:
-						e.IngestTuple(q.ID, 0, SideLeft, vals)
+						if !e.Instance(q.ID, 0).IngestTuple(SideLeft, vals) {
+							t.Fatalf("seed %d: the partition point did not take %v", seed, vals)
+						}
 					}
 				}
 			}
@@ -250,14 +256,14 @@ func TestBatchedIngestSteadyStateZeroAlloc(t *testing.T) {
 	for w := 0; w < 3; w++ {
 		for i := 0; i < 600; i++ {
 			vals[0] = tuple.U64(uint64(i % 32))
-			e.IngestTuple(1, 0, SideLeft, vals)
+			e.Instance(1, 0).IngestTuple(SideLeft, vals)
 		}
 		e.EndWindow()
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 600; i++ {
 			vals[0] = tuple.U64(uint64(i % 32))
-			e.IngestTuple(1, 0, SideLeft, vals)
+			e.Instance(1, 0).IngestTuple(SideLeft, vals)
 		}
 	})
 	if avg > 0 {

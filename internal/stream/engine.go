@@ -82,11 +82,18 @@ type joinItem struct {
 	vals []tuple.Value
 }
 
-// runningQuery is the executable state of one installed query instance.
-type runningQuery struct {
+// Instance is the executable state of one installed (query, level)
+// instance. Engine.Instance hands it out as a handle, so a caller delivering
+// many records to one instance — the emitter, a mirror batch at a time —
+// resolves it once and ingests without further lookups.
+type Instance struct {
+	eng  *Engine
 	q    *query.Query
 	key  QueryKey
 	part Partition
+	// tuplesIn is the instance's share of the window's TuplesIn; EndWindow
+	// folds it into Metrics.PerQuery.
+	tuplesIn uint64
 
 	left  *pipeExec
 	right *pipeExec // nil without join
@@ -115,9 +122,10 @@ type runningQuery struct {
 // (ingest happens on the emitter path, EndWindow on the window boundary).
 type Engine struct {
 	dyn     *DynTables
-	queries map[QueryKey]*runningQuery
+	queries map[QueryKey]*Instance
 	order   []QueryKey
-	metrics Metrics
+	// tuplesIn is the window's Metrics.TuplesIn so far.
+	tuplesIn uint64
 	// reg/m carry the telemetry registry and engine-wide handles; nil
 	// handles (uninstrumented) make every increment a no-op.
 	reg *telemetry.Registry
@@ -141,8 +149,7 @@ func NewEngine(dyn *DynTables) *Engine {
 	if dyn == nil {
 		dyn = NewDynTables()
 	}
-	return &Engine{dyn: dyn, queries: make(map[QueryKey]*runningQuery),
-		metrics: Metrics{PerQuery: make(map[QueryKey]uint64)}}
+	return &Engine{dyn: dyn, queries: make(map[QueryKey]*Instance)}
 }
 
 // Dyn exposes the dynamic filter tables (the runtime installs refinement
@@ -159,8 +166,8 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 	if part.LeftStart < 0 || part.LeftStart > len(q.Left.Ops) {
 		return fmt.Errorf("stream: left partition %d out of range", part.LeftStart)
 	}
-	rq := &runningQuery{
-		q: q, key: QueryKey{q.ID, level}, part: part,
+	rq := &Instance{
+		eng: e, q: q, key: QueryKey{q.ID, level}, part: part,
 		left: newPipeExec(q.Left.Ops, part.LeftStart, e.dyn),
 	}
 	if q.HasJoin() {
@@ -259,58 +266,126 @@ func (e *Engine) Installed() []QueryKey {
 	return append([]QueryKey(nil), e.order...)
 }
 
-func (e *Engine) instance(qid uint16, level uint8) *runningQuery {
-	rq, ok := e.queries[QueryKey{qid, level}]
-	if !ok {
+// Instance resolves an installed instance, nil when (qid, level) is not
+// installed — which a caller facing decoded bytes must check.
+func (e *Engine) Instance(qid uint16, level uint8) *Instance {
+	return e.queries[QueryKey{qid, level}]
+}
+
+// instance is Instance for callers that name instances themselves: an
+// unknown one is their bug.
+func (e *Engine) instance(qid uint16, level uint8) *Instance {
+	rq := e.Instance(qid, level)
+	if rq == nil {
 		panic(fmt.Sprintf("stream: no query instance q%d/r%d installed", qid, level))
 	}
 	return rq
 }
 
-func (e *Engine) count(rq *runningQuery) {
-	e.metrics.TuplesIn++
-	e.metrics.PerQuery[rq.key]++
-	e.m.tuplesIn.Inc()
-	rq.m.tuplesIn.Inc()
+// count books n tuples (or mirrored packets) delivered to rq.
+func (e *Engine) count(rq *Instance, n uint64) {
+	e.tuplesIn += n
+	rq.tuplesIn += n
+	e.m.tuplesIn.Add(n)
+	rq.m.tuplesIn.Add(n)
 	// The flight recorder shares this increment with PerQuery, so the
 	// /debug/queries tuple counts can never disagree with WindowReport.
-	rq.fr.Tuple()
+	rq.fr.TupleN(n)
 }
 
-// IngestPacket delivers a raw (or mirrored) packet to the left pipeline of
-// a query instance. The packet may be reused by the caller after return;
-// nothing aliases it past this call.
-func (e *Engine) IngestPacket(qid uint16, level uint8, pkt *packet.Packet) {
-	rq := e.instance(qid, level)
-	e.count(rq)
-	if rq.packetLeft {
-		e.ingestPacketLeft(rq, pkt)
+// Probe returns the instance's flight-recorder probe (nil when none is
+// attached, or on a nil instance; nil probes no-op).
+func (rq *Instance) Probe() *flightrec.Probe {
+	if rq == nil {
+		return nil
+	}
+	return rq.fr
+}
+
+// HasSide reports whether records of the given side have a pipeline to
+// enter: every installed instance has a left one, join instances a right
+// one. False on a nil instance.
+func (rq *Instance) HasSide(side Side) bool {
+	return rq != nil && (side == SideLeft || side == SideRight && rq.right != nil)
+}
+
+// entry returns the executor records of the given side enter and the op index
+// they enter at: the installed partition point. The caller has established
+// HasSide.
+func (rq *Instance) entry(side Side) (*pipeExec, int) {
+	switch {
+	case side == SideRight:
+		if rq.right == nil {
+			panic(fmt.Sprintf("stream: q%d has no right pipeline", rq.key.QID))
+		}
+		return rq.right, rq.part.RightStart
+	case rq.packetLeft:
+		return rq.prePacket, rq.part.LeftStart
+	}
+	return rq.left, rq.part.LeftStart
+}
+
+// TakesPackets reports whether the given side's pipeline is entered by
+// packets — its partition point is still in packet phase — rather than by
+// tuples. The caller has established HasSide.
+func (rq *Instance) TakesPackets(side Side) bool {
+	ex, at := rq.entry(side)
+	return ex.takesPackets(at)
+}
+
+// IngestPackets delivers the selected packets of pkts — sel is an
+// index-aligned selection bitmap, read-only — in ascending order to the
+// given side's pipeline at its partition point, with the load counters
+// advanced once. Nothing aliases pkts past the call. The caller has
+// established HasSide and TakesPackets.
+func (rq *Instance) IngestPackets(side Side, pkts []packet.Packet, sel []uint64) {
+	n := popcount(sel)
+	if n == 0 {
 		return
 	}
-	rq.left.ingestPacket(rq.part.LeftStart, pkt)
+	rq.eng.count(rq, n)
+	ex, at := rq.entry(side)
+	passed := ex.ingestPackets(at, pkts, sel)
+	if ex == rq.prePacket {
+		// The join's survivors are buffered row by row.
+		forEachSet(passed, func(r int) { rq.bufferJoinLeft(&pkts[r]) })
+	}
 }
 
-// IngestRightPacket delivers a raw packet to the right (joined) pipeline.
-func (e *Engine) IngestRightPacket(qid uint16, level uint8, pkt *packet.Packet) {
-	rq := e.instance(qid, level)
-	e.count(rq)
-	if rq.right == nil {
-		panic(fmt.Sprintf("stream: q%d has no right pipeline", qid))
+// IngestTuple delivers a tuple entering at the installed partition point of
+// the given side. It reports false, ingesting and counting nothing, when no
+// tuple of that width can enter there — which a caller facing decoded bytes
+// must treat as a malformed record. The caller has established HasSide.
+func (rq *Instance) IngestTuple(side Side, vals []tuple.Value) bool {
+	ex, at := rq.entry(side)
+	if ex.tupleWidth(at) != len(vals) {
+		return false
 	}
-	rq.right.ingestPacket(rq.part.RightStart, pkt)
+	rq.eng.count(rq, 1)
+	ex.feedTuple(at, vals)
+	return true
 }
 
-// ingestPacketLeft handles the packet-phase-left join path: run left ops
-// plus post's packet filters, then extract the join key and post-map tuple
-// and buffer them until the right side's window output is known.
-func (e *Engine) ingestPacketLeft(rq *runningQuery, pkt *packet.Packet) {
-	pre := rq.prePacket
-	// Run the filters; a surviving packet falls off the end of pre's ops.
-	before := pre.outCounts[len(pre.ops)]
-	pre.ingestPacket(rq.part.LeftStart, pkt)
-	if pre.outCounts[len(pre.ops)] == before {
-		return // dropped
+// IngestTupleAt delivers a tuple entering at an explicit op index — the
+// collision-overflow path, where the switch shunts the stateful operator's
+// input tuple and the stream processor runs the operator itself. Like
+// IngestTuple it reports false when opIdx is not a stateful operator of that
+// side or vals is not a tuple it takes.
+func (rq *Instance) IngestTupleAt(side Side, opIdx int, vals []tuple.Value) bool {
+	ex, _ := rq.entry(side)
+	if opIdx < 0 || opIdx >= len(ex.ops) || !ex.ops[opIdx].Stateful() || ex.tupleWidth(opIdx) != len(vals) {
+		return false
 	}
+	rq.eng.count(rq, 1)
+	ex.feedTuple(opIdx, vals)
+	return true
+}
+
+// bufferJoinLeft is the packet-phase-left join path past its filters (left
+// ops plus post's packet filters, run by prePacket): extract the join key and
+// the post-map tuple and buffer them until the right side's window output is
+// known.
+func (rq *Instance) bufferJoinLeft(pkt *packet.Packet) {
 	keyVals := make([]tuple.Value, len(rq.q.JoinKeys))
 	for i, f := range rq.q.JoinKeys {
 		v, ok := pkt.Field(f)
@@ -337,53 +412,15 @@ func (e *Engine) ingestPacketLeft(rq *runningQuery, pkt *packet.Packet) {
 	rq.pending = append(rq.pending, joinItem{key: key, vals: vals})
 }
 
-// IngestTuple delivers a tuple entering at the installed partition point of
-// the given side.
-func (e *Engine) IngestTuple(qid uint16, level uint8, side Side, vals []tuple.Value) {
-	rq := e.instance(qid, level)
-	e.count(rq)
-	switch side {
-	case SideLeft:
-		rq.left.feedTuple(rq.part.LeftStart, vals)
-	case SideRight:
-		if rq.right == nil {
-			panic(fmt.Sprintf("stream: q%d has no right pipeline", qid))
-		}
-		rq.right.feedTuple(rq.part.RightStart, vals)
-	}
-}
-
-// IngestTupleAt delivers a tuple entering at an explicit op index — the
-// collision-overflow path, where the switch shunts the stateful operator's
-// input tuple and the stream processor runs the operator itself.
-func (e *Engine) IngestTupleAt(qid uint16, level uint8, side Side, opIdx int, vals []tuple.Value) {
-	rq := e.instance(qid, level)
-	e.count(rq)
-	ex := e.execFor(rq, side)
-	ex.feedTuple(opIdx, vals)
-}
-
-func (e *Engine) execFor(rq *runningQuery, side Side) *pipeExec {
-	if side == SideRight {
-		if rq.right == nil {
-			panic(fmt.Sprintf("stream: q%d has no right pipeline", rq.key.QID))
-		}
-		return rq.right
-	}
-	if rq.packetLeft {
-		return rq.prePacket
-	}
-	return rq.left
-}
-
 // IngestAgg merges a pre-aggregated (key, value) record — a register dump
 // from the switch — into the stateful operator at index opIdx of the given
 // side, combining with any overflow packets the stream processor absorbed
 // itself during the window.
 func (e *Engine) IngestAgg(qid uint16, level uint8, side Side, opIdx int, keyVals []tuple.Value, agg uint64) {
 	rq := e.instance(qid, level)
-	e.count(rq)
-	e.execFor(rq, side).mergeAgg(opIdx, keyVals, agg)
+	e.count(rq, 1)
+	ex, _ := rq.entry(side)
+	ex.mergeAgg(opIdx, keyVals, agg)
 }
 
 // EndWindow closes the current window: drains all stateful state, performs
@@ -392,8 +429,13 @@ func (e *Engine) IngestAgg(qid uint16, level uint8, side Side, opIdx int, keyVal
 // sorted for determinism.
 func (e *Engine) EndWindow() ([]Result, Metrics) {
 	results := make([]Result, 0, len(e.order))
+	m := Metrics{TuplesIn: e.tuplesIn, PerQuery: make(map[QueryKey]uint64)}
+	e.tuplesIn = 0
 	for _, key := range e.order {
 		rq := e.queries[key]
+		if rq.tuplesIn > 0 {
+			m.PerQuery[key] = rq.tuplesIn
+		}
 		sp := e.tring.Start(tracez.NameOpEval)
 		sp.Instance(key.QID, key.Level)
 		res := Result{QID: key.QID, Level: key.Level, Schema: rq.q.FinalSchema()}
@@ -403,7 +445,8 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 			res.Tuples = rq.left.endWindow()
 		}
 		sortTuples(res.Tuples)
-		sp.Attr(tracez.AttrTuplesIn, e.metrics.PerQuery[key])
+		sp.Attr(tracez.AttrTuplesIn, rq.tuplesIn)
+		rq.tuplesIn = 0
 		sp.Attr(tracez.AttrResults, uint64(len(res.Tuples)))
 		elapsed := sp.End()
 		rq.m.evalNS.ObserveDuration(elapsed)
@@ -417,14 +460,12 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 		results = append(results, res)
 		e.harvestBatchStats(rq)
 	}
-	m := e.metrics
-	e.metrics = Metrics{PerQuery: make(map[QueryKey]uint64)}
 	return results, m
 }
 
 // harvestBatchStats folds one instance's executor flush counters into the
 // engine-wide batch telemetry and zeroes them for the next window.
-func (e *Engine) harvestBatchStats(rq *runningQuery) {
+func (e *Engine) harvestBatchStats(rq *Instance) {
 	var flushes, rows uint64
 	for _, ex := range []*pipeExec{rq.left, rq.right, rq.post, rq.prePacket} {
 		if ex == nil {
@@ -444,7 +485,7 @@ func (e *Engine) harvestBatchStats(rq *runningQuery) {
 // The packet-phase-left path needs a remap: its pre-packet executor holds
 // the left ops followed by post's packet-filter prefix, so indices past the
 // left pipeline belong to the post segment.
-func (e *Engine) flushOpCounts(rq *runningQuery) {
+func (e *Engine) flushOpCounts(rq *Instance) {
 	p := rq.fr
 	left := rq.left
 	if rq.packetLeft {
@@ -473,7 +514,7 @@ func (e *Engine) flushOpCounts(rq *runningQuery) {
 
 // endJoin performs the window-end join and post pipeline for one instance,
 // filling the result's final tuples and both sides' pre-join outputs.
-func (e *Engine) endJoin(rq *runningQuery, res *Result) {
+func (e *Engine) endJoin(rq *Instance, res *Result) {
 	rightOuts := rq.right.endWindow()
 	rightBy := make(map[string][]tuple.Value, len(rightOuts))
 	rs := rq.q.Right.OutSchema()

@@ -24,6 +24,12 @@ func mkSyn(t testing.TB, src, dst uint32) *packet.Packet {
 	return &pkt
 }
 
+// ingestPacket delivers one packet to the given side of an installed
+// instance.
+func ingestPacket(e *Engine, qid uint16, level uint8, side Side, pkt *packet.Packet) {
+	e.Instance(qid, level).IngestPackets(side, []packet.Packet{*pkt}, []uint64{1})
+}
+
 func query1(th uint64) *query.Query {
 	q := query.NewBuilder("q1", time.Second).
 		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
@@ -42,9 +48,9 @@ func TestFullQueryOnPackets(t *testing.T) {
 	}
 	victim := packet.IPv4Addr(9, 9, 9, 9)
 	for i := 0; i < 5; i++ {
-		e.IngestPacket(1, 0, mkSyn(t, uint32(i+1), victim))
+		ingestPacket(e, 1, 0, SideLeft, mkSyn(t, uint32(i+1), victim))
 	}
-	e.IngestPacket(1, 0, mkSyn(t, 1, packet.IPv4Addr(8, 8, 8, 8))) // below threshold
+	ingestPacket(e, 1, 0, SideLeft, mkSyn(t, 1, packet.IPv4Addr(8, 8, 8, 8))) // below threshold
 	results, m := e.EndWindow()
 	if m.TuplesIn != 6 {
 		t.Errorf("TuplesIn = %d", m.TuplesIn)
@@ -71,7 +77,7 @@ func TestPartitionedTupleEntry(t *testing.T) {
 	}
 	dst := tuple.U64(42)
 	for i := 0; i < 4; i++ {
-		e.IngestTuple(1, 0, SideLeft, []tuple.Value{dst, tuple.U64(1)})
+		e.Instance(1, 0).IngestTuple(SideLeft, []tuple.Value{dst, tuple.U64(1)})
 	}
 	results, _ := e.EndWindow()
 	if len(results[0].Tuples) != 1 || results[0].Tuples[0][1].U != 4 {
@@ -119,7 +125,7 @@ func TestDistinctThenReduce(t *testing.T) {
 	spreader := uint32(1000)
 	// Same destination repeated: distinct collapses it.
 	for i := 0; i < 10; i++ {
-		e.IngestPacket(3, 0, mkSyn(t, spreader, 2000))
+		ingestPacket(e, 3, 0, SideLeft, mkSyn(t, spreader, 2000))
 	}
 	if results, _ := e.EndWindow(); len(results[0].Tuples) != 0 {
 		t.Error("repeated destination should not trip the distinct count")
@@ -127,7 +133,7 @@ func TestDistinctThenReduce(t *testing.T) {
 	// Three distinct destinations: fanout = 3 > 2.
 	for d := uint32(0); d < 3; d++ {
 		for i := 0; i < 4; i++ {
-			e.IngestPacket(3, 0, mkSyn(t, spreader, 3000+d))
+			ingestPacket(e, 3, 0, SideLeft, mkSyn(t, spreader, 3000+d))
 		}
 	}
 	results, _ := e.EndWindow()
@@ -172,8 +178,8 @@ func TestTupleJoinWithRatio(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Both sides of the join see the full packet stream.
-		e.IngestPacket(8, 0, &pkt)
-		e.IngestRightPacket(8, 0, &pkt)
+		ingestPacket(e, 8, 0, SideLeft, &pkt)
+		ingestPacket(e, 8, 0, SideRight, &pkt)
 	}
 	// Victim: 200 connections of 60 bytes each => 200*1000/12000 = 16 > 10.
 	for i := 0; i < 200; i++ {
@@ -227,8 +233,8 @@ func TestPacketPhaseJoinZorro(t *testing.T) {
 			if err := parser.Parse(frame, &pkt); err != nil {
 				t.Fatal(err)
 			}
-			e.IngestPacket(10, 0, &pkt)
-			e.IngestRightPacket(10, 0, &pkt)
+			ingestPacket(e, 10, 0, SideLeft, &pkt)
+			ingestPacket(e, 10, 0, SideRight, &pkt)
 		}
 	}
 	telnet(victim, "admin", 10)          // similar-sized brute force
@@ -262,7 +268,7 @@ func TestDynamicFilterGatesTraffic(t *testing.T) {
 	outside := packet.IPv4Addr(10, 1, 2, 3)
 
 	// Before any update the table is empty: nothing passes.
-	e.IngestPacket(1, 2, mkSyn(t, 1, inside))
+	ingestPacket(e, 1, 2, SideLeft, mkSyn(t, 1, inside))
 	if results, _ := e.EndWindow(); len(results[0].Tuples) != 0 {
 		t.Error("empty dyn table let traffic through")
 	}
@@ -270,8 +276,8 @@ func TestDynamicFilterGatesTraffic(t *testing.T) {
 	dyn.Replace("q1.r8", []string{
 		DynKeyFromValue(fields.DstIP, tuple.U64(uint64(inside)), 8),
 	})
-	e.IngestPacket(1, 2, mkSyn(t, 1, inside))
-	e.IngestPacket(1, 2, mkSyn(t, 1, outside))
+	ingestPacket(e, 1, 2, SideLeft, mkSyn(t, 1, inside))
+	ingestPacket(e, 1, 2, SideLeft, mkSyn(t, 1, outside))
 	results, _ := e.EndWindow()
 	if len(results[0].Tuples) != 1 || results[0].Tuples[0][0].U != uint64(inside) {
 		t.Fatalf("dyn filter results = %+v", results[0].Tuples)
@@ -303,7 +309,7 @@ func TestAggFunctionsThroughEngine(t *testing.T) {
 			if err := parser.Parse(frame, &pkt); err != nil {
 				t.Fatal(err)
 			}
-			e.IngestPacket(2, 0, &pkt)
+			ingestPacket(e, 2, 0, SideLeft, &pkt)
 		}
 		results, _ := e.EndWindow()
 		if len(results[0].Tuples) != 1 || results[0].Tuples[0][1].U != c.want {
@@ -320,7 +326,7 @@ func TestMultipleLevelsIndependent(t *testing.T) {
 	if err := e.Install(query1(0), 2, Partition{}); err != nil {
 		t.Fatal(err)
 	}
-	e.IngestPacket(1, 1, mkSyn(t, 1, 50))
+	ingestPacket(e, 1, 1, SideLeft, mkSyn(t, 1, 50))
 	results, m := e.EndWindow()
 	if m.PerQuery[QueryKey{1, 1}] != 1 || m.PerQuery[QueryKey{1, 2}] != 0 {
 		t.Errorf("per-query metrics = %+v", m.PerQuery)

@@ -65,23 +65,27 @@ func (d *DynTables) Replace(table string, keys []string) {
 // was never installed admits nothing: finer refinement levels stay idle
 // until the coarser level reports.
 func (d *DynTables) Contains(table, key string) bool {
-	set := d.snap.Load().sets[table]
-	_, ok := set[key]
+	_, ok := d.set(table)[key]
 	return ok
+}
+
+// set returns the current generation of a table (nil if never installed).
+// It is immutable, so a run of lookups may load it once.
+func (d *DynTables) set(table string) map[string]struct{} {
+	return d.snap.Load().sets[table]
 }
 
 // ContainsKey is the hot-path form of Contains: the key arrives as encoded
 // bytes (typically a reused scratch buffer) and the lookup allocates
 // nothing — the string conversion in the map index does not escape.
 func (d *DynTables) ContainsKey(table string, key []byte) bool {
-	set := d.snap.Load().sets[table]
-	_, ok := set[string(key)]
+	_, ok := d.set(table)[string(key)]
 	return ok
 }
 
 // Size returns the number of keys installed for a table.
 func (d *DynTables) Size(table string) int {
-	return len(d.snap.Load().sets[table])
+	return len(d.set(table))
 }
 
 // pipeExec executes the suffix of one pipeline, from op index start to the
@@ -144,8 +148,10 @@ type pipeExec struct {
 	// is recycled across flushes and windows.
 	batch colBatch
 	// sel is the flush's selection bitmap: bit r live means row r has passed
-	// every filter so far.
-	sel []uint64
+	// every filter so far. pktSel is the same for a run of packets entering
+	// through ingestPackets (the caller's selection is read-only).
+	sel    []uint64
+	pktSel []uint64
 	// mapColBufs are the ping-pong column sets map ops evaluate into; a map
 	// writes the buffer its input does not occupy, so chained maps never
 	// alias. mapPing is the buffer the *previous* map wrote.
@@ -185,8 +191,10 @@ func newPipeExec(ops []query.Op, start int, dyn *DynTables) *pipeExec {
 
 // ingestPacket pushes a raw packet through packet-phase ops starting at op
 // index at; when a map converts it to a tuple the tuple continues through
-// ingestTuple. Returns false if the packet was dropped by a filter.
-func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) {
+// ingestTuple. It is the per-packet reference for ingestPackets, which runs
+// it in scalar mode, and reports what ingestPackets selects: whether the
+// packet passed every op and ended the pipeline still a packet.
+func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) bool {
 	for i := at; i < len(e.ops); i++ {
 		e.inCounts[i]++
 		o := &e.ops[i]
@@ -195,46 +203,70 @@ func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) {
 		}
 		switch o.Kind {
 		case query.OpFilter:
-			if o.DynFilterTable != "" {
-				v, ok := pkt.Field(o.DynKeyField)
-				if !ok {
-					return
-				}
-				e.dynKeyScratch = AppendDynKey(e.dynKeyScratch[:0], o.DynKeyField, v, o.DynLevel)
-				if !e.dyn.ContainsKey(o.DynFilterTable, e.dynKeyScratch) {
-					return
-				}
-			} else {
-				for j := range o.Clauses {
-					if !o.Clauses[j].MatchPacket(pkt) {
-						return
-					}
-				}
+			if !e.packetPasses(o, e.dynSet(o), pkt) {
+				return false
 			}
 			e.outCounts[i]++
 		case query.OpMap:
-			vals := e.mapScratch(i, len(o.Cols))
-			for j := range o.Cols {
-				v, ok := o.Cols[j].Expr.EvalPacket(pkt)
-				if !ok {
-					return // packet lacks a required field
-				}
-				vals[j] = v
+			if vals, ok := e.mapPacketRow(i, pkt); ok {
+				e.outCounts[i]++
+				e.feedTuple(i+1, vals)
 			}
-			e.outCounts[i]++
-			// The packet cannot be buffered (it lives in caller scratch), so
-			// the landing map evaluates per packet; the tuple it produces is
-			// copied into the batch (or walked scalar) from here.
-			e.feedTuple(i+1, vals)
-			return
+			return false
 		default:
 			panic(fmt.Sprintf("stream: stateful op %v in packet phase", o.Kind))
 		}
 	}
 	// Pipeline ended while still in packet phase: the result is the packet
-	// itself; record its passage (callers that need the packets — the
-	// packet-phase join path — intercept before this point).
+	// itself; record its passage (the packet-phase join path picks the
+	// packets up from the returned selection).
 	e.outCounts[len(e.ops)]++
+	return true
+}
+
+// mapPacketRow evaluates the landing map (op i) on pkt into the op's row
+// scratch. It reports false when the packet lacks a required field.
+func (e *pipeExec) mapPacketRow(i int, pkt *packet.Packet) ([]tuple.Value, bool) {
+	cols := e.ops[i].Cols
+	vals := e.mapScratch(i, len(cols))
+	for j := range cols {
+		v, ok := cols[j].Expr.EvalPacket(pkt)
+		if !ok {
+			return nil, false
+		}
+		vals[j] = v
+	}
+	return vals, true
+}
+
+// dynSet returns the table a dynamic packet filter probes, loaded once per
+// packet or per run of packets (tables change only between windows); nil
+// for a static filter.
+func (e *pipeExec) dynSet(o *query.Op) map[string]struct{} {
+	if o.DynFilterTable == "" {
+		return nil
+	}
+	return e.dyn.set(o.DynFilterTable)
+}
+
+// packetPasses reports whether pkt passes packet-phase filter o, whose
+// dynamic table (dynSet) the caller has loaded.
+func (e *pipeExec) packetPasses(o *query.Op, set map[string]struct{}, pkt *packet.Packet) bool {
+	if o.DynFilterTable != "" {
+		v, ok := pkt.Field(o.DynKeyField)
+		if !ok {
+			return false
+		}
+		e.dynKeyScratch = AppendDynKey(e.dynKeyScratch[:0], o.DynKeyField, v, o.DynLevel)
+		_, ok = set[string(e.dynKeyScratch)]
+		return ok
+	}
+	for j := range o.Clauses {
+		if !o.Clauses[j].MatchPacket(pkt) {
+			return false
+		}
+	}
+	return true
 }
 
 // AppendDynKey appends the dynamic-filter lookup key for a single value
@@ -417,6 +449,29 @@ func (e *pipeExec) sealOutputs() [][]tuple.Value {
 	}
 	e.outRows = rows
 	return rows
+}
+
+// tupleWidth returns the width of the tuples that enter the op chain at
+// index at (at most len(ops)) — the op's input schema, or the pipeline's
+// output schema when every op ran on the switch — and -1 where packets enter
+// instead.
+func (e *pipeExec) tupleWidth(at int) int {
+	switch {
+	case e.takesPackets(at):
+		return -1
+	case at < len(e.ops):
+		return len(e.ops[at].InSchema())
+	}
+	return len(e.ops[at-1].OutSchema())
+}
+
+// takesPackets reports whether what enters at op index at is still a packet:
+// the op there is packet-phase, or the pipeline ended without a map.
+func (e *pipeExec) takesPackets(at int) bool {
+	if at < len(e.ops) {
+		return e.ops[at].PacketPhase()
+	}
+	return at == 0 || e.ops[at-1].OutSchema() == nil
 }
 
 // feedTuple is the mode dispatch for tuples entering the op chain at index

@@ -43,7 +43,7 @@ func TestKeytabStateMatchesMapModel(t *testing.T) {
 					e.IngestAgg(1, 0, SideLeft, 2, []tuple.Value{tuple.U64(key)}, v)
 					touch(key, v)
 				} else {
-					e.IngestTuple(1, 0, SideLeft, []tuple.Value{tuple.U64(key), tuple.U64(1)})
+					e.Instance(1, 0).IngestTuple(SideLeft, []tuple.Value{tuple.U64(key), tuple.U64(1)})
 					touch(key, 1)
 				}
 			}
@@ -90,7 +90,7 @@ func TestKeytabStateMatchesMapModel(t *testing.T) {
 			n := 100 + rng.Intn(400)
 			for i := 0; i < n; i++ {
 				pair := [2]uint64{uint64(rng.Intn(16)), uint64(rng.Intn(16))}
-				e.IngestTuple(2, 0, SideLeft,
+				e.Instance(2, 0).IngestTuple(SideLeft,
 					[]tuple.Value{tuple.U64(pair[0]), tuple.U64(pair[1])})
 				if !seen[pair] {
 					seen[pair] = true
@@ -130,11 +130,11 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 		vals := []tuple.Value{tuple.U64(42), tuple.U64(1)}
 		// Warm one full window cycle so the arena, slots, and key scratch are
 		// all sized.
-		e.IngestTuple(1, 0, SideLeft, vals)
+		e.Instance(1, 0).IngestTuple(SideLeft, vals)
 		e.EndWindow()
-		e.IngestTuple(1, 0, SideLeft, vals)
+		e.Instance(1, 0).IngestTuple(SideLeft, vals)
 		if allocs := testing.AllocsPerRun(1000, func() {
-			e.IngestTuple(1, 0, SideLeft, vals)
+			e.Instance(1, 0).IngestTuple(SideLeft, vals)
 		}); allocs != 0 {
 			t.Fatalf("reduce hit allocates %.1f/op, want 0", allocs)
 		}
@@ -151,11 +151,11 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals := []tuple.Value{tuple.U64(7), tuple.U64(9)}
-		e.IngestTuple(2, 0, SideLeft, vals)
+		e.Instance(2, 0).IngestTuple(SideLeft, vals)
 		e.EndWindow()
-		e.IngestTuple(2, 0, SideLeft, vals)
+		e.Instance(2, 0).IngestTuple(SideLeft, vals)
 		if allocs := testing.AllocsPerRun(1000, func() {
-			e.IngestTuple(2, 0, SideLeft, vals)
+			e.Instance(2, 0).IngestTuple(SideLeft, vals)
 		}); allocs != 0 {
 			t.Fatalf("distinct hit allocates %.1f/op, want 0", allocs)
 		}

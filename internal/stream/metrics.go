@@ -7,7 +7,7 @@ import (
 )
 
 // engineMetrics holds the stream processor's registry handles. Engine-wide
-// totals live here; per-instance series hang off each runningQuery so the
+// totals live here; per-instance series hang off each Instance so the
 // ingest path reaches them without a map lookup (the instance was already
 // resolved to dispatch the tuple).
 type engineMetrics struct {
@@ -49,7 +49,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 }
 
 // instrumentQuery registers one instance's labeled series.
-func (e *Engine) instrumentQuery(rq *runningQuery) {
+func (e *Engine) instrumentQuery(rq *Instance) {
 	if e.reg == nil {
 		return
 	}

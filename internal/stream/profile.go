@@ -32,14 +32,14 @@ type PipelineProfile struct {
 // costs. A zero Profiler is not usable; construct with NewProfiler.
 //
 // The profiler runs the same batched executor as the live engine: packets
-// walk the packet-phase prefix one at a time (raw frames have no columnar
-// form), and the tuples the landing map produces buffer into the column
-// batch. EndWindow flushes the batch before draining state, so OutAfter and
-// Keys — the planner's N_{q,t} inputs — are exactly what the per-tuple
-// interpreter would have counted.
+// walk the packet-phase prefix a batchCap run at a time, op by op, and the
+// landing map evaluates them into the column batch. EndWindow flushes the
+// batch before draining state, so OutAfter and Keys — the planner's N_{q,t}
+// inputs — are exactly what the per-tuple interpreter would have counted.
 type Profiler struct {
 	ops  []query.Op
 	exec *pipeExec
+	all  []uint64 // an all-ones selection over the current run
 }
 
 // NewProfiler prepares a profiler over the full pipeline (partition point
@@ -56,10 +56,15 @@ func NewProfiler(ops []query.Op, dyn *DynTables) *Profiler {
 // refinement keys between windows.
 func (p *Profiler) Dyn() *DynTables { return p.exec.dyn }
 
-// Feed pushes one parsed packet into the pipeline.
-func (p *Profiler) Feed(pkt *packet.Packet) {
-	p.exec.ingestPacket(0, pkt)
-	p.exec.inputCount++
+// Feed pushes a run of parsed packets into the pipeline, in order.
+func (p *Profiler) Feed(pkts []packet.Packet) {
+	p.exec.inputCount += uint64(len(pkts))
+	for len(pkts) > 0 {
+		n := min(batchCap, len(pkts))
+		p.all = selAll(p.all, n)
+		p.exec.ingestPackets(0, pkts[:n], p.all)
+		pkts = pkts[n:]
+	}
 }
 
 // EndWindow closes the window and returns the profile: any tuples still
