@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-batch check-mirror check-metrics check-subscribe check-trace
+.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-kernels check-metrics check-subscribe check-trace
 
-check: fmt vet build test race check-batch check-mirror check-metrics check-subscribe check-trace bench-alloc
+check: fmt vet build test race check-kernels check-metrics check-subscribe check-trace bench-alloc
 	-@$(MAKE) --no-print-directory bench-smoke
 
 fmt:
@@ -26,27 +26,24 @@ race:
 bench:
 	$(GO) test -bench . -benchmem
 
-# Columnar-execution gate: the randomized differential fuzz drives the
-# batched executor against the per-tuple scalar interpreter over generated
-# op chains and adversarial window sizes (empty, all-filtered, exact batch
-# boundaries), the bulk keytab/dyn-table probes against their scalar
-# counterparts, and the full-workload differential proves WindowReports are
-# bit-identical to the scalar oracle inline and at 2/8 workers.
-check-batch:
-	$(GO) test -run 'TestBatched|TestContainsKeyBatch' ./internal/stream
-	$(GO) test -run 'TestLookupBulk' ./internal/keytab
-	$(GO) test -run 'TestAppendKeyCols' ./internal/tuple
-	$(GO) test -run 'TestShardedMatchesSequential' ./internal/runtime
-
-# Mirror-boundary gate, under the race detector: batch hand-off against the
-# wire codec's round trip in the emitter, every batched walk against
-# frame-at-a-time Process in the switch, and the sharded runtime against the
-# scalar oracle. View batches are shared read-only across shards while each
-# shard's emitter adopts them into its own scratch; the race detector is what
-# proves "read-only".
-check-mirror:
-	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
+# Column-kernel gate, under the race detector: the shared kernels
+# (internal/query, with internal/tuple's columns and selections and
+# internal/keytab's bulk probe) against their scalar definitions; then each
+# of their two callers against its reference — the stream executor against
+# the per-tuple interpreter over generated op chains and adversarial window
+# sizes, every batched switch walk against frame-at-a-time Process; then the
+# boundary between the two, batch hand-off against the wire codec's round
+# trip; and once, the sharded runtime against the scalar oracle (inline and
+# at 2/8 workers). View batches and their prescreen masks are shared
+# read-only across shards while each shard's emitter adopts them into its
+# own scratch; the race detector is what proves "read-only".
+check-kernels:
+	$(GO) test -race -count=1 -run 'Kernels|TestContainsKeyBatch|TestColumnKinds' ./internal/query
+	$(GO) test -race -count=1 -run 'TestAppendKeyCols|TestSelections|TestColumnPool' ./internal/tuple
+	$(GO) test -race -count=1 -run 'TestLookupBulk' ./internal/keytab
+	$(GO) test -race -count=1 -run 'TestBatched' ./internal/stream
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths' ./internal/pisa
+	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential' ./internal/runtime
 
 # Metric-naming lint: instruments a full deployment (runtime + flight

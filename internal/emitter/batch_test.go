@@ -348,16 +348,17 @@ func TestEmitterSurvivesUnroutableRecords(t *testing.T) {
 	good := pisa.Mirror{QID: 1, EntryOp: 2, Vals: []tuple.Value{tuple.U64(7), tuple.U64(1)}}
 	frame := packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: 1, DstIP: 7, Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60})
 	bad := []pisa.Mirror{
-		{QID: 99, EntryOp: 2, Vals: good.Vals},                            // unknown qid
-		{QID: 1, Level: 32, EntryOp: 2, Vals: good.Vals},                  // unknown level
-		{QID: 1, Side: pisa.SideRight, EntryOp: 2, Vals: good.Vals},       // right side of a query without a join
-		{QID: 1, Side: pisa.SideRight, Packet: frame},                     // the same, packet-phase
-		{QID: 1, Packet: frame},                                           // a bare packet where the partition point takes tuples
-		{QID: 1, Overflow: true, MergeOp: 200, Vals: good.Vals},           // shunt past the pipeline's end
-		{QID: 1, Overflow: true, MergeOp: 3, Vals: good.Vals},             // shunt into a stateless op
-		{QID: 1, Overflow: true, MergeOp: 2, Vals: good.Vals[:1]},         // shunt with the value column missing
-		{QID: 1, Overflow: true, MergeOp: 2},                              // shunt with no tuple at all
-		{QID: 1, EntryOp: 2, Vals: append(good.Vals[:2:2], good.Vals...)}, // tail tuple of the wrong width
+		{QID: 99, EntryOp: 2, Vals: good.Vals},                                  // unknown qid
+		{QID: 1, Level: 32, EntryOp: 2, Vals: good.Vals},                        // unknown level
+		{QID: 1, Side: pisa.SideRight, EntryOp: 2, Vals: good.Vals},             // right side of a query without a join
+		{QID: 1, Side: pisa.SideRight, Packet: frame},                           // the same, packet-phase
+		{QID: 1, Packet: frame},                                                 // a bare packet where the partition point takes tuples
+		{QID: 1, Overflow: true, MergeOp: 200, Vals: good.Vals},                 // shunt past the pipeline's end
+		{QID: 1, Overflow: true, MergeOp: 3, Vals: good.Vals},                   // shunt into a stateless op
+		{QID: 1, Overflow: true, MergeOp: 2, Vals: good.Vals[:1]},               // shunt with the value column missing
+		{QID: 1, Overflow: true, MergeOp: 2},                                    // shunt with no tuple at all
+		{QID: 1, EntryOp: 2, Vals: append(good.Vals[:2:2], good.Vals...)},       // tail tuple of the wrong width
+		{QID: 1, EntryOp: 2, Vals: []tuple.Value{tuple.Str("7"), tuple.U64(1)}}, // a string in a numeric column
 	}
 	for i := range bad {
 		em.HandleMirror(good)

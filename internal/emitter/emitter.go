@@ -219,13 +219,13 @@ type Emitter struct {
 	// record, one value buffer and one packet serve every frame.
 	dec     MirrorDecoder
 	decoded pisa.Mirror
-	pkt     [1]packet.Packet
+	pkt     [1]*packet.Packet
 	// Batch-path scratch, per view of the current view batch and shared by
 	// every instance of the shard: pkts[i] is view i adopted and
 	// deep-decoded, valid where ready is set; bad marks the views that did
 	// not parse; flen caches frame lengths for the byte count. sel is the
 	// selection handed to the engine, row a tail tuple.
-	pkts       []packet.Packet
+	pkts       []*packet.Packet
 	ready, bad []uint64
 	flen       []int
 	sel        []uint64
@@ -278,7 +278,7 @@ func (e *Emitter) Instrument(reg *telemetry.Registry) {
 // parsing (DNS) because stream-processor portions of queries may reference
 // fields the switch cannot extract.
 func New(engine *stream.Engine) *Emitter {
-	return &Emitter{engine: engine,
+	return &Emitter{engine: engine, pkt: [1]*packet.Packet{new(packet.Packet)},
 		parser: packet.NewParser(packet.ParserOptions{DecodeDNS: true})}
 }
 
@@ -352,8 +352,8 @@ func (e *Emitter) Deliver(m *pisa.Mirror) {
 			// The switch's header parse survived the round trip (same
 			// process); adopt it and apply only the deep DNS decode the
 			// switch-side parser skips.
-			e.parser.Adopt(m.Parsed, &e.pkt[0])
-		} else if err := e.parser.Parse(m.Packet, &e.pkt[0]); err != nil {
+			e.parser.Adopt(m.Parsed, e.pkt[0])
+		} else if err := e.parser.Parse(m.Packet, e.pkt[0]); err != nil {
 			e.malformed(1)
 			return
 		}
@@ -395,7 +395,9 @@ func (e *Emitter) HandleMirrorBatch(b *pisa.MirrorBatch) {
 // scratch and sizes it for n views.
 func (e *Emitter) beginViews(n int) {
 	if len(e.pkts) < n {
-		e.pkts = append(e.pkts, make([]packet.Packet, n-len(e.pkts))...)
+		for len(e.pkts) < n {
+			e.pkts = append(e.pkts, new(packet.Packet))
+		}
 		e.flen = make([]int, n)
 	}
 	words := (n + 63) >> 6
@@ -420,8 +422,8 @@ func (e *Emitter) deliverPackets(b *pisa.MirrorBatch, inst *stream.Instance, sid
 			e.flen[i] = len(frame)
 			decoded++
 			if p := b.Parsed(i); p != nil {
-				e.parser.Adopt(p, &e.pkts[i])
-			} else if err := e.parser.Parse(frame, &e.pkts[i]); err != nil {
+				e.parser.Adopt(p, e.pkts[i])
+			} else if err := e.parser.Parse(frame, e.pkts[i]); err != nil {
 				// An unsupported-layer frame ran the switch pipeline on its
 				// decoded prefix; here it is malformed, once per record.
 				e.bad[w] |= 1 << uint(i&63)

@@ -50,8 +50,6 @@ func (s *Store) Len() int { return len(s.aggs) }
 // kvSrc when kvIdx is nil), and the initial aggregate, returning its dense
 // index. The key bytes and values are copied into the store.
 func (s *Store) Append(key []byte, kvSrc []tuple.Value, kvIdx []int, agg uint64) int {
-	s.arena = append(s.arena, key...)
-	s.keyEnd = append(s.keyEnd, uint32(len(s.arena)))
 	if kvIdx != nil {
 		for _, j := range kvIdx {
 			s.vals = append(s.vals, kvSrc[j])
@@ -59,20 +57,23 @@ func (s *Store) Append(key []byte, kvSrc []tuple.Value, kvIdx []int, agg uint64)
 	} else {
 		s.vals = append(s.vals, kvSrc...)
 	}
-	s.kvEnd = append(s.kvEnd, uint32(len(s.vals)))
-	s.aggs = append(s.aggs, agg)
-	return len(s.aggs) - 1
+	return s.seal(key, agg)
 }
 
 // AppendCols is Append with a column-major key-column source: the entry's
-// key columns are cols[kvIdx[j]][row] in order. Used by the batched stream
-// executor, whose tuples live one-slice-per-field.
-func (s *Store) AppendCols(key []byte, cols [][]tuple.Value, kvIdx []int, row int, agg uint64) int {
+// key columns are row row of cols[kvIdx...] in order. Used by the batched
+// stream executor, whose tuples live one column per field.
+func (s *Store) AppendCols(key []byte, cols []tuple.Column, kvIdx []int, row int, agg uint64) int {
+	for _, j := range kvIdx {
+		s.vals = append(s.vals, cols[j].At(row))
+	}
+	return s.seal(key, agg)
+}
+
+// seal completes the entry whose key columns were just appended to vals.
+func (s *Store) seal(key []byte, agg uint64) int {
 	s.arena = append(s.arena, key...)
 	s.keyEnd = append(s.keyEnd, uint32(len(s.arena)))
-	for _, j := range kvIdx {
-		s.vals = append(s.vals, cols[j][row])
-	}
 	s.kvEnd = append(s.kvEnd, uint32(len(s.vals)))
 	s.aggs = append(s.aggs, agg)
 	return len(s.aggs) - 1
@@ -135,6 +136,31 @@ func New() *Table {
 	return &Table{slots: make([]uint64, minSlots), mask: minSlots - 1, epoch: 1}
 }
 
+// find probes for key, whose hash is h: its entry index, or -1 and the
+// empty slot the probe ended at, where index would record it.
+func (t *Table) find(key []byte, h uint64) (idx int, slot uint64) {
+	mask := uint64(t.mask)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if uint32(s>>32) != t.epoch {
+			return -1, i
+		}
+		if idx := int(uint32(s)); t.hashes[idx] == h && bytes.Equal(t.Store.Key(idx), key) {
+			return idx, i
+		}
+	}
+}
+
+// index records the entry just appended (hash h) at the slot find returned,
+// growing at 3/4 load to keep probe chains short.
+func (t *Table) index(slot, h uint64, idx int) {
+	t.hashes = append(t.hashes, h)
+	t.slots[slot] = uint64(t.epoch)<<32 | uint64(uint32(idx))
+	if uint64(len(t.hashes))*4 > uint64(len(t.slots))*3 {
+		t.grow()
+	}
+}
+
 // GetOrInsert looks up key; when absent it inserts a new entry with key
 // columns kvSrc[kvIdx...] (all of kvSrc when kvIdx is nil) and the initial
 // aggregate, copying both. It returns the entry's dense index and whether
@@ -142,71 +168,34 @@ func New() *Table {
 // reused scratch buffer.
 func (t *Table) GetOrInsert(key []byte, kvSrc []tuple.Value, kvIdx []int, agg uint64) (int, bool) {
 	h := tuple.Hash64(key)
-	mask := uint64(t.mask)
-	i := h & mask
-	for {
-		s := t.slots[i]
-		if uint32(s>>32) != t.epoch {
-			idx := t.Store.Append(key, kvSrc, kvIdx, agg)
-			t.hashes = append(t.hashes, h)
-			t.slots[i] = uint64(t.epoch)<<32 | uint64(uint32(idx))
-			// Grow at 3/4 load to keep probe chains short.
-			if uint64(len(t.hashes))*4 > uint64(len(t.slots))*3 {
-				t.grow()
-			}
-			return idx, false
-		}
-		idx := int(uint32(s))
-		if t.hashes[idx] == h && bytes.Equal(t.Store.Key(idx), key) {
-			return idx, true
-		}
-		i = (i + 1) & mask
+	idx, slot := t.find(key, h)
+	if idx >= 0 {
+		return idx, true
 	}
+	idx = t.Store.Append(key, kvSrc, kvIdx, agg)
+	t.index(slot, h, idx)
+	return idx, false
+}
+
+// GetOrInsertCols is GetOrInsert with a column-major key-column source: on a
+// miss the inserted entry's key columns are row row of cols[kvIdx...].
+// Hit-path behaviour (and thus entry order) is identical to GetOrInsert with
+// the equivalent row-major tuple.
+func (t *Table) GetOrInsertCols(key []byte, cols []tuple.Column, kvIdx []int, row int, agg uint64) (int, bool) {
+	h := tuple.Hash64(key)
+	idx, slot := t.find(key, h)
+	if idx >= 0 {
+		return idx, true
+	}
+	idx = t.Store.AppendCols(key, cols, kvIdx, row, agg)
+	t.index(slot, h, idx)
+	return idx, false
 }
 
 // Lookup returns the entry index for key, if present. No allocation.
 func (t *Table) Lookup(key []byte) (int, bool) {
-	h := tuple.Hash64(key)
-	mask := uint64(t.mask)
-	i := h & mask
-	for {
-		s := t.slots[i]
-		if uint32(s>>32) != t.epoch {
-			return 0, false
-		}
-		idx := int(uint32(s))
-		if t.hashes[idx] == h && bytes.Equal(t.Store.Key(idx), key) {
-			return idx, true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// GetOrInsertCols is GetOrInsert with a column-major key-column source: on a
-// miss the inserted entry's key columns are cols[kvIdx[j]][row]. Hit-path
-// behaviour (and thus entry order) is identical to GetOrInsert with the
-// equivalent row-major tuple.
-func (t *Table) GetOrInsertCols(key []byte, cols [][]tuple.Value, kvIdx []int, row int, agg uint64) (int, bool) {
-	h := tuple.Hash64(key)
-	mask := uint64(t.mask)
-	i := h & mask
-	for {
-		s := t.slots[i]
-		if uint32(s>>32) != t.epoch {
-			idx := t.Store.AppendCols(key, cols, kvIdx, row, agg)
-			t.hashes = append(t.hashes, h)
-			t.slots[i] = uint64(t.epoch)<<32 | uint64(uint32(idx))
-			if uint64(len(t.hashes))*4 > uint64(len(t.slots))*3 {
-				t.grow()
-			}
-			return idx, false
-		}
-		idx := int(uint32(s))
-		if t.hashes[idx] == h && bytes.Equal(t.Store.Key(idx), key) {
-			return idx, true
-		}
-		i = (i + 1) & mask
-	}
+	idx, _ := t.find(key, tuple.Hash64(key))
+	return max(idx, 0), idx >= 0
 }
 
 // LookupBulk resolves a batch of concatenated keys in one pass: key i is

@@ -250,12 +250,13 @@ func TestLookupBulkAndColsMatchScalar(t *testing.T) {
 	bulk := New()
 	for round := 0; round < 20; round++ {
 		n := rng.Intn(100) + 1
-		// Column-major batch of (key0, key1, payload) rows.
-		cols := [][]tuple.Value{nil, nil, nil}
+		// Column-major batch of (key0, key1, payload) rows: a numeric column,
+		// a string column, a numeric column.
+		cols := []tuple.Column{{U: make([]uint64, n)}, {V: make([]tuple.Value, n)}, {U: make([]uint64, n)}}
 		for r := 0; r < n; r++ {
-			cols[0] = append(cols[0], tuple.U64(uint64(rng.Intn(8))))
-			cols[1] = append(cols[1], tuple.Str(fmt.Sprintf("k%d", rng.Intn(4))))
-			cols[2] = append(cols[2], tuple.U64(uint64(rng.Intn(100))))
+			cols[0].U[r] = uint64(rng.Intn(8))
+			cols[1].V[r] = tuple.Str(fmt.Sprintf("k%d", rng.Intn(4)))
+			cols[2].U[r] = uint64(rng.Intn(100))
 		}
 		kvIdx := []int{0, 1}
 		var keys []byte
@@ -266,10 +267,10 @@ func TestLookupBulkAndColsMatchScalar(t *testing.T) {
 		}
 		// Scalar model: row-major GetOrInsert in row order.
 		for r := 0; r < n; r++ {
-			row := []tuple.Value{cols[0][r], cols[1][r], cols[2][r]}
+			row := tuple.AppendRow(nil, cols, r)
 			k := tuple.AppendKey(nil, row, kvIdx)
-			if idx, ok := scalar.GetOrInsert(k, row, kvIdx, cols[2][r].U); ok {
-				scalar.SetAgg(idx, scalar.Agg(idx)+cols[2][r].U)
+			if idx, ok := scalar.GetOrInsert(k, row, kvIdx, cols[2].U[r]); ok {
+				scalar.SetAgg(idx, scalar.Agg(idx)+cols[2].U[r])
 			}
 		}
 		// Bulk path: LookupBulk, then fold hits / insert misses in row order
@@ -282,11 +283,11 @@ func TestLookupBulkAndColsMatchScalar(t *testing.T) {
 			k := keys[start:ends[r]]
 			start = ends[r]
 			if i := idxs[r]; i >= 0 {
-				bulk.SetAgg(int(i), bulk.Agg(int(i))+cols[2][r].U)
+				bulk.SetAgg(int(i), bulk.Agg(int(i))+cols[2].U[r])
 				continue
 			}
-			if i, existed := bulk.GetOrInsertCols(k, cols, kvIdx, r, cols[2][r].U); existed {
-				bulk.SetAgg(i, bulk.Agg(i)+cols[2][r].U)
+			if i, existed := bulk.GetOrInsertCols(k, cols, kvIdx, r, cols[2].U[r]); existed {
+				bulk.SetAgg(i, bulk.Agg(i)+cols[2].U[r])
 			}
 		}
 		if scalar.Len() != bulk.Len() {

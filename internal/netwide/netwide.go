@@ -72,6 +72,11 @@ func New(plan *planner.Plan, cfg pisa.Config, n int) (*Fabric, error) {
 		}
 		f.switches = append(f.switches, sw)
 	}
+	for li := range links {
+		if err := links[li].Resolve(dyn, f.switches...); err != nil {
+			return nil, fmt.Errorf("netwide: %w", err)
+		}
+	}
 	for _, qp := range plan.Queries {
 		for li, lp := range qp.Levels {
 			part := stream.Partition{LeftStart: lp.Left.Pipe.EntryFor(lp.Left.Cut).StartOp}
@@ -145,16 +150,7 @@ func (f *Fabric) CloseWindow() *WindowReport {
 	start := time.Now()
 	for li := range f.links {
 		l := &f.links[li]
-		keys := l.Keys(results)
-		f.engine.Dyn().Replace(l.Table, keys)
-		for _, sw := range f.switches {
-			for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
-				if n, err := sw.UpdateDynTable(l.QID, l.To, side, 0, keys); err == nil {
-					rep.FilterUpdates += n
-				}
-			}
-		}
-		rep.FilterUpdates += len(keys) // the SP-side table update
+		rep.FilterUpdates += l.Publish(l.Keys(results))
 	}
 	rep.UpdateDuration = time.Since(start)
 	return rep

@@ -77,8 +77,8 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 						}
 					}
 					parser := packet.NewParser(packet.ParserOptions{})
-					var pkt [1]packet.Packet
-					one := []uint64{1} // selects pkt[0]
+					var pkt packet.Packet
+					pkts, one := []*packet.Packet{&pkt}, []uint64{1} // one selects pkt
 					sw, err := NewSwitch(DefaultConfig(), &Program{Instances: []*InstanceSpec{spec}},
 						func(m Mirror) {
 							switch {
@@ -89,8 +89,8 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 								vals := append([]tuple.Value(nil), m.Vals...)
 								engine.Instance(1, 0).IngestTuple(stream.SideLeft, vals)
 							case m.Packet != nil:
-								if parser.Parse(m.Packet, &pkt[0]) == nil {
-									engine.Instance(1, 0).IngestPackets(stream.SideLeft, pkt[:], one)
+								if parser.Parse(m.Packet, &pkt) == nil {
+									engine.Instance(1, 0).IngestPackets(stream.SideLeft, pkts, one)
 								}
 							}
 						})
@@ -113,8 +113,8 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, f := range frames {
-						if parser.Parse(f, &pkt[0]) == nil {
-							ref.Instance(1, 0).IngestPackets(stream.SideLeft, pkt[:], one)
+						if parser.Parse(f, &pkt) == nil {
+							ref.Instance(1, 0).IngestPackets(stream.SideLeft, pkts, one)
 						}
 					}
 					refResults, _ := ref.EndWindow()

@@ -40,7 +40,7 @@ type MirrorBatch struct {
 	TuplePhase bool
 
 	n         int // set bits in Tail and Shunt together
-	cols      []column
+	cols      []tuple.Column
 	shuntAt   []shuntRec
 	shuntVals []tuple.Value
 	row       []tuple.Value // records' tail-tuple scratch
@@ -62,7 +62,7 @@ func (b *MirrorBatch) Parsed(i int) *packet.Packet {
 // TailVals appends tail frame i's metadata tuple to dst. Only meaningful
 // when TuplePhase is set.
 func (b *MirrorBatch) TailVals(i int, dst []tuple.Value) []tuple.Value {
-	return appendRow(dst, b.cols, i)
+	return tuple.AppendRow(dst, b.cols, i)
 }
 
 // ShuntAt returns the stateful op that overflowed on shunted frame i and the

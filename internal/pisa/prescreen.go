@@ -1,6 +1,9 @@
 package pisa
 
-import "repro/internal/query"
+import (
+	"repro/internal/packet"
+	"repro/internal/query"
+)
 
 // Prescreen owns the program-wide set of distinct static leading-filter
 // clauses ("atoms") that gate instance entry. A switch built with
@@ -17,7 +20,6 @@ import "repro/internal/query"
 type Prescreen struct {
 	atoms  []query.Clause
 	atomOf map[query.Clause]int
-	active bool
 }
 
 // NewPrescreen returns an empty shared atom space.
@@ -38,19 +40,15 @@ func (ps *Prescreen) intern(cl query.Clause) int {
 	return idx
 }
 
-// Active reports whether any registered switch has a screenable instance
-// prefix — i.e. whether Eval would do useful work for a batch.
-func (ps *Prescreen) Active() bool { return ps != nil && ps.active }
-
 // PrescreenMasks is the per-batch bitmap set a dispatch side computes once
-// and ships read-only to every shard: the runnable bitmap plus one
-// selection bitmap per atom. Storage is reused across batches and grows
-// monotonically, so a pooled batch carrying its masks allocates nothing in
-// steady state.
+// and ships read-only to every shard: the runnable bitmap, one selection
+// bitmap per atom, and the views' packets in the form the column kernels
+// take them. Storage is reused across batches and grows monotonically, so a
+// pooled batch carrying its masks allocates nothing in steady state.
 type PrescreenMasks struct {
-	words    int
 	runnable []uint64
 	atoms    [][]uint64
+	pkts     []*packet.Packet
 }
 
 // Eval fills m with the runnable bitmap and one bitmap per atom over vs:
@@ -59,7 +57,6 @@ type PrescreenMasks struct {
 // number of shards may consult them concurrently.
 func (ps *Prescreen) Eval(vs []View, m *PrescreenMasks) {
 	words := (len(vs) + 63) >> 6
-	m.words = words
 	if cap(m.runnable) < words {
 		m.runnable = make([]uint64, words)
 	}
@@ -72,27 +69,20 @@ func (ps *Prescreen) Eval(vs []View, m *PrescreenMasks) {
 	for w := range run {
 		run[w] = 0
 	}
+	m.pkts = m.pkts[:0]
 	for i := range vs {
+		m.pkts = append(m.pkts, &vs[i].Pkt)
 		if vs[i].Runnable {
 			run[i>>6] |= 1 << uint(i&63)
 		}
 	}
 	m.runnable = run
 	for a := range ps.atoms {
-		cl := &ps.atoms[a]
 		if cap(m.atoms[a]) < words {
 			m.atoms[a] = make([]uint64, words)
 		}
-		mask := m.atoms[a][:words]
-		for w := range mask {
-			mask[w] = 0
-		}
-		for i := range vs {
-			v := &vs[i]
-			if v.Runnable && cl.MatchPacket(&v.Pkt) {
-				mask[i>>6] |= 1 << uint(i&63)
-			}
-		}
-		m.atoms[a] = mask
+		m.atoms[a] = m.atoms[a][:words]
+		copy(m.atoms[a], run)
+		query.FilterPackets(m.atoms[a], m.pkts, ps.atoms[a:a+1])
 	}
 }

@@ -186,7 +186,7 @@ type keyCols struct {
 // hashRows is the first half of Update over a batch: it hashes and packs the
 // key cols[keyIdx...] of every frame in rows, a column at a time, with
 // exactly Update's arithmetic.
-func (b *RegisterBank) hashRows(ks *keyCols, cols []column, keyIdx []int, rows []int32) {
+func (b *RegisterBank) hashRows(ks *keyCols, cols []tuple.Column, keyIdx []int, rows []int32) {
 	n := len(rows)
 	if cap(ks.h) < n {
 		ks.h, ks.k0, ks.k1 = make([]uint64, n), make([]uint64, n), make([]uint64, n)
@@ -201,9 +201,9 @@ func (b *RegisterBank) hashRows(ks *keyCols, cols []column, keyIdx []int, rows [
 	for j, c := range keyIdx {
 		col := &cols[c]
 		switch {
-		case col.v != nil:
+		case col.V != nil:
 			for k, r := range rows {
-				if kv := &col.v[r]; kv.Str {
+				if kv := &col.V[r]; kv.Str {
 					h[k] = hashStr(h[k], kv.S)
 				} else {
 					h[k] = hashU64(h[k], kv.U)
@@ -212,12 +212,12 @@ func (b *RegisterBank) hashRows(ks *keyCols, cols []column, keyIdx []int, rows [
 			}
 		case !packs:
 			for k, r := range rows {
-				h[k] = hashU64(h[k], col.u[r])
+				h[k] = hashU64(h[k], col.U[r])
 			}
 		default:
 			w := b.widths[j]
 			for k, r := range rows {
-				u := col.u[r]
+				u := col.U[r]
 				h[k] = hashU64(h[k], u)
 				var fits bool
 				if k0[k], k1[k], fits = packU64(k0[k], k1[k], u, w); !fits {
@@ -244,13 +244,13 @@ func (b *RegisterBank) touch(ks *keyCols) (sum uint32) {
 
 // foldRow is the second half: the probe for row k of the keys hashRows
 // prepared, which is frame i of cols.
-func (b *RegisterBank) foldRow(ks *keyCols, k int, cols []column, keyIdx []int, i int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
+func (b *RegisterBank) foldRow(ks *keyCols, k int, cols []tuple.Column, keyIdx []int, i int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
 	if !ks.tagged[k] {
 		return b.fold(ks.h[k], ks.k0[k], ks.k1[k], nil, v, fn)
 	}
 	key := b.key[:0]
 	for _, c := range keyIdx {
-		key = append(key, cols[c].at(i))
+		key = append(key, cols[c].At(i))
 	}
 	b.key = key
 	return b.fold(ks.h[k], ks.h[k], 0, key, v, fn)

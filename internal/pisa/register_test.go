@@ -142,19 +142,19 @@ func TestRegisterBankMatchesModel(t *testing.T) {
 							}
 							// Batch form: the rows as frame-indexed columns, every
 							// other frame of the batch unselected.
-							cols := make([]column, len(rows[0]))
+							cols := make([]tuple.Column, len(rows[0]))
 							var sel []int32
 							for c := range cols {
 								if rows[0][c].Str {
-									cols[c].v = make([]tuple.Value, 2*len(rows))
+									cols[c].V = make([]tuple.Value, 2*len(rows))
 								} else {
-									cols[c].u = make([]uint64, 2*len(rows))
+									cols[c].U = make([]uint64, 2*len(rows))
 								}
 							}
 							for i, row := range rows {
 								sel = append(sel, int32(2*i))
 								for c := range row {
-									cols[c].set(2*i, row[c])
+									cols[c].Set(2*i, row[c])
 								}
 							}
 							var ks keyCols

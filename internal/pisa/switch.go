@@ -1,17 +1,14 @@
 package pisa
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"repro/internal/compile"
-	"repro/internal/fields"
 	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/query"
-	"repro/internal/stream"
 	"repro/internal/tuple"
 )
 
@@ -74,39 +71,27 @@ func (s *WindowStats) Merge(o WindowStats) {
 	s.DumpTuples += o.DumpTuples
 }
 
-// dynRuleSet is one immutable generation of a dynamic filter table's
-// entries; UpdateDynTable publishes a fresh set through an atomic pointer
-// (copy-on-write), so the per-packet lookup takes no lock and never sees a
-// half-written table. Numeric keys (tag 'u' + 8 big-endian bytes, the
-// encoding stream.DynKeyFromValue produces for non-string fields) are
-// decoded into nums at publish time so the per-packet lookup skips both the
-// key encoding and the string hash.
-type dynRuleSet struct {
-	strs map[string]struct{}
-	nums map[uint64]struct{}
-}
-
-func (s *dynRuleSet) empty() bool { return len(s.strs) == 0 && len(s.nums) == 0 }
-
 // instState is the runtime state of one installed instance.
 type instState struct {
 	spec  *InstanceSpec
 	banks []*RegisterBank // by table index; nil for stateless tables
-	// dynRules holds the dynamic filter entry snapshot per table index
-	// (parallel to spec.Tables up to CutAt; nil until first populated).
-	dynRules []atomic.Pointer[dynRuleSet]
+	// outCols[t] holds the column headers stateful table t emits in the
+	// batched walk: its key columns aliased, a reduce's aggregate after them.
+	outCols [][]tuple.Column
+	// dynRules holds the dynamic filter rule set per table index (parallel to
+	// spec.Tables up to CutAt; nil until first published). A set is immutable
+	// and swapped whole, so a probe takes no lock.
+	dynRules []atomic.Pointer[query.DynSet]
 	// out carries the instance's static mirror identity; the batched walk
 	// fills in the rest per batch and hands it to the sink.
 	out MirrorBatch
-	// valsBufs and dynScratch are per-packet buffers so the hot path does
-	// not allocate; mirrors may alias them (documented: callers must not
-	// retain Vals past the callback). valsBufs is a ping-pong pair: every
-	// table that produces a metadata tuple writes the buffer vals does not
-	// currently occupy, so a producer never overwrites the tuple it is
-	// reading.
-	valsBufs   [2][]tuple.Value
-	valsCur    int
-	dynScratch []byte
+	// valsBufs are per-packet buffers so the frame-at-a-time walk does not
+	// allocate; mirrors may alias them (documented: callers must not retain
+	// Vals past the callback). They are a ping-pong pair: every table that
+	// produces a metadata tuple writes the buffer vals does not currently
+	// occupy, so a producer never overwrites the tuple it is reading.
+	valsBufs [2][]tuple.Value
+	valsCur  int
 	// fr is the instance's flight-recorder probe (nil when detached; nil
 	// probes no-op). frStage[t] is the op whose entering packets table t
 	// counts, or -1 when an earlier table already counted that op (stateful
@@ -120,10 +105,10 @@ type instState struct {
 	// shared static-clause bitmaps whose AND is packet-phase filter table t.
 	screenTables int
 	atoms        [][]int
-	// mapStr[t] says, for map table t, which output columns are
-	// string-valued; the batched walk keeps those as tuple.Value columns and
-	// every other one as uint64s.
-	mapStr [][]bool
+	// kinds[i] says which columns of the tuple entering op i are
+	// string-valued (query.ColumnKinds); the batched walk keeps those as
+	// tuple.Value columns and every other one as uint64s.
+	kinds [][]bool
 }
 
 // nextVals returns an n-wide tuple buffer from the instance's ping-pong
@@ -234,17 +219,17 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 	sw.pre = ps
 	for _, spec := range prog.Instances {
 		st := &instState{spec: spec, banks: make([]*RegisterBank, spec.CutAt),
-			dynRules: make([]atomic.Pointer[dynRuleSet], spec.CutAt),
+			outCols:  make([][]tuple.Column, spec.CutAt),
+			dynRules: make([]atomic.Pointer[query.DynSet], spec.CutAt),
 			frStage:  make([]int, spec.CutAt), atoms: make([][]int, spec.CutAt),
-			mapStr: make([][]bool, spec.CutAt)}
+			kinds: query.ColumnKinds(spec.Ops, nil)}
 		// Until the first map runs, tables see the packet: that is the
 		// leading run of filter tables. Their static clauses become shared
 		// atoms, deduplicated across every switch sharing the prescreen —
 		// instances installed at several refinement levels (or partitioned
 		// across shards) share their entry filters, so the dedup is what buys
 		// the win.
-		var str []bool // which columns of the current tuple are strings; nil in packet phase
-		counted := -1  // last op a table counted entering packets for
+		counted := -1 // last op a table counted entering packets for
 		for t := 0; t < spec.CutAt; t++ {
 			tab := &spec.Tables[t]
 			o := &spec.Ops[tab.OpIdx]
@@ -256,19 +241,12 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 			}
 			if st.screenTables == t && (tab.Kind == compile.TableFilter || tab.Kind == compile.TableDynFilter) {
 				st.screenTables = t + 1
-				ps.active = true
 			}
 			switch {
-			case tab.Kind == compile.TableFilter && str == nil:
+			case tab.Kind == compile.TableFilter && st.kinds[tab.OpIdx] == nil:
 				for _, cl := range o.Clauses {
 					st.atoms[t] = append(st.atoms[t], ps.intern(cl))
 				}
-			case tab.Kind == compile.TableMap:
-				out := make([]bool, len(o.Cols))
-				for c := range o.Cols {
-					out[c] = exprIsStr(&o.Cols[c].Expr, str)
-				}
-				st.mapStr[t], str = out, out
 			case tab.Stateful:
 				n := spec.RegEntries[t]
 				if n <= 0 {
@@ -278,15 +256,11 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 				// compiler charges for it (their sum is tab.KeyBits).
 				in := o.InSchema()
 				keyBits := make([]int, len(o.KeyCols))
-				next := make([]bool, len(o.KeyCols), len(o.KeyCols)+1)
 				for j, k := range o.KeyCols {
-					keyBits[j], next[j] = in[k].Bits(), str[k]
+					keyBits[j] = in[k].Bits()
 				}
 				st.banks[t] = NewRegisterBank(n, cfg.RegisterChains, keyBits)
-				if o.Kind == query.OpReduce {
-					next = append(next, false)
-				}
-				str = next
+				st.outCols[t] = make([]tuple.Column, len(st.kinds[tab.OpIdx+1]))
 			}
 		}
 		cp := compile.Pipeline{Ops: spec.Ops, Tables: spec.Tables}
@@ -300,11 +274,17 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 // Config returns the switch's resource configuration.
 func (sw *Switch) Config() Config { return sw.cfg }
 
-// UpdateDynTable replaces the dynamic filter entries of the instance's
-// table implementing the given dataflow op. Entry keys use the same masked
-// encoding as stream.DynKeyFromValue. Returns the number of entries
-// written (for the update-overhead accounting).
-func (sw *Switch) UpdateDynTable(qid uint16, level uint8, side Side, opIdx int, keys []string) (int, error) {
+// DynTable is a handle on one dynamic filter table of an installed instance,
+// resolved once so a window close publishes without searching.
+type DynTable struct {
+	sw    *Switch
+	rules *atomic.Pointer[query.DynSet]
+}
+
+// DynTable resolves the table implementing dataflow op opIdx of the given
+// instance: nil when the instance's cut leaves that filter at the stream
+// processor, an error when the switch has no such instance.
+func (sw *Switch) DynTable(qid uint16, level uint8, side Side, opIdx int) (*DynTable, error) {
 	for _, st := range sw.insts {
 		s := st.spec
 		if s.QID != qid || s.Level != level || s.Side != side {
@@ -312,29 +292,36 @@ func (sw *Switch) UpdateDynTable(qid uint16, level uint8, side Side, opIdx int, 
 		}
 		for t := 0; t < s.CutAt; t++ {
 			if s.Tables[t].Kind == compile.TableDynFilter && s.Tables[t].OpIdx == opIdx {
-				set := &dynRuleSet{}
-				for _, k := range keys {
-					if len(k) == 9 && k[0] == 'u' {
-						if set.nums == nil {
-							set.nums = make(map[uint64]struct{}, len(keys))
-						}
-						set.nums[binary.BigEndian.Uint64([]byte(k[1:9]))] = struct{}{}
-					} else {
-						if set.strs == nil {
-							set.strs = make(map[string]struct{}, len(keys))
-						}
-						set.strs[k] = struct{}{}
-					}
-				}
-				st.dynRules[t].Store(set)
-				sw.tableUpdates += uint64(len(keys))
-				sw.m.dynUpdates.Add(uint64(len(keys)))
-				return len(keys), nil
+				return &DynTable{sw: sw, rules: &st.dynRules[t]}, nil
 			}
 		}
-		return 0, fmt.Errorf("pisa: %s has no dyn filter for op %d on the switch", s.Name(), opIdx)
+		return nil, nil
 	}
-	return 0, fmt.Errorf("pisa: no instance q%d/r%d/s%d", qid, level, side)
+	return nil, fmt.Errorf("pisa: no instance q%d/r%d/s%d", qid, level, side)
+}
+
+// Publish replaces the table's entries with set, which may be shared with
+// other tables, and returns the number of entries written (for the
+// update-overhead accounting).
+func (t *DynTable) Publish(set *query.DynSet) int {
+	t.rules.Store(set)
+	t.sw.tableUpdates += uint64(set.Len())
+	t.sw.m.dynUpdates.Add(uint64(set.Len()))
+	return set.Len()
+}
+
+// UpdateDynTable is DynTable and Publish in one call, for a control plane
+// that names the table each time (the drivers' wire protocol). Entry keys
+// use the masked encoding of stream.DynKeyFromValue.
+func (sw *Switch) UpdateDynTable(qid uint16, level uint8, side Side, opIdx int, keys []string) (int, error) {
+	t, err := sw.DynTable(qid, level, side, opIdx)
+	if err != nil {
+		return 0, err
+	}
+	if t == nil {
+		return 0, fmt.Errorf("pisa: q%d/r%d/s%d has no dyn filter for op %d on the switch", qid, level, side, opIdx)
+	}
+	return t.Publish(query.NewDynSet(keys)), nil
 }
 
 // TableUpdates returns the cumulative count of dynamic filter entries
@@ -412,41 +399,7 @@ func (sw *Switch) ProcessView(v *View) int {
 // views.
 func (sw *Switch) ProcessViews(vs []View) int {
 	sw.pre.Eval(vs, &sw.ownMasks)
-	return sw.processViews(vs, &sw.ownMasks)
-}
-
-// ProcessViewsPre is ProcessViews with the prescreen bitmaps already
-// computed by the dispatch side (Prescreen.Eval over the same batch, using
-// the shared atom space this switch was built with via NewSwitchShared).
-// The masks are consulted read-only, so any number of shards can consume
-// the same PrescreenMasks concurrently; each shard only ANDs the masks its
-// own instances reference instead of re-evaluating every clause over every
-// frame. A nil m falls back to evaluating locally.
-func (sw *Switch) ProcessViewsPre(vs []View, m *PrescreenMasks) int {
-	if m == nil {
-		return sw.ProcessViews(vs)
-	}
-	return sw.processViews(vs, m)
-}
-
-// dynMatch reports whether the packet's key field, masked to dynamic filter
-// op o's level, is in the rule set.
-func (st *instState) dynMatch(rp *dynRuleSet, o *query.Op, p *packet.Packet) bool {
-	v, ok := p.Field(o.DynKeyField)
-	if !ok {
-		return false
-	}
-	if !v.Str {
-		// Numeric fast path: mask in registers and probe the decoded set
-		// directly, skipping the key encoding and string hash.
-		_, ok = rp.nums[fields.TruncateU64(o.DynKeyField, v.U, o.DynLevel)]
-		return ok
-	}
-	// Build the masked key into the per-instance scratch; the map index's
-	// string conversion does not escape, so the lookup is allocation-free.
-	st.dynScratch = stream.AppendDynKey(st.dynScratch[:0], o.DynKeyField, v, o.DynLevel)
-	_, ok = rp.strs[string(st.dynScratch)]
-	return ok
+	return sw.ProcessViewsPre(vs, &sw.ownMasks)
 }
 
 // processInstance walks one packet through one instance's switch-side
@@ -478,11 +431,8 @@ func (sw *Switch) processInstance(st *instState, pv *View) bool {
 				}
 			}
 		case compile.TableDynFilter:
-			rp := st.dynRules[t].Load()
-			if rp == nil || rp.empty() {
-				return false // not yet populated: finer level idle
-			}
-			if !st.dynMatch(rp, o, &pv.Pkt) {
+			// A table not yet populated admits nothing: the finer level idles.
+			if !st.dynRules[t].Load().MatchPacket(o, &pv.Pkt) {
 				return false
 			}
 		case compile.TableMap:

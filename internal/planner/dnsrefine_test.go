@@ -59,9 +59,9 @@ func TestDNSNameAugmentationMasksLabels(t *testing.T) {
 		t.Fatalf("ungated output = %v", out.Outputs)
 	}
 	// Gate on the /2 suffix ("bad.example"): now the masked /3 name counts.
-	dyn.Replace(DynTableName(7, 3), []string{
+	dyn.Publish(DynTableName(7, 3), query.NewDynSet([]string{
 		stream.DynKeyFromValue(fields.DNSQName, tuple.Str("bad.example"), 2),
-	})
+	}))
 	for i := 0; i < 12; i++ {
 		prof.Feed([]packet.Packet{pkt})
 	}

@@ -232,7 +232,7 @@ func runForKeys(qt *QueryTraining, p *query.Pipeline, level int, gate []string, 
 	}
 	prof := stream.NewProfiler(p.Ops, nil)
 	if gate != nil {
-		prof.Dyn().Replace(DynTableName(qt.Query.ID, level), gate)
+		prof.Dyn().Publish(DynTableName(qt.Query.ID, level), query.NewDynSet(gate))
 	}
 	prof.Feed(pkts)
 	out := prof.EndWindow()
@@ -313,7 +313,7 @@ func profileSide(qt *QueryTraining, p *query.Pipeline, level int, gate []string,
 	for _, pkts := range windows {
 		prof := stream.NewProfiler(p.Ops, nil)
 		if gate != nil {
-			prof.Dyn().Replace(DynTableName(qt.Query.ID, level), gate)
+			prof.Dyn().Publish(DynTableName(qt.Query.ID, level), query.NewDynSet(gate))
 		}
 		prof.Feed(pkts)
 		out := prof.EndWindow()

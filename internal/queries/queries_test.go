@@ -137,16 +137,16 @@ func TestEachQueryDetectsItsAttack(t *testing.T) {
 				t.Fatal(err)
 			}
 			parser := packet.NewParser(packet.ParserOptions{DecodeDNS: true})
-			var pkt [1]packet.Packet
-			one := []uint64{1} // selects pkt[0]
+			var pkt packet.Packet
+			pkts, one := []*packet.Packet{&pkt}, []uint64{1} // one selects pkt
 			inst := engine.Instance(1, 0)
 			for _, r := range g.WindowRecords(0).Records {
-				if parser.Parse(r.Data, &pkt[0]) != nil {
+				if parser.Parse(r.Data, &pkt) != nil {
 					continue
 				}
-				inst.IngestPackets(stream.SideLeft, pkt[:], one)
+				inst.IngestPackets(stream.SideLeft, pkts, one)
 				if c.q.HasJoin() {
-					inst.IngestPackets(stream.SideRight, pkt[:], one)
+					inst.IngestPackets(stream.SideRight, pkts, one)
 				}
 			}
 			results, _ := engine.EndWindow()

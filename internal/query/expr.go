@@ -238,48 +238,79 @@ func (e *Expr) EvalTuple(vals []tuple.Value) tuple.Value {
 	}
 }
 
-// EvalTupleCols evaluates a tuple-phase expression column-at-a-time over a
-// column-major batch: rows [0, n) of cols, writing row r's value to out[r].
-// Every tuple-phase expression kind is a total function of its inputs, so
-// the loop is branch-free over rows and may legitimately evaluate rows a
-// filter already deselected — the batched engine ignores those outputs via
-// its selection bitmap. Results are value-identical to EvalTuple on the
-// equivalent row-major tuples.
-func (e *Expr) EvalTupleCols(cols [][]tuple.Value, n int, out []tuple.Value) {
+// IsStr reports whether the expression yields strings, given which input
+// columns do (nil in packet phase). A field's value kind is static, so a
+// column's kind is too — which is what lets a batch keep numeric columns as
+// plain uint64s.
+func (e *Expr) IsStr(in []bool) bool {
+	switch e.Kind {
+	case ExprField:
+		return fields.Lookup(e.Field).Kind == fields.Bytes
+	case ExprCol:
+		return in[e.Col]
+	case ExprMask:
+		return e.Sub.IsStr(in)
+	}
+	return false
+}
+
+// EvalTupleCols evaluates a tuple-phase expression column-at-a-time: rows
+// [0, n) of cols, writing row r's value to row r of out, whose kind is the
+// expression's (IsStr). Every tuple-phase expression kind is a total
+// function of its inputs, so the loop is branch-free over rows and may
+// legitimately evaluate rows a filter already deselected — callers ignore
+// those through their selection bitmap. Results are value-identical to
+// EvalTuple on the equivalent tuples.
+func (e *Expr) EvalTupleCols(cols []tuple.Column, n int, out tuple.Column) {
 	switch e.Kind {
 	case ExprCol:
-		copy(out[:n], cols[e.Col][:n])
+		switch in := &cols[e.Col]; {
+		case out.V != nil:
+			copy(out.V[:n], in.V[:n])
+		case in.V == nil:
+			copy(out.U[:n], in.U[:n])
+		default: // a string column read as a number, as EvalTuple's .U reads it
+			for r := range out.U[:n] {
+				out.U[r] = in.V[r].U
+			}
+		}
 	case ExprConst:
-		v := tuple.U64(e.Const)
-		for r := 0; r < n; r++ {
-			out[r] = v
+		for r := range out.U[:n] {
+			out.U[r] = e.Const
 		}
 	case ExprMask:
 		e.Sub.EvalTupleCols(cols, n, out)
-		for r := 0; r < n; r++ {
-			out[r] = MaskValue(e.Field, out[r], e.Level)
+		if out.V != nil {
+			// A string column holds only strings where it is selected; a
+			// deselected row may hold a pool's zero Value, which MaskValue
+			// would take for a number of a field that has none.
+			for r := range out.V[:n] {
+				out.V[r] = tuple.Str(packet.DNSNameLevel(out.V[r].S, e.Level))
+			}
+			break
+		}
+		for r := range out.U[:n] {
+			out.U[r] = fields.TruncateU64(e.Field, out.U[r], e.Level)
 		}
 	case ExprShiftRound:
 		e.Sub.EvalTupleCols(cols, n, out)
-		for r := 0; r < n; r++ {
-			out[r] = tuple.U64(out[r].U >> e.Shift)
+		for r := range out.U[:n] {
+			out.U[r] >>= e.Shift
 		}
 	case ExprRatio:
-		num, den := cols[e.Col], cols[e.ColB]
-		for r := 0; r < n; r++ {
-			if d := den[r].U; d != 0 {
-				out[r] = tuple.U64(num[r].U * e.Const / d)
-			} else {
-				out[r] = tuple.U64(0)
+		num, den := &cols[e.Col], &cols[e.ColB]
+		for r := range out.U[:n] {
+			out.U[r] = 0
+			if d := den.At(r).U; d != 0 {
+				out.U[r] = num.At(r).U * e.Const / d
 			}
 		}
 	case ExprDiff:
-		a, b := cols[e.Col], cols[e.ColB]
-		for r := 0; r < n; r++ {
-			if av, bv := a[r].U, b[r].U; bv <= av {
-				out[r] = tuple.U64(av - bv)
-			} else {
-				out[r] = tuple.U64(0)
+		a, b := &cols[e.Col], &cols[e.ColB]
+		for r := range out.U[:n] {
+			out.U[r] = 0
+			if av, bv := a.At(r).U, b.At(r).U; bv <= av {
+				out.U[r] = av - bv
 			}
 		}
 	default:

@@ -161,15 +161,14 @@ type closeResult struct {
 
 // viewBatch is a refcounted batch of frames parsed once and shared
 // read-only by every shard; the last shard to finish a batch recycles it.
-// When the shared prescreen is active, fanOut evaluates the static
-// leading-filter atoms once into masks and every shard consumes the bitmaps
-// read-only (masked reports whether masks are valid for this trip).
+// For the batched walk fanOut evaluates the runnable bitmap and the static
+// leading-filter atoms once into masks and every shard consumes them
+// read-only.
 type viewBatch struct {
-	views  []pisa.View
-	n      int
-	masks  pisa.PrescreenMasks
-	masked bool
-	refs   atomic.Int32
+	views []pisa.View
+	n     int
+	masks pisa.PrescreenMasks
+	refs  atomic.Int32
 }
 
 // Runtime binds a plan to executable components.
@@ -241,9 +240,15 @@ type Link struct {
 	From uint8
 	To   uint8
 	// Table is level To's dynamic filter table name.
-	Table  string
-	keyCol int
-	field  fields.ID // the refinement key
+	Table    string
+	keyCol   int
+	field    fields.ID // the refinement key
+	hasRight bool      // level To has a right (joined) pipeline
+	// sp and tables are where the link's rule set is published: the stream
+	// processor's filter and the switch-side tables of level To, resolved
+	// once at construction (Resolve).
+	sp     *stream.DynTables
+	tables []*pisa.DynTable
 	// keys and the side-key sets are Keys' per-window scratch, reused across
 	// windows.
 	keys []string
@@ -256,19 +261,58 @@ func Links(plan *planner.Plan) ([]Link, error) {
 	var links []Link
 	for _, qp := range plan.Queries {
 		for li := 0; li+1 < len(qp.Levels); li++ {
-			lp, next := &qp.Levels[li], qp.Levels[li+1].Level
+			lp, next := &qp.Levels[li], &qp.Levels[li+1]
 			keyCol := lp.Aug.FinalSchema().Index(qp.Key.Field)
 			if keyCol < 0 {
 				return nil, fmt.Errorf("runtime: q%d level %d: refinement key %s missing from result schema %s",
 					qp.Query.ID, lp.Level, qp.Key.Field, lp.Aug.FinalSchema())
 			}
 			links = append(links, Link{QID: qp.Query.ID,
-				From: uint8(lp.Level), To: uint8(next),
-				Table:  planner.DynTableName(qp.Query.ID, next),
-				keyCol: keyCol, field: qp.Key.Field})
+				From: uint8(lp.Level), To: uint8(next.Level),
+				Table:  planner.DynTableName(qp.Query.ID, next.Level),
+				keyCol: keyCol, field: qp.Key.Field, hasRight: next.Right != nil})
 		}
 	}
 	return links, nil
+}
+
+// Resolve binds the link to the stream processor's tables and to every
+// switch running level To: the dynamic filter is op 0 of each of the level's
+// pipelines by construction of AugmentQuery, and a pipeline whose cut keeps
+// it at the stream processor has no switch-side table to update. A switch
+// that does not run level To at all is an error.
+func (l *Link) Resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
+	l.sp = sp
+	sides := []pisa.Side{pisa.SideLeft}
+	if l.hasRight {
+		sides = append(sides, pisa.SideRight)
+	}
+	for _, sw := range switches {
+		for _, side := range sides {
+			t, err := sw.DynTable(l.QID, l.To, side, 0)
+			if err != nil {
+				return fmt.Errorf("runtime: refinement link q%d /%d to /%d: %w", l.QID, l.From, l.To, err)
+			}
+			if t != nil {
+				l.tables = append(l.tables, t)
+			}
+		}
+	}
+	return nil
+}
+
+// Publish installs keys (in stream.DynKeyFromValue's encoding) as what level
+// To admits from the next window on — one rule set, built once and shared by
+// the stream processor's filter and every switch-side table — and returns
+// the number of filter entries written.
+func (l *Link) Publish(keys []string) int {
+	set := query.NewDynSet(keys)
+	l.sp.Publish(l.Table, set)
+	n := set.Len()
+	for _, t := range l.tables {
+		n += t.Publish(set)
+	}
+	return n
 }
 
 // instInfo is one planned (query, level) instance in installation order.
@@ -375,6 +419,13 @@ func (r *Runtime) buildShards(n int) error {
 		}
 		s.slots = append(s.slots, i)
 	}
+	for li := range r.links {
+		l := &r.links[li]
+		s := r.shards[r.owner[stream.QueryKey{QID: l.QID, Level: l.To}]]
+		if err := l.Resolve(s.engine.Dyn(), s.sw); err != nil {
+			return err
+		}
+	}
 	r.parser = packet.NewParser(packet.ParserOptions{})
 	r.batchPool = &sync.Pool{New: func() any {
 		return &viewBatch{views: make([]pisa.View, DefaultBatchSize)}
@@ -466,13 +517,12 @@ func (r *Runtime) takeFill() *viewBatch {
 
 // fanOut hands a message (optionally carrying a batch) to every shard:
 // through its ring while workers are live, by executing it here otherwise.
-// When the shared prescreen is active, the batch's static leading-filter
-// bitmaps are computed once here — on the dispatch side — so every shard
-// only ANDs the masks its own instances reference.
+// The batch's runnable and static leading-filter bitmaps are computed once
+// here — on the dispatch side — so every shard's batched walk only ANDs the
+// masks its own instances reference.
 func (r *Runtime) fanOut(b *viewBatch, kind uint8) {
 	if b != nil {
-		b.masked = r.pre.Active() && !r.opts.Scalar
-		if b.masked {
+		if !r.opts.Scalar {
 			r.pre.Eval(b.views[:b.n], &b.masks)
 		}
 		b.refs.Store(int32(len(r.shards)))
@@ -504,15 +554,12 @@ func (s *shard) exec(r *Runtime, m shardMsg) bool {
 	if b := m.batch; b != nil {
 		t0 := time.Now()
 		views := b.views[:b.n]
-		switch {
-		case r.opts.Scalar:
+		if r.opts.Scalar {
 			for i := range views {
 				s.sw.ProcessView(&views[i])
 			}
-		case b.masked:
+		} else {
 			s.sw.ProcessViewsPre(views, &b.masks)
-		default:
-			s.sw.ProcessViews(views)
 		}
 		s.busy += time.Since(t0)
 		if b.refs.Add(-1) == 0 {
@@ -677,18 +724,8 @@ func (r *Runtime) closeWindow() *WindowReport {
 	for li := range r.links {
 		l := &r.links[li]
 		gated := stream.QueryKey{QID: l.QID, Level: l.To}
-		s := r.shards[r.owner[gated]]
 		keys := l.Keys(results)
-		s.engine.Dyn().Replace(l.Table, keys)
-		for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
-			// Op 0 is the dynamic filter by construction of AugmentQuery;
-			// instances whose cut keeps the filter at the stream processor
-			// reject the update, which is expected.
-			if n, err := s.sw.UpdateDynTable(l.QID, l.To, side, 0, keys); err == nil {
-				rep.FilterUpdates += n
-			}
-		}
-		rep.FilterUpdates += len(keys) // the SP-side table update
+		rep.FilterUpdates += l.Publish(keys)
 		changed := r.keySetChanged(li, keys)
 		if changed {
 			r.m.refTransitions.Inc()

@@ -227,6 +227,53 @@ func TestRefinementUpdatesHappen(t *testing.T) {
 	}
 }
 
+// TestLinkResolutionSurfacesMissingInstance: a refinement link whose gated
+// level the switch program does not run is a construction error — not, as it
+// was, an update error dropped at every window close — while a level whose
+// cut leaves the filter at the stream processor (every level of the All-SP
+// plan) resolves to no switch-side table and is none.
+func TestLinkResolutionSurfacesMissingInstance(t *testing.T) {
+	_, train := buildWorkload(t, 5000, 4)
+	cfg := pisa.DefaultConfig()
+	plan := planFor(t, []*query.Query{q1(100)}, train, cfg, planner.ModeFixRef)
+	if plan.Queries[0].Delay() < 2 {
+		t.Skip("Fix-REF plan collapsed to one level on this workload")
+	}
+	links, err := Links(plan)
+	if err != nil || len(links) == 0 {
+		t.Fatalf("links = %v, %v", links, err)
+	}
+	sw, err := pisa.NewSwitch(cfg, plan.Program, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := links[0].Resolve(stream.NewDynTables(), sw); err != nil || len(links[0].tables) == 0 {
+		t.Fatalf("resolving against the plan's own program: %d tables, %v", len(links[0].tables), err)
+	}
+	var short pisa.Program
+	for _, spec := range plan.Program.Instances {
+		if spec.Level != links[0].To {
+			short.Instances = append(short.Instances, spec)
+		}
+	}
+	if sw, err = pisa.NewSwitch(cfg, &short, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := links[0].Resolve(stream.NewDynTables(), sw); err == nil {
+		t.Fatal("a switch that does not run the gated level resolved")
+	}
+	allSP := planFor(t, []*query.Query{q1(100)}, train, cfg, planner.ModeAllSP)
+	rt, err := New(allSP, cfg)
+	if err != nil {
+		t.Fatalf("All-SP plan: %v", err)
+	}
+	for i := range rt.links {
+		if n := len(rt.links[i].tables); n != 0 {
+			t.Errorf("All-SP link %d resolved %d switch-side tables", i, n)
+		}
+	}
+}
+
 func TestStreamMetricsPerQueryBreakdown(t *testing.T) {
 	g, train := buildWorkload(t, 4000, 3)
 	qs := []*query.Query{q1(100)}

@@ -1,26 +1,27 @@
 package stream
 
-// Columnar batched execution (DESIGN.md "batch/bitmap invariants").
+// Columnar batched execution (DESIGN.md "Column execution").
 //
 // Tuples entering a pipeline suffix are buffered into a column-major batch
-// (one []tuple.Value per field, recycled across windows) instead of being
+// (one tuple.Column per field, recycled across windows) instead of being
 // walked through the op chain one at a time. A flush runs the whole batch
-// through the chain with op dispatch amortized per batch: filters clear bits
-// in a selection bitmap instead of early-returning per tuple, maps evaluate
-// column-at-a-time into preallocated ping-pong output columns, and
-// reduce/distinct probe their keytab arena in a fused bulk loop.
+// through the chain with op dispatch amortized per batch, starting from the
+// all-ones selection: the stateless ops are internal/query's column kernels —
+// the code the switch walk runs before the partition point — so filters
+// clear bits in the selection bitmap instead of early-returning per tuple
+// and maps evaluate column-at-a-time into pooled columns; reduce/distinct
+// probe their keytab arena in a fused bulk loop.
 //
 // The batch flushes whenever per-tuple semantics could otherwise diverge
 // from the scalar interpreter: at capacity, when the next tuple enters at a
-// different op (or with a different width), before an out-of-band mergeAgg,
-// and at window close before and between stateful drains. Because every
-// flush preserves the arrival order of its rows, keytab first-touch
-// (insertion) order — and with it every flush order, count, and report — is
-// bit-identical to the per-tuple interpreter's.
+// different op, before an out-of-band mergeAgg, and at window close before
+// and between stateful drains. Because every flush preserves the arrival
+// order of its rows, keytab first-touch (insertion) order — and with it
+// every flush order, count, and report — is bit-identical to the per-tuple
+// interpreter's.
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/keytab"
 	"repro/internal/packet"
@@ -33,27 +34,20 @@ import (
 // dispatch, small enough to stay in cache.
 const batchCap = 256
 
-// colBatch is the reusable column-major tuple buffer of one pipeExec. Only
-// the first width columns are in use; entry is the op index its rows enter
-// at (all rows of a batch share one entry point by construction).
+// colBatch is the reusable column-major tuple buffer of one pipeExec: n rows
+// of batchCap buffered in cols, whose kinds are those of the tuples entering
+// op entry (all rows of a batch share one entry point by construction).
 type colBatch struct {
 	entry int
-	width int
 	n     int
-	cols  [][]tuple.Value
-}
-
-func (b *colBatch) reset() {
-	for j := range b.cols {
-		b.cols[j] = b.cols[j][:0]
-	}
-	b.n = 0
+	cols  []tuple.Column
+	pool  tuple.ColumnPool
 }
 
 // bufferTuple appends one tuple (entering at op index at) to the batch,
-// flushing first if the batch holds rows for a different entry point or
-// width, and after if the batch reaches capacity. Values are copied; vals
-// may live in caller scratch.
+// flushing first if the batch holds rows for a different entry point, and
+// after if the batch reaches capacity. Values are copied; vals may live in
+// caller scratch.
 func (e *pipeExec) bufferTuple(at int, vals []tuple.Value) {
 	if at >= len(e.ops) {
 		// Fell off the end before any op: identical to the scalar tail.
@@ -62,83 +56,86 @@ func (e *pipeExec) bufferTuple(at int, vals []tuple.Value) {
 		e.outOffs = append(e.outOffs, len(e.outVals))
 		return
 	}
-	b := e.openBatch(at, len(vals))
-	for j, v := range vals {
-		b.cols[j] = append(b.cols[j], v)
+	b := e.openBatch(at)
+	for j := range b.cols {
+		b.cols[j].Set(b.n, vals[j])
 	}
-	e.closeRow()
+	e.closeRows(1)
 }
 
-// openBatch readies the batch for one more row of the given width entering
-// at op index at, flushing first if it holds rows for a different entry
-// point or width. The caller appends one value to each of the first width
-// columns and then calls closeRow.
-func (e *pipeExec) openBatch(at, width int) *colBatch {
+// openBatch readies the batch for more rows entering at op index at,
+// flushing first if it holds rows for a different entry point. The caller
+// fills rows from b.n on and then calls closeRows.
+func (e *pipeExec) openBatch(at int) *colBatch {
 	b := &e.batch
-	if b.n > 0 && (b.entry != at || b.width != width) {
+	if b.n > 0 && b.entry != at {
 		e.flushBatch()
 	}
 	if b.n == 0 {
-		b.entry, b.width = at, width
-		for len(b.cols) < width {
-			b.cols = append(b.cols, nil)
-		}
+		b.entry = at
+		b.pool.Reset(batchCap)
+		b.cols = b.pool.Take(e.kinds[at])
 	}
 	return b
 }
 
-// closeRow counts the row just appended and flushes a full batch.
-func (e *pipeExec) closeRow() {
-	e.batch.n++
+// closeRows counts the k rows just filled in and flushes a full batch.
+func (e *pipeExec) closeRows(k int) {
+	e.batch.n += k
 	if e.batch.n >= batchCap {
 		e.flushBatch()
 	}
 }
 
-// bufferReduceRow buffers a drained reduce entry — its key columns plus the
-// aggregate as the trailing column — entering at op index at. It is the
-// batched form of the scalar drain's append(kv..., agg) row build, without
-// the per-row allocation.
-func (e *pipeExec) bufferReduceRow(at int, kv []tuple.Value, agg uint64) {
+// bufferCols appends the selected rows of cols — tuples entering at op index
+// at, in columns of the kinds bufferTuple would keep them in — to the batch,
+// in ascending order and flushing exactly where bufferTuple row by row
+// would.
+func (e *pipeExec) bufferCols(at int, cols []tuple.Column, sel []uint64) {
+	rows := tuple.SelRows(sel, e.landRows[:0])
+	e.landRows = rows
 	if at >= len(e.ops) {
-		e.outCounts[len(e.ops)]++
-		arena := append(e.outArena(), kv...)
-		e.outVals = append(arena, tuple.U64(agg))
-		e.outOffs = append(e.outOffs, len(e.outVals))
+		// The rows are outputs, not batch rows.
+		e.outCounts[len(e.ops)] += uint64(len(rows))
+		for _, r := range rows {
+			e.outVals = tuple.AppendRow(e.outArena(), cols, int(r))
+			e.outOffs = append(e.outOffs, len(e.outVals))
+		}
 		return
 	}
-	b := e.openBatch(at, len(kv)+1)
-	for j, v := range kv {
-		b.cols[j] = append(b.cols[j], v)
-	}
-	b.cols[len(kv)] = append(b.cols[len(kv)], tuple.U64(agg))
-	e.closeRow()
-}
-
-// ingestPackets is ingestPacket over the selected packets of pkts, op by op
-// instead of packet by packet: filters clear selection bits, the per-op
-// counters move by popcount, and the landing map evaluates each surviving
-// packet straight into the batch's columns. Packets are taken in ascending
-// order and the batch flushes at capacity as it does for bufferTuple, so
-// the downstream keytabs see the first-touch order of per-packet ingest.
-// sel is not modified. It returns the selection of the packets that passed
-// every op and ended the pipeline still packets (none once a map has landed
-// them), valid until the next call.
-func (e *pipeExec) ingestPackets(at int, pkts []packet.Packet, sel []uint64) []uint64 {
-	e.pktSel = append(e.pktSel[:0], sel...)
-	sel = e.pktSel
-	if e.scalar {
-		for w, word := range sel {
-			for b := word; b != 0; b &= b - 1 {
-				bit := bits.TrailingZeros64(b)
-				if !e.ingestPacket(at, &pkts[w<<6|bit]) {
-					sel[w] &^= 1 << uint(bit)
+	for len(rows) > 0 {
+		b := e.openBatch(at)
+		run := rows[:min(len(rows), batchCap-b.n)]
+		for j := range b.cols {
+			if dst := b.cols[j].V; dst != nil {
+				for k, r := range run {
+					dst[b.n+k] = cols[j].V[r]
+				}
+			} else {
+				dst, src := b.cols[j].U, cols[j].U
+				for k, r := range run {
+					dst[b.n+k] = src[r]
 				}
 			}
 		}
-		return sel
+		rows = rows[len(run):]
+		e.closeRows(len(run))
 	}
-	live := popcount(sel)
+}
+
+// ingestPackets is ingestPacket over the selected packets of pkts, op by op
+// instead of packet by packet: the kernels clear selection bits, the per-op
+// counters move by popcount, and the landing map evaluates the surviving
+// packets into columns that bufferCols copies into the batch. Packets are
+// taken in ascending order and the batch flushes at capacity as it does for
+// bufferTuple, so the downstream keytabs see the first-touch order of
+// per-packet ingest. sel is not modified. It returns the selection of the
+// packets that passed every op and ended the pipeline still packets (none
+// once a map has landed them), valid until the next call.
+func (e *pipeExec) ingestPackets(at int, pkts []*packet.Packet, sel []uint64) []uint64 {
+	e.pktSel = append(e.pktSel[:0], sel...)
+	sel = e.pktSel
+	live := uint64(tuple.SelCount(sel))
 	for i := at; i < len(e.ops) && live > 0; i++ {
 		o := &e.ops[i]
 		e.inCounts[i] += live
@@ -146,11 +143,19 @@ func (e *pipeExec) ingestPackets(at int, pkts []packet.Packet, sel []uint64) []u
 		case !o.PacketPhase():
 			panic(fmt.Sprintf("stream: op %d (%v) is tuple-phase but received a packet", i, o.Kind))
 		case o.Kind == query.OpFilter:
-			e.filterPackets(o, pkts, sel)
-			live = popcount(sel)
+			if o.DynFilterTable != "" {
+				e.dyn.Set(o.DynFilterTable).FilterPackets(sel, pkts, o)
+			} else {
+				query.FilterPackets(sel, pkts, o.Clauses)
+			}
+			live = uint64(tuple.SelCount(sel))
 			e.outCounts[i] += live
 		case o.Kind == query.OpMap:
-			e.mapPackets(i, pkts, sel)
+			e.land.Reset(len(pkts))
+			out := e.land.Take(e.kinds[i+1])
+			query.MapPackets(sel, pkts, o.Cols, out)
+			e.outCounts[i] += uint64(tuple.SelCount(sel))
+			e.bufferCols(i+1, out, sel)
 			clear(sel)
 			return sel
 		default:
@@ -161,76 +166,6 @@ func (e *pipeExec) ingestPackets(at int, pkts []packet.Packet, sel []uint64) []u
 	// passage as ingestPacket does.
 	e.outCounts[len(e.ops)] += live
 	return sel
-}
-
-// filterPackets clears the selection bit of every packet a packet-phase
-// filter rejects.
-func (e *pipeExec) filterPackets(o *query.Op, pkts []packet.Packet, sel []uint64) {
-	set := e.dynSet(o)
-	for w, word := range sel {
-		for b := word; b != 0; b &= b - 1 {
-			bit := bits.TrailingZeros64(b)
-			if !e.packetPasses(o, set, &pkts[w<<6|bit]) {
-				sel[w] &^= 1 << uint(bit)
-			}
-		}
-	}
-}
-
-// mapPackets is the landing map (op i) over the selected packets: each
-// output expression evaluates into the column the tuple continues in, with
-// no intermediate row. A packet lacking a required field leaves no row.
-func (e *pipeExec) mapPackets(i int, pkts []packet.Packet, sel []uint64) {
-	o := &e.ops[i]
-	if i+1 >= len(e.ops) {
-		// The map ends the pipeline: its rows are outputs, not batch rows.
-		forEachSet(sel, func(r int) {
-			if vals, ok := e.mapPacketRow(i, &pkts[r]); ok {
-				e.outCounts[i]++
-				e.bufferTuple(i+1, vals)
-			}
-		})
-		return
-	}
-	for w, word := range sel {
-		for rest := word; rest != 0; rest &= rest - 1 {
-			pkt := &pkts[w<<6|bits.TrailingZeros64(rest)]
-			b := e.openBatch(i+1, len(o.Cols))
-			j := 0
-			for ; j < len(o.Cols); j++ {
-				v, ok := o.Cols[j].Expr.EvalPacket(pkt)
-				if !ok {
-					break
-				}
-				b.cols[j] = append(b.cols[j], v)
-			}
-			if j < len(o.Cols) {
-				for j--; j >= 0; j-- { // take the partial row back
-					b.cols[j] = b.cols[j][:b.n]
-				}
-				continue
-			}
-			e.outCounts[i]++
-			e.closeRow()
-		}
-	}
-}
-
-func popcount(sel []uint64) uint64 {
-	n := 0
-	for _, w := range sel {
-		n += bits.OnesCount64(w)
-	}
-	return uint64(n)
-}
-
-// forEachSet calls fn with the index of every set bit, ascending.
-func forEachSet(sel []uint64, fn func(r int)) {
-	for w, word := range sel {
-		for b := word; b != 0; b &= b - 1 {
-			fn(w<<6 | bits.TrailingZeros64(b))
-		}
-	}
 }
 
 // flushBatch runs the buffered rows through the op chain column-wise. A
@@ -244,9 +179,9 @@ func (e *pipeExec) flushBatch() {
 	}
 	e.flushes++
 	e.flushRows += uint64(n)
-	cols := b.cols[:b.width]
-	width := b.width
-	e.sel = selAll(e.sel, n)
+	cols := b.cols
+	e.sel = tuple.SelAll(e.sel, n)
+	e.pool.Reset(n)
 	live := n
 	for i := b.entry; i < len(e.ops) && live > 0; i++ {
 		o := &e.ops[i]
@@ -254,34 +189,27 @@ func (e *pipeExec) flushBatch() {
 		switch o.Kind {
 		case query.OpFilter:
 			if o.DynFilterTable != "" {
-				live = e.dynFilterCols(o, cols, live)
+				e.dyn.Set(o.DynFilterTable).FilterCols(e.sel, cols, o)
 			} else {
-				for ci := range o.Clauses {
-					cl := &o.Clauses[ci]
-					live = filterColumn(e.sel, n, cols[cl.Col], cl)
-					if live == 0 {
-						break
-					}
-				}
+				query.FilterCols(e.sel, cols, o.Clauses)
 			}
+			live = tuple.SelCount(e.sel)
 			e.outCounts[i] += uint64(live)
 		case query.OpMap:
 			// Maps run branch-free over all n rows, deselected ones
 			// included: tuple-phase expressions are total, so stale rows
 			// just compute values nobody reads.
-			out := e.nextMapCols(len(o.Cols), n)
-			for j := range o.Cols {
-				o.Cols[j].Expr.EvalTupleCols(cols, n, out[j])
-			}
-			cols, width = out, len(o.Cols)
+			out := e.pool.Take(e.kinds[i+1])
+			query.MapCols(cols, n, o.Cols, out)
+			cols = out
 			e.outCounts[i] += uint64(live)
 		case query.OpReduce:
-			e.reduceCols(o, e.states[i], cols, n)
-			b.reset()
+			e.reduceCols(o, e.states[i], cols)
+			b.n = 0
 			return
 		case query.OpDistinct:
-			e.distinctCols(o, e.states[i], cols, n)
-			b.reset()
+			e.distinctCols(o, e.states[i], cols)
+			b.n = 0
 			return
 		}
 	}
@@ -289,67 +217,23 @@ func (e *pipeExec) flushBatch() {
 		// Surviving rows fell off the end: gather each into an owned copy,
 		// in row (arrival) order, exactly as the scalar tail does.
 		e.outCounts[len(e.ops)] += uint64(live)
-		rows := selRows(e.sel, n, e.bulkRows)
-		e.bulkRows = rows
+		e.bulkRows = tuple.SelRows(e.sel, e.bulkRows[:0])
 		arena := e.outArena()
-		for _, r := range rows {
-			for j := 0; j < width; j++ {
-				arena = append(arena, cols[j][r])
-			}
+		for _, r := range e.bulkRows {
+			arena = tuple.AppendRow(arena, cols, int(r))
 			e.outOffs = append(e.outOffs, len(arena))
 		}
 		e.outVals = arena
 	}
-	b.reset()
+	b.n = 0
 }
 
-// nextMapCols returns a column set (width w, n rows each) for a map op's
-// output, alternating between two buffers so a map never writes the columns
-// it is reading (its input is either the batch itself or the other buffer).
-func (e *pipeExec) nextMapCols(w, n int) [][]tuple.Value {
-	e.mapPing ^= 1
-	buf := e.mapColBufs[e.mapPing]
-	for len(buf) < w {
-		buf = append(buf, nil)
-	}
-	for j := 0; j < w; j++ {
-		if cap(buf[j]) < n {
-			buf[j] = make([]tuple.Value, n)
-		}
-		buf[j] = buf[j][:n]
-	}
-	e.mapColBufs[e.mapPing] = buf
-	return buf[:w]
-}
-
-// dynFilterCols applies a dynamic-refinement filter to the batch: the
-// masked lookup keys of all selected rows are built into the bulk scratch
-// and tested in one ContainsKeyBatch call, which loads the table snapshot
-// once for the whole batch. Returns the surviving row count.
-func (e *pipeExec) dynFilterCols(o *query.Op, cols [][]tuple.Value, live int) int {
-	rows := selRows(e.sel, e.batch.n, e.bulkRows)
-	keys := e.bulkKeys[:0]
-	ends := e.bulkEnds[:0]
-	for _, r := range rows {
-		for _, c := range o.DynKeyCols {
-			keys = tuple.AppendKeyValue(keys, query.MaskValue(o.DynKeyField, cols[c][r], o.DynLevel))
-		}
-		ends = append(ends, uint32(len(keys)))
-	}
-	e.bulkKeys, e.bulkEnds, e.bulkRows = keys, ends, rows
-	return e.dyn.ContainsKeyBatch(o.DynFilterTable, keys, ends, rows, e.sel, live)
-}
-
-// reduceCols folds the batch's selected rows into a reduce op's keytab in a
-// fused bulk loop: grouping keys are encoded back-to-back (AppendKeyCols),
-// resolved in one LookupBulk pass, then hits fold and misses insert in row
-// order. Insertion order equals first-touch row order and the aggregation
-// functions are commutative and associative, so the resulting state is
-// bit-identical to per-tuple GetOrInsert.
-func (e *pipeExec) reduceCols(o *query.Op, st *keytab.Table, cols [][]tuple.Value, n int) {
-	rows := selRows(e.sel, n, e.bulkRows)
-	keys := e.bulkKeys[:0]
-	ends := e.bulkEnds[:0]
+// bulkLookup encodes the grouping keys of the batch's selected rows
+// back-to-back (AppendKeyCols) and resolves them in one LookupBulk pass; it
+// returns the rows, each key's end offset, and each key's entry index or -1.
+func (e *pipeExec) bulkLookup(o *query.Op, st *keytab.Table, cols []tuple.Column) (rows []int32, keys []byte, ends []uint32, idxs []int32) {
+	rows = tuple.SelRows(e.sel, e.bulkRows[:0])
+	keys, ends = e.bulkKeys[:0], e.bulkEnds[:0]
 	for _, r := range rows {
 		keys = tuple.AppendKeyCols(keys, cols, o.KeyCols, int(r))
 		ends = append(ends, uint32(len(keys)))
@@ -358,12 +242,22 @@ func (e *pipeExec) reduceCols(o *query.Op, st *keytab.Table, cols [][]tuple.Valu
 	if cap(e.bulkIdxs) < len(ends) {
 		e.bulkIdxs = make([]int32, len(ends))
 	}
-	idxs := e.bulkIdxs[:len(ends)]
+	idxs = e.bulkIdxs[:len(ends)]
 	st.LookupBulk(keys, ends, idxs)
-	valCol := cols[o.ValCol]
+	return rows, keys, ends, idxs
+}
+
+// reduceCols folds the batch's selected rows into a reduce op's keytab in a
+// fused bulk loop: after bulkLookup, hits fold and misses insert in row
+// order. Insertion order equals first-touch row order and the aggregation
+// functions are commutative and associative, so the resulting state is
+// bit-identical to per-tuple GetOrInsert.
+func (e *pipeExec) reduceCols(o *query.Op, st *keytab.Table, cols []tuple.Column) {
+	rows, keys, ends, idxs := e.bulkLookup(o, st, cols)
+	valCol := &cols[o.ValCol]
 	start := uint32(0)
 	for i, end := range ends {
-		v := valCol[rows[i]].U
+		v := valCol.At(int(rows[i])).U
 		if idx := int(idxs[i]); idx >= 0 {
 			st.SetAgg(idx, o.Func.Apply(st.Agg(idx), v))
 		} else {
@@ -381,20 +275,8 @@ func (e *pipeExec) reduceCols(o *query.Op, st *keytab.Table, cols [][]tuple.Valu
 
 // distinctCols inserts the batch's selected rows into a distinct op's
 // keytab; like the scalar path, hits are ignored.
-func (e *pipeExec) distinctCols(o *query.Op, st *keytab.Table, cols [][]tuple.Value, n int) {
-	rows := selRows(e.sel, n, e.bulkRows)
-	keys := e.bulkKeys[:0]
-	ends := e.bulkEnds[:0]
-	for _, r := range rows {
-		keys = tuple.AppendKeyCols(keys, cols, o.KeyCols, int(r))
-		ends = append(ends, uint32(len(keys)))
-	}
-	e.bulkKeys, e.bulkEnds, e.bulkRows = keys, ends, rows
-	if cap(e.bulkIdxs) < len(ends) {
-		e.bulkIdxs = make([]int32, len(ends))
-	}
-	idxs := e.bulkIdxs[:len(ends)]
-	st.LookupBulk(keys, ends, idxs)
+func (e *pipeExec) distinctCols(o *query.Op, st *keytab.Table, cols []tuple.Column) {
+	rows, keys, ends, idxs := e.bulkLookup(o, st, cols)
 	start := uint32(0)
 	for i, end := range ends {
 		if idxs[i] < 0 {
@@ -402,75 +284,4 @@ func (e *pipeExec) distinctCols(o *query.Op, st *keytab.Table, cols [][]tuple.Va
 		}
 		start = end
 	}
-}
-
-// filterColumn tests one filter clause against a column, clearing the
-// selection bit of every failing row, and returns the surviving count. Only
-// rows still selected are tested (bitmap iteration skips cleared words).
-func filterColumn(sel []uint64, n int, col []tuple.Value, cl *query.Clause) int {
-	live := 0
-	nw := (n + 63) >> 6
-	for w := 0; w < nw; w++ {
-		m := sel[w]
-		for b := m; b != 0; b &= b - 1 {
-			r := w<<6 | bits.TrailingZeros64(b)
-			if cl.MatchValue(col[r]) {
-				live++
-			} else {
-				m &^= 1 << uint(r&63)
-			}
-		}
-		sel[w] = m
-	}
-	return live
-}
-
-// selAll returns sel resized for n rows with every bit [0, n) set.
-func selAll(sel []uint64, n int) []uint64 {
-	nw := (n + 63) >> 6
-	if cap(sel) < nw {
-		sel = make([]uint64, nw)
-	}
-	sel = sel[:nw]
-	for w := range sel {
-		sel[w] = ^uint64(0)
-	}
-	if r := n & 63; r != 0 {
-		sel[nw-1] = (uint64(1) << uint(r)) - 1
-	}
-	return sel
-}
-
-// selRows collects the selected row indices in ascending order into the
-// (reused) rows scratch.
-func selRows(sel []uint64, n int, rows []int32) []int32 {
-	rows = rows[:0]
-	nw := (n + 63) >> 6
-	for w := 0; w < nw; w++ {
-		for b := sel[w]; b != 0; b &= b - 1 {
-			rows = append(rows, int32(w<<6|bits.TrailingZeros64(b)))
-		}
-	}
-	return rows
-}
-
-// ContainsKeyBatch tests a batch of encoded keys against table, clearing
-// the selection bit of each row whose key is absent. keys holds the
-// concatenated encodings, ends[i] the end offset of key i, rows[i] the
-// selection row key i guards. The snapshot pointer is loaded once for the
-// whole batch (ContainsKey loads it per call); like ContainsKey, the lookup
-// itself allocates nothing. Returns the surviving count given live rows
-// were selected on entry.
-func (d *DynTables) ContainsKeyBatch(table string, keys []byte, ends []uint32, rows []int32, sel []uint64, live int) int {
-	set := d.snap.Load().sets[table]
-	start := uint32(0)
-	for i, end := range ends {
-		if _, ok := set[string(keys[start:end])]; !ok {
-			r := rows[i]
-			sel[r>>6] &^= 1 << uint(r&63)
-			live--
-		}
-		start = end
-	}
-	return live
 }

@@ -184,56 +184,6 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 	}
 }
 
-// TestContainsKeyBatchMatchesScalar checks the bulk dyn-table probe against
-// per-key ContainsKey over random key sets and selections.
-func TestContainsKeyBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := NewDynTables()
-	var entries []string
-	for i := 0; i < 50; i++ {
-		entries = append(entries, DynKeyFromValue(fields.SrcIP, tuple.U64(uint64(rng.Intn(64))), 32))
-	}
-	d.Replace("t", entries)
-
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(130)
-		var keys []byte
-		var ends []uint32
-		var rows []int32
-		sel := make([]uint64, (n+63)/64)
-		want := make([]bool, n)
-		live := 0
-		for r := 0; r < n; r++ {
-			if rng.Intn(4) == 0 {
-				continue // deselected before the dyn filter
-			}
-			sel[r>>6] |= 1 << uint(r&63)
-			v := tuple.U64(uint64(rng.Intn(96))) // some keys miss
-			keys = AppendDynKey(keys, fields.SrcIP, v, 32)
-			ends = append(ends, uint32(len(keys)))
-			rows = append(rows, int32(r))
-			want[r] = d.ContainsKey("t", AppendDynKey(nil, fields.SrcIP, v, 32))
-			live++
-		}
-		wantLive := 0
-		for _, ok := range want {
-			if ok {
-				wantLive++
-			}
-		}
-		gotLive := d.ContainsKeyBatch("t", keys, ends, rows, sel, live)
-		if gotLive != wantLive {
-			t.Fatalf("trial %d: live = %d, want %d", trial, gotLive, wantLive)
-		}
-		for r := 0; r < n; r++ {
-			got := sel[r>>6]&(1<<uint(r&63)) != 0
-			if got != want[r] {
-				t.Fatalf("trial %d row %d: selected=%v want %v", trial, r, got, want[r])
-			}
-		}
-	}
-}
-
 // TestBatchedIngestSteadyStateZeroAlloc pins the batched ingest path's
 // steady-state allocation behaviour: after warm-up, buffering tuples and
 // flushing through filter+map+reduce must not allocate.

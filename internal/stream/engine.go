@@ -106,8 +106,12 @@ type Instance struct {
 	prePacket   *pipeExec
 	postMapIdx  int // index of the map within Post.Ops; -1 if none
 	pending     []joinItem
-	joinKeyIdxL []int // join key columns in left output schema (tuple-left)
-	rightKeyIdx []int // join key columns in right output schema
+	rows        []int32 // IngestPackets' selected rows
+	joinKeyIdxL []int   // join key columns in left output schema (tuple-left)
+	rightKeyIdx []int   // join key columns in right output schema
+	// nonKeyL and nonKeyR are the other columns of each side's output schema
+	// (tuple-left): the joined tuple is keys, nonKeyL, nonKeyR.
+	nonKeyL, nonKeyR []int
 
 	// m holds the instance's pre-registered telemetry series (zero value
 	// when the engine is uninstrumented).
@@ -168,14 +172,13 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 	}
 	rq := &Instance{
 		eng: e, q: q, key: QueryKey{q.ID, level}, part: part,
-		left: newPipeExec(q.Left.Ops, part.LeftStart, e.dyn),
+		left: newPipeExec(q.Left.Ops, part.LeftStart, e.dyn, nil),
 	}
 	if q.HasJoin() {
 		if part.RightStart < 0 || part.RightStart > len(q.Right.Ops) {
 			return fmt.Errorf("stream: right partition %d out of range", part.RightStart)
 		}
-		rq.right = newPipeExec(q.Right.Ops, part.RightStart, e.dyn)
-		rq.post = newPipeExec(q.Post.Ops, 0, e.dyn)
+		rq.right = newPipeExec(q.Right.Ops, part.RightStart, e.dyn, nil)
 		rs := q.Right.OutSchema()
 		for _, k := range q.JoinKeys {
 			rq.rightKeyIdx = append(rq.rightKeyIdx, rs.Index(k))
@@ -184,7 +187,24 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 			for _, k := range q.JoinKeys {
 				rq.joinKeyIdxL = append(rq.joinKeyIdxL, ls.Index(k))
 			}
+			rq.nonKeyL = nonKeyCols(ls, rq.joinKeyIdxL)
+			rq.nonKeyR = nonKeyCols(rs, rq.rightKeyIdx)
+			// The joined tuple: join keys, the left side's other columns, the
+			// right side's.
+			lk, rk := rq.left.kinds[len(q.Left.Ops)], rq.right.kinds[len(q.Right.Ops)]
+			var joined []bool
+			for _, i := range rq.joinKeyIdxL {
+				joined = append(joined, lk[i])
+			}
+			for _, i := range rq.nonKeyL {
+				joined = append(joined, lk[i])
+			}
+			for _, i := range rq.nonKeyR {
+				joined = append(joined, rk[i])
+			}
+			rq.post = newPipeExec(q.Post.Ops, 0, e.dyn, joined)
 		} else {
+			rq.post = newPipeExec(q.Post.Ops, 0, e.dyn, nil)
 			rq.packetLeft = true
 			rq.postMapIdx = -1
 			// Build the pre-packet executor: left ops plus post's
@@ -201,7 +221,7 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 				}
 				pre = append(pre, *o)
 			}
-			rq.prePacket = newPipeExec(pre, part.LeftStart, e.dyn)
+			rq.prePacket = newPipeExec(pre, part.LeftStart, e.dyn, nil)
 		}
 	}
 	rq.left.scalar = e.scalar
@@ -336,19 +356,32 @@ func (rq *Instance) TakesPackets(side Side) bool {
 // IngestPackets delivers the selected packets of pkts — sel is an
 // index-aligned selection bitmap, read-only — in ascending order to the
 // given side's pipeline at its partition point, with the load counters
-// advanced once. Nothing aliases pkts past the call. The caller has
+// advanced once. Nothing aliases the packets past the call. The caller has
 // established HasSide and TakesPackets.
-func (rq *Instance) IngestPackets(side Side, pkts []packet.Packet, sel []uint64) {
-	n := popcount(sel)
+func (rq *Instance) IngestPackets(side Side, pkts []*packet.Packet, sel []uint64) {
+	n := tuple.SelCount(sel)
 	if n == 0 {
 		return
 	}
-	rq.eng.count(rq, n)
+	rq.eng.count(rq, uint64(n))
 	ex, at := rq.entry(side)
+	if ex.scalar {
+		// The per-packet reference.
+		rq.rows = tuple.SelRows(sel, rq.rows[:0])
+		for _, r := range rq.rows {
+			if ex.ingestPacket(at, pkts[r]) && ex == rq.prePacket {
+				rq.bufferJoinLeft(pkts[r])
+			}
+		}
+		return
+	}
 	passed := ex.ingestPackets(at, pkts, sel)
 	if ex == rq.prePacket {
 		// The join's survivors are buffered row by row.
-		forEachSet(passed, func(r int) { rq.bufferJoinLeft(&pkts[r]) })
+		rq.rows = tuple.SelRows(passed, rq.rows[:0])
+		for _, r := range rq.rows {
+			rq.bufferJoinLeft(pkts[r])
+		}
 	}
 }
 
@@ -358,7 +391,7 @@ func (rq *Instance) IngestPackets(side Side, pkts []packet.Packet, sel []uint64)
 // must treat as a malformed record. The caller has established HasSide.
 func (rq *Instance) IngestTuple(side Side, vals []tuple.Value) bool {
 	ex, at := rq.entry(side)
-	if ex.tupleWidth(at) != len(vals) {
+	if !ex.takesTuple(at, vals) {
 		return false
 	}
 	rq.eng.count(rq, 1)
@@ -373,7 +406,7 @@ func (rq *Instance) IngestTuple(side Side, vals []tuple.Value) bool {
 // side or vals is not a tuple it takes.
 func (rq *Instance) IngestTupleAt(side Side, opIdx int, vals []tuple.Value) bool {
 	ex, _ := rq.entry(side)
-	if opIdx < 0 || opIdx >= len(ex.ops) || !ex.ops[opIdx].Stateful() || ex.tupleWidth(opIdx) != len(vals) {
+	if opIdx < 0 || opIdx >= len(ex.ops) || !ex.ops[opIdx].Stateful() || !ex.takesTuple(opIdx, vals) {
 		return false
 	}
 	rq.eng.count(rq, 1)
@@ -549,9 +582,7 @@ func (e *Engine) endJoin(rq *Instance, res *Result) {
 	leftOuts := rq.left.endWindow()
 	res.LeftOutputs = leftOuts
 	res.LeftSchema = rq.q.Left.OutSchema()
-	nonKeyR := nonKeyCols(rs, rq.rightKeyIdx)
-	ls := rq.q.Left.OutSchema()
-	nonKeyL := nonKeyCols(ls, rq.joinKeyIdxL)
+	nonKeyL, nonKeyR := rq.nonKeyL, rq.nonKeyR
 	zeroRight := make([]tuple.Value, len(rs))
 	for _, lo := range leftOuts {
 		ro, ok := rightBy[tuple.Key(lo, rq.joinKeyIdxL)]

@@ -27,7 +27,7 @@ func mkSyn(t testing.TB, src, dst uint32) *packet.Packet {
 // ingestPacket delivers one packet to the given side of an installed
 // instance.
 func ingestPacket(e *Engine, qid uint16, level uint8, side Side, pkt *packet.Packet) {
-	e.Instance(qid, level).IngestPackets(side, []packet.Packet{*pkt}, []uint64{1})
+	e.Instance(qid, level).IngestPackets(side, []*packet.Packet{pkt}, []uint64{1})
 }
 
 func query1(th uint64) *query.Query {
@@ -273,9 +273,9 @@ func TestDynamicFilterGatesTraffic(t *testing.T) {
 		t.Error("empty dyn table let traffic through")
 	}
 
-	dyn.Replace("q1.r8", []string{
+	dyn.Publish("q1.r8", query.NewDynSet([]string{
 		DynKeyFromValue(fields.DstIP, tuple.U64(uint64(inside)), 8),
-	})
+	}))
 	ingestPacket(e, 1, 2, SideLeft, mkSyn(t, 1, inside))
 	ingestPacket(e, 1, 2, SideLeft, mkSyn(t, 1, outside))
 	results, _ := e.EndWindow()
@@ -358,18 +358,20 @@ func TestInstallValidation(t *testing.T) {
 
 func TestDynTables(t *testing.T) {
 	d := NewDynTables()
-	if d.Contains("t", "k") {
+	has := func(table, key string) bool { return d.Set(table).ContainsKey([]byte(key)) }
+	if has("t", "k") {
 		t.Error("empty table contained key")
 	}
-	d.Replace("t", []string{"a", "b"})
-	if !d.Contains("t", "a") || !d.Contains("t", "b") || d.Contains("t", "c") {
-		t.Error("membership wrong after Replace")
+	d.Publish("t", query.NewDynSet([]string{"a", "b"}))
+	if !has("t", "a") || !has("t", "b") || has("t", "c") {
+		t.Error("membership wrong after Publish")
 	}
-	if d.Size("t") != 2 {
-		t.Errorf("Size = %d", d.Size("t"))
+	if n := d.Set("t").Len(); n != 2 {
+		t.Errorf("Len = %d", n)
 	}
-	d.Replace("t", []string{"c"})
-	if d.Contains("t", "a") || !d.Contains("t", "c") {
-		t.Error("Replace did not replace")
+	d.Publish("u", query.NewDynSet([]string{"a"}))
+	d.Publish("t", query.NewDynSet([]string{"c"}))
+	if has("t", "a") || !has("t", "c") || !has("u", "a") {
+		t.Error("Publish did not replace exactly the named table")
 	}
 }

@@ -21,71 +21,42 @@ import (
 	"repro/internal/tuple"
 )
 
-// DynTables holds the dynamic-refinement filter sets, updated by the
-// runtime at window boundaries and consulted by filter operators that carry
-// a DynFilterTable tag. Readers see copy-on-write snapshots swapped through
-// an atomic pointer, so the per-tuple Contains path takes no lock; writers
-// (Replace) must be serialized by the caller, which the runtime does by
-// updating tables only at window boundaries with the workers joined.
+// DynTables holds the dynamic-refinement rule sets by table name, published
+// by the runtime at window boundaries and consulted by filter operators that
+// carry a DynFilterTable tag. Readers see copy-on-write snapshots swapped
+// through an atomic pointer, so a probe takes no lock; writers (Publish) must
+// be serialized by the caller, which the runtime does by updating tables
+// only at window boundaries with the workers joined.
 type DynTables struct {
-	snap atomic.Pointer[dynSnapshot]
-}
-
-// dynSnapshot is one immutable generation of all tables. The inner sets are
-// never mutated after publication.
-type dynSnapshot struct {
-	sets map[string]map[string]struct{}
+	snap atomic.Pointer[map[string]*query.DynSet]
 }
 
 // NewDynTables returns an empty table store.
 func NewDynTables() *DynTables {
 	d := &DynTables{}
-	d.snap.Store(&dynSnapshot{sets: make(map[string]map[string]struct{})})
+	d.snap.Store(&map[string]*query.DynSet{})
 	return d
 }
 
-// Replace installs the allowed key set for a table, replacing any previous
-// contents (the per-window refresh of Figure 4's red filters). It publishes
-// a new snapshot; in-flight readers keep the old one.
-func (d *DynTables) Replace(table string, keys []string) {
-	cur := d.snap.Load()
-	next := &dynSnapshot{sets: make(map[string]map[string]struct{}, len(cur.sets)+1)}
-	for name, set := range cur.sets {
-		next.sets[name] = set
+// Publish installs set as the table's rule set, replacing any previous one
+// (the per-window refresh of Figure 4's red filters). It publishes a new
+// snapshot; in-flight readers keep the old one.
+func (d *DynTables) Publish(table string, set *query.DynSet) {
+	cur := *d.snap.Load()
+	next := make(map[string]*query.DynSet, len(cur)+1)
+	for name, s := range cur {
+		next[name] = s
 	}
-	set := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		set[k] = struct{}{}
-	}
-	next.sets[table] = set
-	d.snap.Store(next)
+	next[table] = set
+	d.snap.Store(&next)
 }
 
-// Contains reports whether key is currently allowed by table. A table that
-// was never installed admits nothing: finer refinement levels stay idle
-// until the coarser level reports.
-func (d *DynTables) Contains(table, key string) bool {
-	_, ok := d.set(table)[key]
-	return ok
-}
-
-// set returns the current generation of a table (nil if never installed).
-// It is immutable, so a run of lookups may load it once.
-func (d *DynTables) set(table string) map[string]struct{} {
-	return d.snap.Load().sets[table]
-}
-
-// ContainsKey is the hot-path form of Contains: the key arrives as encoded
-// bytes (typically a reused scratch buffer) and the lookup allocates
-// nothing — the string conversion in the map index does not escape.
-func (d *DynTables) ContainsKey(table string, key []byte) bool {
-	_, ok := d.set(table)[string(key)]
-	return ok
-}
-
-// Size returns the number of keys installed for a table.
-func (d *DynTables) Size(table string) int {
-	return len(d.set(table))
+// Set returns the table's current rule set: nil — which admits nothing — if
+// none was ever published, so finer refinement levels stay idle until the
+// coarser level reports. A set is immutable, so a run of probes may load it
+// once.
+func (d *DynTables) Set(table string) *query.DynSet {
+	return (*d.snap.Load())[table]
 }
 
 // pipeExec executes the suffix of one pipeline, from op index start to the
@@ -96,6 +67,10 @@ type pipeExec struct {
 	ops   []query.Op
 	start int
 	dyn   *DynTables
+	// kinds[i] says which columns of the tuple entering op i are
+	// string-valued (query.ColumnKinds): the batch keeps those as
+	// tuple.Value columns and every other one as uint64s.
+	kinds [][]bool
 
 	// states holds each stateful op's window state (nil for stateless ops):
 	// an arena-backed table keyed by the encoded grouping key, holding the
@@ -125,11 +100,6 @@ type pipeExec struct {
 	outSealed bool
 	// keyScratch avoids re-allocating key buffers on the hot path.
 	keyScratch []byte
-	// dynKeyScratch/dynValScratch back the dynamic-filter key build; separate
-	// from keyScratch because a tuple can pass a dyn filter and then reach a
-	// stateful op in the same walk.
-	dynKeyScratch []byte
-	dynValScratch []tuple.Value
 	// inputCount tracks packets fed this window (profiling only).
 	inputCount uint64
 	// lastKeys[i] is the key count of stateful op i at the moment the last
@@ -143,7 +113,7 @@ type pipeExec struct {
 	// populated, so every flush is a no-op.
 	scalar bool
 	// batch buffers tuples entering the tuple-phase op chain until a flush
-	// point (capacity, entry/width change, out-of-band merge, window close);
+	// point (capacity, entry change, out-of-band merge, window close);
 	// flushBatch in batch.go runs the columnar walk. All batch scratch below
 	// is recycled across flushes and windows.
 	batch colBatch
@@ -152,13 +122,15 @@ type pipeExec struct {
 	// through ingestPackets (the caller's selection is read-only).
 	sel    []uint64
 	pktSel []uint64
-	// mapColBufs are the ping-pong column sets map ops evaluate into; a map
-	// writes the buffer its input does not occupy, so chained maps never
-	// alias. mapPing is the buffer the *previous* map wrote.
-	mapColBufs [2][][]tuple.Value
-	mapPing    int
-	// mapOut[i] is op i's output-row scratch for the per-tuple walk (scalar
-	// mode and the packet-phase map landing). Distinct ops get distinct
+	// pool holds the columns map ops evaluate into during one flush, land the
+	// packet-indexed columns a landing map evaluates into on its way to the
+	// batch (a separate pool: the batch may flush while they are copied in),
+	// landRows the rows being copied.
+	pool     tuple.ColumnPool
+	land     tuple.ColumnPool
+	landRows []int32
+	// mapOut[i] is op i's output-row scratch: a map's in the per-tuple walk
+	// (scalar mode), a reduce's drained row. Distinct ops get distinct
 	// buffers so a downstream map can read its input while writing its own.
 	mapOut [][]tuple.Value
 	// bulkKeys/bulkEnds/bulkRows/bulkIdxs back the fused bulk probe: keys
@@ -174,8 +146,10 @@ type pipeExec struct {
 	flushRows uint64
 }
 
-func newPipeExec(ops []query.Op, start int, dyn *DynTables) *pipeExec {
-	e := &pipeExec{ops: ops, start: start, dyn: dyn,
+// newPipeExec builds the executor of one pipeline; in says which columns of
+// the tuples entering op 0 are string-valued (nil when packets enter).
+func newPipeExec(ops []query.Op, start int, dyn *DynTables, in []bool) *pipeExec {
+	e := &pipeExec{ops: ops, start: start, dyn: dyn, kinds: query.ColumnKinds(ops, in),
 		states: make([]*keytab.Table, len(ops)), outCounts: make([]uint64, len(ops)+1),
 		inCounts: make([]uint64, len(ops))}
 	// State exists for every stateful op, including those before the
@@ -191,27 +165,40 @@ func newPipeExec(ops []query.Op, start int, dyn *DynTables) *pipeExec {
 
 // ingestPacket pushes a raw packet through packet-phase ops starting at op
 // index at; when a map converts it to a tuple the tuple continues through
-// ingestTuple. It is the per-packet reference for ingestPackets, which runs
-// it in scalar mode, and reports what ingestPackets selects: whether the
+// ingestTuple. It is the per-packet reference for ingestPackets, run in its
+// place in scalar mode, and reports what ingestPackets selects: whether the
 // packet passed every op and ended the pipeline still a packet.
 func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) bool {
 	for i := at; i < len(e.ops); i++ {
 		e.inCounts[i]++
 		o := &e.ops[i]
-		if !o.PacketPhase() {
+		switch {
+		case !o.PacketPhase():
 			panic(fmt.Sprintf("stream: op %d (%v) is tuple-phase but received a packet", i, o.Kind))
-		}
-		switch o.Kind {
-		case query.OpFilter:
-			if !e.packetPasses(o, e.dynSet(o), pkt) {
+		case o.Kind == query.OpFilter && o.DynFilterTable != "":
+			if !e.dyn.Set(o.DynFilterTable).MatchPacket(o, pkt) {
 				return false
 			}
 			e.outCounts[i]++
-		case query.OpMap:
-			if vals, ok := e.mapPacketRow(i, pkt); ok {
-				e.outCounts[i]++
-				e.feedTuple(i+1, vals)
+		case o.Kind == query.OpFilter:
+			for j := range o.Clauses {
+				if !o.Clauses[j].MatchPacket(pkt) {
+					return false
+				}
 			}
+			e.outCounts[i]++
+		case o.Kind == query.OpMap:
+			// A packet lacking a required field leaves no row.
+			vals := e.mapScratch(i, len(o.Cols))
+			for j := range o.Cols {
+				v, ok := o.Cols[j].Expr.EvalPacket(pkt)
+				if !ok {
+					return false
+				}
+				vals[j] = v
+			}
+			e.outCounts[i]++
+			e.ingestTuple(i+1, vals)
 			return false
 		default:
 			panic(fmt.Sprintf("stream: stateful op %v in packet phase", o.Kind))
@@ -224,64 +211,11 @@ func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) bool {
 	return true
 }
 
-// mapPacketRow evaluates the landing map (op i) on pkt into the op's row
-// scratch. It reports false when the packet lacks a required field.
-func (e *pipeExec) mapPacketRow(i int, pkt *packet.Packet) ([]tuple.Value, bool) {
-	cols := e.ops[i].Cols
-	vals := e.mapScratch(i, len(cols))
-	for j := range cols {
-		v, ok := cols[j].Expr.EvalPacket(pkt)
-		if !ok {
-			return nil, false
-		}
-		vals[j] = v
-	}
-	return vals, true
-}
-
-// dynSet returns the table a dynamic packet filter probes, loaded once per
-// packet or per run of packets (tables change only between windows); nil
-// for a static filter.
-func (e *pipeExec) dynSet(o *query.Op) map[string]struct{} {
-	if o.DynFilterTable == "" {
-		return nil
-	}
-	return e.dyn.set(o.DynFilterTable)
-}
-
-// packetPasses reports whether pkt passes packet-phase filter o, whose
-// dynamic table (dynSet) the caller has loaded.
-func (e *pipeExec) packetPasses(o *query.Op, set map[string]struct{}, pkt *packet.Packet) bool {
-	if o.DynFilterTable != "" {
-		v, ok := pkt.Field(o.DynKeyField)
-		if !ok {
-			return false
-		}
-		e.dynKeyScratch = AppendDynKey(e.dynKeyScratch[:0], o.DynKeyField, v, o.DynLevel)
-		_, ok = set[string(e.dynKeyScratch)]
-		return ok
-	}
-	for j := range o.Clauses {
-		if !o.Clauses[j].MatchPacket(pkt) {
-			return false
-		}
-	}
-	return true
-}
-
-// AppendDynKey appends the dynamic-filter lookup key for a single value
-// masked to the filter's level, reusing dst's storage. The control path that
-// installs table keys uses DynKeyFromValue (same encoding), so lookups
-// always agree.
-func AppendDynKey(dst []byte, f fields.ID, v tuple.Value, level int) []byte {
-	return tuple.AppendKeyValue(dst, query.MaskValue(f, v, level))
-}
-
-// DynKeyFromValue builds the dynamic-filter lookup key for a single value
-// masked to the filter's level — the allocating form used on the install
-// side (runtime, planner training) where keys are retained.
+// DynKeyFromValue builds the dynamic-filter key for a single value masked to
+// the filter's level, in the encoding query.NewDynSet takes — the install
+// side (runtime, planner training), where keys are retained.
 func DynKeyFromValue(f fields.ID, v tuple.Value, level int) string {
-	return string(AppendDynKey(nil, f, v, level))
+	return string(tuple.AppendKeyValue(nil, query.MaskValue(f, v, level)))
 }
 
 // ingestTuple pushes a tuple through ops starting at index at, stopping at
@@ -293,8 +227,7 @@ func (e *pipeExec) ingestTuple(at int, vals []tuple.Value) {
 		switch o.Kind {
 		case query.OpFilter:
 			if o.DynFilterTable != "" {
-				key := e.dynTupleKey(o, vals)
-				if !e.dyn.ContainsKey(o.DynFilterTable, key) {
+				if !e.dyn.Set(o.DynFilterTable).MatchTuple(o, vals) {
 					return
 				}
 			} else {
@@ -390,18 +323,22 @@ func (e *pipeExec) endWindow() [][]tuple.Value {
 		o := &e.ops[i]
 		n := st.Len()
 		if !e.scalar {
-			// Batched drain: buffer each flushed key row (entry i+1) and let
-			// flushBatch walk the suffix columnar. The KeyVals slices alias
-			// keytab storage, but bufferTuple copies the values immediately,
-			// and the explicit flush below lands everything in the downstream
-			// states before st resets.
+			// Batched drain: buffer each flushed key row — a reduce's with its
+			// aggregate as the trailing column — at entry i+1 and let flushBatch
+			// walk the suffix columnar. The KeyVals slices alias keytab
+			// storage, but bufferTuple copies the values immediately, and the
+			// explicit flush below lands everything in the downstream states
+			// before st resets.
 			for k := 0; k < n; k++ {
 				e.outCounts[i]++
+				row := st.KeyVals(k)
 				if o.Kind == query.OpReduce {
-					e.bufferReduceRow(i+1, st.KeyVals(k), st.Agg(k))
-				} else {
-					e.bufferTuple(i+1, st.KeyVals(k))
+					kv := row
+					row = e.mapScratch(i, len(kv)+1)
+					copy(row, kv)
+					row[len(kv)] = tuple.U64(st.Agg(k))
 				}
+				e.bufferTuple(i+1, row)
 			}
 			e.flushBatch()
 			st.Reset()
@@ -451,18 +388,21 @@ func (e *pipeExec) sealOutputs() [][]tuple.Value {
 	return rows
 }
 
-// tupleWidth returns the width of the tuples that enter the op chain at
-// index at (at most len(ops)) — the op's input schema, or the pipeline's
-// output schema when every op ran on the switch — and -1 where packets enter
-// instead.
-func (e *pipeExec) tupleWidth(at int) int {
-	switch {
-	case e.takesPackets(at):
-		return -1
-	case at < len(e.ops):
-		return len(e.ops[at].InSchema())
+// takesTuple reports whether vals can enter the op chain at index at (at
+// most len(ops)): packets do not enter there, vals has the width of the op's
+// input schema — or the pipeline's output schema when every op ran on the
+// switch — and every value is of the kind its column is kept in.
+func (e *pipeExec) takesTuple(at int, vals []tuple.Value) bool {
+	kinds := e.kinds[at]
+	if e.takesPackets(at) || len(kinds) != len(vals) {
+		return false
 	}
-	return len(e.ops[at-1].OutSchema())
+	for j := range vals {
+		if vals[j].Str != kinds[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // takesPackets reports whether what enters at op index at is still a packet:
@@ -485,7 +425,7 @@ func (e *pipeExec) feedTuple(at int, vals []tuple.Value) {
 	e.bufferTuple(at, vals)
 }
 
-// mapScratch returns op i's map-output buffer, sized to n values. Buffers
+// mapScratch returns op i's output-row buffer, sized to n values. Buffers
 // are per op index so no walk ever reads and writes the same one.
 func (e *pipeExec) mapScratch(i, n int) []tuple.Value {
 	if e.mapOut == nil {
@@ -506,20 +446,6 @@ func (e *pipeExec) resetCounts() {
 	for i := range e.inCounts {
 		e.inCounts[i] = 0
 	}
-}
-
-// dynTupleKey builds the masked dynamic-filter key for a tuple-phase filter
-// into the exec's scratch buffers; the result is valid until the next call.
-func (e *pipeExec) dynTupleKey(o *query.Op, vals []tuple.Value) []byte {
-	if cap(e.dynValScratch) < len(o.DynKeyCols) {
-		e.dynValScratch = make([]tuple.Value, len(o.DynKeyCols))
-	}
-	masked := e.dynValScratch[:len(o.DynKeyCols)]
-	for i, c := range o.DynKeyCols {
-		masked[i] = query.MaskValue(o.DynKeyField, vals[c], o.DynLevel)
-	}
-	e.dynKeyScratch = tuple.AppendKey(e.dynKeyScratch[:0], masked, identityCols(len(masked)))
-	return e.dynKeyScratch
 }
 
 var identityColCache = func() [][]int {

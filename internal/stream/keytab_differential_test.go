@@ -167,10 +167,10 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 // []byte→string conversion in the map index does not escape).
 func TestDynContainsKeyZeroAlloc(t *testing.T) {
 	d := NewDynTables()
-	d.Replace("t", []string{DynKeyFromValue(fields.DstIP, tuple.U64(42), 32)})
-	key := AppendDynKey(nil, fields.DstIP, tuple.U64(42), 32)
+	d.Publish("t", query.NewDynSet([]string{DynKeyFromValue(fields.DstIP, tuple.U64(42), 32)}))
+	key := []byte(DynKeyFromValue(fields.DstIP, tuple.U64(42), 32))
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if !d.ContainsKey("t", key) {
+		if !d.Set("t").ContainsKey(key) {
 			t.Fatal("installed key not found")
 		}
 	}); allocs != 0 {

@@ -39,7 +39,10 @@ type PipelineProfile struct {
 type Profiler struct {
 	ops  []query.Op
 	exec *pipeExec
-	all  []uint64 // an all-ones selection over the current run
+	// run and all are the current run's packets, as the executor takes them,
+	// and an all-ones selection over it.
+	run []*packet.Packet
+	all []uint64
 }
 
 // NewProfiler prepares a profiler over the full pipeline (partition point
@@ -49,7 +52,7 @@ func NewProfiler(ops []query.Op, dyn *DynTables) *Profiler {
 	if dyn == nil {
 		dyn = NewDynTables()
 	}
-	return &Profiler{ops: ops, exec: newPipeExec(ops, 0, dyn)}
+	return &Profiler{ops: ops, exec: newPipeExec(ops, 0, dyn, nil)}
 }
 
 // Dyn exposes the profiler's dynamic tables so callers can install
@@ -61,8 +64,12 @@ func (p *Profiler) Feed(pkts []packet.Packet) {
 	p.exec.inputCount += uint64(len(pkts))
 	for len(pkts) > 0 {
 		n := min(batchCap, len(pkts))
-		p.all = selAll(p.all, n)
-		p.exec.ingestPackets(0, pkts[:n], p.all)
+		p.run = p.run[:0]
+		for i := range pkts[:n] {
+			p.run = append(p.run, &pkts[i])
+		}
+		p.all = tuple.SelAll(p.all, n)
+		p.exec.ingestPackets(0, p.run, p.all)
 		pkts = pkts[n:]
 	}
 }

@@ -213,18 +213,6 @@ func appendKeyU64(b []byte, vals []Value, idx []int) ([]byte, bool) {
 	return b[:len(b)+n], true
 }
 
-// AppendKeyCols appends the key encoding of row r's selected columns from a
-// column-major value layout — the batch-executor form of AppendKey. The
-// encoding is byte-identical to AppendKey over the equivalent row-major
-// tuple, which is what lets the batched and per-tuple engines share keytab
-// state.
-func AppendKeyCols(dst []byte, cols [][]Value, idx []int, r int) []byte {
-	for _, i := range idx {
-		dst = AppendKeyValue(dst, cols[i][r])
-	}
-	return dst
-}
-
 // AppendKeyValue appends the key encoding of a single value to dst. It is
 // the one-column form of AppendKey, used where the column set is implicit
 // (dynamic-filter keys) and building an index slice would be wasted work.

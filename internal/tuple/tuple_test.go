@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -295,27 +296,94 @@ func TestAppendKeyColsMatchesAppendKey(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(20) + 1
 		w := rng.Intn(4) + 1
-		cols := make([][]Value, w)
+		// Numeric columns, string columns, and Value columns holding both.
+		cols := make([]Column, w)
 		for j := range cols {
+			kind := rng.Intn(3)
+			if kind == 0 {
+				cols[j].U = make([]uint64, n)
+			} else {
+				cols[j].V = make([]Value, n)
+			}
 			for r := 0; r < n; r++ {
-				if rng.Intn(2) == 0 {
-					cols[j] = append(cols[j], U64(rng.Uint64()))
+				if kind == 0 || kind == 1 && rng.Intn(2) == 0 {
+					cols[j].Set(r, U64(rng.Uint64()))
 				} else {
-					cols[j] = append(cols[j], Str(string(rune('a'+rng.Intn(26)))))
+					cols[j].Set(r, Str(string(rune('a'+rng.Intn(26)))))
 				}
 			}
 		}
 		idx := rng.Perm(w)[:rng.Intn(w)+1]
 		for r := 0; r < n; r++ {
-			row := make([]Value, w)
-			for j := range row {
-				row[j] = cols[j][r]
-			}
+			row := AppendRow(nil, cols, r)
 			want := AppendKey(nil, row, idx)
 			got := AppendKeyCols(nil, cols, idx, r)
 			if string(got) != string(want) {
 				t.Fatalf("trial %d row %d: cols key %x != row key %x", trial, r, got, want)
 			}
 		}
+	}
+}
+
+// TestSelections holds the selection helpers to one another at lengths on
+// both sides of the bitmap word boundary: a dense batch selects exactly its
+// rows, and SelRows lists a selection's rows in ascending order.
+func TestSelections(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var sel []uint64
+	for _, n := range []int{0, 1, 63, 64, 65, 256, 1} { // ending on a shrink of a reused bitmap
+		sel = SelAll(sel, n)
+		if len(sel) != (n+63)/64 || SelCount(sel) != n {
+			t.Fatalf("SelAll(%d): %d words, %d rows", n, len(sel), SelCount(sel))
+		}
+		rows := SelRows(sel, nil)
+		for r := range rows {
+			if rows[r] != int32(r) {
+				t.Fatalf("SelAll(%d): row %d listed as %d", n, r, rows[r])
+			}
+		}
+		var want []int32
+		for r := 0; r < n; r++ {
+			if rng.Intn(3) == 0 {
+				want = append(want, int32(r))
+			} else {
+				sel[r>>6] &^= 1 << uint(r&63)
+			}
+		}
+		if got := SelRows(sel, rows[:0]); SelCount(sel) != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("n=%d: SelRows = %v (count %d), want %v", n, got, SelCount(sel), want)
+		}
+	}
+}
+
+// TestColumnPool checks that a walk's columns are of the kinds asked for,
+// n rows long and distinct, and that a warm pool allocates nothing.
+func TestColumnPool(t *testing.T) {
+	var p ColumnPool
+	kinds := []bool{false, true, false}
+	walk := func(n int) {
+		p.Reset(n)
+		a, b := p.Take(kinds), p.Take(kinds)
+		for c, str := range kinds {
+			if (a[c].V != nil) != str || (a[c].U != nil) == str || len(a[c].U)+len(a[c].V) != n {
+				t.Fatalf("n=%d column %d: %d numbers, %d values, want string=%v", n, c, len(a[c].U), len(a[c].V), str)
+			}
+			a[c].Set(n-1, U64(1))
+			b[c].Set(n-1, U64(2))
+			if a[c].At(n-1).U != 1 {
+				t.Fatalf("n=%d column %d: two columns of one walk share storage", n, c)
+			}
+		}
+		for i := 0; i < 8; i++ { // past the first header array
+			p.Take(kinds[:2])
+		}
+		if a[1].V == nil || a[1].At(n-1).U != 1 || len(p.Take(kinds)) != 3 {
+			t.Fatalf("n=%d: growing the header array invalidated earlier headers", n)
+		}
+	}
+	walk(256)
+	walk(65)
+	if allocs := testing.AllocsPerRun(100, func() { walk(256) }); allocs != 0 {
+		t.Fatalf("a warm pool allocates %.1f times per walk", allocs)
 	}
 }
