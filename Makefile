@@ -23,8 +23,11 @@ test:
 race:
 	$(GO) test -race ./internal/telemetry ./internal/runtime ./internal/stream
 
+# The benchmark: the harness (bench/README.md), four workloads, ~3.5 min,
+# record in bench/out/record.json. The paper-figure benchmarks are
+# `go test -bench 'Table3|Fig|Ablation|RefinementUpdate' -benchmem .`
 bench:
-	$(GO) test -bench . -benchmem
+	$(GO) run ./bench
 
 # Column-kernel gate, under the race detector: the shared kernels
 # (internal/query, with internal/tuple's columns and selections and
@@ -85,11 +88,12 @@ bench-smoke:
 	$(GO) run ./bench -quick
 
 # Before/after verdict for a performance change: `make bench-ab BASE=<rev>
-# [PAIRS=10] [SECONDS=8]` checks BASE out into a temporary git worktree,
-# builds both harnesses, makes PAIRS full records per side (`-seed i`,
-# alternating which side runs first) and ends with `go run ./bench -compare
-# base1,...,baseN new1,...,newN`. About 2.5 minutes per pair at the defaults;
-# the records stay in bench/out/ab/. Non-gating, like bench-smoke.
+# [PAIRS=10] [SECONDS=8]` unpacks BASE with `git archive` into a temporary
+# directory, builds both harnesses, makes PAIRS full records per side
+# (`-seed i`, alternating which side runs first) and ends with `go run
+# ./bench -compare base1,...,baseN new1,...,newN`. About 2.5 minutes per pair
+# at the defaults; the records stay in bench/out/ab/. Non-gating, like
+# bench-smoke.
 PAIRS ?= 10
 SECONDS ?= 8
 bench-ab:

@@ -17,16 +17,19 @@
 //	BenchmarkAblationRegisterChains     — d = 1 vs d = 3 collision shunting
 //	BenchmarkAblationPlannerILP         — greedy packer vs ILP plan selection
 //
-// Throughput benchmarks:
+// Micro-benchmarks of the hot paths alloc_budget.json pins (`make bench-alloc`):
 //
 //	BenchmarkSwitchProcess              — data-plane packets/second
 //	BenchmarkSwitchProcessViewsProbed   — the batched, probed data plane, per 256-view batch
 //	BenchmarkEngineIngest               — stream-processor tuples/second
+//	BenchmarkMirrorBatchIngest          — the switch→SP batch hand-off, per 256-view batch
+//	BenchmarkEmitterRoundTrip           — the wire codec on one tuple record
+//	BenchmarkKeytabSteadyState          — keyed-state probe/insert at steady capacity
+//
+// End-to-end throughput of the window loop is the harness's job: go run ./bench.
 package main
 
 import (
-	"fmt"
-	"io"
 	goruntime "runtime"
 	"testing"
 	"time"
@@ -35,30 +38,19 @@ import (
 	"repro/internal/emitter"
 	"repro/internal/eval"
 	"repro/internal/fields"
-	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/queries"
 	"repro/internal/query"
-	"repro/internal/runtime"
 	"repro/internal/stream"
-	"repro/internal/subscribe"
 	"repro/internal/telemetry"
-	"repro/internal/tracez"
 	"repro/internal/tuple"
 )
 
 func benchScale() eval.Scale {
 	return eval.Scale{PacketsPerWindow: 4_000, Windows: 5, TrainWindows: 2, Hosts: 500, Seed: 1}
 }
-
-// benchWarmupWindows is how many windows the end-to-end benchmarks replay
-// before b.ResetTimer(). The first windows are dominated by one-time growth —
-// batch pools filling, output arenas and dynamic tables reaching steady
-// capacity, shard workers faulting in their state — which at -benchtime 10x
-// used to account for a third of the measurement.
-const benchWarmupWindows = 8
 
 func benchWorkload(b *testing.B) *eval.Workload {
 	b.Helper()
@@ -435,253 +427,4 @@ func BenchmarkEmitterRoundTrip(b *testing.B) {
 	if allocs != 0 {
 		b.Fatalf("round trip allocates %.1f per op, want 0", allocs)
 	}
-}
-
-// reportSPTuples derives the sp_tuples/s number every end-to-end benchmark
-// (and therefore every BENCH_*.json record) reports through one code path:
-// the registry's delivered-tuple counter over the measured interval — the
-// same series the live /metrics endpoint exports — divided by elapsed
-// wall-clock. Call it after b.StopTimer() with a snapshot diff spanning the
-// timed region.
-func reportSPTuples(b *testing.B, diff telemetry.Snapshot) {
-	b.Helper()
-	b.ReportMetric(float64(diff.Counter("sonata_runtime_tuples_to_sp_total"))/b.Elapsed().Seconds(), "sp_tuples/s")
-}
-
-func BenchmarkEndToEndWindow(b *testing.B) {
-	w := benchWorkload(b)
-	params := eval.ScaledParams(benchScale())
-	qs := queries.TopEight(params)
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := w.Frames(2)
-	var pkts int
-	for _, f := range frames {
-		pkts += len(f)
-	}
-	run := func(b *testing.B, workers int) {
-		b.Helper()
-		rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		rt.Instrument(reg, nil)
-		b.SetBytes(int64(pkts))
-		// Warm-up windows: let pools, arenas, dynamic-filter tables, and the
-		// scheduler reach steady state before the timer starts, so short
-		// -benchtime runs measure the per-window cost rather than first-window
-		// growth.
-		for i := 0; i < benchWarmupWindows; i++ {
-			rt.ProcessWindow(frames)
-		}
-		before := reg.Snapshot()
-		var busySum, busyCrit time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep := rt.ProcessWindow(frames)
-			var winMax time.Duration
-			for _, busy := range rep.ShardBusy {
-				busySum += busy
-				if busy > winMax {
-					winMax = busy
-				}
-			}
-			busyCrit += winMax
-		}
-		b.StopTimer()
-		reportSPTuples(b, reg.Snapshot().Diff(before))
-		if busyCrit > 0 {
-			// Achievable speedup from measured shard busy times: total work
-			// over critical path. Wall-clock ns/op only reflects it when the
-			// host has as many free cores as shards.
-			b.ReportMetric(float64(busySum)/float64(busyCrit), "speedup-potential")
-		}
-	}
-	// The sharded worker count follows GOMAXPROCS, so `-cpu 1,4,8` sweeps
-	// shard counts while `sequential` stays the single-goroutine baseline.
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("sharded", func(b *testing.B) { run(b, goruntime.GOMAXPROCS(0)) })
-}
-
-// BenchmarkSubscribeFanOut measures subscription delivery at fan-out scale:
-// the same sequential window replay with 0, 1, 10, 100, and 1000 attached
-// subscribers, every one in sample-every-window mode over all refinement
-// levels (the worst case — on-change dedup would suppress most frames).
-// Subscribers drain to io.Discard, so the numbers isolate the publish path:
-// encode-once, fingerprint, and N bounded-queue enqueues per instance.
-//
-// Two derived metrics come from the registry, as the live /metrics endpoint
-// would report them: sp_tuples/s is the ingest rate (the acceptance bar is
-// ≤5% overhead at 100 subscribers versus subs=0), delivered/s the notify
-// frames written. BENCH_pr6.json records the measurement.
-func BenchmarkSubscribeFanOut(b *testing.B) {
-	w := benchWorkload(b)
-	params := eval.ScaledParams(benchScale())
-	qs := queries.TopEight(params)
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := w.Frames(2)
-	var pkts int
-	for _, f := range frames {
-		pkts += len(f)
-	}
-	run := func(b *testing.B, subs int) {
-		b.Helper()
-		rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		rt.Instrument(reg, nil)
-		srv := subscribe.NewServer()
-		srv.Instrument(reg)
-		rt.SetResultSink(srv)
-		defer srv.Close()
-		for i := 0; i < subs; i++ {
-			if _, err := srv.Attach(io.Discard, subscribe.SubscribeRequest{
-				Mode: subscribe.Sample, AllLevels: true, QueueCap: 256,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(pkts))
-		before := reg.Snapshot()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.ProcessWindow(frames)
-		}
-		b.StopTimer()
-		diff := reg.Snapshot().Diff(before)
-		reportSPTuples(b, diff)
-		b.ReportMetric(float64(diff.Counter("sonata_subscribe_delivered_total"))/b.Elapsed().Seconds(), "delivered/s")
-		// The publish hook is the only part of delivery that runs on the
-		// window-close path; on a single-core host the wall-clock numbers
-		// also absorb the writer goroutines' drain work, so this isolates
-		// what fan-out actually costs the ingest pipeline.
-		if h := diff.Histograms["sonata_runtime_publish_ns"]; h.Count > 0 {
-			b.ReportMetric(float64(h.Sum)/float64(h.Count), "publish_ns/window")
-		}
-	}
-	for _, subs := range []int{0, 1, 10, 100, 1000} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) { run(b, subs) })
-	}
-}
-
-// BenchmarkEndToEndWindowFlightRec measures the flight recorder's overhead
-// on the ingest hot path: the identical sequential window replay with the
-// recorder detached ("off") and attached ("on"). The per-packet cost of the
-// recorder is a handful of plain uint64 increments, so on/off ns/op should
-// stay within a couple of percent (BENCH_pr3.json records the measurement).
-func BenchmarkEndToEndWindowFlightRec(b *testing.B) {
-	w := benchWorkload(b)
-	params := eval.ScaledParams(benchScale())
-	qs := queries.TopEight(params)
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := w.Frames(2)
-	var pkts int
-	for _, f := range frames {
-		pkts += len(f)
-	}
-	run := func(b *testing.B, rec *flightrec.Recorder) {
-		b.Helper()
-		rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rec != nil {
-			rt.AttachFlightRecorder(rec)
-		}
-		reg := telemetry.NewRegistry()
-		rt.Instrument(reg, nil)
-		b.SetBytes(int64(pkts))
-		before := reg.Snapshot()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.ProcessWindow(frames)
-		}
-		b.StopTimer()
-		reportSPTuples(b, reg.Snapshot().Diff(before))
-		if rec != nil {
-			s := rec.Snapshot(0)
-			if s.Window != b.N-1 {
-				b.Fatalf("recorder committed through window %d, loop ran %d", s.Window, b.N)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("on", func(b *testing.B) { run(b, flightrec.New(flightrec.DefaultCapacity, nil)) })
-}
-
-// BenchmarkEndToEndWindowTracez measures the tracer's overhead on the
-// ingest hot path: the identical sequential window replay with tracing
-// detached ("off") and attached ("on", default retention policy).
-// Recording a span is one slot write into a preallocated per-lane ring and
-// closing a window a handful of counter updates, so on/off ns/op should
-// stay within a couple of percent (BENCH_pr8.json records the measurement).
-func BenchmarkEndToEndWindowTracez(b *testing.B) {
-	w := benchWorkload(b)
-	params := eval.ScaledParams(benchScale())
-	qs := queries.TopEight(params)
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := w.Frames(2)
-	var pkts int
-	for _, f := range frames {
-		pkts += len(f)
-	}
-	run := func(b *testing.B, tz *tracez.Tracer) {
-		b.Helper()
-		rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		rt.Instrument(reg, tz)
-		b.SetBytes(int64(pkts))
-		before := reg.Snapshot()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.ProcessWindow(frames)
-		}
-		b.StopTimer()
-		reportSPTuples(b, reg.Snapshot().Diff(before))
-		if tz != nil {
-			st := tz.Stats()
-			if st.Windows != uint64(b.N) {
-				b.Fatalf("tracer closed %d windows, loop ran %d", st.Windows, b.N)
-			}
-			if st.Dropped > 0 {
-				b.Fatalf("tracer dropped %d spans at default ring capacity", st.Dropped)
-			}
-			b.ReportMetric(float64(st.Spans)/float64(b.N), "spans/window")
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("on", func(b *testing.B) { run(b, tracez.New(tracez.Options{})) })
 }

@@ -5,14 +5,17 @@
 //
 // Usage:
 //
-//	sonata [-pcap trace.pcap | -synth] [-queries q1,q2,...] [-mode sonata]
+//	sonata [-pcap trace.pcap] [-queries q1,q2,...] [-mode sonata]
 //	       [-window 3s] [-train 2] [-pkts 100000] [-windows 6] [-v]
-//	       [-workers N] [-debug-addr :9090] [-trace spans.jsonl]
-//	       [-flightrec 64] [-subscribe-addr :9339] [-dial-out host:9339]
+//	       [-workers N] [-debug-addr :9090] [-flightrec 64]
+//	       [-subscribe-addr :9339] [-dial-out host:9339]
 //	sonata -top [-debug-addr host:9090] [-top-interval 1s]
 //
 // Query names follow internal/queries (e.g. newly_opened_tcp_conns,
-// superspreader). The default runs the eight header-field queries.
+// superspreader). The default runs the eight header-field queries. Without
+// -pcap the traffic is synthesized (-pkts packets per window, -windows
+// windows); query thresholds scale with the packets per window of whichever
+// source is replayed.
 //
 // With -debug-addr the process serves live introspection while running:
 // /metrics (Prometheus text format), /debug/vars (expvar), /debug/pprof/,
@@ -21,9 +24,7 @@
 // window builds a span tree — root, lifecycle stages, per-(query, level)
 // op spans with shard attribution — and slow or head-sampled windows are
 // retained; append ?format=text for a waterfall or ?format=chrome for a
-// Perfetto/chrome://tracing file). With -trace it additionally appends one
-// JSONL span per window lifecycle stage (trace slice, switch pass, emitter
-// decode, stream eval, filter update) to the given file ("-" for stderr).
+// Perfetto/chrome://tracing file).
 //
 // With -subscribe-addr the process serves gNMI-style streaming result
 // subscriptions: collectors connect, pick a mode (on-change, sample, or
@@ -41,7 +42,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	goruntime "runtime"
@@ -65,7 +65,6 @@ import (
 
 func main() {
 	pcapPath := flag.String("pcap", "", "replay this pcap file instead of synthesizing traffic")
-	synth := flag.Bool("synth", false, "synthesize traffic (the default when -pcap is absent)")
 	queryList := flag.String("queries", "", "comma-separated query names (default: the eight header queries)")
 	modeName := flag.String("mode", "sonata", "plan mode: sonata, all-sp, filter-dp, max-dp, fix-ref")
 	window := flag.Duration("window", 3*time.Second, "query window W")
@@ -75,7 +74,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print every result tuple")
 	workers := flag.Int("workers", goruntime.GOMAXPROCS(0), "window-pipeline shards (1 = one shard on the calling goroutine)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof/, and /debug/queries on this address (with -top: the address to poll)")
-	tracePath := flag.String("trace", "", "append per-window lifecycle spans as JSONL to this file (\"-\" for stderr)")
 	frCap := flag.Int("flightrec", flightrec.DefaultCapacity, "flight-recorder ring capacity (windows retained)")
 	top := flag.Bool("top", false, "poll a running process's /debug/queries and render a refreshing top view")
 	topInterval := flag.Duration("top-interval", time.Second, "refresh interval for -top")
@@ -97,46 +95,28 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *pcapPath != "" && *synth {
-		fatal(fmt.Errorf("-pcap and -synth are mutually exclusive"))
-	}
 
-	// Observability: the registry, span tracer, and flight recorder always
-	// exist; the endpoints and the JSONL file exporter are opt-in. What
-	// always-on costs is measured, not assumed: the harness's observer
-	// differentials on sonata-seq-100k (go run ./bench, CHANGES.md PR 16)
-	// put the recorder at flightrec.tax_ns_per_pkt = -14 ns/pkt (quartiles
-	// -41..+5 over ten seeds) of 981 ns/pkt ingest, and the registry and
-	// tracez taxes in the same band — all inside the differential's noise. The JSONL tracer is created
-	// first so the recorder's eviction spans land in the same stream as the
-	// window lifecycle stages tracez exports.
-	var tracer *telemetry.Tracer
-	if *tracePath != "" {
-		var w io.Writer = os.Stderr
-		if *tracePath != "-" {
-			f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		tracer = telemetry.NewTracer(w)
-	}
+	// Observability: the registry, trace buffer, and flight recorder always
+	// exist; the endpoints are opt-in. What always-on costs is measured, not
+	// assumed: the harness's observer differentials (go run ./bench:
+	// telemetry.tax_ns_per_pkt, tracez.tax_ns_per_pkt and
+	// flightrec.tax_ns_per_pkt, quoted in README "Performance") are all
+	// inside the differential's noise.
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterBuildInfo(reg, time.Now())
-	tracer.Instrument(reg)
-	tz := tracez.New(tracez.Options{JSONL: tracer})
+	tz := tracez.New(tracez.Options{})
 	tz.Instrument(reg)
-	rec := flightrec.New(*frCap, tracer)
+	// Without the endpoint nothing can read the recorder, so an overwritten
+	// window is only worth a line when someone could have polled for it.
+	var onEvict func(window int)
+	if *debugAddr != "" {
+		onEvict = func(window int) {
+			fmt.Fprintf(os.Stderr, "[sonata] flight recorder overwrote unread window %d; raise -flightrec or poll faster\n", window)
+		}
+	}
+	rec := flightrec.New(*frCap, onEvict)
 	rec.Instrument(reg)
 	rec.AttachTraceIndex(tz.Has)
-	defer func() {
-		if err := tracer.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "[sonata] trace export: dropped %d spans: %v\n",
-				tracer.Dropped(), err)
-		}
-	}()
 
 	// Result delivery: a subscription server collectors dial into, a
 	// dial-out exporter pushing to a remote collector, or both.
@@ -178,7 +158,6 @@ func main() {
 	}
 
 	// Assemble the packet source.
-	slice := tracer.Start(-1, telemetry.StageTraceSlice)
 	var windows [][][]byte
 	if *pcapPath != "" {
 		windows, err = readPcapWindows(*pcapPath, *window)
@@ -196,13 +175,16 @@ func main() {
 			windows = append(windows, w.Frames(i))
 		}
 	}
-	slice.EndAttrs(map[string]uint64{"windows": uint64(len(windows))})
 	if len(windows) <= *trainWindows {
 		fatal(fmt.Errorf("trace has %d windows; need more than the %d training windows", len(windows), *trainWindows))
 	}
 
 	// Resolve queries.
-	params := eval.ScaledParams(eval.Scale{PacketsPerWindow: *pkts})
+	perWindow := *pkts
+	if *pcapPath != "" {
+		perWindow = meanPacketsPerWindow(windows)
+	}
+	params := eval.ScaledParams(eval.Scale{PacketsPerWindow: perWindow})
 	params.Window = *window
 	var qs []*query.Query
 	if *queryList == "" {
@@ -299,6 +281,19 @@ func readPcapWindows(path string, window time.Duration) (windows [][][]byte, err
 		windows = append(windows, frames)
 	}
 	return windows, nil
+}
+
+// meanPacketsPerWindow is the packets-per-window figure query thresholds
+// scale with when the input is a capture rather than -pkts synthesis.
+func meanPacketsPerWindow(windows [][][]byte) int {
+	if len(windows) == 0 {
+		return 0
+	}
+	total := 0
+	for _, w := range windows {
+		total += len(w)
+	}
+	return total / len(windows)
 }
 
 func renderTuple(schema tuple.Schema, t []tuple.Value) string {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/queries"
 	"repro/internal/query"
-	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -71,21 +70,11 @@ func CaseStudy(scale Scale) (*CaseStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(),
-		runtime.Options{Workers: DefaultWorkers})
+	rt, err := NewExperiment(wl, []*query.Query{q}).deploy(plan, pisa.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Close()
-	if DefaultTelemetry != nil || DefaultTracez != nil {
-		rt.Instrument(DefaultTelemetry, DefaultTracez)
-	}
-	if DefaultFlightRec != nil {
-		rt.AttachFlightRecorder(DefaultFlightRec)
-	}
-	if DefaultResultSink != nil {
-		rt.SetResultSink(DefaultResultSink)
-	}
 
 	res := &CaseStudyResult{Victim: victim, VictimIdentifiedWindow: -1, AttackConfirmedWindow: -1}
 	res.Table = &Table{ID: "fig9", Title: "Zorro case study timeline",

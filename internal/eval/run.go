@@ -143,6 +143,25 @@ func (e *Experiment) Training() (*planner.TrainingResult, error) {
 	return tr, nil
 }
 
+// deploy builds a runtime for the plan and attaches the experiment's
+// observers and sink; the caller closes it.
+func (e *Experiment) deploy(plan *planner.Plan, cfg pisa.Config) (*runtime.Runtime, error) {
+	rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{Workers: e.Workers})
+	if err != nil {
+		return nil, err
+	}
+	if e.Telemetry != nil || e.Tracez != nil {
+		rt.Instrument(e.Telemetry, e.Tracez)
+	}
+	if e.FlightRec != nil {
+		rt.AttachFlightRecorder(e.FlightRec)
+	}
+	if e.Sink != nil {
+		rt.SetResultSink(e.Sink)
+	}
+	return rt, nil
+}
+
 // Run plans under the mode and replays the evaluation windows.
 func (e *Experiment) Run(cfg pisa.Config, mode planner.Mode) (*RunResult, error) {
 	tr, err := e.Training()
@@ -155,21 +174,11 @@ func (e *Experiment) Run(cfg pisa.Config, mode planner.Mode) (*RunResult, error)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := runtime.NewWithOptions(plan, cfg,
-		runtime.Options{Workers: e.Workers})
+	rt, err := e.deploy(plan, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Close()
-	if e.Telemetry != nil || e.Tracez != nil {
-		rt.Instrument(e.Telemetry, e.Tracez)
-	}
-	if e.FlightRec != nil {
-		rt.AttachFlightRecorder(e.FlightRec)
-	}
-	if e.Sink != nil {
-		rt.SetResultSink(e.Sink)
-	}
 	res := &RunResult{Mode: mode, Detected: make(map[uint64]bool), PlannedN: plan.ExpectedN()}
 	for _, qp := range plan.Queries {
 		if d := qp.Delay(); d > res.Delay {

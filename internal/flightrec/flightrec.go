@@ -337,7 +337,7 @@ type slot struct {
 // Recorder owns the probes and the ring. A nil *Recorder is a no-op.
 type Recorder struct {
 	mu       sync.Mutex
-	tracer   *telemetry.Tracer
+	onEvict  func(window int)
 	capacity int
 	probes   []*Probe
 	slots    []slot
@@ -360,14 +360,15 @@ type Recorder struct {
 }
 
 // New returns a recorder retaining capacity windows (DefaultCapacity when
-// capacity <= 0). The tracer, which may be nil, receives a flightrec_evict
-// span whenever the ring overwrites a window no Snapshot ever served —
-// the signal that the recorder is underprovisioned for its poll rate.
-func New(capacity int, tracer *telemetry.Tracer) *Recorder {
+// capacity <= 0). onEvict, which may be nil, is called with the lost
+// window's number whenever the ring overwrites a window no Snapshot ever
+// served — the signal that the recorder is underprovisioned for its poll
+// rate. It runs inside Commit, so it must not call back into the recorder.
+func New(capacity int, onEvict func(window int)) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{capacity: capacity, tracer: tracer}
+	return &Recorder{capacity: capacity, onEvict: onEvict}
 }
 
 // Instrument registers the recorder's own metrics against reg (nil
@@ -486,16 +487,8 @@ func (rec *Recorder) Commit(window int, packetsIn uint64, shardBusy []time.Durat
 	if s.seq != 0 && s.seq > rec.served {
 		rec.evicted++
 		rec.mEvicts.Inc()
-		if rec.tracer != nil {
-			rec.tracer.Record(telemetry.Span{
-				Window:  s.window,
-				Stage:   telemetry.StageFlightRecEvict,
-				StartNS: time.Now().UnixNano(),
-				Attrs: map[string]uint64{
-					"records":  uint64(len(s.records)),
-					"capacity": uint64(rec.capacity),
-				},
-			})
+		if rec.onEvict != nil {
+			rec.onEvict(s.window)
 		}
 	}
 	rec.commits++

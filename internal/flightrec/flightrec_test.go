@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -128,30 +127,30 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-// TestEvictSpan: overwriting an unread window must record a flightrec_evict
-// span naming the lost window.
-func TestEvictSpan(t *testing.T) {
-	var buf bytes.Buffer
-	rec := New(1, telemetry.NewTracer(&buf))
+// TestEvictHook: overwriting an unread window calls the hook once with the
+// lost window's number, in step with Snapshot.Evicted; windows a snapshot
+// served are overwritten silently, and a nil hook is safe.
+func TestEvictHook(t *testing.T) {
+	var lost []int
+	rec := New(1, func(window int) { lost = append(lost, window) })
 	rec.Track(TrackConfig{QID: 7, Stages: testStages()})
 	rec.Commit(0, 5, nil)
 	rec.Commit(1, 5, nil) // evicts window 0
-	spans, err := telemetry.ReadSpans(&buf)
-	if err != nil {
-		t.Fatal(err)
+	rec.Commit(2, 5, nil) // evicts window 1
+	if s := rec.Snapshot(0); s.Evicted != 2 {
+		t.Fatalf("evicted = %d, want 2", s.Evicted)
 	}
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
+	rec.Commit(3, 5, nil) // window 2 was served: no eviction
+	if len(lost) != 2 || lost[0] != 0 || lost[1] != 1 {
+		t.Errorf("hook saw windows %v, want [0 1]", lost)
 	}
-	s := spans[0]
-	if s.Stage != telemetry.StageFlightRecEvict {
-		t.Errorf("stage = %q, want %q", s.Stage, telemetry.StageFlightRecEvict)
-	}
-	if s.Window != 0 {
-		t.Errorf("span window = %d, want 0 (the evicted window)", s.Window)
-	}
-	if s.Attrs["capacity"] != 1 || s.Attrs["records"] != 1 {
-		t.Errorf("attrs = %v, want capacity=1 records=1", s.Attrs)
+
+	quiet := New(1, nil)
+	quiet.Track(TrackConfig{QID: 7, Stages: testStages()})
+	quiet.Commit(0, 5, nil)
+	quiet.Commit(1, 5, nil)
+	if s := quiet.Snapshot(0); s.Evicted != 1 {
+		t.Errorf("nil hook: evicted = %d, want 1", s.Evicted)
 	}
 }
 

@@ -2,7 +2,6 @@ package runtime_test
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -261,9 +260,7 @@ func TestMetricsLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(io.Discard)
-	tracer.Instrument(reg)
-	tz := tracez.New(tracez.Options{JSONL: tracer})
+	tz := tracez.New(tracez.Options{})
 	tz.Instrument(reg)
 	rt.Instrument(reg, tz)
 	rec := flightrec.New(4, nil)

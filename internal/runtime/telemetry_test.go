@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/pisa"
@@ -77,10 +76,12 @@ func TestRegistryMatchesWindowReports(t *testing.T) {
 	}
 }
 
-// TestTracerSpansPerWindow runs a few windows with the JSONL exporter
-// attached to the trace buffer and asserts the back-compat contract: each
-// processed window emits exactly one legacy span per pipeline stage, with
-// non-zero durations, and the stream round-trips through encoding/json.
+// TestTracerSpansPerWindow retains every window's trace tree and asserts the
+// per-window lifecycle contract: directly under the window root there is
+// exactly one span per pipeline stage, each with a non-zero duration and the
+// attribute that sizes its work. (Tree structure across worker counts is
+// TestTraceTreeDifferentialWorkers; the publish stage needs a result sink and
+// is covered by TestLatencyTriggeredRetention.)
 func TestTracerSpansPerWindow(t *testing.T) {
 	g, train := buildWorkload(t, 4000, 4)
 	qs := []*query.Query{q1(100)}
@@ -90,47 +91,61 @@ func TestTracerSpansPerWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tracer := telemetry.NewTracer(&buf)
-	tz := tracez.New(tracez.Options{JSONL: tracer, HeadEvery: -1})
+	tz := tracez.New(tracez.Options{HeadEvery: 1})
 	rt.Instrument(nil, tz) // nil registry: tracing works standalone
 
 	const nWindows = 3
 	for w := 0; w < nWindows; w++ {
 		rt.ProcessWindow(framesOf(g.WindowRecords(w)))
 	}
-	if err := tracer.Err(); err != nil {
-		t.Fatal(err)
-	}
 
-	spans, err := telemetry.ReadSpans(&buf)
-	if err != nil {
-		t.Fatal(err)
+	trees := tz.Trees()
+	if len(trees) != nWindows {
+		t.Fatalf("retained %d trees, want %d (HeadEvery=1)", len(trees), nWindows)
 	}
-	// Per window: switch_pass, emitter_decode, stream_eval, filter_update.
-	// (trace_slice is emitted by the caller that assembles the input.)
-	wantStages := []string{
-		telemetry.StageSwitchPass, telemetry.StageEmitterDecode,
-		telemetry.StageStreamEval, telemetry.StageFilterUpdate,
+	wantAttr := map[uint16]uint16{
+		tracez.NameSwitchPass:    tracez.AttrFrames,
+		tracez.NameEmitterDecode: tracez.AttrDumpTuples,
+		tracez.NameStreamEval:    tracez.AttrTuplesIn,
+		tracez.NameFilterUpdate:  tracez.AttrEntries,
 	}
-	if len(spans) != nWindows*len(wantStages) {
-		t.Fatalf("got %d spans, want %d (%d windows x %d stages)",
-			len(spans), nWindows*len(wantStages), nWindows, len(wantStages))
-	}
-	perWindow := map[int]map[string]int{}
-	for _, s := range spans {
-		if s.DurationNS <= 0 {
-			t.Errorf("span %s window %d has duration %d, want > 0", s.Stage, s.Window, s.DurationNS)
+	for _, tree := range trees {
+		var root uint32
+		for _, sp := range tree.Spans {
+			if sp.Name == tracez.NameWindow {
+				root = sp.ID
+			}
 		}
-		if perWindow[s.Window] == nil {
-			perWindow[s.Window] = map[string]int{}
+		if root == 0 {
+			t.Fatalf("window %d: no root span", tree.Window)
 		}
-		perWindow[s.Window][s.Stage]++
-	}
-	for w := 0; w < nWindows; w++ {
-		for _, stage := range wantStages {
-			if perWindow[w][stage] != 1 {
-				t.Errorf("window %d stage %s: %d spans, want exactly 1", w, stage, perWindow[w][stage])
+		count := map[uint16]int{}
+		for _, sp := range tree.Spans {
+			attr, isStage := wantAttr[sp.Name]
+			if !isStage {
+				continue
+			}
+			stage := tracez.NameString(sp.Name)
+			count[sp.Name]++
+			if sp.Parent != root {
+				t.Errorf("window %d: %s parent = %d, want the window root %d", tree.Window, stage, sp.Parent, root)
+			}
+			if sp.DurNS <= 0 {
+				t.Errorf("window %d: %s has duration %d, want > 0", tree.Window, stage, sp.DurNS)
+			}
+			found := false
+			for _, a := range sp.Attrs[:sp.NAttr] {
+				found = found || a.Key == attr
+			}
+			if !found {
+				t.Errorf("window %d: %s missing attr %q: %v", tree.Window, stage,
+					tracez.AttrKeyString(attr), sp.Attrs[:sp.NAttr])
+			}
+		}
+		for name := range wantAttr {
+			if count[name] != 1 {
+				t.Errorf("window %d stage %s: %d spans, want exactly 1",
+					tree.Window, tracez.NameString(name), count[name])
 			}
 		}
 	}

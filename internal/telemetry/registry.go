@@ -1,9 +1,8 @@
 // Package telemetry is the observability layer for the whole Sonata
 // pipeline: a metrics registry whose hot-path handles (Counter, Gauge,
-// Histogram) are allocation-free pre-registered atomics, a span tracer that
-// records the per-window lifecycle as structured JSONL, and exporters
+// Histogram) are allocation-free pre-registered atomics, and exporters
 // (Prometheus text format, expvar, pprof) served over a debug HTTP
-// endpoint.
+// endpoint. Per-window spans are internal/tracez's.
 //
 // The design follows the production telemetry daemons that front real
 // switch ASICs: components register every series once at install time and

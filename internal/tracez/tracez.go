@@ -34,8 +34,8 @@ const (
 	// NameWindow is the per-window root span covering first frame to
 	// publish completion.
 	NameWindow uint16 = iota
-	// NameSwitchPass..NamePublish mirror the telemetry package's lifecycle
-	// stages (the JSONL back-compat schema).
+	// NameSwitchPass..NamePublish are the per-window lifecycle stages, one
+	// span each under the root, in this order.
 	NameSwitchPass
 	NameEmitterDecode
 	NameStreamEval
@@ -252,10 +252,6 @@ type Options struct {
 	// MinWindows is the estimator warm-up: latency-triggered retention
 	// stays off until this many windows have closed (default 16).
 	MinWindows int
-	// JSONL, when set, receives the six lifecycle stage spans of every
-	// window in the legacy telemetry.Span schema — the flat -trace file
-	// demoted to one exporter over the span stream.
-	JSONL *telemetry.Tracer
 }
 
 func (o Options) withDefaults() Options {
@@ -343,12 +339,10 @@ func (t *Tracer) Lane(i int) *Ring {
 }
 
 // CloseWindow collects the window's spans from every lane, feeds the
-// close-latency estimator, decides retention, exports the lifecycle stages
-// to the JSONL exporter if one is attached, and resets the lanes for the
+// close-latency estimator, decides retention, and resets the lanes for the
 // next window. It must be called from the orchestration goroutine after
 // the worker join (all lane writers quiesced). closeNS is the root span's
-// close latency. The steady (non-retained, no-JSONL) path is
-// allocation-free.
+// close latency. The steady (non-retained) path is allocation-free.
 func (t *Tracer) CloseWindow(window int, closeNS int64) {
 	if t == nil {
 		return
@@ -387,9 +381,6 @@ func (t *Tracer) CloseWindow(window int, closeNS int64) {
 	if reason != "" {
 		t.retain(window, closeNS, threshold, reason)
 	}
-	if t.opts.JSONL != nil {
-		t.exportJSONL()
-	}
 	for _, r := range t.lanes {
 		r.n, r.seq, r.dropped = 0, 0, 0
 	}
@@ -426,58 +417,6 @@ func (t *Tracer) retain(window int, closeNS, threshold int64, reason string) {
 	}
 	copy(t.retained, t.retained[1:])
 	t.retained[len(t.retained)-1] = tree
-}
-
-// jsonlStage maps interned lifecycle names to the legacy JSONL stage
-// strings; other spans (root, op, fan-out) are not part of the back-compat
-// schema and are skipped by the exporter.
-func jsonlStage(name uint16) (string, bool) {
-	switch name {
-	case NameSwitchPass:
-		return telemetry.StageSwitchPass, true
-	case NameEmitterDecode:
-		return telemetry.StageEmitterDecode, true
-	case NameStreamEval:
-		return telemetry.StageStreamEval, true
-	case NameFilterUpdate:
-		return telemetry.StageFilterUpdate, true
-	case NamePublish:
-		return telemetry.StagePublish, true
-	}
-	return "", false
-}
-
-// exportJSONL writes the window's lifecycle stage spans to the attached
-// legacy tracer in ring (start) order — the same order and schema the old
-// flat tracer produced. Runs under t.mu before the lanes reset.
-func (t *Tracer) exportJSONL() {
-	for _, r := range t.lanes {
-		for i := 0; i < r.n; i++ {
-			sp := &r.spans[i]
-			stage, ok := jsonlStage(sp.Name)
-			if !ok {
-				continue
-			}
-			var attrs map[string]uint64
-			if sp.NAttr > 0 {
-				attrs = make(map[string]uint64, sp.NAttr)
-				for j := 0; j < int(sp.NAttr); j++ {
-					attrs[AttrKeyString(sp.Attrs[j].Key)] = sp.Attrs[j].Val
-				}
-			}
-			dur := sp.DurNS
-			if dur < 0 {
-				dur = 0
-			}
-			t.opts.JSONL.Record(telemetry.Span{
-				Window:     int(sp.Window),
-				Stage:      stage,
-				StartNS:    sp.StartNS,
-				DurationNS: dur,
-				Attrs:      attrs,
-			})
-		}
-	}
 }
 
 // Has reports whether a retained tree exists for the given window (the

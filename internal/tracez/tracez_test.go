@@ -1,9 +1,7 @@
 package tracez
 
 import (
-	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -211,79 +209,6 @@ func TestRetainedEvictsOldest(t *testing.T) {
 	}
 	if tz.Has(0) || tz.Has(1) {
 		t.Error("oldest trees not evicted")
-	}
-}
-
-// TestJSONLExportBackCompat: with a legacy JSONL exporter attached, every
-// window's lifecycle stage spans come out in the old tracer's schema and
-// order — same stages, same attribute keys — while root and op spans stay
-// out of the stream.
-func TestJSONLExportBackCompat(t *testing.T) {
-	var buf bytes.Buffer
-	jl := telemetry.NewTracer(&buf)
-	tz := New(Options{JSONL: jl, HeadEvery: -1})
-	orch, shard0 := tz.Lane(0), tz.Lane(1)
-
-	for w := 0; w < 2; w++ {
-		orch.SetContext(w, 0)
-		root := orch.Start(NameWindow)
-		orch.SetContext(w, root.ID())
-		sw := orch.Start(NameSwitchPass)
-		sw.Attr(AttrFrames, 10)
-		time.Sleep(time.Millisecond)
-		sw.End()
-		ed := orch.Start(NameEmitterDecode)
-		ed.Attr(AttrDumpTuples, 2)
-		time.Sleep(time.Millisecond)
-		ed.End()
-		se := orch.Start(NameStreamEval)
-		shard0.SetContext(w, se.ID())
-		op := shard0.Start(NameOpEval)
-		op.End()
-		se.Attr(AttrTuplesIn, 5)
-		time.Sleep(time.Millisecond)
-		se.End()
-		fu := orch.Start(NameFilterUpdate)
-		fu.Attr(AttrEntries, 1)
-		time.Sleep(time.Millisecond)
-		fu.End()
-		tz.CloseWindow(w, root.End().Nanoseconds())
-	}
-
-	spans, err := telemetry.ReadSpans(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStages := []string{
-		telemetry.StageSwitchPass, telemetry.StageEmitterDecode,
-		telemetry.StageStreamEval, telemetry.StageFilterUpdate,
-	}
-	if len(spans) != 2*len(wantStages) {
-		t.Fatalf("got %d JSONL spans, want %d", len(spans), 2*len(wantStages))
-	}
-	wantAttrs := map[string]string{
-		telemetry.StageSwitchPass:    "frames",
-		telemetry.StageEmitterDecode: "dump_tuples",
-		telemetry.StageStreamEval:    "tuples_in",
-		telemetry.StageFilterUpdate:  "entries",
-	}
-	for i, s := range spans {
-		want := wantStages[i%len(wantStages)]
-		if s.Stage != want {
-			t.Errorf("span %d stage = %q, want %q", i, s.Stage, want)
-		}
-		if s.Window != i/len(wantStages) {
-			t.Errorf("span %d window = %d, want %d", i, s.Window, i/len(wantStages))
-		}
-		if s.DurationNS <= 0 {
-			t.Errorf("span %d duration %d, want > 0", i, s.DurationNS)
-		}
-		if _, ok := s.Attrs[wantAttrs[s.Stage]]; !ok {
-			t.Errorf("span %d (%s) missing attr %q: %v", i, s.Stage, wantAttrs[s.Stage], s.Attrs)
-		}
-	}
-	if jl.Spans() != uint64(len(spans)) {
-		t.Errorf("exporter counted %d spans, stream has %d", jl.Spans(), len(spans))
 	}
 }
 

@@ -3,11 +3,11 @@
 # benchmark harness (bench/README.md), the measurement a performance change
 # has to quote.
 #
-# BASE (any git revision) is checked out into a temporary worktree and both
-# commits' harnesses are built once. Each of PAIRS pairs (default 10) makes
-# one full record per side with `-seed <pair number> -seconds SECONDS`
-# (default 8), alternating which side goes first so drift on the host lands
-# on both. The records stay in bench/out/ab/ and the run ends with
+# BASE (any git revision) is unpacked with `git archive` into a temporary
+# directory and both commits' harnesses are built once. Each of PAIRS pairs
+# (default 10) makes one full record per side with `-seed <pair number>
+# -seconds SECONDS` (default 8), alternating which side goes first so drift on
+# the host lands on both. The records stay in bench/out/ab/ and the run ends with
 #
 #	go run ./bench -compare base-1.json,...,base-N.json new-1.json,...,new-N.json
 #
@@ -20,13 +20,10 @@ seconds=${3:-8}
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
+trap 'rm -rf "$tmp"' EXIT INT TERM
 
-git -C "$root" worktree add --detach "$tmp/base" "$base" >/dev/null
+mkdir "$tmp/base"
+git -C "$root" archive "$base" | tar -x -C "$tmp/base"
 (cd "$tmp/base" && go build -o "$tmp/bench-base" ./bench)
 (cd "$root" && go build -o "$tmp/bench-new" ./bench)
 
