@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/telemetry ./internal/runtime ./internal/stream
+	$(GO) test -race ./internal/telemetry ./internal/runtime ./internal/stream ./internal/pisa ./internal/query ./internal/emitter
 
 # The benchmark: the harness (bench/README.md), four workloads, ~3.5 min,
 # record in bench/out/record.json. The paper-figure benchmarks are
@@ -31,21 +31,25 @@ bench:
 
 # Column-kernel gate, under the race detector: the shared kernels
 # (internal/query, with internal/tuple's columns and selections and
-# internal/keytab's bulk probe) against their scalar definitions; then each
+# internal/keytab's bulk probe) against their scalar definitions, a batch's
+# header-field columns against Packet.Field and the flat rule set against a
+# map; then each
 # of their two callers against its reference — the stream executor against
 # the per-tuple interpreter over generated op chains and adversarial window
 # sizes, every batched switch walk against frame-at-a-time Process; then the
 # boundary between the two, batch hand-off against the wire codec's round
 # trip; and once, the sharded runtime against the scalar oracle (inline and
-# at 2/8 workers). View batches and their prescreen masks are shared
-# read-only across shards while each shard's emitter adopts them into its
-# own scratch; the race detector is what proves "read-only".
+# at 2/8 workers). View batches, their prescreen masks and their field
+# columns are shared read-only across shards while each shard's emitter
+# adopts them into its own scratch; the race detector is what proves
+# "read-only" (`make race` runs the whole of the packages that hold them).
 check-kernels:
-	$(GO) test -race -count=1 -run 'Kernels|TestContainsKeyBatch|TestColumnKinds' ./internal/query
+	$(GO) test -race -count=1 -run 'TestLevelShift' ./internal/fields
+	$(GO) test -race -count=1 -run 'Kernels|TestContainsKeyBatch|TestColumnKinds|TestFieldColumns|TestFieldSet|TestU64Set' ./internal/query
 	$(GO) test -race -count=1 -run 'TestAppendKeyCols|TestSelections|TestColumnPool' ./internal/tuple
 	$(GO) test -race -count=1 -run 'TestLookupBulk' ./internal/keytab
 	$(GO) test -race -count=1 -run 'TestBatched' ./internal/stream
-	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths' ./internal/pisa
+	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential' ./internal/runtime
 
@@ -77,7 +81,7 @@ check-trace:
 # subject to perf noise and does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
+		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

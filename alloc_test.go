@@ -61,9 +61,17 @@ func TestAllocBudget(t *testing.T) {
 	// flight-recorder probes attached, a populated dynamic filter and warm
 	// banks. Selections, columns, key scratch and the emit pass's rows are
 	// all reused, and funnel counts are bulk adds.
-	psw, views := allocBudgetProbedSwitch(t)
+	pre := pisa.NewPrescreen()
+	psw, views := allocBudgetProbedSwitch(t, pre)
 	psw.ProcessViews(views) // warm: scratch grows to the batch, keys insert
 	check("SwitchProcessViewsProbed", func() { psw.ProcessViews(views) })
+
+	// The dispatch side of the same batch: runnable bitmap, the header-field
+	// columns of the three instances' fields, one bitmap per leading-filter
+	// atom — into masks that are reused batch after batch.
+	var masks pisa.PrescreenMasks
+	pre.Eval(views, &masks) // warm: columns and bitmaps grow to the batch
+	check("PrescreenEval", func() { pre.Eval(views, &masks) })
 
 	// Monitoring port as deployed: the same kind of batch through All-SP
 	// instances, so every runnable frame crosses to the stream processor once
@@ -233,7 +241,7 @@ func allocBudgetSwitch(t testing.TB) *pisa.Switch {
 // and a mid-pipeline distinct that mirrors per tuple, all with
 // flight-recorder probes — plus one parsed 256-frame batch that exercises
 // each of them.
-func allocBudgetProbedSwitch(t testing.TB) (*pisa.Switch, []pisa.View) {
+func allocBudgetProbedSwitch(t testing.TB, ps *pisa.Prescreen) (*pisa.Switch, []pisa.View) {
 	instance := func(q *query.Query, level uint8, cut int) *pisa.InstanceSpec {
 		pipe := compile.CompilePipeline(q.Left.Ops)
 		spec := &pisa.InstanceSpec{QID: q.ID, Level: level, Ops: q.Left.Ops, Tables: pipe.Tables,
@@ -258,7 +266,7 @@ func allocBudgetProbedSwitch(t testing.TB) (*pisa.Switch, []pisa.View) {
 	spread.ID = 2
 	prog := &pisa.Program{Instances: []*pisa.InstanceSpec{
 		instance(coarse, 8, 4), instance(refined, 16, 5), instance(spread, 32, 4)}}
-	sw, err := pisa.NewSwitch(pisa.DefaultConfig(), prog, nil)
+	sw, err := pisa.NewSwitchShared(pisa.DefaultConfig(), prog, nil, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

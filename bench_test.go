@@ -331,12 +331,28 @@ func BenchmarkSwitchProcess(b *testing.B) {
 // probes attached, a populated dynamic filter, warm banks (the shape
 // TestAllocBudget pins at zero allocations).
 func BenchmarkSwitchProcessViewsProbed(b *testing.B) {
-	sw, views := allocBudgetProbedSwitch(b)
+	sw, views := allocBudgetProbedSwitch(b, nil)
 	sw.ProcessViews(views)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw.ProcessViews(views)
+	}
+}
+
+// BenchmarkPrescreenEval is the dispatch side of the same deployment: one
+// 256-view batch per iteration through Prescreen.Eval — the runnable bitmap,
+// the header-field columns every instance reads, and the leading-filter
+// atoms over them (TestAllocBudget pins it at zero allocations).
+func BenchmarkPrescreenEval(b *testing.B) {
+	pre := pisa.NewPrescreen()
+	_, views := allocBudgetProbedSwitch(b, pre)
+	var masks pisa.PrescreenMasks
+	pre.Eval(views, &masks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pre.Eval(views, &masks)
 	}
 }
 

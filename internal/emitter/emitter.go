@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/pisa"
+	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/tuple"
@@ -219,7 +220,7 @@ type Emitter struct {
 	// record, one value buffer and one packet serve every frame.
 	dec     MirrorDecoder
 	decoded pisa.Mirror
-	pkt     [1]*packet.Packet
+	pkt     query.PacketBatch // one packet, no field columns
 	// Batch-path scratch, per view of the current view batch and shared by
 	// every instance of the shard: pkts[i] is view i adopted and
 	// deep-decoded, valid where ready is set; bad marks the views that did
@@ -278,7 +279,7 @@ func (e *Emitter) Instrument(reg *telemetry.Registry) {
 // parsing (DNS) because stream-processor portions of queries may reference
 // fields the switch cannot extract.
 func New(engine *stream.Engine) *Emitter {
-	return &Emitter{engine: engine, pkt: [1]*packet.Packet{new(packet.Packet)},
+	return &Emitter{engine: engine, pkt: query.PacketBatch{Pkts: []*packet.Packet{new(packet.Packet)}},
 		parser: packet.NewParser(packet.ParserOptions{DecodeDNS: true})}
 }
 
@@ -352,12 +353,12 @@ func (e *Emitter) Deliver(m *pisa.Mirror) {
 			// The switch's header parse survived the round trip (same
 			// process); adopt it and apply only the deep DNS decode the
 			// switch-side parser skips.
-			e.parser.Adopt(m.Parsed, e.pkt[0])
-		} else if err := e.parser.Parse(m.Packet, e.pkt[0]); err != nil {
+			e.parser.Adopt(m.Parsed, e.pkt.Pkts[0])
+		} else if err := e.parser.Parse(m.Packet, e.pkt.Pkts[0]); err != nil {
 			e.malformed(1)
 			return
 		}
-		inst.IngestPackets(side, e.pkt[:], oneSel)
+		inst.IngestPackets(side, &e.pkt, oneSel)
 	}
 }
 
@@ -411,8 +412,10 @@ func (e *Emitter) beginViews(n int) {
 
 // deliverPackets hands a packet-phase batch's tail frames (there are no
 // shunts before the first map) to the engine in one call, having adopted
-// each of them that no earlier instance of the shard already has. It returns
-// the records' encoded size past their headers.
+// each of them that no earlier instance of the shard already has: the
+// adoptions, under the header-field columns the switch's packets came with —
+// a field the switch parses reads the same in both. It returns the records'
+// encoded size past their headers.
 func (e *Emitter) deliverPackets(b *pisa.MirrorBatch, inst *stream.Instance, side stream.Side, ok bool) (wire uint64) {
 	var decoded, unparsed uint64
 	for w, tail := range b.Tail {
@@ -440,7 +443,8 @@ func (e *Emitter) deliverPackets(b *pisa.MirrorBatch, inst *stream.Instance, sid
 	e.m.deepDecodes.Add(decoded)
 	if ok {
 		e.malformed(unparsed)
-		inst.IngestPackets(side, e.pkts, e.sel)
+		adopted := b.Packets.WithPackets(e.pkts[:len(b.Views)])
+		inst.IngestPackets(side, &adopted, e.sel)
 	}
 	return wire
 }

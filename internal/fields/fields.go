@@ -181,23 +181,36 @@ func (id ID) Bits() int { return Lookup(id).Bits }
 // Hierarchical reports whether the field supports refinement levels.
 func (id ID) Hierarchical() bool { return Lookup(id).Hierarchical }
 
-// TruncateU64 returns the numeric value v reduced to refinement level
-// level for field id. For IPv4 addresses, level is a prefix length and the
-// result keeps the top level bits. Truncating to the field's MaxLevel is the
-// identity. TruncateU64 panics if the field is not numeric-hierarchical.
-func TruncateU64(id ID, v uint64, level int) uint64 {
-	info := Lookup(id)
-	if !info.Hierarchical || info.Kind != Numeric {
-		panic(fmt.Sprintf("fields: TruncateU64 on non-hierarchical field %s", id))
+// LevelShift returns the number of low bits refinement level level clears
+// from a value of field id: v >> s << s is the value at that level. For IPv4
+// addresses, level is a prefix length and the top level bits survive.
+// Level zero and below clear everything (s = 64, and Go defines an
+// over-wide shift of an unsigned value as zero); the field's MaxLevel and
+// beyond clear nothing. A caller masking many values resolves the shift
+// once and loops over shifts. LevelShift panics if the field is not
+// numeric-hierarchical.
+func LevelShift(id ID, level int) uint {
+	if !Valid(id) {
+		panic(fmt.Sprintf("fields: invalid field ID %d", id))
 	}
-	if level <= 0 {
+	info := &infos[id]
+	if !info.Hierarchical || info.Kind != Numeric {
+		panic(fmt.Sprintf("fields: LevelShift on non-hierarchical field %s", id))
+	}
+	switch {
+	case level <= 0:
+		return 64
+	case level >= info.MaxLevel:
 		return 0
 	}
-	if level >= info.MaxLevel {
-		return v
-	}
-	shift := uint(info.MaxLevel - level)
-	return v >> shift << shift
+	return uint(info.MaxLevel - level)
+}
+
+// TruncateU64 returns the numeric value v reduced to refinement level
+// level for field id: one value's worth of LevelShift.
+func TruncateU64(id ID, v uint64, level int) uint64 {
+	s := LevelShift(id, level)
+	return v >> s << s
 }
 
 // TCP flag bit masks for the TCPFlags field.

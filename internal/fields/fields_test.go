@@ -78,6 +78,41 @@ func TestTruncateU64IPv4(t *testing.T) {
 	}
 }
 
+// TestLevelShift holds the shift a loop resolves once to the definition of
+// truncation, at every level from below zero to beyond MaxLevel, for the
+// 32-bit and the 64-bit hierarchical fields.
+func TestLevelShift(t *testing.T) {
+	for _, id := range []ID{SrcIP, DstIP, SrcIPv6, DstIPv6} {
+		max := Lookup(id).MaxLevel
+		for _, v := range []uint64{0, 1, 0xC0A80164, 0x20010db8_85a3_0001, 1<<uint(max-1) | 1, ^uint64(0) >> uint(64-max)} {
+			for level := -2; level <= max+3; level++ {
+				want := v // at MaxLevel and beyond: the identity
+				switch {
+				case level <= 0:
+					want = 0
+				case level < max:
+					want = v &^ (1<<uint(max-level) - 1)
+				}
+				s := LevelShift(id, level)
+				if got := v >> s << s; got != want || TruncateU64(id, v, level) != want {
+					t.Errorf("%s %#x level %d: shift %d gives %#x, TruncateU64 %#x, want %#x",
+						id, v, level, s, got, TruncateU64(id, v, level), want)
+				}
+			}
+		}
+	}
+	for _, id := range []ID{Proto, DNSQName, Unknown, numIDs} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LevelShift(%d) did not panic", id)
+				}
+			}()
+			LevelShift(id, 4)
+		}()
+	}
+}
+
 func TestTruncateU64PanicsOnFlatField(t *testing.T) {
 	defer func() {
 		if recover() == nil {

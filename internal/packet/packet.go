@@ -79,109 +79,6 @@ func (p *Packet) Clone() *Packet {
 // packet).
 func (p *Packet) Field(f fields.ID) (tuple.Value, bool) {
 	switch f {
-	case fields.EthSrc:
-		if !p.Has(LayerEthernet) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(macToU64(p.Eth.Src)), true
-	case fields.EthDst:
-		if !p.Has(LayerEthernet) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(macToU64(p.Eth.Dst)), true
-	case fields.EthType:
-		if !p.Has(LayerEthernet) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.Eth.Type)), true
-	case fields.SrcIP:
-		if !p.Has(LayerIPv4) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.IPv4.Src)), true
-	case fields.DstIP:
-		if !p.Has(LayerIPv4) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.IPv4.Dst)), true
-	case fields.SrcIPv6:
-		if !p.Has(LayerIPv6) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(p.IPv6.SrcHi), true
-	case fields.DstIPv6:
-		if !p.Has(LayerIPv6) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(p.IPv6.DstHi), true
-	case fields.Proto:
-		if p.Has(LayerIPv4) {
-			return tuple.U64(uint64(p.IPv4.Proto)), true
-		}
-		if p.Has(LayerIPv6) {
-			return tuple.U64(uint64(p.IPv6.NextHeader)), true
-		}
-		return tuple.Value{}, false
-	case fields.TTL:
-		if !p.Has(LayerIPv4) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.IPv4.TTL)), true
-	case fields.IPLen:
-		if !p.Has(LayerIPv4) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.IPv4.TotalLen)), true
-	case fields.IPID:
-		if !p.Has(LayerIPv4) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.IPv4.ID)), true
-	case fields.DSCP:
-		if !p.Has(LayerIPv4) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.IPv4.TOS)), true
-	case fields.SrcPort:
-		if p.Has(LayerTCP) {
-			return tuple.U64(uint64(p.TCP.SrcPort)), true
-		}
-		if p.Has(LayerUDP) {
-			return tuple.U64(uint64(p.UDP.SrcPort)), true
-		}
-		return tuple.Value{}, false
-	case fields.DstPort:
-		if p.Has(LayerTCP) {
-			return tuple.U64(uint64(p.TCP.DstPort)), true
-		}
-		if p.Has(LayerUDP) {
-			return tuple.U64(uint64(p.UDP.DstPort)), true
-		}
-		return tuple.Value{}, false
-	case fields.TCPFlags:
-		if !p.Has(LayerTCP) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.TCP.Flags)), true
-	case fields.TCPSeq:
-		if !p.Has(LayerTCP) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.TCP.Seq)), true
-	case fields.TCPAck:
-		if !p.Has(LayerTCP) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.TCP.Ack)), true
-	case fields.TCPWin:
-		if !p.Has(LayerTCP) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(p.TCP.Window)), true
-	case fields.PktLen:
-		return tuple.U64(uint64(len(p.Data))), true
-	case fields.PayloadLen:
-		return tuple.U64(uint64(len(p.Payload))), true
 	case fields.Payload:
 		if !p.Has(LayerPayload) {
 			return tuple.Value{}, false
@@ -197,26 +94,83 @@ func (p *Packet) Field(f fields.ID) (tuple.Value, bool) {
 			return tuple.Value{}, false
 		}
 		return tuple.Str(p.DNS.Answers[0].Name), true
+	}
+	v, ok := p.Numeric(f)
+	if !ok {
+		return tuple.Value{}, false
+	}
+	return tuple.U64(v), true
+}
+
+// Numeric is Field for the numeric fields, without the Value around the
+// number — what a batch's field columns are extracted through. The number is
+// meaningful only beside true; a string-valued or synthetic field reports
+// false.
+func (p *Packet) Numeric(f fields.ID) (uint64, bool) {
+	switch f {
+	case fields.EthSrc:
+		return macToU64(p.Eth.Src), p.Has(LayerEthernet)
+	case fields.EthDst:
+		return macToU64(p.Eth.Dst), p.Has(LayerEthernet)
+	case fields.EthType:
+		return uint64(p.Eth.Type), p.Has(LayerEthernet)
+	case fields.SrcIP:
+		return uint64(p.IPv4.Src), p.Has(LayerIPv4)
+	case fields.DstIP:
+		return uint64(p.IPv4.Dst), p.Has(LayerIPv4)
+	case fields.SrcIPv6:
+		return p.IPv6.SrcHi, p.Has(LayerIPv6)
+	case fields.DstIPv6:
+		return p.IPv6.DstHi, p.Has(LayerIPv6)
+	case fields.Proto:
+		if p.Has(LayerIPv4) {
+			return uint64(p.IPv4.Proto), true
+		}
+		return uint64(p.IPv6.NextHeader), p.Has(LayerIPv6)
+	case fields.TTL:
+		return uint64(p.IPv4.TTL), p.Has(LayerIPv4)
+	case fields.IPLen:
+		return uint64(p.IPv4.TotalLen), p.Has(LayerIPv4)
+	case fields.IPID:
+		return uint64(p.IPv4.ID), p.Has(LayerIPv4)
+	case fields.DSCP:
+		return uint64(p.IPv4.TOS), p.Has(LayerIPv4)
+	case fields.SrcPort:
+		if p.Has(LayerTCP) {
+			return uint64(p.TCP.SrcPort), true
+		}
+		return uint64(p.UDP.SrcPort), p.Has(LayerUDP)
+	case fields.DstPort:
+		if p.Has(LayerTCP) {
+			return uint64(p.TCP.DstPort), true
+		}
+		return uint64(p.UDP.DstPort), p.Has(LayerUDP)
+	case fields.TCPFlags:
+		return uint64(p.TCP.Flags), p.Has(LayerTCP)
+	case fields.TCPSeq:
+		return uint64(p.TCP.Seq), p.Has(LayerTCP)
+	case fields.TCPAck:
+		return uint64(p.TCP.Ack), p.Has(LayerTCP)
+	case fields.TCPWin:
+		return uint64(p.TCP.Window), p.Has(LayerTCP)
+	case fields.PktLen:
+		return uint64(len(p.Data)), true
+	case fields.PayloadLen:
+		return uint64(len(p.Payload)), true
 	case fields.DNSQType:
 		if !p.Has(LayerDNS) || len(p.DNS.Questions) == 0 {
-			return tuple.Value{}, false
+			return 0, false
 		}
-		return tuple.U64(uint64(p.DNS.Questions[0].Type)), true
+		return uint64(p.DNS.Questions[0].Type), true
 	case fields.DNSAnCount:
-		if !p.Has(LayerDNS) {
-			return tuple.Value{}, false
-		}
-		return tuple.U64(uint64(len(p.DNS.Answers))), true
+		return uint64(len(p.DNS.Answers)), p.Has(LayerDNS)
 	case fields.DNSQR:
-		if !p.Has(LayerDNS) {
-			return tuple.Value{}, false
-		}
 		if p.DNS.Response {
-			return tuple.U64(1), true
+			return 1, p.Has(LayerDNS)
 		}
-		return tuple.U64(0), true
+		return 0, p.Has(LayerDNS)
 	default:
-		return tuple.Value{}, false
+		return 0, false
 	}
 }
 

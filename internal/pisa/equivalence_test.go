@@ -78,7 +78,7 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 					}
 					parser := packet.NewParser(packet.ParserOptions{})
 					var pkt packet.Packet
-					pkts, one := []*packet.Packet{&pkt}, []uint64{1} // one selects pkt
+					pkts, one := &query.PacketBatch{Pkts: []*packet.Packet{&pkt}}, []uint64{1} // one selects pkt
 					sw, err := NewSwitch(DefaultConfig(), &Program{Instances: []*InstanceSpec{spec}},
 						func(m Mirror) {
 							switch {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/packet"
+	"repro/internal/query"
 	"repro/internal/tuple"
 )
 
@@ -14,8 +15,8 @@ import (
 // every switch table (its bit is in Tail) — never both — and the records of
 // the frame-at-a-time walk are exactly the set bits of Tail|Shunt in
 // ascending frame order. The batch and everything it references belong to
-// the switch and are valid only during the sink call; Views is shared
-// read-only across worker shards.
+// the switch and are valid only during the sink call; Views and Packets are
+// shared read-only across worker shards.
 type MirrorBatch struct {
 	// The instance's static identity, as every one of its Mirror records
 	// carries it. EntryOp is where the stream processor resumes for tail
@@ -27,6 +28,11 @@ type MirrorBatch struct {
 	NeedsPacket bool
 
 	Views []View
+	// Packets is the views' packets with the batch's header-field columns, as
+	// the packet-phase kernels take them: a sink that runs the rest of a
+	// packet-phase pipeline over its own decode of the same frames keeps the
+	// columns (query.PacketBatch.WithPackets).
+	Packets *query.PacketBatch
 	// NewViews is set on the first hand-off of a view batch: whatever the
 	// sink derived per view from the previous batch is stale, even though
 	// Views may be the same (recycled) storage.

@@ -1,9 +1,6 @@
 package pisa
 
-import (
-	"repro/internal/packet"
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // Prescreen owns the program-wide set of distinct static leading-filter
 // clauses ("atoms") that gate instance entry. A switch built with
@@ -15,11 +12,17 @@ import (
 // every shard re-evaluates every atom over every frame, multiplying the
 // prescreen cost by the worker count.
 //
+// The header fields the instances read in packet phase are interned the same
+// way (fields): Eval extracts each of them from every runnable frame once —
+// the parser filling the packet header vector — and the atoms, the switch
+// walks of every shard and the stream processors behind them read columns.
+//
 // A Prescreen is built single-threaded (switch construction) and read-only
 // afterwards; Eval writes only into the caller-owned PrescreenMasks.
 type Prescreen struct {
 	atoms  []query.Clause
 	atomOf map[query.Clause]int
+	fields query.FieldSet
 }
 
 // NewPrescreen returns an empty shared atom space.
@@ -40,21 +43,24 @@ func (ps *Prescreen) intern(cl query.Clause) int {
 	return idx
 }
 
-// PrescreenMasks is the per-batch bitmap set a dispatch side computes once
-// and ships read-only to every shard: the runnable bitmap, one selection
-// bitmap per atom, and the views' packets in the form the column kernels
-// take them. Storage is reused across batches and grows monotonically, so a
+// PrescreenMasks is what a dispatch side computes once per batch and ships
+// read-only to every shard: the runnable bitmap, one selection bitmap per
+// atom, and the views' packets in the form the column kernels take them —
+// with the interned header fields of every runnable frame extracted into
+// frame-indexed columns (a field's carried-by bitmap is a subset of
+// runnable). Storage is reused across batches and grows monotonically, so a
 // pooled batch carrying its masks allocates nothing in steady state.
 type PrescreenMasks struct {
 	runnable []uint64
 	atoms    [][]uint64
-	pkts     []*packet.Packet
+	batch    query.PacketBatch
 }
 
-// Eval fills m with the runnable bitmap and one bitmap per atom over vs:
-// bit i of an atom's mask is set when view i is runnable and matches the
-// clause. After Eval the masks are read-only until the next Eval, so any
-// number of shards may consult them concurrently.
+// Eval fills m with the runnable bitmap, the field columns of the runnable
+// frames, and one bitmap per atom over vs: bit i of an atom's mask is set
+// when view i is runnable and matches the clause. After Eval everything in m
+// is read-only until the next Eval, so any number of shards may consult it
+// concurrently.
 func (ps *Prescreen) Eval(vs []View, m *PrescreenMasks) {
 	words := (len(vs) + 63) >> 6
 	if cap(m.runnable) < words {
@@ -69,20 +75,21 @@ func (ps *Prescreen) Eval(vs []View, m *PrescreenMasks) {
 	for w := range run {
 		run[w] = 0
 	}
-	m.pkts = m.pkts[:0]
+	pkts := m.batch.Pkts[:0]
 	for i := range vs {
-		m.pkts = append(m.pkts, &vs[i].Pkt)
+		pkts = append(pkts, &vs[i].Pkt)
 		if vs[i].Runnable {
 			run[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	m.runnable = run
+	m.runnable, m.batch.Pkts = run, pkts
+	m.batch.Extract(&ps.fields, run)
 	for a := range ps.atoms {
 		if cap(m.atoms[a]) < words {
 			m.atoms[a] = make([]uint64, words)
 		}
 		m.atoms[a] = m.atoms[a][:words]
 		copy(m.atoms[a], run)
-		query.FilterPackets(m.atoms[a], m.pkts, ps.atoms[a:a+1])
+		query.FilterPackets(m.atoms[a], &m.batch, ps.atoms[a:a+1])
 	}
 }

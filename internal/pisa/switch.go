@@ -223,6 +223,9 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 			dynRules: make([]atomic.Pointer[query.DynSet], spec.CutAt),
 			frStage:  make([]int, spec.CutAt), atoms: make([][]int, spec.CutAt),
 			kinds: query.ColumnKinds(spec.Ops, nil)}
+		// Whichever side of the cut reads a header field reads it from the
+		// batch's columns: the stream processor resumes over the same frames.
+		ps.fields.AddOps(spec.Ops)
 		// Until the first map runs, tables see the packet: that is the
 		// leading run of filter tables. Their static clauses become shared
 		// atoms, deduplicated across every switch sharing the prescreen —

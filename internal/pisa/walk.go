@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"repro/internal/compile"
+	"repro/internal/fields"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -12,15 +13,19 @@ import (
 // ANDs the prescreen's atom bitmaps into it, every other stateless table is
 // one of internal/query's column kernels — the code the stream processor
 // runs past the partition point — clearing the bits of the frames it
-// rejects. Past the first map the batch's metadata tuples live column-major —
-// one frame-indexed tuple.Column per field — so a stateful table can hash
-// every surviving key first and then probe its register bank in a tight
-// frame-order loop. Each stage's flight-recorder entering count is the
-// popcount of the selection entering it, whether or not a probe is attached.
-// Collision shunts are set aside as they happen and handed to the sink
-// together with the tail selection as one MirrorBatch per instance, whose
-// frame order is the frame-at-a-time walk's mirror sequence; an instance
-// with nothing to report makes no sink call.
+// rejects; the packet-phase ones read the header-field columns the dispatch
+// side extracted with the masks. A dynamic filter table's match bitmap over
+// the batch depends only on (rule set, key field, level), so it is computed
+// once per batch and ANDed in by every table that shares the three — the two
+// sides of a join instance, by construction. Past the first map the batch's
+// metadata tuples live column-major — one frame-indexed tuple.Column per
+// field — so a stateful table can hash every surviving key first and then
+// probe its register bank in a tight frame-order loop. Each stage's
+// flight-recorder entering count is the popcount of the selection entering
+// it, whether or not a probe is attached. Collision shunts are set aside as
+// they happen and handed to the sink together with the tail selection as one
+// MirrorBatch per instance, whose frame order is the frame-at-a-time walk's
+// mirror sequence; an instance with nothing to report makes no sink call.
 
 // shuntRec remembers a collision shunt until the emit pass: the stateful op
 // that overflowed and where in shuntVals the tuple it saw is kept.
@@ -44,11 +49,24 @@ type walkScratch struct {
 	shunts    int    // bits set in shuntMask
 	handed    bool   // the sink has seen this view batch
 	touched   uint32 // sink for RegisterBank.touch
+	// dyn memoises this batch's dynamic-filter match bitmaps; the first nDyn
+	// are valid. begin forgets them: a bitmap is over one batch's frames.
+	dyn  []dynMatch
+	nDyn int
+}
+
+// dynMatch is the frames of the current batch a rule set admits when probed
+// with a key field at a level.
+type dynMatch struct {
+	set   *query.DynSet
+	field fields.ID
+	level int
+	match []uint64
 }
 
 // begin sizes the per-frame scratch for a batch of n frames.
 func (ws *walkScratch) begin(n int) {
-	ws.n, ws.handed = n, false
+	ws.n, ws.handed, ws.nDyn = n, false, 0
 	words := (n + 63) >> 6
 	if cap(ws.sel) < words {
 		ws.sel = make([]uint64, words)
@@ -59,6 +77,26 @@ func (ws *walkScratch) begin(n int) {
 		ws.shuntAt = make([]shuntRec, n)
 	}
 	ws.shuntAt = ws.shuntAt[:n]
+}
+
+// dynMatch returns the runnable frames of the batch that set admits under
+// dynamic filter o, probing on the first call of a batch for (set, key field,
+// level) and answering from the memo afterwards.
+func (ws *walkScratch) dynMatch(set *query.DynSet, o *query.Op, m *PrescreenMasks) []uint64 {
+	for i := range ws.dyn[:ws.nDyn] {
+		if d := &ws.dyn[i]; d.set == set && d.field == o.DynKeyField && d.level == o.DynLevel {
+			return d.match
+		}
+	}
+	if ws.nDyn == len(ws.dyn) {
+		ws.dyn = append(ws.dyn, dynMatch{})
+	}
+	d := &ws.dyn[ws.nDyn]
+	ws.nDyn++
+	d.set, d.field, d.level = set, o.DynKeyField, o.DynLevel
+	d.match = append(d.match[:0], m.runnable...)
+	set.FilterPackets(d.match, &m.batch, o)
+	return d.match
 }
 
 // ProcessViewsPre is ProcessViews with the prescreen bitmaps already
@@ -126,21 +164,24 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 				break
 			}
 			for _, a := range st.atoms[t] {
-				am := m.atoms[a]
-				for w := range sel {
-					sel[w] &= am[w]
-				}
+				tuple.SelAnd(sel, m.atoms[a])
 			}
 		case compile.TableDynFilter:
 			// One rule snapshot per batch observes every update a per-packet
-			// load would: rules change between batches, at window close.
-			st.dynRules[t].Load().FilterPackets(sel, m.pkts, o)
+			// load would: rules change between batches, at window close. A
+			// table not yet populated admits nothing: the finer level idles.
+			set := st.dynRules[t].Load()
+			if set.Len() == 0 {
+				clear(sel)
+				break
+			}
+			tuple.SelAnd(sel, ws.dynMatch(set, o, m))
 		case compile.TableMap:
 			out := ws.pool.Take(st.kinds[tab.OpIdx+1])
 			if inTuplePhase {
 				query.MapCols(cols, ws.n, o.Cols, out)
 			} else {
-				query.MapPackets(sel, m.pkts, o.Cols, out)
+				query.MapPackets(sel, &m.batch, o.Cols, out)
 			}
 			cols, inTuplePhase = out, true
 		case compile.TableHashIndex:
@@ -170,7 +211,7 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 	st.fr.MirrorN(reports)
 	b := &st.out
 	b.n = int(reports)
-	b.Views, b.NewViews, ws.handed = vs, !ws.handed, true
+	b.Views, b.Packets, b.NewViews, ws.handed = vs, &m.batch, !ws.handed, true
 	b.Tail, b.Shunt, b.TuplePhase = sel, ws.shuntMask, inTuplePhase
 	b.cols, b.shuntAt, b.shuntVals = cols, ws.shuntAt, ws.shuntVals
 	sw.sink.HandleMirrorBatch(b)

@@ -138,7 +138,7 @@ func TestEachQueryDetectsItsAttack(t *testing.T) {
 			}
 			parser := packet.NewParser(packet.ParserOptions{DecodeDNS: true})
 			var pkt packet.Packet
-			pkts, one := []*packet.Packet{&pkt}, []uint64{1} // one selects pkt
+			pkts, one := &query.PacketBatch{Pkts: []*packet.Packet{&pkt}}, []uint64{1} // one selects pkt
 			inst := engine.Instance(1, 0)
 			for _, r := range g.WindowRecords(0).Records {
 				if parser.Parse(r.Data, &pkt) != nil {

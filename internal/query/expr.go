@@ -124,6 +124,15 @@ func (cl *Clause) MatchValue(v tuple.Value) bool {
 	}
 }
 
+// matchU64 is MatchValue for a number against a numeric comparison (no
+// string argument, not CmpContains): the test a column loop runs per row.
+func (cl *Clause) matchU64(v uint64) bool {
+	if cl.Cmp == CmpMaskEq {
+		return v&cl.Mask == cl.Arg.U
+	}
+	return cl.Cmp.compareU64(v, cl.Arg.U)
+}
+
 // MatchPacket evaluates a packet-phase clause. Packets lacking the field do
 // not match.
 func (cl *Clause) MatchPacket(p *packet.Packet) bool {
@@ -289,8 +298,9 @@ func (e *Expr) EvalTupleCols(cols []tuple.Column, n int, out tuple.Column) {
 			}
 			break
 		}
+		s := fields.LevelShift(e.Field, e.Level)
 		for r := range out.U[:n] {
-			out.U[r] = fields.TruncateU64(e.Field, out.U[r], e.Level)
+			out.U[r] = out.U[r] >> s << s
 		}
 	case ExprShiftRound:
 		e.Sub.EvalTupleCols(cols, n, out)
@@ -315,6 +325,44 @@ func (e *Expr) EvalTupleCols(cols []tuple.Column, n int, out tuple.Column) {
 		}
 	default:
 		panic(fmt.Sprintf("query: expression kind %d in tuple phase", e.Kind))
+	}
+}
+
+// evalPacketCols is EvalPacket column-at-a-time, for an expression whose only
+// packet input is a field the batch extracted: it writes every row of out and
+// returns the rows the expression is defined on (nil for all of them — a
+// constant). It reports false, having written nothing that matters, for an
+// expression over any other field; the caller then asks the packets.
+func (e *Expr) evalPacketCols(b *PacketBatch, out []uint64) (has []uint64, ok bool) {
+	switch e.Kind {
+	case ExprField:
+		var vals []uint64
+		if vals, has, ok = b.Column(e.Field); ok {
+			copy(out, vals)
+		}
+		return has, ok
+	case ExprConst:
+		for r := range out {
+			out[r] = e.Const
+		}
+		return nil, true
+	case ExprMask:
+		if has, ok = e.Sub.evalPacketCols(b, out); ok {
+			s := fields.LevelShift(e.Field, e.Level)
+			for r := range out {
+				out[r] = out[r] >> s << s
+			}
+		}
+		return has, ok
+	case ExprShiftRound:
+		if has, ok = e.Sub.evalPacketCols(b, out); ok {
+			for r := range out {
+				out[r] >>= e.Shift
+			}
+		}
+		return has, ok
+	default:
+		panic(fmt.Sprintf("query: expression kind %d in packet phase", e.Kind))
 	}
 }
 

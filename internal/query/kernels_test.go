@@ -14,7 +14,9 @@ import (
 // The kernels are driven against their scalar definitions — Clause.MatchValue
 // / MatchPacket, Expr.EvalTuple / EvalPacket, set membership — over numeric
 // and string columns, at batch lengths on both sides of the bitmap word
-// boundary, from an empty, a sparse and a full selection.
+// boundary, from an empty, a sparse and a full selection; the packet-phase
+// ones over a batch with no field extracted and over one with every field
+// columns can carry.
 
 var kernelLens = []int{0, 1, 63, 64, 65, 256}
 
@@ -74,6 +76,18 @@ func kernelPackets(t *testing.T, rng *rand.Rand, n int) []*packet.Packet {
 	return pkts
 }
 
+// kernelBatches returns pkts as the packet-phase kernels take them: bare, and
+// with every extractable field in columns.
+func kernelBatches(pkts []*packet.Packet) map[string]*PacketBatch {
+	set := new(FieldSet)
+	for _, f := range fields.All() {
+		set.Add(f)
+	}
+	extracted := &PacketBatch{Pkts: pkts}
+	extracted.Extract(set, tuple.SelAll(nil, len(pkts)))
+	return map[string]*PacketBatch{"bare": {Pkts: pkts}, "extracted": extracted}
+}
+
 // kernelCols builds n rows of (small number, address, name, small number
 // or zero) in the columns a batch keeps them in.
 var kernelKinds = []bool{false, false, true, false}
@@ -109,6 +123,11 @@ func TestFilterKernelsMatchScalar(t *testing.T) {
 		{Gt(fields.PktLen, 150), Eq(fields.Proto, 6)},
 		{Contains(fields.DNSQName, "tunnel1")},
 		{Ne(fields.DstPort, 53)},
+		{MaskEq(fields.TCPFlags, fields.FlagSYN|fields.FlagACK, fields.FlagSYN)}, // UDP has no flags
+		{Le(fields.SrcIP, 8), Ge(fields.PktLen, 100), Lt(fields.DstPort, 81)},
+		{{Field: fields.Proto, Col: -1, Cmp: CmpEq, Arg: tuple.Str("6")}}, // a string against a number
+		{{Field: fields.Proto, Col: -1, Cmp: CmpNe, Arg: tuple.Str("6")}},
+		{Eq(fields.DNSQType, uint64(packet.DNSTypeTXT))}, // numeric, but not the switch's to parse
 	}
 	rng := rand.New(rand.NewSource(20))
 	for _, n := range kernelLens {
@@ -125,16 +144,18 @@ func TestFilterKernelsMatchScalar(t *testing.T) {
 					return ok
 				})
 			}
-			for ci, clauses := range pktClauses {
-				got := append([]uint64(nil), sel...)
-				FilterPackets(got, pkts, clauses)
-				checkSel(t, fmt.Sprintf("FilterPackets n=%d %s clauses %d", n, name, ci), got, n, func(r int) bool {
-					ok := selected(sel, r)
-					for c := range clauses {
-						ok = ok && clauses[c].MatchPacket(pkts[r])
-					}
-					return ok
-				})
+			for bname, b := range kernelBatches(pkts) {
+				for ci, clauses := range pktClauses {
+					got := append([]uint64(nil), sel...)
+					FilterPackets(got, b, clauses)
+					checkSel(t, fmt.Sprintf("FilterPackets n=%d %s %s clauses %d", n, name, bname, ci), got, n, func(r int) bool {
+						ok := selected(sel, r)
+						for c := range clauses {
+							ok = ok && clauses[c].MatchPacket(pkts[r])
+						}
+						return ok
+					})
+				}
 			}
 		}
 	}
@@ -164,6 +185,9 @@ func TestMapKernelsMatchScalar(t *testing.T) {
 		{F(fields.SrcIP), MaskF(fields.DstIP, 16), RoundF(fields.PktLen, 64), ConstCol(1)},
 		{F(fields.DstIP), F(fields.TCPFlags)},                            // UDP has no flags
 		{MaskF(fields.DNSQName, 2), F(fields.SrcIP), F(fields.DNSQName)}, // only DNS queries have a name
+		{MaskF(fields.SrcIP, 0), MaskF(fields.DstIP, 32), F(fields.DNSQType), MaskF(fields.DstIP, 8)},
+		{{Expr: Expr{Kind: ExprShiftRound, Shift: 4, Sub: &Expr{Kind: ExprMask, Field: fields.DstIP, Level: 24, Sub: &Expr{Kind: ExprField, Field: fields.DstIP}}}}},
+		{{Expr: Expr{Kind: ExprShiftRound, Shift: 1, Sub: &Expr{Kind: ExprField, Field: fields.DNSQName}}}}, // a name has no bits to shift
 	}
 	rng := rand.New(rand.NewSource(21))
 	var pool tuple.ColumnPool
@@ -182,26 +206,28 @@ func TestMapKernelsMatchScalar(t *testing.T) {
 			}
 		}
 		for name, sel := range kernelSelections(rng, n) {
-			for ei, exprs := range pktExprs {
-				kinds := make([]bool, len(exprs))
-				for c := range exprs {
-					kinds[c] = exprs[c].Expr.IsStr(nil)
-				}
-				pool.Reset(n)
-				out := pool.Take(kinds)
-				got := append([]uint64(nil), sel...)
-				MapPackets(got, pkts, exprs, out)
-				what := fmt.Sprintf("MapPackets n=%d %s exprs %d", n, name, ei)
-				checkSel(t, what, got, n, func(r int) bool {
-					ok := selected(sel, r)
+			for bname, b := range kernelBatches(pkts) {
+				for ei, exprs := range pktExprs {
+					kinds := make([]bool, len(exprs))
 					for c := range exprs {
-						v, has := exprs[c].Expr.EvalPacket(pkts[r])
-						if ok = ok && has; ok && !out[c].At(r).Equal(v) {
-							t.Fatalf("%s: row %d column %d = %v, EvalPacket %v", what, r, c, out[c].At(r), v)
-						}
+						kinds[c] = exprs[c].Expr.IsStr(nil)
 					}
-					return ok
-				})
+					pool.Reset(n)
+					out := pool.Take(kinds)
+					got := append([]uint64(nil), sel...)
+					MapPackets(got, b, exprs, out)
+					what := fmt.Sprintf("MapPackets n=%d %s %s exprs %d", n, name, bname, ei)
+					checkSel(t, what, got, n, func(r int) bool {
+						ok := selected(sel, r)
+						for c := range exprs {
+							v, has := exprs[c].Expr.EvalPacket(pkts[r])
+							if ok = ok && has; ok && !out[c].At(r).Equal(v) {
+								t.Fatalf("%s: row %d column %d = %v, EvalPacket %v", what, r, c, out[c].At(r), v)
+							}
+						}
+						return ok
+					})
+				}
 			}
 		}
 	}
@@ -287,11 +313,13 @@ func TestContainsKeyBatchMatchesScalar(t *testing.T) {
 					}
 					return ok && selected(sel, r)
 				}
-				got = append(got[:0], sel...)
-				set.FilterPackets(got, pkts, o)
-				checkSel(t, fmt.Sprintf("DynSet.FilterPackets n=%d %s table %s", n, name, o.DynFilterTable), got, n, wantPkts)
-				NewDynSet(nil).FilterPackets(got, pkts, o)
-				checkSel(t, "an empty set", got, n, func(int) bool { return false })
+				for bname, b := range kernelBatches(pkts) {
+					got = append(got[:0], sel...)
+					set.FilterPackets(got, b, o)
+					checkSel(t, fmt.Sprintf("DynSet.FilterPackets n=%d %s %s table %s", n, name, bname, o.DynFilterTable), got, n, wantPkts)
+					NewDynSet(nil).FilterPackets(got, b, o)
+					checkSel(t, "an empty set", got, n, func(int) bool { return false })
+				}
 			}
 		}
 	}

@@ -186,6 +186,7 @@ type Runtime struct {
 	batchPool *sync.Pool
 	fill      *viewBatch // batch currently being filled
 	framesIn  uint64     // frames ingested this window (PacketsIn)
+	touched   uint32     // sink for fanOut's frame loads
 	// pre is the shard switches' shared prescreen atom space; fanOut
 	// evaluates it once per batch so shards only AND precomputed bitmaps.
 	pre *pisa.Prescreen
@@ -486,9 +487,10 @@ func (r *Runtime) ProcessWindow(frames [][]byte) *WindowReport {
 }
 
 // Process pushes a single frame (streaming use; pair with CloseWindow): it
-// parses the frame once into the filling view batch and hands a full batch
-// to every shard. The parsed views alias the frame and outlive this call,
-// so the caller must not modify it until the window closes.
+// adds the frame to the filling view batch and hands a full batch — parsed
+// once, in fanOut — to every shard. The parsed views alias the frame and
+// outlive this call, so the caller must not modify it until the window
+// closes.
 func (r *Runtime) Process(frame []byte) {
 	r.markWindowStart()
 	r.framesIn++
@@ -499,7 +501,7 @@ func (r *Runtime) Process(frame []byte) {
 		b.n = 0
 		r.fill = b
 	}
-	b.views[b.n].Prepare(r.parser, frame)
+	b.views[b.n].Frame = frame
 	b.n++
 	if b.n == len(b.views) {
 		r.fanOut(r.takeFill(), msgBatch)
@@ -517,13 +519,27 @@ func (r *Runtime) takeFill() *viewBatch {
 
 // fanOut hands a message (optionally carrying a batch) to every shard:
 // through its ring while workers are live, by executing it here otherwise.
-// The batch's runnable and static leading-filter bitmaps are computed once
-// here — on the dispatch side — so every shard's batched walk only ANDs the
-// masks its own instances reference.
+// The batch is parsed here, a batch at a time: the frames of a replay are
+// cold, so the header lines of every frame are loaded first, back to back —
+// independent loads whose cache misses overlap, the RegisterBank.touch idiom
+// — and the parser then finds them on their way in. The batch's runnable and
+// static leading-filter bitmaps and its header-field columns are computed
+// once here too — on the dispatch side — so every shard's batched walk only
+// ANDs the masks its own instances reference and reads columns.
 func (r *Runtime) fanOut(b *viewBatch, kind uint8) {
 	if b != nil {
+		views := b.views[:b.n]
+		for i := range views {
+			// Ethernet, IP and transport headers end within the first two lines.
+			if f := views[i].Frame; len(f) > 0 {
+				r.touched += uint32(f[0]) + uint32(f[min(len(f)-1, 64)])
+			}
+		}
+		for i := range views {
+			views[i].Prepare(r.parser, views[i].Frame)
+		}
 		if !r.opts.Scalar {
-			r.pre.Eval(b.views[:b.n], &b.masks)
+			r.pre.Eval(views, &b.masks)
 		}
 		b.refs.Store(int32(len(r.shards)))
 	}

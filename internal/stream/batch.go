@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"repro/internal/keytab"
-	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -124,15 +123,16 @@ func (e *pipeExec) bufferCols(at int, cols []tuple.Column, sel []uint64) {
 }
 
 // ingestPackets is ingestPacket over the selected packets of pkts, op by op
-// instead of packet by packet: the kernels clear selection bits, the per-op
-// counters move by popcount, and the landing map evaluates the surviving
-// packets into columns that bufferCols copies into the batch. Packets are
-// taken in ascending order and the batch flushes at capacity as it does for
-// bufferTuple, so the downstream keytabs see the first-touch order of
-// per-packet ingest. sel is not modified. It returns the selection of the
-// packets that passed every op and ended the pipeline still packets (none
-// once a map has landed them), valid until the next call.
-func (e *pipeExec) ingestPackets(at int, pkts []*packet.Packet, sel []uint64) []uint64 {
+// instead of packet by packet: the kernels clear selection bits — reading the
+// header fields pkts carries as columns — the per-op counters move by
+// popcount, and the landing map evaluates the surviving packets into columns
+// that bufferCols copies into the batch. Packets are taken in ascending order
+// and the batch flushes at capacity as it does for bufferTuple, so the
+// downstream keytabs see the first-touch order of per-packet ingest. sel is
+// not modified. It returns the selection of the packets that passed every op
+// and ended the pipeline still packets (none once a map has landed them),
+// valid until the next call.
+func (e *pipeExec) ingestPackets(at int, pkts *query.PacketBatch, sel []uint64) []uint64 {
 	e.pktSel = append(e.pktSel[:0], sel...)
 	sel = e.pktSel
 	live := uint64(tuple.SelCount(sel))
@@ -151,7 +151,7 @@ func (e *pipeExec) ingestPackets(at int, pkts []*packet.Packet, sel []uint64) []
 			live = uint64(tuple.SelCount(sel))
 			e.outCounts[i] += live
 		case o.Kind == query.OpMap:
-			e.land.Reset(len(pkts))
+			e.land.Reset(len(pkts.Pkts))
 			out := e.land.Take(e.kinds[i+1])
 			query.MapPackets(sel, pkts, o.Cols, out)
 			e.outCounts[i] += uint64(tuple.SelCount(sel))

@@ -356,9 +356,9 @@ func (rq *Instance) TakesPackets(side Side) bool {
 // IngestPackets delivers the selected packets of pkts — sel is an
 // index-aligned selection bitmap, read-only — in ascending order to the
 // given side's pipeline at its partition point, with the load counters
-// advanced once. Nothing aliases the packets past the call. The caller has
-// established HasSide and TakesPackets.
-func (rq *Instance) IngestPackets(side Side, pkts []*packet.Packet, sel []uint64) {
+// advanced once. Nothing aliases the packets or their field columns past the
+// call. The caller has established HasSide and TakesPackets.
+func (rq *Instance) IngestPackets(side Side, pkts *query.PacketBatch, sel []uint64) {
 	n := tuple.SelCount(sel)
 	if n == 0 {
 		return
@@ -369,8 +369,8 @@ func (rq *Instance) IngestPackets(side Side, pkts []*packet.Packet, sel []uint64
 		// The per-packet reference.
 		rq.rows = tuple.SelRows(sel, rq.rows[:0])
 		for _, r := range rq.rows {
-			if ex.ingestPacket(at, pkts[r]) && ex == rq.prePacket {
-				rq.bufferJoinLeft(pkts[r])
+			if ex.ingestPacket(at, pkts.Pkts[r]) && ex == rq.prePacket {
+				rq.bufferJoinLeft(pkts.Pkts[r])
 			}
 		}
 		return
@@ -380,7 +380,7 @@ func (rq *Instance) IngestPackets(side Side, pkts []*packet.Packet, sel []uint64
 		// The join's survivors are buffered row by row.
 		rq.rows = tuple.SelRows(passed, rq.rows[:0])
 		for _, r := range rq.rows {
-			rq.bufferJoinLeft(pkts[r])
+			rq.bufferJoinLeft(pkts.Pkts[r])
 		}
 	}
 }

@@ -27,7 +27,7 @@ func mkSyn(t testing.TB, src, dst uint32) *packet.Packet {
 // ingestPacket delivers one packet to the given side of an installed
 // instance.
 func ingestPacket(e *Engine, qid uint16, level uint8, side Side, pkt *packet.Packet) {
-	e.Instance(qid, level).IngestPackets(side, []*packet.Packet{pkt}, []uint64{1})
+	e.Instance(qid, level).IngestPackets(side, &query.PacketBatch{Pkts: []*packet.Packet{pkt}}, []uint64{1})
 }
 
 func query1(th uint64) *query.Query {

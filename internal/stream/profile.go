@@ -39,9 +39,10 @@ type PipelineProfile struct {
 type Profiler struct {
 	ops  []query.Op
 	exec *pipeExec
-	// run and all are the current run's packets, as the executor takes them,
-	// and an all-ones selection over it.
-	run []*packet.Packet
+	// run and all are the current run's packets, as the executor takes them
+	// (no field is extracted: one pipeline reads each field about once, which
+	// is what extraction costs), and an all-ones selection over it.
+	run query.PacketBatch
 	all []uint64
 }
 
@@ -64,12 +65,12 @@ func (p *Profiler) Feed(pkts []packet.Packet) {
 	p.exec.inputCount += uint64(len(pkts))
 	for len(pkts) > 0 {
 		n := min(batchCap, len(pkts))
-		p.run = p.run[:0]
+		p.run.Pkts = p.run.Pkts[:0]
 		for i := range pkts[:n] {
-			p.run = append(p.run, &pkts[i])
+			p.run.Pkts = append(p.run.Pkts, &pkts[i])
 		}
 		p.all = tuple.SelAll(p.all, n)
-		p.exec.ingestPackets(0, p.run, p.all)
+		p.exec.ingestPackets(0, &p.run, p.all)
 		pkts = pkts[n:]
 	}
 }

@@ -98,7 +98,9 @@ func take[T any](bufs *[][]T, used *int, n int) []T {
 		*bufs = append(*bufs, nil)
 	}
 	buf := &(*bufs)[*used]
-	if cap(*buf) < n {
+	if cap(*buf) < n || *buf == nil {
+		// Never nil, even for an empty walk: which slice is non-nil is the
+		// column's kind.
 		*buf = make([]T, n)
 	}
 	*used++
@@ -129,6 +131,13 @@ func SelAll(sel []uint64, n int) []uint64 {
 		sel[nw-1] = 1<<uint(r) - 1
 	}
 	return sel
+}
+
+// SelAnd narrows sel to the rows also in mask, which is at least as long.
+func SelAnd(sel, mask []uint64) {
+	for w := range sel {
+		sel[w] &= mask[w]
+	}
 }
 
 // SelRows appends the selected row indices, ascending, to rows.
