@@ -75,13 +75,14 @@ check-trace:
 	$(GO) test -race -run 'TestTraceTree|TestLatencyTriggered' ./internal/runtime
 
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
-# against alloc_budget.json (all zeros since the arena-backed state rewrite);
+# against alloc_budget.json (zero for every path but the runtime's whole
+# window close, which allocates its report and refinement rule sets);
 # the -benchmem run prints the same paths' current numbers for the log.
 # Allocation counts are deterministic, so unlike bench-smoke this gate is not
 # subject to perf noise and does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$' .
+		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

@@ -9,11 +9,14 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/emitter"
+	"repro/internal/eval"
 	"repro/internal/fields"
 	"repro/internal/flightrec"
 	"repro/internal/keytab"
 	"repro/internal/packet"
 	"repro/internal/pisa"
+	"repro/internal/planner"
+	"repro/internal/queries"
 	"repro/internal/query"
 	"repro/internal/runtime"
 	"repro/internal/stream"
@@ -25,9 +28,10 @@ import (
 
 // TestAllocBudget is the gating side of `make bench-alloc`: each hot path
 // runs under testing.AllocsPerRun and must not exceed the budget checked in
-// as alloc_budget.json. The budgets are all zero — the tentpole claim of the
-// arena-backed state rewrite — and tightening or relaxing one is a reviewed
-// change to the JSON file, not a silent drift.
+// as alloc_budget.json. Every budget but RuntimeWindowClose is zero, and
+// that one is the measured count of what a window's report and refinement
+// rule sets allocate; tightening or relaxing one is a reviewed change to the
+// JSON file, not a silent drift.
 func TestAllocBudget(t *testing.T) {
 	raw, err := os.ReadFile("alloc_budget.json")
 	if err != nil {
@@ -147,6 +151,27 @@ func TestAllocBudget(t *testing.T) {
 			bEng.Instance(1, 0).IngestTuple(stream.SideLeft, mvals)
 		}
 	})
+
+	// Window close of join instances: a tuple-entered inner and left-outer
+	// join whose right outputs are indexed in a reused keytab and whose
+	// joined rows are built in one scratch row, over warm state, results and
+	// per-query counts the engine hands out again next window.
+	closeJoins := allocBudgetJoinEngine(t)
+	for i := 0; i < 3; i++ {
+		closeJoins()
+	}
+	check("EngineJoinClose", closeJoins)
+
+	// The whole window close of the deployed shape: the header queries'
+	// Sonata plan on one shard over a small fixed window, replayed into
+	// warm state, then dump, decode, evaluation, refinement update and the
+	// report. What is left is the report itself and the rule sets the
+	// refinement publishes, not the join or the per-packet work.
+	closeRuntime := allocBudgetRuntimeWindow(t)
+	for i := 0; i < 3; i++ {
+		closeRuntime()
+	}
+	check("RuntimeWindowClose", closeRuntime)
 
 	// Result delivery: one window published through the subscription server
 	// with a stalled drop-oldest subscriber. Encode-once into pooled frames
@@ -358,6 +383,78 @@ func allocBudgetMirrorBoundary(t testing.TB) (*pisa.Switch, []pisa.View) {
 			Proto: 6, DstPort: 80, TCPFlags: []uint8{fields.FlagSYN, fields.FlagACK}[i%2], Pad: 128}))
 	}
 	return sw, views
+}
+
+// allocBudgetJoinEngine installs the SYN-flood shape twice — SYNs per host
+// minus ACKs per host, as an inner and as a left-outer join — with both
+// sides' tuples entering at their reduces, and returns one window of it:
+// overlapping keys ingested into both sides, then EndWindow.
+func allocBudgetJoinEngine(t testing.TB) func() {
+	eng := stream.NewEngine(nil)
+	for i, outer := range []bool{false, true} {
+		side := func(flag uint64) *query.Builder {
+			return query.NewBuilder("side", 3*time.Second).
+				Filter(query.Eq(fields.TCPFlags, flag)).
+				Map(query.F(fields.DstIP), query.ConstCol(1)).
+				Reduce(query.AggSum, fields.DstIP)
+		}
+		b := side(fields.FlagSYN)
+		if outer {
+			b = b.OuterJoin(side(fields.FlagACK), fields.DstIP)
+		} else {
+			b = b.Join(side(fields.FlagACK), fields.DstIP)
+		}
+		q := b.Map(query.C(fields.DstIP), query.Diff(fields.AggVal, fields.AggVal2)).MustBuild()
+		q.ID = uint16(i + 1)
+		if err := eng.Install(q, 0, stream.Partition{LeftStart: 2, RightStart: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals := make([]tuple.Value, 2)
+	return func() {
+		for qid := uint16(1); qid <= 2; qid++ {
+			inst := eng.Instance(qid, 0)
+			for i := 0; i < 64; i++ {
+				vals[0], vals[1] = tuple.U64(uint64(i%24)), tuple.U64(1)
+				inst.IngestTuple(stream.SideLeft, vals)
+				vals[0] = tuple.U64(uint64(8 + i%24))
+				inst.IngestTuple(stream.SideRight, vals)
+			}
+		}
+		eng.EndWindow()
+	}
+}
+
+// allocBudgetRuntimeWindow deploys the header queries' Sonata plan, trained
+// on a small fixed trace, on one shard and returns one window of it: the
+// trace's first evaluation window replayed, then Runtime.CloseWindow.
+func allocBudgetRuntimeWindow(t testing.TB) func() {
+	scale := eval.Scale{PacketsPerWindow: 2_000, Windows: 3, TrainWindows: 2, Hosts: 300, Seed: 1}
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := queries.TopEight(eval.ScaledParams(scale))
+	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pisa.DefaultConfig()
+	plan, err := planner.PlanQueries(tr, qs, cfg, planner.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := runtime.New(plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := w.Frames(w.EvalWindowIndices()[0])
+	return func() {
+		for _, f := range frames {
+			rt.Process(f)
+		}
+		rt.CloseWindow()
+	}
 }
 
 func allocBudgetEngine(t testing.TB) *stream.Engine {

@@ -25,6 +25,8 @@
 //	BenchmarkMirrorBatchIngest          — the switch→SP batch hand-off, per 256-view batch
 //	BenchmarkEmitterRoundTrip           — the wire codec on one tuple record
 //	BenchmarkKeytabSteadyState          — keyed-state probe/insert at steady capacity
+//	BenchmarkEngineJoinClose            — one window of an inner and a left-outer join, close included
+//	BenchmarkRuntimeWindowClose         — one small window of the header queries' Sonata plan, close included
 //
 // End-to-end throughput of the window loop is the harness's job: go run ./bench.
 package main
@@ -413,6 +415,33 @@ func BenchmarkMirrorBatchIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw.ProcessViews(views)
+	}
+}
+
+// BenchmarkEngineJoinClose is the stream processor's window close on join
+// instances: one window of tuples into both sides of an inner and a
+// left-outer join, then EndWindow (TestAllocBudget pins it at zero
+// allocations).
+func BenchmarkEngineJoinClose(b *testing.B) {
+	window := allocBudgetJoinEngine(b)
+	window()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window()
+	}
+}
+
+// BenchmarkRuntimeWindowClose is one small window of the deployed shape end
+// to end — the header queries' Sonata plan on one shard, a 2,000-packet
+// window replayed and closed — whose allocations TestAllocBudget bounds.
+func BenchmarkRuntimeWindowClose(b *testing.B) {
+	window := allocBudgetRuntimeWindow(b)
+	window()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window()
 	}
 }
 

@@ -15,8 +15,9 @@
 // and drivers.DataPlaneServer) delivers through it. HandleMirrorBatch is
 // the in-process path the deployed runtime takes: the batched walk hands
 // over one pisa.MirrorBatch per (instance, view batch), nothing is
-// serialized, each mirrored view is adopted and deep-decoded once per batch
-// whatever the number of instances mirroring it, and the monitoring-port
+// serialized, each mirrored view is adopted once per batch whatever the
+// number of instances mirroring it (and DNS-decoded only while an installed
+// query reads a DNS field), and the monitoring-port
 // bytes are counted from the wire format's layout instead of from a buffer.
 // Both paths deliver the same records in the same order and count the same
 // frames, bytes and malformed records; TestMirrorBatchMatchesWire holds
@@ -27,7 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/packet"
 	"repro/internal/pisa"
@@ -215,9 +215,15 @@ func decodeVals(dst []tuple.Value, data []byte, n int) ([]tuple.Value, []byte, e
 // a pisa.MirrorSink.
 type Emitter struct {
 	engine *stream.Engine
+	// parser adopts and parses mirrored packets, deep-decoding DNS when dns
+	// is set: while the engine has an instance installed that reads a DNS
+	// field (see packetParser).
 	parser *packet.Parser
+	dns    bool
 	// Wire-path scratch: the engine copies anything it retains, so one
+	// encode buffer (the frame copy crossing the monitoring port), one
 	// record, one value buffer and one packet serve every frame.
+	buf     []byte
 	dec     MirrorDecoder
 	decoded pisa.Mirror
 	pkt     query.PacketBatch // one packet, no field columns
@@ -237,12 +243,6 @@ type Emitter struct {
 	// m holds telemetry handles (zero value when uninstrumented).
 	m emitterMetrics
 }
-
-// bufPool shares encode buffers (which hold the mirror frame copy crossing
-// the monitoring port) across all emitters, so a sharded deployment's
-// per-shard emitters amortize their steady-state buffers instead of each
-// growing one, and the encode path stays allocation-free once warm.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // oneSel selects the wire path's single packet.
 var oneSel = []uint64{1}
@@ -269,18 +269,28 @@ func (e *Emitter) Instrument(reg *telemetry.Registry) {
 		batches: reg.Counter("sonata_emitter_batches_total",
 			"Mirror batches handed over in process (frames per batch is the mean run the stream processor sees)."),
 		deepDecodes: reg.Counter("sonata_emitter_deep_decodes_total",
-			"Mirrored packets adopted or re-parsed and deep-decoded (DNS): once per view per batch in process, once per frame on the wire path."),
+			"Mirrored packets whose DNS layer was deep-decoded, which happens only while an installed query reads a DNS field: once per view per batch in process, once per frame on the wire path."),
 		dumps: reg.Counter("sonata_emitter_dump_tuples_total",
 			"Register-dump tuples converted into pre-aggregated records."),
 	}
 }
 
-// New returns an emitter delivering into engine. The emitter enables deep
-// parsing (DNS) because stream-processor portions of queries may reference
-// fields the switch cannot extract.
+// New returns an emitter delivering into engine.
 func New(engine *stream.Engine) *Emitter {
 	return &Emitter{engine: engine, pkt: query.PacketBatch{Pkts: []*packet.Packet{new(packet.Packet)}},
-		parser: packet.NewParser(packet.ParserOptions{DecodeDNS: true})}
+		parser: packet.NewParser(packet.ParserOptions{})}
+}
+
+// packetParser returns the parser for mirrored packets. Stream-processor
+// portions of queries may read DNS fields the switch's parser leaves
+// undecoded, so the emitter deep-decodes DNS — but only while the engine
+// has such an instance installed: a DNS name nobody reads is a string
+// allocated per packet for nothing.
+func (e *Emitter) packetParser() *packet.Parser {
+	if dns := e.engine.ReadsDNS(); dns != e.dns {
+		e.parser, e.dns = packet.NewParser(packet.ParserOptions{DecodeDNS: dns}), dns
+	}
+	return e.parser
 }
 
 func streamSide(s pisa.Side) stream.Side {
@@ -301,8 +311,8 @@ func (e *Emitter) malformed(n uint64) {
 // The flight-recorder probe the bytes are attributed to is the engine
 // instance's own.
 func (e *Emitter) HandleMirror(m pisa.Mirror) {
-	bp := bufPool.Get().(*[]byte)
-	buf := EncodeMirror((*bp)[:0], &m)
+	buf := EncodeMirror(e.buf[:0], &m)
+	e.buf = buf
 	e.frames++
 	e.m.frames.Inc()
 	e.m.bytes.Add(uint64(len(buf)))
@@ -316,8 +326,6 @@ func (e *Emitter) HandleMirror(m pisa.Mirror) {
 	} else {
 		e.malformed(1)
 	}
-	*bp = buf
-	bufPool.Put(bp)
 }
 
 // Deliver routes a decoded mirror record into the engine. A record no
@@ -348,15 +356,18 @@ func (e *Emitter) Deliver(m *pisa.Mirror) {
 			e.malformed(1)
 			return
 		}
-		e.m.deepDecodes.Inc()
+		pkt := e.pkt.Pkts[0]
 		if m.Parsed != nil {
 			// The switch's header parse survived the round trip (same
 			// process); adopt it and apply only the deep DNS decode the
 			// switch-side parser skips.
-			e.parser.Adopt(m.Parsed, e.pkt.Pkts[0])
-		} else if err := e.parser.Parse(m.Packet, e.pkt.Pkts[0]); err != nil {
+			e.packetParser().Adopt(m.Parsed, pkt)
+		} else if err := e.packetParser().Parse(m.Packet, pkt); err != nil {
 			e.malformed(1)
 			return
+		}
+		if pkt.Has(packet.LayerDNS) {
+			e.m.deepDecodes.Inc()
 		}
 		inst.IngestPackets(side, &e.pkt, oneSel)
 	}
@@ -418,19 +429,22 @@ func (e *Emitter) beginViews(n int) {
 // encoded size past their headers.
 func (e *Emitter) deliverPackets(b *pisa.MirrorBatch, inst *stream.Instance, side stream.Side, ok bool) (wire uint64) {
 	var decoded, unparsed uint64
+	parser := e.packetParser()
 	for w, tail := range b.Tail {
 		for rest := tail &^ (e.ready[w] | e.bad[w]); rest != 0; rest &= rest - 1 {
 			i := w<<6 | bits.TrailingZeros64(rest)
 			frame := b.Views[i].Frame
 			e.flen[i] = len(frame)
-			decoded++
 			if p := b.Parsed(i); p != nil {
-				e.parser.Adopt(p, e.pkts[i])
-			} else if err := e.parser.Parse(frame, e.pkts[i]); err != nil {
+				parser.Adopt(p, e.pkts[i])
+			} else if err := parser.Parse(frame, e.pkts[i]); err != nil {
 				// An unsupported-layer frame ran the switch pipeline on its
 				// decoded prefix; here it is malformed, once per record.
 				e.bad[w] |= 1 << uint(i&63)
 				continue
+			}
+			if e.pkts[i].Has(packet.LayerDNS) {
+				decoded++
 			}
 			e.ready[w] |= 1 << uint(i&63)
 		}

@@ -233,7 +233,7 @@ func TestHandleMirrorAdoptsParsedView(t *testing.T) {
 
 // TestHandleMirrorPacketPathAllocs is the regression guard for the
 // double-parse fix: with the parsed view carried through the mirror and the
-// encode buffer pooled, the steady-state packet path must not allocate.
+// encode buffer reused, the steady-state packet path must not allocate.
 func TestHandleMirrorPacketPathAllocs(t *testing.T) {
 	q := query.NewBuilder("q1", time.Second).
 		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
@@ -254,7 +254,7 @@ func TestHandleMirrorPacketPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := pisa.Mirror{QID: 1, Packet: frame, Parsed: &pkt}
-	em.HandleMirror(m) // warm the pool and the engine's aggregation entry
+	em.HandleMirror(m) // warm the encode buffer and the engine's aggregation entry
 	// Full path: the only allocations allowed are the engine's per-packet
 	// tuple build (map output + reduce key); the emitter itself — encode
 	// buffer, decode, and the adopted parse — must contribute none.

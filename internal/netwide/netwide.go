@@ -15,6 +15,7 @@ package netwide
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/compile"
@@ -139,6 +140,7 @@ func (f *Fabric) CloseWindow() *WindowReport {
 		rep.PerSwitch = append(rep.PerSwitch, stats)
 	}
 	results, metrics := f.engine.EndWindow()
+	results = slices.Clone(results) // the engine's slice is reused next window
 	rep.AllResults = results
 	rep.TuplesToSP = metrics.TuplesIn
 	for _, res := range results {

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/compile"
@@ -87,10 +88,11 @@ func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingRes
 	}
 	res := &TrainingResult{PerQuery: make(map[uint16]*QueryTraining)}
 
-	// Parse every window once; packets retain their frames.
+	// Parse every window once; packets retain their frames. DNS is
+	// deep-decoded only when some query reads it.
 	parsed := make([][]packet.Packet, len(windows))
 	counts := make([]uint64, len(windows))
-	parser := packet.NewParser(packet.ParserOptions{DecodeDNS: true})
+	parser := packet.NewParser(packet.ParserOptions{DecodeDNS: slices.ContainsFunc(queries, query.ReadsDNS)})
 	for w, frames := range windows {
 		pkts := make([]packet.Packet, 0, len(frames))
 		for _, f := range frames {

@@ -158,6 +158,52 @@ func leftHasStateful(p *Pipeline) bool {
 	return false
 }
 
+// ReadsDNS reports whether any part of q reads a field only the deep DNS
+// decode produces — in a filter clause, a map expression, a dynamic filter's
+// key or a join key. A packet whose DNS layer nobody reads need not be
+// deep-decoded: the stream processor's emitter and planner training decode
+// DNS only for query sets where this holds for some query.
+func ReadsDNS(q *Query) bool {
+	for _, f := range q.JoinKeys {
+		if isDNSField(f) {
+			return true
+		}
+	}
+	for _, p := range []*Pipeline{q.Left, q.Right, q.Post} {
+		if p == nil {
+			continue
+		}
+		for i := range p.Ops {
+			o := &p.Ops[i]
+			if o.DynFilterTable != "" && isDNSField(o.DynKeyField) {
+				return true
+			}
+			for c := range o.Clauses {
+				if isDNSField(o.Clauses[c].Field) {
+					return true
+				}
+			}
+			for c := range o.Cols {
+				for e := &o.Cols[c].Expr; e != nil; e = e.Sub {
+					if (e.Kind == ExprField || e.Kind == ExprMask) && isDNSField(e.Field) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// isDNSField reports whether f is read from the DNS layer.
+func isDNSField(f fields.ID) bool {
+	switch f {
+	case fields.DNSQName, fields.DNSRRName, fields.DNSQType, fields.DNSAnCount, fields.DNSQR:
+		return true
+	}
+	return false
+}
+
 // NewDynPacketFilter constructs the packet-phase dynamic-refinement filter
 // that query augmentation prepends at finer levels (the red filters of
 // Figure 4): it admits only packets whose key field, masked to level,

@@ -673,16 +673,18 @@ func (r *Runtime) closeWindow() *WindowReport {
 	r.fanOut(r.takeFill(), msgClose)
 	r.closeWG.Wait()
 	// Deterministic merge, on this side of the barrier: shard order for the
-	// commutative counters, installation order for results. The per-query
-	// counts fold into the first shard's map, which its engine handed over.
+	// commutative counters, installation order for results. What the engines
+	// handed over is theirs again at the next close, so the report gets its
+	// own per-query map and results slice.
 	var (
 		stats     pisa.WindowStats
 		dumpCount int
 		emFrames  uint64
 		emBad     uint64
 	)
-	metrics := r.shards[0].cr.metrics
+	metrics := stream.Metrics{PerQuery: make(map[stream.QueryKey]uint64)}
 	shardBusy := make([]time.Duration, len(r.shards))
+	results := make([]stream.Result, len(r.infos))
 	for i, s := range r.shards {
 		cr := &s.cr
 		shardBusy[i] = cr.busy
@@ -690,20 +692,11 @@ func (r *Runtime) closeWindow() *WindowReport {
 		stats.Merge(cr.stats)
 		emFrames += cr.emFrames
 		emBad += cr.emBad
-		if i > 0 {
-			metrics.Merge(cr.metrics)
-		}
-	}
-	// Each shard's results go to the slots fixed at construction, which is
-	// the order one engine holding every instance would produce; one shard's
-	// results are that sequence already.
-	results := r.shards[0].cr.results
-	if len(r.shards) > 1 {
-		results = make([]stream.Result, len(r.infos))
-		for _, s := range r.shards {
-			for j := range s.cr.results {
-				results[s.slots[j]] = s.cr.results[j]
-			}
+		metrics.Merge(cr.metrics)
+		// Each shard's results go to the slots fixed at construction, which
+		// is the order one engine holding every instance would produce.
+		for j := range cr.results {
+			results[s.slots[j]] = cr.results[j]
 		}
 	}
 	// Shards do not count PacketsIn (each saw every frame); the parse side

@@ -1,12 +1,13 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fields"
 	"repro/internal/flightrec"
-	"repro/internal/packet"
+	"repro/internal/keytab"
 	"repro/internal/query"
 	"repro/internal/telemetry"
 	"repro/internal/tracez"
@@ -75,13 +76,6 @@ func (m *Metrics) Merge(o Metrics) {
 	}
 }
 
-// joinItem is a buffered left-side record of a packet-phase join awaiting
-// the right side's window output.
-type joinItem struct {
-	key  string
-	vals []tuple.Value
-}
-
 // Instance is the executable state of one installed (query, level)
 // instance. Engine.Instance hands it out as a handle, so a caller delivering
 // many records to one instance — the emitter, a mirror batch at a time —
@@ -100,18 +94,36 @@ type Instance struct {
 	post  *pipeExec // nil without join
 
 	// Packet-phase-left join support: prePacketOps run at ingest (left ops
-	// plus post's packet-phase filters); postMap is post's first map;
-	// pending buffers mapped tuples keyed by join key.
+	// plus post's packet-phase filters); postMap is post's first map.
 	packetLeft  bool
 	prePacket   *pipeExec
-	postMapIdx  int // index of the map within Post.Ops; -1 if none
-	pending     []joinItem
+	postMapIdx  int     // index of the map within Post.Ops; -1 if none
 	rows        []int32 // IngestPackets' selected rows
 	joinKeyIdxL []int   // join key columns in left output schema (tuple-left)
 	rightKeyIdx []int   // join key columns in right output schema
 	// nonKeyL and nonKeyR are the other columns of each side's output schema
 	// (tuple-left): the joined tuple is keys, nonKeyL, nonKeyR.
 	nonKeyL, nonKeyR []int
+	// schema is the query's FinalSchema, resolved once.
+	schema tuple.Schema
+
+	// The window close's join state, reused window after window. rightIdx
+	// indexes the right side's outputs by encoded join key: an entry holds
+	// the key bytes alone, with the output's row index as its aggregate.
+	// joinKey is the probe scratch, joinRow the joined row handed to post
+	// (which copies what it keeps), zeroRight the left-outer stand-in for an
+	// absent right output.
+	rightIdx  *keytab.Table
+	joinKey   []byte
+	joinRow   []tuple.Value
+	zeroRight []tuple.Value
+	// The packet-phase-left join's buffer, a flat arena reset at close: per
+	// surviving packet, its encoded join key (pendKeys up to pendKeyEnd[i])
+	// and the tuple post resumes with (pendVals up to pendValEnd[i]).
+	pendKeys   []byte
+	pendKeyEnd []uint32
+	pendVals   []tuple.Value
+	pendValEnd []uint32
 
 	// m holds the instance's pre-registered telemetry series (zero value
 	// when the engine is uninstrumented).
@@ -145,6 +157,13 @@ type Engine struct {
 	// (false) is the columnar batched path. The two are bit-identical — scalar
 	// mode exists as the differential-testing oracle and an escape hatch.
 	scalar bool
+	// readsDNS is whether some installed instance reads a DNS field
+	// (query.ReadsDNS), recomputed at Install.
+	readsDNS bool
+	// results and perQuery are EndWindow's return values, reused window
+	// after window.
+	results  []Result
+	perQuery map[QueryKey]uint64
 }
 
 // NewEngine returns an engine sharing the given dynamic filter tables with
@@ -153,8 +172,12 @@ func NewEngine(dyn *DynTables) *Engine {
 	if dyn == nil {
 		dyn = NewDynTables()
 	}
-	return &Engine{dyn: dyn, queries: make(map[QueryKey]*Instance)}
+	return &Engine{dyn: dyn, queries: make(map[QueryKey]*Instance), perQuery: make(map[QueryKey]uint64)}
 }
+
+// ReadsDNS reports whether some installed instance reads a field of the DNS
+// layer, the only reason to deep-decode the packets delivered to the engine.
+func (e *Engine) ReadsDNS() bool { return e.readsDNS }
 
 // Dyn exposes the dynamic filter tables (the runtime installs refinement
 // outputs through it).
@@ -171,7 +194,7 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 		return fmt.Errorf("stream: left partition %d out of range", part.LeftStart)
 	}
 	rq := &Instance{
-		eng: e, q: q, key: QueryKey{q.ID, level}, part: part,
+		eng: e, q: q, key: QueryKey{q.ID, level}, part: part, schema: q.FinalSchema(),
 		left: newPipeExec(q.Left.Ops, part.LeftStart, e.dyn, nil),
 	}
 	if q.HasJoin() {
@@ -179,7 +202,9 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 			return fmt.Errorf("stream: right partition %d out of range", part.RightStart)
 		}
 		rq.right = newPipeExec(q.Right.Ops, part.RightStart, e.dyn, nil)
+		rq.rightIdx = keytab.New()
 		rs := q.Right.OutSchema()
+		rq.zeroRight = make([]tuple.Value, len(rs))
 		for _, k := range q.JoinKeys {
 			rq.rightKeyIdx = append(rq.rightKeyIdx, rs.Index(k))
 		}
@@ -240,6 +265,10 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 		rq.fr = e.frLookup(rq.key.QID, rq.key.Level)
 	}
 	e.queries[rq.key] = rq
+	e.readsDNS = false
+	for _, key := range e.order {
+		e.readsDNS = e.readsDNS || query.ReadsDNS(e.queries[key].q)
+	}
 	return nil
 }
 
@@ -370,7 +399,7 @@ func (rq *Instance) IngestPackets(side Side, pkts *query.PacketBatch, sel []uint
 		rq.rows = tuple.SelRows(sel, rq.rows[:0])
 		for _, r := range rq.rows {
 			if ex.ingestPacket(at, pkts.Pkts[r]) && ex == rq.prePacket {
-				rq.bufferJoinLeft(pkts.Pkts[r])
+				rq.bufferJoinLeft(pkts, int(r))
 			}
 		}
 		return
@@ -380,7 +409,7 @@ func (rq *Instance) IngestPackets(side Side, pkts *query.PacketBatch, sel []uint
 		// The join's survivors are buffered row by row.
 		rq.rows = tuple.SelRows(passed, rq.rows[:0])
 		for _, r := range rq.rows {
-			rq.bufferJoinLeft(pkts.Pkts[r])
+			rq.bufferJoinLeft(pkts, int(r))
 		}
 	}
 }
@@ -415,34 +444,37 @@ func (rq *Instance) IngestTupleAt(side Side, opIdx int, vals []tuple.Value) bool
 }
 
 // bufferJoinLeft is the packet-phase-left join path past its filters (left
-// ops plus post's packet filters, run by prePacket): extract the join key and
-// the post-map tuple and buffer them until the right side's window output is
-// known.
-func (rq *Instance) bufferJoinLeft(pkt *packet.Packet) {
-	keyVals := make([]tuple.Value, len(rq.q.JoinKeys))
-	for i, f := range rq.q.JoinKeys {
-		v, ok := pkt.Field(f)
+// ops plus post's packet filters, run by prePacket): append row r's encoded
+// join key and its post-map tuple — each field read from the batch's column
+// where it has one — to the buffer the right side's window output is joined
+// with at close. A row lacking a field leaves nothing behind.
+func (rq *Instance) bufferJoinLeft(pkts *query.PacketBatch, r int) {
+	keys, vals := len(rq.pendKeys), len(rq.pendVals)
+	mapped := rq.postMapIdx >= 0
+	for _, f := range rq.q.JoinKeys {
+		v, ok := pkts.FieldAt(f, r)
 		if !ok {
+			rq.pendKeys, rq.pendVals = rq.pendKeys[:keys], rq.pendVals[:vals]
 			return
 		}
-		keyVals[i] = v
+		rq.pendKeys = tuple.AppendKeyValue(rq.pendKeys, v)
+		if !mapped {
+			rq.pendVals = append(rq.pendVals, v)
+		}
 	}
-	key := tuple.Key(keyVals, identityCols(len(keyVals)))
-	var vals []tuple.Value
-	if rq.postMapIdx >= 0 {
+	if mapped {
 		mapOp := &rq.q.Post.Ops[rq.postMapIdx]
-		vals = make([]tuple.Value, len(mapOp.Cols))
 		for j := range mapOp.Cols {
-			v, ok := mapOp.Cols[j].Expr.EvalPacket(pkt)
+			v, ok := mapOp.Cols[j].Expr.EvalPacketAt(pkts, r)
 			if !ok {
+				rq.pendKeys, rq.pendVals = rq.pendKeys[:keys], rq.pendVals[:vals]
 				return
 			}
-			vals[j] = v
+			rq.pendVals = append(rq.pendVals, v)
 		}
-	} else {
-		vals = keyVals
 	}
-	rq.pending = append(rq.pending, joinItem{key: key, vals: vals})
+	rq.pendKeyEnd = append(rq.pendKeyEnd, uint32(len(rq.pendKeys)))
+	rq.pendValEnd = append(rq.pendValEnd, uint32(len(rq.pendVals)))
 }
 
 // IngestAgg merges a pre-aggregated (key, value) record — a register dump
@@ -459,10 +491,14 @@ func (e *Engine) IngestAgg(qid uint16, level uint8, side Side, opIdx int, keyVal
 // EndWindow closes the current window: drains all stateful state, performs
 // joins, runs post-join pipelines, and returns per-instance results plus
 // the window's load metrics. Results are ordered by installation and tuples
-// sorted for determinism.
+// sorted for determinism. The returned slice, Metrics.PerQuery and every
+// tuple slice the results hold belong to the engine and stay valid until the
+// next EndWindow; a caller keeping them longer copies them. In steady state
+// the close allocates nothing.
 func (e *Engine) EndWindow() ([]Result, Metrics) {
-	results := make([]Result, 0, len(e.order))
-	m := Metrics{TuplesIn: e.tuplesIn, PerQuery: make(map[QueryKey]uint64)}
+	results := e.results[:0]
+	clear(e.perQuery)
+	m := Metrics{TuplesIn: e.tuplesIn, PerQuery: e.perQuery}
 	e.tuplesIn = 0
 	for _, key := range e.order {
 		rq := e.queries[key]
@@ -471,9 +507,9 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 		}
 		sp := e.tring.Start(tracez.NameOpEval)
 		sp.Instance(key.QID, key.Level)
-		res := Result{QID: key.QID, Level: key.Level, Schema: rq.q.FinalSchema()}
+		res := Result{QID: key.QID, Level: key.Level, Schema: rq.schema}
 		if rq.q.HasJoin() {
-			e.endJoin(rq, &res)
+			rq.endJoin(&res)
 		} else {
 			res.Tuples = rq.left.endWindow()
 		}
@@ -493,6 +529,7 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 		results = append(results, res)
 		e.harvestBatchStats(rq)
 	}
+	e.results = results
 	return results, m
 }
 
@@ -545,20 +582,20 @@ func (e *Engine) flushOpCounts(rq *Instance) {
 	}
 }
 
-// endJoin performs the window-end join and post pipeline for one instance,
-// filling the result's final tuples and both sides' pre-join outputs.
-func (e *Engine) endJoin(rq *Instance, res *Result) {
+// endJoin performs the window-end join and post pipeline for the instance,
+// filling the result's final tuples and both sides' pre-join outputs. The
+// right outputs are indexed by join key (the first of equal keys wins) and
+// each left output — or buffered packet-phase left tuple — probes the index.
+func (rq *Instance) endJoin(res *Result) {
 	rightOuts := rq.right.endWindow()
-	rightBy := make(map[string][]tuple.Value, len(rightOuts))
-	rs := rq.q.Right.OutSchema()
-	for _, out := range rightOuts {
-		k := tuple.Key(out, rq.rightKeyIdx)
-		if _, dup := rightBy[k]; !dup { // aggregated keys are unique
-			rightBy[k] = out
-		}
+	idx := rq.rightIdx
+	idx.Reset()
+	for r, out := range rightOuts {
+		rq.joinKey = tuple.AppendKey(rq.joinKey[:0], out, rq.rightKeyIdx)
+		idx.GetOrInsert(rq.joinKey, nil, nil, uint64(r))
 	}
 	res.RightOutputs = rightOuts
-	res.RightSchema = rs
+	res.RightSchema = rq.q.Right.OutSchema()
 
 	if rq.packetLeft {
 		// Semi-join the buffered packet-derived tuples, then resume the
@@ -567,13 +604,16 @@ func (e *Engine) endJoin(rq *Instance, res *Result) {
 		if rq.postMapIdx < 0 {
 			resume = len(rq.q.Post.Ops)
 		}
-		for _, item := range rq.pending {
-			if _, ok := rightBy[item.key]; !ok {
-				continue
+		var key, val uint32
+		for i, keyEnd := range rq.pendKeyEnd {
+			valEnd := rq.pendValEnd[i]
+			if _, ok := idx.Lookup(rq.pendKeys[key:keyEnd]); ok {
+				rq.post.feedTuple(resume, rq.pendVals[val:valEnd])
 			}
-			rq.post.feedTuple(resume, item.vals)
+			key, val = keyEnd, valEnd
 		}
-		rq.pending = nil
+		rq.pendKeys, rq.pendKeyEnd = rq.pendKeys[:0], rq.pendKeyEnd[:0]
+		rq.pendVals, rq.pendValEnd = rq.pendVals[:0], rq.pendValEnd[:0]
 		rq.prePacket.endWindow() // reset any state; outputs unused
 		res.Tuples = rq.post.endWindow()
 		return
@@ -582,27 +622,29 @@ func (e *Engine) endJoin(rq *Instance, res *Result) {
 	leftOuts := rq.left.endWindow()
 	res.LeftOutputs = leftOuts
 	res.LeftSchema = rq.q.Left.OutSchema()
-	nonKeyL, nonKeyR := rq.nonKeyL, rq.nonKeyR
-	zeroRight := make([]tuple.Value, len(rs))
 	for _, lo := range leftOuts {
-		ro, ok := rightBy[tuple.Key(lo, rq.joinKeyIdxL)]
-		if !ok {
-			if !rq.q.JoinOuter {
-				continue
-			}
-			ro = zeroRight // left-outer: absent aggregates read as zero
+		rq.joinKey = tuple.AppendKey(rq.joinKey[:0], lo, rq.joinKeyIdxL)
+		ro := rq.zeroRight // left-outer: absent aggregates read as zero
+		if i, ok := idx.Lookup(rq.joinKey); ok {
+			ro = rightOuts[idx.Agg(i)]
+		} else if !rq.q.JoinOuter {
+			continue
 		}
-		joined := make([]tuple.Value, 0, len(rq.joinKeyIdxL)+len(nonKeyL)+len(nonKeyR))
+		row := rq.joinRow[:0]
 		for _, i := range rq.joinKeyIdxL {
-			joined = append(joined, lo[i])
+			row = append(row, lo[i])
 		}
-		for _, i := range nonKeyL {
-			joined = append(joined, lo[i])
+		for _, i := range rq.nonKeyL {
+			row = append(row, lo[i])
 		}
-		for _, i := range nonKeyR {
-			joined = append(joined, ro[i])
+		for _, i := range rq.nonKeyR {
+			row = append(row, ro[i])
 		}
-		rq.post.feedTuple(0, joined)
+		rq.joinRow = row
+		// post copies what it keeps: bufferTuple copies the row into its
+		// column batch, and the scalar interpreter's maps write per-op
+		// scratch, its stateful ops and outputs copy into their arenas.
+		rq.post.feedTuple(0, row)
 	}
 	res.Tuples = rq.post.endWindow()
 }
@@ -627,19 +669,21 @@ func intsHave(xs []int, v int) bool {
 }
 
 func sortTuples(ts [][]tuple.Value) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		for k := 0; k < n; k++ {
-			if !a[k].Equal(b[k]) {
-				return a[k].Less(b[k])
+	slices.SortFunc(ts, compareTuples)
+}
+
+// compareTuples orders tuples column by column (tuple.Value.Less), a prefix
+// before its extensions.
+func compareTuples(a, b []tuple.Value) int {
+	for k := range min(len(a), len(b)) {
+		if !a[k].Equal(b[k]) {
+			if a[k].Less(b[k]) {
+				return -1
 			}
+			return 1
 		}
-		return len(a) < len(b)
-	})
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // FieldOfResult is a convenience for tests and reports: the value of the

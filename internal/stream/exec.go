@@ -321,43 +321,24 @@ func (e *pipeExec) endWindow() [][]tuple.Value {
 		// flushed into this one.
 		e.lastKeys[i] = uint64(st.Len())
 		o := &e.ops[i]
-		n := st.Len()
-		if !e.scalar {
-			// Batched drain: buffer each flushed key row — a reduce's with its
-			// aggregate as the trailing column — at entry i+1 and let flushBatch
-			// walk the suffix columnar. The KeyVals slices alias keytab
-			// storage, but bufferTuple copies the values immediately, and the
-			// explicit flush below lands everything in the downstream states
-			// before st resets.
-			for k := 0; k < n; k++ {
-				e.outCounts[i]++
-				row := st.KeyVals(k)
-				if o.Kind == query.OpReduce {
-					kv := row
-					row = e.mapScratch(i, len(kv)+1)
-					copy(row, kv)
-					row[len(kv)] = tuple.U64(st.Agg(k))
-				}
-				e.bufferTuple(i+1, row)
-			}
-			e.flushBatch()
-			st.Reset()
-			continue
-		}
-		for k := 0; k < n; k++ {
-			kv := st.KeyVals(k)
-			var out []tuple.Value
-			switch o.Kind {
-			case query.OpReduce:
-				out = make([]tuple.Value, 0, len(kv)+1)
-				out = append(out, kv...)
-				out = append(out, tuple.U64(st.Agg(k)))
-			case query.OpDistinct:
-				out = kv
-			}
+		// Feed each flushed key row — a reduce's with its aggregate as the
+		// trailing column, built in the op's own scratch — to op i+1. The
+		// KeyVals slices alias keytab storage, but bufferTuple copies the
+		// values immediately and the scalar walk copies what it keeps, and the
+		// explicit flush below lands everything in the downstream states
+		// before st resets.
+		for k := range st.Len() {
 			e.outCounts[i]++
-			e.ingestTuple(i+1, out)
+			row := st.KeyVals(k)
+			if o.Kind == query.OpReduce {
+				kv := row
+				row = e.mapScratch(i, len(kv)+1)
+				copy(row, kv)
+				row[len(kv)] = tuple.U64(st.Agg(k))
+			}
+			e.feedTuple(i+1, row)
 		}
+		e.flushBatch()
 		st.Reset()
 	}
 	return e.sealOutputs()
