@@ -38,8 +38,10 @@ bench:
 # the per-tuple interpreter over generated op chains and adversarial window
 # sizes, every batched switch walk against frame-at-a-time Process; then the
 # boundary between the two, batch hand-off against the wire codec's round
-# trip; and once, the sharded runtime against the scalar oracle (inline and
-# at 2/8 workers). View batches, their prescreen masks and their field
+# trip; once, the sharded runtime against the scalar oracle (inline and at
+# 2/8 workers); and planner training, which runs the kernels over one batch of
+# extracted columns per window, against the reference trainer that profiles
+# every level and edge separately over bare packets. View batches, their prescreen masks and their field
 # columns are shared read-only across shards while each shard's emitter
 # adopts them into its own scratch; the race detector is what proves
 # "read-only" (`make race` runs the whole of the packages that hold them).
@@ -52,6 +54,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential' ./internal/runtime
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
@@ -76,13 +79,15 @@ check-trace:
 
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
 # against alloc_budget.json (zero for every path but the runtime's whole
-# window close, which allocates its report and refinement rule sets);
+# window close, which allocates its report and refinement rule sets, and
+# planner training, whose ceiling is its measured count);
 # the -benchmem run prints the same paths' current numbers for the log.
-# Allocation counts are deterministic, so unlike bench-smoke this gate is not
-# subject to perf noise and does fail `make check`.
+# Allocation counts are deterministic (training's to within a few, from map
+# hashing), so unlike bench-smoke this gate is not subject to perf noise and
+# does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$' .
+		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

@@ -28,10 +28,10 @@ import (
 
 // TestAllocBudget is the gating side of `make bench-alloc`: each hot path
 // runs under testing.AllocsPerRun and must not exceed the budget checked in
-// as alloc_budget.json. Every budget but RuntimeWindowClose is zero, and
-// that one is the measured count of what a window's report and refinement
-// rule sets allocate; tightening or relaxing one is a reviewed change to the
-// JSON file, not a silent drift.
+// as alloc_budget.json. Every budget but RuntimeWindowClose and PlannerTrain
+// is zero; those two are measured counts — of what a window's report and
+// refinement rule sets allocate, and of one training pass. Tightening or
+// relaxing one is a reviewed change to the JSON file, not a silent drift.
 func TestAllocBudget(t *testing.T) {
 	raw, err := os.ReadFile("alloc_budget.json")
 	if err != nil {
@@ -41,15 +41,19 @@ func TestAllocBudget(t *testing.T) {
 	if err := json.Unmarshal(raw, &budgets); err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, fn func()) {
+	checkRuns := func(name string, runs int, fn func()) {
 		t.Helper()
 		budget, ok := budgets[name]
 		if !ok {
 			t.Fatalf("alloc_budget.json has no budget for %q", name)
 		}
-		if allocs := testing.AllocsPerRun(200, fn); allocs > budget {
+		if allocs := testing.AllocsPerRun(runs, fn); allocs > budget {
 			t.Errorf("%s: %.1f allocs/op exceeds budget of %.0f", name, allocs, budget)
 		}
+	}
+	check := func(name string, fn func()) {
+		t.Helper()
+		checkRuns(name, 200, fn)
 	}
 
 	// Data plane: one packet through a compiled query instance whose key is
@@ -214,6 +218,13 @@ func TestAllocBudget(t *testing.T) {
 	}
 	record() // warm: lane registration and estimator buckets
 	check("TraceRecord", record)
+
+	// Planner training, the start-up and re-plan cost: not a zero-alloc
+	// path — every window's batch, every profile and the learned result are
+	// fresh — so its budget is the measured count, a ceiling that catches a
+	// run, a window copy or a per-row allocation coming back. A pass takes
+	// about 0.1 s, so it is measured over a few runs.
+	checkRuns("PlannerTrain", 3, allocBudgetTrain(t))
 }
 
 // allocBudgetReport fabricates a window report with a coarse and a finest
@@ -454,6 +465,23 @@ func allocBudgetRuntimeWindow(t testing.TB) func() {
 			rt.Process(f)
 		}
 		rt.CloseWindow()
+	}
+}
+
+// allocBudgetTrain returns one training pass of the header queries over two
+// windows of about 10k packets, generated once.
+func allocBudgetTrain(t testing.TB) func() {
+	scale := eval.Scale{PacketsPerWindow: 10_000, Windows: 3, TrainWindows: 2, Hosts: 1_000, Seed: 1}
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := queries.TopEight(eval.ScaledParams(scale))
+	windows := w.TrainingFrames()
+	return func() {
+		if _, err := planner.Train(qs, []int{8, 16, 24}, windows); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@
 //	BenchmarkKeytabSteadyState          — keyed-state probe/insert at steady capacity
 //	BenchmarkEngineJoinClose            — one window of an inner and a left-outer join, close included
 //	BenchmarkRuntimeWindowClose         — one small window of the header queries' Sonata plan, close included
+//	BenchmarkPlannerTrain               — training the header queries on two 10k-packet windows
 //
 // End-to-end throughput of the window loop is the harness's job: go run ./bench.
 package main
@@ -442,6 +443,19 @@ func BenchmarkRuntimeWindowClose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		window()
+	}
+}
+
+// BenchmarkPlannerTrain is the planner's training pass as the deployment
+// pays it at start-up and at every re-plan: the header queries over two
+// training windows of about 10k packets (TestAllocBudget caps its
+// allocations).
+func BenchmarkPlannerTrain(b *testing.B) {
+	train := allocBudgetTrain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		train()
 	}
 }
 

@@ -54,7 +54,7 @@ func TestDNSNameAugmentationMasksLabels(t *testing.T) {
 	dyn := stream.NewDynTables()
 	prof := stream.NewProfiler(aug.Left.Ops, dyn)
 	// Without the gate nothing passes.
-	prof.Feed([]packet.Packet{pkt})
+	feed(prof, []packet.Packet{pkt})
 	if out := prof.EndWindow(); len(out.Outputs) != 0 {
 		t.Fatalf("ungated output = %v", out.Outputs)
 	}
@@ -63,7 +63,7 @@ func TestDNSNameAugmentationMasksLabels(t *testing.T) {
 		stream.DynKeyFromValue(fields.DNSQName, tuple.Str("bad.example"), 2),
 	}))
 	for i := 0; i < 12; i++ {
-		prof.Feed([]packet.Packet{pkt})
+		feed(prof, []packet.Packet{pkt})
 	}
 	out := prof.EndWindow()
 	if len(out.Outputs) != 1 {

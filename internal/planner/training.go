@@ -3,7 +3,6 @@ package planner
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/compile"
 	"repro/internal/packet"
@@ -79,6 +78,9 @@ type TrainingResult struct {
 // costs. levels is the planner's level menu (coarse to fine, e.g.
 // {8,16,24,32}); the finest level of each query's key is appended
 // automatically when missing.
+//
+// Each window is parsed and its header fields extracted once, into one batch
+// every run reads; training is serial, and keeps nothing of the windows.
 func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingResult, error) {
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("planner: no training windows")
@@ -87,11 +89,21 @@ func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingRes
 		return nil, fmt.Errorf("planner: no queries")
 	}
 	res := &TrainingResult{PerQuery: make(map[uint16]*QueryTraining)}
-
-	// Parse every window once; packets retain their frames. DNS is
-	// deep-decoded only when some query reads it.
-	parsed := make([][]packet.Packet, len(windows))
+	t := &trainer{batches: make([]query.PacketBatch, len(windows)), all: make([][]uint64, len(windows)),
+		prof: stream.NewProfiler(nil, nil)}
 	counts := make([]uint64, len(windows))
+	// The fields the queries read in packet phase: their operators' and each
+	// refinement key, which gated edges filter on.
+	set := &query.FieldSet{}
+	for _, q := range queries {
+		for _, p := range sides(q) {
+			set.AddOps(p.Ops)
+		}
+		if key, ok := query.QueryRefinementKey(q); ok {
+			set.Add(key.Field)
+		}
+	}
+	// DNS is deep-decoded only when some query reads it.
 	parser := packet.NewParser(packet.ParserOptions{DecodeDNS: slices.ContainsFunc(queries, query.ReadsDNS)})
 	for w, frames := range windows {
 		pkts := make([]packet.Packet, 0, len(frames))
@@ -103,17 +115,17 @@ func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingRes
 				pkts = append(pkts, pkt)
 			}
 		}
-		parsed[w] = pkts
+		for i := range pkts {
+			t.batches[w].Pkts = append(t.batches[w].Pkts, &pkts[i])
+		}
+		t.all[w] = tuple.SelAll(nil, len(pkts))
+		t.batches[w].Extract(set, t.all[w])
 		counts[w] = uint64(len(frames))
 	}
 	res.WindowPackets = medianU64(counts)
 
 	for _, q := range queries {
-		qt, err := trainQuery(q, levels, parsed)
-		if err != nil {
-			return nil, fmt.Errorf("planner: training %q: %w", q.Name, err)
-		}
-		res.PerQuery[q.ID] = qt
+		res.PerQuery[q.ID] = t.learn(q, levels)
 	}
 	return res, nil
 }
@@ -125,247 +137,262 @@ func cloneDNS(d *packet.DNS) *packet.DNS {
 	return &c
 }
 
-func trainQuery(q *query.Query, menu []int, windows [][]packet.Packet) (*QueryTraining, error) {
+// trainer holds one Train call's windows — per window, a batch of its
+// parsed packets with the queries' fields extracted, and the selection of
+// all of them — and the profiler every run goes through, whose keyed-state
+// tables carry over from run to run.
+type trainer struct {
+	batches []query.PacketBatch
+	all     [][]uint64
+	prof    *stream.Profiler
+}
+
+// learn trains one query. Each level gets one ungated run per side and
+// window with its final threshold filter opened, the finest level first:
+// its outputs are every key's aggregate. A coarser level's relaxed threshold
+// is the least of them over prefixes of finest-level satisfying keys, and
+// applying the level's trained filter to them afterwards (closeRun) gives
+// its satisfying keys and its (*, r) edge. Then each coarser level prev
+// gates the finer ones: its dynamic filter is evaluated once per window, and
+// that selection starts every finer level's run on either side.
+func (t *trainer) learn(q *query.Query, menu []int) *QueryTraining {
 	qt := &QueryTraining{Query: q, Th: make(map[int]Thresholds),
 		Satisfy: make(map[int][]string), Edges: make(map[[2]int]*EdgeProfile)}
 	key, ok := query.QueryRefinementKey(q)
 	qt.Key, qt.Refinable = key, ok
-
-	if !qt.Refinable {
-		qt.Levels = []int{0}
-		edge, err := profileEdge(qt, LevelStar, 0, nil, windows)
-		if err != nil {
-			return nil, err
+	qt.Levels = []int{key.MaxLevel} // [0] when the query is not refinable
+	if ok {
+		// The menu's levels below the key's finest, and the finest, each once.
+		for _, l := range menu {
+			if l > 0 && l < key.MaxLevel {
+				qt.Levels = append(qt.Levels, l)
+			}
 		}
-		qt.Edges[[2]int{LevelStar, 0}] = edge
-		return qt, nil
+		slices.Sort(qt.Levels)
+		qt.Levels = slices.Compact(qt.Levels)
+		qt.Th[key.MaxLevel] = Thresholds{}
+	}
+	coarse, finest := qt.Levels[:len(qt.Levels)-1], qt.Levels[len(qt.Levels)-1]
+
+	var finestKeys map[string]struct{}
+	for _, r := range append([]int{finest}, coarse...) {
+		// Until Th[r] is set this is the level at its original thresholds.
+		runs := t.openRuns(qt.AugmentedAt(LevelStar, r))
+		if r != finest {
+			qt.Th[r] = qt.observeThresholds(r, prefixSet(key, finestKeys, r), runs)
+		}
+		aug := qt.AugmentedAt(LevelStar, r)
+		for s, p := range sides(aug) {
+			for w := range runs[s] {
+				runs[s][w] = closeRun(p, runs[s][w])
+			}
+		}
+		qt.Edges[[2]int{LevelStar, r}] = t.edge(LevelStar, r, aug, runs)
+		if qt.Refinable {
+			set := qt.satisfying(r, aug, runs)
+			if r == finest {
+				finestKeys = set
+			}
+			qt.Satisfy[r] = make([]string, 0, len(set))
+			for k := range set {
+				qt.Satisfy[r] = append(qt.Satisfy[r], k)
+			}
+			slices.Sort(qt.Satisfy[r])
+		}
 	}
 
-	// Build the level ladder: menu levels below the key's max, plus the
-	// finest level itself.
-	for _, l := range menu {
-		if l > 0 && l < key.MaxLevel {
-			qt.Levels = append(qt.Levels, l)
+	for i, prev := range coarse {
+		admit, filter := query.NewDynSet(qt.Satisfy[prev]), query.NewDynPacketFilter("", key.Field, prev)
+		gates := make([][]uint64, len(t.all))
+		for w := range gates {
+			gates[w] = slices.Clone(t.all[w])
+			admit.FilterPackets(gates[w], &t.batches[w], &filter)
+		}
+		for _, r := range qt.Levels[i+1:] {
+			aug := qt.AugmentedAt(prev, r)
+			qt.Edges[[2]int{prev, r}] = t.edge(prev, r, aug, t.gatedRuns(aug, gates))
 		}
 	}
-	qt.Levels = append(qt.Levels, key.MaxLevel)
-	sort.Ints(qt.Levels)
+	return qt
+}
 
-	// Phase A: relaxed thresholds. The finest level keeps the original
-	// thresholds; coarser levels relax to the minimum aggregate observed
-	// (across windows) over prefixes of finest-satisfying keys.
-	finest := key.MaxLevel
-	qt.Th[finest] = Thresholds{}
-	finestKeys := make(map[string]struct{})
-	for _, pkts := range windows {
-		lk, rk := satisfyingKeys(qt, finest, Thresholds{}, nil, pkts)
-		for k := range intersectKeys(lk, rk) {
-			finestKeys[k] = struct{}{}
-		}
+// sides lists the pipelines training runs: left, then a join's right.
+func sides(q *query.Query) []*query.Pipeline {
+	if q.HasJoin() {
+		return []*query.Pipeline{q.Left, q.Right}
 	}
-	for _, r := range qt.Levels[:len(qt.Levels)-1] {
-		prefixes := prefixSet(qt.Key, finestKeys, r)
-		var thL, thR *uint64
-		for _, pkts := range windows {
-			l, rr := observeThresholds(qt, r, prefixes, pkts)
-			thL = minPtr(thL, l)
-			thR = minPtr(thR, rr)
-		}
-		qt.Th[r] = Thresholds{Left: thL, Right: thR}
-	}
+	return []*query.Pipeline{q.Left}
+}
 
-	// Phase B1: satisfying sets per level with trained thresholds.
-	for _, r := range qt.Levels {
-		set := make(map[string]struct{})
-		for _, pkts := range windows {
-			lk, rk := satisfyingKeys(qt, r, qt.Th[r], nil, pkts)
-			for k := range intersectKeys(lk, rk) {
+// openRuns profiles each side of aug over every window, indexed
+// [side][window], with its final threshold filter opened
+// (disableFinalFilter): the outputs are every key that reaches the filter.
+func (t *trainer) openRuns(aug *query.Query) [][]stream.PipelineProfile {
+	runs := make([][]stream.PipelineProfile, len(sides(aug)))
+	for s, p := range sides(aug) {
+		for w, all := range t.all {
+			runs[s] = append(runs[s], t.run(disableFinalFilter(p).Ops, w, all))
+		}
+	}
+	return runs
+}
+
+// gatedRuns profiles each side of aug over every window, [side][window].
+// Op 0 of a side is the dynamic filter whose selection over window w is
+// gates[w]: the rest of the side runs over the gate's packets, and op 0 emits
+// as many as it selects, so OutAfter and Keys are indexed by the side's ops.
+func (t *trainer) gatedRuns(aug *query.Query, gates [][]uint64) [][]stream.PipelineProfile {
+	runs := make([][]stream.PipelineProfile, len(sides(aug)))
+	for s, p := range sides(aug) {
+		for w, gate := range gates {
+			run := t.run(p.Ops[1:], w, gate)
+			run.OutAfter = slices.Insert(run.OutAfter, 0, uint64(tuple.SelCount(gate)))
+			run.Keys = slices.Insert(run.Keys, 0, 0)
+			runs[s] = append(runs[s], run)
+		}
+	}
+	return runs
+}
+
+// run profiles ops over the packets sel selects from window w.
+func (t *trainer) run(ops []query.Op, w int, sel []uint64) stream.PipelineProfile {
+	t.prof.Reset(ops)
+	t.prof.Feed(&t.batches[w], sel)
+	return t.prof.EndWindow()
+}
+
+// closeRun turns an open run into a run of p: the outputs that fail p's
+// final threshold filter drop out, and out of that filter's and the
+// pipeline's emission counts. Nothing before the filter moves.
+func closeRun(p *query.Pipeline, run stream.PipelineProfile) stream.PipelineProfile {
+	final := finalThresholdOp(p)
+	if final == nil {
+		return run
+	}
+	kept := run.Outputs[:0:0]
+rows:
+	for _, row := range run.Outputs {
+		for i := range final.Clauses {
+			if !final.Clauses[i].MatchTuple(row) {
+				continue rows
+			}
+		}
+		kept = append(kept, row)
+	}
+	dropped := uint64(len(run.Outputs) - len(kept))
+	run.OutAfter[len(p.Ops)-1] -= dropped
+	run.OutAfter[len(p.Ops)] -= dropped
+	run.Outputs = kept
+	return run
+}
+
+// observeThresholds relaxes level r's thresholds from its open runs: per
+// side, the least aggregate the final filter saw over a key in prefixes (nil
+// when the side has no such filter, key column or key).
+func (qt *QueryTraining) observeThresholds(r int, prefixes map[string]struct{}, runs [][]stream.PipelineProfile) Thresholds {
+	var th [2]*uint64
+	for s, p := range sides(AugmentQuery(qt.Query, qt.Key, LevelStar, r, Thresholds{})) {
+		thCol, keyCol := thresholdColumn(p), keyColumnOf(p, qt.Key.Field)
+		if thCol < 0 || keyCol < 0 {
+			continue
+		}
+		for _, run := range runs[s] {
+			for _, row := range run.Outputs {
+				if _, ok := prefixes[stream.DynKeyFromValue(qt.Key.Field, row[keyCol], r)]; !ok {
+					continue
+				}
+				if v := row[thCol].U; th[s] == nil || v < *th[s] {
+					th[s] = &v
+				}
+			}
+		}
+	}
+	return Thresholds{Left: th[0], Right: th[1]}
+}
+
+// satisfying is level r's satisfying-key set: the union over windows of the
+// keys (dynamic-table encoding) that every side with a key column output
+// from its closed run. A side without one, such as a packet-phase join
+// side, has no say.
+func (qt *QueryTraining) satisfying(r int, aug *query.Query, runs [][]stream.PipelineProfile) map[string]struct{} {
+	set := make(map[string]struct{})
+	for w := range runs[0] {
+		seen, keyed := make(map[string]int), 0 // seen[k]: the keyed sides so far that output k
+		for s, p := range sides(aug) {
+			if col := keyColumnOf(p, qt.Key.Field); col >= 0 {
+				keyed++
+				for _, row := range runs[s][w].Outputs {
+					if k := stream.DynKeyFromValue(qt.Key.Field, row[col], r); seen[k] == keyed-1 {
+						seen[k] = keyed
+					}
+				}
+			}
+		}
+		for k, n := range seen {
+			if n == keyed {
 				set[k] = struct{}{}
 			}
 		}
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		qt.Satisfy[r] = keys
-	}
-
-	// Phase B2: edge costs. Edges run from * or any coarser level to every
-	// finer level.
-	for i, r := range qt.Levels {
-		edge, err := profileEdge(qt, LevelStar, r, nil, windows)
-		if err != nil {
-			return nil, err
-		}
-		qt.Edges[[2]int{LevelStar, r}] = edge
-		for j := 0; j < i; j++ {
-			prev := qt.Levels[j]
-			gate := qt.Satisfy[prev]
-			edge, err := profileEdge(qt, prev, r, gate, windows)
-			if err != nil {
-				return nil, err
-			}
-			qt.Edges[[2]int{prev, r}] = edge
-		}
-	}
-	return qt, nil
-}
-
-// satisfyingKeys runs both sides of the query at a level and returns the
-// refinement-key sets (dyn-table encoding) passing each side's final
-// filter. A nil set means "the side has no key column" (e.g. a packet-phase
-// left pipeline) and should be ignored by the caller.
-func satisfyingKeys(qt *QueryTraining, level int, th Thresholds, gate []string, pkts []packet.Packet) (left, right map[string]struct{}) {
-	aug := AugmentQuery(qt.Query, qt.Key, LevelStar, level, th)
-	left = runForKeys(qt, aug.Left, level, gate, pkts)
-	if aug.HasJoin() {
-		right = runForKeys(qt, aug.Right, level, gate, pkts)
-	}
-	return left, right
-}
-
-// runForKeys executes one pipeline over the window and collects the masked
-// refinement keys of its outputs.
-func runForKeys(qt *QueryTraining, p *query.Pipeline, level int, gate []string, pkts []packet.Packet) map[string]struct{} {
-	col := keyColumnOf(p, qt.Key.Field)
-	if col < 0 {
-		return nil
-	}
-	prof := stream.NewProfiler(p.Ops, nil)
-	if gate != nil {
-		prof.Dyn().Publish(DynTableName(qt.Query.ID, level), query.NewDynSet(gate))
-	}
-	prof.Feed(pkts)
-	out := prof.EndWindow()
-	set := make(map[string]struct{}, len(out.Outputs))
-	for _, t := range out.Outputs {
-		set[stream.DynKeyFromValue(qt.Key.Field, t[col], level)] = struct{}{}
 	}
 	return set
 }
 
-// observeThresholds runs both sides at a level with final filters disabled
-// and returns the minimum aggregate observed over satisfying prefixes.
-func observeThresholds(qt *QueryTraining, level int, prefixes map[string]struct{}, pkts []packet.Packet) (left, right *uint64) {
-	aug := AugmentQuery(qt.Query, qt.Key, LevelStar, level, Thresholds{})
-	left = observeSide(qt, aug.Left, level, prefixes, pkts)
+// edge is the cost profile of an edge from its runs, [side][window].
+func (t *trainer) edge(prev, level int, aug *query.Query, runs [][]stream.PipelineProfile) *EdgeProfile {
+	e := &EdgeProfile{Prev: prev, Level: level, Left: t.sideCost(aug.Left.Ops, runs[0])}
 	if aug.HasJoin() {
-		right = observeSide(qt, aug.Right, level, prefixes, pkts)
+		e.Right = t.sideCost(aug.Right.Ops, runs[1])
 	}
-	return left, right
+	return e
 }
 
-func observeSide(qt *QueryTraining, p *query.Pipeline, level int, prefixes map[string]struct{}, pkts []packet.Packet) *uint64 {
-	thCol := thresholdColumn(p)
-	keyCol := keyColumnOf(p, qt.Key.Field)
-	if thCol < 0 || keyCol < 0 {
-		return nil
-	}
-	open := disableFinalFilter(p)
-	prof := stream.NewProfiler(open.Ops, nil)
-	prof.Feed(pkts)
-	out := prof.EndWindow()
-	var min *uint64
-	for _, t := range out.Outputs {
-		k := stream.DynKeyFromValue(qt.Key.Field, t[keyCol], level)
-		if _, ok := prefixes[k]; !ok {
-			continue
-		}
-		v := t[thCol].U
-		if min == nil || v < *min {
-			vv := v
-			min = &vv
-		}
-	}
-	return min
-}
-
-// profileEdge measures the per-cut N and per-table key counts for both
-// sides of an edge, gated by the previous level's satisfying keys.
-func profileEdge(qt *QueryTraining, prev, level int, gate []string, windows [][]packet.Packet) (*EdgeProfile, error) {
-	var aug *query.Query
-	if qt.Refinable {
-		aug = AugmentQuery(qt.Query, qt.Key, prev, level, qt.Th[level])
-	} else {
-		aug = qt.Query.Clone()
-	}
-	edge := &EdgeProfile{Prev: prev, Level: level}
-	var err error
-	edge.Left, err = profileSide(qt, aug.Left, level, gate, windows)
-	if err != nil {
-		return nil, err
-	}
-	if aug.HasJoin() {
-		edge.Right, err = profileSide(qt, aug.Right, level, gate, windows)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return edge, nil
-}
-
-func profileSide(qt *QueryTraining, p *query.Pipeline, level int, gate []string, windows [][]packet.Packet) (*SideCost, error) {
-	pipe := compile.CompilePipeline(p.Ops)
+// sideCost is one side's cost from its run per window: the medians across
+// windows of N for every cut, each stateful table's key count, and the
+// op-level work.
+func (t *trainer) sideCost(ops []query.Op, runs []stream.PipelineProfile) *SideCost {
+	pipe := compile.CompilePipeline(ops)
 	cuts := pipe.ValidPartitionPoints()
-	perCut := make([][]uint64, len(cuts))
-	keysPerTable := make(map[int][]uint64)
-	var works []uint64
-
-	for _, pkts := range windows {
-		prof := stream.NewProfiler(p.Ops, nil)
-		if gate != nil {
-			prof.Dyn().Publish(DynTableName(qt.Query.ID, level), query.NewDynSet(gate))
+	sc := &SideCost{Pipe: pipe, NAtCut: make([]uint64, len(cuts)), KeysAt: make(map[int]uint64)}
+	perWindow := make([]uint64, len(runs))
+	median := func(of func(run *stream.PipelineProfile, pkts uint64) uint64) uint64 {
+		for w := range runs {
+			perWindow[w] = of(&runs[w], uint64(len(t.batches[w].Pkts)))
 		}
-		prof.Feed(pkts)
-		out := prof.EndWindow()
-		for ci, cut := range cuts {
-			perCut[ci] = append(perCut[ci], nForCut(&pipe, cut, &out, uint64(len(pkts))))
-		}
-		for ti := range pipe.Tables {
-			if pipe.Tables[ti].Stateful {
-				keysPerTable[ti] = append(keysPerTable[ti], out.Keys[pipe.Tables[ti].OpIdx])
+		return medianU64(perWindow)
+	}
+	for ci, cut := range cuts {
+		sc.NAtCut[ci] = median(func(run *stream.PipelineProfile, pkts uint64) uint64 {
+			if cut == 0 { // the whole window reaches the stream processor
+				return pkts
 			}
+			return run.OutAfter[pipe.Tables[cut-1].LastOp()]
+		})
+	}
+	for ti, tab := range pipe.Tables {
+		if tab.Stateful {
+			sc.KeysAt[ti] = median(func(run *stream.PipelineProfile, _ uint64) uint64 { return run.Keys[tab.OpIdx] })
 		}
-		// Op-level work: op 0 sees the whole window, op j the records op
-		// j-1 emitted. With the gate applied this captures filter
-		// selectivity exactly, which cut-level counts cannot. Stateful ops
-		// (reduce/distinct key-value updates) cost several times a filter
-		// probe per record, so they weigh more.
+	}
+	// Op-level work: op 0 sees the whole window, op j the records op j-1
+	// emitted. With the gate applied this captures filter selectivity
+	// exactly, which cut-level counts cannot. Stateful ops (reduce/distinct
+	// key-value updates) cost several times a filter probe per record, so
+	// they weigh more.
+	sc.Work = median(func(run *stream.PipelineProfile, pkts uint64) uint64 {
 		var work uint64
-		for j := range p.Ops {
-			entering := uint64(len(pkts))
+		for j := range ops {
+			entering := pkts
 			if j > 0 {
-				entering = out.OutAfter[j-1]
+				entering = run.OutAfter[j-1]
 			}
-			if p.Ops[j].Stateful() {
+			if ops[j].Stateful() {
 				entering *= 4
 			}
 			work += entering
 		}
-		works = append(works, work)
-	}
-
-	sc := &SideCost{Pipe: pipe, NAtCut: make([]uint64, len(cuts)), KeysAt: make(map[int]uint64)}
-	for ci := range cuts {
-		sc.NAtCut[ci] = medianU64(perCut[ci])
-	}
-	for ti, ks := range keysPerTable {
-		sc.KeysAt[ti] = medianU64(ks)
-	}
-	sc.Work = medianU64(works)
-	return sc, nil
-}
-
-// nForCut maps a cut (table count) to the stream-processor tuple count: the
-// whole window's packets for cut zero, otherwise the emission count of the
-// last switch table's final op.
-func nForCut(pipe *compile.Pipeline, cut int, prof *stream.PipelineProfile, windowPackets uint64) uint64 {
-	if cut == 0 {
-		return windowPackets
-	}
-	last := pipe.Tables[cut-1].LastOp()
-	return prof.OutAfter[last]
+		return work
+	})
+	return sc
 }
 
 // prefixSet masks a key set to a coarser level. Keys are stored in dyn
@@ -382,39 +409,11 @@ func prefixSet(key query.RefinementKey, keys map[string]struct{}, level int) map
 	return out
 }
 
-// intersectKeys intersects two optional key sets: a nil set means "no
-// signal from this side" and the other side wins.
-func intersectKeys(a, b map[string]struct{}) map[string]struct{} {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := make(map[string]struct{})
-	for k := range a {
-		if _, ok := b[k]; ok {
-			out[k] = struct{}{}
-		}
-	}
-	return out
-}
-
-func minPtr(cur *uint64, v *uint64) *uint64 {
-	if v == nil {
-		return cur
-	}
-	if cur == nil || *v < *cur {
-		return v
-	}
-	return cur
-}
-
 func medianU64(xs []uint64) uint64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]uint64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return s[len(s)/2]
 }

@@ -116,6 +116,22 @@ func (b *PacketBatch) WithPackets(pkts []*packet.Packet) PacketBatch {
 	return c
 }
 
+// Slice points dst at rows [lo, hi) of b — packets, columns and has
+// bitmaps, sharing b's storage; lo is a multiple of 64, so each bitmap word
+// stays whole. dst's own column headers are reused, so slicing a batch run by
+// run allocates nothing once dst has held as many columns.
+func (b *PacketBatch) Slice(dst *PacketBatch, lo, hi int) {
+	dst.Pkts, dst.set = b.Pkts[lo:hi], b.set
+	dst.vals, dst.has = dst.vals[:0], dst.has[:0]
+	if b.set == nil {
+		return
+	}
+	for k := range b.set.ids {
+		dst.vals = append(dst.vals, b.vals[k][lo:hi])
+		dst.has = append(dst.has, b.has[k][lo>>6:(hi+63)>>6])
+	}
+}
+
 // FieldAt is row r's value of field f: read from f's column when the batch
 // extracted it, from the packet otherwise. Row r must be one the columns were
 // extracted over.

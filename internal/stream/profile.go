@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -32,18 +31,16 @@ type PipelineProfile struct {
 // costs. A zero Profiler is not usable; construct with NewProfiler.
 //
 // The profiler runs the same batched executor as the live engine: packets
-// walk the packet-phase prefix a batchCap run at a time, op by op, and the
-// landing map evaluates them into the column batch. EndWindow flushes the
-// batch before draining state, so OutAfter and Keys — the planner's N_{q,t}
-// inputs — are exactly what the per-tuple interpreter would have counted.
+// walk the packet-phase prefix op by op as column kernels over the caller's
+// batch, and the landing map evaluates them into the column batch. EndWindow
+// flushes the batch before draining state, so OutAfter and Keys — the
+// planner's N_{q,t} inputs — are exactly what the per-tuple interpreter would
+// have counted.
 type Profiler struct {
 	ops  []query.Op
 	exec *pipeExec
-	// run and all are the current run's packets, as the executor takes them
-	// (no field is extracted: one pipeline reads each field about once, which
-	// is what extraction costs), and an all-ones selection over it.
+	// run is the slice of the caller's batch being fed.
 	run query.PacketBatch
-	all []uint64
 }
 
 // NewProfiler prepares a profiler over the full pipeline (partition point
@@ -56,22 +53,40 @@ func NewProfiler(ops []query.Op, dyn *DynTables) *Profiler {
 	return &Profiler{ops: ops, exec: newPipeExec(ops, 0, dyn, nil)}
 }
 
+// Reset readies the profiler for another pipeline, as NewProfiler(ops) with
+// the same dynamic tables would, except that it keeps the keyed-state tables
+// it has grown: a stateful op i of ops takes over the previous pipeline's
+// table i, emptied. A caller profiling many pipelines in turn — a planner's
+// levels and edges — so stops regrowing them. Profiles EndWindow returned
+// earlier stay valid.
+func (p *Profiler) Reset(ops []query.Op) {
+	tabs := p.exec.states
+	p.ops, p.exec = ops, newPipeExec(ops, 0, p.exec.dyn, nil)
+	for i, st := range p.exec.states {
+		if st != nil && i < len(tabs) && tabs[i] != nil {
+			tabs[i].Reset()
+			p.exec.states[i] = tabs[i]
+		}
+	}
+}
+
 // Dyn exposes the profiler's dynamic tables so callers can install
 // refinement keys between windows.
 func (p *Profiler) Dyn() *DynTables { return p.exec.dyn }
 
-// Feed pushes a run of parsed packets into the pipeline, in order.
-func (p *Profiler) Feed(pkts []packet.Packet) {
-	p.exec.inputCount += uint64(len(pkts))
-	for len(pkts) > 0 {
-		n := min(batchCap, len(pkts))
-		p.run.Pkts = p.run.Pkts[:0]
-		for i := range pkts[:n] {
-			p.run.Pkts = append(p.run.Pkts, &pkts[i])
-		}
-		p.all = tuple.SelAll(p.all, n)
-		p.exec.ingestPackets(0, &p.run, p.all)
-		pkts = pkts[n:]
+// Feed pushes the packets sel selects from b into the pipeline, in row
+// order, a batchCap-row slice at a time (a whole number of selection words)
+// so the landing columns stay in cache; b and sel are only read. The kernels read a field b extracted as a
+// column and any other from the packet, so a caller profiling many pipelines
+// over one window extracts the fields they share once, into one batch of the
+// whole window, and hands every run that batch — or, for runs behind a
+// packet-phase prefix it evaluated itself, the prefix's selection.
+func (p *Profiler) Feed(b *query.PacketBatch, sel []uint64) {
+	p.exec.inputCount += uint64(tuple.SelCount(sel))
+	for lo := 0; lo < len(b.Pkts); lo += batchCap {
+		hi := min(lo+batchCap, len(b.Pkts))
+		b.Slice(&p.run, lo, hi)
+		p.exec.ingestPackets(0, &p.run, sel[lo>>6:(hi+63)>>6])
 	}
 }
 
