@@ -39,7 +39,9 @@ bench:
 # sizes, every batched switch walk against frame-at-a-time Process; then the
 # boundary between the two, batch hand-off against the wire codec's round
 # trip; once, the sharded runtime against the scalar oracle (inline and at
-# 2/8 workers); and planner training, which runs the kernels over one batch of
+# 2/8 workers) and the runtime's vantage-point switches against the
+# standalone network-wide fabric loop they replaced (2 and 4 vantage points
+# at 1 and 2 workers); and planner training, which runs the kernels over one batch of
 # extracted columns per window, against the reference trainer that profiles
 # every level and edge separately over bare packets. View batches, their prescreen masks and their field
 # columns are shared read-only across shards while each shard's emitter
@@ -53,7 +55,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatched' ./internal/stream
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
-	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential' ./internal/runtime
+	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight

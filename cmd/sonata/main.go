@@ -202,8 +202,7 @@ func main() {
 	// Train, plan, deploy.
 	plannerOpts := planner.DefaultOptions()
 	plannerOpts.Mode = mode
-	s := core.New(core.Config{Planner: plannerOpts, Window: *window, Switch: pisa.DefaultConfig(),
-		Workers: *workers})
+	s := core.New(core.Config{Planner: plannerOpts, Switch: pisa.DefaultConfig(), Workers: *workers})
 	for _, q := range qs {
 		q.ID = 0 // renumber in registration order
 		s.Register(q)

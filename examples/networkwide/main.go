@@ -2,10 +2,10 @@
 //
 // The paper's future-work section proposes network-wide telemetry (and the
 // authors followed up with network-wide heavy hitter detection at SOSR'18).
-// This example runs Query 1 on a fabric of four switches, sharding traffic
-// by source address the way flows split across border routers. The SYN
-// flood stays below the detection threshold at every individual switch —
-// only the fabric's merged aggregate reveals it.
+// This example deploys Query 1 on four vantage-point switches, routing
+// traffic by source address the way flows split across border routers. The
+// SYN flood stays below the detection threshold at every individual switch —
+// only the merged aggregate at the stream processor reveals it.
 //
 //	go run ./examples/networkwide
 package main
@@ -16,11 +16,11 @@ import (
 	"time"
 
 	"repro/internal/fields"
-	"repro/internal/netwide"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/query"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// 256 sources x ~3 SYNs each per window: ~200 SYNs per vantage point
-	// after sharding, threshold 500.
+	// after routing, threshold 500.
 	gen.AddAttack(trace.NewSYNFlood(trace.StandardVictim, 256, 800, 0, gen.Duration()))
 
 	q := query.NewBuilder("newly_opened_tcp_conns", 3*time.Second).
@@ -59,27 +59,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fabric, err := netwide.New(plan, pisa.DefaultConfig(), nSwitches)
+	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{VantagePoints: nSwitches})
 	if err != nil {
 		log.Fatal(err)
 	}
 	parser := packet.NewParser(packet.ParserOptions{})
 	var pkt packet.Packet
-	fmt.Printf("fabric of %d switches; per-switch SYN share stays below the threshold\n\n", nSwitches)
+	fmt.Printf("%d vantage points; per-switch SYN share stays below the threshold\n\n", nSwitches)
 	for w := 2; w < gen.Windows(); w++ {
+		var perSwitch [nSwitches]int
 		for _, r := range gen.WindowRecords(w).Records {
-			i := 0
+			vp := 0
 			if parser.Parse(r.Data, &pkt) == nil {
-				i = int(pkt.IPv4.Src) % nSwitches
+				vp = int(pkt.IPv4.Src) % nSwitches
 			}
-			fabric.Process(i, r.Data)
+			perSwitch[vp]++
+			rt.ProcessAt(vp, r.Data)
 		}
-		rep := fabric.CloseWindow()
-		fmt.Printf("window %d: per-switch packets =", w)
-		for _, st := range rep.PerSwitch {
-			fmt.Printf(" %d", st.PacketsIn)
-		}
-		fmt.Printf(", merged tuples at SP = %d\n", rep.TuplesToSP)
+		rep := rt.CloseWindow()
+		fmt.Printf("window %d: per-switch packets = %v, merged tuples at SP = %d\n", w, perSwitch, rep.TuplesToSP)
 		for _, res := range rep.Results {
 			for _, t := range res.Tuples {
 				fmt.Printf("  NETWORK-WIDE heavy hitter %s: %d new connections in aggregate\n",

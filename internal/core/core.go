@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/pisa"
 	"repro/internal/planner"
@@ -32,8 +31,6 @@ type Config struct {
 	// Levels is the refinement level menu; nil means {8, 16, 24}, plus each
 	// key's finest level implicitly.
 	Levels []int
-	// Window is the query window W; zero means 3 seconds.
-	Window time.Duration
 	// Workers shards the deployed window pipeline across this many workers;
 	// 0 or 1 deploys one shard on the calling goroutine. Reports are
 	// identical either way; only wall time changes.
@@ -49,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Levels == nil {
 		c.Levels = []int{8, 16, 24}
-	}
-	if c.Window == 0 {
-		c.Window = 3 * time.Second
 	}
 	return c
 }

@@ -11,8 +11,8 @@
 // and two ways across it. HandleMirror is the reference path and the one
 // for real wires: each record is encoded to bytes and parsed back, the
 // round trip the paper's Scapy-based emitter performs; the switch's
-// frame-at-a-time walk (and with it runtime.Options.Scalar, netwide.Fabric
-// and drivers.DataPlaneServer) delivers through it. HandleMirrorBatch is
+// frame-at-a-time walk (and with it runtime.Options.Scalar and
+// drivers.DataPlaneServer) delivers through it. HandleMirrorBatch is
 // the in-process path the deployed runtime takes: the batched walk hands
 // over one pisa.MirrorBatch per (instance, view batch), nothing is
 // serialized, each mirrored view is adopted once per batch whatever the

@@ -46,7 +46,7 @@ func columnsProgram() *Program {
 }
 
 // publishShared installs one rule set admitting dst/8 in both gated tables,
-// as runtime.Link.Publish does for the two sides of a join.
+// as the runtime's refinement links do for the two sides of a join.
 func publishShared(t *testing.T, sw *Switch, dst uint32) {
 	t.Helper()
 	set := query.NewDynSet([]string{stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(dst)), 8)})

@@ -26,10 +26,11 @@ type switchMetrics struct {
 }
 
 // Instrument registers the switch's metrics against reg (nil disables) as
-// shard number shard of its deployment. Counter families are shared across
-// shards — the registry returns the same handle for the same (family,
-// labels), so per-shard increments fold into one total. The register gauges
-// are Set (not added), so they carry a shard label that keeps each shard's
+// switch number shard of its deployment (the runtime numbers its switches
+// shard×VantagePoints+vp). Counter families are shared across switches — the
+// registry returns the same handle for the same (family, labels), so
+// per-switch increments fold into one total. The register gauges are Set
+// (not added), so they carry a shard label that keeps each switch's
 // occupancy and capacity as its own series. Call once after NewSwitch; the
 // capacity gauge is fixed at that point, occupancy updates at every window
 // boundary.

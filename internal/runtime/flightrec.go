@@ -55,7 +55,9 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 		a.AttachFlightRec(lookup)
 	}
 	for _, s := range r.shards {
-		s.sw.AttachFlightRec(lookup)
+		for _, sw := range s.sws {
+			sw.AttachFlightRec(lookup)
+		}
 		s.engine.AttachFlightRec(lookup)
 	}
 }

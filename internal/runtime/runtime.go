@@ -7,6 +7,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,6 +109,14 @@ type Options struct {
 	// executor, at any worker count. WindowReports are bit-identical either
 	// way.
 	Scalar bool
+	// VantagePoints is the number of switches traffic enters through —
+	// border routers, IXP ports — the network-wide extension the paper
+	// leaves as future work (Section 8). Each shard owns one switch per
+	// vantage point, all feeding its one emitter and engine, and ProcessAt
+	// routes a frame to one of them; 0 or 1 deploys one. With more than one,
+	// the switches dump raw partial aggregates (dropDumpThresholds), so a
+	// heavy hitter split across vantage points is still detected.
+	VantagePoints int
 }
 
 // DefaultBatchSize is the number of frames per view batch, the unit handed
@@ -116,14 +125,17 @@ type Options struct {
 const DefaultBatchSize = 256
 
 // shard owns one slice of the deployment: the switch instances assigned to
-// it (with their registers and dynamic tables), a private emitter, and the
-// matching stream-engine instances. Exactly one goroutine executes a shard's
-// messages (exec): its persistent worker while the runtime has live workers,
-// the runtime's caller otherwise. During a window (and the window close)
-// only that goroutine touches this state, so the hot path takes no locks;
-// the close barrier hands ownership back to the caller between windows.
+// it (with their registers and dynamic tables) at every vantage point, a
+// private emitter, and the matching stream-engine instances. Exactly one
+// goroutine executes a shard's messages (exec): its persistent worker while
+// the runtime has live workers, the runtime's caller otherwise. During a
+// window (and the window close) only that goroutine touches this state, so
+// the hot path takes no locks; the close barrier hands ownership back to the
+// caller between windows.
 type shard struct {
-	sw     *pisa.Switch
+	// sws holds the shard's switch per vantage point, indexed by vp; their
+	// mirrors and dumps all reach em.
+	sws    []*pisa.Switch
 	engine *stream.Engine
 	em     *emitter.Emitter
 	// slots[j] is the installation-order position (index into
@@ -163,10 +175,11 @@ type closeResult struct {
 // read-only by every shard; the last shard to finish a batch recycles it.
 // For the batched walk fanOut evaluates the runnable bitmap and the static
 // leading-filter atoms once into masks and every shard consumes them
-// read-only.
+// read-only. vp is the vantage point whose switches walk it.
 type viewBatch struct {
 	views []pisa.View
 	n     int
+	vp    int
 	masks pisa.PrescreenMasks
 	refs  atomic.Int32
 }
@@ -184,9 +197,9 @@ type Runtime struct {
 	owner     map[stream.QueryKey]int
 	parser    *packet.Parser
 	batchPool *sync.Pool
-	fill      *viewBatch // batch currently being filled
-	framesIn  uint64     // frames ingested this window (PacketsIn)
-	touched   uint32     // sink for fanOut's frame loads
+	fill      []*viewBatch // batch being filled, one per vantage point (len is their count)
+	framesIn  uint64       // frames ingested this window (PacketsIn)
+	touched   uint32       // sink for fanOut's frame loads
 	// pre is the shard switches' shared prescreen atom space; fanOut
 	// evaluates it once per batch so shards only AND precomputed bitmaps.
 	pre *pisa.Prescreen
@@ -199,7 +212,7 @@ type Runtime struct {
 	closeWG sync.WaitGroup
 	stopWG  sync.WaitGroup
 
-	links  []Link
+	links  []link
 	finest map[uint16]uint8
 	window int
 	// infos preserves the flattened plan (installation order); the flight
@@ -233,10 +246,10 @@ type Runtime struct {
 	rootOpen bool
 }
 
-// Link is one dynamic-refinement edge of a plan (Section 4.1): the window
+// link is one dynamic-refinement edge of a plan (Section 4.1): the window
 // results of query QID at level From decide which keys its level To admits
 // in the next window.
-type Link struct {
+type link struct {
 	QID  uint16
 	From uint8
 	To   uint8
@@ -247,19 +260,19 @@ type Link struct {
 	hasRight bool      // level To has a right (joined) pipeline
 	// sp and tables are where the link's rule set is published: the stream
 	// processor's filter and the switch-side tables of level To, resolved
-	// once at construction (Resolve).
+	// once at construction (resolve).
 	sp     *stream.DynTables
 	tables []*pisa.DynTable
-	// keys and the side-key sets are Keys' per-window scratch, reused across
-	// windows.
-	keys []string
-	rset map[string]struct{}
-	lset map[string]struct{}
+	// keyBuf and the side-key sets are keys' per-window scratch, reused
+	// across windows.
+	keyBuf []string
+	rset   map[string]struct{}
+	lset   map[string]struct{}
 }
 
-// Links derives a plan's refinement links, in installation order.
-func Links(plan *planner.Plan) ([]Link, error) {
-	var links []Link
+// planLinks derives a plan's refinement links, in installation order.
+func planLinks(plan *planner.Plan) ([]link, error) {
+	var links []link
 	for _, qp := range plan.Queries {
 		for li := 0; li+1 < len(qp.Levels); li++ {
 			lp, next := &qp.Levels[li], &qp.Levels[li+1]
@@ -268,7 +281,7 @@ func Links(plan *planner.Plan) ([]Link, error) {
 				return nil, fmt.Errorf("runtime: q%d level %d: refinement key %s missing from result schema %s",
 					qp.Query.ID, lp.Level, qp.Key.Field, lp.Aug.FinalSchema())
 			}
-			links = append(links, Link{QID: qp.Query.ID,
+			links = append(links, link{QID: qp.Query.ID,
 				From: uint8(lp.Level), To: uint8(next.Level),
 				Table:  planner.DynTableName(qp.Query.ID, next.Level),
 				keyCol: keyCol, field: qp.Key.Field, hasRight: next.Right != nil})
@@ -277,12 +290,12 @@ func Links(plan *planner.Plan) ([]Link, error) {
 	return links, nil
 }
 
-// Resolve binds the link to the stream processor's tables and to every
-// switch running level To: the dynamic filter is op 0 of each of the level's
-// pipelines by construction of AugmentQuery, and a pipeline whose cut keeps
-// it at the stream processor has no switch-side table to update. A switch
-// that does not run level To at all is an error.
-func (l *Link) Resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
+// resolve binds the link to the stream processor's tables and to every
+// switch running level To — one per vantage point: the dynamic filter is op 0
+// of each of the level's pipelines by construction of AugmentQuery, and a
+// pipeline whose cut keeps it at the stream processor has no switch-side
+// table to update. A switch that does not run level To at all is an error.
+func (l *link) resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 	l.sp = sp
 	sides := []pisa.Side{pisa.SideLeft}
 	if l.hasRight {
@@ -302,11 +315,11 @@ func (l *Link) Resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 	return nil
 }
 
-// Publish installs keys (in stream.DynKeyFromValue's encoding) as what level
+// publish installs keys (in stream.DynKeyFromValue's encoding) as what level
 // To admits from the next window on — one rule set, built once and shared by
 // the stream processor's filter and every switch-side table — and returns
 // the number of filter entries written.
-func (l *Link) Publish(keys []string) int {
+func (l *link) publish(keys []string) int {
 	set := query.NewDynSet(keys)
 	l.sp.Publish(l.Table, set)
 	n := set.Len()
@@ -335,6 +348,7 @@ func New(plan *planner.Plan, cfg pisa.Config) (*Runtime, error) {
 // NewWithOptions wires a runtime with explicit execution options.
 func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime, error) {
 	r := &Runtime{plan: plan, cfg: cfg, opts: opts,
+		fill:   make([]*viewBatch, max(1, opts.VantagePoints)),
 		finest: make(map[uint16]uint8), lastKeys: make(map[int]string)}
 
 	// Flatten the plan into installation-ordered instances.
@@ -356,15 +370,16 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 		}
 	}
 	var err error
-	if r.links, err = Links(plan); err != nil {
+	if r.links, err = planLinks(plan); err != nil {
 		return nil, err
 	}
 	return r, r.buildShards(max(1, min(opts.Workers, len(r.infos))))
 }
 
 // buildShards partitions the instances across n shards. Each shard gets the
-// switch program slice, emitter, and engine instances for the keys it owns;
-// both sides of a join instance share a key and so land on the same shard.
+// switch program slice (on one switch per vantage point), emitter, and
+// engine instances for the keys it owns; both sides of a join instance share
+// a key and so land on the same shard.
 //
 // Assignment is greedy longest-processing-time over each instance's cost:
 // instance costs are heavily skewed (a coarse level with a deep cut runs
@@ -391,11 +406,15 @@ func (r *Runtime) buildShards(n int) error {
 		load[best] += infos[idx].cost
 		r.owner[infos[idx].key] = best
 	}
+	prog := r.plan.Program
+	if len(r.fill) > 1 {
+		prog = dropDumpThresholds(prog)
+	}
 	progs := make([]*pisa.Program, n)
 	for i := range progs {
 		progs[i] = &pisa.Program{}
 	}
-	for _, spec := range r.plan.Program.Instances {
+	for _, spec := range prog.Instances {
 		si, ok := r.owner[stream.QueryKey{QID: spec.QID, Level: spec.Level}]
 		if !ok {
 			return fmt.Errorf("runtime: program instance %s has no planned level", spec.Name())
@@ -406,12 +425,15 @@ func (r *Runtime) buildShards(n int) error {
 	for i := 0; i < n; i++ {
 		engine := stream.NewEngine(stream.NewDynTables())
 		engine.SetScalar(r.opts.Scalar)
-		em := emitter.New(engine)
-		sw, err := pisa.NewSwitchShared(r.cfg, progs[i], em, r.pre)
-		if err != nil {
-			return fmt.Errorf("runtime: installing shard %d program: %w", i, err)
+		s := &shard{engine: engine, em: emitter.New(engine)}
+		for range r.fill {
+			sw, err := pisa.NewSwitchShared(r.cfg, progs[i], s.em, r.pre)
+			if err != nil {
+				return fmt.Errorf("runtime: installing shard %d program: %w", i, err)
+			}
+			s.sws = append(s.sws, sw)
 		}
-		r.shards = append(r.shards, &shard{sw: sw, engine: engine, em: em})
+		r.shards = append(r.shards, s)
 	}
 	for i, in := range infos {
 		s := r.shards[r.owner[in.key]]
@@ -423,7 +445,7 @@ func (r *Runtime) buildShards(n int) error {
 	for li := range r.links {
 		l := &r.links[li]
 		s := r.shards[r.owner[stream.QueryKey{QID: l.QID, Level: l.To}]]
-		if err := l.Resolve(s.engine.Dyn(), s.sw); err != nil {
+		if err := l.resolve(s.engine.Dyn(), s.sws...); err != nil {
 			return err
 		}
 	}
@@ -444,6 +466,27 @@ func (r *Runtime) buildShards(n int) error {
 		}
 	}
 	return nil
+}
+
+// dropDumpThresholds copies the program with threshold filters removed from
+// dump-boundary stateful tables. A per-switch threshold would suppress keys
+// whose traffic is split across vantage points and only crosses the
+// threshold in aggregate — the defining difficulty of network-wide heavy
+// hitter detection. Switches instead dump raw partial aggregates; the
+// stream engine's drain path re-applies the original threshold after
+// merging, so results are identical to a single switch observing the union
+// of the traffic.
+func dropDumpThresholds(prog *pisa.Program) *pisa.Program {
+	out := &pisa.Program{Instances: make([]*pisa.InstanceSpec, len(prog.Instances))}
+	for i, spec := range prog.Instances {
+		c := *spec
+		c.Tables = slices.Clone(spec.Tables)
+		if c.CutAt > 0 && c.Tables[c.CutAt-1].Stateful {
+			c.Tables[c.CutAt-1].MergedFilterOp = -1
+		}
+		out.Instances[i] = &c
+	}
+	return out
 }
 
 // instanceCost is the weight the shard balancer assigns an instance: the
@@ -486,34 +529,38 @@ func (r *Runtime) ProcessWindow(frames [][]byte) *WindowReport {
 	return r.closeWindow()
 }
 
-// Process pushes a single frame (streaming use; pair with CloseWindow): it
-// adds the frame to the filling view batch and hands a full batch — parsed
-// once, in fanOut — to every shard. The parsed views alias the frame and
-// outlive this call, so the caller must not modify it until the window
-// closes.
-func (r *Runtime) Process(frame []byte) {
+// Process pushes a single frame through vantage point 0: ProcessAt(0, frame).
+func (r *Runtime) Process(frame []byte) { r.ProcessAt(0, frame) }
+
+// ProcessAt pushes a single frame into vantage point vp, which must be below
+// Options.VantagePoints (streaming use; pair with CloseWindow): it adds the
+// frame to vp's filling view batch and hands a full batch — parsed once, in
+// fanOut — to every shard, whose switch at vp walks it. The parsed views
+// alias the frame and outlive this call, so the caller must not modify it
+// until the window closes.
+func (r *Runtime) ProcessAt(vp int, frame []byte) {
 	r.markWindowStart()
 	r.framesIn++
 	r.m.packets.Inc()
-	b := r.fill
+	b := r.fill[vp]
 	if b == nil {
 		b = r.batchPool.Get().(*viewBatch)
-		b.n = 0
-		r.fill = b
+		b.n, b.vp = 0, vp
+		r.fill[vp] = b
 	}
 	b.views[b.n].Frame = frame
 	b.n++
 	if b.n == len(b.views) {
-		r.fanOut(r.takeFill(), msgBatch)
+		r.fanOut(r.takeFill(vp), msgBatch)
 	}
 }
 
-// takeFill detaches the filling batch (nil when no frame is buffered). The
+// takeFill detaches vp's filling batch (nil when no frame is buffered). The
 // batch is read-only from here on; the last shard to finish it returns it
 // to the pool.
-func (r *Runtime) takeFill() *viewBatch {
-	b := r.fill
-	r.fill = nil
+func (r *Runtime) takeFill(vp int) *viewBatch {
+	b := r.fill[vp]
+	r.fill[vp] = nil
 	return b
 }
 
@@ -563,19 +610,19 @@ func (s *shard) run(r *Runtime) {
 }
 
 // exec executes one shard message on the calling goroutine: run the owned
-// instances over the batch, if any; on a close message, additionally close
-// the window on this shard's state and signal the epoch barrier. It reports
-// false once the message was a stop.
+// instances over the batch, if any, on the batch's vantage-point switch; on
+// a close message, additionally close the window on this shard's state and
+// signal the epoch barrier. It reports false once the message was a stop.
 func (s *shard) exec(r *Runtime, m shardMsg) bool {
 	if b := m.batch; b != nil {
 		t0 := time.Now()
-		views := b.views[:b.n]
+		views, sw := b.views[:b.n], s.sws[b.vp]
 		if r.opts.Scalar {
 			for i := range views {
-				s.sw.ProcessView(&views[i])
+				sw.ProcessView(&views[i])
 			}
 		} else {
-			s.sw.ProcessViewsPre(views, &b.masks)
+			sw.ProcessViewsPre(views, &b.masks)
 		}
 		s.busy += time.Since(t0)
 		if b.refs.Add(-1) == 0 {
@@ -595,16 +642,19 @@ func (s *shard) exec(r *Runtime, m shardMsg) bool {
 }
 
 // closeShard runs the window close on this shard's slice of the pipeline:
-// register dump, dump decode into the shard engine, stream-engine window
-// evaluation, emitter stats — concurrent across shards while workers are
-// live. The products land in s.cr; busy is published alongside and reset
-// for the next window.
+// register dump and dump decode into the shard engine, switch by switch in
+// vantage-point order, then stream-engine window evaluation and emitter
+// stats — concurrent across shards while workers are live. The products
+// land in s.cr; busy is published alongside and reset for the next window.
 func (s *shard) closeShard() {
 	cr := &s.cr
-	dumps, st := s.sw.EndWindow()
-	s.em.HandleDumps(dumps)
-	cr.dumpCount = len(dumps)
-	cr.stats = st
+	cr.dumpCount, cr.stats = 0, pisa.WindowStats{}
+	for _, sw := range s.sws {
+		dumps, st := sw.EndWindow()
+		s.em.HandleDumps(dumps)
+		cr.dumpCount += len(dumps)
+		cr.stats.Merge(st)
+	}
 	cr.results, cr.metrics = s.engine.EndWindow()
 	cr.emFrames, cr.emBad = s.em.WindowStats()
 	cr.busy, s.busy = s.busy, 0
@@ -658,7 +708,8 @@ func (r *Runtime) closeWindow() *WindowReport {
 	// Each shard runs register dump, dump decode, and stream-engine
 	// evaluation on the state it owns — in parallel on the workers while
 	// they are live — and the barrier hands ownership of every shard back to
-	// this goroutine. The close message carries the window's tail batch.
+	// this goroutine. Every vantage point's tail batch goes out first; the
+	// last one rides the close message.
 	// Both stage spans wrap the whole barrier (the phases overlap across
 	// shards), and each shard lane is re-parented before the close message
 	// so op spans recorded during the close nest under this window's
@@ -669,8 +720,14 @@ func (r *Runtime) closeWindow() *WindowReport {
 	for _, s := range r.shards {
 		s.lane.SetContext(r.window, se.ID())
 	}
+	last := len(r.fill) - 1
+	for vp := range last {
+		if b := r.takeFill(vp); b != nil {
+			r.fanOut(b, msgBatch)
+		}
+	}
 	r.closeWG.Add(len(r.shards))
-	r.fanOut(r.takeFill(), msgClose)
+	r.fanOut(r.takeFill(last), msgClose)
 	r.closeWG.Wait()
 	// Deterministic merge, on this side of the barrier: shard order for the
 	// commutative counters, installation order for results. What the engines
@@ -733,8 +790,8 @@ func (r *Runtime) closeWindow() *WindowReport {
 	for li := range r.links {
 		l := &r.links[li]
 		gated := stream.QueryKey{QID: l.QID, Level: l.To}
-		keys := l.Keys(results)
-		rep.FilterUpdates += l.Publish(keys)
+		keys := l.keys(results)
+		rep.FilterUpdates += l.publish(keys)
 		changed := r.keySetChanged(li, keys)
 		if changed {
 			r.m.refTransitions.Inc()
@@ -798,7 +855,7 @@ func (r *Runtime) closeWindow() *WindowReport {
 	return rep
 }
 
-// Keys extracts the dyn-table keys for level To from one window's results
+// keys extracts the dyn-table keys for level To from one window's results
 // into the link's reused candidate slice (valid until the next call;
 // consumers copy what they keep). For join queries the gate is the
 // intersection of the sub-queries' outputs (the paper's Section 4.1: "their
@@ -806,8 +863,8 @@ func (r *Runtime) closeWindow() *WindowReport {
 // for the finer levels") — the final post-join condition (e.g. a payload
 // keyword) must not gate refinement, or the victim would never be zoomed in
 // on.
-func (l *Link) Keys(results []stream.Result) []string {
-	keys := l.keys[:0]
+func (l *link) keys(results []stream.Result) []string {
+	keys := l.keyBuf[:0]
 	for i := range results {
 		res := &results[i]
 		if res.QID != l.QID || res.Level != l.From {
@@ -840,7 +897,7 @@ func (l *Link) Keys(results []stream.Result) []string {
 			}
 		}
 	}
-	l.keys = keys
+	l.keyBuf = keys
 	return keys
 }
 

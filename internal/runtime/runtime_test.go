@@ -239,7 +239,7 @@ func TestLinkResolutionSurfacesMissingInstance(t *testing.T) {
 	if plan.Queries[0].Delay() < 2 {
 		t.Skip("Fix-REF plan collapsed to one level on this workload")
 	}
-	links, err := Links(plan)
+	links, err := planLinks(plan)
 	if err != nil || len(links) == 0 {
 		t.Fatalf("links = %v, %v", links, err)
 	}
@@ -247,7 +247,7 @@ func TestLinkResolutionSurfacesMissingInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := links[0].Resolve(stream.NewDynTables(), sw); err != nil || len(links[0].tables) == 0 {
+	if err := links[0].resolve(stream.NewDynTables(), sw); err != nil || len(links[0].tables) == 0 {
 		t.Fatalf("resolving against the plan's own program: %d tables, %v", len(links[0].tables), err)
 	}
 	var short pisa.Program
@@ -259,7 +259,7 @@ func TestLinkResolutionSurfacesMissingInstance(t *testing.T) {
 	if sw, err = pisa.NewSwitch(cfg, &short, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := links[0].Resolve(stream.NewDynTables(), sw); err == nil {
+	if err := links[0].resolve(stream.NewDynTables(), sw); err == nil {
 		t.Fatal("a switch that does not run the gated level resolved")
 	}
 	allSP := planFor(t, []*query.Query{q1(100)}, train, cfg, planner.ModeAllSP)

@@ -3,7 +3,6 @@ package runtime
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/telemetry"
 	"repro/internal/tracez"
@@ -40,16 +39,19 @@ const freshHelp = "Result freshness per window in nanoseconds: first frame to pu
 
 // Instrument registers the whole deployment against reg and attaches the
 // span tracer (either may be nil). It threads the registry through every
-// shard's switch, emitter, and stream engine — counter series fold into the
-// same totals, the register gauges split per shard — so one call lights up
-// the full pipeline. The tracer's lanes are wired the same way: lane 0
-// carries the orchestration (window root and lifecycle stages), lane i+1
-// carries shard i's op spans.
+// shard's switches, emitter, and stream engine — counter series fold into
+// the same totals, the register gauges split per switch (deployment index
+// shard×VantagePoints+vp, the shard number at one vantage point) — so one
+// call lights up the full pipeline. The tracer's lanes are wired the same
+// way: lane 0 carries the orchestration (window root and lifecycle stages),
+// lane i+1 carries shard i's op spans.
 func (r *Runtime) Instrument(reg *telemetry.Registry, tz *tracez.Tracer) {
 	r.tz = tz
 	r.lane = tz.Lane(0)
 	for i, s := range r.shards {
-		s.sw.Instrument(reg, i)
+		for vp, sw := range s.sws {
+			sw.Instrument(reg, i*len(s.sws)+vp)
+		}
 		s.engine.Instrument(reg)
 		// The shard's lane is cached so the close path can re-parent it
 		// without taking the tracer's lane mutex every window. The lane
@@ -99,24 +101,13 @@ func (r *Runtime) Instrument(reg *telemetry.Registry, tz *tracez.Tracer) {
 	}
 }
 
-// keyFingerprint canonicalizes a refinement key set so consecutive windows
-// can be compared for the transition counter.
-func keyFingerprint(keys []string) string {
-	if len(keys) == 0 {
-		return ""
-	}
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, "\x00")
-}
-
 // keySetChanged reports whether link li's refinement key set differs from
-// the previous window's, updating the stored fingerprint when it does. It
-// is keyFingerprint without the steady-state allocations: keys are sorted
-// in place (safe — every consumer has already copied what it keeps), the
-// canonical form is built in a reused byte scratch, the comparison against
-// the stored fingerprint allocates nothing, and a string is materialized
-// only on an actual transition.
+// the previous window's, updating the stored fingerprint when it does. The
+// fingerprint is the sorted keys joined by NUL, built without steady-state
+// allocations: keys are sorted in place (safe — every consumer has already
+// copied what it keeps), the canonical form is built in a reused byte
+// scratch, the comparison against the stored fingerprint allocates nothing,
+// and a string is materialized only on an actual transition.
 func (r *Runtime) keySetChanged(li int, keys []string) bool {
 	sort.Strings(keys)
 	fp := r.fpScratch[:0]

@@ -169,16 +169,30 @@ func TestInstrumentNilSafe(t *testing.T) {
 	}
 }
 
-func TestKeyFingerprint(t *testing.T) {
-	a := keyFingerprint([]string{"b", "a", "c"})
-	b := keyFingerprint([]string{"c", "b", "a"})
-	if a != b {
-		t.Error("fingerprint must be order-independent")
+// TestKeySetChanged drives the refinement-transition detector window by
+// window: a transition is a change of the key set, whatever its order.
+func TestKeySetChanged(t *testing.T) {
+	r := &Runtime{lastKeys: make(map[int]string)}
+	steps := []struct {
+		link    int
+		keys    []string
+		changed bool
+		why     string
+	}{
+		{0, nil, false, "the empty set is where every link starts"},
+		{0, []string{"b", "a", "c"}, true, "a changed set is one transition"},
+		{0, []string{"c", "b", "a"}, false, "order-independent: the same set reordered"},
+		{0, []string{"a", "b", "c"}, false, "the same set twice is no transition"},
+		{1, []string{"a", "b", "c"}, true, "distinct links are independent"},
+		{0, []string{"a", "b"}, true, "a shrunk set is a transition"},
+		{1, []string{"a", "b", "c"}, false, "link 1 kept its set while link 0 moved"},
+		{0, []string{}, true, "emptying the set is a transition"},
+		{0, nil, false, "nil and empty are the same set"},
 	}
-	if keyFingerprint(nil) != "" {
-		t.Error("empty key set must fingerprint to empty string")
-	}
-	if keyFingerprint([]string{"a"}) == keyFingerprint([]string{"b"}) {
-		t.Error("distinct key sets must differ")
+	for i, st := range steps {
+		if got := r.keySetChanged(st.link, st.keys); got != st.changed {
+			t.Errorf("step %d (link %d, %v): changed=%v, want %v — %s",
+				i, st.link, st.keys, got, st.changed, st.why)
+		}
 	}
 }
