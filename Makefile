@@ -41,9 +41,13 @@ bench:
 # trip; once, the sharded runtime against the scalar oracle (inline and at
 # 2/8 workers) and the runtime's vantage-point switches against the
 # standalone network-wide fabric loop they replaced (2 and 4 vantage points
-# at 1 and 2 workers); and planner training, which runs the kernels over one batch of
+# at 1 and 2 workers); planner training, which runs the kernels over one batch of
 # extracted columns per window, against the reference trainer that profiles
-# every level and edge separately over bare packets. View batches, their prescreen masks and their field
+# every level and edge separately over bare packets; and plan selection,
+# which prices each refinement edge once and builds only the cheapest 48
+# candidates, against the reference selector that builds and prices every
+# (path, cut-tier) combination — equal candidates, order included, and equal
+# plans. View batches, their prescreen masks and their field
 # columns are shared read-only across shards while each shard's emitter
 # adopts them into its own scratch; the race detector is what proves
 # "read-only" (`make race` runs the whole of the packages that hold them).
@@ -56,7 +60,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge' ./internal/planner
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
@@ -82,14 +86,15 @@ check-trace:
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
 # against alloc_budget.json (zero for every path but the runtime's whole
 # window close, which allocates its report and refinement rule sets, and
-# planner training, whose ceiling is its measured count);
+# planner training and plan selection, whose ceilings are their measured
+# counts);
 # the -benchmem run prints the same paths' current numbers for the log.
 # Allocation counts are deterministic (training's to within a few, from map
 # hashing), so unlike bench-smoke this gate is not subject to perf noise and
 # does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$' .
+		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

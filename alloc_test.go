@@ -28,10 +28,11 @@ import (
 
 // TestAllocBudget is the gating side of `make bench-alloc`: each hot path
 // runs under testing.AllocsPerRun and must not exceed the budget checked in
-// as alloc_budget.json. Every budget but RuntimeWindowClose and PlannerTrain
-// is zero; those two are measured counts — of what a window's report and
-// refinement rule sets allocate, and of one training pass. Tightening or
-// relaxing one is a reviewed change to the JSON file, not a silent drift.
+// as alloc_budget.json. Every budget but RuntimeWindowClose, PlannerTrain and
+// PlanQueries is zero; those three are measured counts — of what a window's
+// report and refinement rule sets allocate, of one training pass and of one
+// planning pass. Tightening or relaxing one is a reviewed change to the JSON
+// file, not a silent drift.
 func TestAllocBudget(t *testing.T) {
 	raw, err := os.ReadFile("alloc_budget.json")
 	if err != nil {
@@ -225,6 +226,13 @@ func TestAllocBudget(t *testing.T) {
 	// run, a window copy or a per-row allocation coming back. A pass takes
 	// about 0.1 s, so it is measured over a few runs.
 	checkRuns("PlannerTrain", 3, allocBudgetTrain(t))
+
+	// Plan selection over the same trained queries at the default menu: each
+	// refinement edge priced once, candidates built for each query's cheapest
+	// 48 combinations only, trial programs reusing each edge's augmented
+	// query and pipelines. The plan, its program and every trial program are
+	// fresh, so its budget is the measured count too.
+	checkRuns("PlanQueries", 20, allocBudgetPlan(t, []int{8, 16, 24}))
 }
 
 // allocBudgetReport fabricates a window report with a coarse and a finest
@@ -480,6 +488,28 @@ func allocBudgetTrain(t testing.TB) func() {
 	windows := w.TrainingFrames()
 	return func() {
 		if _, err := planner.Train(qs, []int{8, 16, 24}, windows); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// allocBudgetPlan trains the header queries on the same two windows as
+// allocBudgetTrain, once, under the level menu, and returns one planning pass
+// of them for the default switch.
+func allocBudgetPlan(t testing.TB, menu []int) func() {
+	scale := eval.Scale{PacketsPerWindow: 10_000, Windows: 3, TrainWindows: 2, Hosts: 1_000, Seed: 1}
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := queries.TopEight(eval.ScaledParams(scale))
+	tr, err := planner.Train(qs, menu, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pisa.DefaultConfig()
+	return func() {
+		if _, err := planner.PlanQueries(tr, qs, cfg, planner.DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,6 +28,7 @@
 //	BenchmarkEngineJoinClose            — one window of an inner and a left-outer join, close included
 //	BenchmarkRuntimeWindowClose         — one small window of the header queries' Sonata plan, close included
 //	BenchmarkPlannerTrain               — training the header queries on two 10k-packet windows
+//	BenchmarkPlanQueries                — planning the trained header queries, per level menu
 //
 // End-to-end throughput of the window loop is the harness's job: go run ./bench.
 package main
@@ -456,6 +457,30 @@ func BenchmarkPlannerTrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		train()
+	}
+}
+
+// BenchmarkPlanQueries is plan selection as the deployment pays it at
+// start-up and at every re-plan: the header queries, trained once on two
+// 10k-packet windows, planned for the default switch. One sub-benchmark per
+// level menu: the repo's default and the paper's {4, 8, …, 28}
+// (TestAllocBudget caps the default menu's allocations).
+func BenchmarkPlanQueries(b *testing.B) {
+	for _, menu := range []struct {
+		name   string
+		levels []int
+	}{
+		{"menu=8-16-24", []int{8, 16, 24}},
+		{"menu=paper", []int{4, 8, 12, 16, 20, 24, 28}},
+	} {
+		b.Run(menu.name, func(b *testing.B) {
+			plan := allocBudgetPlan(b, menu.levels)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan()
+			}
+		})
 	}
 }
 

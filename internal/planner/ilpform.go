@@ -1,10 +1,8 @@
 package planner
 
 import (
-	"repro/internal/compile"
 	"repro/internal/ilp"
 	"repro/internal/lp"
-	"repro/internal/pisa"
 )
 
 // solveILP selects one candidate per query by solving the plan-selection
@@ -44,7 +42,7 @@ func (s *selector) solveILP(incumbent []int) ([]int, bool) {
 	bitsCoef := make([]float64, n)
 	metaCoef := make([]float64, n)
 	for v, ref := range refs {
-		c := s.cands[ref.qi][ref.ci]
+		c := &s.cands[ref.qi][ref.ci]
 		prob.C[v] = float64(c.cost)
 		st, bits, meta := s.candidateResources(ref.qi, c)
 		statefulCoef[v] = float64(st)
@@ -106,44 +104,16 @@ func (s *selector) totalCost(choice []int) uint64 {
 	return total
 }
 
-// candidateResources aggregates a candidate's switch footprint: stateful
-// table count, register bits, and metadata bits.
-func (s *selector) candidateResources(qi int, c candidate) (stateful int, bits int64, meta int) {
-	qt := s.queries[qi]
-	prev := LevelStar
-	for i, level := range c.path {
-		edge := qt.Edges[[2]int{prev, level}]
-		st, b, m := sideResources(edge.Left, c.cuts[i][0], s.cfg)
-		stateful += st
-		bits += b
-		meta += m
-		if edge.Right != nil {
-			st, b, m = sideResources(edge.Right, c.cuts[i][1], s.cfg)
-			stateful += st
-			bits += b
-			meta += m
-		}
-		prev = level
+// candidateResources aggregates a candidate's switch footprint — stateful
+// table count, register bits, and metadata bits — over the pipelines it
+// places, from the edges' priced tiers.
+func (s *selector) candidateResources(qi int, c *candidate) (stateful int, bits int64, meta int) {
+	s.placed = s.placements(qi, c, s.placed[:0])
+	for _, p := range s.placed {
+		pr := p.edge.at(p.side, p.cut, s.cfg)
+		stateful += pr.stateful
+		bits += pr.bits
+		meta += pr.meta
 	}
-	return stateful, bits, meta
-}
-
-func sideResources(sc *SideCost, cut int, cfg pisa.Config) (stateful int, bits int64, meta int) {
-	if sc == nil || cut == 0 {
-		return 0, 0, 0
-	}
-	for t := 0; t < cut; t++ {
-		tab := &sc.Pipe.Tables[t]
-		if !tab.Stateful {
-			continue
-		}
-		stateful++
-		n := pisa.EntriesFor(sc.KeysAt[t])
-		if cap := maxEntries(cfg, tab.KeyBits, tab.ValBits); n > cap {
-			n = cap
-		}
-		bits += pisa.RegisterBits(n, cfg.RegisterChains, tab.KeyBits, tab.ValBits)
-	}
-	meta = compile.MetaBits(sc.Pipe.Ops)
 	return stateful, bits, meta
 }

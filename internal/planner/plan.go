@@ -1,9 +1,9 @@
 package planner
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"time"
 
 	"repro/internal/compile"
@@ -145,23 +145,10 @@ type candidate struct {
 // PlanQueries chooses partitioning and refinement plans for the trained
 // query set under the switch configuration.
 func PlanQueries(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, opts Options) (*Plan, error) {
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 4
+	sel, err := newSelector(tr, queries, cfg, opts)
+	if err != nil {
+		return nil, err
 	}
-	sel := &selector{tr: tr, cfg: cfg, opts: opts}
-	for _, q := range queries {
-		qt, ok := tr.PerQuery[q.ID]
-		if !ok {
-			return nil, fmt.Errorf("planner: query %d (%s) was not trained", q.ID, q.Name)
-		}
-		cands := sel.candidatesFor(qt)
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("planner: no candidates for %q", q.Name)
-		}
-		sel.queries = append(sel.queries, qt)
-		sel.cands = append(sel.cands, cands)
-	}
-
 	choice := sel.greedy()
 	if opts.UseILP {
 		if ilpChoice, ok := sel.solveILP(choice); ok {
@@ -177,34 +164,64 @@ type selector struct {
 	cfg     pisa.Config
 	opts    Options
 	queries []*QueryTraining
-	cands   [][]candidate
+	// edges[qi] holds query qi's refinement edges as selection prices and
+	// places them, each built the first time a path reaches it.
+	edges []map[[2]int]*pricedEdge
+	cands [][]candidate
+	// Scratch reused across queries and trial programs.
+	proxies []proxy
+	placed  []placement
 }
 
-// candidatesFor enumerates the plan space of one query under the mode.
-func (s *selector) candidatesFor(qt *QueryTraining) []candidate {
+// newSelector prices every query's plan space into its candidate list.
+func newSelector(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, opts Options) (*selector, error) {
+	if opts.MaxDelay <= 0 {
+		opts.MaxDelay = 4
+	}
+	s := &selector{tr: tr, cfg: cfg, opts: opts}
+	for _, q := range queries {
+		qt, ok := tr.PerQuery[q.ID]
+		if !ok {
+			return nil, fmt.Errorf("planner: query %d (%s) was not trained", q.ID, q.Name)
+		}
+		s.queries = append(s.queries, qt)
+		s.edges = append(s.edges, make(map[[2]int]*pricedEdge))
+		cands := s.candidatesFor(len(s.queries) - 1)
+		if len(cands) == 0 {
+			return nil, fmt.Errorf("planner: no candidates for %q", q.Name)
+		}
+		s.cands = append(s.cands, cands)
+	}
+	return s, nil
+}
+
+// candidatesFor enumerates the plan space of query qi under the mode.
+func (s *selector) candidatesFor(qi int) []candidate {
+	qt := s.queries[qi]
 	switch s.opts.Mode {
 	case ModeAllSP:
-		return []candidate{s.allSPCandidate(qt)}
+		return []candidate{s.allSPCandidate(qi)}
 	case ModeFilterDP:
-		return []candidate{s.filterDPCandidate(qt)}
+		return []candidate{s.filterDPCandidate(qi)}
 	case ModeMaxDP:
-		return s.pathCandidates(qt, [][]int{s.finestPath(qt)})
+		return s.pathCandidates(qi, [][]int{finestPath(qt)})
 	case ModeFixRef:
-		return s.pathCandidates(qt, [][]int{qt.Levels})
+		return s.pathCandidates(qi, [][]int{qt.Levels})
 	default:
-		return s.pathCandidates(qt, s.paths(qt))
+		return s.pathCandidates(qi, paths(qt, s.opts.MaxDelay))
 	}
 }
 
 // finestPath is the no-refinement path: the single finest level.
-func (s *selector) finestPath(qt *QueryTraining) []int {
+func finestPath(qt *QueryTraining) []int {
 	return []int{qt.Levels[len(qt.Levels)-1]}
 }
 
 // paths enumerates monotone level chains ending at the finest level, with
-// length bounded by the query's delay budget.
-func (s *selector) paths(qt *QueryTraining) [][]int {
-	maxLen := s.opts.MaxDelay
+// length bounded by the query's delay budget (maxDelay unless the query's
+// own is tighter).
+func paths(qt *QueryTraining, maxDelay int) [][]int {
+	maxLen := maxDelay
 	if qt.Query.MaxDelay > 0 && qt.Query.MaxDelay < maxLen {
 		maxLen = qt.Query.MaxDelay
 	}
@@ -230,16 +247,16 @@ func (s *selector) paths(qt *QueryTraining) [][]int {
 }
 
 // allSPCandidate puts everything on the stream processor.
-func (s *selector) allSPCandidate(qt *QueryTraining) candidate {
-	finest := s.finestPath(qt)
-	c := candidate{path: finest, cuts: [][2]int{{0, 0}}}
-	c.cost = s.pathCost(qt, c)
+func (s *selector) allSPCandidate(qi int) candidate {
+	c := candidate{path: finestPath(s.queries[qi]), cuts: [][2]int{{0, 0}}}
+	c.cost = s.pathCost(qi, &c)
 	return c
 }
 
 // filterDPCandidate cuts after the leading run of plain filter tables.
-func (s *selector) filterDPCandidate(qt *QueryTraining) candidate {
-	finest := s.finestPath(qt)
+func (s *selector) filterDPCandidate(qi int) candidate {
+	qt := s.queries[qi]
+	finest := finestPath(qt)
 	edge := qt.Edges[[2]int{LevelStar, finest[0]}]
 	cutOf := func(sc *SideCost) int {
 		if sc == nil {
@@ -255,76 +272,89 @@ func (s *selector) filterDPCandidate(qt *QueryTraining) candidate {
 		return cut
 	}
 	c := candidate{path: finest, cuts: [][2]int{{cutOf(edge.Left), cutOf(edge.Right)}}}
-	c.cost = s.pathCost(qt, c)
+	c.cost = s.pathCost(qi, &c)
 	return c
 }
 
-// pathCandidates expands each path into per-edge cut combinations. For each
-// edge, three cut tiers are considered: everything capability-allowed
-// ("max"), the stateless prefix only ("lean"), and nothing ("zero") — the
-// tiers trade stream-processor load against switch resources.
-func (s *selector) pathCandidates(qt *QueryTraining, paths [][]int) []candidate {
-	var out []candidate
-	seen := map[string]bool{}
-	// Dedup signature: decimal-rendered path and cuts with separators. Built
-	// by hand because this runs inside the per-window refinement loop, where
-	// reflection-based formatting showed up in end-to-end profiles.
-	var sigBuf []byte
-	sig := func(c *candidate) []byte {
-		sigBuf = sigBuf[:0]
-		for _, p := range c.path {
-			sigBuf = strconv.AppendInt(sigBuf, int64(p), 10)
-			sigBuf = append(sigBuf, ',')
-		}
-		sigBuf = append(sigBuf, '|')
-		for _, t := range c.cuts {
-			sigBuf = strconv.AppendInt(sigBuf, int64(t[0]), 10)
-			sigBuf = append(sigBuf, ':')
-			sigBuf = strconv.AppendInt(sigBuf, int64(t[1]), 10)
-			sigBuf = append(sigBuf, ',')
-		}
-		return sigBuf
-	}
-	for _, path := range paths {
-		tiers := make([][][2]int, len(path))
+// proxy is one (path, cut-tier combination) of a query's plan space before
+// it becomes a candidate: its cost and cut depth, summed from the edges'
+// priced tiers, and its indexes — the path's into the path list, and combo,
+// the per-edge tier-pair indexes in mixed radix with the first edge most
+// significant.
+type proxy struct {
+	cost               uint64
+	depth, path, combo int32
+}
+
+// pathCandidates expands each path into per-edge cut-tier combinations and
+// returns the cheapest 48 as candidates, cheapest first. Every combination
+// is an index proxy priced from the edges' tables; only the 48 kept are
+// built. Paths are distinct and so are an edge's tier pairs, so every
+// combination is a distinct candidate.
+func (s *selector) pathCandidates(qi int, paths [][]int) []candidate {
+	gated := gatedQuery(s.queries[qi])
+	s.proxies = s.proxies[:0]
+	var edges []*pricedEdge
+	for pi, path := range paths {
+		edges = edges[:0]
 		prev := LevelStar
-		for i, level := range path {
-			edge := qt.Edges[[2]int{prev, level}]
-			tiers[i] = cutTiers(edge)
+		for _, level := range path {
+			edges = append(edges, s.edge(qi, prev, level))
 			prev = level
 		}
-		// Cartesian product of tiers, bounded: paths are short (<=4) and
-		// tiers per edge <=3, so at most 81 combos per path.
-		var rec func(i int, cuts [][2]int)
-		rec = func(i int, cuts [][2]int) {
-			if i == len(path) {
-				c := candidate{path: path, cuts: append([][2]int(nil), cuts...)}
-				c.cost = s.pathCost(qt, c)
-				if key := sig(&c); !seen[string(key)] {
-					seen[string(key)] = true
-					out = append(out, c)
-				}
+		var rec func(i int, cost uint64, depth, combo int)
+		rec = func(i int, cost uint64, depth, combo int) {
+			if i == len(edges) {
+				s.proxies = append(s.proxies, proxy{cost, int32(depth), int32(pi), int32(combo)})
 				return
 			}
-			for _, t := range tiers[i] {
-				rec(i+1, append(cuts, t))
+			e := edges[i]
+			gate := gated && i < len(edges)-1
+			left, right := e.tiers[0], e.tiers[1]
+			for li := range left {
+				for ri := range right {
+					n := right[ri].n
+					if !gate {
+						n += left[li].n
+					}
+					rec(i+1, cost+n, depth+left[li].cut+right[ri].cut, combo*len(left)*len(right)+li*len(right)+ri)
+				}
 			}
 		}
-		rec(0, nil)
+		rec(0, 0, 0, 0)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].cost != out[j].cost {
-			return out[i].cost < out[j].cost
+	// Among equal cost and depth the order is pdqsort's over the enumeration
+	// order, the same whether it sorts proxies (slices.SortFunc) or built
+	// candidates (sort.Slice, as plan_ref_test.go's reference selector does):
+	// both are one pdqsort template.
+	slices.SortFunc(s.proxies, func(a, b proxy) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
 		// Equal trained cost: prefer deeper cuts (more work on the switch).
 		// Training can only estimate the traffic it saw; when a class of
 		// traffic is absent from training, every cut costs zero and the
 		// deeper one is free insurance against workload drift.
-		return out[i].cutDepth() > out[j].cutDepth()
+		return cmp.Compare(b.depth, a.depth)
 	})
 	// Keep the search tractable: the cheapest few dozen candidates.
-	if len(out) > 48 {
-		out = out[:48]
+	kept := s.proxies[:min(len(s.proxies), 48)]
+	out := make([]candidate, len(kept))
+	for k, p := range kept {
+		path := paths[p.path]
+		c := &out[k]
+		c.path, c.cuts, c.cost = path, make([][2]int, len(path)), p.cost
+		for i, combo := len(path)-1, int(p.combo); i >= 0; i-- {
+			prev := LevelStar
+			if i > 0 {
+				prev = path[i-1]
+			}
+			e := s.edge(qi, prev, path[i])
+			left, right := e.tiers[0], e.tiers[1]
+			pair := combo % (len(left) * len(right))
+			combo /= len(left) * len(right)
+			c.cuts[i] = [2]int{left[pair/len(right)].cut, right[pair%len(right)].cut}
+		}
 	}
 	return out
 }
@@ -338,100 +368,217 @@ func (c *candidate) cutDepth() int {
 	return d
 }
 
-// cutTiers returns the distinct {left, right} cut pairs worth considering
-// for one edge.
-func cutTiers(edge *EdgeProfile) [][2]int {
-	tiersOf := func(sc *SideCost) []int {
-		if sc == nil {
-			return []int{0}
-		}
-		max := maxCut(sc)
-		lean := statelessCut(sc)
-		set := []int{max}
-		if lean != max {
-			set = append(set, lean)
-		}
-		if lean != 0 && max != 0 {
-			set = append(set, 0)
-		}
-		return set
-	}
-	var out [][2]int
-	for _, l := range tiersOf(edge.Left) {
-		for _, r := range tiersOf(edge.Right) {
-			out = append(out, [2]int{l, r})
-		}
-	}
-	return out
+// pricedEdge is one refinement edge of a query as plan selection reads it,
+// built once per PlanQueries: each side's cut tiers priced (a side without a
+// join has the one empty cut), and, from the first trial program that
+// places the edge, its augmented query and its sides' compiled pipelines.
+type pricedEdge struct {
+	prev, level int
+	sides       [2]*SideCost // left, right (nil without a join)
+	tiers       [2][]sidePrice
+	aug         *query.Query
+	pipes       [2]compile.Pipeline
 }
 
-// maxCut is the deepest valid cut (most work on the switch).
-func maxCut(sc *SideCost) int {
-	pts := sc.Pipe.ValidPartitionPoints()
-	return pts[len(pts)-1]
+// edge returns query qi's edge prev → level, pricing it on first use.
+func (s *selector) edge(qi, prev, level int) *pricedEdge {
+	k := [2]int{prev, level}
+	if e := s.edges[qi][k]; e != nil {
+		return e
+	}
+	prof := s.queries[qi].Edges[k]
+	e := &pricedEdge{prev: prev, level: level, sides: [2]*SideCost{prof.Left, prof.Right}}
+	for side, sc := range e.sides {
+		for _, cut := range cutTiers(sc) {
+			e.tiers[side] = append(e.tiers[side], price(sc, cut, s.cfg))
+		}
+	}
+	s.edges[qi][k] = e
+	return e
+}
+
+// at returns the edge's side priced at cut: one of its tiers, or, for a
+// cut outside them (Filter-DP's filter prefix), priced afresh.
+func (e *pricedEdge) at(side, cut int, cfg pisa.Config) sidePrice {
+	for _, p := range e.tiers[side] {
+		if p.cut == cut {
+			return p
+		}
+	}
+	return price(e.sides[side], cut, cfg)
+}
+
+// augment builds the edge's augmented query and compiles its sides, once.
+func (e *pricedEdge) augment(qt *QueryTraining) {
+	if e.aug != nil {
+		return
+	}
+	e.aug = qt.AugmentedAt(e.prev, e.level)
+	e.pipes[0] = compile.CompilePipeline(e.aug.Left.Ops)
+	if e.aug.HasJoin() {
+		e.pipes[1] = compile.CompilePipeline(e.aug.Right.Ops)
+	}
+}
+
+// cutTiers returns the distinct cuts worth considering for one side of an
+// edge: everything capability-allowed ("max"), the stateless prefix only
+// ("lean"), and nothing ("zero") — the tiers trade stream-processor load
+// against switch resources. A missing side has the one empty cut.
+func cutTiers(sc *SideCost) []int {
+	if sc == nil {
+		return []int{0}
+	}
+	max, lean := sc.Cuts[len(sc.Cuts)-1], statelessCut(sc)
+	tiers := []int{max}
+	if lean != max {
+		tiers = append(tiers, lean)
+	}
+	if lean != 0 && max != 0 {
+		tiers = append(tiers, 0)
+	}
+	return tiers
 }
 
 // statelessCut is the deepest valid cut that uses no stateful tables.
 func statelessCut(sc *SideCost) int {
 	cut := 0
-	for _, p := range sc.Pipe.ValidPartitionPoints() {
-		ok := true
-		for t := 0; t < p; t++ {
-			if sc.Pipe.Tables[t].Stateful {
-				ok = false
-				break
-			}
+	for _, p := range sc.Cuts {
+		if slices.ContainsFunc(sc.Pipe.Tables[:p], func(t compile.Table) bool { return t.Stateful }) {
+			break // so does every deeper cut
 		}
-		if ok && p > cut {
-			cut = p
-		}
+		cut = p
 	}
 	return cut
 }
 
-// pathCost is the trained per-window tuple estimate of a candidate.
-func (s *selector) pathCost(qt *QueryTraining, c candidate) uint64 {
-	var total uint64
-	prev := LevelStar
-	for i, level := range c.path {
-		edge := qt.Edges[[2]int{prev, level}]
-		if !gateOnly(qt, c.path, i) {
-			total += sideN(edge.Left, c.cuts[i][0], s.cfg)
-		}
-		total += sideN(edge.Right, c.cuts[i][1], s.cfg)
-		prev = level
-	}
-	return total
+// sidePrice is one side of an edge cut at one position, priced: what the
+// stream processor receives, and what the switch spends.
+type sidePrice struct {
+	cut int
+	// n is the trained N for the cut plus overflow, the estimated
+	// register-overflow traffic under the switch's per-op budget.
+	n, overflow uint64
+	// regs sizes each stateful switch table's registers, capped to the
+	// per-op budget; stateful, bits and meta are the cut's switch footprint.
+	regs     []int
+	stateful int
+	bits     int64
+	meta     int
 }
 
-// gateOnly reports whether level i of the path runs only the gating
+// price prices one side at a cut (the zero price for a missing side).
+func price(sc *SideCost, cut int, cfg pisa.Config) sidePrice {
+	p := sidePrice{cut: cut}
+	if sc == nil {
+		return p
+	}
+	p.regs = make([]int, len(sc.Pipe.Tables))
+	for t := 0; t < cut; t++ {
+		tab := &sc.Pipe.Tables[t]
+		if !tab.Stateful {
+			continue
+		}
+		keys := sc.KeysAt[t]
+		n := pisa.EntriesFor(keys)
+		if cap := maxEntries(cfg, tab.KeyBits, tab.ValBits); n > cap {
+			// Cap to the per-operator register budget. Keys beyond capacity
+			// overflow to the stream processor per packet (Section 3.3's
+			// "additional packets processed by the stream processor" term):
+			// the excess key fraction of the table's input packets, once the
+			// d chained registers' effective capacity is exceeded.
+			if capacity := uint64(float64(cap*cfg.RegisterChains) * 0.7); keys > capacity {
+				p.overflow += (keys - capacity) * sc.inputN(t) / keys
+			}
+			n = cap
+		}
+		p.regs[t] = n
+		p.stateful++
+		p.bits += pisa.RegisterBits(n, cfg.RegisterChains, tab.KeyBits, tab.ValBits)
+	}
+	p.n = sc.nAt(cut) + p.overflow
+	if cut > 0 {
+		p.meta = sc.Pipe.MetaBits
+	}
+	return p
+}
+
+// nAt is the trained N for a cut (the whole window's for a cut that is not
+// a valid cut point).
+func (sc *SideCost) nAt(cut int) uint64 {
+	if i := slices.Index(sc.Cuts, cut); i >= 0 {
+		return sc.NAtCut[i]
+	}
+	return sc.NAtCut[0]
+}
+
+// inputN estimates the packets entering table t: the trained N at the
+// deepest valid cut at or before t.
+func (sc *SideCost) inputN(t int) uint64 {
+	best := sc.NAtCut[0]
+	for i, p := range sc.Cuts {
+		if p <= t {
+			best = sc.NAtCut[i]
+		}
+	}
+	return best
+}
+
+// gatedQuery reports whether the query's coarse levels run only the gating
 // sub-query. For join queries whose left side is the raw packet stream
 // (e.g. the Zorro payload query), coarse refinement levels exist solely to
 // zoom in via the aggregating sub-query; mirroring the packet-phase left
 // side there would ship payloads the stream processor cannot use yet. The
 // paper's case study behaves this way: payload processing starts only once
 // the victim is identified.
-func gateOnly(qt *QueryTraining, path []int, i int) bool {
-	if i == len(path)-1 || !qt.Query.HasJoin() {
-		return false
-	}
-	return qt.Query.Left.OutSchema() == nil
+func gatedQuery(qt *QueryTraining) bool {
+	return qt.Query.HasJoin() && qt.Query.Left.OutSchema() == nil
 }
 
-// sideN is the trained N for a cut plus the estimated register-overflow
-// traffic under the switch's per-op budget.
-func sideN(sc *SideCost, cut int, cfg pisa.Config) uint64 {
-	if sc == nil {
-		return 0
-	}
-	base := sc.NAtCut[0]
-	for i, p := range sc.Pipe.ValidPartitionPoints() {
-		if p == cut {
-			base = sc.NAtCut[i]
-			break
+// gateOnly reports whether level i of the path runs only the gating
+// sub-query: a gated query's every level but the finest.
+func gateOnly(qt *QueryTraining, path []int, i int) bool {
+	return i != len(path)-1 && gatedQuery(qt)
+}
+
+// placement is one pipeline a candidate places on the switch: side
+// (0 left, 1 right) of edge, cut at cut, run as the switch's side as.
+type placement struct {
+	edge *pricedEdge
+	side int
+	as   pisa.Side
+	cut  int
+}
+
+// placements appends to out the pipelines candidate c of query qi places,
+// in program order: per level the left side, then a join's right — or, on
+// a gate-only level, the right side alone, run as the level's left
+// pipeline. Pricing, resource accounting, trial programs and the final plan
+// all read this one list, so they agree on what each level runs.
+func (s *selector) placements(qi int, c *candidate, out []placement) []placement {
+	prev := LevelStar
+	for i, level := range c.path {
+		e := s.edge(qi, prev, level)
+		if gateOnly(s.queries[qi], c.path, i) {
+			out = append(out, placement{e, 1, pisa.SideLeft, c.cuts[i][1]})
+		} else {
+			out = append(out, placement{e, 0, pisa.SideLeft, c.cuts[i][0]})
+			if e.sides[1] != nil {
+				out = append(out, placement{e, 1, pisa.SideRight, c.cuts[i][1]})
+			}
 		}
+		prev = level
 	}
-	return base + overflowN(sc, cut, cfg)
+	return out
+}
+
+// pathCost is the trained per-window tuple estimate of a candidate.
+func (s *selector) pathCost(qi int, c *candidate) uint64 {
+	var total uint64
+	s.placed = s.placements(qi, c, s.placed[:0])
+	for _, p := range s.placed {
+		total += p.edge.at(p.side, p.cut, s.cfg).n
+	}
+	return total
 }
 
 // greedy packs candidates: start everything at All-SP-equivalent (always
@@ -497,7 +644,7 @@ func (s *selector) fallbackIndex(qi int) int {
 			return ci
 		}
 	}
-	s.cands[qi] = append(s.cands[qi], s.allSPCandidate(s.queries[qi]))
+	s.cands[qi] = append(s.cands[qi], s.allSPCandidate(qi))
 	return len(s.cands[qi]) - 1
 }
 
@@ -510,40 +657,29 @@ func (s *selector) realize(choice []int) (*Plan, error) {
 	}
 	plan := &Plan{Mode: s.opts.Mode, Program: prog}
 	for qi, qt := range s.queries {
-		c := s.cands[qi][choice[qi]]
 		qp := &QueryPlan{Query: qt.Query, Key: qt.Key}
-		prev := LevelStar
-		for i, level := range c.path {
-			lp := s.levelPlan(qt, prev, level, c.cuts[i], gateOnly(qt, c.path, i))
-			qp.Levels = append(qp.Levels, lp)
-			prev = level
+		s.placed = s.placements(qi, &s.cands[qi][choice[qi]], s.placed[:0])
+		for _, p := range s.placed {
+			inst, n := s.instance(p)
+			if p.as == pisa.SideRight {
+				lp := &qp.Levels[len(qp.Levels)-1]
+				lp.Right = &inst
+				lp.ExpectedN += n
+				continue
+			}
+			// A level's left pipeline opens its entry. Gate-only levels
+			// collapse the join query to its aggregating sub-query: the
+			// level's sole job is to feed the next level's dynamic filters.
+			aug := p.edge.aug
+			if p.side == 1 {
+				aug = gateQuery(aug)
+			}
+			qp.Levels = append(qp.Levels, LevelPlan{Prev: p.edge.prev, Level: p.edge.level,
+				Aug: aug, Left: inst, ExpectedN: n})
 		}
 		plan.Queries = append(plan.Queries, qp)
 	}
 	return plan, nil
-}
-
-// levelPlan builds one level's plan entry. Gate-only levels collapse the
-// join query to its aggregating sub-query: the level's sole job is to feed
-// the next level's dynamic filters.
-func (s *selector) levelPlan(qt *QueryTraining, prev, level int, cuts [2]int, gate bool) LevelPlan {
-	edge := qt.Edges[[2]int{prev, level}]
-	aug := qt.AugmentedAt(prev, level)
-	lp := LevelPlan{Prev: prev, Level: level, Aug: aug}
-	if gate {
-		lp.Aug = gateQuery(aug)
-		lp.Left = makeInstance(pisa.SideLeft, lp.Aug.Left.Ops, edge.Right, cuts[1], s.cfg)
-		lp.ExpectedN = sideN(edge.Right, cuts[1], s.cfg)
-		return lp
-	}
-	lp.Left = makeInstance(pisa.SideLeft, aug.Left.Ops, edge.Left, cuts[0], s.cfg)
-	lp.ExpectedN = sideN(edge.Left, cuts[0], s.cfg)
-	if edge.Right != nil {
-		r := makeInstance(pisa.SideRight, aug.Right.Ops, edge.Right, cuts[1], s.cfg)
-		lp.Right = &r
-		lp.ExpectedN += sideN(edge.Right, cuts[1], s.cfg)
-	}
-	return lp
 }
 
 // gateQuery rewrites a join query into a plain query over its right
@@ -555,29 +691,19 @@ func gateQuery(aug *query.Query) *query.Query {
 	}
 }
 
-func makeInstance(side pisa.Side, ops []query.Op, sc *SideCost, cut int, cfg pisa.Config) InstancePlan {
-	inst := InstancePlan{Side: side, Ops: ops, Pipe: compile.CompilePipeline(ops), Cut: cut}
-	// Work estimate for the shard balancer: the trained op-level work sum
-	// plus the collision-overflow packets this cut will shunt inline to the
-	// stream processor — the profiler has unbounded registers, so sc.Work
-	// alone misses that cost, and it is heavy (mirror encode/decode plus an
-	// SP pipeline run per packet).
-	inst.EstWork = sc.Work + 8*overflowN(sc, cut, cfg)
-	inst.RegEntries = make([]int, len(inst.Pipe.Tables))
-	for t := range inst.Pipe.Tables {
-		if inst.Pipe.Tables[t].Stateful && t < cut {
-			tab := &inst.Pipe.Tables[t]
-			n := pisa.EntriesFor(sc.KeysAt[t])
-			if cap := maxEntries(cfg, tab.KeyBits, tab.ValBits); n > cap {
-				// Cap to the per-operator register budget: keys beyond
-				// capacity overflow to the stream processor per packet,
-				// which the cost model (overflowN) accounts for.
-				n = cap
-			}
-			inst.RegEntries[t] = n
-		}
-	}
-	return inst
+// instance is a placement as an instance plan, with its trained N. The
+// edge must have been augmented (buildProgram does it).
+func (s *selector) instance(p placement) (InstancePlan, uint64) {
+	pr := p.edge.at(p.side, p.cut, s.cfg)
+	pipe := p.edge.pipes[p.side]
+	return InstancePlan{Side: p.as, Ops: pipe.Ops, Pipe: pipe, Cut: p.cut, RegEntries: pr.regs,
+		// Work estimate for the shard balancer: the trained op-level work
+		// sum plus the collision-overflow packets this cut will shunt inline
+		// to the stream processor — the profiler has unbounded registers, so
+		// Work alone misses that cost, and it is heavy (mirror encode/decode
+		// plus an SP pipeline run per packet).
+		EstWork: p.edge.sides[p.side].Work + 8*pr.overflow,
+	}, pr.n
 }
 
 // maxEntries is the largest power-of-two register size fitting the per-op
@@ -590,100 +716,33 @@ func maxEntries(cfg pisa.Config, keyBits, valBits int) int {
 	return n
 }
 
-// overflowN estimates the per-window packets shunted to the stream
-// processor when a stateful table's key population exceeds its capped
-// register capacity: the excess key fraction applied to the table's input
-// packet volume (Section 3.3's "additional packets processed by the stream
-// processor" term).
-func overflowN(sc *SideCost, cut int, cfg pisa.Config) uint64 {
-	var extra uint64
-	for t := 0; t < cut; t++ {
-		tab := &sc.Pipe.Tables[t]
-		if !tab.Stateful {
-			continue
-		}
-		keys := sc.KeysAt[t]
-		n := pisa.EntriesFor(keys)
-		cap := maxEntries(cfg, tab.KeyBits, tab.ValBits)
-		if n <= cap {
-			continue
-		}
-		// Effective capacity of d chained registers before collisions bite.
-		capacity := uint64(float64(cap*cfg.RegisterChains) * 0.7)
-		if keys <= capacity {
-			continue
-		}
-		inPkts := tableInputN(sc, t)
-		extra += (keys - capacity) * inPkts / keys
-	}
-	return extra
-}
-
-// tableInputN estimates the packets entering table t: the trained N at the
-// deepest valid cut at or before t.
-func tableInputN(sc *SideCost, t int) uint64 {
-	pts := sc.Pipe.ValidPartitionPoints()
-	best := sc.NAtCut[0]
-	for i, p := range pts {
-		if p <= t {
-			best = sc.NAtCut[i]
-		}
-	}
-	return best
-}
-
 // buildProgram materializes the switch program for a choice vector,
 // assigning stages first-fit, and validates it against the configuration.
 func (s *selector) buildProgram(choice []int) (*pisa.Program, error) {
 	prog := &pisa.Program{}
 	place := newPlacer(s.cfg)
 	for qi, qt := range s.queries {
-		c := s.cands[qi][choice[qi]]
-		prev := LevelStar
-		for i, level := range c.path {
-			edge := qt.Edges[[2]int{prev, level}]
-			aug := qt.AugmentedAt(prev, level)
-			if gateOnly(qt, c.path, i) {
-				// Gate-only level: the sub-query runs as the (only) left
-				// pipeline.
-				if err := s.placeSide(prog, place, qt, aug.Right.Ops, edge.Right, level, pisa.SideLeft, c.cuts[i][1]); err != nil {
-					return nil, err
-				}
-				prev = level
-				continue
+		s.placed = s.placements(qi, &s.cands[qi][choice[qi]], s.placed[:0])
+		for _, p := range s.placed {
+			p.edge.augment(qt)
+			inst, _ := s.instance(p)
+			spec := &pisa.InstanceSpec{
+				QID: qt.Query.ID, Level: uint8(p.edge.level), Side: inst.Side,
+				Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: inst.Cut,
+				RegEntries: inst.RegEntries,
 			}
-			if err := s.placeSide(prog, place, qt, aug.Left.Ops, edge.Left, level, pisa.SideLeft, c.cuts[i][0]); err != nil {
+			stages, err := place.fit(spec)
+			if err != nil {
 				return nil, err
 			}
-			if edge.Right != nil {
-				if err := s.placeSide(prog, place, qt, aug.Right.Ops, edge.Right, level, pisa.SideRight, c.cuts[i][1]); err != nil {
-					return nil, err
-				}
-			}
-			prev = level
+			spec.StageOf = stages
+			prog.Instances = append(prog.Instances, spec)
 		}
 	}
 	if err := prog.Validate(s.cfg); err != nil {
 		return nil, err
 	}
 	return prog, nil
-}
-
-func (s *selector) placeSide(prog *pisa.Program, place *placer, qt *QueryTraining,
-	ops []query.Op, sc *SideCost, level int, side pisa.Side, cut int) error {
-	inst := makeInstance(side, ops, sc, cut, s.cfg)
-	spec := &pisa.InstanceSpec{
-		QID: qt.Query.ID, Level: uint8(level), Side: side,
-		Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: cut,
-		RegEntries: inst.RegEntries,
-	}
-	stages, err := place.fit(spec)
-	if err != nil {
-		return err
-	}
-	spec.StageOf = stages
-	prog.Instances = append(prog.Instances, spec)
-	return nil
 }
 
 // placer assigns tables to stages first-fit under the per-stage limits.

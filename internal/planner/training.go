@@ -20,8 +20,10 @@ type Frames [][]byte
 type SideCost struct {
 	// Pipe is the compiled augmented pipeline the costs refer to.
 	Pipe compile.Pipeline
+	// Cuts are the pipeline's valid cut points, Pipe.ValidPartitionPoints().
+	Cuts []int
 	// NAtCut[i] is the tuples-per-window the stream processor would receive
-	// if the pipeline were cut after ValidPartitionPoints()[i] tables.
+	// if the pipeline were cut after Cuts[i] tables.
 	NAtCut []uint64
 	// KeysAt[t] is the distinct-key count of stateful table t.
 	KeysAt map[int]uint64
@@ -352,7 +354,7 @@ func (t *trainer) edge(prev, level int, aug *query.Query, runs [][]stream.Pipeli
 func (t *trainer) sideCost(ops []query.Op, runs []stream.PipelineProfile) *SideCost {
 	pipe := compile.CompilePipeline(ops)
 	cuts := pipe.ValidPartitionPoints()
-	sc := &SideCost{Pipe: pipe, NAtCut: make([]uint64, len(cuts)), KeysAt: make(map[int]uint64)}
+	sc := &SideCost{Pipe: pipe, Cuts: cuts, NAtCut: make([]uint64, len(cuts)), KeysAt: make(map[int]uint64)}
 	perWindow := make([]uint64, len(runs))
 	median := func(of func(run *stream.PipelineProfile, pkts uint64) uint64) uint64 {
 		for w := range runs {

@@ -142,6 +142,9 @@ func compareTraining(t *testing.T, name string, got, want *QueryTraining) {
 			if s.got == nil {
 				continue
 			}
+			if want := s.want.Pipe.ValidPartitionPoints(); !reflect.DeepEqual(s.got.Cuts, want) {
+				t.Errorf("%s: edge %v %s Cuts = %v, reference %v", name, k, s.side, s.got.Cuts, want)
+			}
 			if !reflect.DeepEqual(s.got.NAtCut, s.want.NAtCut) {
 				t.Errorf("%s: edge %v %s NAtCut = %v, reference %v", name, k, s.side, s.got.NAtCut, s.want.NAtCut)
 			}
