@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-kernels check-metrics check-subscribe check-trace
+.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-kernels check-metrics check-subscribe check-trace check-eval
 
-check: fmt vet build test race check-kernels check-metrics check-subscribe check-trace bench-alloc
+check: fmt vet build test race check-kernels check-metrics check-subscribe check-trace check-eval bench-alloc
 	-@$(MAKE) --no-print-directory bench-smoke
 
 fmt:
@@ -82,6 +82,14 @@ check-subscribe:
 check-trace:
 	$(GO) test -race ./internal/tracez
 	$(GO) test -race -run 'TestTraceTree|TestLatencyTriggered' ./internal/runtime
+
+# Figure gate, under the race detector: Table 3 and Fig. 5, 7a, 7b and 8 at
+# small scale must hash to their recorded TSV digests. Fig. 7a, 7b and 8 run
+# up to four experiments at once, and -race at GOMAXPROCS=4 shows that those
+# runs share only the workload's read-only frame cache and the cached
+# training (~25 s).
+check-eval:
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSmallScaleFiguresGolden' ./internal/eval
 
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
 # against alloc_budget.json (zero for every path but the runtime's whole

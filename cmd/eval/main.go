@@ -4,102 +4,51 @@
 //
 // Usage:
 //
-//	eval [-scale small|medium|large] [-out dir] [-workers N] [-debug-addr :9090]
-//	     [-subscribe-addr :9339] [experiment ...]
-//	eval -top [-debug-addr host:9090] [-top-interval 1s]
+//	eval [-scale small|medium|large] [-out dir] [-workers N] [-debug-addr :9090] [experiment ...]
 //
 // Experiments: table3, fig3, fig5, fig7a, fig7b, fig8, fig9, overhead, all.
 //
-// With -debug-addr the process serves /metrics, /debug/vars, /debug/pprof/,
-// /debug/queries, and (with -subscribe-addr) /debug/subscribers while the
-// experiments run — pprof in particular is the intended way to profile a
-// long "large"-scale run. With -subscribe-addr it additionally serves
-// gNMI-style result subscriptions: every deployed runtime streams its
-// per-window results to attached collectors. With -top it attaches to a
-// running process instead, rendering a refreshing per-query view.
+// With -out each table is also written to dir/<id>.tsv; a failed write
+// stops the run with exit status 1, so a regeneration never leaves a stale
+// file behind silently. With -debug-addr the process serves /metrics,
+// /debug/vars and /debug/pprof/ while the experiments run — pprof is the
+// intended way to profile a long "large"-scale run. The figure runtimes
+// themselves are not instrumented: Fig. 7 and 8 run several at once, and
+// the observed deployment, with its flight recorder, span trees,
+// subscriptions and -top view, is cmd/sonata.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
 	"time"
 
 	"repro/internal/eval"
-	"repro/internal/flightrec"
 	"repro/internal/pisa"
+	"repro/internal/planner"
 	"repro/internal/queries"
-	"repro/internal/subscribe"
 	"repro/internal/telemetry"
-	"repro/internal/tracez"
 )
 
 func main() {
 	scaleFlag := flag.String("scale", "medium", "workload scale: small, medium, or large")
 	outDir := flag.String("out", "", "directory for TSV outputs (optional)")
 	workers := flag.Int("workers", goruntime.GOMAXPROCS(0), "window-pipeline shards (1 = one shard on the calling goroutine)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof/ on this address (with -top: the address to poll)")
-	subscribeAddr := flag.String("subscribe-addr", "", "serve gNMI-style result subscriptions on this address")
-	top := flag.Bool("top", false, "poll a running process's /debug/queries and render a refreshing top view")
-	topInterval := flag.Duration("top-interval", time.Second, "refresh interval for -top")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof/ on this address")
 	flag.Parse()
 
-	if *top {
-		if *debugAddr == "" {
-			fatal(fmt.Errorf("-top needs -debug-addr of the process to watch"))
-		}
-		if err := flightrec.WatchTop(os.Stdout, *debugAddr, *topInterval); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	eval.DefaultWorkers = *workers
-
-	// The registry and flight recorder always exist (their measured cost on
-	// the packet path is inside the harness's noise; see cmd/sonata); the
-	// endpoints are opt-in.
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterBuildInfo(reg, time.Now())
-	eval.DefaultTelemetry = reg // every deployed runtime registers here
-	tz := tracez.New(tracez.Options{})
-	tz.Instrument(reg)
-	eval.DefaultTracez = tz // /debug/trace follows the live runtime
-	rec := flightrec.New(0, nil)
-	rec.Instrument(reg)
-	rec.AttachTraceIndex(tz.Has)
-	eval.DefaultFlightRec = rec // /debug/queries follows the live runtime
-
-	var subSrv *subscribe.Server
-	if *subscribeAddr != "" {
-		subSrv = subscribe.NewServer()
-		subSrv.Instrument(reg)
-		eval.DefaultResultSink = subSrv // every deployed runtime publishes here
-		ln, err := net.Listen("tcp", *subscribeAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer subSrv.Close()
-		go subSrv.Serve(ln)
-		fmt.Fprintf(os.Stderr, "[eval] subscription endpoint on %s\n", ln.Addr())
-	}
-
 	if *debugAddr != "" {
-		mux := telemetry.NewDebugMux(reg)
-		mux.Handle("/debug/queries", rec.Handler())
-		mux.Handle("/debug/trace", tz.Handler())
-		if subSrv != nil {
-			mux.Handle("/debug/subscribers", subSrv.Handler())
-		}
-		srv, addr, err := telemetry.ServeDebugMux(*debugAddr, mux)
+		reg := telemetry.NewRegistry()
+		telemetry.RegisterBuildInfo(reg, time.Now())
+		srv, addr, err := telemetry.ServeDebugMux(*debugAddr, telemetry.NewDebugMux(reg))
 		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "[eval] debug endpoint on http://%s (/metrics, /debug/vars, /debug/pprof/, /debug/queries, /debug/trace)\n", addr)
+		fmt.Fprintf(os.Stderr, "[eval] debug endpoint on http://%s (/metrics, /debug/vars, /debug/pprof/)\n", addr)
 	}
 
 	var scale eval.Scale
@@ -125,7 +74,7 @@ func main() {
 		if *outDir != "" {
 			path := filepath.Join(*outDir, t.ID+".tsv")
 			if err := os.WriteFile(path, []byte(t.TSV()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
+				fatal(err)
 			}
 		}
 	}
@@ -138,6 +87,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
+			w.Workers = *workers
 			w.Preload(*workers)
 		}
 		return w
@@ -149,7 +99,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[eval] running %s at %s scale...\n", exp, *scaleFlag)
 		switch exp {
 		case "table3":
-			emit(eval.Table3(queries.DefaultParams(), []int{8, 16, 24}))
+			emit(eval.Table3(queries.DefaultParams(), planner.DefaultMenu))
 		case "fig3":
 			emit(eval.Fig3())
 		case "fig5":

@@ -50,7 +50,7 @@ func main() {
 	for i := 0; i < 2; i++ {
 		train = append(train, frames(gen, i))
 	}
-	tr, err := planner.Train([]*query.Query{q}, []int{8, 16, 24}, train)
+	tr, err := planner.Train([]*query.Query{q}, planner.DefaultMenu, train)
 	if err != nil {
 		log.Fatal(err)
 	}

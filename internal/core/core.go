@@ -28,9 +28,6 @@ type Config struct {
 	// Planner holds plan-selection options; zero means
 	// planner.DefaultOptions().
 	Planner planner.Options
-	// Levels is the refinement level menu; nil means {8, 16, 24}, plus each
-	// key's finest level implicitly.
-	Levels []int
 	// Workers shards the deployed window pipeline across this many workers;
 	// 0 or 1 deploys one shard on the calling goroutine. Reports are
 	// identical either way; only wall time changes.
@@ -43,9 +40,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Planner.MaxDelay == 0 && c.Planner.ILPBudget == 0 {
 		c.Planner = planner.DefaultOptions()
-	}
-	if c.Levels == nil {
-		c.Levels = []int{8, 16, 24}
 	}
 	return c
 }
@@ -82,7 +76,7 @@ func (s *Sonata) Train(windows []planner.Frames) error {
 	if len(s.queries) == 0 {
 		return fmt.Errorf("core: no queries registered")
 	}
-	tr, err := planner.Train(s.queries, s.cfg.Levels, windows)
+	tr, err := planner.Train(s.queries, planner.DefaultMenu, windows)
 	if err != nil {
 		return err
 	}

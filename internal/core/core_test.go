@@ -99,16 +99,11 @@ func TestFacadeValidation(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Switch.Stages == 0 || c.Levels == nil {
+	if c.Switch.Stages == 0 {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 	if c.Planner.MaxDelay == 0 {
 		t.Errorf("planner defaults not applied: %+v", c.Planner)
-	}
-	// Explicit values survive.
-	c2 := Config{Levels: []int{16}}.withDefaults()
-	if len(c2.Levels) != 1 || c2.Levels[0] != 16 {
-		t.Error("explicit levels overridden")
 	}
 }
 

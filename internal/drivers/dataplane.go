@@ -1,10 +1,11 @@
-// Package drivers implements Sonata's target drivers (Section 5): the
-// data-plane driver that fronts a PISA switch over the control-plane
-// protocol, and the streaming driver that installs partitioned queries into
-// the stream engine. Each driver has a server half (co-located with its
-// target) and a client half (used by the runtime), connected by any
-// net.Conn. The packet fast path never crosses the control channel, exactly
-// as in the paper's architecture.
+// Package drivers implements Sonata's data-plane target driver (Section 5):
+// a server half that owns a PISA switch and serves the control-plane
+// protocol, and a client half that installs the switch program, loads
+// dynamic filter tables and collects each window's register dumps, the two
+// connected by any net.Conn (examples/distributed drives one). The packet
+// fast path never crosses the control channel, as in the paper's
+// architecture. The stream processor needs no driver: the runtime installs
+// a plan's stream-side pipelines into its own engines.
 package drivers
 
 import (

@@ -11,7 +11,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/query"
-	"repro/internal/stream"
 	"repro/internal/tuple"
 )
 
@@ -102,23 +101,6 @@ func TestDataPlaneRejectsBadVersion(t *testing.T) {
 	}
 	if _, err := c.Recv(nil); err == nil {
 		t.Error("bad version accepted")
-	}
-}
-
-func TestStreamingDriverInstalls(t *testing.T) {
-	engine := stream.NewEngine(nil)
-	d := NewStreamingDriver(engine)
-	// A minimal hand-built plan: reuse planner types indirectly through a
-	// runtime-level test would pull in training; instead install directly.
-	q := testQuery()
-	if err := engine.Install(q, 0, stream.Partition{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(engine.Installed()); got != 1 {
-		t.Fatalf("installed = %d", got)
-	}
-	if d.Engine() != engine {
-		t.Error("driver lost its engine")
 	}
 }
 

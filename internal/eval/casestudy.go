@@ -10,6 +10,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/queries"
 	"repro/internal/query"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -70,7 +71,7 @@ func CaseStudy(scale Scale) (*CaseStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := NewExperiment(wl, []*query.Query{q}).deploy(plan, pisa.DefaultConfig())
+	rt, err := runtime.New(plan, pisa.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -3,38 +3,11 @@ package eval
 import (
 	"time"
 
-	"repro/internal/flightrec"
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/query"
 	"repro/internal/runtime"
-	"repro/internal/telemetry"
-	"repro/internal/tracez"
 )
-
-// DefaultTelemetry, when non-nil, is adopted by every experiment built
-// with NewExperiment (and by CaseStudy): each deployed runtime registers
-// its metrics there. cmd/eval points this at the -debug-addr registry so
-// the figure harness is observable while it runs.
-var DefaultTelemetry *telemetry.Registry
-
-// DefaultWorkers sets the shard count for every experiment built with
-// NewExperiment (0 or 1: one shard on the calling goroutine). cmd/eval
-// wires its -workers flag here.
-var DefaultWorkers int
-
-// DefaultResultSink, when non-nil, receives every deployed runtime's
-// window reports (cmd/eval's -subscribe-addr wires a subscription server
-// here so collectors can watch an evaluation live).
-var DefaultResultSink runtime.ResultSink
-
-// DefaultFlightRec, when non-nil, is attached to every runtime an
-// experiment deploys, so /debug/queries follows whichever run is live.
-var DefaultFlightRec *flightrec.Recorder
-
-// DefaultTracez, when non-nil, collects every deployed runtime's per-window
-// span trees, so /debug/trace follows whichever run is live.
-var DefaultTracez *tracez.Tracer
 
 // RunResult summarizes one (query set, plan mode, switch config) execution
 // over the workload's evaluation windows.
@@ -101,33 +74,18 @@ func (r *RunResult) MaxTuples() uint64 {
 type Experiment struct {
 	W       *Workload
 	Queries []*query.Query
-	Levels  []int
-	// Telemetry, when set, instruments every runtime the experiment deploys
-	// against this registry (cmd/eval's -debug-addr wires it).
-	Telemetry *telemetry.Registry
 	// Workers shards the window pipeline across this many workers (0 or 1:
 	// one shard on the calling goroutine). Results are identical either way;
 	// only wall time changes.
 	Workers int
-	// FlightRec, when set, is attached to every runtime the experiment
-	// deploys (the recorder resets per deployment, so it tracks the live one).
-	FlightRec *flightrec.Recorder
-	// Sink, when set, receives every deployed runtime's window reports
-	// (subscription fan-out rides along with the evaluation).
-	Sink runtime.ResultSink
-	// Tracez, when set, collects per-window span trees from every runtime
-	// the experiment deploys (cmd/eval's -debug-addr wires it).
-	Tracez *tracez.Tracer
 
 	training *planner.TrainingResult
 }
 
-// NewExperiment prepares an experiment with the default level menu.
+// NewExperiment prepares an experiment with the default level menu,
+// sharded as the workload's Workers says.
 func NewExperiment(w *Workload, qs []*query.Query) *Experiment {
-	return &Experiment{W: w, Queries: qs, Levels: []int{8, 16, 24},
-		Telemetry: DefaultTelemetry, Workers: DefaultWorkers,
-		FlightRec: DefaultFlightRec, Sink: DefaultResultSink,
-		Tracez: DefaultTracez}
+	return &Experiment{W: w, Queries: qs, Workers: w.Workers}
 }
 
 // Training trains lazily and caches.
@@ -135,31 +93,12 @@ func (e *Experiment) Training() (*planner.TrainingResult, error) {
 	if e.training != nil {
 		return e.training, nil
 	}
-	tr, err := planner.Train(e.Queries, e.Levels, e.W.TrainingFrames())
+	tr, err := planner.Train(e.Queries, planner.DefaultMenu, e.W.TrainingFrames())
 	if err != nil {
 		return nil, err
 	}
 	e.training = tr
 	return tr, nil
-}
-
-// deploy builds a runtime for the plan and attaches the experiment's
-// observers and sink; the caller closes it.
-func (e *Experiment) deploy(plan *planner.Plan, cfg pisa.Config) (*runtime.Runtime, error) {
-	rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{Workers: e.Workers})
-	if err != nil {
-		return nil, err
-	}
-	if e.Telemetry != nil || e.Tracez != nil {
-		rt.Instrument(e.Telemetry, e.Tracez)
-	}
-	if e.FlightRec != nil {
-		rt.AttachFlightRecorder(e.FlightRec)
-	}
-	if e.Sink != nil {
-		rt.SetResultSink(e.Sink)
-	}
-	return rt, nil
 }
 
 // Run plans under the mode and replays the evaluation windows.
@@ -174,7 +113,7 @@ func (e *Experiment) Run(cfg pisa.Config, mode planner.Mode) (*RunResult, error)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := e.deploy(plan, cfg)
+	rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{Workers: e.Workers})
 	if err != nil {
 		return nil, err
 	}

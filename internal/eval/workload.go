@@ -16,6 +16,9 @@ import (
 type Workload struct {
 	Gen          *trace.Generator
 	TrainWindows int
+	// Workers is the shard count of every experiment built on the workload
+	// with NewExperiment (0 or 1: one shard on the calling goroutine).
+	Workers int
 
 	mu    sync.Mutex
 	cache map[int][][]byte

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -98,9 +99,13 @@ func trainingWindows(t *testing.T, nWindows, pktsPerWindow int) []Frames {
 func TestTrainQuery1(t *testing.T) {
 	windows := trainingWindows(t, 2, 6000)
 	q := q1(100)
-	tr, err := Train([]*query.Query{q}, []int{8, 16, 24}, windows)
+	tr, err := Train([]*query.Query{q}, DefaultMenu, windows)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The menu is shared by every deployment: Train must leave it alone.
+	if !slices.Equal(DefaultMenu, []int{8, 16, 24}) {
+		t.Fatalf("Train changed DefaultMenu to %v", DefaultMenu)
 	}
 	qt := tr.PerQuery[1]
 	if !qt.Refinable || qt.Key.Field != fields.DstIP {

@@ -75,6 +75,12 @@ type TrainingResult struct {
 	WindowPackets uint64
 }
 
+// DefaultMenu is the level menu every deployment trains with unless it
+// says otherwise: /8, /16 and /24, a subset of the paper's {4, 8, …, 32}
+// (EXPERIMENTS.md deviation 2), each key's finest level appended by Train.
+// Train only reads the menu.
+var DefaultMenu = []int{8, 16, 24}
+
 // Train profiles the query set over the training windows and derives
 // refinement levels, relaxed thresholds, satisfying-key sets, and edge
 // costs. levels is the planner's level menu (coarse to fine, e.g.
