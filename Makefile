@@ -68,12 +68,14 @@ check-kernels:
 check-metrics:
 	$(GO) test -run 'TestMetricsLint|TestLint' ./internal/runtime ./internal/telemetry
 
-# Subscription delivery gate, under the race detector: the differential test
-# proves concurrent subscribers observe the one-shard runtime's per-window
-# result sequence bit-identically at 1/2/8 workers, and the backpressure test
-# proves a stalled consumer is evicted without delaying window close.
+# Subscription delivery gate: the whole package under the race detector. The
+# differential test proves concurrent subscribers, dial-in and dial-out alike,
+# observe the one-shard runtime's per-window result sequence bit-identically
+# at 1/2/8 workers; the backpressure test proves a stalled consumer is evicted
+# without delaying window close; and the dial-out tests race the redialing
+# transport's writer against Close.
 check-subscribe:
-	$(GO) test -race -run 'TestSubscribe|TestPublishNeverBlocks|TestOnChange|TestSample|TestTargetDefined|TestDialOut' ./internal/subscribe
+	$(GO) test -race ./internal/subscribe
 
 # Trace-tree gate, under the race detector: the ring/rotation test hammers
 # eight single-writer lanes against concurrent window closes, and the

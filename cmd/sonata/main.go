@@ -29,9 +29,10 @@
 // With -subscribe-addr the process serves gNMI-style streaming result
 // subscriptions: collectors connect, pick a mode (on-change, sample, or
 // target-defined), and receive each window's per-query results with
-// per-subscriber backpressure (see internal/subscribe). The debug mux gains
-// /debug/subscribers. With -dial-out the process instead (or additionally)
-// pushes every window to a remote collector, redialing with backoff.
+// per-subscriber backpressure (see internal/subscribe). With -dial-out the
+// process instead (or additionally) pushes every window to a remote
+// collector, one more subscriber, redialing with backoff. Either flag adds
+// /debug/subscribers to the debug mux.
 //
 // With -top the command attaches to a running process instead: it polls
 // http://<debug-addr>/debug/queries and renders a refreshing top-style view
@@ -118,27 +119,28 @@ func main() {
 	rec.Instrument(reg)
 	rec.AttachTraceIndex(tz.Has)
 
-	// Result delivery: a subscription server collectors dial into, a
-	// dial-out exporter pushing to a remote collector, or both.
-	var sinks subscribe.MultiSink
+	// Result delivery: one subscription server, for collectors that dial in,
+	// a collector it dials out to, or both.
 	var subSrv *subscribe.Server
-	if *subscribeAddr != "" {
+	if *subscribeAddr != "" || *dialOut != "" {
 		subSrv = subscribe.NewServer()
 		subSrv.Instrument(reg)
+		defer subSrv.Close()
+	}
+	if *subscribeAddr != "" {
 		ln, err := net.Listen("tcp", *subscribeAddr)
 		if err != nil {
 			fatal(err)
 		}
-		defer subSrv.Close()
 		go subSrv.Serve(ln)
-		sinks = append(sinks, subSrv)
 		fmt.Fprintf(os.Stderr, "[sonata] subscription endpoint on %s\n", ln.Addr())
 	}
 	if *dialOut != "" {
-		exp := subscribe.NewDialOut(*dialOut, subscribe.DialOutOptions{})
-		exp.Instrument(reg)
-		defer exp.Close()
-		sinks = append(sinks, exp)
+		// Finest levels, every window, drop-oldest across outages.
+		if _, err := subSrv.DialOut(*dialOut, subscribe.SubscribeRequest{
+			Mode: subscribe.Sample, Policy: subscribe.DropOldest}); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "[sonata] dialing out to collector %s\n", *dialOut)
 	}
 
@@ -221,8 +223,8 @@ func main() {
 	}
 	rt.Instrument(reg, tz)
 	rt.AttachFlightRecorder(rec)
-	if len(sinks) > 0 {
-		rt.SetResultSink(sinks)
+	if subSrv != nil {
+		rt.SetResultSink(subSrv)
 	}
 	fmt.Fprintln(os.Stderr, "[sonata] plan:")
 	for _, line := range rt.EntrySummary() {

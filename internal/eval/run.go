@@ -58,17 +58,6 @@ func (r *RunResult) MeanTuples() float64 {
 	return float64(sum) / float64(len(r.PerWindow))
 }
 
-// MaxTuples returns the worst window.
-func (r *RunResult) MaxTuples() uint64 {
-	var max uint64
-	for _, v := range r.PerWindow {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Experiment caches training so multiple modes and switch configurations
 // reuse it (training depends only on queries and traffic).
 type Experiment struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/fields"
 	"repro/internal/flightrec"
 	"repro/internal/keytab"
 	"repro/internal/query"
@@ -307,12 +306,6 @@ func (e *Engine) AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec
 			rq.fr = lookup(key.QID, key.Level)
 		}
 	}
-}
-
-// Installed returns the keys of all installed query instances in
-// installation order.
-func (e *Engine) Installed() []QueryKey {
-	return append([]QueryKey(nil), e.order...)
 }
 
 // Instance resolves an installed instance, nil when (qid, level) is not
@@ -684,14 +677,4 @@ func compareTuples(a, b []tuple.Value) int {
 		}
 	}
 	return cmp.Compare(len(a), len(b))
-}
-
-// FieldOfResult is a convenience for tests and reports: the value of the
-// named column in a result tuple.
-func FieldOfResult(r *Result, t []tuple.Value, f fields.ID) (tuple.Value, bool) {
-	i := r.Schema.Index(f)
-	if i < 0 || i >= len(t) {
-		return tuple.Value{}, false
-	}
-	return t[i], true
 }

@@ -1,192 +1,129 @@
 package subscribe
 
 import (
+	"context"
 	"io"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/netproto"
-	"repro/internal/runtime"
-	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
-// DialOutOptions tunes a dial-out exporter.
-type DialOutOptions struct {
-	// QueueCap bounds updates buffered across collector outages
-	// (0 = DefaultQueueCap). Overflow always drops oldest: the exporter
-	// exists to survive a flaky collector, not to disconnect from it.
-	QueueCap int
-	// AllLevels forwards coarse refinement levels too (default: finest only).
-	AllLevels bool
-	// MinBackoff/MaxBackoff bound the reconnect backoff (defaults 100ms/5s).
-	MinBackoff time.Duration
-	MaxBackoff time.Duration
+// Dial-out reconnect bounds: each dial gives up after dialTimeout, and the
+// wait before the next one starts at minBackoff and doubles up to
+// maxBackoff.
+const (
+	dialTimeout = 2 * time.Second
+	minBackoff  = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+)
+
+// DialOut is the reverse of Serve: instead of a collector subscribing in,
+// the server pushes to one at addr — gNMI's dial-out telemetry. The
+// collector is an ordinary subscriber with request req, whose transport
+// the server owns: it redials addr whenever the connection is down, opening
+// each connection with MsgHello. While the collector is unreachable the
+// subscriber's writer waits, so its queue and eviction policy buffer the
+// outage and Publish never blocks. Returns the subscriber id for Detach.
+func (s *Server) DialOut(addr string, req SubscribeRequest) (uint64, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &redialer{addr: addr, s: s, ctx: ctx, cancel: cancel}
+	sub, err := s.attach(r, req)
+	if err != nil {
+		cancel()
+		return 0, err
+	}
+	go s.writer(sub)
+	return sub.id, nil
 }
 
-// DialOut is the reverse of Serve: instead of collectors subscribing in,
-// the monitored process pushes every window to a remote collector —
-// gNMI's dial-out telemetry. It implements runtime.ResultSink; Publish
-// never blocks regardless of collector health. A background goroutine
-// dials the collector with exponential backoff, sends MsgHello, then
-// streams MsgNotify frames; on a write failure the frame is retried once
-// on the next connection before being counted dropped.
-type DialOut struct {
-	addr string
-	opts DialOutOptions
+// redialer is a dial-out subscriber's transport. netproto writes each frame
+// in one Write, so a frame whose write fails is resent whole on the next
+// connection. Close, or a write deadline (Close's bounded flush), ends the
+// redialing: the live connection may still finish writing, but once it
+// fails Write returns an error instead of waiting for the collector.
+type redialer struct {
+	addr   string
+	s      *Server // counts reconnects
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	q      chan []byte
-	closed bool
-	done   chan struct{}
-	dialed bool // a first connection attempt has happened (run goroutine only)
-
-	reconnects *telemetry.Counter
-	sent       *telemetry.Counter
-	dropped    *telemetry.Counter
+	mu   sync.Mutex
+	conn net.Conn // nil while the collector is down
 }
 
-// NewDialOut starts an exporter pushing to addr.
-func NewDialOut(addr string, opts DialOutOptions) *DialOut {
-	if opts.QueueCap <= 0 {
-		opts.QueueCap = DefaultQueueCap
-	}
-	if opts.MinBackoff <= 0 {
-		opts.MinBackoff = 100 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 5 * time.Second
-	}
-	d := &DialOut{
-		addr: addr,
-		opts: opts,
-		q:    make(chan []byte, opts.QueueCap),
-		done: make(chan struct{}),
-	}
-	go d.run()
-	return d
-}
-
-// Instrument registers the exporter's metrics (nil-safe).
-func (d *DialOut) Instrument(reg *telemetry.Registry) {
-	d.reconnects = reg.Counter("sonata_subscribe_dialout_reconnects_total",
-		"Dial-out collector connection attempts after the first.")
-	d.sent = reg.Counter("sonata_subscribe_dialout_sent_total",
-		"Dial-out notify frames delivered to the collector.")
-	d.dropped = reg.Counter("sonata_subscribe_dialout_dropped_total",
-		"Dial-out updates discarded while the collector was unreachable.")
-}
-
-// Publish encodes the window's results and enqueues them, dropping the
-// oldest buffered update on overflow. Unlike the fan-out server there is a
-// copy per update here — the dial-out queue outlives the window, and one
-// collector does not merit a refcounting scheme.
-func (d *DialOut) Publish(rep *runtime.WindowReport) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
-	results := rep.Results
-	if d.opts.AllLevels {
-		results = rep.AllResults
-	}
-	for i := range results {
-		res := &results[i]
-		buf := appendHeader(nil, rep.Index, stream.QueryKey{QID: res.QID, Level: res.Level})
-		buf = appendResult(buf, res)
-		for {
-			select {
-			case d.q <- buf:
-			default:
-				select {
-				case <-d.q:
-					d.dropped.Inc()
-				default:
-				}
-				continue
-			}
-			break
-		}
-	}
-}
-
-// run owns the connection: dial with backoff, hello, stream, redial.
-func (d *DialOut) run() {
-	defer close(d.done)
-	var pending []byte // frame that failed mid-connection, retried once
-	for {
-		conn := d.dial()
-		if conn == nil {
-			return // closed while dialing
-		}
-		pc := netproto.NewConn(conn)
-		if err := pc.Send(netproto.MsgHello, &netproto.Hello{Version: netproto.ProtocolVersion}); err != nil {
-			conn.Close()
-			continue
-		}
-		for {
-			var buf []byte
-			if pending != nil {
-				buf, pending = pending, nil
-			} else {
-				var ok bool
-				buf, ok = <-d.q
-				if !ok {
-					conn.Close()
-					return
-				}
-			}
-			if err := pc.SendRaw(netproto.MsgNotify, buf); err != nil {
-				pending = buf
-				conn.Close()
-				break
-			}
-			d.sent.Inc()
-		}
-	}
-}
-
-// dial keeps trying until it connects or the exporter closes. Every
-// attempt after the exporter's very first counts as a reconnect.
-func (d *DialOut) dial() net.Conn {
-	backoff := d.opts.MinBackoff
-	for {
-		d.mu.Lock()
-		closed := d.closed
-		d.mu.Unlock()
-		if closed {
-			return nil
-		}
-		if d.dialed {
-			d.reconnects.Inc()
-		}
-		d.dialed = true
-		conn, err := net.Dial("tcp", d.addr)
+// Write retries p until it is on the wire. The live connection is only
+// missing on the very first call, so every retry redials: each counts as a
+// reconnect.
+func (r *redialer) Write(p []byte) (int, error) {
+	for backoff := minBackoff; ; backoff = min(2*backoff, maxBackoff) {
+		conn, err := r.connect()
 		if err == nil {
-			return conn
+			if _, err = conn.Write(p); err == nil {
+				return len(p), nil
+			}
+			r.mu.Lock()
+			r.conn = nil
+			r.mu.Unlock()
+			conn.Close()
 		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > d.opts.MaxBackoff {
-			backoff = d.opts.MaxBackoff
+		select {
+		case <-time.After(backoff):
+		case <-r.ctx.Done():
+			return 0, err
 		}
+		r.s.m.reconnects.Inc()
 	}
 }
 
-// Close stops the exporter; buffered updates not yet on the wire are
-// discarded once the current write (if any) finishes.
-func (d *DialOut) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+// connect returns the live connection, dialing a new one when there is
+// none.
+func (r *redialer) connect() (net.Conn, error) {
+	r.mu.Lock()
+	conn := r.conn
+	r.mu.Unlock()
+	if conn != nil {
+		return conn, nil
+	}
+	d := net.Dialer{Timeout: dialTimeout}
+	conn, err := d.DialContext(r.ctx, "tcp", r.addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := netproto.NewConn(conn).Send(netproto.MsgHello, &netproto.Hello{Version: netproto.ProtocolVersion}); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.ctx.Err(); err != nil { // ended while dialing
+		conn.Close()
+		return nil, err
+	}
+	r.conn = conn
+	return conn, nil
+}
+
+// SetWriteDeadline ends the redialing and bounds writes on the live
+// connection.
+func (r *redialer) SetWriteDeadline(t time.Time) error {
+	return r.end(func(c net.Conn) error { return c.SetWriteDeadline(t) })
+}
+
+// Close ends the redialing and closes the live connection, unblocking a
+// Write in progress.
+func (r *redialer) Close() error { return r.end(net.Conn.Close) }
+
+// end cancels the redialing, then applies f to the live connection if any.
+func (r *redialer) end(f func(net.Conn) error) error {
+	r.cancel()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.conn == nil {
 		return nil
 	}
-	d.closed = true
-	close(d.q)
-	d.mu.Unlock()
-	<-d.done
-	return nil
+	return f(r.conn)
 }
 
 // Collect serves one dial-out connection on the collector side: it expects

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/flightrec"
+	"repro/internal/netproto"
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/queries"
@@ -20,9 +22,11 @@ import (
 // per-window notify sequence, bit-identical to what the sequential runtime
 // publishes, regardless of the worker count — because the runtime's merged
 // reports are bit-identical and the server encodes each update exactly once.
+// A dial-out collector with the same request is one more such subscriber.
 // Each run also carries a deliberately stalled subscriber (disconnect
 // policy, tiny queue, never reads): it must be evicted without delaying
-// window close, which the publish-time histogram bounds.
+// window close, which the publish-time histogram bounds. A last run with
+// only the dial-out collector checks its bytes reach the flight recorder.
 func TestSubscribeDifferential(t *testing.T) {
 	scale := eval.SmallScale()
 	w, err := eval.NewWorkload(scale)
@@ -40,6 +44,8 @@ func TestSubscribeDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	req := subscribe.SubscribeRequest{Mode: subscribe.OnChange, AllLevels: true,
+		QueueCap: 4096, Policy: subscribe.Disconnect}
 	const nSubs = 3
 	run := func(workers int) [][]string {
 		rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{Workers: workers})
@@ -65,9 +71,7 @@ func TestSubscribeDifferential(t *testing.T) {
 		}
 		results := make(chan subResult, nSubs)
 		for i := 0; i < nSubs; i++ {
-			cl, nc, err := subscribe.Dial(ln.Addr().String(), subscribe.SubscribeRequest{
-				Mode: subscribe.OnChange, AllLevels: true, QueueCap: 4096,
-				Policy: subscribe.Disconnect})
+			cl, nc, err := subscribe.Dial(ln.Addr().String(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,6 +95,7 @@ func TestSubscribeDifferential(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+		dialedOut := collector(t, srv, req)
 
 		// The saboteur: never reads, asks to be disconnected on overflow.
 		stalled, _ := net.Pipe()
@@ -122,19 +127,19 @@ func TestSubscribeDifferential(t *testing.T) {
 				workers, time.Duration(pub.Sum), pub.Count)
 		}
 
-		collected := make([][]string, nSubs)
+		collected := make([][]string, nSubs, nSubs+1)
 		for i := 0; i < nSubs; i++ {
 			r := <-results
 			collected[r.idx] = r.frames
 		}
-		return collected
+		return append(collected, <-dialedOut)
 	}
 
 	want := run(0) // sequential baseline
 	if len(want[0]) == 0 {
 		t.Fatal("sequential run delivered no frames")
 	}
-	for i := 1; i < nSubs; i++ {
+	for i := 1; i <= nSubs; i++ {
 		if !equalSeq(want[i], want[0]) {
 			t.Fatalf("sequential subscribers diverged: sub0 got %d frames, sub%d got %d",
 				len(want[0]), i, len(want[i]))
@@ -142,7 +147,7 @@ func TestSubscribeDifferential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		got := run(workers)
-		for i := 0; i < nSubs; i++ {
+		for i := 0; i <= nSubs; i++ {
 			if !equalSeq(got[i], want[0]) {
 				t.Errorf("workers=%d subscriber %d: frame sequence diverged from sequential (%d vs %d frames)",
 					workers, i, len(got[i]), len(want[0]))
@@ -157,6 +162,72 @@ func TestSubscribeDifferential(t *testing.T) {
 			}
 		}
 	}
+
+	// Only the dial-out collector attached: its deliveries are attributed to
+	// the flight recorder like any subscriber's.
+	rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flightrec.New(w.Gen.Windows(), nil)
+	rt.AttachFlightRecorder(rec)
+	srv := subscribe.NewServer()
+	rt.SetResultSink(srv)
+	dialedOut := collector(t, srv, req)
+	for i := 0; i < w.Gen.Windows(); i++ {
+		rt.ProcessWindow(w.Frames(i))
+	}
+	srv.Close()
+	rt.Close()
+	if len(<-dialedOut) == 0 {
+		t.Error("dial-out collector received nothing")
+	}
+	snap := rec.Snapshot(w.Gen.Windows())
+	var deliv uint64
+	for _, rs := range append(snap.History, snap.Queries) {
+		for _, r := range rs {
+			deliv += r.DeliveredBytes
+		}
+	}
+	if deliv == 0 {
+		t.Error("delivered_bytes = 0 with a dial-out collector attached")
+	}
+}
+
+// collector attaches a dial-out subscriber to srv and serves its collector
+// side, returning the notify bodies (hex) it received once srv hangs up.
+func collector(t *testing.T, srv *subscribe.Server, req subscribe.SubscribeRequest) <-chan []string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []string, 1)
+	go func() {
+		defer ln.Close()
+		var fs []string
+		if nc, err := ln.Accept(); err == nil {
+			pc := netproto.NewConn(nc)
+			var hello netproto.Hello
+			if pc.Expect(netproto.MsgHello, &hello) == nil {
+				for {
+					typ, b, err := pc.RecvRaw()
+					if err != nil {
+						break
+					}
+					if typ == netproto.MsgNotify {
+						fs = append(fs, hex.EncodeToString(b))
+					}
+				}
+			}
+			nc.Close()
+		}
+		got <- fs
+	}()
+	if _, err := srv.DialOut(ln.Addr().String(), req); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func equalSeq(a, b []string) bool {

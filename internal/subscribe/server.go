@@ -51,11 +51,11 @@ type frame struct {
 // subscriber is one attached consumer: its request, its bounded queue, and
 // the writer goroutine draining it.
 type subscriber struct {
-	id     uint64
-	req    SubscribeRequest
-	pc     *netproto.Conn
-	closer io.Closer // underlying transport, when it can be closed
-	nc     net.Conn  // non-nil when the transport supports write deadlines
+	id       uint64
+	req      SubscribeRequest
+	pc       *netproto.Conn
+	closer   io.Closer      // underlying transport, when it can be closed
+	deadline writeDeadliner // non-nil when the transport supports write deadlines
 
 	q    chan *frame
 	done chan struct{} // closed when the writer goroutine exits
@@ -116,6 +116,11 @@ func (sub *subscriber) wants(key stream.QueryKey, changed, isFinest bool, now ti
 	return true
 }
 
+// writeDeadliner is the part of net.Conn that bounds Close's flush.
+type writeDeadliner interface {
+	SetWriteDeadline(t time.Time) error
+}
+
 type serverMetrics struct {
 	active     *telemetry.Gauge
 	accepted   *telemetry.Counter
@@ -127,6 +132,7 @@ type serverMetrics struct {
 	highwater  *telemetry.Gauge
 	sendNS     *telemetry.Histogram
 	sentBytes  *telemetry.Counter
+	reconnects *telemetry.Counter
 }
 
 // Server fans window results out to subscribers. It implements
@@ -198,6 +204,8 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 			telemetry.DurationBuckets),
 		sentBytes: reg.Counter("sonata_subscribe_sent_bytes_total",
 			"Bytes written to subscribers, frame headers included."),
+		reconnects: reg.Counter("sonata_subscribe_dialout_reconnects_total",
+			"Dial-out collector connection attempts after the first."),
 	}
 }
 
@@ -405,10 +413,10 @@ func (s *Server) writer(sub *subscriber) {
 
 // Attach subscribes a local consumer over any writer (no MsgSubscribe
 // handshake — the bench and in-process consumers use this). If w implements
-// io.Closer it is closed on eviction; a net.Conn additionally gets a write
-// deadline during Close's grace period. Retained last-state frames matching
-// the filter are queued immediately (initial sync). Returns the subscriber
-// id for Detach.
+// io.Closer it is closed on eviction, Detach and Close; one with
+// SetWriteDeadline (a net.Conn) additionally gets a write deadline during
+// their grace period. Retained last-state frames matching the filter are
+// queued immediately (initial sync). Returns the subscriber id for Detach.
 func (s *Server) Attach(w io.Writer, req SubscribeRequest) (uint64, error) {
 	sub, err := s.attach(w, req)
 	if err != nil {
@@ -438,8 +446,8 @@ func (s *Server) attach(w io.Writer, req SubscribeRequest) (*subscriber, error) 
 	if c, ok := w.(io.Closer); ok {
 		sub.closer = c
 	}
-	if nc, ok := w.(net.Conn); ok {
-		sub.nc = nc
+	if d, ok := w.(writeDeadliner); ok {
+		sub.deadline = d
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -480,27 +488,27 @@ func (s *Server) abort(sub *subscriber) {
 	close(sub.done)
 }
 
-// Detach gracefully unsubscribes: queued updates are still flushed, then
-// the writer exits. The transport is not closed (the caller owns it).
+// Detach gracefully unsubscribes one subscriber the way Close does all of
+// them: queued updates are flushed within the grace period, then the
+// transport is closed.
 func (s *Server) Detach(id uint64) {
 	s.mu.Lock()
 	sub, ok := s.subs[id]
 	if ok {
-		sub.evicted = true // bar re-eviction; not counted as one
 		delete(s.subs, id)
 		s.m.active.Set(int64(len(s.subs)))
-		close(sub.q)
+		endLocked(sub)
 	}
 	s.mu.Unlock()
 	if ok {
-		<-sub.done
+		finish(sub)
 	}
 }
 
 // HandleConn serves one subscriber connection: it reads the MsgSubscribe
 // request, acknowledges with the assigned id, then streams MsgNotify frames
 // until the peer disconnects (the reader doubles as the liveness check).
-// The caller owns closing nc.
+// The caller closes nc; a subscription that started closes it on ending.
 //
 // Write ordering: the subscriber is registered before the ack (so no window
 // is missed) but its writer goroutine starts only after the ack is on the
@@ -566,28 +574,40 @@ func (s *Server) Close() error {
 	}
 	s.m.active.Set(0)
 	for _, sub := range subs {
-		sub.evicted = true
-		close(sub.q)
-		if sub.nc != nil {
-			// Bound the flush: a stalled peer unblocks with a timeout error.
-			sub.nc.SetWriteDeadline(time.Now().Add(closeGrace))
-		}
+		endLocked(sub)
 	}
 	s.mu.Unlock()
 	for _, sub := range subs {
-		select {
-		case <-sub.done:
-		case <-time.After(closeGrace + time.Second):
-			if sub.closer != nil {
-				sub.closer.Close()
-			}
-			<-sub.done
-		}
-		if sub.closer != nil {
-			sub.closer.Close()
-		}
+		finish(sub)
 	}
 	return nil
+}
+
+// endLocked closes a subscriber's queue, so its writer exits once the queue
+// drains, and bounds that flush: a stalled peer unblocks with a timeout
+// error. Caller holds s.mu.
+func endLocked(sub *subscriber) {
+	sub.evicted = true // bar re-eviction; not counted as one
+	close(sub.q)
+	if sub.deadline != nil {
+		sub.deadline.SetWriteDeadline(time.Now().Add(closeGrace))
+	}
+}
+
+// finish waits for an ended subscriber's writer, forcing the transport shut
+// if the flush outlasts the grace period, then closes the transport.
+func finish(sub *subscriber) {
+	if sub.closer == nil {
+		<-sub.done
+		return
+	}
+	select {
+	case <-sub.done:
+	case <-time.After(closeGrace + time.Second):
+		sub.closer.Close()
+		<-sub.done
+	}
+	sub.closer.Close()
 }
 
 // writeOnly adapts a bare writer to netproto's ReadWriter transport; the

@@ -3,7 +3,8 @@
 // leaves to "the operator's collector". A Server sits behind the runtime's
 // ResultSink hook: at every window close it encodes each (query, level)
 // result exactly once and fans the shared bytes out over internal/netproto
-// framing (MsgSubscribe / MsgSubscribeOK / MsgNotify).
+// framing (MsgSubscribe / MsgSubscribeOK / MsgNotify). Collectors either
+// dial in (Serve) or are dialed (DialOut); both are subscribers.
 //
 // The contract with the runtime is strict: Publish never blocks. Every
 // subscriber owns a bounded send queue drained by its own writer goroutine;

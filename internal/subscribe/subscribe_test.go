@@ -452,10 +452,12 @@ func TestDialOutReconnect(t *testing.T) {
 	}()
 
 	reg := telemetry.NewRegistry()
-	d := NewDialOut(ln.Addr().String(), DialOutOptions{
-		MinBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond})
-	d.Instrument(reg)
-	defer d.Close()
+	s := NewServer()
+	s.Instrument(reg)
+	defer s.Close()
+	if _, err := s.DialOut(ln.Addr().String(), SubscribeRequest{Mode: Sample}); err != nil {
+		t.Fatal(err)
+	}
 
 	countGot := func() int {
 		mu.Lock()
@@ -473,15 +475,15 @@ func TestDialOutReconnect(t *testing.T) {
 		}
 	}
 
-	d.Publish(fakeReport(0, 1)) // 2 finest results
+	s.Publish(fakeReport(0, 1)) // 2 finest results
 	waitGot(2)
 
 	// Rude collector: kill the live connection, then publish more. The
-	// exporter must redial and deliver the later windows.
+	// dial-out subscriber must redial and deliver the later windows.
 	(<-conns).Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		d.Publish(fakeReport(1, 2))
+		s.Publish(fakeReport(1, 2))
 		if countGot() >= 4 {
 			break
 		}
@@ -502,16 +504,35 @@ func TestDialOutReconnect(t *testing.T) {
 	}
 }
 
-// TestLintSubscribeMetrics: every series the package registers obeys the
-// repo's naming rules.
+// TestDialOutCloseUnreachable: a collector that never answers must not hold
+// Close hostage. The writer is deep in its backoff when Close arrives; the
+// wait wakes on Close instead of sleeping out the backoff.
+func TestDialOutCloseUnreachable(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := NewServer()
+	s.Instrument(reg)
+	if _, err := s.DialOut("127.0.0.1:1", SubscribeRequest{Mode: Sample}); err != nil {
+		t.Fatal(err)
+	}
+	s.Publish(fakeReport(0, 1)) // the writer redials to deliver it
+	time.Sleep(3500 * time.Millisecond)
+	if rc := reg.Snapshot().Counters["sonata_subscribe_dialout_reconnects_total"]; rc < 4 {
+		t.Fatalf("reconnects_total = %d after 3.5s, want >= 4 failed redials", rc)
+	}
+	start := time.Now()
+	s.Close()
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("Close took %v with the collector unreachable, want < 500ms", d)
+	}
+}
+
+// TestLintSubscribeMetrics: every series the package registers, the
+// dial-out reconnect counter included, obeys the repo's naming rules.
 func TestLintSubscribeMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewServer()
 	s.Instrument(reg)
 	defer s.Close()
-	d := NewDialOut("127.0.0.1:1", DialOutOptions{})
-	d.Instrument(reg)
-	defer d.Close()
 	if problems := reg.Lint(); len(problems) != 0 {
 		t.Errorf("subscribe metrics lint dirty: %q", problems)
 	}
