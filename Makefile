@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-kernels check-metrics check-subscribe check-trace check-eval
+.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-kernels check-metrics check-subscribe check-trace check-eval check-examples
 
-check: fmt vet build test race check-kernels check-metrics check-subscribe check-trace check-eval bench-alloc
+check: fmt vet build test race check-kernels check-metrics check-subscribe check-trace check-eval check-examples bench-alloc
 	-@$(MAKE) --no-print-directory bench-smoke
 
 fmt:
@@ -92,6 +92,17 @@ check-trace:
 # training (~25 s).
 check-eval:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSmallScaleFiguresGolden' ./internal/eval
+
+# Example gate: every walkthrough under examples/ and a small cmd/sonata
+# replay run to a zero exit, and examples/adaptive must report at least one
+# collision-triggered re-plan (Runtime.Replan) — ~6 s.
+check-examples:
+	@for ex in examples/*/; do \
+		echo "go run ./$$ex"; out="$$($(GO) run ./$$ex)" || exit 1; \
+		case $$ex in *adaptive*) echo "$$out" | grep -Eq '^re-plans: [1-9]' || \
+			{ echo "$$out"; echo "examples/adaptive reported no re-plan"; exit 1; };; esac; \
+	done
+	$(GO) run ./cmd/sonata -pkts 20000 -windows 4 -workers 2 > /dev/null
 
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
 # against alloc_budget.json (zero for every path but the runtime's whole

@@ -463,7 +463,7 @@ func allocBudgetRuntimeWindow(t testing.TB) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := runtime.New(plan, cfg)
+	rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/flightrec"
 	"repro/internal/packet"
@@ -57,6 +56,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/queries"
 	"repro/internal/query"
+	"repro/internal/runtime"
 	"repro/internal/subscribe"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -95,6 +95,9 @@ func main() {
 	mode, err := parseMode(*modeName)
 	if err != nil {
 		fatal(err)
+	}
+	if *window <= 0 {
+		fatal(fmt.Errorf("-window must be positive, got %v", *window))
 	}
 
 	// Observability: the registry, trace buffer, and flight recorder always
@@ -201,23 +204,26 @@ func main() {
 		}
 	}
 
-	// Train, plan, deploy.
-	plannerOpts := planner.DefaultOptions()
-	plannerOpts.Mode = mode
-	s := core.New(core.Config{Planner: plannerOpts, Switch: pisa.DefaultConfig(), Workers: *workers})
-	for _, q := range qs {
-		q.ID = 0 // renumber in registration order
-		s.Register(q)
+	// Train, plan, deploy. Queries are numbered 1..n in list order.
+	for i, q := range qs {
+		q.ID = uint16(i + 1)
 	}
 	var train []planner.Frames
 	for i := 0; i < *trainWindows; i++ {
 		train = append(train, planner.Frames(windows[i]))
 	}
 	fmt.Fprintf(os.Stderr, "[sonata] training %d queries on %d windows...\n", len(qs), *trainWindows)
-	if err := s.Train(train); err != nil {
+	tr, err := planner.Train(qs, planner.DefaultMenu, train)
+	if err != nil {
 		fatal(err)
 	}
-	rt, err := s.Deploy()
+	plannerOpts := planner.DefaultOptions()
+	plannerOpts.Mode = mode
+	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), plannerOpts)
+	if err != nil {
+		fatal(err)
+	}
+	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{Workers: *workers})
 	if err != nil {
 		fatal(err)
 	}
@@ -232,7 +238,7 @@ func main() {
 	}
 
 	names := map[uint16]string{}
-	for _, q := range s.Queries() {
+	for _, q := range qs {
 		names[q.ID] = q.Name
 	}
 
@@ -258,9 +264,12 @@ func main() {
 }
 
 // readPcapWindows opens, reads, and slices a pcap file into per-window
-// frame batches. The file is closed on every path (including read errors)
-// via the deferred Close.
+// frame batches; a non-positive window is an error. The file is closed on
+// every path (including read errors) via the deferred Close.
 func readPcapWindows(path string, window time.Duration) (windows [][][]byte, err error) {
+	if window <= 0 {
+		return nil, fmt.Errorf("non-positive window %v", window)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,11 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
 	"repro/internal/queries"
@@ -17,6 +20,19 @@ func writeCapture(t *testing.T, attacks bool) [][][]byte {
 	cfg := trace.DefaultConfig()
 	cfg.PacketsPerWindow = 4000
 	cfg.Windows = 4
+	windows, err := readPcapWindows(capture(t, cfg, attacks), cfg.Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(windows) != cfg.Windows {
+		t.Fatalf("capture sliced into %d windows, want %d", len(windows), cfg.Windows)
+	}
+	return windows
+}
+
+// capture writes the trace cfg describes as a pcap file and returns its path.
+func capture(t *testing.T, cfg trace.Config, attacks bool) string {
+	t.Helper()
 	g, err := trace.NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,14 +51,7 @@ func writeCapture(t *testing.T, attacks bool) [][][]byte {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	windows, err := readPcapWindows(path, cfg.Window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(windows) != cfg.Windows {
-		t.Fatalf("capture sliced into %d windows, want %d", len(windows), cfg.Windows)
-	}
-	return windows
+	return path
 }
 
 // scaled lists the thresholds eval.ScaledParams scales with packets per window.
@@ -73,5 +82,35 @@ func TestPcapThresholdsFollowTheCapture(t *testing.T) {
 	}
 	if meanPacketsPerWindow(nil) != 0 {
 		t.Error("no windows: want 0")
+	}
+}
+
+// TestNonPositiveWindowIsAnError: `sonata -window 0` (or below), with or
+// without -pcap, prints an error and exits 1 instead of panicking in
+// trace.Slice or query.MustBuild. The command runs in a child process: this
+// test binary re-executed with SONATA_MAIN_ARGS set calls main with them.
+func TestNonPositiveWindowIsAnError(t *testing.T) {
+	if args := os.Getenv("SONATA_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"sonata"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	cfg := trace.DefaultConfig()
+	cfg.PacketsPerWindow = 100
+	cfg.Windows = 1
+	pcap := capture(t, cfg, false)
+	for _, args := range []string{"-window 0", "-window -3s", "-window 0 -pcap " + pcap} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNonPositiveWindowIsAnError$")
+		cmd.Env = append(os.Environ(), "SONATA_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 1 || strings.Contains(string(out), "panic") ||
+			!strings.Contains(string(out), "window") {
+			t.Errorf("sonata %s: exit %d (%v), want 1 with an error line:\n%s", args, code, err, out)
+		}
+	}
+	for _, w := range []time.Duration{0, -time.Second} {
+		if _, err := readPcapWindows(pcap, w); err == nil {
+			t.Errorf("readPcapWindows(window %v) returned no error", w)
+		}
 	}
 }

@@ -3,8 +3,8 @@
 // The planner sizes switch registers from training traffic (Section 3.3 of
 // the paper). Here live traffic carries 10x the training volume — and so
 // ~10x the unique keys — overflowing the registers. The collision signal
-// fires, the runtime re-trains on recent windows, and the redeployed plan's
-// right-sized registers restore a near-zero collision rate.
+// fires, the example re-trains on recent windows, and Runtime.Replan swaps
+// in a plan whose right-sized registers restore a near-zero collision rate.
 //
 //	go run ./examples/adaptive
 package main
@@ -14,11 +14,20 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fields"
+	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/query"
+	"repro/internal/runtime"
 	"repro/internal/trace"
+)
+
+// The re-planning policy: once the deployed plan's cumulative collision
+// rate passes collisionThreshold, re-train on the last keepWindows windows
+// and swap the new plan in (Runtime.Replan) before the next window.
+const (
+	collisionThreshold = 0.01
+	keepWindows        = 2
 )
 
 func main() {
@@ -49,38 +58,55 @@ func main() {
 		Reduce(query.AggSum, fields.SrcIP).
 		Filter(query.Gt(fields.AggVal, 5_000)).
 		MustBuild()
-
-	s := core.New(core.Config{})
-	s.Register(q)
-	var train []planner.Frames
-	for i := 0; i < 2; i++ {
-		train = append(train, frames(lightGen, i))
-	}
-	if err := s.Train(train); err != nil {
-		log.Fatal(err)
-	}
-	ar, err := s.DeployAdaptive(0.01, 2)
+	q.ID = 1
+	qs := []*query.Query{q}
+	plan, err := trainAndPlan(qs, []planner.Frames{frames(lightGen, 0), frames(lightGen, 1)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ar.Close()
+	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Close()
 
+	var recent []planner.Frames
+	replans := 0
 	fmt.Println("window  pkts     collisions  collision-rate  replanned")
 	for w := 0; w < heavyGen.Windows(); w++ {
 		fr := frames(heavyGen, w)
-		rep, replanned, err := ar.ProcessWindow(fr)
-		if err != nil {
-			log.Fatal(err)
+		rep := rt.ProcessWindow(fr)
+		recent = append(recent, fr)
+		if len(recent) > keepWindows {
+			recent = recent[len(recent)-keepWindows:]
 		}
-		rate := float64(rep.Switch.Collisions) / float64(rep.Switch.PacketsIn)
 		mark := ""
-		if replanned {
+		if rt.NeedsReplan(collisionThreshold) {
+			plan, err := trainAndPlan(qs, recent)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := rt.Replan(plan); err != nil {
+				log.Fatal(err)
+			}
+			replans++
 			mark = "<- re-trained & redeployed"
 		}
+		rate := float64(rep.Switch.Collisions) / float64(rep.Switch.PacketsIn)
 		fmt.Printf("%6d  %7d  %10d  %13.2f%%  %s\n",
 			w, rep.Switch.PacketsIn, rep.Switch.Collisions, rate*100, mark)
 	}
-	fmt.Printf("\nre-plans: %d (registers re-sized from recent windows)\n", ar.Replans())
+	fmt.Printf("\nre-plans: %d (registers re-sized from recent windows)\n", replans)
+}
+
+// trainAndPlan profiles the queries over windows and plans them for the
+// default switch.
+func trainAndPlan(qs []*query.Query, windows []planner.Frames) (*planner.Plan, error) {
+	tr, err := planner.Train(qs, planner.DefaultMenu, windows)
+	if err != nil {
+		return nil, err
+	}
+	return planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
 }
 
 func frames(g *trace.Generator, i int) [][]byte {

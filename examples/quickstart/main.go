@@ -14,11 +14,12 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fields"
 	"repro/internal/packet"
+	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/query"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -49,17 +50,22 @@ func main() {
 	fmt.Println("query:")
 	fmt.Println(q)
 
-	// 3. Train and deploy.
-	s := core.New(core.Config{})
-	s.Register(q)
+	// 3. Train the planner on two windows, plan, and deploy.
+	q.ID = 1
+	qs := []*query.Query{q}
 	var train []planner.Frames
 	for i := 0; i < 2; i++ {
 		train = append(train, frames(gen, i))
 	}
-	if err := s.Train(train); err != nil {
+	tr, err := planner.Train(qs, planner.DefaultMenu, train)
+	if err != nil {
 		log.Fatal(err)
 	}
-	rt, err := s.Deploy()
+	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

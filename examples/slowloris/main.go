@@ -13,10 +13,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/packet"
+	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/queries"
+	"repro/internal/query"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -38,16 +40,17 @@ func main() {
 	fmt.Println("query (note the join and the division, both stream-processor-only):")
 	fmt.Println(q)
 
-	s := core.New(core.Config{})
-	s.Register(q)
+	q.ID = 1
+	qs := []*query.Query{q}
 	var train []planner.Frames
 	for i := 0; i < 2; i++ {
 		train = append(train, frames(gen, i))
 	}
-	if err := s.Train(train); err != nil {
+	tr, err := planner.Train(qs, planner.DefaultMenu, train)
+	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := s.Plan()
+	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func main() {
 		}
 	}
 
-	rt, err := s.Deploy()
+	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func CaseStudy(scale Scale) (*CaseStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := runtime.New(plan, pisa.DefaultConfig())
+	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -407,8 +407,8 @@ func (rec *Recorder) AttachTraceIndex(has func(window int) bool) {
 }
 
 // Reset drops all probes and committed windows. The runtime calls it when
-// attaching a deployment, so a recorder reused across deployments (the
-// eval harness runs many) always reflects the live one.
+// the recorder is attached, and attaches it again at every re-plan
+// (runtime.Replan), so the recorder always reflects the live plan.
 func (rec *Recorder) Reset() {
 	if rec == nil {
 		return

@@ -63,7 +63,7 @@ func TestSonataNeverMissesAcrossSeeds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rt, err := New(plan, swCfg)
+					rt, err := NewWithOptions(plan, swCfg, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -313,7 +313,7 @@ func TestVantagePointsMatchFabric(t *testing.T) {
 func TestOneSwitchFabricMatchesRuntime(t *testing.T) {
 	wl := smallVantageWorkload(t)
 	cfg := pisa.DefaultConfig()
-	rt, err := runtime.New(wl.plan, cfg)
+	rt, err := runtime.NewWithOptions(wl.plan, cfg, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

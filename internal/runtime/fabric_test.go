@@ -91,7 +91,7 @@ func TestFabricDetectsSplitHeavyHitter(t *testing.T) {
 
 	// Control: a single switch seeing only one vantage point's share must NOT
 	// detect.
-	single, err := New(plan, pisa.DefaultConfig())
+	single, err := NewWithOptions(plan, pisa.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

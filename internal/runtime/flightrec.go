@@ -14,8 +14,8 @@ import (
 // (tuples in, per-stage SP counts, eval time — and, through the instance the
 // emitter resolves, the encoded byte volume), and the runtime itself
 // (refinement transitions, window commit).
-// The recorder is Reset first, so a recorder reused across deployments
-// always reflects the live one. A nil recorder detaches.
+// The recorder is Reset first, so after a Replan, which attaches it again,
+// it tracks the new plan's instances only. A nil recorder detaches.
 func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 	r.flight = rec
 	r.frProbes = nil

@@ -209,7 +209,7 @@ func TestFlightRecDriftDetectsPlanStaleness(t *testing.T) {
 	qs := []*query.Query{floodQuery(100)}
 	cfg := pisa.DefaultConfig()
 	plan := planAll(t, qs, train, cfg)
-	rt, err := runtime.New(plan, cfg)
+	rt, err := runtime.NewWithOptions(plan, cfg, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

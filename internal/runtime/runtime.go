@@ -21,6 +21,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/query"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/tracez"
 	"repro/internal/tuple"
 )
@@ -186,55 +187,42 @@ type viewBatch struct {
 
 // Runtime binds a plan to executable components.
 type Runtime struct {
-	plan *planner.Plan
+	// deployment is everything the installed plan compiled to; Replan swaps
+	// it whole between windows. Embedded by value, so the hot path reaches
+	// its shards with no extra pointer hop.
+	deployment
 	cfg  pisa.Config
 	opts Options
-	// shards carries the execution state; every instance is owned by exactly
-	// one (owner), and infos keeps global installation order so merged
-	// results come out in the order one engine would produce them. parser is
-	// the shared parse-once front end.
-	shards    []*shard
-	owner     map[stream.QueryKey]int
+	// parser is the shared parse-once front end.
 	parser    *packet.Parser
 	batchPool *sync.Pool
 	fill      []*viewBatch // batch being filled, one per vantage point (len is their count)
 	framesIn  uint64       // frames ingested this window (PacketsIn)
 	touched   uint32       // sink for fanOut's frame loads
-	// pre is the shard switches' shared prescreen atom space; fanOut
-	// evaluates it once per batch so shards only AND precomputed bitmaps.
-	pre *pisa.Prescreen
 	// live reports whether persistent workers are draining the shards'
-	// rings: true from construction with more than one shard until Close has
-	// joined them. While false, fanOut executes shard messages on the
-	// calling goroutine. closeWG is the epoch barrier for window closes,
-	// stopWG for worker shutdown.
+	// rings: true from start with more than one shard until Close has joined
+	// them. While false, fanOut executes shard messages on the calling
+	// goroutine. closeWG is the epoch barrier for window closes, stopWG for
+	// worker shutdown.
 	live    bool
 	closeWG sync.WaitGroup
 	stopWG  sync.WaitGroup
 
-	links  []link
-	finest map[uint16]uint8
 	window int
-	// infos preserves the flattened plan (installation order); the flight
-	// recorder tracks one probe per entry. flight/frProbes are nil until
-	// AttachFlightRecorder.
-	infos    []instInfo
+	// flight/frProbes are nil until AttachFlightRecorder; the recorder
+	// tracks one probe per entry of infos.
 	flight   *flightrec.Recorder
 	frProbes map[stream.QueryKey]*flightrec.Probe
 	frLookup func(qid uint16, level uint8) *flightrec.Probe
 	// sink receives each WindowReport at window close (nil until
 	// SetResultSink); Publish runs on the close path and must not block.
 	sink ResultSink
-	// collisionSum tracks cumulative collisions for the re-planning signal.
-	collisionSum uint64
-	packetsSum   uint64
-	// Telemetry: m holds registry handles (inert until Instrument).
-	// windowStart anchors the window-duration histogram and the freshness
-	// watermark; lastKeys fingerprints each link's refinement key set for
-	// the transition counter.
+	// Telemetry: reg is the registry Instrument wired (nil until then) and m
+	// its handles (inert until Instrument). windowStart anchors the
+	// window-duration histogram and the freshness watermark.
+	reg         *telemetry.Registry
 	m           runtimeMetrics
 	windowStart time.Time
-	lastKeys    map[int]string
 	fpScratch   []byte
 	// Tracing: tz collects every window's span tree (nil when disabled).
 	// lane is the orchestration lane (lane 0) carrying the window root and
@@ -244,6 +232,31 @@ type Runtime struct {
 	lane     *tracez.Ring
 	troot    tracez.Active
 	rootOpen bool
+}
+
+// deployment is what compile makes of a plan: the flattened instances, their
+// refinement links, the shard set they are bound to, and the state that
+// means something only for this plan.
+type deployment struct {
+	plan *planner.Plan
+	// shards carries the execution state; every instance is owned by exactly
+	// one (owner), and infos keeps global installation order so merged
+	// results come out in the order one engine would produce them.
+	shards []*shard
+	owner  map[stream.QueryKey]int
+	infos  []instInfo
+	// pre is the shard switches' shared prescreen atom space; fanOut
+	// evaluates it once per batch so shards only AND precomputed bitmaps.
+	pre    *pisa.Prescreen
+	links  []link
+	finest map[uint16]uint8
+	// lastKeys fingerprints each link's refinement key set for the
+	// transition counter.
+	lastKeys map[int]string
+	// collisionSum and packetsSum accumulate since the plan was deployed:
+	// the re-planning signal (CollisionRate).
+	collisionSum uint64
+	packetsSum   uint64
 }
 
 // link is one dynamic-refinement edge of a plan (Section 4.1): the window
@@ -340,18 +353,51 @@ type instInfo struct {
 	cost int
 }
 
-// New wires a one-shard runtime from a plan.
-func New(plan *planner.Plan, cfg pisa.Config) (*Runtime, error) {
-	return NewWithOptions(plan, cfg, Options{})
-}
-
 // NewWithOptions wires a runtime with explicit execution options.
 func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime, error) {
-	r := &Runtime{plan: plan, cfg: cfg, opts: opts,
+	d, err := compile(plan, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := &Runtime{deployment: d, cfg: cfg, opts: opts,
 		fill:   make([]*viewBatch, max(1, opts.VantagePoints)),
-		finest: make(map[uint16]uint8), lastKeys: make(map[int]string)}
+		parser: packet.NewParser(packet.ParserOptions{}),
+		batchPool: &sync.Pool{New: func() any {
+			return &viewBatch{views: make([]pisa.View, DefaultBatchSize)}
+		}}}
+	r.start()
+	return r, nil
+}
 
-	// Flatten the plan into installation-ordered instances.
+// Replan replaces the installed plan between windows, inside the live
+// deployment: the new plan is compiled by the code NewWithOptions runs, so
+// a plan that fails to build leaves the old one serving. Then the old
+// workers stop, the new shard set takes over and starts its own, and what
+// is attached — registry, tracer lanes, flight-recorder probes and, through
+// them, the result sink — is wired to it. Window indices carry on; the
+// collision sums and refinement state start fresh, as in a new runtime.
+// Frames buffered in an open window are an error.
+func (r *Runtime) Replan(plan *planner.Plan) error {
+	if r.framesIn != 0 {
+		return fmt.Errorf("runtime: re-plan with %d frames of window %d buffered; re-plan between windows",
+			r.framesIn, r.window)
+	}
+	d, err := compile(plan, r.cfg, r.opts)
+	if err != nil {
+		return err
+	}
+	r.Close()
+	r.deployment = d
+	r.start()
+	r.Instrument(r.reg, r.tz)
+	r.AttachFlightRecorder(r.flight)
+	return nil
+}
+
+// compile flattens a plan into installation-ordered instances and their
+// refinement links and binds them to a shard set (buildShards).
+func compile(plan *planner.Plan, cfg pisa.Config, opts Options) (deployment, error) {
+	d := deployment{plan: plan, finest: make(map[uint16]uint8), lastKeys: make(map[int]string)}
 	for _, qp := range plan.Queries {
 		for li, lp := range qp.Levels {
 			part := stream.Partition{
@@ -362,24 +408,25 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 				part.RightStart = entryOp(lp.Right)
 			}
 			key := stream.QueryKey{QID: qp.Query.ID, Level: uint8(lp.Level)}
-			r.infos = append(r.infos, instInfo{key: key, aug: lp.Aug, part: part,
+			d.infos = append(d.infos, instInfo{key: key, aug: lp.Aug, part: part,
 				cost: instanceCost(&lp)})
 			if li == len(qp.Levels)-1 {
-				r.finest[qp.Query.ID] = key.Level
+				d.finest[qp.Query.ID] = key.Level
 			}
 		}
 	}
 	var err error
-	if r.links, err = planLinks(plan); err != nil {
-		return nil, err
+	if d.links, err = planLinks(plan); err != nil {
+		return d, err
 	}
-	return r, r.buildShards(max(1, min(opts.Workers, len(r.infos))))
+	return d, d.buildShards(cfg, opts)
 }
 
-// buildShards partitions the instances across n shards. Each shard gets the
-// switch program slice (on one switch per vantage point), emitter, and
-// engine instances for the keys it owns; both sides of a join instance share
-// a key and so land on the same shard.
+// buildShards partitions the instances across opts.Workers shards (at least
+// one, at most one per instance). Each shard gets the switch program slice
+// (on one switch per vantage point), emitter, and engine instances for the
+// keys it owns; both sides of a join instance share a key and so land on the
+// same shard.
 //
 // Assignment is greedy longest-processing-time over each instance's cost:
 // instance costs are heavily skewed (a coarse level with a deep cut runs
@@ -387,9 +434,10 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 // everything at op 0), so round-robin leaves some shards nearly idle. The
 // result is deterministic — ties break on installation order and lowest
 // shard index — so a given plan always shards the same way.
-func (r *Runtime) buildShards(n int) error {
-	infos := r.infos
-	r.owner = make(map[stream.QueryKey]int, len(infos))
+func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
+	infos := d.infos
+	n := max(1, min(opts.Workers, len(infos)))
+	d.owner = make(map[stream.QueryKey]int, len(infos))
 	ord := make([]int, len(infos))
 	for i := range ord {
 		ord[i] = i
@@ -404,10 +452,11 @@ func (r *Runtime) buildShards(n int) error {
 			}
 		}
 		load[best] += infos[idx].cost
-		r.owner[infos[idx].key] = best
+		d.owner[infos[idx].key] = best
 	}
-	prog := r.plan.Program
-	if len(r.fill) > 1 {
+	vps := max(1, opts.VantagePoints)
+	prog := d.plan.Program
+	if vps > 1 {
 		prog = dropDumpThresholds(prog)
 	}
 	progs := make([]*pisa.Program, n)
@@ -415,49 +464,49 @@ func (r *Runtime) buildShards(n int) error {
 		progs[i] = &pisa.Program{}
 	}
 	for _, spec := range prog.Instances {
-		si, ok := r.owner[stream.QueryKey{QID: spec.QID, Level: spec.Level}]
+		si, ok := d.owner[stream.QueryKey{QID: spec.QID, Level: spec.Level}]
 		if !ok {
 			return fmt.Errorf("runtime: program instance %s has no planned level", spec.Name())
 		}
 		progs[si].Instances = append(progs[si].Instances, spec)
 	}
-	r.pre = pisa.NewPrescreen()
+	d.pre = pisa.NewPrescreen()
 	for i := 0; i < n; i++ {
 		engine := stream.NewEngine(stream.NewDynTables())
-		engine.SetScalar(r.opts.Scalar)
+		engine.SetScalar(opts.Scalar)
 		s := &shard{engine: engine, em: emitter.New(engine)}
-		for range r.fill {
-			sw, err := pisa.NewSwitchShared(r.cfg, progs[i], s.em, r.pre)
+		for range vps {
+			sw, err := pisa.NewSwitchShared(cfg, progs[i], s.em, d.pre)
 			if err != nil {
 				return fmt.Errorf("runtime: installing shard %d program: %w", i, err)
 			}
 			s.sws = append(s.sws, sw)
 		}
-		r.shards = append(r.shards, s)
+		d.shards = append(d.shards, s)
 	}
 	for i, in := range infos {
-		s := r.shards[r.owner[in.key]]
+		s := d.shards[d.owner[in.key]]
 		if err := s.engine.Install(in.aug, in.key.Level, in.part); err != nil {
 			return fmt.Errorf("runtime: installing q%d level %d: %w", in.key.QID, in.key.Level, err)
 		}
 		s.slots = append(s.slots, i)
 	}
-	for li := range r.links {
-		l := &r.links[li]
-		s := r.shards[r.owner[stream.QueryKey{QID: l.QID, Level: l.To}]]
+	for li := range d.links {
+		l := &d.links[li]
+		s := d.shards[d.owner[stream.QueryKey{QID: l.QID, Level: l.To}]]
 		if err := l.resolve(s.engine.Dyn(), s.sws...); err != nil {
 			return err
 		}
 	}
-	r.parser = packet.NewParser(packet.ParserOptions{})
-	r.batchPool = &sync.Pool{New: func() any {
-		return &viewBatch{views: make([]pisa.View, DefaultBatchSize)}
-	}}
-	// Persistent workers, when there is more than one shard: spawned once
-	// here, joined only by Close. Windows are delimited by close messages
-	// through the rings (the epoch barrier), not by goroutine teardown. One
-	// shard gains nothing from a second goroutine and runs on the caller's.
-	r.live = n > 1
+	return nil
+}
+
+// start spawns the persistent workers, when there is more than one shard:
+// one per shard, joined only by Close. Windows are delimited by close
+// messages through the rings (the epoch barrier), not by goroutine teardown.
+// One shard gains nothing from a second goroutine and runs on the caller's.
+func (r *Runtime) start() {
+	r.live = len(r.shards) > 1
 	if r.live {
 		for _, s := range r.shards {
 			s.q.init(shardQueueDepth)
@@ -465,7 +514,6 @@ func (r *Runtime) buildShards(n int) error {
 			go s.run(r)
 		}
 	}
-	return nil
 }
 
 // dropDumpThresholds copies the program with threshold filters removed from
@@ -925,9 +973,10 @@ func sideKeySet(set map[string]struct{}, outs [][]tuple.Value, schema tuple.Sche
 	return set
 }
 
-// CollisionRate returns the cumulative fraction of packets whose stateful
-// updates overflowed the registers — the signal that triggers re-planning
-// when traffic drifts from the training data (Section 3.3).
+// CollisionRate returns the fraction of packets since the installed plan
+// was deployed (NewWithOptions or the last Replan) whose stateful updates
+// overflowed the registers — the signal that triggers re-planning when
+// traffic drifts from the training data (Section 3.3).
 func (r *Runtime) CollisionRate() float64 {
 	if r.packetsSum == 0 {
 		return 0

@@ -77,7 +77,7 @@ func TestEndToEndSonataDetectsFlood(t *testing.T) {
 	qs := []*query.Query{q1(100)}
 	cfg := pisa.DefaultConfig()
 	plan := planFor(t, qs, train, cfg, planner.ModeSonata)
-	rt, err := New(plan, cfg)
+	rt, err := NewWithOptions(plan, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestEndToEndAllSPMatchesSonataResults(t *testing.T) {
 
 	run := func(mode planner.Mode) (map[uint64]bool, uint64) {
 		plan := planFor(t, qs, train, cfg, mode)
-		rt, err := New(plan, cfg)
+		rt, err := NewWithOptions(plan, cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestEndToEndJoinQuery(t *testing.T) {
 	}
 	swCfg := pisa.DefaultConfig()
 	plan := planFor(t, []*query.Query{q}, train, swCfg, planner.ModeSonata)
-	rt, err := New(plan, swCfg)
+	rt, err := NewWithOptions(plan, swCfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestRefinementUpdatesHappen(t *testing.T) {
 	if plan.Queries[0].Delay() < 2 {
 		t.Skip("Fix-REF plan collapsed to one level on this workload")
 	}
-	rt, err := New(plan, cfg)
+	rt, err := NewWithOptions(plan, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestLinkResolutionSurfacesMissingInstance(t *testing.T) {
 		t.Fatal("a switch that does not run the gated level resolved")
 	}
 	allSP := planFor(t, []*query.Query{q1(100)}, train, cfg, planner.ModeAllSP)
-	rt, err := New(allSP, cfg)
+	rt, err := NewWithOptions(allSP, cfg, Options{})
 	if err != nil {
 		t.Fatalf("All-SP plan: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestStreamMetricsPerQueryBreakdown(t *testing.T) {
 	qs := []*query.Query{q1(100)}
 	cfg := pisa.DefaultConfig()
 	plan := planFor(t, qs, train, cfg, planner.ModeAllSP)
-	rt, err := New(plan, cfg)
+	rt, err := NewWithOptions(plan, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

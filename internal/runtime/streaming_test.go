@@ -16,11 +16,11 @@ func TestStreamingAPIMatchesBatch(t *testing.T) {
 	g, train := buildWorkload(t, 4000, 4)
 	plan := planFor(t, []*query.Query{q1(100)}, train, pisa.DefaultConfig(), planner.ModeSonata)
 
-	batch, err := New(plan, pisa.DefaultConfig())
+	batch, err := NewWithOptions(plan, pisa.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streaming, err := New(plan, pisa.DefaultConfig())
+	streaming, err := NewWithOptions(plan, pisa.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestStreamingShardedMatchesBatch(t *testing.T) {
 	g, train := buildWorkload(t, 4000, 4)
 	plan := planFor(t, []*query.Query{q1(100)}, train, pisa.DefaultConfig(), planner.ModeSonata)
 
-	batch, err := New(plan, pisa.DefaultConfig())
+	batch, err := NewWithOptions(plan, pisa.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,10 @@ const freshHelp = "Result freshness per window in nanoseconds: first frame to pu
 // shard×VantagePoints+vp, the shard number at one vantage point) — so one
 // call lights up the full pipeline. The tracer's lanes are wired the same
 // way: lane 0 carries the orchestration (window root and lifecycle stages),
-// lane i+1 carries shard i's op spans.
+// lane i+1 carries shard i's op spans. Replan runs it again for the new
+// shard set, so the series carry on across a re-plan.
 func (r *Runtime) Instrument(reg *telemetry.Registry, tz *tracez.Tracer) {
-	r.tz = tz
+	r.reg, r.tz = reg, tz
 	r.lane = tz.Lane(0)
 	for i, s := range r.shards {
 		for vp, sw := range s.sws {

@@ -19,7 +19,7 @@ func TestRegistryMatchesWindowReports(t *testing.T) {
 	qs := []*query.Query{q1(100)}
 	cfg := pisa.DefaultConfig()
 	plan := planFor(t, qs, train, cfg, planner.ModeSonata)
-	rt, err := New(plan, cfg)
+	rt, err := NewWithOptions(plan, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTracerSpansPerWindow(t *testing.T) {
 	qs := []*query.Query{q1(100)}
 	cfg := pisa.DefaultConfig()
 	plan := planFor(t, qs, train, cfg, planner.ModeSonata)
-	rt, err := New(plan, cfg)
+	rt, err := NewWithOptions(plan, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestInstrumentNilSafe(t *testing.T) {
 	qs := []*query.Query{q1(100)}
 	cfg := pisa.DefaultConfig()
 	plan := planFor(t, qs, train, cfg, planner.ModeSonata)
-	rt, err := New(plan, cfg)
+	rt, err := NewWithOptions(plan, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestInstrumentNilSafe(t *testing.T) {
 // TestKeySetChanged drives the refinement-transition detector window by
 // window: a transition is a change of the key set, whatever its order.
 func TestKeySetChanged(t *testing.T) {
-	r := &Runtime{lastKeys: make(map[int]string)}
+	r := &Runtime{deployment: deployment{lastKeys: make(map[int]string)}}
 	steps := []struct {
 		link    int
 		keys    []string

@@ -146,7 +146,7 @@ func TestLatencyTriggeredRetention(t *testing.T) {
 	qs := []*query.Query{q1(100)}
 	cfg := pisa.DefaultConfig()
 	plan := planFor(t, qs, train, cfg, planner.ModeSonata)
-	rt, err := New(plan, cfg)
+	rt, err := NewWithOptions(plan, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

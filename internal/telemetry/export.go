@@ -105,16 +105,11 @@ func NewDebugMux(r *Registry) *http.ServeMux {
 	return mux
 }
 
-// ServeDebug starts the debug endpoint on addr in a background goroutine
-// and returns the listening server (Close it to stop). The bound address
-// is available via the returned listener address, which matters when addr
-// uses port 0.
-func ServeDebug(addr string, r *Registry) (*http.Server, net.Addr, error) {
-	return ServeDebugMux(addr, NewDebugMux(r))
-}
-
-// ServeDebugMux is ServeDebug for a caller-assembled mux — start from
-// NewDebugMux, mount extra handlers (e.g. /debug/queries), then serve.
+// ServeDebugMux starts serving a caller-assembled mux — start from
+// NewDebugMux, mount extra handlers (e.g. /debug/queries) — on addr in a
+// background goroutine and returns the listening server (Close it to stop).
+// The bound address is available via the returned listener address, which
+// matters when addr uses port 0.
 func ServeDebugMux(addr string, mux *http.ServeMux) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

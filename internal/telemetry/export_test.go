@@ -119,7 +119,7 @@ func TestDebugMux(t *testing.T) {
 func TestServeDebug(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up_total", "x").Inc()
-	srv, addr, err := ServeDebug("127.0.0.1:0", reg)
+	srv, addr, err := ServeDebugMux("127.0.0.1:0", NewDebugMux(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
