@@ -20,8 +20,10 @@ build:
 test:
 	$(GO) test ./...
 
+# The flight recorder is here too: Snapshot serves HTTP readers while the
+# close path commits.
 race:
-	$(GO) test -race ./internal/telemetry ./internal/runtime ./internal/stream ./internal/pisa ./internal/query ./internal/emitter
+	$(GO) test -race ./internal/telemetry ./internal/runtime ./internal/stream ./internal/pisa ./internal/query ./internal/emitter ./internal/flightrec
 
 # The benchmark: the harness (bench/README.md), four workloads, ~3.5 min,
 # record in bench/out/record.json. The paper-figure benchmarks are
@@ -65,8 +67,12 @@ check-kernels:
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
 # family (sonata_ prefix, counter/gauge/histogram suffix rules, HELP text).
+# Then the observer golden: /metrics, /debug/queries and the retained trace
+# trees of a fully observed small-scale run at 1 and 2 workers, byte-equal to
+# internal/runtime/testdata (every series advances from the WindowReport at
+# window close, so a dropped or doubled count shows here).
 check-metrics:
-	$(GO) test -run 'TestMetricsLint|TestLint' ./internal/runtime ./internal/telemetry
+	$(GO) test -run 'TestMetricsLint|TestLint|TestObserverGolden' ./internal/runtime ./internal/telemetry
 
 # Subscription delivery gate: the whole package under the race detector. The
 # differential test proves concurrent subscribers, dial-in and dial-out alike,
@@ -115,7 +121,7 @@ check-examples:
 # does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsProbed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
+		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

@@ -11,7 +11,6 @@ import (
 	"repro/internal/emitter"
 	"repro/internal/eval"
 	"repro/internal/fields"
-	"repro/internal/flightrec"
 	"repro/internal/keytab"
 	"repro/internal/packet"
 	"repro/internal/pisa"
@@ -67,13 +66,13 @@ func TestAllocBudget(t *testing.T) {
 	check("SwitchProcess", func() { sw.Process(frame) })
 
 	// Data plane as deployed: a 256-view batch through the batched walk with
-	// flight-recorder probes attached, a populated dynamic filter and warm
-	// banks. Selections, columns, key scratch and the emit pass's rows are
-	// all reused, and funnel counts are bulk adds.
+	// a populated dynamic filter and warm banks. Selections, columns, key
+	// scratch and the emit pass's rows are all reused, and the per-instance
+	// op counts are bulk adds.
 	pre := pisa.NewPrescreen()
-	psw, views := allocBudgetProbedSwitch(t, pre)
-	psw.ProcessViews(views) // warm: scratch grows to the batch, keys insert
-	check("SwitchProcessViewsProbed", func() { psw.ProcessViews(views) })
+	dsw, views := allocBudgetDeployedSwitch(t, pre)
+	dsw.ProcessViews(views) // warm: scratch grows to the batch, keys insert
+	check("SwitchProcessViewsDeployed", func() { dsw.ProcessViews(views) })
 
 	// The dispatch side of the same batch: runnable bitmap, the header-field
 	// columns of the three instances' fields, one bitmap per leading-filter
@@ -280,12 +279,11 @@ func allocBudgetSwitch(t testing.TB) *pisa.Switch {
 	return sw
 }
 
-// allocBudgetProbedSwitch builds the deployed shape of the data plane — a
+// allocBudgetDeployedSwitch builds the deployed shape of the data plane — a
 // coarse instance, its refined sibling behind a populated dynamic filter,
-// and a mid-pipeline distinct that mirrors per tuple, all with
-// flight-recorder probes — plus one parsed 256-frame batch that exercises
-// each of them.
-func allocBudgetProbedSwitch(t testing.TB, ps *pisa.Prescreen) (*pisa.Switch, []pisa.View) {
+// and a mid-pipeline distinct that mirrors per tuple — plus one parsed
+// 256-frame batch that exercises each of them.
+func allocBudgetDeployedSwitch(t testing.TB, ps *pisa.Prescreen) (*pisa.Switch, []pisa.View) {
 	instance := func(q *query.Query, level uint8, cut int) *pisa.InstanceSpec {
 		pipe := compile.CompilePipeline(q.Left.Ops)
 		spec := &pisa.InstanceSpec{QID: q.ID, Level: level, Ops: q.Left.Ops, Tables: pipe.Tables,
@@ -314,17 +312,6 @@ func allocBudgetProbedSwitch(t testing.TB, ps *pisa.Prescreen) (*pisa.Switch, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := flightrec.New(4, nil)
-	probes := map[[2]int]*flightrec.Probe{}
-	for _, spec := range prog.Instances {
-		stages := make([]flightrec.StageInfo, len(spec.Ops))
-		for i := range stages {
-			stages[i] = flightrec.StageInfo{Label: spec.Ops[i].Kind.String(), Stateful: spec.Ops[i].Stateful(), OnSwitch: true}
-		}
-		probes[[2]int{int(spec.QID), int(spec.Level)}] = rec.Track(flightrec.TrackConfig{
-			QID: spec.QID, Level: spec.Level, RefFrom: -1, NumLeft: len(stages), Stages: stages})
-	}
-	sw.AttachFlightRec(func(qid uint16, level uint8) *flightrec.Probe { return probes[[2]int{int(qid), int(level)}] })
 	key := stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(10, 0, 0, 0))), 8)
 	if _, err := sw.UpdateDynTable(1, 16, pisa.SideLeft, 0, []string{key}); err != nil {
 		t.Fatal(err)
@@ -346,8 +333,8 @@ func allocBudgetProbedSwitch(t testing.TB, ps *pisa.Prescreen) (*pisa.Switch, []
 // allocBudgetMirrorBoundary builds the All-SP shape of the monitoring port —
 // a switch with nothing installed but the mirrors of a reduce, a distinct
 // and both sides of a join, wired to an emitter as its batch sink, the
-// engine behind it holding the whole queries, flight-recorder probes on
-// switch and engine — plus one parsed 256-frame batch of non-DNS traffic.
+// engine behind it holding the whole queries — plus one parsed 256-frame
+// batch of non-DNS traffic.
 func allocBudgetMirrorBoundary(t testing.TB) (*pisa.Switch, []pisa.View) {
 	spread := query.NewBuilder("spread", 3*time.Second).
 		Map(query.F(fields.SrcIP), query.F(fields.DstIP)).
@@ -368,8 +355,6 @@ func allocBudgetMirrorBoundary(t testing.TB) (*pisa.Switch, []pisa.View) {
 		MustBuild()
 	qs := []*query.Query{allocBudgetQuery(), spread, flood}
 	engine := stream.NewEngine(nil)
-	rec := flightrec.New(4, nil)
-	probes := map[uint16]*flightrec.Probe{}
 	prog := &pisa.Program{}
 	for i, q := range qs {
 		q.ID = uint16(i + 1)
@@ -377,23 +362,14 @@ func allocBudgetMirrorBoundary(t testing.TB) (*pisa.Switch, []pisa.View) {
 			t.Fatal(err)
 		}
 		prog.Instances = append(prog.Instances, &pisa.InstanceSpec{QID: q.ID, Ops: q.Left.Ops})
-		cfg := flightrec.TrackConfig{QID: q.ID, RefFrom: -1, NumLeft: len(q.Left.Ops)}
-		n := len(q.Left.Ops)
 		if q.HasJoin() {
 			prog.Instances = append(prog.Instances, &pisa.InstanceSpec{QID: q.ID, Side: pisa.SideRight, Ops: q.Right.Ops})
-			cfg.NumRight = len(q.Right.Ops)
-			n += len(q.Right.Ops) + len(q.Post.Ops)
 		}
-		cfg.Stages = make([]flightrec.StageInfo, n)
-		probes[q.ID] = rec.Track(cfg)
 	}
-	lookup := func(qid uint16, _ uint8) *flightrec.Probe { return probes[qid] }
 	sw, err := pisa.NewSwitchShared(pisa.DefaultConfig(), prog, emitter.New(engine), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.AttachFlightRec(lookup)
-	engine.AttachFlightRec(lookup)
 	parser := packet.NewParser(packet.ParserOptions{})
 	views := make([]pisa.View, 256)
 	for i := range views {

@@ -10,12 +10,10 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fields"
-	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/query"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
@@ -122,39 +120,25 @@ func newBoundaryPlan(r *rand.Rand) *boundaryPlan {
 	return p
 }
 
-// boundarySide is one deployment of a plan — switch, emitter, engine, each
-// instrumented, with flight-recorder probes on switch and engine — whose
-// monitoring port is crossed either a batch at a time or through the wire
-// codec.
+// boundarySide is one deployment of a plan — switch, emitter, engine —
+// whose monitoring port is crossed either a batch at a time or through the
+// wire codec. total and collisions sum the emitter's and the switch's
+// windows.
 type boundarySide struct {
-	sw     *pisa.Switch
-	em     *Emitter
-	engine *stream.Engine
-	reg    *telemetry.Registry
-	rec    *flightrec.Recorder
+	sw         *pisa.Switch
+	em         *Emitter
+	engine     *stream.Engine
+	total      Stats
+	collisions uint64
 }
 
 func newBoundarySide(t *testing.T, p *boundaryPlan, wire bool) *boundarySide {
 	t.Helper()
-	s := &boundarySide{engine: stream.NewEngine(nil), reg: telemetry.NewRegistry(), rec: flightrec.New(4, nil)}
-	probes := map[stream.QueryKey]*flightrec.Probe{}
+	s := &boundarySide{engine: stream.NewEngine(nil)}
 	for i, q := range p.queries {
 		if err := s.engine.Install(q, 0, p.parts[i]); err != nil {
 			t.Fatal(err)
 		}
-		n := len(q.Left.Ops)
-		cfg := flightrec.TrackConfig{QID: q.ID, RefFrom: -1, NumLeft: n}
-		if q.HasJoin() {
-			cfg.NumRight = len(q.Right.Ops)
-			n += len(q.Right.Ops) + len(q.Post.Ops)
-		}
-		for st := 0; st < n; st++ {
-			cfg.Stages = append(cfg.Stages, flightrec.StageInfo{Label: fmt.Sprintf("op%d", st)})
-		}
-		probes[stream.QueryKey{QID: q.ID}] = s.rec.Track(cfg)
-	}
-	lookup := func(qid uint16, level uint8) *flightrec.Probe {
-		return probes[stream.QueryKey{QID: qid, Level: level}]
 	}
 	s.em = New(s.engine)
 	var err error
@@ -166,15 +150,8 @@ func newBoundarySide(t *testing.T, p *boundaryPlan, wire bool) *boundarySide {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.sw.Instrument(s.reg, 0)
-	s.em.Instrument(s.reg)
-	s.engine.Instrument(s.reg)
-	s.sw.AttachFlightRec(lookup)
-	s.engine.AttachFlightRec(lookup)
 	return s
 }
-
-func (s *boundarySide) counter(name string) uint64 { return s.reg.Counter(name, "").Value() }
 
 // boundaryWindow is everything a window is observable through on the far
 // side of the monitoring port.
@@ -183,7 +160,6 @@ type boundaryWindow struct {
 	Metrics           stream.Metrics
 	Frames, Malformed uint64
 	Bytes             uint64
-	Flushes, Rows     uint64
 	Funnel            []string
 }
 
@@ -191,23 +167,28 @@ type boundaryWindow struct {
 // behind. Results keep the engine's row order (LeftOutputs and RightOutputs
 // are not sorted), and the flush counters tell how the records interleaved
 // entry points on their way in, so a path that reorders records shows.
-func (s *boundarySide) closeWindow(win int) boundaryWindow {
-	dumps, _ := s.sw.EndWindow()
+func (s *boundarySide) closeWindow() boundaryWindow {
+	dumps, st := s.sw.EndWindow()
 	s.em.HandleDumps(dumps)
 	var w boundaryWindow
 	w.Results, w.Metrics = s.engine.EndWindow()
-	w.Frames, w.Malformed = s.em.WindowStats()
-	w.Bytes = s.counter("sonata_emitter_bytes_total")
-	w.Flushes = s.counter("sonata_stream_batch_flushes_total")
-	w.Rows = s.counter("sonata_stream_batch_rows_total")
-	if f, m := s.counter("sonata_emitter_frames_total"), s.counter("sonata_emitter_malformed_total"); win == 0 &&
-		(f != w.Frames || m != w.Malformed) {
-		w.Funnel = append(w.Funnel, fmt.Sprintf("registry frames=%d malformed=%d disagree with WindowStats", f, m))
+	em := s.em.WindowStats()
+	w.Frames, w.Malformed = em.Frames, em.Malformed
+	s.total.Frames += em.Frames
+	s.total.Batches += em.Batches
+	s.total.DeepDecodes += em.DeepDecodes
+	s.collisions += st.Collisions
+	for _, sw := range st.Instances {
+		w.Funnel = append(w.Funnel, fmt.Sprintf("switch q%d/%d mirrored=%d collisions=%d dumps=%d regs=%d/%d ops=%v",
+			sw.QID, sw.Side, sw.Mirrored, sw.Collisions, sw.DumpTuples, sw.RegUsed, sw.RegCapacity, sw.OpIn))
 	}
-	s.rec.Commit(win, 0, nil)
-	for _, r := range s.rec.Snapshot(0).Queries {
-		w.Funnel = append(w.Funnel, fmt.Sprintf("q%d tuples=%d mirrored=%d bytes=%d collisions=%d ops=%v",
-			r.QID, r.TuplesToSP, r.Mirrored, r.MirrorBytes, r.Collisions, r.Ops))
+	// Evaluation time is the one thing the two paths may differ in.
+	insts := w.Metrics.Instances
+	w.Metrics.Instances = nil
+	for _, in := range insts {
+		w.Bytes += in.WireBytes
+		w.Funnel = append(w.Funnel, fmt.Sprintf("sp q%d tuples=%d bytes=%d results=%d in=%v out=%v",
+			in.Key.QID, in.TuplesIn, in.WireBytes, in.Results, in.OpIn, in.OpOut))
 	}
 	return w
 }
@@ -275,7 +256,7 @@ func TestMirrorBatchMatchesWire(t *testing.T) {
 					wire.sw.ProcessViews(views[:n])
 					frames = frames[n:]
 				}
-				got, want := batched.closeWindow(win), wire.closeWindow(win)
+				got, want := batched.closeWindow(), wire.closeWindow()
 				gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 				for f := 0; f < gv.NumField(); f++ {
 					if g, w := gv.Field(f).Interface(), wv.Field(f).Interface(); !reflect.DeepEqual(g, w) {
@@ -290,15 +271,15 @@ func TestMirrorBatchMatchesWire(t *testing.T) {
 				sawDNS = sawDNS || len(want.Results[1].Tuples) > 0
 				sawRight = sawRight || len(want.Results[4].RightOutputs) > 0 && len(want.Results[5].Tuples) > 0
 			}
-			sawShunts = sawShunts || wire.counter("sonata_switch_collisions_total") > 0
+			sawShunts = sawShunts || wire.collisions > 0
 			// The amortisation the batch path exists for, and the counters
 			// that make it readable.
-			frames, batches := batched.counter("sonata_emitter_frames_total"), batched.counter("sonata_emitter_batches_total")
-			if batches == 0 || batches > frames || wire.counter("sonata_emitter_batches_total") != 0 {
+			frames, batches := batched.total.Frames, batched.total.Batches
+			if batches == 0 || batches > frames || wire.total.Batches != 0 {
 				t.Errorf("seed %d batch %d: %d frames in %d batches (wire path: %d batches)",
-					seed, batch, frames, batches, wire.counter("sonata_emitter_batches_total"))
+					seed, batch, frames, batches, wire.total.Batches)
 			}
-			if b, w := batched.counter("sonata_emitter_deep_decodes_total"), wire.counter("sonata_emitter_deep_decodes_total"); b == 0 || b > w ||
+			if b, w := batched.total.DeepDecodes, wire.total.DeepDecodes; b == 0 || b > w ||
 				batch == 256 && 2*b > w {
 				t.Errorf("seed %d batch %d: %d deep decodes in process, %d on the wire path", seed, batch, b, w)
 			}
@@ -363,15 +344,14 @@ func TestEmitterSurvivesUnroutableRecords(t *testing.T) {
 	for i := range bad {
 		em.HandleMirror(good)
 		em.HandleMirror(bad[i])
-		frames, malformed := em.WindowStats()
-		if frames != 2 || malformed != 1 {
-			t.Errorf("record %d (%+v): frames=%d malformed=%d, want 2 and 1", i, bad[i], frames, malformed)
+		if st := em.WindowStats(); st.Frames != 2 || st.Malformed != 1 {
+			t.Errorf("record %d (%+v): frames=%d malformed=%d, want 2 and 1", i, bad[i], st.Frames, st.Malformed)
 		}
 	}
 	em.HandleMirror(pisa.Mirror{QID: 1, Overflow: true, MergeOp: 2, Vals: good.Vals}) // a shunt the reduce does take
 	results, m := engine.EndWindow()
 	want := uint64(len(bad) + 1)
-	if m.TuplesIn != want || m.PerQuery[stream.QueryKey{QID: 1}] != want || len(m.PerQuery) != 1 {
+	if m.TuplesIn != want || m.Instances[0].TuplesIn != want || len(m.Instances) != 1 {
 		t.Errorf("metrics = %+v, want %d tuples, all of q1/r0", m, want)
 	}
 	if len(results[0].Tuples) != 1 || results[0].Tuples[0][1].U != want {
@@ -411,8 +391,8 @@ func TestEmitterSurvivesUnroutableBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		sw.ProcessViews(views)
-		if frames, malformed := em.WindowStats(); frames != 6 || malformed != 6 {
-			t.Errorf("wire=%v: frames=%d malformed=%d, want 6 and 6", wire, frames, malformed)
+		if st := em.WindowStats(); st.Frames != 6 || st.Malformed != 6 {
+			t.Errorf("wire=%v: frames=%d malformed=%d, want 6 and 6", wire, st.Frames, st.Malformed)
 		}
 		if _, m := engine.EndWindow(); m.TuplesIn != 0 {
 			t.Errorf("wire=%v: %d tuples reached the engine", wire, m.TuplesIn)

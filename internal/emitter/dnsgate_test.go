@@ -10,12 +10,11 @@ import (
 	"repro/internal/queries"
 	"repro/internal/query"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
 // allSPDeployment installs qs with every pipeline at the stream processor and
 // a switch that mirrors each side whole, a batch at a time, into the emitter.
-func allSPDeployment(t *testing.T, qs []*query.Query) (*pisa.Switch, *stream.Engine, *Emitter, *telemetry.Registry) {
+func allSPDeployment(t *testing.T, qs []*query.Query) (*pisa.Switch, *stream.Engine, *Emitter) {
 	t.Helper()
 	engine := stream.NewEngine(nil)
 	prog := &pisa.Program{}
@@ -29,13 +28,11 @@ func allSPDeployment(t *testing.T, qs []*query.Query) (*pisa.Switch, *stream.Eng
 		}
 	}
 	em := New(engine)
-	reg := telemetry.NewRegistry()
-	em.Instrument(reg)
 	sw, err := pisa.NewSwitchShared(pisa.DefaultConfig(), prog, em, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sw, engine, em, reg
+	return sw, engine, em
 }
 
 // replay runs frames through sw in 256-view batches, the views parsed as the
@@ -84,7 +81,7 @@ func TestDNSDecodeFollowsInstalledQueries(t *testing.T) {
 	}
 
 	top := queries.TopEight(p)
-	sw, engine, em, reg := allSPDeployment(t, top)
+	sw, engine, em := allSPDeployment(t, top)
 	if engine.ReadsDNS() {
 		t.Fatal("the header queries read no DNS field, yet the engine says one does")
 	}
@@ -95,10 +92,11 @@ func TestDNSDecodeFollowsInstalledQueries(t *testing.T) {
 			}
 		}
 	})
-	if d := reg.Counter("sonata_emitter_deep_decodes_total", "").Value(); d != 0 {
-		t.Errorf("%d deep decodes with no DNS reader installed", d)
+	st := em.WindowStats()
+	if st.DeepDecodes != 0 {
+		t.Errorf("%d deep decodes with no DNS reader installed", st.DeepDecodes)
 	}
-	if f, _ := em.WindowStats(); f == 0 {
+	if st.Frames == 0 {
 		t.Fatal("vacuous: nothing crossed the monitoring port")
 	}
 	headerOnly, _ := engine.EndWindow()
@@ -144,9 +142,9 @@ func TestDNSDecodeFollowsInstalledQueries(t *testing.T) {
 		t.Fatal("vacuous: dns_tunneling reports nothing on the reference")
 	}
 
-	sw, engine, _, reg = allSPDeployment(t, append(top, tunnel))
+	sw, engine, em = allSPDeployment(t, append(top, tunnel))
 	replay(sw, frames, func(int) {})
-	if reg.Counter("sonata_emitter_deep_decodes_total", "").Value() == 0 {
+	if em.WindowStats().DeepDecodes == 0 {
 		t.Error("no deep decodes with dns_tunneling installed over DNS traffic")
 	}
 	got, _ := engine.EndWindow()

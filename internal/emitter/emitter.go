@@ -33,7 +33,6 @@ import (
 	"repro/internal/pisa"
 	"repro/internal/query"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
@@ -237,43 +236,27 @@ type Emitter struct {
 	flen       []int
 	sel        []uint64
 	row        []tuple.Value
-	// Stats for the window.
-	frames   uint64
-	badFrame uint64
-	// m holds telemetry handles (zero value when uninstrumented).
-	m emitterMetrics
+	// stats is the window so far.
+	stats Stats
+}
+
+// Stats is one window at the emitter. The encoded bytes go to the stream
+// processor instances the records were for (stream.Instance.AddWireBytes).
+type Stats struct {
+	// Frames counts telemetry records off the monitoring port, Malformed
+	// those (or their embedded packets) that failed to parse or that no
+	// installed instance takes.
+	Frames    uint64
+	Malformed uint64
+	// Batches counts mirror batches handed over in process, DeepDecodes the
+	// mirrored packets whose DNS layer was decoded: once per view per batch
+	// in process, once per record on the wire path.
+	Batches     uint64
+	DeepDecodes uint64
 }
 
 // oneSel selects the wire path's single packet.
 var oneSel = []uint64{1}
-
-// emitterMetrics is the monitoring-port slice of the registry.
-type emitterMetrics struct {
-	frames      *telemetry.Counter
-	malformed   *telemetry.Counter
-	bytes       *telemetry.Counter
-	batches     *telemetry.Counter
-	deepDecodes *telemetry.Counter
-	dumps       *telemetry.Counter
-}
-
-// Instrument registers the emitter's metrics against reg (nil disables).
-func (e *Emitter) Instrument(reg *telemetry.Registry) {
-	e.m = emitterMetrics{
-		frames: reg.Counter("sonata_emitter_frames_total",
-			"Telemetry frames decoded off the monitoring port."),
-		malformed: reg.Counter("sonata_emitter_malformed_total",
-			"Telemetry frames (or embedded packets) that failed to parse, or that no installed instance takes."),
-		bytes: reg.Counter("sonata_emitter_bytes_total",
-			"Encoded telemetry bytes crossing the monitoring port."),
-		batches: reg.Counter("sonata_emitter_batches_total",
-			"Mirror batches handed over in process (frames per batch is the mean run the stream processor sees)."),
-		deepDecodes: reg.Counter("sonata_emitter_deep_decodes_total",
-			"Mirrored packets whose DNS layer was deep-decoded, which happens only while an installed query reads a DNS field: once per view per batch in process, once per frame on the wire path."),
-		dumps: reg.Counter("sonata_emitter_dump_tuples_total",
-			"Register-dump tuples converted into pre-aggregated records."),
-	}
-}
 
 // New returns an emitter delivering into engine.
 func New(engine *stream.Engine) *Emitter {
@@ -302,21 +285,17 @@ func streamSide(s pisa.Side) stream.Side {
 
 // malformed counts n records dropped at the emitter.
 func (e *Emitter) malformed(n uint64) {
-	e.badFrame += n
-	e.m.malformed.Add(n)
+	e.stats.Malformed += n
 }
 
 // HandleMirror is the wire path: it performs the encode/parse round trip a
 // monitoring port implies and forwards the tuple (or packet) to the engine.
-// The flight-recorder probe the bytes are attributed to is the engine
-// instance's own.
+// The bytes are booked to the instance the record names.
 func (e *Emitter) HandleMirror(m pisa.Mirror) {
 	buf := EncodeMirror(e.buf[:0], &m)
 	e.buf = buf
-	e.frames++
-	e.m.frames.Inc()
-	e.m.bytes.Add(uint64(len(buf)))
-	e.engine.Instance(m.QID, m.Level).Probe().Bytes(uint64(len(buf)))
+	e.stats.Frames++
+	e.engine.Instance(m.QID, m.Level).AddWireBytes(uint64(len(buf)))
 	if err := e.dec.Decode(buf, &e.decoded); err == nil {
 		// The parsed view rides beside the wire format, not in it: the
 		// monitoring port carries bytes, but within one process the decoded
@@ -367,7 +346,7 @@ func (e *Emitter) Deliver(m *pisa.Mirror) {
 			return
 		}
 		if pkt.Has(packet.LayerDNS) {
-			e.m.deepDecodes.Inc()
+			e.stats.DeepDecodes++
 		}
 		inst.IngestPackets(side, &e.pkt, oneSel)
 	}
@@ -383,9 +362,8 @@ func (e *Emitter) HandleMirrorBatch(b *pisa.MirrorBatch) {
 		e.beginViews(len(b.Views))
 	}
 	n := uint64(b.Len())
-	e.frames += n
-	e.m.frames.Add(n)
-	e.m.batches.Inc()
+	e.stats.Frames += n
+	e.stats.Batches++
 	inst := e.engine.Instance(b.QID, b.Level)
 	side := streamSide(b.Side)
 	ok := inst.HasSide(side) && (b.TuplePhase || inst.TakesPackets(side))
@@ -398,9 +376,7 @@ func (e *Emitter) HandleMirrorBatch(b *pisa.MirrorBatch) {
 	} else {
 		wire = e.deliverPackets(b, inst, side, ok)
 	}
-	wire += n * headerLen
-	e.m.bytes.Add(wire)
-	inst.Probe().Bytes(wire)
+	inst.AddWireBytes(wire + n*headerLen)
 }
 
 // beginViews forgets what the previous view batch left in the per-view
@@ -454,7 +430,7 @@ func (e *Emitter) deliverPackets(b *pisa.MirrorBatch, inst *stream.Instance, sid
 		e.sel[w] = tail & e.ready[w]
 		unparsed += uint64(bits.OnesCount64(tail & e.bad[w]))
 	}
-	e.m.deepDecodes.Add(decoded)
+	e.stats.DeepDecodes += decoded
 	if ok {
 		e.malformed(unparsed)
 		adopted := b.Packets.WithPackets(e.pkts[:len(b.Views)])
@@ -497,7 +473,6 @@ func (e *Emitter) deliverTuples(b *pisa.MirrorBatch, inst *stream.Instance, side
 // tuples merged into the engine's stateful operators — the emitter's "read
 // the aggregated value for each key" role from Section 5.
 func (e *Emitter) HandleDumps(dumps []pisa.RegDump) {
-	e.m.dumps.Add(uint64(len(dumps)))
 	for i := range dumps {
 		d := &dumps[i]
 		e.engine.IngestAgg(d.QID, d.Level, streamSide(d.Side), d.MergeOp, d.KeyVals, d.Val)
@@ -505,8 +480,8 @@ func (e *Emitter) HandleDumps(dumps []pisa.RegDump) {
 }
 
 // WindowStats reports and resets the emitter's per-window counters.
-func (e *Emitter) WindowStats() (frames, malformed uint64) {
-	frames, malformed = e.frames, e.badFrame
-	e.frames, e.badFrame = 0, 0
-	return frames, malformed
+func (e *Emitter) WindowStats() Stats {
+	st := e.stats
+	e.stats = Stats{}
+	return st
 }

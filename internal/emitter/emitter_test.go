@@ -160,9 +160,8 @@ func TestHandleMirrorDeliversTuples(t *testing.T) {
 	if len(results[0].Tuples) != 1 || results[0].Tuples[0][1].U != 4 {
 		t.Fatalf("results = %+v", results[0].Tuples)
 	}
-	frames, malformed := em.WindowStats()
-	if frames != 4 || malformed != 0 {
-		t.Errorf("emitter stats = %d/%d", frames, malformed)
+	if st := em.WindowStats(); st.Frames != 4 || st.Malformed != 0 {
+		t.Errorf("emitter stats = %d/%d", st.Frames, st.Malformed)
 	}
 }
 
@@ -186,8 +185,7 @@ func TestHandleMirrorPacketPath(t *testing.T) {
 	if len(results[0].Tuples) != 1 || results[0].Tuples[0][0].U != 99 {
 		t.Fatalf("results = %+v", results[0].Tuples)
 	}
-	_, malformed := em.WindowStats()
-	if malformed != 1 {
+	if malformed := em.WindowStats().Malformed; malformed != 1 {
 		t.Errorf("malformed = %d, want 1", malformed)
 	}
 }

@@ -8,18 +8,15 @@
 // op-level work with a rolling drift ratio — the continuous estimate-vs-
 // actual signal that tells an operator when a plan has gone stale.
 //
-// The recorder is fed by the same increments that build the runtime's
-// WindowReport (the switch, engine, and emitter bump a Probe exactly where
-// they bump their WindowStats/Metrics counters), so the recorder can never
-// disagree with the printed reports. Probes follow the telemetry package's
-// handle discipline: a nil *Probe (or nil *Recorder) is a no-op on every
-// method, so an unattached deployment pays only a nil check.
+// The recorder reads the runtime's WindowReport: at every window close the
+// runtime hands Commit the report's per-instance Counts, and Commit copies
+// them into the ring and derives the rest. It is never fed while packets
+// flow, so it can never disagree with the printed reports. A nil *Recorder
+// is a no-op on every method.
 //
-// Concurrency contract: a probe's window accumulators are written only by
-// the goroutine that owns its instance (the sharded runtime's single-owner
-// invariant); the runtime calls Commit from the main goroutine after the
-// window-end join, and Snapshot readers only ever see committed ring slots
-// under the recorder's lock.
+// Concurrency contract: the runtime calls Reset and Commit from its close
+// path; Snapshot readers (the HTTP handlers) only ever see committed ring
+// slots under the recorder's lock.
 package flightrec
 
 import (
@@ -34,7 +31,7 @@ import (
 // not choose one.
 const DefaultCapacity = 64
 
-// StageInfo statically describes one pipeline op of a tracked instance.
+// StageInfo statically describes one pipeline op of an instance.
 type StageInfo struct {
 	// Label is the rendered stage name, e.g. "L0 dynfilter@sw".
 	Label string
@@ -51,8 +48,8 @@ type StageInfo struct {
 	Seg int
 }
 
-// TrackConfig registers one (query, level) instance with the recorder.
-type TrackConfig struct {
+// Instance statically describes one installed (query, level) instance.
+type Instance struct {
 	QID   uint16
 	Level uint8
 	// Shard is the shard owning the instance.
@@ -63,181 +60,49 @@ type TrackConfig struct {
 	// RefFrom is the coarser refinement level gating this instance, -1 when
 	// the instance is not the target of a refinement link.
 	RefFrom int
-	// NumLeft / NumRight size the stage index bases: right-side ops map to
-	// stage NumLeft+i, post-join ops to NumLeft+NumRight+i.
-	NumLeft  int
-	NumRight int
 	// Stages lists every op: left, then right, then post, concatenated.
 	Stages []StageInfo
 }
 
-// Probe is the per-instance window accumulator handed to the switch, the
-// stream engine, and the emitter. All mutating methods are nil-safe no-ops.
-type Probe struct {
-	cfg TrackConfig
-
-	// Window accumulators (reset by Commit). Written by the instance's
-	// owner goroutine during the window; regUsed/dumpTuples/refinement by
-	// the main goroutine at window close, after the worker join.
-	tuplesToSP  uint64
-	mirrored    uint64
-	mirrorBytes uint64
-	delivBytes  uint64
-	collisions  uint64
-	dumpTuples  uint64
-	regUsed     uint64
-	results     uint64
-	evalNS      int64
-	freshNS     int64
-	opInSw      []uint64 // tuples entering each stage on the switch
-	opInSP      []uint64 // tuples entering each stage at the stream processor
-	opOut       []uint64 // emissions of each stage at the stream processor
-	refKeys     uint64
-	refChanged  bool
-
-	// Static after attach.
-	regCapacity uint64
-
-	// Cumulative, updated by Commit.
-	cumTuples uint64
-	cumBytes  uint64
-	drift     float64
-	driftSet  bool
-}
-
-// RightBase returns the stage index of the right pipeline's first op.
-func (p *Probe) RightBase() int { return p.cfg.NumLeft }
-
-// PostBase returns the stage index of the post-join pipeline's first op.
-func (p *Probe) PostBase() int { return p.cfg.NumLeft + p.cfg.NumRight }
-
-// Tuple counts one tuple (or mirrored packet) delivered to the stream
-// processor — the same increment that builds WindowReport.PerQuery.
-func (p *Probe) Tuple() {
-	if p != nil {
-		p.tuplesToSP++
-	}
-}
-
-// TupleN is Tuple for n tuples delivered in one hand-off.
-func (p *Probe) TupleN(n uint64) {
-	if p != nil {
-		p.tuplesToSP += n
-	}
-}
-
-// Mirror counts one mirror report leaving the switch.
-func (p *Probe) Mirror() {
-	if p != nil {
-		p.mirrored++
-	}
-}
-
-// MirrorN is Mirror for the n reports of one mirror batch.
-func (p *Probe) MirrorN(n uint64) {
-	if p != nil {
-		p.mirrored += n
-	}
-}
-
-// Bytes counts encoded telemetry bytes crossing the monitoring port.
-func (p *Probe) Bytes(n uint64) {
-	if p != nil {
-		p.mirrorBytes += n
-	}
-}
-
-// Delivered counts encoded result bytes queued for subscribers on behalf of
-// this instance — the subscription server's per-(query, level) attribution
-// of the delivery path. Called from the publish step of window close (main
-// goroutine), like the other boundary accumulators.
-func (p *Probe) Delivered(n uint64) {
-	if p != nil {
-		p.delivBytes += n
-	}
-}
-
-// Collision counts one register overflow shunted to the stream processor.
-func (p *Probe) Collision() {
-	if p != nil {
-		p.collisions++
-	}
-}
-
-// DumpTuple counts one register dump entry reported at the window boundary.
-func (p *Probe) DumpTuple() {
-	if p != nil {
-		p.dumpTuples++
-	}
-}
-
-// RegOccupied adds one bank's stored-key count to the window's occupancy
-// sample (taken at the window boundary, before the reset).
-func (p *Probe) RegOccupied(n uint64) {
-	if p != nil {
-		p.regUsed += n
-	}
-}
-
-// AddRegCapacity accumulates the instance's total register slots (static;
-// called once per bank at attach).
-func (p *Probe) AddRegCapacity(n uint64) {
-	if p != nil {
-		p.regCapacity += n
-	}
-}
-
-// Eval records the instance's window-close evaluation: result tuples and
-// evaluation wall time.
-func (p *Probe) Eval(results uint64, d time.Duration) {
-	if p != nil {
-		p.results += results
-		p.evalNS += d.Nanoseconds()
-	}
-}
-
-// Fresh records the window's freshness watermark: nanoseconds from the
-// window's first frame to publish completion. Called once per window from
-// the close path (main goroutine), like the other boundary accumulators.
-func (p *Probe) Fresh(ns int64) {
-	if p != nil {
-		p.freshNS = ns
-	}
-}
-
-// OpSwitch counts one packet entering the given stage in the data plane.
-func (p *Probe) OpSwitch(stage int) {
-	if p != nil {
-		p.opInSw[stage]++
-	}
-}
-
-// OpSwitchN counts n packets entering the given stage in the data plane: the
-// batched switch walk adds each stage's count once per batch, as the
-// popcount of the selection entering it.
-func (p *Probe) OpSwitchN(stage int, n uint64) {
-	if p != nil {
-		p.opInSw[stage] += n
-	}
-}
-
-// OpSP adds one stage's stream-processor entering/emission counts (the
-// engine flushes its per-op counters here at window end).
-func (p *Probe) OpSP(stage int, in, out uint64) {
-	if p != nil {
-		p.opInSP[stage] += in
-		p.opOut[stage] += out
-	}
-}
-
-// Refined records the refinement update applied at this window's close:
-// the number of keys the coarser level reported (gating the next window)
-// and whether the key set changed from the previous window.
-func (p *Probe) Refined(keys uint64, changed bool) {
-	if p != nil {
-		p.refKeys = keys
-		p.refChanged = changed
-	}
+// Counts is one instance's window as the runtime's WindowReport carries it:
+// what the switch, the emitter, the stream processor, the refinement update
+// and the result fan-out did for the instance. The per-stage slices are
+// indexed like Instance.Stages.
+type Counts struct {
+	QID   uint16
+	Level uint8
+	// TuplesToSP is the tuples (or mirrored packets, or dump entries) the
+	// stream processor ingested for the instance.
+	TuplesToSP uint64
+	// Mirrored is the mirror reports the switch sent for it, MirrorBytes
+	// their encoded size on the monitoring port.
+	Mirrored    uint64
+	MirrorBytes uint64
+	// Collisions is the register overflows shunted to the stream processor;
+	// DumpTuples the register entries reported at the window boundary.
+	Collisions uint64
+	DumpTuples uint64
+	// RegUsed is the keys the instance's registers held at the window
+	// boundary, RegCapacity their slots.
+	RegUsed     uint64
+	RegCapacity uint64
+	// Results and EvalNS are the window-close evaluation: result tuples and
+	// wall time.
+	Results uint64
+	EvalNS  int64
+	// RefKeys / RefChanged describe the refinement update applied at the
+	// window's close when a coarser level gates the instance: the keys that
+	// level reported and whether the set changed from the previous window.
+	RefKeys    uint64
+	RefChanged bool
+	// DeliveredBytes is the encoded result volume queued to subscribers.
+	DeliveredBytes uint64
+	// OpInSw counts the packets entering each stage on the switch, OpInSP
+	// the tuples entering it at the stream processor, OpOut its emissions
+	// at the stream processor.
+	OpInSw []uint64
+	OpInSP []uint64
+	OpOut  []uint64
 }
 
 // OpRecord is one pipeline stage of a committed record.
@@ -334,16 +199,18 @@ type slot struct {
 	records []Record
 }
 
-// Recorder owns the probes and the ring. A nil *Recorder is a no-op.
+// Recorder owns the ring. A nil *Recorder is a no-op.
 type Recorder struct {
 	mu       sync.Mutex
 	onEvict  func(window int)
 	capacity int
-	probes   []*Probe
-	slots    []slot
-	commits  uint64
-	served   uint64 // highest commit sequence a Snapshot has returned
-	evicted  uint64
+	insts    []Instance
+	// cum carries each instance's totals and drift across commits.
+	cum     []cumulative
+	slots   []slot
+	commits uint64
+	served  uint64 // highest commit sequence a Snapshot has returned
+	evicted uint64
 	// shardWork is commit scratch: per-shard observed-work sums for busy
 	// attribution. Sized at ring allocation so Commit never allocates.
 	shardWork []uint64
@@ -357,6 +224,14 @@ type Recorder struct {
 	// traceHas reports whether the trace buffer retained a given window,
 	// wired by AttachTraceIndex; Snapshot cross-links /debug/trace from it.
 	traceHas func(window int) bool
+}
+
+// cumulative is what one instance's records carry over from window to
+// window.
+type cumulative struct {
+	tuples, bytes uint64
+	drift         float64
+	driftSet      bool
 }
 
 // New returns a recorder retaining capacity windows (DefaultCapacity when
@@ -406,57 +281,39 @@ func (rec *Recorder) AttachTraceIndex(has func(window int) bool) {
 	rec.traceHas = has
 }
 
-// Reset drops all probes and committed windows. The runtime calls it when
-// the recorder is attached, and attaches it again at every re-plan
-// (runtime.Replan), so the recorder always reflects the live plan.
-func (rec *Recorder) Reset() {
+// Reset drops every committed window and makes insts the instances every
+// later Commit records, in order. The runtime calls it when the recorder is
+// attached, and attaches it again at every re-plan (runtime.Replan), so the
+// recorder always reflects the live plan.
+func (rec *Recorder) Reset(insts []Instance) {
 	if rec == nil {
 		return
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	rec.probes = nil
-	rec.slots = nil
+	rec.insts = insts
+	rec.cum = make([]cumulative, len(insts))
+	rec.slots = nil // the ring is sized per instance set on the next commit
 	rec.commits, rec.served, rec.evicted = 0, 0, 0
 }
 
-// Track registers one instance and returns its probe. All Track calls must
-// precede the first Commit (the runtime tracks at attach time).
-func (rec *Recorder) Track(cfg TrackConfig) *Probe {
-	if rec == nil {
-		return nil
-	}
-	n := len(cfg.Stages)
-	p := &Probe{cfg: cfg,
-		opInSw: make([]uint64, n),
-		opInSP: make([]uint64, n),
-		opOut:  make([]uint64, n),
-	}
-	rec.mu.Lock()
-	rec.probes = append(rec.probes, p)
-	rec.slots = nil // ring is sized per probe set; reallocate on next commit
-	rec.mu.Unlock()
-	return p
-}
-
 // alloc builds the ring: every slot holds one preallocated Record per
-// probe, each with its Ops slice sized to the probe's stage count, so
+// instance, each with its Ops slice sized to the instance's stage count, so
 // Commit writes in place and never allocates.
 func (rec *Recorder) alloc() {
 	rec.slots = make([]slot, rec.capacity)
 	maxShard := 0
-	for _, p := range rec.probes {
-		if p.cfg.Shard > maxShard {
-			maxShard = p.cfg.Shard
-		}
+	for i := range rec.insts {
+		maxShard = max(maxShard, rec.insts[i].Shard)
 	}
 	rec.shardWork = make([]uint64, maxShard+1)
 	for i := range rec.slots {
-		records := make([]Record, len(rec.probes))
-		for j, p := range rec.probes {
-			ops := make([]OpRecord, len(p.cfg.Stages))
+		records := make([]Record, len(rec.insts))
+		for j := range rec.insts {
+			stages := rec.insts[j].Stages
+			ops := make([]OpRecord, len(stages))
 			for k := range ops {
-				ops[k].Label = p.cfg.Stages[k].Label
+				ops[k].Label = stages[k].Label
 			}
 			records[j] = Record{Ops: ops}
 		}
@@ -468,13 +325,14 @@ func (rec *Recorder) alloc() {
 // ratio; 0.5 converges within a few windows while smoothing one-off bursts.
 const driftAlpha = 0.5
 
-// Commit seals the closing window into the ring: it snapshots and resets
-// every probe, computes observed work and the drift ratio, and attributes
-// each shard's busy time across the instances it ran. The runtime calls it
-// once per window, after the worker join, with the same PacketsIn and
-// ShardBusy values the WindowReport carries. After the first call (which
-// sizes the ring) Commit performs no allocation.
-func (rec *Recorder) Commit(window int, packetsIn uint64, shardBusy []time.Duration) {
+// Commit seals the closing window into the ring: it copies each instance's
+// counts (counts[j] is the window of the j-th instance given to Reset),
+// computes observed work and the drift ratio, and attributes each shard's
+// busy time across the instances it ran. The runtime calls it once per
+// window with its WindowReport's PacketsIn, Instances and ShardBusy and the
+// window's freshness watermark. After the first call (which sizes the ring)
+// Commit performs no allocation.
+func (rec *Recorder) Commit(window int, packetsIn uint64, freshNS int64, shardBusy []time.Duration, counts []Counts) {
 	if rec == nil {
 		return
 	}
@@ -494,20 +352,18 @@ func (rec *Recorder) Commit(window int, packetsIn uint64, shardBusy []time.Durat
 	rec.commits++
 	s.seq, s.window = rec.commits, window
 
-	for i := range rec.shardWork {
-		rec.shardWork[i] = 0
-	}
-	for j, p := range rec.probes {
+	clear(rec.shardWork)
+	for j := range rec.insts {
 		r := &s.records[j]
-		rec.commitProbe(p, r, window, packetsIn)
-		rec.shardWork[p.cfg.Shard] += r.ObsWork
+		rec.commitRecord(j, &counts[j], r, window, packetsIn, freshNS)
+		rec.shardWork[rec.insts[j].Shard] += r.ObsWork
 	}
 	// Busy attribution: an instance's share of its shard's busy time is its
 	// share of the shard's observed work this window.
-	for j, p := range rec.probes {
+	for j := range rec.insts {
 		r := &s.records[j]
 		r.BusyNS = 0
-		sh := p.cfg.Shard
+		sh := rec.insts[j].Shard
 		if sh < len(shardBusy) && rec.shardWork[sh] > 0 {
 			r.BusyNS = int64(float64(shardBusy[sh]) *
 				(float64(r.ObsWork) / float64(rec.shardWork[sh])))
@@ -516,84 +372,69 @@ func (rec *Recorder) Commit(window int, packetsIn uint64, shardBusy []time.Durat
 	rec.mWindows.Inc()
 }
 
-// commitProbe fills one record from its probe and resets the probe's
-// window accumulators.
-func (rec *Recorder) commitProbe(p *Probe, r *Record, window int, packetsIn uint64) {
-	st := p.cfg.Stages
+// commitRecord fills instance j's record from its window counts and
+// advances the instance's cumulative totals and drift.
+func (rec *Recorder) commitRecord(j int, c *Counts, r *Record, window int, packetsIn uint64, freshNS int64) {
+	in, cum := &rec.insts[j], &rec.cum[j]
+	st := in.Stages
 	var obs uint64
-	for j := range st {
-		in := p.opInSP[j]
-		if st[j].OnSwitch {
-			in = p.opInSw[j]
+	for k := range st {
+		n := c.OpInSP[k]
+		if st[k].OnSwitch {
+			n = c.OpInSw[k]
 		}
-		if st[j].Stateful {
-			in *= 4
+		if st[k].Stateful {
+			n *= 4
 		}
-		obs += in
+		obs += n
 	}
 	// Each collision costs the shunt mirror plus the SP-side re-execution —
 	// the planner prices overflow at 8x when it builds EstWork, so the
 	// observed side must too or drift would read high under collisions.
-	obs += 8 * p.collisions
+	obs += 8 * c.Collisions
 
-	est := p.cfg.EstWork
-	if est == 0 {
-		est = 1
-	}
+	est := max(in.EstWork, 1)
 	ratio := float64(obs) / float64(est)
-	if !p.driftSet {
-		p.drift, p.driftSet = ratio, true
+	if !cum.driftSet {
+		cum.drift, cum.driftSet = ratio, true
 	} else {
-		p.drift = (1-driftAlpha)*p.drift + driftAlpha*ratio
+		cum.drift = (1-driftAlpha)*cum.drift + driftAlpha*ratio
 	}
-	p.cumTuples += p.tuplesToSP
-	p.cumBytes += p.mirrorBytes
+	cum.tuples += c.TuplesToSP
+	cum.bytes += c.MirrorBytes
 
 	r.Window = window
-	r.QID, r.Level, r.Shard = p.cfg.QID, p.cfg.Level, p.cfg.Shard
+	r.QID, r.Level, r.Shard = in.QID, in.Level, in.Shard
 	r.PacketsIn = packetsIn
-	r.TuplesToSP = p.tuplesToSP
-	den := p.tuplesToSP
-	if den == 0 {
-		den = 1
-	}
-	r.Reduction = float64(packetsIn) / float64(den)
-	r.Results = p.results
-	r.Mirrored = p.mirrored
-	r.MirrorBytes = p.mirrorBytes
-	r.DeliveredBytes = p.delivBytes
-	r.Collisions = p.collisions
-	r.DumpTuples = p.dumpTuples
-	r.RegUsed, r.RegCapacity = p.regUsed, p.regCapacity
-	r.EvalNS = p.evalNS
-	r.FreshNS = p.freshNS
-	r.EstWork, r.ObsWork, r.Drift = p.cfg.EstWork, obs, p.drift
-	r.RefFrom, r.RefKeys, r.RefChanged = p.cfg.RefFrom, p.refKeys, p.refChanged
-	r.CumTuples, r.CumBytes = p.cumTuples, p.cumBytes
-	for j := range st {
-		op := &r.Ops[j]
-		op.In = p.opInSw[j] + p.opInSP[j]
-		out := p.opOut[j]
+	r.TuplesToSP = c.TuplesToSP
+	r.Reduction = float64(packetsIn) / float64(max(c.TuplesToSP, 1))
+	r.Results = c.Results
+	r.Mirrored = c.Mirrored
+	r.MirrorBytes = c.MirrorBytes
+	r.DeliveredBytes = c.DeliveredBytes
+	r.Collisions = c.Collisions
+	r.DumpTuples = c.DumpTuples
+	r.RegUsed, r.RegCapacity = c.RegUsed, c.RegCapacity
+	r.EvalNS = c.EvalNS
+	r.FreshNS = freshNS
+	r.EstWork, r.ObsWork, r.Drift = in.EstWork, obs, cum.drift
+	r.RefFrom, r.RefKeys, r.RefChanged = in.RefFrom, c.RefKeys, c.RefChanged
+	r.CumTuples, r.CumBytes = cum.tuples, cum.bytes
+	for k := range st {
+		op := &r.Ops[k]
+		op.In = c.OpInSw[k] + c.OpInSP[k]
+		out := c.OpOut[k]
 		// Switch-resident stateless ops have no SP-side emission counter;
 		// their output is whatever entered the next stage of the same
 		// segment (at the SP for the op just before the cut).
-		if out == 0 && st[j].OnSwitch && j+1 < len(st) && st[j+1].Seg == st[j].Seg {
-			if st[j+1].OnSwitch {
-				out = p.opInSw[j+1]
+		if out == 0 && st[k].OnSwitch && k+1 < len(st) && st[k+1].Seg == st[k].Seg {
+			if st[k+1].OnSwitch {
+				out = c.OpInSw[k+1]
 			} else {
-				out = p.opInSP[j+1]
+				out = c.OpInSP[k+1]
 			}
 		}
 		op.Out = out
-	}
-
-	// Reset the window accumulators; cumulative and static fields persist.
-	p.tuplesToSP, p.mirrored, p.mirrorBytes, p.delivBytes = 0, 0, 0, 0
-	p.collisions, p.dumpTuples, p.regUsed = 0, 0, 0
-	p.results, p.evalNS, p.freshNS = 0, 0, 0
-	p.refKeys, p.refChanged = 0, false
-	for j := range p.opInSw {
-		p.opInSw[j], p.opInSP[j], p.opOut[j] = 0, 0, 0
 	}
 }
 

@@ -20,32 +20,36 @@ func testStages() []StageInfo {
 	}
 }
 
-// TestNilSafety: every probe and recorder method must no-op on nil, the
-// telemetry handle discipline that lets instrumentation stay in place.
+// tracked returns a recorder Reset to insts, and an idle window's counts
+// for them.
+func tracked(capacity int, onEvict func(int), insts ...Instance) (*Recorder, []Counts) {
+	rec := New(capacity, onEvict)
+	rec.Reset(insts)
+	counts := make([]Counts, len(insts))
+	for i := range insts {
+		counts[i] = idle(&insts[i])
+	}
+	return rec, counts
+}
+
+// idle is an instance's counts for a window it did nothing in, with the
+// per-stage slices sized as the runtime hands them over.
+func idle(in *Instance) Counts {
+	n := len(in.Stages)
+	return Counts{QID: in.QID, Level: in.Level,
+		OpInSw: make([]uint64, n), OpInSP: make([]uint64, n), OpOut: make([]uint64, n)}
+}
+
+// TestNilSafety: every recorder method must no-op on nil, the telemetry
+// handle discipline that lets the runtime commit unconditionally.
 func TestNilSafety(t *testing.T) {
 	var rec *Recorder
 	rec.Instrument(nil)
-	rec.Reset()
-	rec.Commit(0, 0, nil)
-	if p := rec.Track(TrackConfig{}); p != nil {
-		t.Fatal("nil recorder returned a probe")
-	}
+	rec.Reset([]Instance{{QID: 1, Stages: testStages()}})
+	rec.Commit(0, 0, 0, nil, nil)
 	if s := rec.Snapshot(3); s.Window != -1 {
 		t.Fatalf("nil recorder snapshot window = %d, want -1", s.Window)
 	}
-	var p *Probe
-	p.Tuple()
-	p.Mirror()
-	p.Bytes(1)
-	p.Collision()
-	p.DumpTuple()
-	p.RegOccupied(1)
-	p.AddRegCapacity(1)
-	p.Eval(1, time.Millisecond)
-	p.OpSwitch(0)
-	p.OpSP(0, 1, 1)
-	p.Refined(1, true)
-	p.Fresh(1)
 	rec.AttachTraceIndex(func(int) bool { return true })
 }
 
@@ -54,12 +58,11 @@ func TestNilSafety(t *testing.T) {
 // /debug/trace cross-link when the trace index retained the window.
 func TestFreshnessAndTraceLink(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rec := New(4, nil)
+	rec, counts := tracked(4, nil, Instance{QID: 1, Stages: testStages()})
 	rec.Instrument(reg)
-	p := rec.Track(TrackConfig{QID: 1, Stages: testStages()})
 
 	// Simulate what the runtime does per window: observe the histograms it
-	// shares with the recorder, stamp the probe, commit.
+	// shares with the recorder, commit with the window's freshness.
 	winNS := reg.Histogram("sonata_runtime_window_ns",
 		"End-to-end wall time per window in nanoseconds.", telemetry.DurationBuckets)
 	freshNS := reg.Histogram("sonata_freshness_ns",
@@ -67,8 +70,7 @@ func TestFreshnessAndTraceLink(t *testing.T) {
 		telemetry.DurationBuckets)
 	winNS.Observe(2_000_000)
 	freshNS.Observe(3_000_000)
-	p.Fresh(3_000_000)
-	rec.Commit(0, 100, nil)
+	rec.Commit(0, 100, 3_000_000, nil, counts)
 	rec.AttachTraceIndex(func(w int) bool { return w == 0 })
 
 	s := rec.Snapshot(0)
@@ -88,8 +90,8 @@ func TestFreshnessAndTraceLink(t *testing.T) {
 		}
 	}
 
-	// Next window without a Fresh stamp: the accumulator must have reset.
-	rec.Commit(1, 100, nil)
+	// Next window without frames: no freshness.
+	rec.Commit(1, 100, 0, nil, counts)
 	s = rec.Snapshot(0)
 	if s.Queries[0].FreshNS != 0 {
 		t.Errorf("FreshNS after reset = %d, want 0", s.Queries[0].FreshNS)
@@ -102,26 +104,25 @@ func TestFreshnessAndTraceLink(t *testing.T) {
 // TestRingEviction: an overwritten slot counts as evicted only if no
 // snapshot ever served it.
 func TestRingEviction(t *testing.T) {
-	rec := New(2, nil)
-	rec.Track(TrackConfig{QID: 1, Stages: testStages()})
-	rec.Commit(0, 10, nil)
-	rec.Commit(1, 10, nil)
-	rec.Commit(2, 10, nil) // overwrites window 0, never served
+	rec, counts := tracked(2, nil, Instance{QID: 1, Stages: testStages()})
+	rec.Commit(0, 10, 0, nil, counts)
+	rec.Commit(1, 10, 0, nil, counts)
+	rec.Commit(2, 10, 0, nil, counts) // overwrites window 0, never served
 	if s := rec.Snapshot(0); s.Evicted != 1 {
 		t.Fatalf("evicted = %d, want 1", s.Evicted)
 	}
 	// Everything up to window 2 is now served; the next two commits
 	// overwrite served slots.
-	rec.Commit(3, 10, nil)
-	rec.Commit(4, 10, nil)
+	rec.Commit(3, 10, 0, nil, counts)
+	rec.Commit(4, 10, 0, nil, counts)
 	if s := rec.Snapshot(0); s.Evicted != 1 {
 		t.Fatalf("evicted after serve = %d, want still 1", s.Evicted)
 	}
 	// That snapshot served windows 3 and 4, so three more commits are
 	// needed before one lands on an unread slot again (window 5).
-	rec.Commit(5, 10, nil)
-	rec.Commit(6, 10, nil)
-	rec.Commit(7, 10, nil)
+	rec.Commit(5, 10, 0, nil, counts)
+	rec.Commit(6, 10, 0, nil, counts)
+	rec.Commit(7, 10, 0, nil, counts)
 	if s := rec.Snapshot(0); s.Evicted != 2 {
 		t.Fatalf("evicted = %d, want 2", s.Evicted)
 	}
@@ -132,55 +133,44 @@ func TestRingEviction(t *testing.T) {
 // served are overwritten silently, and a nil hook is safe.
 func TestEvictHook(t *testing.T) {
 	var lost []int
-	rec := New(1, func(window int) { lost = append(lost, window) })
-	rec.Track(TrackConfig{QID: 7, Stages: testStages()})
-	rec.Commit(0, 5, nil)
-	rec.Commit(1, 5, nil) // evicts window 0
-	rec.Commit(2, 5, nil) // evicts window 1
+	seven := Instance{QID: 7, Stages: testStages()}
+	rec, counts := tracked(1, func(window int) { lost = append(lost, window) }, seven)
+	rec.Commit(0, 5, 0, nil, counts)
+	rec.Commit(1, 5, 0, nil, counts) // evicts window 0
+	rec.Commit(2, 5, 0, nil, counts) // evicts window 1
 	if s := rec.Snapshot(0); s.Evicted != 2 {
 		t.Fatalf("evicted = %d, want 2", s.Evicted)
 	}
-	rec.Commit(3, 5, nil) // window 2 was served: no eviction
+	rec.Commit(3, 5, 0, nil, counts) // window 2 was served: no eviction
 	if len(lost) != 2 || lost[0] != 0 || lost[1] != 1 {
 		t.Errorf("hook saw windows %v, want [0 1]", lost)
 	}
 
-	quiet := New(1, nil)
-	quiet.Track(TrackConfig{QID: 7, Stages: testStages()})
-	quiet.Commit(0, 5, nil)
-	quiet.Commit(1, 5, nil)
+	quiet, counts := tracked(1, nil, seven)
+	quiet.Commit(0, 5, 0, nil, counts)
+	quiet.Commit(1, 5, 0, nil, counts)
 	if s := quiet.Snapshot(0); s.Evicted != 1 {
 		t.Errorf("nil hook: evicted = %d, want 1", s.Evicted)
 	}
 }
 
-// TestCommitRecordFields drives one probe through two windows and checks
-// the derived fields: reduction factor, observed work, drift, out
-// derivation for switch-resident stages, and cumulative counters.
+// TestCommitRecordFields commits one instance's counts for two windows and
+// checks the copied and derived fields: reduction factor, observed work,
+// drift, out derivation for switch-resident stages, and cumulative
+// counters.
 func TestCommitRecordFields(t *testing.T) {
-	rec := New(4, nil)
-	p := rec.Track(TrackConfig{QID: 3, Level: 16, EstWork: 100,
-		RefFrom: 8, NumLeft: 3, Stages: testStages()})
-
-	for i := 0; i < 20; i++ {
-		p.OpSwitch(0)
-	}
-	for i := 0; i < 10; i++ {
-		p.OpSwitch(1)
-	}
-	for i := 0; i < 5; i++ {
-		p.Tuple()
-	}
-	p.OpSP(2, 5, 2)
-	p.Mirror()
-	p.Bytes(64)
-	p.Collision()
-	p.DumpTuple()
-	p.RegOccupied(7)
-	p.AddRegCapacity(32)
-	p.Eval(2, 3*time.Millisecond)
-	p.Refined(4, true)
-	rec.Commit(0, 1000, nil)
+	in := Instance{QID: 3, Level: 16, EstWork: 100, RefFrom: 8, Stages: testStages()}
+	rec, counts := tracked(4, nil, in)
+	c := &counts[0]
+	c.OpInSw[0], c.OpInSw[1] = 20, 10
+	c.TuplesToSP = 5
+	c.OpInSP[2], c.OpOut[2] = 5, 2
+	c.Mirrored, c.MirrorBytes = 1, 64
+	c.Collisions, c.DumpTuples = 1, 1
+	c.RegUsed, c.RegCapacity = 7, 32
+	c.Results, c.EvalNS = 2, (3 * time.Millisecond).Nanoseconds()
+	c.RefKeys, c.RefChanged = 4, true
+	rec.Commit(0, 1000, 0, nil, counts)
 
 	s := rec.Snapshot(0)
 	if len(s.Queries) != 1 {
@@ -222,13 +212,13 @@ func TestCommitRecordFields(t *testing.T) {
 		t.Errorf("op2 = %+v, want in=5 out=2", got)
 	}
 
-	// Second, idle window: accumulators must have reset; drift is an EWMA
-	// of 0.58 and 0/100.
-	rec.Commit(1, 500, nil)
+	// Second, idle window; drift is an EWMA of 0.58 and 0/100.
+	counts[0] = idle(&in)
+	rec.Commit(1, 500, 0, nil, counts)
 	s = rec.Snapshot(1)
 	r = s.Queries[0]
 	if r.TuplesToSP != 0 || r.ObsWork != 0 || r.Mirrored != 0 {
-		t.Errorf("window accumulators not reset: %+v", r)
+		t.Errorf("idle window recorded work: %+v", r)
 	}
 	if math.Abs(r.Drift-0.29) > 1e-9 {
 		t.Errorf("drift = %v, want 0.29 (EWMA)", r.Drift)
@@ -244,17 +234,11 @@ func TestCommitRecordFields(t *testing.T) {
 // TestBusyAttribution: a shard's busy time splits across its instances in
 // proportion to observed work.
 func TestBusyAttribution(t *testing.T) {
-	rec := New(4, nil)
 	stages := []StageInfo{{Label: "L0 filter@sw", Kind: "filter", OnSwitch: true}}
-	p1 := rec.Track(TrackConfig{QID: 1, Shard: 0, NumLeft: 1, Stages: stages})
-	p2 := rec.Track(TrackConfig{QID: 2, Shard: 0, NumLeft: 1, Stages: stages})
-	for i := 0; i < 30; i++ {
-		p1.OpSwitch(0)
-	}
-	for i := 0; i < 10; i++ {
-		p2.OpSwitch(0)
-	}
-	rec.Commit(0, 40, []time.Duration{4 * time.Millisecond})
+	rec, counts := tracked(4, nil, Instance{QID: 1, Shard: 0, Stages: stages},
+		Instance{QID: 2, Shard: 0, Stages: stages})
+	counts[0].OpInSw[0], counts[1].OpInSw[0] = 30, 10
+	rec.Commit(0, 40, 0, []time.Duration{4 * time.Millisecond}, counts)
 	s := rec.Snapshot(0)
 	if got := s.Queries[0].BusyNS; got != (3 * time.Millisecond).Nanoseconds() {
 		t.Errorf("q1 busy = %d, want 3ms", got)
@@ -268,16 +252,15 @@ func TestBusyAttribution(t *testing.T) {
 // after the first (ring-sizing) commit, independent of ring capacity.
 func TestCommitNoAllocs(t *testing.T) {
 	for _, capacity := range []int{2, 256} {
-		rec := New(capacity, nil)
-		p := rec.Track(TrackConfig{QID: 1, EstWork: 10, NumLeft: 3, Stages: testStages()})
+		rec, counts := tracked(capacity, nil, Instance{QID: 1, EstWork: 10, Stages: testStages()})
 		busy := []time.Duration{time.Millisecond}
-		rec.Commit(0, 100, busy) // sizes the ring
+		rec.Commit(0, 100, 0, busy, counts) // sizes the ring
 		w := 1
 		allocs := testing.AllocsPerRun(200, func() {
-			p.OpSwitch(0)
-			p.Tuple()
-			p.OpSP(2, 3, 1)
-			rec.Commit(w, 100, busy)
+			counts[0].OpInSw[0]++
+			counts[0].TuplesToSP++
+			counts[0].OpInSP[2], counts[0].OpOut[2] = 3, 1
+			rec.Commit(w, 100, 0, busy, counts)
 			w++
 		})
 		if allocs != 0 {
@@ -289,11 +272,10 @@ func TestCommitNoAllocs(t *testing.T) {
 // TestInstrument: the recorder's own counters track commits and evictions.
 func TestInstrument(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rec := New(1, nil)
+	rec, counts := tracked(1, nil, Instance{QID: 1, Stages: testStages()})
 	rec.Instrument(reg)
-	rec.Track(TrackConfig{QID: 1, Stages: testStages()})
-	rec.Commit(0, 1, nil)
-	rec.Commit(1, 1, nil)
+	rec.Commit(0, 1, 0, nil, counts)
+	rec.Commit(1, 1, 0, nil, counts)
 	s := reg.Snapshot()
 	if got := s.Counter("sonata_flightrec_windows_total"); got != 2 {
 		t.Errorf("windows_total = %d, want 2", got)
@@ -306,11 +288,10 @@ func TestInstrument(t *testing.T) {
 // TestHandler drives /debug/queries in-process: JSON with history, the text
 // rendering, and parameter validation.
 func TestHandler(t *testing.T) {
-	rec := New(8, nil)
-	p := rec.Track(TrackConfig{QID: 5, Level: 24, EstWork: 1, NumLeft: 3, Stages: testStages()})
+	rec, counts := tracked(8, nil, Instance{QID: 5, Level: 24, EstWork: 1, Stages: testStages()})
+	counts[0].TuplesToSP = 1
 	for w := 0; w < 3; w++ {
-		p.Tuple()
-		rec.Commit(w, 100, nil)
+		rec.Commit(w, 100, 0, nil, counts)
 	}
 	srv := httptest.NewServer(rec.Handler())
 	defer srv.Close()
@@ -356,21 +337,17 @@ func TestHandler(t *testing.T) {
 
 // TestRenderTop smoke-checks the top view with and without a previous frame.
 func TestRenderTop(t *testing.T) {
-	rec := New(4, nil)
-	p := rec.Track(TrackConfig{QID: 9, EstWork: 1, RefFrom: 8, NumLeft: 3,
-		Stages: testStages()})
-	p.Tuple()
-	p.AddRegCapacity(16)
-	p.RegOccupied(4)
-	rec.Commit(0, 50, nil)
+	rec, counts := tracked(4, nil, Instance{QID: 9, EstWork: 1, RefFrom: 8, Stages: testStages()})
+	counts[0].TuplesToSP = 1
+	counts[0].RegUsed, counts[0].RegCapacity = 4, 16
+	rec.Commit(0, 50, 0, nil, counts)
 	s1 := rec.Snapshot(0)
 	first := RenderTop(nil, &s1, 1.0)
 	if !strings.Contains(first, "sonata top") || !strings.Contains(first, "50.0x") {
 		t.Errorf("first frame missing header/reduction:\n%s", first)
 	}
-	p.Tuple()
-	p.Tuple()
-	rec.Commit(1, 50, nil)
+	counts[0].TuplesToSP = 2
+	rec.Commit(1, 50, 0, nil, counts)
 	s2 := rec.Snapshot(0)
 	second := RenderTop(&s1, &s2, 2.0)
 	if !strings.Contains(second, "window 1") {

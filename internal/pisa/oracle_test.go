@@ -3,17 +3,16 @@ package pisa
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/compile"
 	"repro/internal/fields"
-	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
@@ -131,7 +130,7 @@ type oracleOutcome struct {
 	batches, emptyBatches int
 	dumps                 []string
 	stats                 WindowStats
-	funnel                string // flight-recorder records; empty without probes
+	funnel                string // the per-instance stats
 	// offered and entered are the window's prescreen counters (zero on the
 	// frame-at-a-time walks, which have no prescreen); enteredOps is the same
 	// quantity as entered read off the funnel instead: the entering count of
@@ -151,7 +150,7 @@ func (o *oracleOutcome) diff(want *oracleOutcome) string {
 	if g, w := strings.Join(o.dumps, "\n"), strings.Join(want.dumps, "\n"); g != w {
 		return fmt.Sprintf("dumps:\ngot\n%s\nwant\n%s", g, w)
 	}
-	if o.stats != want.stats {
+	if !reflect.DeepEqual(o.stats, want.stats) {
 		return fmt.Sprintf("stats: got %+v, want %+v", o.stats, want.stats)
 	}
 	if o.funnel != want.funnel {
@@ -164,7 +163,7 @@ func (o *oracleOutcome) diff(want *oracleOutcome) string {
 // with walk, and returns the outcome per window. The populated dynamic
 // filter is written before the first window and rewritten between windows,
 // as the runtime does at window close.
-func oracleRun(t *testing.T, windows [][][]byte, probes bool,
+func oracleRun(t *testing.T, windows [][][]byte,
 	walk func(sw *Switch, ps *Prescreen, frames [][]byte)) []oracleOutcome {
 	t.Helper()
 	prog := oracleProgram()
@@ -179,26 +178,6 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Instrument(telemetry.NewRegistry(), 0)
-	var rec *flightrec.Recorder
-	if probes {
-		rec = flightrec.New(len(windows), nil)
-		byKey := map[[2]int]*flightrec.Probe{}
-		for _, spec := range prog.Instances {
-			stages := make([]flightrec.StageInfo, len(spec.Ops))
-			for i := range stages {
-				stages[i] = flightrec.StageInfo{Label: fmt.Sprintf("L%d", i), Stateful: spec.Ops[i].Stateful()}
-			}
-			for t := 0; t < spec.CutAt; t++ {
-				stages[spec.Tables[t].OpIdx].OnSwitch = true
-			}
-			byKey[[2]int{int(spec.QID), int(spec.Level)}] = rec.Track(flightrec.TrackConfig{
-				QID: spec.QID, Level: spec.Level, RefFrom: -1, NumLeft: len(stages), Stages: stages})
-		}
-		sw.AttachFlightRec(func(qid uint16, level uint8) *flightrec.Probe {
-			return byKey[[2]int{int(qid), int(level)}]
-		})
-	}
 	var outcomes []oracleOutcome
 	for wi, frames := range windows {
 		keys := []string{
@@ -208,29 +187,23 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 		}
 		out = &oracleOutcome{mirrors: map[string][]string{}}
 		sink.out = out
-		offered, entered := sw.m.screenFrames.Value(), sw.m.screenEntered.Value()
 		walk(sw, ps, frames)
-		out.offered, out.entered = sw.m.screenFrames.Value()-offered, sw.m.screenEntered.Value()-entered
 		dumps, stats := sw.EndWindow()
 		for _, d := range dumps {
 			out.dumps = append(out.dumps, fmt.Sprintf("q%d/r%d merge=%d key=%v val=%d", d.QID, d.Level, d.MergeOp, d.KeyVals, d.Val))
 		}
-		// Only Process counts PacketsIn; on the view paths the parse side
-		// owns it.
-		stats.PacketsIn = 0
-		out.stats = stats
-		if probes {
-			rec.Commit(wi, uint64(len(frames)), nil)
-			for _, r := range rec.Snapshot(0).Queries {
-				out.funnel += fmt.Sprintf("q%d/r%d mirrored=%d collisions=%d dumps=%d reg=%d/%d ops=%v\n",
-					r.QID, r.Level, r.Mirrored, r.Collisions, r.DumpTuples, r.RegUsed, r.RegCapacity, r.Ops)
-				for _, st := range sw.insts {
-					if spec := st.spec; spec.QID == r.QID && spec.Level == r.Level && st.screenTables > 0 {
-						out.enteredOps += r.Ops[spec.Tables[st.screenTables].OpIdx].In
-					}
-				}
+		out.offered, out.entered = stats.Screened, stats.Entered
+		for k, is := range stats.Instances {
+			out.funnel += fmt.Sprintf("q%d/r%d/s%d mirrored=%d collisions=%d dumps=%d reg=%d/%d ops=%v\n",
+				is.QID, is.Level, is.Side, is.Mirrored, is.Collisions, is.DumpTuples, is.RegUsed, is.RegCapacity, is.OpIn)
+			if st := sw.insts[k]; st.screenTables > 0 {
+				out.enteredOps += is.OpIn[st.spec.Tables[st.screenTables].OpIdx]
 			}
 		}
+		// Only Process counts PacketsIn; on the view paths the parse side
+		// owns it. The prescreen and the instances are compared above.
+		stats.PacketsIn, stats.Screened, stats.Entered, stats.Instances = 0, 0, 0, nil
+		out.stats = stats
 		outcomes = append(outcomes, *out)
 	}
 	return outcomes
@@ -241,11 +214,11 @@ func oracleRun(t *testing.T, windows [][][]byte, probes bool,
 // ProcessViewsPre, and ProcessView per view — must be indistinguishable from
 // frame-at-a-time Process in each instance's mirror sequence, the window's
 // register dumps and its stats, at batch lengths on both sides of the bitmap
-// word boundary. With flight-recorder probes attached the per-stage entering
-// counts must match too — and the probed batched walks must have gone
-// through the prescreen like the unprobed ones: their prescreen counters
-// show every guarded instance was offered every runnable frame and let in
-// exactly the frames the funnel says entered behind its leading filters.
+// word boundary. The per-instance stats EndWindow hands back must match too
+// — op entering counts included — and the batched walks must have gone
+// through the prescreen: their prescreen counters show every guarded
+// instance was offered every runnable frame and let in exactly the frames
+// the per-instance op counts say entered behind its leading filters.
 func TestBatchedWalksMatchProcess(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	windows := [][][]byte{oracleFrames(r, 700), oracleFrames(r, 500)}
@@ -294,65 +267,61 @@ func TestBatchedWalksMatchProcess(t *testing.T) {
 		}},
 	}
 
-	for _, probes := range []bool{false, true} {
-		want := oracleRun(t, windows, probes, func(sw *Switch, _ *Prescreen, frames [][]byte) {
-			for _, f := range frames {
-				sw.Process(f)
-			}
-		})
-		// The program must actually take the branches it was built for.
-		if probes {
-			first := want[0]
-			for _, name := range []string{"q1/r0", "q4/r0", "q5/r0", "q6/r0", "q7/r0", "q8/r0", "q9/r0"} {
-				if len(first.mirrors[name]) == 0 {
-					t.Fatalf("%s mirrored nothing; the oracle is vacuous", name)
-				}
-			}
-			if first.stats.Collisions == 0 || len(first.dumps) == 0 {
-				t.Fatalf("no collisions or no dumps (%+v); the oracle is vacuous", first.stats)
-			}
-			// q7's shunts and tail mirrors must alternate, or the emit pass's
-			// frame order is not under test; q8's keys must be strings.
-			flips := 0
-			for i, m := range first.mirrors["q7/r0"][1:] {
-				if strings.HasPrefix(m, "ovf=true") != strings.HasPrefix(first.mirrors["q7/r0"][i], "ovf=true") {
-					flips++
-				}
-			}
-			if flips < 4 {
-				t.Fatalf("q7/r0 shunts and tail mirrors do not interleave (%d flips); the oracle is vacuous", flips)
-			}
-			if !strings.Contains(first.mirrors["q8/r0"][0], `"p`) {
-				t.Fatalf("q8/r0 mirrors no string column: %s", first.mirrors["q8/r0"][0])
-			}
-			if !strings.Contains(strings.Join(first.dumps, "\n"), "q2/r16") ||
-				strings.Contains(strings.Join(first.dumps, "\n"), "q3/r16") {
-				t.Fatalf("dyn-gated instances: populated must dump, unpopulated must not:\n%v", first.dumps)
-			}
+	want := oracleRun(t, windows, func(sw *Switch, _ *Prescreen, frames [][]byte) {
+		for _, f := range frames {
+			sw.Process(f)
 		}
-		for _, batch := range []int{1, 63, 64, 65, 256} {
-			for _, w := range walks {
-				got := oracleRun(t, windows, probes, batched(batch, w.run))
-				for wi := range want {
-					if d := got[wi].diff(&want[wi]); d != "" {
-						t.Errorf("%s batch=%d probes=%v window %d diverged from Process: %s",
-							w.name, batch, probes, wi, d)
-					}
-					if w.name == "ProcessView" {
-						continue // the reference walk has no prescreen and no batches
-					}
-					if got[wi].emptyBatches != 0 || got[wi].batches == 0 {
-						t.Errorf("%s batch=%d probes=%v window %d: %d of %d sink calls carried no record",
-							w.name, batch, probes, wi, got[wi].emptyBatches, got[wi].batches)
-					}
-					if offered := guarded * runnable[wi]; got[wi].offered != offered {
-						t.Errorf("%s batch=%d probes=%v window %d: prescreen offered %d frames, want %d",
-							w.name, batch, probes, wi, got[wi].offered, offered)
-					}
-					if probes && (got[wi].entered != want[wi].enteredOps || got[wi].entered == 0) {
-						t.Errorf("%s batch=%d window %d: prescreen let in %d frames, the funnel says %d",
-							w.name, batch, wi, got[wi].entered, want[wi].enteredOps)
-					}
+	})
+	// The program must actually take the branches it was built for.
+	first := want[0]
+	for _, name := range []string{"q1/r0", "q4/r0", "q5/r0", "q6/r0", "q7/r0", "q8/r0", "q9/r0"} {
+		if len(first.mirrors[name]) == 0 {
+			t.Fatalf("%s mirrored nothing; the oracle is vacuous", name)
+		}
+	}
+	if first.stats.Collisions == 0 || len(first.dumps) == 0 {
+		t.Fatalf("no collisions or no dumps (%+v); the oracle is vacuous", first.stats)
+	}
+	// q7's shunts and tail mirrors must alternate, or the emit pass's
+	// frame order is not under test; q8's keys must be strings.
+	flips := 0
+	for i, m := range first.mirrors["q7/r0"][1:] {
+		if strings.HasPrefix(m, "ovf=true") != strings.HasPrefix(first.mirrors["q7/r0"][i], "ovf=true") {
+			flips++
+		}
+	}
+	if flips < 4 {
+		t.Fatalf("q7/r0 shunts and tail mirrors do not interleave (%d flips); the oracle is vacuous", flips)
+	}
+	if !strings.Contains(first.mirrors["q8/r0"][0], `"p`) {
+		t.Fatalf("q8/r0 mirrors no string column: %s", first.mirrors["q8/r0"][0])
+	}
+	if !strings.Contains(strings.Join(first.dumps, "\n"), "q2/r16") ||
+		strings.Contains(strings.Join(first.dumps, "\n"), "q3/r16") {
+		t.Fatalf("dyn-gated instances: populated must dump, unpopulated must not:\n%v", first.dumps)
+	}
+	for _, batch := range []int{1, 63, 64, 65, 256} {
+		for _, w := range walks {
+			got := oracleRun(t, windows, batched(batch, w.run))
+			for wi := range want {
+				if d := got[wi].diff(&want[wi]); d != "" {
+					t.Errorf("%s batch=%d window %d diverged from Process: %s",
+						w.name, batch, wi, d)
+				}
+				if w.name == "ProcessView" {
+					continue // the reference walk has no prescreen and no batches
+				}
+				if got[wi].emptyBatches != 0 || got[wi].batches == 0 {
+					t.Errorf("%s batch=%d window %d: %d of %d sink calls carried no record",
+						w.name, batch, wi, got[wi].emptyBatches, got[wi].batches)
+				}
+				if offered := guarded * runnable[wi]; got[wi].offered != offered {
+					t.Errorf("%s batch=%d window %d: prescreen offered %d frames, want %d",
+						w.name, batch, wi, got[wi].offered, offered)
+				}
+				if got[wi].entered != want[wi].enteredOps || got[wi].entered == 0 {
+					t.Errorf("%s batch=%d window %d: prescreen let in %d frames, the funnel says %d",
+						w.name, batch, wi, got[wi].entered, want[wi].enteredOps)
 				}
 			}
 		}

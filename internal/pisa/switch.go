@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/compile"
-	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
@@ -57,6 +56,49 @@ type WindowStats struct {
 	Mirrored   uint64
 	Collisions uint64
 	DumpTuples uint64
+	// Screened and Entered are the two ends of the batched walk's
+	// leading-filter prescreen, summed over the instances that have one:
+	// runnable frames offered to them, and frames that got past their
+	// leading filters into the first table behind them.
+	Screened uint64
+	Entered  uint64
+	// RegUsed is the keys the register banks held at the window boundary,
+	// RegCapacity their slots.
+	RegUsed     uint64
+	RegCapacity uint64
+	// Instances breaks the window down per installed instance, in
+	// installation order. EndWindow's slice belongs to the switch and is
+	// valid until the next EndWindow; Merge does not fold it.
+	Instances []InstanceStats
+}
+
+// InstanceStats is one installed instance's share of a window on the
+// switch.
+type InstanceStats struct {
+	QID   uint16
+	Level uint8
+	Side  Side
+	// Mirrored, Collisions and DumpTuples are the instance's share of the
+	// switch's WindowStats.
+	Mirrored   uint64
+	Collisions uint64
+	DumpTuples uint64
+	// RegUsed is the keys the instance's register banks held at the window
+	// boundary, RegCapacity their slots.
+	RegUsed     uint64
+	RegCapacity uint64
+	// OpIn[i] counts the packets entering dataflow op i of the instance's
+	// pipeline on the switch (0 past the cut): one per packet in the
+	// frame-at-a-time walk, the popcount of the selection entering the op's
+	// first table in the batched walk.
+	OpIn []uint64
+}
+
+// reset zeroes the window's counts, keeping the instance's identity and
+// capacity.
+func (is *InstanceStats) reset() {
+	is.Mirrored, is.Collisions, is.DumpTuples, is.RegUsed = 0, 0, 0, 0
+	clear(is.OpIn)
 }
 
 // Merge folds another shard's stats into s. The merge is associative and
@@ -69,6 +111,10 @@ func (s *WindowStats) Merge(o WindowStats) {
 	s.Mirrored += o.Mirrored
 	s.Collisions += o.Collisions
 	s.DumpTuples += o.DumpTuples
+	s.Screened += o.Screened
+	s.Entered += o.Entered
+	s.RegUsed += o.RegUsed
+	s.RegCapacity += o.RegCapacity
 }
 
 // instState is the runtime state of one installed instance.
@@ -92,14 +138,12 @@ type instState struct {
 	// occupy, so a producer never overwrites the tuple it is reading.
 	valsBufs [2][]tuple.Value
 	valsCur  int
-	// fr is the instance's flight-recorder probe (nil when detached; nil
-	// probes no-op). frStage[t] is the op whose entering packets table t
-	// counts, or -1 when an earlier table already counted that op (stateful
-	// ops lower to a hash-index + state-update table pair). frBase offsets
-	// right-side instances into the probe's combined stage space.
-	fr      *flightrec.Probe
-	frStage []int
-	frBase  int
+	// stats is the instance's window so far. opAt[t] is the op whose
+	// entering packets table t counts, or -1 when an earlier table already
+	// counted that op (stateful ops lower to a hash-index + state-update
+	// table pair).
+	stats InstanceStats
+	opAt  []int
 	// screenTables is the number of leading filter tables (static and
 	// dynamic), which see the packet: the prescreen. atoms[t] indexes the
 	// shared static-clause bitmaps whose AND is packet-phase filter table t.
@@ -180,9 +224,9 @@ type Switch struct {
 	ownMasks PrescreenMasks
 	// walk is the batched walk's reusable column and selection scratch.
 	walk walkScratch
-	// m holds pre-registered telemetry handles; the zero value is the
-	// uninstrumented (free) mode.
-	m switchMetrics
+	// closed holds each instance's stats of the window EndWindow closed
+	// last; EndWindow swaps them with the instances' live ones.
+	closed []InstanceStats
 }
 
 // NewSwitch validates and installs a program. The mirror callback receives
@@ -221,8 +265,10 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 		st := &instState{spec: spec, banks: make([]*RegisterBank, spec.CutAt),
 			outCols:  make([][]tuple.Column, spec.CutAt),
 			dynRules: make([]atomic.Pointer[query.DynSet], spec.CutAt),
-			frStage:  make([]int, spec.CutAt), atoms: make([][]int, spec.CutAt),
+			opAt:     make([]int, spec.CutAt), atoms: make([][]int, spec.CutAt),
 			kinds: query.ColumnKinds(spec.Ops, nil)}
+		st.stats = InstanceStats{QID: spec.QID, Level: spec.Level, Side: spec.Side,
+			OpIn: make([]uint64, len(spec.Ops))}
 		// Whichever side of the cut reads a header field reads it from the
 		// batch's columns: the stream processor resumes over the same frames.
 		ps.fields.AddOps(spec.Ops)
@@ -238,9 +284,9 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 			o := &spec.Ops[tab.OpIdx]
 			// A stateful op lowers to two tables (hash-index + state-update);
 			// count its entering packets at the first table only.
-			st.frStage[t] = -1
+			st.opAt[t] = -1
 			if tab.OpIdx != counted {
-				st.frStage[t], counted = tab.OpIdx, tab.OpIdx
+				st.opAt[t], counted = tab.OpIdx, tab.OpIdx
 			}
 			if st.screenTables == t && (tab.Kind == compile.TableFilter || tab.Kind == compile.TableDynFilter) {
 				st.screenTables = t + 1
@@ -263,6 +309,7 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 					keyBits[j] = in[k].Bits()
 				}
 				st.banks[t] = NewRegisterBank(n, cfg.RegisterChains, keyBits)
+				st.stats.RegCapacity += uint64(st.banks[t].Capacity())
 				st.outCols[t] = make([]tuple.Column, len(st.kinds[tab.OpIdx+1]))
 			}
 		}
@@ -270,6 +317,9 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 		st.out = MirrorBatch{QID: spec.QID, Level: spec.Level, Side: spec.Side,
 			EntryOp: cp.EntryFor(spec.CutAt).StartOp, NeedsPacket: spec.NeedsPacket}
 		sw.insts = append(sw.insts, st)
+		closed := st.stats
+		closed.OpIn = make([]uint64, len(spec.Ops))
+		sw.closed = append(sw.closed, closed)
 	}
 	return sw, nil
 }
@@ -309,7 +359,6 @@ func (sw *Switch) DynTable(qid uint16, level uint8, side Side, opIdx int) (*DynT
 func (t *DynTable) Publish(set *query.DynSet) int {
 	t.rules.Store(set)
 	t.sw.tableUpdates += uint64(set.Len())
-	t.sw.m.dynUpdates.Add(uint64(set.Len()))
 	return set.Len()
 }
 
@@ -331,33 +380,6 @@ func (sw *Switch) UpdateDynTable(qid uint16, level uint8, side Side, opIdx int, 
 // written.
 func (sw *Switch) TableUpdates() uint64 { return sw.tableUpdates }
 
-// AttachFlightRec wires flight-recorder probes into every installed
-// instance: per-table entering-packet counts, collision shunts, mirror
-// reports, and register occupancy feed the probe of the instance's
-// (qid, level). A nil lookup (or a lookup returning nil) detaches.
-func (sw *Switch) AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec.Probe) {
-	for _, st := range sw.insts {
-		spec := st.spec
-		st.fr, st.frBase = nil, 0
-		if lookup == nil {
-			continue
-		}
-		p := lookup(spec.QID, spec.Level)
-		if p == nil {
-			continue
-		}
-		st.fr = p
-		if spec.Side == SideRight {
-			st.frBase = p.RightBase()
-		}
-		for _, bank := range st.banks {
-			if bank != nil {
-				p.AddRegCapacity(uint64(bank.Capacity()))
-			}
-		}
-	}
-}
-
 // Process parses one frame and runs it through every installed instance.
 // The packet is forwarded unmodified (Sonata only touches metadata); the
 // return value is the number of mirror reports generated. Malformed frames
@@ -365,7 +387,6 @@ func (sw *Switch) AttachFlightRec(lookup func(qid uint16, level uint8) *flightre
 // traffic.
 func (sw *Switch) Process(frame []byte) int {
 	sw.stats.PacketsIn++
-	sw.m.packets.Inc()
 	sw.view.Prepare(sw.parser, frame)
 	return sw.ProcessView(&sw.view)
 }
@@ -415,8 +436,8 @@ func (sw *Switch) processInstance(st *instState, pv *View) bool {
 	for t := 0; t < spec.CutAt; t++ {
 		tab := &spec.Tables[t]
 		o := &spec.Ops[tab.OpIdx]
-		if s := st.frStage[t]; s >= 0 {
-			st.fr.OpSwitch(st.frBase + s)
+		if op := st.opAt[t]; op >= 0 {
+			st.stats.OpIn[op]++
 		}
 		switch tab.Kind {
 		case compile.TableFilter:
@@ -491,7 +512,7 @@ func (sw *Switch) processInstance(st *instState, pv *View) bool {
 			}
 			vals = next
 			if m := tab.MergedFilterOp; m >= 0 {
-				st.fr.OpSwitch(st.frBase + m)
+				st.stats.OpIn[m]++
 				mo := &spec.Ops[m]
 				for i := range mo.Clauses {
 					if !mo.Clauses[i].MatchTuple(vals) {
@@ -511,16 +532,14 @@ func (sw *Switch) processInstance(st *instState, pv *View) bool {
 // shunted counts one collision overflow.
 func (sw *Switch) shunted(st *instState) {
 	sw.stats.Collisions++
-	sw.m.collisions.Inc()
-	st.fr.Collision()
+	st.stats.Collisions++
 }
 
 // emit sends one record of the frame-at-a-time walk out the monitoring
 // port.
 func (sw *Switch) emit(st *instState, m Mirror) {
 	sw.stats.Mirrored++
-	sw.m.mirrored.Inc()
-	st.fr.Mirror()
+	st.stats.Mirrored++
 	sw.sink.HandleMirror(m)
 }
 
@@ -534,15 +553,14 @@ func statefulFunc(o *query.Op) query.AggFunc {
 
 // EndWindow dumps and resets every register bank, returning the aggregated
 // tuples (filtered by any merged threshold) and the closing window's stats.
-// The returned slice (and the KeyVals its entries alias) is reused: it is
-// valid until the next EndWindow, and its key columns are overwritten once
-// the next window's first keys arrive — callers consume or copy before
+// The returned slices (and the KeyVals the dumps alias) are reused: they are
+// valid until the next EndWindow, and the dumps' key columns are overwritten
+// once the next window's first keys arrive — callers consume or copy before
 // feeding new traffic, exactly the runtime's window-close sequence.
 func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
-	// Occupancy peaks at the window boundary; sample it before the reset.
-	sw.m.regUsed.Set(sw.registerOccupancy())
 	dumps := sw.dumpBuf[:0]
-	for _, st := range sw.insts {
+	for k, st := range sw.insts {
+		n := len(dumps)
 		spec := st.spec
 		for t := 0; t < spec.CutAt; t++ {
 			bank := st.banks[t]
@@ -554,7 +572,7 @@ func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
 			if t == spec.CutAt-1 {
 				var clauses []query.Clause
 				if m := tab.MergedFilterOp; m >= 0 {
-					st.fr.OpSwitchN(st.frBase+m, uint64(stored))
+					st.stats.OpIn[m] += uint64(stored)
 					clauses = spec.Ops[m].Clauses
 				}
 				sw.pollBuf = bank.poll(sw.pollBuf[:0])
@@ -563,19 +581,25 @@ func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
 					if !dumpPasses(clauses, keys, val) {
 						continue
 					}
-					st.fr.DumpTuple()
 					dumps = append(dumps, RegDump{QID: spec.QID, Level: spec.Level,
 						Side: spec.Side, MergeOp: tab.OpIdx, KeyVals: keys, Val: val})
 				}
 			}
-			st.fr.RegOccupied(uint64(stored))
+			// Occupancy peaks at the window boundary: sample it before the
+			// reset.
+			st.stats.RegUsed += uint64(stored)
 			bank.Reset()
 		}
+		st.stats.DumpTuples = uint64(len(dumps) - n)
+		sw.stats.RegUsed += st.stats.RegUsed
+		sw.stats.RegCapacity += st.stats.RegCapacity
+		st.stats, sw.closed[k] = sw.closed[k], st.stats
+		st.stats.reset()
 	}
 	sw.dumpBuf = dumps
 	sw.stats.DumpTuples = uint64(len(dumps))
-	sw.m.dumpTuples.Add(sw.stats.DumpTuples)
 	stats := sw.stats
+	stats.Instances = sw.closed
 	sw.stats = WindowStats{}
 	return dumps, stats
 }

@@ -20,9 +20,9 @@ import (
 // sides of a join instance, by construction. Past the first map the batch's
 // metadata tuples live column-major — one frame-indexed tuple.Column per
 // field — so a stateful table can hash every surviving key first and then
-// probe its register bank in a tight frame-order loop. Each stage's
-// flight-recorder entering count is the popcount of the selection entering
-// it, whether or not a probe is attached. Collision shunts are set aside as
+// probe its register bank in a tight frame-order loop. Each op's entering
+// count (InstanceStats.OpIn) is the popcount of the selection entering it.
+// Collision shunts are set aside as
 // they happen and handed to the sink together with the tail selection as one
 // MirrorBatch per instance, whose frame order is the frame-at-a-time walk's
 // mirror sequence; an instance with nothing to report makes no sink call.
@@ -121,8 +121,8 @@ func (sw *Switch) ProcessViewsPre(vs []View, m *PrescreenMasks) int {
 			entered += e
 		}
 	}
-	sw.m.screenFrames.Add(offered)
-	sw.m.screenEntered.Add(entered)
+	sw.stats.Screened += offered
+	sw.stats.Entered += entered
 	return int(reports)
 }
 
@@ -154,8 +154,8 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 		}
 		tab := &spec.Tables[t]
 		o := &spec.Ops[tab.OpIdx]
-		if s := st.frStage[t]; s >= 0 {
-			st.fr.OpSwitchN(st.frBase+s, n)
+		if op := st.opAt[t]; op >= 0 {
+			st.stats.OpIn[op] += n
 		}
 		switch tab.Kind {
 		case compile.TableFilter:
@@ -190,7 +190,7 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 			last := t == spec.CutAt-1
 			cols = sw.stateUpdate(st, t, sel, cols, last)
 			if mf := tab.MergedFilterOp; mf >= 0 && !last {
-				st.fr.OpSwitchN(st.frBase+mf, uint64(tuple.SelCount(sel)))
+				st.stats.OpIn[mf] += uint64(tuple.SelCount(sel))
 				query.FilterCols(sel, cols, spec.Ops[mf].Clauses)
 			}
 		}
@@ -207,8 +207,7 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 		return 0, entered
 	}
 	sw.stats.Mirrored += reports
-	sw.m.mirrored.Add(reports)
-	st.fr.MirrorN(reports)
+	st.stats.Mirrored += reports
 	b := &st.out
 	b.n = int(reports)
 	b.Views, b.Packets, b.NewViews, ws.handed = vs, &m.batch, !ws.handed, true

@@ -243,6 +243,15 @@ type Query struct {
 // HasJoin reports whether the query joins two sub-pipelines.
 func (q *Query) HasJoin() bool { return q.Right != nil }
 
+// NumOps counts the ops of every pipeline of the query: left, then right and
+// post-join for a join.
+func (q *Query) NumOps() int {
+	if q.HasJoin() {
+		return len(q.Left.Ops) + len(q.Right.Ops) + len(q.Post.Ops)
+	}
+	return len(q.Left.Ops)
+}
+
 // Clone deep-copies the query so planner rewrites never alias the original.
 func (q *Query) Clone() *Query {
 	c := *q

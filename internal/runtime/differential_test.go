@@ -12,7 +12,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/queries"
 	"repro/internal/runtime"
-	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
@@ -100,9 +99,12 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// snapshotReport renders a window report into a canonical string. Result
-// tuples are already sorted by the engine; join sub-pipeline outputs are
-// sorted here because their order is map-iteration dependent even on one
+// snapshotReport renders a window report into a canonical string: every
+// field but the wall-clock ones (UpdateDuration, ShardBusy, the records'
+// EvalNS), the back-pressure counts, which depend on the shard count, and
+// the prescreen's, which only the batched walk has.
+// Result tuples are already sorted by the engine; join sub-pipeline outputs
+// are sorted here because their order is map-iteration dependent even on one
 // shard.
 func snapshotReport(rep *runtime.WindowReport) string {
 	var b strings.Builder
@@ -110,18 +112,13 @@ func snapshotReport(rep *runtime.WindowReport) string {
 		rep.Index, rep.TuplesToSP, rep.FilterUpdates, rep.EmitterFrames, rep.EmitterMalformed)
 	fmt.Fprintf(&b, "switch: in=%d mirrored=%d collisions=%d dumps=%d\n",
 		rep.Switch.PacketsIn, rep.Switch.Mirrored, rep.Switch.Collisions, rep.Switch.DumpTuples)
-	keys := make([]stream.QueryKey, 0, len(rep.PerQuery))
-	for k := range rep.PerQuery {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].QID != keys[j].QID {
-			return keys[i].QID < keys[j].QID
-		}
-		return keys[i].Level < keys[j].Level
-	})
-	for _, k := range keys {
-		fmt.Fprintf(&b, "perquery q%d/%d=%d\n", k.QID, k.Level, rep.PerQuery[k])
+	fmt.Fprintf(&b, "registers=%d/%d\n", rep.Switch.RegUsed, rep.Switch.RegCapacity)
+	for _, c := range rep.Instances {
+		fmt.Fprintf(&b, "instance q%d/%d tuples=%d mirrored=%d bytes=%d collisions=%d dumps=%d registers=%d/%d "+
+			"results=%d refkeys=%d changed=%v delivered=%d sw=%v sp=%v out=%v\n",
+			c.QID, c.Level, c.TuplesToSP, c.Mirrored, c.MirrorBytes, c.Collisions, c.DumpTuples,
+			c.RegUsed, c.RegCapacity, c.Results, c.RefKeys, c.RefChanged, c.DeliveredBytes,
+			c.OpInSw, c.OpInSP, c.OpOut)
 	}
 	for _, res := range rep.AllResults {
 		fmt.Fprintf(&b, "result q%d/%d tuples=%s left=%s right=%s\n", res.QID, res.Level,

@@ -21,4 +21,7 @@ func (l *link) Resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 
 func (l *link) Keys(results []stream.Result) []string { return l.keys(results) }
 
-func (l *link) Publish(keys []string) int { return l.publish(keys) }
+func (l *link) Publish(keys []string) int {
+	n, _ := l.publish(keys)
+	return n
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/emitter"
 	"repro/internal/eval"
+	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/planner"
@@ -32,7 +33,10 @@ type fabricRef struct {
 	em       *emitter.Emitter
 	links    []runtime.Link
 	finest   map[uint16]uint8
-	window   int
+	// nLeft is each instance's left op count: where its right side's ops
+	// start in its record's stages.
+	nLeft  map[stream.QueryKey]int
+	window int
 }
 
 // fabricRefReport aggregates one fabric-wide window.
@@ -46,6 +50,8 @@ type fabricRefReport struct {
 	TuplesToSP uint64
 	// PerSwitch carries each vantage point's data-plane stats.
 	PerSwitch []pisa.WindowStats
+	// Instances is the engine's per-instance window.
+	Instances []stream.InstanceStats
 	// FilterUpdates counts refinement entries written across all switches.
 	FilterUpdates  int
 	UpdateDuration time.Duration
@@ -63,7 +69,8 @@ func newFabricRef(plan *planner.Plan, cfg pisa.Config, n int) (*fabricRef, error
 	if err != nil {
 		return nil, err
 	}
-	f := &fabricRef{engine: engine, em: em, links: links, finest: make(map[uint16]uint8)}
+	f := &fabricRef{engine: engine, em: em, links: links, finest: make(map[uint16]uint8),
+		nLeft: make(map[stream.QueryKey]int)}
 	prog := refDropDumpThresholds(plan.Program)
 	for i := 0; i < n; i++ {
 		sw, err := pisa.NewSwitch(cfg, prog, em.HandleMirror)
@@ -89,6 +96,7 @@ func newFabricRef(plan *planner.Plan, cfg pisa.Config, n int) (*fabricRef, error
 			if li == len(qp.Levels)-1 {
 				f.finest[qp.Query.ID] = uint8(lp.Level)
 			}
+			f.nLeft[stream.QueryKey{QID: qp.Query.ID, Level: uint8(lp.Level)}] = len(lp.Aug.Left.Ops)
 		}
 	}
 	return f, nil
@@ -132,6 +140,7 @@ func (f *fabricRef) CloseWindow() *fabricRefReport {
 	results = slices.Clone(results) // the engine's slice is reused next window
 	rep.AllResults = results
 	rep.TuplesToSP = metrics.TuplesIn
+	rep.Instances = metrics.Instances
 	for _, res := range results {
 		if f.finest[res.QID] == res.Level {
 			rep.Results = append(rep.Results, res)
@@ -217,26 +226,78 @@ func renderResults(results []stream.Result) string {
 
 // windowView is what the reference and the runtime both report for a window,
 // rendered as the window closes (an engine reuses its result storage at the
-// next close). sw sums the data-plane counters over every switch.
+// next close). sw sums the data-plane counters over every switch; records
+// renders the per-instance records.
 type windowView struct {
 	results, all string
 	tuplesToSP   uint64
 	updates      int
-	sw           pisa.WindowStats
+	sw           switchCounts
+	records      string
 }
 
-func refView(rep *fabricRefReport) windowView {
-	v := windowView{results: renderResults(rep.Results), all: renderResults(rep.AllResults),
-		tuplesToSP: rep.TuplesToSP, updates: rep.FilterUpdates}
+// switchCounts is the part of pisa.WindowStats both walks count: the
+// reference's frame-at-a-time walk has no prescreen.
+type switchCounts struct {
+	packets, mirrored, collisions, dumps, regUsed, regCap uint64
+}
+
+func countsOf(st *pisa.WindowStats) switchCounts {
+	return switchCounts{st.PacketsIn, st.Mirrored, st.Collisions, st.DumpTuples, st.RegUsed, st.RegCapacity}
+}
+
+func (f *fabricRef) view(rep *fabricRefReport) windowView {
+	var sw pisa.WindowStats
 	for _, st := range rep.PerSwitch {
-		v.sw.Merge(st)
+		sw.Merge(st)
 	}
-	return v
+	// The records, as WindowReport.Instances assembles them: the engine's
+	// counts, plus every switch's, a right side's ops past the left ones.
+	counts := make([]flightrec.Counts, len(rep.Instances))
+	at := make(map[stream.QueryKey]*flightrec.Counts, len(counts))
+	for i, in := range rep.Instances {
+		counts[i] = flightrec.Counts{QID: in.Key.QID, Level: in.Key.Level, TuplesToSP: in.TuplesIn,
+			MirrorBytes: in.WireBytes, Results: in.Results, OpInSw: make([]uint64, len(in.OpIn)),
+			OpInSP: in.OpIn, OpOut: in.OpOut}
+		at[in.Key] = &counts[i]
+	}
+	for _, st := range rep.PerSwitch {
+		for _, is := range st.Instances {
+			key := stream.QueryKey{QID: is.QID, Level: is.Level}
+			c, base := at[key], 0
+			if is.Side == pisa.SideRight {
+				base = f.nLeft[key]
+			}
+			c.Mirrored += is.Mirrored
+			c.Collisions += is.Collisions
+			c.DumpTuples += is.DumpTuples
+			c.RegUsed += is.RegUsed
+			c.RegCapacity += is.RegCapacity
+			for op, n := range is.OpIn {
+				c.OpInSw[base+op] += n
+			}
+		}
+	}
+	return windowView{results: renderResults(rep.Results), all: renderResults(rep.AllResults),
+		tuplesToSP: rep.TuplesToSP, updates: rep.FilterUpdates, sw: countsOf(&sw), records: renderRecords(counts)}
 }
 
 func runtimeView(rep *runtime.WindowReport) windowView {
 	return windowView{results: renderResults(rep.Results), all: renderResults(rep.AllResults),
-		tuplesToSP: rep.TuplesToSP, updates: rep.FilterUpdates, sw: rep.Switch}
+		tuplesToSP: rep.TuplesToSP, updates: rep.FilterUpdates, sw: countsOf(&rep.Switch),
+		records: renderRecords(rep.Instances)}
+}
+
+// renderRecords renders the records' data-plane, monitoring-port and stream
+// processor counts.
+func renderRecords(counts []flightrec.Counts) string {
+	var b strings.Builder
+	for _, c := range counts {
+		fmt.Fprintf(&b, "q%d/%d tuples=%d mirrored=%d bytes=%d collisions=%d dumps=%d registers=%d/%d results=%d sw=%v sp=%v out=%v\n",
+			c.QID, c.Level, c.TuplesToSP, c.Mirrored, c.MirrorBytes, c.Collisions, c.DumpTuples,
+			c.RegUsed, c.RegCapacity, c.Results, c.OpInSw, c.OpInSP, c.OpOut)
+	}
+	return b.String()
 }
 
 // TestVantagePointsMatchFabric holds the runtime's vantage-point switches to
@@ -261,7 +322,7 @@ func TestVantagePointsMatchFabric(t *testing.T) {
 			for j, f := range frames {
 				ref.Process(int(wl.src[i][j]%uint32(vps)), f)
 			}
-			want = append(want, refView(ref.CloseWindow()))
+			want = append(want, ref.view(ref.CloseWindow()))
 			updates += want[i].updates
 		}
 		if updates == 0 {
@@ -284,8 +345,8 @@ func TestVantagePointsMatchFabric(t *testing.T) {
 					got, w := runtimeView(rt.CloseWindow()), want[i]
 					if vps == 1 {
 						// Only the answers and the gate must agree.
-						got.all, w.all = "", ""
-						got.sw, w.sw = pisa.WindowStats{}, pisa.WindowStats{}
+						got.all, w.all, got.records, w.records = "", "", "", ""
+						got.sw, w.sw = switchCounts{}, switchCounts{}
 						if got.tuplesToSP > w.tuplesToSP {
 							t.Errorf("%s window %d: %d tuples to SP, above the stripped reference's %d",
 								name, i, got.tuplesToSP, w.tuplesToSP)

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/queries"
 	"repro/internal/query"
 	"repro/internal/runtime"
-	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracez"
@@ -34,9 +34,8 @@ func recordCounts(recs []flightrec.Record) string {
 	var b strings.Builder
 	for _, r := range sorted {
 		if r.TuplesToSP == 0 {
-			// PerQuery omits zero-count instances; the recorder keeps them
-			// (an idle instance is still information), so drop zeros from
-			// both renderings.
+			// Idle instances carry no load to compare; drop zeros from both
+			// renderings.
 			continue
 		}
 		fmt.Fprintf(&b, "q%d/%d=%d\n", r.QID, r.Level, r.TuplesToSP)
@@ -44,34 +43,32 @@ func recordCounts(recs []flightrec.Record) string {
 	return b.String()
 }
 
-// perQueryCounts renders a window report's PerQuery map the same way.
+// perQueryCounts renders a window report's per-instance tuple counts the
+// same way.
 func perQueryCounts(rep *runtime.WindowReport) string {
-	keys := make([]stream.QueryKey, 0, len(rep.PerQuery))
-	for k := range rep.PerQuery {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].QID != keys[j].QID {
-			return keys[i].QID < keys[j].QID
+	counts := slices.Clone(rep.Instances)
+	sort.Slice(counts, func(i, j int) bool {
+		if counts[i].QID != counts[j].QID {
+			return counts[i].QID < counts[j].QID
 		}
-		return keys[i].Level < keys[j].Level
+		return counts[i].Level < counts[j].Level
 	})
 	var b strings.Builder
-	for _, k := range keys {
-		if rep.PerQuery[k] == 0 {
+	for _, c := range counts {
+		if c.TuplesToSP == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "q%d/%d=%d\n", k.QID, k.Level, rep.PerQuery[k])
+		fmt.Fprintf(&b, "q%d/%d=%d\n", c.QID, c.Level, c.TuplesToSP)
 	}
 	return b.String()
 }
 
 // TestFlightRecMatchesReports is the recorder's differential contract: at
 // every worker count, each committed window's per-(query, level) tuple
-// counts must equal the sequential runtime's WindowReport.PerQuery, and the
+// counts must equal the sequential runtime's WindowReport.Instances, and the
 // summed switch-side counters must equal the report's WindowStats. The
-// recorder shares the underlying increments with the report, so any
-// divergence means an instrumentation point was dropped or double-counted.
+// recorder copies the report's records, so any divergence means a count was
+// dropped or double-counted on the way.
 func TestFlightRecMatchesReports(t *testing.T) {
 	scale := eval.SmallScale()
 	w, err := eval.NewWorkload(scale)
@@ -89,7 +86,7 @@ func TestFlightRecMatchesReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sequential baseline: the per-window PerQuery strings every worker
+	// Sequential baseline: the per-window tuple counts every worker
 	// count's recorder must reproduce.
 	var want []string
 	{
@@ -249,7 +246,7 @@ func TestFlightRecDriftDetectsPlanStaleness(t *testing.T) {
 
 // TestMetricsLint instruments a full deployment — runtime (switch, stream,
 // emitter), flight recorder — into one registry and runs the metric-naming
-// lint over it. This is the test `make check-metrics` executes.
+// lint over it. `make check-metrics` runs it beside TestObserverGolden.
 func TestMetricsLint(t *testing.T) {
 	g, train := buildFloodTrace(t, 4000, 4, 0)
 	qs := queries.TopEight(eval.ScaledParams(eval.SmallScale()))
@@ -271,7 +268,7 @@ func TestMetricsLint(t *testing.T) {
 	for _, problem := range reg.Lint() {
 		t.Errorf("metric lint: %s", problem)
 	}
-	// The prescreen's two ends are exported per shard, and the probed
+	// The prescreen's two ends are exported per shard, and the
 	// deployment goes through it: frames are offered, and fewer get in.
 	counters := reg.Snapshot().Counters
 	var offered, entered uint64

@@ -30,10 +30,11 @@ var updateObserverGolden = flag.Bool("update-observers", false, "rewrite testdat
 // trees — after the small-scale evaluation workload (all eleven queries) at
 // one and two workers, to testdata/observer_w{1,2}.golden. Wall-clock values
 // are taken out: histogram _sum/_bucket lines, the recorder's eval, fresh
-// and busy times and window quantiles, and span times. So are the two
-// subscription gauges that sample how far the subscriber's writer goroutine
-// had got. Everything else is a count, and must not move when the way the
-// observers are fed changes. Regenerate with -update-observers.
+// and busy times and window quantiles, and span times. So are the values of
+// the series the scheduler paces: the two subscription gauges that sample
+// how far the subscriber's writer goroutine had got, and the shards'
+// back-pressure counts. Everything else is a count, and must not move when
+// the way the observers are fed changes. Regenerate with -update-observers.
 func TestObserverGolden(t *testing.T) {
 	scale := eval.SmallScale()
 	w, err := eval.NewWorkload(scale)
@@ -105,10 +106,12 @@ func TestObserverGolden(t *testing.T) {
 	}
 }
 
-// writerPaced names the series whose values depend on how far the
-// subscriber's writer goroutine had drained its queue when Publish sampled
-// it.
-var writerPaced = []string{"sonata_subscribe_queue_depth ", "sonata_subscribe_queue_highwater "}
+// schedulerPaced names the series whose values depend on goroutine
+// scheduling: how far the subscriber's writer goroutine had drained its
+// queue when Publish sampled it, and how often the dispatch side and the
+// shard workers found their rings full or empty.
+var schedulerPaced = []string{"sonata_subscribe_queue_depth ", "sonata_subscribe_queue_highwater ",
+	"sonata_runtime_ring_full_total{", "sonata_runtime_worker_parks_total{"}
 
 // renderMetrics is /metrics without histogram sums and buckets.
 func renderMetrics(reg *telemetry.Registry) string {
@@ -124,9 +127,9 @@ func renderMetrics(reg *telemetry.Registry) string {
 			strings.HasSuffix(strings.Split(name, "{")[0], "_bucket") {
 			continue
 		}
-		for _, p := range writerPaced {
+		for _, p := range schedulerPaced {
 			if strings.HasPrefix(line, p) {
-				line = p + "*"
+				line = name + " *"
 			}
 		}
 		b.WriteString(line)

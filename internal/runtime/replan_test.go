@@ -269,27 +269,22 @@ func TestReplanMatchesFreshRuntime(t *testing.T) {
 	}
 }
 
-// recordingSink records each published report's index and resolves a
-// flight-recorder probe for each of its results through the lookup the
-// runtime handed it.
+// recordingSink records each published report's index and checks that each
+// of its results has the per-instance record beside it.
 type recordingSink struct {
-	lookup   func(qid uint16, level uint8) *flightrec.Probe
-	lane     *tracez.Ring
-	indices  []int
-	unprobed []string
+	lane       *tracez.Ring
+	indices    []int
+	unrecorded []string
 }
 
-func (s *recordingSink) Publish(rep *runtime.WindowReport) {
+func (s *recordingSink) Publish(rep *runtime.WindowReport) []uint64 {
 	s.indices = append(s.indices, rep.Index)
-	for _, res := range rep.AllResults {
-		if s.lookup == nil || s.lookup(res.QID, res.Level) == nil {
-			s.unprobed = append(s.unprobed, fmt.Sprintf("window %d q%d/%d", rep.Index, res.QID, res.Level))
+	for i, res := range rep.AllResults {
+		if i >= len(rep.Instances) || rep.Instances[i].QID != res.QID || rep.Instances[i].Level != res.Level {
+			s.unrecorded = append(s.unrecorded, fmt.Sprintf("window %d q%d/%d", rep.Index, res.QID, res.Level))
 		}
 	}
-}
-
-func (s *recordingSink) AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec.Probe) {
-	s.lookup = lookup
+	return nil
 }
 
 func (s *recordingSink) AttachTracez(r *tracez.Ring) { s.lane = r }
@@ -297,7 +292,7 @@ func (s *recordingSink) AttachTracez(r *tracez.Ring) { s.lane = r }
 // TestReplanKeepsObservers: a registry, a tracer, a flight recorder and a
 // result sink attached before a re-plan stay attached across it. The
 // registry's series count every window (the engine-side ones included),
-// the sink sees strictly increasing indices and probes for every instance
+// the sink sees strictly increasing indices and a record for every instance
 // of the new plan, the recorder tracks exactly the new plan's instances,
 // and post-re-plan trace trees carry every new instance's op span on a
 // shard lane. (It fails if Replan skips Instrument, skips
@@ -354,8 +349,8 @@ func TestReplanKeepsObservers(t *testing.T) {
 			break
 		}
 	}
-	if len(sink.unprobed) > 0 {
-		t.Errorf("sink has no flight-recorder probe for %v", sink.unprobed)
+	if len(sink.unrecorded) > 0 {
+		t.Errorf("sink has no per-instance record for %v", sink.unrecorded)
 	}
 	if sink.lane == nil {
 		t.Error("sink has no trace lane")
@@ -460,5 +455,57 @@ func TestReplanFailureKeepsPlan(t *testing.T) {
 	}
 	if rt.Plan() != rw.from {
 		t.Error("a failed re-plan replaced the plan")
+	}
+}
+
+// TestReplanZeroesDroppedRegisterGauges: a re-plan onto fewer switches
+// leaves the dropped switches' register series registered, and from the
+// next close on they read 0 — the live deployment has no registers there —
+// while the surviving switch reads its own. The re-plan goes from the
+// small-scale plan on four shards to a one-query All-SP plan, which builds
+// one shard and installs no register at all.
+func TestReplanZeroesDroppedRegisterGauges(t *testing.T) {
+	rw := newReplanWorkload(t)
+	cfg := pisa.DefaultConfig()
+	one := queries.TopEight(eval.ScaledParams(eval.SmallScale()))[:1]
+	tr, err := planner.Train(one, []int{8, 16, 24}, rw.w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := planner.DefaultOptions()
+	opts.Mode = planner.ModeAllSP
+	allSP, err := planner.PlanQueries(tr, one, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := runtime.NewWithOptions(rw.to, cfg, runtime.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	reg := telemetry.NewRegistry()
+	rt.Instrument(reg, nil)
+	gauges := func(family string) []int64 {
+		var v []int64
+		for shard := range 4 {
+			v = append(v, reg.Snapshot().Gauges[fmt.Sprintf(`%s{shard="%d"}`, family, shard)])
+		}
+		return v
+	}
+	rt.ProcessWindow(rw.w.Frames(0))
+	if c := gauges("sonata_switch_register_entries_capacity"); slices.Contains(c, 0) {
+		t.Fatalf("before the re-plan, register capacity per shard %v: every shard should hold registers", c)
+	}
+	if err := rt.Replan(allSP); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Workers() != 1 {
+		t.Fatalf("the All-SP plan built %d shards, want 1", rt.Workers())
+	}
+	rt.ProcessWindow(rw.w.Frames(1))
+	for _, family := range []string{"sonata_switch_register_entries_capacity", "sonata_switch_register_entries_used"} {
+		if got := gauges(family); !slices.Equal(got, []int64{0, 0, 0, 0}) {
+			t.Errorf("%s after the re-plan = %v, want all 0", family, got)
+		}
 	}
 }

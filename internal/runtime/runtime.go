@@ -37,8 +37,14 @@ type WindowReport struct {
 	// TuplesToSP is the number of tuples the stream processor ingested this
 	// window: the paper's headline metric.
 	TuplesToSP uint64
-	// PerQuery breaks the load down by (query, level) instance.
-	PerQuery map[stream.QueryKey]uint64
+	// Instances breaks the window down by installed (query, level)
+	// instance, in installation order (AllResults[i] is the output of
+	// Instances[i]): its load on the switch, the monitoring port and the
+	// stream processor, register occupancy, evaluation, the refinement
+	// update that gates it and the bytes queued to subscribers. The records
+	// are the runtime's and reused: like the result tuples, they stay valid
+	// until the next close.
+	Instances []flightrec.Counts
 	// Switch carries the data-plane counters.
 	Switch pisa.WindowStats
 	// FilterUpdates counts dynamic filter entries written at the window
@@ -53,26 +59,25 @@ type WindowReport struct {
 	// per shard. sum/max estimates the achievable parallel speedup
 	// independently of how many cores the host actually has.
 	ShardBusy []time.Duration
+	// RingFull and WorkerParks are the back-pressure beside it, per shard:
+	// the times the dispatch side parked on the shard's full ring, and the
+	// times the shard's worker parked on its empty one. Both stay 0 on a
+	// one-shard runtime, which has no worker.
+	RingFull    []uint64
+	WorkerParks []uint64
 }
 
-// ResultSink receives each WindowReport as the window closes, before the
-// flight recorder seals it — so a sink that attributes delivery bytes via
-// flightrec probes lands them in the same window's record. Publish is called
-// from the runtime's close path and must not block: sinks fan out to slow
-// consumers through bounded queues, never by stalling the pipeline. The
+// ResultSink receives each WindowReport as the window closes. Publish is
+// called from the runtime's close path and must not block: sinks fan out to
+// slow consumers through bounded queues, never by stalling the pipeline. The
 // report and its results are shared, not copied; sinks must treat them as
 // read-only and must not retain the tuple slices past Publish unless they
-// encode them first.
+// encode them first. Publish returns the bytes it queued for delivery per
+// instance, in the order of rep.Instances (nil when it queued nothing); the
+// runtime writes them into the records before the flight recorder seals the
+// window, and does not keep the slice.
 type ResultSink interface {
-	Publish(rep *WindowReport)
-}
-
-// FlightRecAttacher is implemented by sinks that attribute their delivery
-// volume to (query, level) flight-recorder records. The runtime forwards its
-// probe lookup whenever both a recorder and a sink are attached, in either
-// order.
-type FlightRecAttacher interface {
-	AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec.Probe)
+	Publish(rep *WindowReport) []uint64
 }
 
 // TracezAttacher is implemented by sinks that record their fan-out work as
@@ -84,13 +89,10 @@ type TracezAttacher interface {
 }
 
 // SetResultSink installs (or, with nil, removes) the sink that receives each
-// closed window's report. If a flight recorder or tracer is already attached
-// and the sink wants probes or a span lane, they are wired immediately.
+// closed window's report. If a tracer is already attached and the sink wants
+// a span lane, it is wired immediately.
 func (r *Runtime) SetResultSink(sink ResultSink) {
 	r.sink = sink
-	if a, ok := sink.(FlightRecAttacher); ok {
-		a.AttachFlightRec(r.frLookup)
-	}
 	if a, ok := sink.(TracezAttacher); ok && r.lane != nil {
 		a.AttachTracez(r.lane)
 	}
@@ -141,8 +143,13 @@ type shard struct {
 	em     *emitter.Emitter
 	// slots[j] is the installation-order position (index into
 	// Runtime.infos) of the j-th instance installed on this shard's engine,
-	// which is also the position of its j-th window result.
-	slots []int
+	// which is also the position of its j-th window result. swSlots[k] is
+	// the position of the k-th instance of the shard's switch program, and
+	// swBase[k] where its ops start in the instance's stages (past the left
+	// ops for a right side).
+	slots   []int
+	swSlots []int
+	swBase  []int
 	// q is the shard's inbound SPSC ring while workers are live: view
 	// batches during the window, then a close (or stop) message acting as
 	// the epoch barrier — FIFO order guarantees every batch of the window is
@@ -161,15 +168,17 @@ type shard struct {
 }
 
 // closeResult carries one shard's window-close products across the epoch
-// barrier.
+// barrier. The shard's instances' records (Runtime.counts) are filled in
+// place.
 type closeResult struct {
-	busy      time.Duration
-	stats     pisa.WindowStats
-	dumpCount int
-	results   []stream.Result
-	metrics   stream.Metrics
-	emFrames  uint64
-	emBad     uint64
+	busy  time.Duration
+	parks uint64 // the worker's parks on its empty ring
+	// sws holds each vantage point's switch stats, stats their merge.
+	sws     []pisa.WindowStats
+	stats   pisa.WindowStats
+	results []stream.Result
+	metrics stream.Metrics
+	em      emitter.Stats
 }
 
 // viewBatch is a refcounted batch of frames parsed once and shared
@@ -209,11 +218,8 @@ type Runtime struct {
 	stopWG  sync.WaitGroup
 
 	window int
-	// flight/frProbes are nil until AttachFlightRecorder; the recorder
-	// tracks one probe per entry of infos.
-	flight   *flightrec.Recorder
-	frProbes map[stream.QueryKey]*flightrec.Probe
-	frLookup func(qid uint16, level uint8) *flightrec.Probe
+	// flight is nil until AttachFlightRecorder; it commits every report.
+	flight *flightrec.Recorder
 	// sink receives each WindowReport at window close (nil until
 	// SetResultSink); Publish runs on the close path and must not block.
 	sink ResultSink
@@ -245,6 +251,9 @@ type deployment struct {
 	shards []*shard
 	owner  map[stream.QueryKey]int
 	infos  []instInfo
+	// counts holds the per-instance records of WindowReport.Instances,
+	// parallel to infos and refilled at every close.
+	counts []flightrec.Counts
 	// pre is the shard switches' shared prescreen atom space; fanOut
 	// evaluates it once per batch so shards only AND precomputed bitmaps.
 	pre    *pisa.Prescreen
@@ -266,6 +275,8 @@ type link struct {
 	QID  uint16
 	From uint8
 	To   uint8
+	// slot is level To's installation-order position.
+	slot int
 	// Table is level To's dynamic filter table name.
 	Table    string
 	keyCol   int
@@ -286,6 +297,7 @@ type link struct {
 // planLinks derives a plan's refinement links, in installation order.
 func planLinks(plan *planner.Plan) ([]link, error) {
 	var links []link
+	slot := 0 // of the query's first level
 	for _, qp := range plan.Queries {
 		for li := 0; li+1 < len(qp.Levels); li++ {
 			lp, next := &qp.Levels[li], &qp.Levels[li+1]
@@ -295,10 +307,11 @@ func planLinks(plan *planner.Plan) ([]link, error) {
 					qp.Query.ID, lp.Level, qp.Key.Field, lp.Aug.FinalSchema())
 			}
 			links = append(links, link{QID: qp.Query.ID,
-				From: uint8(lp.Level), To: uint8(next.Level),
+				From: uint8(lp.Level), To: uint8(next.Level), slot: slot + li + 1,
 				Table:  planner.DynTableName(qp.Query.ID, next.Level),
 				keyCol: keyCol, field: qp.Key.Field, hasRight: next.Right != nil})
 		}
+		slot += len(qp.Levels)
 	}
 	return links, nil
 }
@@ -331,15 +344,15 @@ func (l *link) resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 // publish installs keys (in stream.DynKeyFromValue's encoding) as what level
 // To admits from the next window on — one rule set, built once and shared by
 // the stream processor's filter and every switch-side table — and returns
-// the number of filter entries written.
-func (l *link) publish(keys []string) int {
+// the number of filter entries written, and how many of them were the
+// switches'.
+func (l *link) publish(keys []string) (entries, onSwitch int) {
 	set := query.NewDynSet(keys)
 	l.sp.Publish(l.Table, set)
-	n := set.Len()
 	for _, t := range l.tables {
-		n += t.Publish(set)
+		onSwitch += t.Publish(set)
 	}
-	return n
+	return set.Len() + onSwitch, onSwitch
 }
 
 // instInfo is one planned (query, level) instance in installation order.
@@ -373,10 +386,10 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 // deployment: the new plan is compiled by the code NewWithOptions runs, so
 // a plan that fails to build leaves the old one serving. Then the old
 // workers stop, the new shard set takes over and starts its own, and what
-// is attached — registry, tracer lanes, flight-recorder probes and, through
-// them, the result sink — is wired to it. Window indices carry on; the
-// collision sums and refinement state start fresh, as in a new runtime.
-// Frames buffered in an open window are an error.
+// is attached — registry series, tracer lanes and the flight recorder's
+// instances — is set up for it again; the result sink needs nothing. Window
+// indices carry on; the collision sums and refinement state start fresh, as
+// in a new runtime. Frames buffered in an open window are an error.
 func (r *Runtime) Replan(plan *planner.Plan) error {
 	if r.framesIn != 0 {
 		return fmt.Errorf("runtime: re-plan with %d frames of window %d buffered; re-plan between windows",
@@ -410,6 +423,9 @@ func compile(plan *planner.Plan, cfg pisa.Config, opts Options) (deployment, err
 			key := stream.QueryKey{QID: qp.Query.ID, Level: uint8(lp.Level)}
 			d.infos = append(d.infos, instInfo{key: key, aug: lp.Aug, part: part,
 				cost: instanceCost(&lp)})
+			n := lp.Aug.NumOps()
+			d.counts = append(d.counts, flightrec.Counts{QID: key.QID, Level: key.Level,
+				OpInSw: make([]uint64, n), OpInSP: make([]uint64, n), OpOut: make([]uint64, n)})
 			if li == len(qp.Levels)-1 {
 				d.finest[qp.Query.ID] = key.Level
 			}
@@ -470,11 +486,23 @@ func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
 		}
 		progs[si].Instances = append(progs[si].Instances, spec)
 	}
+	slotOf := make(map[stream.QueryKey]int, len(infos))
+	for i, in := range infos {
+		slotOf[in.key] = i
+	}
 	d.pre = pisa.NewPrescreen()
 	for i := 0; i < n; i++ {
 		engine := stream.NewEngine(stream.NewDynTables())
 		engine.SetScalar(opts.Scalar)
 		s := &shard{engine: engine, em: emitter.New(engine)}
+		s.cr.sws = make([]pisa.WindowStats, vps)
+		for _, spec := range progs[i].Instances {
+			slot, base := slotOf[stream.QueryKey{QID: spec.QID, Level: spec.Level}], 0
+			if spec.Side == pisa.SideRight {
+				base = len(infos[slot].aug.Left.Ops)
+			}
+			s.swSlots, s.swBase = append(s.swSlots, slot), append(s.swBase, base)
+		}
 		for range vps {
 			sw, err := pisa.NewSwitchShared(cfg, progs[i], s.em, d.pre)
 			if err != nil {
@@ -589,7 +617,6 @@ func (r *Runtime) Process(frame []byte) { r.ProcessAt(0, frame) }
 func (r *Runtime) ProcessAt(vp int, frame []byte) {
 	r.markWindowStart()
 	r.framesIn++
-	r.m.packets.Inc()
 	b := r.fill[vp]
 	if b == nil {
 		b = r.batchPool.Get().(*viewBatch)
@@ -680,8 +707,9 @@ func (s *shard) exec(r *Runtime, m shardMsg) bool {
 	switch m.kind {
 	case msgClose:
 		t0 := time.Now()
-		s.closeShard()
+		s.closeShard(r.counts)
 		s.cr.busy += time.Since(t0)
+		s.cr.parks, s.q.parks = s.q.parks, 0
 		r.closeWG.Done()
 	case msgStop:
 		return false
@@ -693,18 +721,43 @@ func (s *shard) exec(r *Runtime, m shardMsg) bool {
 // register dump and dump decode into the shard engine, switch by switch in
 // vantage-point order, then stream-engine window evaluation and emitter
 // stats — concurrent across shards while workers are live. The products
-// land in s.cr; busy is published alongside and reset for the next window.
-func (s *shard) closeShard() {
+// land in s.cr and in the records of the shard's instances in counts,
+// which no other shard touches; busy is published alongside and reset for
+// the next window.
+func (s *shard) closeShard(counts []flightrec.Counts) {
+	for _, slot := range s.slots {
+		c := &counts[slot]
+		*c = flightrec.Counts{QID: c.QID, Level: c.Level, OpInSw: c.OpInSw, OpInSP: c.OpInSP, OpOut: c.OpOut}
+		clear(c.OpInSw)
+	}
 	cr := &s.cr
-	cr.dumpCount, cr.stats = 0, pisa.WindowStats{}
-	for _, sw := range s.sws {
+	cr.stats = pisa.WindowStats{}
+	for vp, sw := range s.sws {
 		dumps, st := sw.EndWindow()
 		s.em.HandleDumps(dumps)
-		cr.dumpCount += len(dumps)
+		cr.sws[vp] = st
 		cr.stats.Merge(st)
+		for k := range st.Instances {
+			is, c := &st.Instances[k], &counts[s.swSlots[k]]
+			c.Mirrored += is.Mirrored
+			c.Collisions += is.Collisions
+			c.DumpTuples += is.DumpTuples
+			c.RegUsed += is.RegUsed
+			c.RegCapacity += is.RegCapacity
+			for op, n := range is.OpIn {
+				c.OpInSw[s.swBase[k]+op] += n
+			}
+		}
 	}
 	cr.results, cr.metrics = s.engine.EndWindow()
-	cr.emFrames, cr.emBad = s.em.WindowStats()
+	for j := range cr.metrics.Instances {
+		is, c := &cr.metrics.Instances[j], &counts[s.slots[j]]
+		c.TuplesToSP, c.MirrorBytes = is.TuplesIn, is.WireBytes
+		c.Results, c.EvalNS = is.Results, is.Eval.Nanoseconds()
+		copy(c.OpInSP, is.OpIn)
+		copy(c.OpOut, is.OpOut)
+	}
+	cr.em = s.em.WindowStats()
 	cr.busy, s.busy = s.busy, 0
 }
 
@@ -780,24 +833,25 @@ func (r *Runtime) closeWindow() *WindowReport {
 	// Deterministic merge, on this side of the barrier: shard order for the
 	// commutative counters, installation order for results. What the engines
 	// handed over is theirs again at the next close, so the report gets its
-	// own per-query map and results slice.
+	// own results slice.
 	var (
-		stats     pisa.WindowStats
-		dumpCount int
-		emFrames  uint64
-		emBad     uint64
+		stats    pisa.WindowStats
+		em       emitter.Stats
+		tuplesIn uint64
 	)
-	metrics := stream.Metrics{PerQuery: make(map[stream.QueryKey]uint64)}
-	shardBusy := make([]time.Duration, len(r.shards))
+	n := len(r.shards)
+	shardBusy := make([]time.Duration, n)
+	parks := make([]uint64, 2*n)
 	results := make([]stream.Result, len(r.infos))
 	for i, s := range r.shards {
 		cr := &s.cr
 		shardBusy[i] = cr.busy
-		dumpCount += cr.dumpCount
+		parks[i], s.q.fullParks = s.q.fullParks, 0
+		parks[n+i] = cr.parks
 		stats.Merge(cr.stats)
-		emFrames += cr.emFrames
-		emBad += cr.emBad
-		metrics.Merge(cr.metrics)
+		em.Frames += cr.em.Frames
+		em.Malformed += cr.em.Malformed
+		tuplesIn += cr.metrics.TuplesIn
 		// Each shard's results go to the slots fixed at construction, which
 		// is the order one engine holding every instance would produce.
 		for j := range cr.results {
@@ -808,23 +862,26 @@ func (r *Runtime) closeWindow() *WindowReport {
 	// owns the count.
 	stats.PacketsIn = r.framesIn
 	r.framesIn = 0
-	ed.Attr(tracez.AttrDumpTuples, uint64(dumpCount))
+	ed.Attr(tracez.AttrDumpTuples, stats.DumpTuples)
 	ed.End()
-	se.Attr(tracez.AttrTuplesIn, metrics.TuplesIn)
+	se.Attr(tracez.AttrTuplesIn, tuplesIn)
 	se.End()
 	// Register dumps become tuples at the stream processor; count them into
 	// the headline metric like any other delivered tuple.
 	rep := &WindowReport{
-		Index:      r.window,
-		AllResults: results,
-		TuplesToSP: metrics.TuplesIn,
-		PerQuery:   metrics.PerQuery,
-		Switch:     stats,
-		ShardBusy:  shardBusy,
+		Index:            r.window,
+		AllResults:       results,
+		TuplesToSP:       tuplesIn,
+		Instances:        r.counts,
+		Switch:           stats,
+		EmitterFrames:    em.Frames,
+		EmitterMalformed: em.Malformed,
+		ShardBusy:        shardBusy,
+		RingFull:         parks[:n:n],
+		WorkerParks:      parks[n:],
 	}
 	r.collisionSum += stats.Collisions
 	r.packetsSum += stats.PacketsIn
-	rep.EmitterFrames, rep.EmitterMalformed = emFrames, emBad
 
 	for _, res := range results {
 		if r.finest[res.QID] == res.Level {
@@ -833,61 +890,50 @@ func (r *Runtime) closeWindow() *WindowReport {
 	}
 
 	// Dynamic refinement: level From's results gate level To next window.
+	// The gated (finer) instance's record notes how many keys now admit its
+	// traffic, and whether the set moved this window.
+	var ct closeTotals
 	fu := r.lane.Start(tracez.NameFilterUpdate)
 	start := time.Now()
 	for li := range r.links {
 		l := &r.links[li]
-		gated := stream.QueryKey{QID: l.QID, Level: l.To}
 		keys := l.keys(results)
-		rep.FilterUpdates += l.publish(keys)
-		changed := r.keySetChanged(li, keys)
-		if changed {
-			r.m.refTransitions.Inc()
-		}
-		// The flight recorder attributes the transition to the gated (finer)
-		// instance: how many keys now admit its traffic, and whether the set
-		// moved this window.
-		if p := r.frProbes[gated]; p != nil {
-			p.Refined(uint64(len(keys)), changed)
+		entries, onSwitch := l.publish(keys)
+		rep.FilterUpdates += entries
+		ct.switchEntries += uint64(onSwitch)
+		c := &r.counts[l.slot]
+		c.RefKeys, c.RefChanged = uint64(len(keys)), r.keySetChanged(li, keys)
+		if c.RefChanged {
+			ct.transitions++
 		}
 	}
 	rep.UpdateDuration = time.Since(start)
 	fu.Attr(tracez.AttrEntries, uint64(rep.FilterUpdates))
 	fu.End()
 
-	// Feed the registry with the same values the report carries.
-	r.m.windows.Inc()
-	r.m.windowIndex.Set(int64(rep.Index))
-	r.m.tuplesToSP.Add(rep.TuplesToSP)
-	r.m.filterUpdates.Add(uint64(rep.FilterUpdates))
-	r.m.filterUpdateNS.ObserveDuration(rep.UpdateDuration)
-	if !r.windowStart.IsZero() {
-		r.m.windowNS.ObserveDuration(time.Since(r.windowStart))
+	ct.timed = !r.windowStart.IsZero()
+	if ct.timed {
+		ct.window = time.Since(r.windowStart)
 	}
-	// Fan the report out to subscribers before the flight recorder seals the
-	// window, so delivery bytes are attributed to the window they belong to.
-	// Publish must not block (sinks absorb slow consumers in bounded queues).
+	// Fan the report out to subscribers; what they were queued lands in the
+	// records before the flight recorder seals the window. Publish must not
+	// block (sinks absorb slow consumers in bounded queues).
 	if r.sink != nil {
 		pub := r.lane.Start(tracez.NamePublish)
 		r.lane.SetContext(r.window, pub.ID())
 		pubStart := time.Now()
-		r.sink.Publish(rep)
-		r.m.publishNS.ObserveDuration(time.Since(pubStart))
+		for i, b := range r.sink.Publish(rep) {
+			r.counts[i].DeliveredBytes = b
+		}
+		ct.publish, ct.published = time.Since(pubStart), true
 		pub.End()
 		r.lane.SetContext(r.window, r.troot.ID())
 	}
 	// Freshness watermark: first frame of the window → results published.
-	// Observed after publish (unlike window_ns, which excludes fan-out) so
-	// it measures what a subscriber experiences.
-	if !r.windowStart.IsZero() {
-		fresh := time.Since(r.windowStart)
-		r.m.freshNS.ObserveDuration(fresh)
-		for _, h := range r.m.freshByQID {
-			h.ObserveDuration(fresh)
-		}
-		for _, p := range r.frProbes {
-			p.Fresh(fresh.Nanoseconds())
-		}
+	// Taken after publish (unlike the window time, which excludes fan-out)
+	// so it measures what a subscriber experiences.
+	if ct.timed {
+		ct.fresh = time.Since(r.windowStart)
 		r.windowStart = time.Time{}
 	}
 	// Close the window's trace tree; the tracer decides retention from the
@@ -896,9 +942,8 @@ func (r *Runtime) closeWindow() *WindowReport {
 		r.tz.CloseWindow(r.window, r.troot.End().Nanoseconds())
 		r.rootOpen = false
 	}
-	// Seal the window into the flight recorder with the very values the
-	// report carries (a nil recorder no-ops).
-	r.flight.Commit(rep.Index, stats.PacketsIn, shardBusy)
+	r.observe(rep, &ct)
+	r.flight.Commit(rep.Index, stats.PacketsIn, ct.fresh.Nanoseconds(), shardBusy, r.counts)
 	r.window++
 	return rep
 }

@@ -288,8 +288,8 @@ func TestStreamMetricsPerQueryBreakdown(t *testing.T) {
 		t.Fatal("All-SP reported zero tuples")
 	}
 	var sum uint64
-	for _, v := range rep.PerQuery {
-		sum += v
+	for _, c := range rep.Instances {
+		sum += c.TuplesToSP
 	}
 	if sum != rep.TuplesToSP {
 		t.Errorf("per-query sum %d != total %d", sum, rep.TuplesToSP)

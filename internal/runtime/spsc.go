@@ -44,6 +44,12 @@ type spscRing struct {
 	full   atomic.Bool   // producer parked on space
 	wake   chan struct{}
 	space  chan struct{}
+	// fullParks counts the producer's parks on a full ring, parks the
+	// consumer's on an empty one: plain fields, each written only by its
+	// side and only on the slow path. The producer reads its own at window
+	// close; the consumer hands its over with the close barrier.
+	fullParks uint64
+	parks     uint64
 }
 
 func (q *spscRing) init(depth int) {
@@ -70,6 +76,7 @@ func (q *spscRing) push(m shardMsg) {
 			q.full.Store(false)
 			break
 		}
+		q.fullParks++
 		<-q.space
 		q.full.Store(false)
 	}
@@ -113,6 +120,7 @@ func (q *spscRing) pop() shardMsg {
 			q.parked.Store(false)
 			continue
 		}
+		q.parks++
 		<-q.wake
 		q.parked.Store(false)
 	}

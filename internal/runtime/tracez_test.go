@@ -131,10 +131,11 @@ type slowSink struct {
 	delay  time.Duration
 }
 
-func (s *slowSink) Publish(rep *WindowReport) {
+func (s *slowSink) Publish(rep *WindowReport) []uint64 {
 	if rep.Index == s.slowAt {
 		time.Sleep(s.delay)
 	}
+	return nil
 }
 
 // TestLatencyTriggeredRetention is the acceptance check for the retention

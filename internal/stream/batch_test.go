@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,13 +87,13 @@ func statefulOf(q *query.Query) (int, int) {
 // snapshotEngineWindow closes a window on e and renders everything the
 // batched path must reproduce bit-identically: result tuples (already
 // deterministically sorted by the engine), the window's load metrics, and
-// the per-op in/out funnels of the instance's executor (not reset here:
-// no flight recorder is attached).
+// the instance's per-op in/out funnels.
 func snapshotEngineWindow(t *testing.T, e *Engine, key QueryKey) string {
 	t.Helper()
 	results, m := e.EndWindow()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "tuplesIn=%d perQuery=%d\n", m.TuplesIn, m.PerQuery[key])
+	st := m.Instances[slices.Index(e.order, key)]
+	fmt.Fprintf(&sb, "tuplesIn=%d perQuery=%d\n", m.TuplesIn, st.TuplesIn)
 	for _, res := range results {
 		fmt.Fprintf(&sb, "q%d/%d:", res.QID, res.Level)
 		for _, tp := range res.Tuples {
@@ -107,9 +108,7 @@ func snapshotEngineWindow(t *testing.T, e *Engine, key QueryKey) string {
 		}
 		sb.WriteByte('\n')
 	}
-	ex := e.queries[key].left
-	fmt.Fprintf(&sb, "in=%v out=%v\n", ex.inCounts, ex.outCounts)
-	ex.resetCounts()
+	fmt.Fprintf(&sb, "in=%v out=%v\n", st.OpIn, st.OpOut)
 	return sb.String()
 }
 

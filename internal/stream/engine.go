@@ -4,11 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"time"
 
-	"repro/internal/flightrec"
 	"repro/internal/keytab"
 	"repro/internal/query"
-	"repro/internal/telemetry"
 	"repro/internal/tracez"
 	"repro/internal/tuple"
 )
@@ -58,21 +57,32 @@ type Metrics struct {
 	// TuplesIn is the number of tuples (or mirrored packets) the stream
 	// processor ingested this window.
 	TuplesIn uint64
-	// PerQuery breaks TuplesIn down by query instance.
-	PerQuery map[QueryKey]uint64
+	// Flushes and FlushRows count the batched executor's column-batch
+	// flushes and the tuples they carried.
+	Flushes   uint64
+	FlushRows uint64
+	// Instances breaks the window down per installed instance, in
+	// installation order.
+	Instances []InstanceStats
 }
 
-// Merge folds another shard's window metrics into m. Query instances are
-// disjoint across shards, so the per-query merge is a plain union and the
-// total a plain sum — the associativity the sharded runtime relies on.
-func (m *Metrics) Merge(o Metrics) {
-	m.TuplesIn += o.TuplesIn
-	if len(o.PerQuery) > 0 && m.PerQuery == nil {
-		m.PerQuery = make(map[QueryKey]uint64, len(o.PerQuery))
-	}
-	for k, v := range o.PerQuery {
-		m.PerQuery[k] += v
-	}
+// InstanceStats is one installed instance's share of a window at the stream
+// processor.
+type InstanceStats struct {
+	Key QueryKey
+	// TuplesIn is the instance's share of Metrics.TuplesIn, WireBytes the
+	// encoded monitoring-port volume its records arrived as (AddWireBytes).
+	TuplesIn  uint64
+	WireBytes uint64
+	// Results and Eval are the window close: result tuples and evaluation
+	// time.
+	Results uint64
+	Eval    time.Duration
+	// OpIn and OpOut count the tuples entering and leaving each op at the
+	// stream processor, indexed over the left ops, then the right ones, then
+	// the post-join ones.
+	OpIn  []uint64
+	OpOut []uint64
 }
 
 // Instance is the executable state of one installed (query, level)
@@ -84,9 +94,10 @@ type Instance struct {
 	q    *query.Query
 	key  QueryKey
 	part Partition
-	// tuplesIn is the instance's share of the window's TuplesIn; EndWindow
-	// folds it into Metrics.PerQuery.
-	tuplesIn uint64
+	// tuplesIn and wireBytes are the instance's window so far; EndWindow
+	// hands them over in Metrics.Instances.
+	tuplesIn  uint64
+	wireBytes uint64
 
 	left  *pipeExec
 	right *pipeExec // nil without join
@@ -123,13 +134,6 @@ type Instance struct {
 	pendKeyEnd []uint32
 	pendVals   []tuple.Value
 	pendValEnd []uint32
-
-	// m holds the instance's pre-registered telemetry series (zero value
-	// when the engine is uninstrumented).
-	m queryMetrics
-	// fr is the instance's flight-recorder probe (nil when no recorder is
-	// attached; nil probes no-op).
-	fr *flightrec.Probe
 }
 
 // Engine hosts the installed query instances and processes one window at a
@@ -141,13 +145,6 @@ type Engine struct {
 	order   []QueryKey
 	// tuplesIn is the window's Metrics.TuplesIn so far.
 	tuplesIn uint64
-	// reg/m carry the telemetry registry and engine-wide handles; nil
-	// handles (uninstrumented) make every increment a no-op.
-	reg *telemetry.Registry
-	m   engineMetrics
-	// frLookup resolves a (qid, level) instance to its flight-recorder
-	// probe (nil when no recorder is attached).
-	frLookup func(qid uint16, level uint8) *flightrec.Probe
 	// tring is the span lane EndWindow records per-instance op_eval spans
 	// into (nil when tracing is off). The runtime assigns each shard engine
 	// its own lane and sets the lane's parent before the window close.
@@ -159,10 +156,10 @@ type Engine struct {
 	// readsDNS is whether some installed instance reads a DNS field
 	// (query.ReadsDNS), recomputed at Install.
 	readsDNS bool
-	// results and perQuery are EndWindow's return values, reused window
-	// after window.
-	results  []Result
-	perQuery map[QueryKey]uint64
+	// results and stats (parallel to order) are EndWindow's return values,
+	// reused window after window.
+	results []Result
+	stats   []InstanceStats
 }
 
 // NewEngine returns an engine sharing the given dynamic filter tables with
@@ -171,7 +168,7 @@ func NewEngine(dyn *DynTables) *Engine {
 	if dyn == nil {
 		dyn = NewDynTables()
 	}
-	return &Engine{dyn: dyn, queries: make(map[QueryKey]*Instance), perQuery: make(map[QueryKey]uint64)}
+	return &Engine{dyn: dyn, queries: make(map[QueryKey]*Instance)}
 }
 
 // ReadsDNS reports whether some installed instance reads a field of the DNS
@@ -256,12 +253,12 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 	if rq.prePacket != nil {
 		rq.prePacket.scalar = e.scalar
 	}
-	if _, exists := e.queries[rq.key]; !exists {
+	st := InstanceStats{Key: rq.key, OpIn: make([]uint64, q.NumOps()), OpOut: make([]uint64, q.NumOps())}
+	if i := slices.Index(e.order, rq.key); i >= 0 {
+		e.stats[i] = st
+	} else {
 		e.order = append(e.order, rq.key)
-	}
-	e.instrumentQuery(rq)
-	if e.frLookup != nil {
-		rq.fr = e.frLookup(rq.key.QID, rq.key.Level)
+		e.stats = append(e.stats, st)
 	}
 	e.queries[rq.key] = rq
 	e.readsDNS = false
@@ -294,20 +291,6 @@ func (e *Engine) SetScalar(v bool) {
 // A nil ring detaches (recording becomes a no-op).
 func (e *Engine) AttachTracez(r *tracez.Ring) { e.tring = r }
 
-// AttachFlightRec wires the flight recorder's probe lookup into the engine
-// and retro-attaches every already-installed instance. Instances installed
-// later pick it up automatically. A nil lookup detaches.
-func (e *Engine) AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec.Probe) {
-	e.frLookup = lookup
-	for _, key := range e.order {
-		rq := e.queries[key]
-		rq.fr = nil
-		if lookup != nil {
-			rq.fr = lookup(key.QID, key.Level)
-		}
-	}
-}
-
 // Instance resolves an installed instance, nil when (qid, level) is not
 // installed — which a caller facing decoded bytes must check.
 func (e *Engine) Instance(qid uint16, level uint8) *Instance {
@@ -328,20 +311,15 @@ func (e *Engine) instance(qid uint16, level uint8) *Instance {
 func (e *Engine) count(rq *Instance, n uint64) {
 	e.tuplesIn += n
 	rq.tuplesIn += n
-	e.m.tuplesIn.Add(n)
-	rq.m.tuplesIn.Add(n)
-	// The flight recorder shares this increment with PerQuery, so the
-	// /debug/queries tuple counts can never disagree with WindowReport.
-	rq.fr.TupleN(n)
 }
 
-// Probe returns the instance's flight-recorder probe (nil when none is
-// attached, or on a nil instance; nil probes no-op).
-func (rq *Instance) Probe() *flightrec.Probe {
-	if rq == nil {
-		return nil
+// AddWireBytes books n encoded monitoring-port bytes to the instance — the
+// emitter's count of what its records took on the wire. A no-op on a nil
+// instance, so a record naming no installed instance still needs no check.
+func (rq *Instance) AddWireBytes(n uint64) {
+	if rq != nil {
+		rq.wireBytes += n
 	}
-	return rq.fr
 }
 
 // HasSide reports whether records of the given side have a pipeline to
@@ -484,20 +462,16 @@ func (e *Engine) IngestAgg(qid uint16, level uint8, side Side, opIdx int, keyVal
 // EndWindow closes the current window: drains all stateful state, performs
 // joins, runs post-join pipelines, and returns per-instance results plus
 // the window's load metrics. Results are ordered by installation and tuples
-// sorted for determinism. The returned slice, Metrics.PerQuery and every
+// sorted for determinism. The returned slice, Metrics.Instances and every
 // tuple slice the results hold belong to the engine and stay valid until the
 // next EndWindow; a caller keeping them longer copies them. In steady state
 // the close allocates nothing.
 func (e *Engine) EndWindow() ([]Result, Metrics) {
 	results := e.results[:0]
-	clear(e.perQuery)
-	m := Metrics{TuplesIn: e.tuplesIn, PerQuery: e.perQuery}
+	m := Metrics{TuplesIn: e.tuplesIn, Instances: e.stats}
 	e.tuplesIn = 0
-	for _, key := range e.order {
-		rq := e.queries[key]
-		if rq.tuplesIn > 0 {
-			m.PerQuery[key] = rq.tuplesIn
-		}
+	for i, key := range e.order {
+		rq, st := e.queries[key], &e.stats[i]
 		sp := e.tring.Start(tracez.NameOpEval)
 		sp.Instance(key.QID, key.Level)
 		res := Result{QID: key.QID, Level: key.Level, Schema: rq.schema}
@@ -508,71 +482,63 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 		}
 		sortTuples(res.Tuples)
 		sp.Attr(tracez.AttrTuplesIn, rq.tuplesIn)
-		rq.tuplesIn = 0
 		sp.Attr(tracez.AttrResults, uint64(len(res.Tuples)))
-		elapsed := sp.End()
-		rq.m.evalNS.ObserveDuration(elapsed)
-		e.m.evalNS.ObserveDuration(elapsed)
-		rq.m.results.Add(uint64(len(res.Tuples)))
-		e.m.resultTuples.Add(uint64(len(res.Tuples)))
-		if rq.fr != nil {
-			rq.fr.Eval(uint64(len(res.Tuples)), elapsed)
-			e.flushOpCounts(rq)
+		st.TuplesIn, st.WireBytes = rq.tuplesIn, rq.wireBytes
+		st.Results, st.Eval = uint64(len(res.Tuples)), sp.End()
+		rq.tuplesIn, rq.wireBytes = 0, 0
+		rq.takeOpCounts(st)
+		for _, ex := range []*pipeExec{rq.left, rq.right, rq.post, rq.prePacket} {
+			if ex != nil {
+				m.Flushes += ex.flushes
+				m.FlushRows += ex.flushRows
+				ex.flushes, ex.flushRows = 0, 0
+			}
 		}
 		results = append(results, res)
-		e.harvestBatchStats(rq)
 	}
 	e.results = results
 	return results, m
 }
 
-// harvestBatchStats folds one instance's executor flush counters into the
-// engine-wide batch telemetry and zeroes them for the next window.
-func (e *Engine) harvestBatchStats(rq *Instance) {
-	var flushes, rows uint64
-	for _, ex := range []*pipeExec{rq.left, rq.right, rq.post, rq.prePacket} {
-		if ex == nil {
-			continue
-		}
-		flushes += ex.flushes
-		rows += ex.flushRows
-		ex.flushes, ex.flushRows = 0, 0
+// takeOpCounts moves each executor's per-op window counters into st under
+// the stage indexing of InstanceStats (left ops, then right, then post) and
+// resets them. The packet-phase-left path needs a remap: its pre-packet
+// executor holds the left ops followed by post's packet-filter prefix, so
+// indices past the left pipeline belong to the post segment.
+func (rq *Instance) takeOpCounts(st *InstanceStats) {
+	clear(st.OpIn)
+	clear(st.OpOut)
+	nLeft, nRight := len(rq.q.Left.Ops), 0
+	if rq.right != nil {
+		nRight = len(rq.right.ops)
 	}
-	e.m.batchFlushes.Add(flushes)
-	e.m.batchRows.Add(rows)
-}
-
-// flushOpCounts copies each executor's per-op window counters into the
-// instance's flight-recorder probe under the probe's global stage indexing
-// (left ops, then right, then post), then resets the executors' counters.
-// The packet-phase-left path needs a remap: its pre-packet executor holds
-// the left ops followed by post's packet-filter prefix, so indices past the
-// left pipeline belong to the post segment.
-func (e *Engine) flushOpCounts(rq *Instance) {
-	p := rq.fr
 	left := rq.left
 	if rq.packetLeft {
 		left = rq.prePacket
 	}
-	nLeft := len(rq.q.Left.Ops)
 	for i := range left.ops {
 		stage := i
 		if i >= nLeft {
-			stage = p.PostBase() + (i - nLeft)
+			stage += nRight
 		}
-		p.OpSP(stage, left.inCounts[i], left.outCounts[i])
+		st.OpIn[stage] += left.inCounts[i]
+		st.OpOut[stage] += left.outCounts[i]
 	}
 	left.resetCounts()
 	if rq.right != nil {
-		for j := range rq.right.ops {
-			p.OpSP(p.RightBase()+j, rq.right.inCounts[j], rq.right.outCounts[j])
-		}
-		rq.right.resetCounts()
-		for j := range rq.post.ops {
-			p.OpSP(p.PostBase()+j, rq.post.inCounts[j], rq.post.outCounts[j])
-		}
-		rq.post.resetCounts()
+		st.addOps(rq.right, nLeft)
+		st.addOps(rq.post, nLeft+nRight)
 	}
+}
+
+// addOps adds ex's per-op counters to the stages from base on and resets
+// them.
+func (st *InstanceStats) addOps(ex *pipeExec, base int) {
+	for i := range ex.ops {
+		st.OpIn[base+i] += ex.inCounts[i]
+		st.OpOut[base+i] += ex.outCounts[i]
+	}
+	ex.resetCounts()
 }
 
 // endJoin performs the window-end join and post pipeline for the instance,

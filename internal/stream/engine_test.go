@@ -328,8 +328,9 @@ func TestMultipleLevelsIndependent(t *testing.T) {
 	}
 	ingestPacket(e, 1, 1, SideLeft, mkSyn(t, 1, 50))
 	results, m := e.EndWindow()
-	if m.PerQuery[QueryKey{1, 1}] != 1 || m.PerQuery[QueryKey{1, 2}] != 0 {
-		t.Errorf("per-query metrics = %+v", m.PerQuery)
+	if m.Instances[0].Key != (QueryKey{1, 1}) || m.Instances[0].TuplesIn != 1 ||
+		m.Instances[1].Key != (QueryKey{1, 2}) || m.Instances[1].TuplesIn != 0 {
+		t.Errorf("per-instance metrics = %+v", m.Instances)
 	}
 	var r1, r2 *Result
 	for i := range results {

@@ -79,11 +79,12 @@ type pipeExec struct {
 	// allocator.
 	states []*keytab.Table
 	// outCounts[i] counts emissions of op i this window (used by the
-	// profiler to estimate the paper's N_{q,t}).
+	// profiler to estimate the paper's N_{q,t}, and handed over as
+	// InstanceStats.OpOut).
 	outCounts []uint64
 	// inCounts[i] counts tuples (or packets, or merged aggregates) entering
-	// op i — the flight recorder's per-stage load signal. Reset together
-	// with outCounts.
+	// op i — the per-stage load an instance's InstanceStats.OpIn carries.
+	// Reset together with outCounts.
 	inCounts []uint64
 	// The output arena collects tuples that fell off the end of the
 	// pipeline. Each row is an owned copy (inputs may live in caller
@@ -141,7 +142,7 @@ type pipeExec struct {
 	bulkRows []int32
 	bulkIdxs []int32
 	// flushes/flushRows count flushBatch invocations and the rows they
-	// carried; the engine harvests them into telemetry at window close.
+	// carried; the engine hands them over in Metrics at window close.
 	flushes   uint64
 	flushRows uint64
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/flightrec"
 	"repro/internal/netproto"
 	"repro/internal/runtime"
 	"repro/internal/stream"
@@ -136,8 +135,8 @@ type serverMetrics struct {
 }
 
 // Server fans window results out to subscribers. It implements
-// runtime.ResultSink (Publish) and runtime.FlightRecAttacher, so one
-// SetResultSink call wires both delivery and per-instance attribution.
+// runtime.ResultSink: Publish also reports the bytes it queued per instance,
+// which the runtime writes into the window's per-instance records.
 //
 // The zero Server is not usable; call NewServer.
 type Server struct {
@@ -154,10 +153,11 @@ type Server struct {
 	last   map[stream.QueryKey]*frame
 	finest map[uint16]uint8
 
-	pool   sync.Pool // *frame
-	lookup func(qid uint16, level uint8) *flightrec.Probe
-	m      serverMetrics
-	depth  int // frames currently queued across all subscribers
+	pool  sync.Pool // *frame
+	m     serverMetrics
+	depth int // frames currently queued across all subscribers
+	// delivered is Publish's return value, reused window after window.
+	delivered []uint64
 	// tring is the span lane Publish records its fan-out span into. Publish
 	// runs on the runtime's close path, so writes are single-threaded with
 	// the runtime's other lane-0 spans (nil when tracing is off).
@@ -165,7 +165,7 @@ type Server struct {
 }
 
 // NewServer returns an empty subscription server; wire it with
-// rt.SetResultSink(s) and (optionally) Instrument / AttachFlightRec.
+// rt.SetResultSink(s) and (optionally) Instrument.
 func NewServer() *Server {
 	s := &Server{
 		subs:   make(map[uint64]*subscriber),
@@ -209,15 +209,6 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// AttachFlightRec wires per-(query, level) delivery-byte attribution; the
-// runtime forwards its probe lookup here when both a flight recorder and
-// this sink are attached. A nil lookup detaches.
-func (s *Server) AttachFlightRec(lookup func(qid uint16, level uint8) *flightrec.Probe) {
-	s.mu.Lock()
-	s.lookup = lookup
-	s.mu.Unlock()
-}
-
 // AttachTracez wires the span lane Publish records its subscribe_fanout
 // span into; the runtime forwards its orchestration lane here. A nil ring
 // detaches.
@@ -230,14 +221,15 @@ func (s *Server) AttachTracez(r *tracez.Ring) {
 // Publish fans one closed window out to every subscriber. It is called on
 // the runtime's window-close path and never blocks: each matching update is
 // encoded once into a pooled, refcounted frame and enqueued without copying;
-// a full queue triggers the subscriber's eviction policy inline. Delivery
-// bytes are attributed to the window's flight-recorder record at enqueue
-// time, which is why the runtime publishes before sealing the window.
-func (s *Server) Publish(rep *runtime.WindowReport) {
+// a full queue triggers the subscriber's eviction policy inline. It returns
+// the bytes queued for each of rep.AllResults — one per installed instance,
+// in the order of rep.Instances — frame headers included, or nil when it
+// encoded nothing; the slice is reused by the next Publish.
+func (s *Server) Publish(rep *runtime.WindowReport) []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return
+		return nil
 	}
 	sp := s.tring.Start(tracez.NameSubscribeFanout)
 	sp.Attr(tracez.AttrSubscribers, uint64(len(s.subs)))
@@ -255,9 +247,10 @@ func (s *Server) Publish(rep *runtime.WindowReport) {
 	if len(s.subs) == 0 && len(s.last) == 0 {
 		// Nobody listening and nothing retained: skip encoding entirely so
 		// an unsubscribed deployment pays nothing per window.
-		return
+		return nil
 	}
 	now := time.Now()
+	s.delivered = append(s.delivered[:0], make([]uint64, len(rep.AllResults))...)
 	for i := range rep.AllResults {
 		res := &rep.AllResults[i]
 		key := stream.QueryKey{QID: res.QID, Level: res.Level}
@@ -290,18 +283,13 @@ func (s *Server) Publish(rep *runtime.WindowReport) {
 				enqueued++
 			}
 		}
-		if enqueued > 0 {
-			n := uint64(enqueued * (len(f.buf) + frameOverhead))
-			fanBytes += n
-			if s.lookup != nil {
-				if p := s.lookup(key.QID, key.Level); p != nil {
-					p.Delivered(n)
-				}
-			}
-		}
+		n := uint64(enqueued * (len(f.buf) + frameOverhead))
+		fanBytes += n
+		s.delivered[i] = n
 		s.releaseLocked(f)
 	}
 	s.m.queueDepth.Set(int64(s.depth))
+	return s.delivered
 }
 
 // enqueueLocked hands one frame to a subscriber without blocking, applying
