@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-kernels check-metrics check-subscribe check-trace check-eval check-examples
+.PHONY: check fmt vet build test race bench bench-alloc bench-smoke bench-ab check-kernels check-metrics check-subscribe check-trace check-eval check-examples check-fuzz
 
-check: fmt vet build test race check-kernels check-metrics check-subscribe check-trace check-eval check-examples bench-alloc
+check: fmt vet build test race check-kernels check-metrics check-subscribe check-trace check-eval check-examples check-fuzz bench-alloc
 	-@$(MAKE) --no-print-directory bench-smoke
 
 fmt:
@@ -21,9 +21,10 @@ test:
 	$(GO) test ./...
 
 # The flight recorder is here too: Snapshot serves HTTP readers while the
-# close path commits.
+# close path commits. So are the drivers: the data-plane server's view batch
+# is shared between Process and the serving goroutine.
 race:
-	$(GO) test -race ./internal/telemetry ./internal/runtime ./internal/stream ./internal/pisa ./internal/query ./internal/emitter ./internal/flightrec
+	$(GO) test -race ./internal/telemetry ./internal/runtime ./internal/stream ./internal/pisa ./internal/query ./internal/emitter ./internal/flightrec ./internal/drivers
 
 # The benchmark: the harness (bench/README.md), four workloads, ~3.5 min,
 # record in bench/out/record.json. The paper-figure benchmarks are
@@ -38,12 +39,14 @@ bench:
 # map; then each
 # of their two callers against its reference — the stream executor against
 # the per-tuple interpreter over generated op chains and adversarial window
-# sizes, every batched switch walk against frame-at-a-time Process; then the
-# boundary between the two, batch hand-off against the wire codec's round
-# trip; once, the sharded runtime against the scalar oracle (inline and at
-# 2/8 workers) and the runtime's vantage-point switches against the
-# standalone network-wide fabric loop they replaced (2 and 4 vantage points
-# at 1 and 2 workers); planner training, which runs the kernels over one batch of
+# sizes, every batched switch walk against the frame-at-a-time walk the pisa
+# tests keep; then the boundary between the two, batch hand-off against the
+# wire codec's round trip the emitter tests keep — both again over the
+# small-scale eleven-query plan, the wire side's engine on the per-tuple
+# interpreter; once, the sharded runtime at 2/8 workers against one shard
+# and the runtime's vantage-point switches against the standalone
+# network-wide fabric loop they replaced (2 and 4 vantage points at 1 and 2
+# workers); planner training, which runs the kernels over one batch of
 # extracted columns per window, against the reference trainer that profiles
 # every level and edge separately over bare packets; and plan selection,
 # which prices each refinement edge once and builds only the cheapest 48
@@ -100,15 +103,24 @@ check-eval:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSmallScaleFiguresGolden' ./internal/eval
 
 # Example gate: every walkthrough under examples/ and a small cmd/sonata
-# replay run to a zero exit, and examples/adaptive must report at least one
-# collision-triggered re-plan (Runtime.Replan) — ~6 s.
+# replay run to a zero exit, examples/adaptive must report at least one
+# collision-triggered re-plan (Runtime.Replan), and examples/distributed must
+# print examples/distributed/testdata/output.txt byte for byte — ~6 s.
 check-examples:
 	@for ex in examples/*/; do \
 		echo "go run ./$$ex"; out="$$($(GO) run ./$$ex)" || exit 1; \
 		case $$ex in *adaptive*) echo "$$out" | grep -Eq '^re-plans: [1-9]' || \
 			{ echo "$$out"; echo "examples/adaptive reported no re-plan"; exit 1; };; esac; \
+		case $$ex in *distributed*) printf '%s\n' "$$out" | diff -u $${ex}testdata/output.txt - || \
+			{ echo "examples/distributed diverged from its golden output"; exit 1; };; esac; \
 	done
 	$(GO) run ./cmd/sonata -pkts 20000 -windows 4 -workers 2 > /dev/null
+
+# Fuzz smoke: ten seconds of arbitrary MsgInstall bodies against the
+# data-plane server (FuzzDataPlaneInstall, seeded from
+# internal/drivers/testdata/fuzz); any panic fails the gate.
+check-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDataPlaneInstall -fuzztime 10s ./internal/drivers
 
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
 # against alloc_budget.json (zero for every path but the runtime's whole
@@ -121,7 +133,7 @@ check-examples:
 # does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcess$$|BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
+		-bench 'BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

@@ -56,15 +56,6 @@ func TestAllocBudget(t *testing.T) {
 		checkRuns(name, 200, fn)
 	}
 
-	// Data plane: one packet through a compiled query instance whose key is
-	// already stored (same frame every iteration).
-	sw := allocBudgetSwitch(t)
-	frame := packet.BuildFrame(nil, &packet.FrameSpec{
-		SrcIP: 1, DstIP: 2, Proto: 6, DstPort: 80,
-		TCPFlags: fields.FlagSYN, Pad: 256})
-	sw.Process(frame) // warm: first touch appends to the bank's arena
-	check("SwitchProcess", func() { sw.Process(frame) })
-
 	// Data plane as deployed: a 256-view batch through the batched walk with
 	// a populated dynamic filter and warm banks. Selections, columns, key
 	// scratch and the emit pass's rows are all reused, and the per-instance
@@ -92,7 +83,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 	check("MirrorBatchIngest", func() { msw.ProcessViews(mviews) })
 
-	// Monitoring port, reference path: encode + decode of a mirror record
+	// Monitoring port, wire codec: encode + decode of a mirror record
 	// through reused buffers.
 	m := pisa.Mirror{QID: 1, Level: 32, EntryOp: 2,
 		Vals: []tuple.Value{tuple.U64(0xC0A80101), tuple.U64(1)}}
@@ -263,20 +254,6 @@ func allocBudgetQuery() *query.Query {
 		MustBuild()
 	q.ID = 1
 	return q
-}
-
-func allocBudgetSwitch(t testing.TB) *pisa.Switch {
-	q := allocBudgetQuery()
-	pipe := compile.CompilePipeline(q.Left.Ops)
-	spec := &pisa.InstanceSpec{QID: 1, Ops: q.Left.Ops, Tables: pipe.Tables,
-		CutAt: len(pipe.Tables), StageOf: []int{0, 1, 2, 3},
-		RegEntries: []int{0, 0, 0, 1 << 14}}
-	sw, err := pisa.NewSwitch(pisa.DefaultConfig(),
-		&pisa.Program{Instances: []*pisa.InstanceSpec{spec}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sw
 }
 
 // allocBudgetDeployedSwitch builds the deployed shape of the data plane — a

@@ -19,7 +19,6 @@
 //
 // Micro-benchmarks of the hot paths alloc_budget.json pins (`make bench-alloc`):
 //
-//	BenchmarkSwitchProcess              — data-plane packets/second
 //	BenchmarkSwitchProcessViewsDeployed — the batched data plane as deployed, per 256-view batch
 //	BenchmarkEngineIngest               — stream-processor tuples/second
 //	BenchmarkMirrorBatchIngest          — the switch→SP batch hand-off, per 256-view batch
@@ -42,7 +41,6 @@ import (
 	"repro/internal/emitter"
 	"repro/internal/eval"
 	"repro/internal/fields"
-	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/queries"
@@ -302,33 +300,6 @@ func BenchmarkAblationPlannerILP(b *testing.B) {
 	})
 }
 
-func BenchmarkSwitchProcess(b *testing.B) {
-	q := query.NewBuilder("q1", 3*time.Second).
-		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
-		Map(query.F(fields.DstIP), query.ConstCol(1)).
-		Reduce(query.AggSum, fields.DstIP).
-		Filter(query.Gt(fields.AggVal, 40)).
-		MustBuild()
-	q.ID = 1
-	pipe := compile.CompilePipeline(q.Left.Ops)
-	spec := &pisa.InstanceSpec{QID: 1, Ops: q.Left.Ops, Tables: pipe.Tables,
-		CutAt: len(pipe.Tables), StageOf: []int{0, 1, 2, 3},
-		RegEntries: []int{0, 0, 0, 1 << 14}}
-	sw, err := pisa.NewSwitch(pisa.DefaultConfig(), &pisa.Program{Instances: []*pisa.InstanceSpec{spec}}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame := packet.BuildFrame(nil, &packet.FrameSpec{
-		SrcIP: 1, DstIP: 2, Proto: 6, DstPort: 80,
-		TCPFlags: fields.FlagSYN, Pad: 256})
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.Process(frame)
-	}
-}
-
 // BenchmarkSwitchProcessViewsDeployed is the data plane as deployed: one
 // 256-view batch per iteration through the batched walk, a populated dynamic
 // filter, warm banks (the shape TestAllocBudget pins at zero allocations).
@@ -467,8 +438,8 @@ func BenchmarkPlanQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitterRoundTrip is the wire codec — the reference path across
-// the monitoring port — on one tuple record.
+// BenchmarkEmitterRoundTrip is the wire codec — what a record crossing a
+// real monitoring port costs — on one tuple record.
 func BenchmarkEmitterRoundTrip(b *testing.B) {
 	m := pisa.Mirror{QID: 1, Level: 32, EntryOp: 2,
 		Vals: []tuple.Value{tuple.U64(0xC0A80101), tuple.U64(1)}}

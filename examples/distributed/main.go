@@ -32,8 +32,9 @@ func main() {
 	engine := stream.NewEngine(nil)
 	em := emitter.New(engine)
 
-	// The switch host: a data-plane driver server wrapping the simulator.
-	srv := drivers.NewDataPlaneServer(pisa.DefaultConfig(), em.HandleMirror)
+	// The switch host: a data-plane driver server wrapping the simulator,
+	// its monitoring port feeding the emitter a mirror batch at a time.
+	srv := drivers.NewDataPlaneServer(pisa.DefaultConfig(), em)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -4,8 +4,12 @@
 // dynamic filter tables and collects each window's register dumps, the two
 // connected by any net.Conn (examples/distributed drives one). The packet
 // fast path never crosses the control channel, as in the paper's
-// architecture. The stream processor needs no driver: the runtime installs
-// a plan's stream-side pipelines into its own engines.
+// architecture: the server walks frames through the installed program a view
+// batch at a time — the walk the runtime's shards run — and hands each
+// instance's mirror batches to a pisa.MirrorSink. An installed program is
+// untrusted input: it must pass pisa.Program.CheckLowering and Validate, and
+// the peer gets MsgError otherwise. The stream processor needs no driver: the
+// runtime installs a plan's stream-side pipelines into its own engines.
 package drivers
 
 import (
@@ -13,39 +17,68 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/netproto"
+	"repro/internal/packet"
 	"repro/internal/pisa"
+	"repro/internal/runtime"
 	"repro/internal/telemetry"
 )
 
 // DataPlaneServer owns a switch and serves control operations for it.
 type DataPlaneServer struct {
-	cfg pisa.Config
+	cfg  pisa.Config
+	sink pisa.MirrorSink
 
+	// mu guards the switch and the view batch filling toward it, which
+	// Process and the serving goroutine share.
 	mu     sync.Mutex
 	sw     *pisa.Switch
-	mirror func(pisa.Mirror)
+	parser *packet.Parser
+	views  []pisa.View
+	n      int    // views of the batch filled
+	pkts   uint64 // frames processed this window
 }
 
 // NewDataPlaneServer prepares a server for a switch with the given
-// constraints. The mirror callback receives the monitoring-port records of
-// whatever program is installed.
-func NewDataPlaneServer(cfg pisa.Config, mirror func(pisa.Mirror)) *DataPlaneServer {
-	return &DataPlaneServer{cfg: cfg, mirror: mirror}
+// constraints. The sink receives the monitoring-port batches of whatever
+// program is installed, with the server's lock held (it must not call back
+// into the server); nil discards them.
+func NewDataPlaneServer(cfg pisa.Config, sink pisa.MirrorSink) *DataPlaneServer {
+	// The switch parser extracts headers only; deep (DNS/payload) parsing
+	// happens at the emitter and stream processor, as in the paper.
+	return &DataPlaneServer{cfg: cfg, sink: sink, parser: packet.NewParser(packet.ParserOptions{}),
+		views: make([]pisa.View, runtime.DefaultBatchSize)}
 }
 
-// Process feeds one frame to the installed program (local fast path). It
-// returns 0 until a program is installed.
-func (s *DataPlaneServer) Process(frame []byte) int {
+// Process feeds one frame to the installed program (local fast path): the
+// frame is parsed into the filling view batch, and a full batch walks the
+// switch. Frames are dropped until a program is installed. A view aliases its
+// frame until the window closes, so the caller must not modify the frame
+// before then.
+func (s *DataPlaneServer) Process(frame []byte) {
 	s.mu.Lock()
-	sw := s.sw
-	s.mu.Unlock()
-	if sw == nil {
-		return 0
+	defer s.mu.Unlock()
+	if s.sw == nil {
+		return
 	}
-	return sw.Process(frame)
+	s.views[s.n].Prepare(s.parser, frame)
+	s.n++
+	s.pkts++
+	if s.n == len(s.views) {
+		s.flush()
+	}
+}
+
+// flush walks the filled part of the view batch through the switch. The
+// caller holds s.mu.
+func (s *DataPlaneServer) flush() {
+	if s.n > 0 {
+		s.sw.ProcessViews(s.views[:s.n])
+		s.n = 0
+	}
 }
 
 // Serve handles one control connection until it closes or fails. Protocol
@@ -84,12 +117,16 @@ func (s *DataPlaneServer) handle(c *netproto.Conn, t netproto.MsgType, body []by
 		if err := netproto.Decode(body, &prog); err != nil {
 			return c.SendError(fmt.Errorf("decoding program: %w", err))
 		}
-		sw, err := pisa.NewSwitch(s.cfg, &prog, s.mirror)
+		if err := prog.CheckLowering(); err != nil {
+			return c.SendError(err)
+		}
+		sw, err := pisa.NewSwitchShared(s.cfg, &prog, s.sink, nil)
 		if err != nil {
 			return c.SendError(err)
 		}
+		// The frames of the replaced program's open window go with it.
 		s.mu.Lock()
-		s.sw = sw
+		s.sw, s.n, s.pkts = sw, 0, 0
 		s.mu.Unlock()
 		return c.Send(netproto.MsgInstallOK, nil)
 
@@ -99,12 +136,14 @@ func (s *DataPlaneServer) handle(c *netproto.Conn, t netproto.MsgType, body []by
 			return c.SendError(fmt.Errorf("decoding update: %w", err))
 		}
 		s.mu.Lock()
-		sw := s.sw
-		s.mu.Unlock()
-		if sw == nil {
+		if s.sw == nil {
+			s.mu.Unlock()
 			return c.SendError(fmt.Errorf("no program installed"))
 		}
-		n, err := sw.UpdateDynTable(upd.QID, upd.Level, upd.Side, upd.OpIdx, upd.Keys)
+		// Frames that arrived before the update walk under the old rules.
+		s.flush()
+		n, err := s.sw.UpdateDynTable(upd.QID, upd.Level, upd.Side, upd.OpIdx, upd.Keys)
+		s.mu.Unlock()
 		if err != nil {
 			return c.SendError(err)
 		}
@@ -112,12 +151,20 @@ func (s *DataPlaneServer) handle(c *netproto.Conn, t netproto.MsgType, body []by
 
 	case netproto.MsgEndWindow:
 		s.mu.Lock()
-		sw := s.sw
-		s.mu.Unlock()
-		if sw == nil {
+		if s.sw == nil {
+			s.mu.Unlock()
 			return c.SendError(fmt.Errorf("no program installed"))
 		}
-		dumps, stats := sw.EndWindow()
+		s.flush()
+		dumps, stats := s.sw.EndWindow()
+		stats.PacketsIn, s.pkts = s.pkts, 0
+		// The dumps' keys alias the registers, which the next window's
+		// frames overwrite: copy them before letting Process in again.
+		dumps = slices.Clone(dumps)
+		for i := range dumps {
+			dumps[i].KeyVals = slices.Clone(dumps[i].KeyVals)
+		}
+		s.mu.Unlock()
 		return c.Send(netproto.MsgWindowData, &netproto.WindowData{Dumps: dumps, Stats: stats})
 
 	default:

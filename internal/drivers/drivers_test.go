@@ -1,7 +1,9 @@
 package drivers
 
 import (
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,11 +35,13 @@ func testProgram(q *query.Query) *pisa.Program {
 	return &pisa.Program{Instances: []*pisa.InstanceSpec{spec}}
 }
 
+// countingSink counts the records of the mirror batches it is handed.
+type countingSink struct{ records int }
+
+func (s *countingSink) HandleMirrorBatch(b *pisa.MirrorBatch) { s.records += b.Len() }
+
 func TestDataPlaneDriverEndToEnd(t *testing.T) {
-	var mirrors []pisa.Mirror
-	srv := NewDataPlaneServer(pisa.DefaultConfig(), func(m pisa.Mirror) {
-		mirrors = append(mirrors, m)
-	})
+	srv := NewDataPlaneServer(pisa.DefaultConfig(), nil)
 
 	client, server := net.Pipe()
 	done := make(chan error, 1)
@@ -86,7 +90,6 @@ func TestDataPlaneDriverEndToEnd(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Errorf("server exited with %v", err)
 	}
-	_ = mirrors
 }
 
 func TestDataPlaneRejectsBadVersion(t *testing.T) {
@@ -111,8 +114,7 @@ func TestGobRoundTripPreservesOpInternals(t *testing.T) {
 	q := testQuery()
 	prog := testProgram(q)
 
-	var mirrors int
-	srv := NewDataPlaneServer(pisa.DefaultConfig(), func(pisa.Mirror) { mirrors++ })
+	srv := NewDataPlaneServer(pisa.DefaultConfig(), nil)
 	client, server := net.Pipe()
 	go srv.Serve(server)
 	defer client.Close()
@@ -136,4 +138,148 @@ func TestGobRoundTripPreservesOpInternals(t *testing.T) {
 		t.Errorf("stats=%+v dumps=%d", stats, len(dumps))
 	}
 	_ = tuple.Value{}
+}
+
+// malformedPrograms are testProgram with its switch tables referencing what
+// the instance does not carry; installed unchecked, each panics the serving
+// goroutine in pisa.NewSwitch. (A nil instance cannot cross the wire: gob
+// does not encode nil slice elements; pisa's validation test covers it.)
+func malformedPrograms() map[string]*pisa.Program {
+	mutate := func(f func(spec *pisa.InstanceSpec)) *pisa.Program {
+		prog := testProgram(testQuery())
+		f(prog.Instances[0])
+		return prog
+	}
+	return map[string]*pisa.Program{
+		"no register sizes": mutate(func(s *pisa.InstanceSpec) { s.RegEntries = nil }),
+		"op index":          mutate(func(s *pisa.InstanceSpec) { s.Tables[1].OpIdx = 99 }),
+		"merged filter op":  mutate(func(s *pisa.InstanceSpec) { s.Tables[3].MergedFilterOp = 99 }),
+		"no ops":            mutate(func(s *pisa.InstanceSpec) { s.Ops = nil }),
+	}
+}
+
+// TestDataPlaneRejectsMalformedInstall: Serve answers each malformed program
+// with MsgError, keeps serving, and then installs a valid one that walks
+// frames and dumps at the window's end.
+func TestDataPlaneRejectsMalformedInstall(t *testing.T) {
+	sink := &countingSink{}
+	srv := NewDataPlaneServer(pisa.DefaultConfig(), sink)
+	client, server := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(server) }()
+	dp, err := DialDataPlane(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prog := range malformedPrograms() {
+		if err := dp.Install(prog); err == nil || !strings.Contains(err.Error(), "remote error") {
+			t.Errorf("%s: Install = %v, want the server's MsgError", name, err)
+		}
+	}
+	if err := dp.Install(testProgram(testQuery())); err != nil {
+		t.Fatalf("valid install after the malformed ones: %v", err)
+	}
+	victim := packet.IPv4Addr(9, 9, 9, 9)
+	for i := 0; i < 300; i++ { // more than one view batch
+		srv.Process(packet.BuildFrame(nil, &packet.FrameSpec{
+			SrcIP: uint32(i + 1), DstIP: victim, Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60}))
+	}
+	dumps, stats, err := dp.EndWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PacketsIn != 300 || len(dumps) != 1 || dumps[0].Val != 300 || sink.records != 0 {
+		t.Errorf("stats=%+v dumps=%+v mirrored=%d", stats, dumps, sink.records)
+	}
+	client.Close()
+	if err := <-done; err != nil {
+		t.Errorf("server exited with %v", err)
+	}
+}
+
+// TestDataPlaneProcessDuringControl feeds frames from one goroutine while
+// the control channel closes windows and rewrites the program's tables from
+// another, the way a switch host's fast path and its runtime interleave: no
+// frame is lost or counted twice, and (under -race) the view batch, the
+// switch and the dumps are never touched by both at once.
+func TestDataPlaneProcessDuringControl(t *testing.T) {
+	srv := NewDataPlaneServer(pisa.DefaultConfig(), &countingSink{})
+	client, server := net.Pipe()
+	go srv.Serve(server)
+	defer client.Close()
+	dp, err := DialDataPlane(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dp.Install(testProgram(testQuery())); err != nil {
+		t.Fatal(err)
+	}
+	const frames = 2000
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		for i := 0; i < frames; i++ {
+			srv.Process(packet.BuildFrame(nil, &packet.FrameSpec{
+				SrcIP: uint32(i + 1), DstIP: uint32(i % 7), Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60}))
+		}
+	}()
+	var seen uint64
+	for done := false; !done; {
+		select {
+		case <-fed:
+			done = true
+		default:
+		}
+		if _, err := dp.UpdateDynTable(1, 0, pisa.SideLeft, 0, []string{"k"}); err == nil {
+			t.Fatal("update on missing dyn table succeeded")
+		}
+		dumps, stats, err := dp.EndWindow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dumps {
+			if d.KeyVals[0].U >= 7 {
+				t.Fatalf("dump key %d was never sent", d.KeyVals[0].U)
+			}
+		}
+		seen += stats.PacketsIn
+	}
+	if seen != frames {
+		t.Errorf("windows counted %d frames, %d were processed", seen, frames)
+	}
+}
+
+// discardConn is a control connection whose replies go nowhere.
+type discardConn struct{}
+
+func (discardConn) Read([]byte) (int, error)    { return 0, io.EOF }
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// FuzzDataPlaneInstall feeds arbitrary bytes to the server as a MsgInstall
+// body; when the install succeeds, a few frames walk the program and the
+// window ends. Whatever the bytes, the server must not panic. The seed
+// corpus (testdata/fuzz) holds testProgram and malformedPrograms.
+func FuzzDataPlaneInstall(f *testing.F) {
+	frames := [][]byte{
+		packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: 1, DstIP: 9, Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60}),
+		packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: 2, DstIP: 9, Proto: 6, TCPFlags: fields.FlagACK, Payload: []byte("zorro"), Pad: 60}),
+		packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: 3, DstIP: 10, Proto: 17, DstPort: 53, Pad: 60}),
+		packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: 4, DstIP: 9, Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60})[:20],
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		srv := NewDataPlaneServer(pisa.DefaultConfig(), &countingSink{})
+		c := netproto.NewConn(discardConn{})
+		if err := srv.handle(c, netproto.MsgInstall, body); err != nil {
+			t.Fatal(err)
+		}
+		if srv.sw == nil {
+			return // rejected
+		}
+		for _, fr := range frames {
+			srv.Process(fr)
+		}
+		if err := srv.handle(c, netproto.MsgEndWindow, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

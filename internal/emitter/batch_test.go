@@ -140,11 +140,13 @@ func newBoundarySide(t *testing.T, p *boundaryPlan, wire bool) *boundarySide {
 			t.Fatal(err)
 		}
 	}
-	s.em = New(s.engine)
 	var err error
 	if wire {
-		s.sw, err = pisa.NewSwitch(pisa.DefaultConfig(), p.prog, s.em.HandleMirror)
+		w := NewWireEmitter(s.engine)
+		s.em = w.Emitter
+		s.sw, err = pisa.NewSwitch(pisa.DefaultConfig(), p.prog, w.HandleMirror)
 	} else {
+		s.em = New(s.engine)
 		s.sw, err = pisa.NewSwitchShared(pisa.DefaultConfig(), p.prog, s.em, nil)
 	}
 	if err != nil {
@@ -385,7 +387,7 @@ func TestEmitterSurvivesUnroutableBatches(t *testing.T) {
 		if wire {
 			sw, err = pisa.NewSwitch(pisa.DefaultConfig(), prog, em.HandleMirror)
 		} else {
-			sw, err = pisa.NewSwitchShared(pisa.DefaultConfig(), prog, em, nil)
+			sw, err = pisa.NewSwitchShared(pisa.DefaultConfig(), prog, em.Emitter, nil)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -117,8 +117,9 @@ func TestDNSDecodeFollowsInstalledQueries(t *testing.T) {
 	if err := packet.NewParser(packet.ParserOptions{}).Parse(dnsFrame, &swPkt); err != nil {
 		t.Fatal(err)
 	}
-	em.Deliver(&pisa.Mirror{QID: tunnel.ID, Packet: dnsFrame, Parsed: &swPkt})
-	if !em.pkt.Pkts[0].Has(packet.LayerDNS) {
+	wire := wireOf(em)
+	wire.Deliver(&pisa.Mirror{QID: tunnel.ID, Packet: dnsFrame, Parsed: &swPkt})
+	if !wire.pkt.Pkts[0].Has(packet.LayerDNS) {
 		t.Fatal("a DNS reader is installed, yet the adopted packet has no DNS layer")
 	}
 	engine.EndWindow()

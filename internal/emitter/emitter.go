@@ -7,21 +7,18 @@
 // traffic it absorbed during the window.
 //
 // The monitoring port has a wire format — a compact telemetry framing of a
-// qid-tagged header, the metadata tuple, and optionally the original frame —
-// and two ways across it. HandleMirror is the reference path and the one
-// for real wires: each record is encoded to bytes and parsed back, the
-// round trip the paper's Scapy-based emitter performs; the switch's
-// frame-at-a-time walk (and with it runtime.Options.Scalar and
-// drivers.DataPlaneServer) delivers through it. HandleMirrorBatch is
-// the in-process path the deployed runtime takes: the batched walk hands
-// over one pisa.MirrorBatch per (instance, view batch), nothing is
+// qid-tagged header, the metadata tuple, and optionally the original frame
+// (EncodeMirror, MirrorDecoder) — and one way across it in this process:
+// HandleMirrorBatch, the emitter as the switch's pisa.MirrorSink. The walk
+// hands over one pisa.MirrorBatch per (instance, view batch), nothing is
 // serialized, each mirrored view is adopted once per batch whatever the
 // number of instances mirroring it (and DNS-decoded only while an installed
-// query reads a DNS field), and the monitoring-port
-// bytes are counted from the wire format's layout instead of from a buffer.
-// Both paths deliver the same records in the same order and count the same
-// frames, bytes and malformed records; TestMirrorBatchMatchesWire holds
-// them to that.
+// query reads a DNS field), and the monitoring-port bytes are counted from
+// the wire format's layout instead of from a buffer. The per-record round
+// trip through the codec — what the paper's Scapy-based emitter performs —
+// is kept in the tests as the oracle: TestMirrorBatchMatchesWire holds the
+// hand-off to delivering the same records in the same order and counting
+// the same frames, bytes and malformed records.
 package emitter
 
 import (
@@ -31,7 +28,6 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/pisa"
-	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/tuple"
 )
@@ -98,8 +94,7 @@ func EncodeMirror(dst []byte, m *pisa.Mirror) []byte {
 
 // DecodeMirror parses a telemetry frame back into a mirror record. The
 // returned record's Packet aliases data. The decoded value slice is freshly
-// allocated; the hot path (HandleMirror) uses MirrorDecoder instead, which
-// reuses one.
+// allocated; MirrorDecoder reuses one.
 func DecodeMirror(data []byte) (pisa.Mirror, error) {
 	var d MirrorDecoder
 	var m pisa.Mirror
@@ -219,14 +214,7 @@ type Emitter struct {
 	// field (see packetParser).
 	parser *packet.Parser
 	dns    bool
-	// Wire-path scratch: the engine copies anything it retains, so one
-	// encode buffer (the frame copy crossing the monitoring port), one
-	// record, one value buffer and one packet serve every frame.
-	buf     []byte
-	dec     MirrorDecoder
-	decoded pisa.Mirror
-	pkt     query.PacketBatch // one packet, no field columns
-	// Batch-path scratch, per view of the current view batch and shared by
+	// Per-batch scratch, per view of the current view batch and shared by
 	// every instance of the shard: pkts[i] is view i adopted and
 	// deep-decoded, valid where ready is set; bad marks the views that did
 	// not parse; flen caches frame lengths for the byte count. sel is the
@@ -248,20 +236,15 @@ type Stats struct {
 	// installed instance takes.
 	Frames    uint64
 	Malformed uint64
-	// Batches counts mirror batches handed over in process, DeepDecodes the
-	// mirrored packets whose DNS layer was decoded: once per view per batch
-	// in process, once per record on the wire path.
+	// Batches counts mirror batches handed over, DeepDecodes the mirrored
+	// packets whose DNS layer was decoded: once per view per batch.
 	Batches     uint64
 	DeepDecodes uint64
 }
 
-// oneSel selects the wire path's single packet.
-var oneSel = []uint64{1}
-
 // New returns an emitter delivering into engine.
 func New(engine *stream.Engine) *Emitter {
-	return &Emitter{engine: engine, pkt: query.PacketBatch{Pkts: []*packet.Packet{new(packet.Packet)}},
-		parser: packet.NewParser(packet.ParserOptions{})}
+	return &Emitter{engine: engine, parser: packet.NewParser(packet.ParserOptions{})}
 }
 
 // packetParser returns the parser for mirrored packets. Stream-processor
@@ -288,75 +271,14 @@ func (e *Emitter) malformed(n uint64) {
 	e.stats.Malformed += n
 }
 
-// HandleMirror is the wire path: it performs the encode/parse round trip a
-// monitoring port implies and forwards the tuple (or packet) to the engine.
-// The bytes are booked to the instance the record names.
-func (e *Emitter) HandleMirror(m pisa.Mirror) {
-	buf := EncodeMirror(e.buf[:0], &m)
-	e.buf = buf
-	e.stats.Frames++
-	e.engine.Instance(m.QID, m.Level).AddWireBytes(uint64(len(buf)))
-	if err := e.dec.Decode(buf, &e.decoded); err == nil {
-		// The parsed view rides beside the wire format, not in it: the
-		// monitoring port carries bytes, but within one process the decoded
-		// record can reuse the switch's parse instead of re-decoding.
-		e.decoded.Parsed = m.Parsed
-		e.Deliver(&e.decoded)
-	} else {
-		e.malformed(1)
-	}
-}
-
-// Deliver routes a decoded mirror record into the engine. A record no
-// installed instance takes — unknown (qid, level), the right side of a query
-// without a join, a shunt naming an op that is not stateful, a tuple of the
-// wrong width, a bare packet where the partition point takes tuples — counts
-// as malformed, like one that does not parse.
-func (e *Emitter) Deliver(m *pisa.Mirror) {
-	inst := e.engine.Instance(m.QID, m.Level)
-	side := streamSide(m.Side)
-	if !inst.HasSide(side) {
-		e.malformed(1)
-		return
-	}
-	switch {
-	case m.Overflow:
-		// The switch could not store this key: the stream processor
-		// executes the stateful operator itself on the shunted input tuple.
-		if !inst.IngestTupleAt(side, m.MergeOp, m.Vals) {
-			e.malformed(1)
-		}
-	case m.Vals != nil:
-		if !inst.IngestTuple(side, m.Vals) {
-			e.malformed(1)
-		}
-	case m.Packet != nil:
-		if !inst.TakesPackets(side) {
-			e.malformed(1)
-			return
-		}
-		pkt := e.pkt.Pkts[0]
-		if m.Parsed != nil {
-			// The switch's header parse survived the round trip (same
-			// process); adopt it and apply only the deep DNS decode the
-			// switch-side parser skips.
-			e.packetParser().Adopt(m.Parsed, pkt)
-		} else if err := e.packetParser().Parse(m.Packet, pkt); err != nil {
-			e.malformed(1)
-			return
-		}
-		if pkt.Has(packet.LayerDNS) {
-			e.stats.DeepDecodes++
-		}
-		inst.IngestPackets(side, &e.pkt, oneSel)
-	}
-}
-
-// HandleMirrorBatch is the in-process path: everything one instance reports
-// for one view batch, delivered in ascending frame order — the order
-// HandleMirror would have seen the same records in — with the instance
-// resolved once and frames and bytes added once. The byte count is what
-// EncodeMirror would have produced for each record.
+// HandleMirrorBatch delivers everything one instance reports for one view
+// batch, in ascending frame order — the order the records would cross a wire
+// in — with the instance resolved once and frames and bytes added once. The
+// byte count is what EncodeMirror would have produced for each record. A
+// batch no installed instance takes — unknown (qid, level), the right side
+// of a query without a join, bare packets where the partition point takes
+// tuples — counts every record malformed, as does a shunt naming an op that
+// is not stateful or a tuple of the wrong width.
 func (e *Emitter) HandleMirrorBatch(b *pisa.MirrorBatch) {
 	if b.NewViews {
 		e.beginViews(len(b.Views))

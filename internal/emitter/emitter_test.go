@@ -131,7 +131,7 @@ func TestDecodeMirrorRejectsMalformed(t *testing.T) {
 	}
 }
 
-func engineWithQ1(t *testing.T) (*stream.Engine, *Emitter) {
+func engineWithQ1(t *testing.T) (*stream.Engine, *WireEmitter) {
 	t.Helper()
 	q := query.NewBuilder("q1", time.Second).
 		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
@@ -144,7 +144,7 @@ func engineWithQ1(t *testing.T) (*stream.Engine, *Emitter) {
 	if err := e.Install(q, 0, stream.Partition{LeftStart: 2}); err != nil {
 		t.Fatal(err)
 	}
-	return e, New(e)
+	return e, NewWireEmitter(e)
 }
 
 func TestHandleMirrorDeliversTuples(t *testing.T) {
@@ -176,7 +176,7 @@ func TestHandleMirrorPacketPath(t *testing.T) {
 	if err := engine.Install(q, 0, stream.Partition{}); err != nil {
 		t.Fatal(err)
 	}
-	em := New(engine)
+	em := NewWireEmitter(engine)
 	frame := packet.BuildFrame(nil, &packet.FrameSpec{
 		SrcIP: 1, DstIP: 99, Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60})
 	em.HandleMirror(pisa.Mirror{QID: 1, EntryOp: 0, Packet: frame})
@@ -204,7 +204,7 @@ func TestHandleMirrorAdoptsParsedView(t *testing.T) {
 	if err := engine.Install(q, 0, stream.Partition{}); err != nil {
 		t.Fatal(err)
 	}
-	em := New(engine)
+	em := NewWireEmitter(engine)
 
 	frame := packet.BuildDNSQuery(nil, &packet.FrameSpec{
 		SrcIP: 1, DstIP: 99, SrcPort: 40000}, 7, "x1.exfil.bad", packet.DNSTypeTXT)
@@ -243,7 +243,7 @@ func TestHandleMirrorPacketPathAllocs(t *testing.T) {
 	if err := engine.Install(q, 0, stream.Partition{}); err != nil {
 		t.Fatal(err)
 	}
-	em := New(engine)
+	em := NewWireEmitter(engine)
 	frame := packet.BuildFrame(nil, &packet.FrameSpec{
 		SrcIP: 1, DstIP: 99, Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60})
 	parser := packet.NewParser(packet.ParserOptions{})

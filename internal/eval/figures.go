@@ -74,15 +74,12 @@ func Fig3() *Table {
 		for d := 1; d <= 4; d++ {
 			bank := pisa.NewRegisterBank(n, d, []int{64})
 			r := rand.New(rand.NewSource(7))
-			keys := int(ratio * float64(n))
-			fails := 0
-			for i := 0; i < keys; i++ {
-				kv := []tuple.Value{tuple.U64(r.Uint64())}
-				if _, _, ok := bank.Update(kv, []int{0}, 1, query.AggSum); !ok {
-					fails++
-				}
+			keys := make([]uint64, int(ratio*float64(n)))
+			for i := range keys {
+				keys[i] = r.Uint64()
 			}
-			row = append(row, float64(fails)/float64(keys))
+			fails := bank.FoldColumn(tuple.Column{U: keys}, 1, query.AggSum)
+			row = append(row, float64(fails)/float64(len(keys)))
 		}
 		t.AddRow(row...)
 	}

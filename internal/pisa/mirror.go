@@ -12,9 +12,9 @@ import (
 // batched walk hands its sink one of these per (instance, view batch) that
 // has anything to report, instead of one Mirror per frame. A frame reports
 // either as a collision shunt (its bit is in Shunt) or because it survived
-// every switch table (its bit is in Tail) — never both — and the records of
-// the frame-at-a-time walk are exactly the set bits of Tail|Shunt in
-// ascending frame order. The batch and everything it references belong to
+// every switch table (its bit is in Tail) — never both — and the batch stands
+// for one record per set bit of Tail|Shunt, in ascending frame order: the
+// records a walk of one frame at a time would send. The batch and everything it references belong to
 // the switch and are valid only during the sink call; Views and Packets are
 // shared read-only across worker shards.
 type MirrorBatch struct {
@@ -78,12 +78,10 @@ func (b *MirrorBatch) ShuntAt(i int) (mergeOp int, vals []tuple.Value) {
 	return rec.mergeOp, b.shuntVals[rec.off:rec.end]
 }
 
-// MirrorSink receives what leaves the switch's monitoring port. The
-// frame-at-a-time walk (Process, ProcessView) delivers one record per call;
-// the batched walk (ProcessViews, ProcessViewsPre) delivers one batch per
-// instance with something to report. Neither argument may be retained.
+// MirrorSink receives what leaves the switch's monitoring port: the walk
+// (ProcessViews, ProcessViewsPre) hands it one batch per instance with
+// something to report. The batch may not be retained.
 type MirrorSink interface {
-	HandleMirror(m Mirror)
 	HandleMirrorBatch(b *MirrorBatch)
 }
 
@@ -91,13 +89,11 @@ type MirrorSink interface {
 // batch into its records.
 type recordSink func(Mirror)
 
-func (f recordSink) HandleMirror(m Mirror)            { f(m) }
 func (f recordSink) HandleMirrorBatch(b *MirrorBatch) { b.records(f) }
 
 // nullSink is the sink of a switch built without one.
 type nullSink struct{}
 
-func (nullSink) HandleMirror(Mirror)            {}
 func (nullSink) HandleMirrorBatch(*MirrorBatch) {}
 
 // records expands the batch into the Mirror records the frame-at-a-time

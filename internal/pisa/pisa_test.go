@@ -3,6 +3,7 @@ package pisa
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -362,6 +363,78 @@ func TestProgramValidationConstraints(t *testing.T) {
 	spec, cfg = base()
 	if err := (&Program{Instances: []*InstanceSpec{spec}}).Validate(cfg); err != nil {
 		t.Errorf("valid program rejected: %v", err)
+	}
+}
+
+// TestProgramValidationRejectsMalformed: a program whose switch tables
+// reference what its instance does not carry — the shapes a corrupted or
+// hostile install message decodes to — is an error naming the instance and
+// the table, never a panic in NewSwitch.
+func TestProgramValidationRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name, want string
+		mutate     func(p *Program)
+	}{
+		{"nil instance", "instance 1 is nil", func(p *Program) { p.Instances = append(p.Instances, nil) }},
+		{"op index", "q1/r0/s0 table 1: op 99", func(p *Program) { p.Instances[0].Tables[1].OpIdx = 99 }},
+		{"no ops", "q1/r0/s0 table 0: op 0", func(p *Program) { p.Instances[0].Ops = nil }},
+		{"merged filter op", "q1/r0/s0 table 3: merged filter op 99", func(p *Program) { p.Instances[0].Tables[3].MergedFilterOp = 99 }},
+		{"register sizes", "q1/r0/s0 table 3: 0 register sizes", func(p *Program) { p.Instances[0].RegEntries = nil }},
+		// 3 chains × 2^62 entries × 64 bits wraps to 0 bits, under the cap.
+		{"register size overflow", "q1/r0/s0 table 3: 4611686018427387904 entries of 64 bits in 3 chains exceed per-op cap",
+			func(p *Program) { p.Instances[0].RegEntries[3] = 1 << 62 }},
+		// A slot of no bits fits any number of entries under the cap.
+		{"empty register slot", "q1/r0/s0 table 3: 1099511627776 register entries of 0 key and 0 value bits", func(p *Program) {
+			p.Instances[0].Tables[3].KeyBits, p.Instances[0].Tables[3].ValBits = 0, 0
+			p.Instances[0].RegEntries[3] = 1 << 40
+		}},
+		{"no register entries", "q1/r0/s0 table 3: 0 register entries", func(p *Program) { p.Instances[0].RegEntries[3] = 0 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog := &Program{Instances: []*InstanceSpec{specFor(query1(3), 4, 1024)}}
+			if err := prog.Validate(DefaultConfig()); err != nil {
+				t.Fatalf("the unmutated program is rejected: %v", err)
+			}
+			c.mutate(prog)
+			if err := prog.Validate(DefaultConfig()); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Validate = %v, want an error containing %q", err, c.want)
+			}
+			if _, err := NewSwitch(DefaultConfig(), prog, nil); err == nil {
+				t.Error("NewSwitch installed the program")
+			}
+		})
+	}
+}
+
+// TestCheckLoweringHoldsTablesToTheirOps: an instance's switch tables must
+// be its ops' lowering — a table of another kind, op or slot width, or ops
+// the evaluator cannot run, is an error — except that the last switch table
+// may leave its merged threshold to the stream processor.
+func TestCheckLoweringHoldsTablesToTheirOps(t *testing.T) {
+	cases := []struct {
+		name, want string
+		mutate     func(s *InstanceSpec)
+	}{
+		{"lowering", "", func(*InstanceSpec) {}},
+		{"dump threshold left to the stream processor", "", func(s *InstanceSpec) { s.Tables[3].MergedFilterOp = -1 }},
+		{"table kind", "q1/r0/s0 table 1", func(s *InstanceSpec) { s.Tables[1].Kind = compile.TableFilter }},
+		{"slot width", "q1/r0/s0 table 3", func(s *InstanceSpec) { s.Tables[3].KeyBits = 1 }},
+		{"ops", "q1/r0/s0: query: op 2", func(s *InstanceSpec) { s.Ops[2].KeyCols = []int{9} }},
+		{"nil instance", "instance 0 is nil", nil},
+	}
+	for _, c := range cases {
+		spec := specFor(query1(3), 4, 1024)
+		prog := &Program{Instances: []*InstanceSpec{spec}}
+		if c.mutate == nil {
+			prog.Instances[0] = nil
+		} else {
+			c.mutate(spec)
+		}
+		err := prog.CheckLowering()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: CheckLowering = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -65,8 +65,42 @@ type Program struct {
 	Instances []*InstanceSpec
 }
 
+// CheckLowering reports whether every instance's ops are a pipeline the
+// evaluator can run (query.CheckOps) and its switch tables, up to the cut,
+// are the compiler's lowering of them — the last one possibly without its
+// merged threshold, which a network-wide deployment leaves to the stream
+// processor. Validate and the walk take both on trust, and the planner's
+// programs hold them by construction; a program decoded from a control
+// connection must be checked first, or the walk indexes past its tuples.
+func (p *Program) CheckLowering() error {
+	for i, inst := range p.Instances {
+		if inst == nil {
+			return fmt.Errorf("pisa: instance %d is nil", i)
+		}
+		if err := query.CheckOps(inst.Ops); err != nil {
+			return fmt.Errorf("pisa: %s: %w", inst.Name(), err)
+		}
+		lowered := compile.CompilePipeline(inst.Ops).Tables
+		if inst.CutAt < 0 || inst.CutAt > len(inst.Tables) || inst.CutAt > len(lowered) {
+			return fmt.Errorf("pisa: %s: cut %d out of range", inst.Name(), inst.CutAt)
+		}
+		for t, tab := range inst.Tables[:inst.CutAt] {
+			want := lowered[t]
+			if t == inst.CutAt-1 && tab.MergedFilterOp < 0 {
+				want.MergedFilterOp = -1
+			}
+			if tab != want {
+				return fmt.Errorf("pisa: %s table %d: %+v, but its ops lower to %+v", inst.Name(), t, tab, want)
+			}
+		}
+	}
+	return nil
+}
+
 // Validate checks a program against the switch constraints — the runtime
-// analogue of the planner's ILP constraints C1-C5.
+// analogue of the planner's ILP constraints C1-C5 — and that its switch-side
+// tables reference what the instance carries: a program that crossed the
+// control channel is untrusted input.
 func (p *Program) Validate(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -76,7 +110,10 @@ func (p *Program) Validate(cfg Config) error {
 	bitsPerStage := make([]int64, cfg.Stages)
 	totalMeta := 0
 
-	for _, inst := range p.Instances {
+	for i, inst := range p.Instances {
+		if inst == nil {
+			return fmt.Errorf("pisa: instance %d is nil", i)
+		}
 		if inst.CutAt < 0 || inst.CutAt > len(inst.Tables) {
 			return fmt.Errorf("pisa: %s: cut %d out of range", inst.Name(), inst.CutAt)
 		}
@@ -94,14 +131,33 @@ func (p *Program) Validate(cfg Config) error {
 			}
 			prev = st
 			tab := &inst.Tables[t]
+			if tab.OpIdx < 0 || tab.OpIdx >= len(inst.Ops) {
+				return fmt.Errorf("pisa: %s table %d: op %d outside the instance's %d ops", inst.Name(), t, tab.OpIdx, len(inst.Ops))
+			}
+			if tab.MergedFilterOp >= len(inst.Ops) {
+				return fmt.Errorf("pisa: %s table %d: merged filter op %d outside the instance's %d ops",
+					inst.Name(), t, tab.MergedFilterOp, len(inst.Ops))
+			}
 			if tab.Stateful {
-				statefulPerStage[st]++
-				opBits := inst.statefulSlotBits(cfg, t)
-				if opBits > cfg.MaxRegisterBitsPerOp {
-					return fmt.Errorf("pisa: %s table %d: %d register bits exceed per-op cap %d",
-						inst.Name(), t, opBits, cfg.MaxRegisterBitsPerOp)
+				if len(inst.RegEntries) < inst.CutAt {
+					return fmt.Errorf("pisa: %s table %d: %d register sizes for %d switch tables",
+						inst.Name(), t, len(inst.RegEntries), inst.CutAt)
 				}
-				bitsPerStage[st] += opBits
+				// Bound every factor before multiplying: the product must not
+				// overflow past the cap, and the slot count is what gets
+				// allocated.
+				n, d := int64(inst.RegEntries[t]), int64(cfg.RegisterChains)
+				if n <= 0 || tab.KeyBits < 0 || tab.ValBits <= 0 ||
+					int64(tab.KeyBits) > cfg.MaxRegisterBitsPerOp || int64(tab.ValBits) > cfg.MaxRegisterBitsPerOp {
+					return fmt.Errorf("pisa: %s table %d: %d register entries of %d key and %d value bits",
+						inst.Name(), t, n, tab.KeyBits, tab.ValBits)
+				}
+				if slot := int64(tab.KeyBits + tab.ValBits); n > cfg.MaxRegisterBitsPerOp/(d*slot) {
+					return fmt.Errorf("pisa: %s table %d: %d entries of %d bits in %d chains exceed per-op cap %d",
+						inst.Name(), t, n, slot, d, cfg.MaxRegisterBitsPerOp)
+				}
+				statefulPerStage[st]++
+				bitsPerStage[st] += inst.statefulSlotBits(cfg, t)
 			} else {
 				statelessPerStage[st]++
 			}

@@ -113,9 +113,7 @@ func fastRange(h uint64, n int) uint64 {
 // The key hash is an FNV-1a-style fold over each key column's content,
 // skipping any byte encoding. Hash quality affects only the collision
 // (shunt) rate, never correctness: a probe compares the full key on every
-// hit. hashU64 and hashStr are the per-column steps, shared by the
-// frame-at-a-time and the batch-at-a-time walk so both land every key in the
-// same slot.
+// hit. hashU64 and hashStr are the per-column steps.
 const (
 	hashSeed  = 14695981039346656037
 	hashPrime = 1099511628211
@@ -143,39 +141,6 @@ func packU64(k0, k1, u uint64, w uint8) (uint64, uint64, bool) {
 // packs reports whether a key of nk columns can pack at all.
 func (b *RegisterBank) packs(nk int) bool { return b.widths != nil && len(b.widths) == nk }
 
-// Update folds v into the slot keyed by vals[keyIdx...] using fn. The
-// boolean reports success; on failure (all d chains collide) the caller
-// shunts the packet to the stream processor. newKey reports first-touch of
-// the key this window — the signal used for one-packet-per-key reporting.
-// The key is hashed and compared as values, never encoded to bytes: the
-// per-packet register probe is the hottest loop in the switch model, and
-// every consumer of bank state (dumps, mirrors) wants the columns anyway.
-func (b *RegisterBank) Update(vals []tuple.Value, keyIdx []int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
-	h := uint64(hashSeed)
-	var k0, k1 uint64
-	packed := b.packs(len(keyIdx))
-	for j, c := range keyIdx {
-		kv := &vals[c]
-		if kv.Str {
-			h, packed = hashStr(h, kv.S), false
-			continue
-		}
-		h = hashU64(h, kv.U)
-		if packed {
-			k0, k1, packed = packU64(k0, k1, kv.U, b.widths[j])
-		}
-	}
-	if packed {
-		return b.fold(h, k0, k1, nil, v, fn)
-	}
-	key := b.key[:0]
-	for _, c := range keyIdx {
-		key = append(key, vals[c])
-	}
-	b.key = key
-	return b.fold(h, h, 0, key, v, fn)
-}
-
 // keyCols holds the keys of a batch's rows as hashRows leaves them: the hash
 // and the packed key of row k, or tagged[k] when that key does not pack.
 type keyCols struct {
@@ -183,9 +148,11 @@ type keyCols struct {
 	tagged    []bool
 }
 
-// hashRows is the first half of Update over a batch: it hashes and packs the
-// key cols[keyIdx...] of every frame in rows, a column at a time, with
-// exactly Update's arithmetic.
+// hashRows is the first half of a batch's probe: it hashes and packs the key
+// cols[keyIdx...] of every frame in rows, a column at a time. The key is
+// hashed and compared as values, never encoded to bytes: the register probe
+// is the hottest loop in the switch model, and every consumer of bank state
+// (dumps, mirrors) wants the columns anyway.
 func (b *RegisterBank) hashRows(ks *keyCols, cols []tuple.Column, keyIdx []int, rows []int32) {
 	n := len(rows)
 	if cap(ks.h) < n {
@@ -243,7 +210,10 @@ func (b *RegisterBank) touch(ks *keyCols) (sum uint32) {
 }
 
 // foldRow is the second half: the probe for row k of the keys hashRows
-// prepared, which is frame i of cols.
+// prepared, which is frame i of cols. It folds v into the key's slot using
+// fn; ok is false when all d chains collide (the caller shunts the packet to
+// the stream processor), and newKey reports the key's first touch this
+// window — the signal for one-packet-per-key reporting.
 func (b *RegisterBank) foldRow(ks *keyCols, k int, cols []tuple.Column, keyIdx []int, i int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
 	if !ks.tagged[k] {
 		return b.fold(ks.h[k], ks.k0[k], ks.k1[k], nil, v, fn)
@@ -319,6 +289,27 @@ func equalKey(a, b []tuple.Value) bool {
 		}
 	}
 	return true
+}
+
+// FoldColumn folds inc into the slot of every row's key — col is a
+// one-column key — in row order, by the probe the batched walk runs, and
+// returns how many rows collided in all d chains: the collision-rate model of
+// Figure 3.
+func (b *RegisterBank) FoldColumn(col tuple.Column, inc uint64, fn query.AggFunc) (collided int) {
+	n := len(col.U) + len(col.V)
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	cols, keyIdx := []tuple.Column{col}, []int{0}
+	var ks keyCols
+	b.hashRows(&ks, cols, keyIdx, rows)
+	for k := range rows {
+		if _, _, ok := b.foldRow(&ks, k, cols, keyIdx, k, inc, fn); !ok {
+			collided++
+		}
+	}
+	return collided
 }
 
 // Entry returns the i-th stored (key columns, value) pair in insertion

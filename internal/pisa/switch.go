@@ -88,9 +88,8 @@ type InstanceStats struct {
 	RegUsed     uint64
 	RegCapacity uint64
 	// OpIn[i] counts the packets entering dataflow op i of the instance's
-	// pipeline on the switch (0 past the cut): one per packet in the
-	// frame-at-a-time walk, the popcount of the selection entering the op's
-	// first table in the batched walk.
+	// pipeline on the switch (0 past the cut): the popcount of the selection
+	// entering the op's first table.
 	OpIn []uint64
 }
 
@@ -103,9 +102,9 @@ func (is *InstanceStats) reset() {
 
 // Merge folds another shard's stats into s. The merge is associative and
 // commutative (plain addition per column), which is what makes the sharded
-// pipeline's window close order-independent. Note that shards driven via
-// ProcessView report PacketsIn = 0 — the parse side owns that count, since
-// every shard sees every frame.
+// pipeline's window close order-independent. A switch reports PacketsIn = 0:
+// the side that parses the frames into views owns that count, since every
+// shard sees every frame.
 func (s *WindowStats) Merge(o WindowStats) {
 	s.PacketsIn += o.PacketsIn
 	s.Mirrored += o.Mirrored
@@ -131,13 +130,6 @@ type instState struct {
 	// out carries the instance's static mirror identity; the batched walk
 	// fills in the rest per batch and hands it to the sink.
 	out MirrorBatch
-	// valsBufs are per-packet buffers so the frame-at-a-time walk does not
-	// allocate; mirrors may alias them (documented: callers must not retain
-	// Vals past the callback). They are a ping-pong pair: every table that
-	// produces a metadata tuple writes the buffer vals does not currently
-	// occupy, so a producer never overwrites the tuple it is reading.
-	valsBufs [2][]tuple.Value
-	valsCur  int
 	// stats is the instance's window so far. opAt[t] is the op whose
 	// entering packets table t counts, or -1 when an earlier table already
 	// counted that op (stateful ops lower to a hash-index + state-update
@@ -153,19 +145,6 @@ type instState struct {
 	// string-valued (query.ColumnKinds); the batched walk keeps those as
 	// tuple.Value columns and every other one as uint64s.
 	kinds [][]bool
-}
-
-// nextVals returns an n-wide tuple buffer from the instance's ping-pong
-// pair, toggling so the returned buffer is never the one vals currently
-// aliases. Buffers grow monotonically; the steady state allocates nothing.
-func (st *instState) nextVals(n int) []tuple.Value {
-	st.valsCur ^= 1
-	buf := st.valsBufs[st.valsCur]
-	if cap(buf) < n {
-		buf = make([]tuple.Value, n)
-		st.valsBufs[st.valsCur] = buf
-	}
-	return buf[:n]
 }
 
 // View is one frame parsed once for fan-out to switch shards. The embedded
@@ -198,12 +177,10 @@ func (v *View) Prepare(p *packet.Parser, frame []byte) {
 // instance's tables; reports leave via the mirror sink; registers dump at
 // window boundaries.
 type Switch struct {
-	cfg    Config
-	insts  []*instState
-	sink   MirrorSink
-	stats  WindowStats
-	parser *packet.Parser
-	view   View // Process's parse scratch
+	cfg   Config
+	insts []*instState
+	sink  MirrorSink
+	stats WindowStats
 	// dumpBuf is EndWindow's reusable RegDump slice (the returned dumps are
 	// valid until the next EndWindow), pollBuf the aggregates of the bank it
 	// is dumping.
@@ -229,9 +206,9 @@ type Switch struct {
 	closed []InstanceStats
 }
 
-// NewSwitch validates and installs a program. The mirror callback receives
-// per-packet reports, whichever walk produced them (the batched walk's
-// batches are expanded into records first); it must not retain Vals or
+// NewSwitch validates and installs a program whose reports reach a
+// per-record callback: each mirror batch of the walk is expanded into its
+// records, in frame order per instance. The callback must not retain Vals or
 // Packet beyond the call unless it copies them. A nil callback discards.
 func NewSwitch(cfg Config, prog *Program, mirror func(Mirror)) (*Switch, error) {
 	var sink MirrorSink
@@ -241,8 +218,8 @@ func NewSwitch(cfg Config, prog *Program, mirror func(Mirror)) (*Switch, error) 
 	return NewSwitchShared(cfg, prog, sink, nil)
 }
 
-// NewSwitchShared is NewSwitch taking the batch-capable sink, with an
-// externally owned prescreen atom space. Worker shards built over slices of
+// NewSwitchShared is NewSwitch taking a batch sink, with an externally
+// owned prescreen atom space. Worker shards built over slices of
 // one program pass the same Prescreen so their leading-filter clauses dedup
 // program-wide; the dispatch side then evaluates the atoms once per batch
 // (Prescreen.Eval) and each shard consumes the bitmaps via ProcessViewsPre.
@@ -254,9 +231,7 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 	if sink == nil {
 		sink = nullSink{}
 	}
-	// The switch parser extracts headers only; deep (DNS/payload) parsing
-	// happens at the emitter/stream processor, as in the paper.
-	sw := &Switch{cfg: cfg, sink: sink, parser: packet.NewParser(packet.ParserOptions{})}
+	sw := &Switch{cfg: cfg, sink: sink}
 	if ps == nil {
 		ps = NewPrescreen()
 	}
@@ -297,10 +272,6 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 					st.atoms[t] = append(st.atoms[t], ps.intern(cl))
 				}
 			case tab.Stateful:
-				n := spec.RegEntries[t]
-				if n <= 0 {
-					return nil, fmt.Errorf("pisa: %s table %d: no register entries", spec.Name(), t)
-				}
 				// One register slot holds the key at the column widths the
 				// compiler charges for it (their sum is tab.KeyBits).
 				in := o.InSchema()
@@ -308,7 +279,7 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 				for j, k := range o.KeyCols {
 					keyBits[j] = in[k].Bits()
 				}
-				st.banks[t] = NewRegisterBank(n, cfg.RegisterChains, keyBits)
+				st.banks[t] = NewRegisterBank(spec.RegEntries[t], cfg.RegisterChains, keyBits)
 				st.stats.RegCapacity += uint64(st.banks[t].Capacity())
 				st.outCols[t] = make([]tuple.Column, len(st.kinds[tab.OpIdx+1]))
 			}
@@ -380,35 +351,6 @@ func (sw *Switch) UpdateDynTable(qid uint16, level uint8, side Side, opIdx int, 
 // written.
 func (sw *Switch) TableUpdates() uint64 { return sw.tableUpdates }
 
-// Process parses one frame and runs it through every installed instance.
-// The packet is forwarded unmodified (Sonata only touches metadata); the
-// return value is the number of mirror reports generated. Malformed frames
-// are forwarded without telemetry processing, like any non-matching
-// traffic.
-func (sw *Switch) Process(frame []byte) int {
-	sw.stats.PacketsIn++
-	sw.view.Prepare(sw.parser, frame)
-	return sw.ProcessView(&sw.view)
-}
-
-// ProcessView runs an already-parsed frame through every installed
-// instance, one table after the other: the frame-at-a-time reference walk
-// the batched walk is tested against. It does not count PacketsIn (a view
-// may be shared by several switches; the parse side owns that count) and
-// skips non-Runnable views: hard parse errors see no telemetry processing.
-func (sw *Switch) ProcessView(v *View) int {
-	if !v.Runnable {
-		return 0
-	}
-	reports := 0
-	for _, st := range sw.insts {
-		if sw.processInstance(st, v) {
-			reports++
-		}
-	}
-	return reports
-}
-
 // ProcessViews runs a batch of already-parsed frames through every installed
 // instance, instance-major and table-at-a-time (walk.go): one instance's
 // tables, register banks, and dynamic rule snapshots stay hot in cache
@@ -416,131 +358,21 @@ func (sw *Switch) ProcessView(v *View) int {
 // evaluated once over the batch into a selection bitmap first; an instance
 // narrows the batch's runnable frames table by table, and emits its mirrors
 // in frame order at the end. Per-instance frame order is unchanged from
-// view-at-a-time processing — only the interleaving across instances and
+// walking one frame at a time — only the interleaving across instances and
 // across one instance's tables differs, which no per-instance state
-// observes — so window results are bit-identical to calling ProcessView per
-// view. Like ProcessView it does not count PacketsIn and skips non-Runnable
-// views.
+// observes — so window results are bit-identical to the frame-at-a-time
+// reference walk the tests keep. It does not count PacketsIn (the caller
+// that parsed the views owns that count) and skips non-Runnable views: hard
+// parse errors see no telemetry processing.
 func (sw *Switch) ProcessViews(vs []View) int {
 	sw.pre.Eval(vs, &sw.ownMasks)
 	return sw.ProcessViewsPre(vs, &sw.ownMasks)
-}
-
-// processInstance walks one packet through one instance's switch-side
-// tables. It returns true if a mirror report was emitted.
-func (sw *Switch) processInstance(st *instState, pv *View) bool {
-	spec := st.spec
-	var vals []tuple.Value // metadata tuple once past the first map
-	inTuplePhase := false
-
-	for t := 0; t < spec.CutAt; t++ {
-		tab := &spec.Tables[t]
-		o := &spec.Ops[tab.OpIdx]
-		if op := st.opAt[t]; op >= 0 {
-			st.stats.OpIn[op]++
-		}
-		switch tab.Kind {
-		case compile.TableFilter:
-			if inTuplePhase {
-				for i := range o.Clauses {
-					if !o.Clauses[i].MatchTuple(vals) {
-						return false
-					}
-				}
-			} else {
-				for i := range o.Clauses {
-					if !o.Clauses[i].MatchPacket(&pv.Pkt) {
-						return false
-					}
-				}
-			}
-		case compile.TableDynFilter:
-			// A table not yet populated admits nothing: the finer level idles.
-			if !st.dynRules[t].Load().MatchPacket(o, &pv.Pkt) {
-				return false
-			}
-		case compile.TableMap:
-			// Toggled buffer: vals (if set) occupies the other one, so a
-			// tuple-phase map never writes the tuple it is reading.
-			out := st.nextVals(len(o.Cols))
-			if inTuplePhase {
-				for i := range o.Cols {
-					out[i] = o.Cols[i].Expr.EvalTuple(vals)
-				}
-			} else {
-				for i := range o.Cols {
-					v, ok := o.Cols[i].Expr.EvalPacket(&pv.Pkt)
-					if !ok {
-						return false
-					}
-					out[i] = v
-				}
-			}
-			vals = out
-			inTuplePhase = true
-		case compile.TableHashIndex:
-			// Index computation is folded into the bank update below.
-		case compile.TableStateUpdate:
-			var inc uint64 = 1
-			if o.Kind == query.OpReduce {
-				inc = vals[o.ValCol].U
-			}
-			newVal, newKey, ok := st.banks[t].Update(vals, o.KeyCols, inc, statefulFunc(o))
-			if !ok {
-				// Collision overflow: shunt to the stream processor, which
-				// executes the stateful op itself for this packet.
-				sw.shunted(st)
-				sw.emit(st, st.out.shuntMirror(pv, tab.OpIdx, vals))
-				return true
-			}
-			if t == spec.CutAt-1 {
-				// One report per key via the end-of-window register dump;
-				// nothing per packet.
-				return false
-			}
-			// Mid-pipeline stateful table: distinct passes first
-			// occurrences through; reduce carries the running aggregate.
-			if o.Kind == query.OpDistinct && !newKey {
-				return false
-			}
-			next := st.nextVals(len(o.KeyCols) + 1)[:len(o.KeyCols)]
-			for i, j := range o.KeyCols {
-				next[i] = vals[j]
-			}
-			if o.Kind != query.OpDistinct {
-				next = append(next, tuple.U64(newVal))
-			}
-			vals = next
-			if m := tab.MergedFilterOp; m >= 0 {
-				st.stats.OpIn[m]++
-				mo := &spec.Ops[m]
-				for i := range mo.Clauses {
-					if !mo.Clauses[i].MatchTuple(vals) {
-						return false
-					}
-				}
-			}
-		}
-	}
-
-	// Survived every switch table with a stateless tail (or nothing runs on
-	// the switch — the All-SP plan — and every packet mirrors): report.
-	sw.emit(st, st.out.tailMirror(pv, vals, inTuplePhase))
-	return true
 }
 
 // shunted counts one collision overflow.
 func (sw *Switch) shunted(st *instState) {
 	sw.stats.Collisions++
 	st.stats.Collisions++
-}
-
-// emit sends one record of the frame-at-a-time walk out the monitoring
-// port.
-func (sw *Switch) emit(st *instState, m Mirror) {
-	sw.stats.Mirrored++
-	st.stats.Mirrored++
-	sw.sink.HandleMirror(m)
 }
 
 // statefulFunc returns the aggregation a stateful op applies on the switch.

@@ -411,3 +411,52 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("LinesOfCode = %d, want 5", q.LinesOfCode())
 	}
 }
+
+// TestCheckOpsRejectsWhatEvaluationCannotRun: a pipeline the builder made
+// passes CheckOps, and each way a decoded one can break what evaluation
+// indexes without checking — a kind, a field, a column, a phase, a schema —
+// is an error.
+func TestCheckOpsRejectsWhatEvaluationCannotRun(t *testing.T) {
+	pipeline := func() []Op {
+		q := NewBuilder("q", time.Second).
+			Filter(Eq(fields.TCPFlags, fields.FlagSYN)).
+			Map(MaskF(fields.DstIP, 16), ConstCol(1)).
+			Reduce(AggSum, fields.DstIP).
+			Filter(Gt(fields.AggVal, 2)).
+			MustBuild()
+		ops := []Op{NewDynPacketFilter("q.r16", fields.DstIP, 8)}
+		for i := range q.Left.Ops {
+			ops = append(ops, *q.Left.Ops[i].Clone())
+		}
+		return ops // dyn filter, filter, map, reduce, filter
+	}
+	const unregistered = fields.ID(250)
+	cases := map[string]func(ops []Op) []Op{
+		"operator kind":             func(ops []Op) []Op { ops[3].Kind = 9; return ops },
+		"comparison":                func(ops []Op) []Op { ops[1].Clauses[0].Cmp = 99; return ops },
+		"packet clause field":       func(ops []Op) []Op { ops[1].Clauses[0].Field = unregistered; return ops },
+		"tuple clause column":       func(ops []Op) []Op { ops[4].Clauses[0].Col = 7; return ops },
+		"dyn filter without levels": func(ops []Op) []Op { ops[0].DynKeyField = fields.TCPFlags; return ops },
+		"expression field":          func(ops []Op) []Op { ops[2].Cols[0].Expr.Sub.Field = unregistered; return ops },
+		"expression kind":           func(ops []Op) []Op { ops[2].Cols[1].Expr.Kind = 42; return ops },
+		"mask without operand":      func(ops []Op) []Op { ops[2].Cols[0].Expr.Sub = nil; return ops },
+		"mask without levels":       func(ops []Op) []Op { ops[2].Cols[0].Expr.Field = fields.TCPFlags; return ops },
+		"column in packet phase":    func(ops []Op) []Op { ops[2].Cols[1].Expr = Expr{Kind: ExprCol}; return ops },
+		"column name":               func(ops []Op) []Op { ops[2].Cols[1].Name = unregistered; return ops },
+		"key column":                func(ops []Op) []Op { ops[3].KeyCols = []int{5}; return ops },
+		"value column":              func(ops []Op) []Op { ops[3].ValCol = 5; return ops },
+		"aggregation":               func(ops []Op) []Op { ops[3].Func = 9; return ops },
+		"keyed state on packets":    func(ops []Op) []Op { return []Op{ops[0], ops[3]} },
+		"schema width":              func(ops []Op) []Op { ops[3].inSchema = ops[3].inSchema[:1]; return ops },
+		"schema field":              func(ops []Op) []Op { ops[3].outSchema[0] = unregistered; return ops },
+		"phase flag":                func(ops []Op) []Op { ops[4].packetPhase = true; return ops },
+	}
+	if err := CheckOps(pipeline()); err != nil {
+		t.Fatalf("a built pipeline is rejected: %v", err)
+	}
+	for name, mutate := range cases {
+		if err := CheckOps(mutate(pipeline())); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -16,15 +16,15 @@ import (
 	"repro/internal/tuple"
 )
 
-// TestShardedMatchesSequential is the correctness contract of the batched
-// and sharded pipelines: over the full evaluation workload (background
-// traffic plus the standard attack suite, all eleven queries), every window
-// report must be identical to the scalar per-tuple oracle's — results,
-// tuple counts, switch counters, filter updates, and emitter volume alike.
-// The oracle (Options.Scalar on one inline shard) is the frame-at-a-time,
-// tuple-at-a-time interpreter; against it run the batched inline shard and
-// 2/8-worker shard sets (prescreened switch batches, columnar engines), plus
-// the scalar walk itself spread over workers.
+// TestShardedMatchesSequential is the correctness contract of the sharded
+// pipeline: over the full evaluation workload (background traffic plus the
+// standard attack suite, all eleven queries), every window report of a 2-
+// and an 8-worker shard set must be identical to one shard's — results,
+// tuple counts, switch and prescreen counters, filter updates, and emitter
+// volume alike. That one shard's walk and executor match the frame-at-a-time,
+// tuple-at-a-time references over the same plan is pinned below the runtime:
+// TestBatchedWalksMatchProcessFullPlan (pisa) and
+// TestMirrorBatchMatchesWireFullPlan (emitter).
 func TestShardedMatchesSequential(t *testing.T) {
 	scale := eval.SmallScale()
 	w, err := eval.NewWorkload(scale)
@@ -50,10 +50,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 		if opts.Workers > 1 && rt.Workers() < 2 {
 			t.Fatalf("workers=%d built a %d-shard runtime", opts.Workers, rt.Workers())
 		}
-		// The monitoring port is crossed through the wire codec under Scalar
-		// and a mirror batch at a time otherwise; what it is counted as
-		// carrying — in the registry and per instance in the flight recorder —
-		// must not depend on which.
+		// What the monitoring port is counted as carrying — in the registry
+		// and per instance in the flight recorder — must not depend on how
+		// the instances are sharded.
 		reg := telemetry.NewRegistry()
 		rt.Instrument(reg, nil)
 		rec := flightrec.New(w.Gen.Windows(), nil)
@@ -73,27 +72,16 @@ func TestShardedMatchesSequential(t *testing.T) {
 		return append(snaps, port)
 	}
 
-	want := run(runtime.Options{Scalar: true}) // per-tuple oracle
+	want := run(runtime.Options{Workers: 1}) // one shard, on the caller
 	if !strings.Contains(want[len(want)-1], "frames=") || strings.Contains(want[len(want)-1], "bytes=0 ") {
 		t.Fatalf("the oracle counted nothing at the monitoring port:\n%s", want[len(want)-1])
 	}
-	modes := []struct {
-		name string
-		opts runtime.Options
-	}{
-		{"inline", runtime.Options{}},
-		{"workers=1", runtime.Options{Workers: 1}},
-		{"workers=2", runtime.Options{Workers: 2}},
-		{"workers=8", runtime.Options{Workers: 8}},
-		{"workers=1-scalar", runtime.Options{Workers: 1, Scalar: true}},
-		{"workers=2-scalar", runtime.Options{Workers: 2, Scalar: true}},
-	}
-	for _, mode := range modes {
-		got := run(mode.opts)
+	for _, workers := range []int{2, 8} {
+		got := run(runtime.Options{Workers: workers})
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s window %d diverged from scalar oracle:\n--- oracle\n%s\n--- %s\n%s",
-					mode.name, i, want[i], mode.name, got[i])
+				t.Errorf("workers=%d window %d diverged from one shard:\n--- one shard\n%s\n--- workers=%d\n%s",
+					workers, i, want[i], workers, got[i])
 			}
 		}
 	}
@@ -101,8 +89,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 
 // snapshotReport renders a window report into a canonical string: every
 // field but the wall-clock ones (UpdateDuration, ShardBusy, the records'
-// EvalNS), the back-pressure counts, which depend on the shard count, and
-// the prescreen's, which only the batched walk has.
+// EvalNS) and the back-pressure counts, which depend on the shard count.
 // Result tuples are already sorted by the engine; join sub-pipeline outputs
 // are sorted here because their order is map-iteration dependent even on one
 // shard.
@@ -110,8 +97,9 @@ func snapshotReport(rep *runtime.WindowReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "window=%d tuplesToSP=%d filterUpdates=%d emitterFrames=%d emitterMalformed=%d\n",
 		rep.Index, rep.TuplesToSP, rep.FilterUpdates, rep.EmitterFrames, rep.EmitterMalformed)
-	fmt.Fprintf(&b, "switch: in=%d mirrored=%d collisions=%d dumps=%d\n",
-		rep.Switch.PacketsIn, rep.Switch.Mirrored, rep.Switch.Collisions, rep.Switch.DumpTuples)
+	fmt.Fprintf(&b, "switch: in=%d mirrored=%d collisions=%d dumps=%d screened=%d entered=%d\n",
+		rep.Switch.PacketsIn, rep.Switch.Mirrored, rep.Switch.Collisions, rep.Switch.DumpTuples,
+		rep.Switch.Screened, rep.Switch.Entered)
 	fmt.Fprintf(&b, "registers=%d/%d\n", rep.Switch.RegUsed, rep.Switch.RegCapacity)
 	for _, c := range rep.Instances {
 		fmt.Fprintf(&b, "instance q%d/%d tuples=%d mirrored=%d bytes=%d collisions=%d dumps=%d registers=%d/%d "+

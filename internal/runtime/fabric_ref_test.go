@@ -23,16 +23,22 @@ import (
 // fabricRef is the network-wide reference: the standalone window loop that
 // network-wide deployments ran before vantage points became switches of the
 // runtime's shards. One engine holds every instance, n switches run the
-// whole threshold-stripped program frame at a time, every mirror crosses the
-// wire codec, and the close dumps switch by switch before one engine
-// evaluation and one refinement pass. It is kept unchanged as the oracle
+// whole threshold-stripped program a view batch at a time, each handing its
+// mirrors to the one emitter, and the close dumps switch by switch before
+// one engine evaluation and one refinement pass. It is the oracle
 // TestVantagePointsMatchFabric holds Options.VantagePoints to.
 type fabricRef struct {
 	switches []*pisa.Switch
-	engine   *stream.Engine
-	em       *emitter.Emitter
-	links    []runtime.Link
-	finest   map[uint16]uint8
+	// views[i] is switch i's filling view batch, of which n[i] are filled;
+	// packets[i] counts the frames switch i saw this window.
+	parser  *packet.Parser
+	views   [][]pisa.View
+	n       []int
+	packets []uint64
+	engine  *stream.Engine
+	em      *emitter.Emitter
+	links   []runtime.Link
+	finest  map[uint16]uint8
 	// nLeft is each instance's left op count: where its right side's ops
 	// start in its record's stages.
 	nLeft  map[stream.QueryKey]int
@@ -70,14 +76,16 @@ func newFabricRef(plan *planner.Plan, cfg pisa.Config, n int) (*fabricRef, error
 		return nil, err
 	}
 	f := &fabricRef{engine: engine, em: em, links: links, finest: make(map[uint16]uint8),
-		nLeft: make(map[stream.QueryKey]int)}
+		nLeft: make(map[stream.QueryKey]int), parser: packet.NewParser(packet.ParserOptions{}),
+		n: make([]int, n), packets: make([]uint64, n)}
 	prog := refDropDumpThresholds(plan.Program)
 	for i := 0; i < n; i++ {
-		sw, err := pisa.NewSwitch(cfg, prog, em.HandleMirror)
+		sw, err := pisa.NewSwitchShared(cfg, prog, em, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: switch %d: %w", i, err)
 		}
 		f.switches = append(f.switches, sw)
+		f.views = append(f.views, make([]pisa.View, runtime.DefaultBatchSize))
 	}
 	for li := range links {
 		if err := links[li].Resolve(dyn, f.switches...); err != nil {
@@ -120,20 +128,36 @@ func refDropDumpThresholds(prog *pisa.Program) *pisa.Program {
 	return out
 }
 
-// Process feeds a frame to switch i.
+// Process feeds a frame to switch i: it joins the switch's view batch, and a
+// full batch walks the switch.
 func (f *fabricRef) Process(i int, frame []byte) {
-	f.switches[i].Process(frame)
+	f.views[i][f.n[i]].Prepare(f.parser, frame)
+	f.n[i]++
+	f.packets[i]++
+	if f.n[i] == len(f.views[i]) {
+		f.walk(i)
+	}
 }
 
-// CloseWindow ends the window fabric-wide: every switch's dumps merge into
-// the shared engine, results are computed once, and refinement updates fan
-// out to all switches.
+// walk runs switch i's filled views through it.
+func (f *fabricRef) walk(i int) {
+	f.switches[i].ProcessViews(f.views[i][:f.n[i]])
+	f.n[i] = 0
+}
+
+// CloseWindow ends the window fabric-wide: every switch walks its partial
+// batch, then every switch's dumps merge into the shared engine, results are
+// computed once, and refinement updates fan out to all switches.
 func (f *fabricRef) CloseWindow() *fabricRefReport {
 	rep := &fabricRefReport{Index: f.window}
 	f.window++
-	for _, sw := range f.switches {
+	for i := range f.switches {
+		f.walk(i)
+	}
+	for i, sw := range f.switches {
 		dumps, stats := sw.EndWindow()
 		f.em.HandleDumps(dumps)
+		stats.PacketsIn, f.packets[i] = f.packets[i], 0
 		rep.PerSwitch = append(rep.PerSwitch, stats)
 	}
 	results, metrics := f.engine.EndWindow()
@@ -236,14 +260,15 @@ type windowView struct {
 	records      string
 }
 
-// switchCounts is the part of pisa.WindowStats both walks count: the
-// reference's frame-at-a-time walk has no prescreen.
+// switchCounts is pisa.WindowStats without its per-instance breakdown,
+// which the records carry.
 type switchCounts struct {
-	packets, mirrored, collisions, dumps, regUsed, regCap uint64
+	packets, mirrored, collisions, dumps, screened, entered, regUsed, regCap uint64
 }
 
 func countsOf(st *pisa.WindowStats) switchCounts {
-	return switchCounts{st.PacketsIn, st.Mirrored, st.Collisions, st.DumpTuples, st.RegUsed, st.RegCapacity}
+	return switchCounts{st.PacketsIn, st.Mirrored, st.Collisions, st.DumpTuples,
+		st.Screened, st.Entered, st.RegUsed, st.RegCapacity}
 }
 
 func (f *fabricRef) view(rep *fabricRefReport) windowView {
@@ -305,7 +330,7 @@ func renderRecords(counts []flightrec.Counts) string {
 // queries, frames routed by IPv4 source modulo the vantage-point count, every
 // window must report the reference's results at every level, load at the
 // stream processor, filter entries written and summed data-plane counters —
-// on one shard and on two, batched and scalar. At one vantage point the
+// on one shard and on two. At one vantage point the
 // runtime keeps its dump thresholds, so it may deliver fewer tuples than the
 // (always stripped) reference, never different answers.
 func TestVantagePointsMatchFabric(t *testing.T) {
@@ -329,36 +354,34 @@ func TestVantagePointsMatchFabric(t *testing.T) {
 			t.Fatalf("vp=%d: the reference wrote no filter entries; test is vacuous", vps)
 		}
 		for _, workers := range []int{1, 2} {
-			for _, scalar := range []bool{false, true} {
-				if vps == 1 && (workers > 1 || scalar) {
-					continue
-				}
-				name := fmt.Sprintf("vp=%d/workers=%d/scalar=%v", vps, workers, scalar)
-				rt, err := runtime.NewWithOptions(wl.plan, cfg, runtime.Options{Workers: workers, Scalar: scalar, VantagePoints: vps})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, frames := range wl.frames {
-					for j, f := range frames {
-						rt.ProcessAt(int(wl.src[i][j]%uint32(vps)), f)
-					}
-					got, w := runtimeView(rt.CloseWindow()), want[i]
-					if vps == 1 {
-						// Only the answers and the gate must agree.
-						got.all, w.all, got.records, w.records = "", "", "", ""
-						got.sw, w.sw = switchCounts{}, switchCounts{}
-						if got.tuplesToSP > w.tuplesToSP {
-							t.Errorf("%s window %d: %d tuples to SP, above the stripped reference's %d",
-								name, i, got.tuplesToSP, w.tuplesToSP)
-						}
-						got.tuplesToSP = w.tuplesToSP
-					}
-					if got != w {
-						t.Errorf("%s window %d diverged from the reference:\n--- reference\n%+v\n--- runtime\n%+v", name, i, w, got)
-					}
-				}
-				rt.Close()
+			if vps == 1 && workers > 1 {
+				continue
 			}
+			name := fmt.Sprintf("vp=%d/workers=%d", vps, workers)
+			rt, err := runtime.NewWithOptions(wl.plan, cfg, runtime.Options{Workers: workers, VantagePoints: vps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, frames := range wl.frames {
+				for j, f := range frames {
+					rt.ProcessAt(int(wl.src[i][j]%uint32(vps)), f)
+				}
+				got, w := runtimeView(rt.CloseWindow()), want[i]
+				if vps == 1 {
+					// Only the answers and the gate must agree.
+					got.all, w.all, got.records, w.records = "", "", "", ""
+					got.sw, w.sw = switchCounts{}, switchCounts{}
+					if got.tuplesToSP > w.tuplesToSP {
+						t.Errorf("%s window %d: %d tuples to SP, above the stripped reference's %d",
+							name, i, got.tuplesToSP, w.tuplesToSP)
+					}
+					got.tuplesToSP = w.tuplesToSP
+				}
+				if got != w {
+					t.Errorf("%s window %d diverged from the reference:\n--- reference\n%+v\n--- runtime\n%+v", name, i, w, got)
+				}
+			}
+			rt.Close()
 		}
 	}
 }

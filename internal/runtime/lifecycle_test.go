@@ -45,18 +45,17 @@ func newLifecycleRuntime(t *testing.T, plan *planner.Plan, cfg pisa.Config, opts
 	return rt
 }
 
-// lifecycleModes are the deployments every lifecycle schedule runs on: one
-// shard executing inline on the caller, and shard sets with live workers.
-// Each is compared against the scalar reference walk (lifecycleOracle) run
-// through the same schedule.
+// lifecycleModes are the deployments every lifecycle schedule runs on:
+// shard sets with live workers. Each is compared against one shard executing
+// inline on the caller (lifecycleOracle) run through the same schedule.
 var (
-	lifecycleOracle = runtime.Options{Scalar: true}
-	lifecycleModes  = []runtime.Options{{Workers: 1}, {Workers: 2}, {Workers: 8}}
+	lifecycleOracle = runtime.Options{Workers: 1}
+	lifecycleModes  = []runtime.Options{{Workers: 2}, {Workers: 8}}
 )
 
 // TestShardedZeroFrameWindows closes windows that saw no frames — before any
 // traffic, between two real windows, and several in a row — and requires
-// every deployment's reports to match the scalar reference's for the same
+// every deployment's reports to match one inline shard's for the same
 // schedule. A zero-frame close still runs the full barrier (every shard
 // executes EndWindow on its state), so under -race this doubles as a check
 // that an empty epoch leaves no shard state behind.

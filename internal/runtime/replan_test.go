@@ -221,13 +221,13 @@ const replanAt = 1
 // at window w, every report from w+1 on equals the report of a runtime
 // built fresh from the new plan and fed the same windows — apart from
 // Index, which carries on — and so does the collision rate, at one and two
-// workers and on the scalar oracle. (It fails if Replan keeps the old
-// deployment's collision sums or refinement links.)
+// workers. (It fails if Replan keeps the old deployment's collision sums or
+// refinement links.)
 func TestReplanMatchesFreshRuntime(t *testing.T) {
 	rw := newReplanWorkload(t)
 	cfg := pisa.DefaultConfig()
-	for _, opts := range []runtime.Options{{Workers: 1}, {Workers: 2}, {Scalar: true}} {
-		t.Run(fmt.Sprintf("workers=%d,scalar=%v", opts.Workers, opts.Scalar), func(t *testing.T) {
+	for _, opts := range []runtime.Options{{Workers: 1}, {Workers: 2}} {
+		t.Run(fmt.Sprintf("workers=%d", opts.Workers), func(t *testing.T) {
 			rt, err := runtime.NewWithOptions(rw.from, cfg, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -105,13 +105,6 @@ type Options struct {
 	// calling goroutine (no worker is started); more start one persistent
 	// worker per shard. Values above the instance count are clamped to it.
 	Workers int
-	// Scalar selects the reference execution the differential tests compare
-	// against: every shard walks views one at a time through
-	// pisa.Switch.ProcessView (unscreened, from table 0) and the stream
-	// engines use the per-tuple interpreter instead of the columnar batched
-	// executor, at any worker count. WindowReports are bit-identical either
-	// way.
-	Scalar bool
 	// VantagePoints is the number of switches traffic enters through —
 	// border routers, IXP ports — the network-wide extension the paper
 	// leaves as future work (Section 8). Each shard owns one switch per
@@ -493,7 +486,6 @@ func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
 	d.pre = pisa.NewPrescreen()
 	for i := 0; i < n; i++ {
 		engine := stream.NewEngine(stream.NewDynTables())
-		engine.SetScalar(opts.Scalar)
 		s := &shard{engine: engine, em: emitter.New(engine)}
 		s.cr.sws = make([]pisa.WindowStats, vps)
 		for _, spec := range progs[i].Instances {
@@ -660,9 +652,7 @@ func (r *Runtime) fanOut(b *viewBatch, kind uint8) {
 		for i := range views {
 			views[i].Prepare(r.parser, views[i].Frame)
 		}
-		if !r.opts.Scalar {
-			r.pre.Eval(views, &b.masks)
-		}
+		r.pre.Eval(views, &b.masks)
 		b.refs.Store(int32(len(r.shards)))
 	}
 	m := shardMsg{batch: b, kind: kind}
@@ -691,14 +681,7 @@ func (s *shard) run(r *Runtime) {
 func (s *shard) exec(r *Runtime, m shardMsg) bool {
 	if b := m.batch; b != nil {
 		t0 := time.Now()
-		views, sw := b.views[:b.n], s.sws[b.vp]
-		if r.opts.Scalar {
-			for i := range views {
-				sw.ProcessView(&views[i])
-			}
-		} else {
-			sw.ProcessViewsPre(views, &b.masks)
-		}
+		s.sws[b.vp].ProcessViewsPre(b.views[:b.n], &b.masks)
 		s.busy += time.Since(t0)
 		if b.refs.Add(-1) == 0 {
 			r.batchPool.Put(b)
