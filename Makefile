@@ -38,12 +38,13 @@ bench:
 # header-field columns against Packet.Field and the flat rule set against a
 # map; then each
 # of their two callers against its reference — the stream executor against
-# the per-tuple interpreter over generated op chains and adversarial window
-# sizes, every batched switch walk against the frame-at-a-time walk the pisa
-# tests keep; then the boundary between the two, batch hand-off against the
-# wire codec's round trip the emitter tests keep — both again over the
-# small-scale eleven-query plan, the wire side's engine on the per-tuple
-# interpreter; once, the sharded runtime at 2/8 workers against one shard
+# the per-tuple interpreter the stream tests keep (interp_ref_test.go) over
+# generated op chains entered by tuples and by packets and adversarial
+# window sizes, every batched switch walk against the frame-at-a-time walk
+# the pisa tests keep; then the boundary between the two, batch hand-off
+# against the wire codec's round trip the emitter tests keep — all three
+# again over the small-scale eleven-query plan, the wire side's engine
+# batched; once, the sharded runtime at 2/8 workers against one shard
 # and the runtime's vantage-point switches against the standalone
 # network-wide fabric loop they replaced (2 and 4 vantage points at 1 and 2
 # workers); planner training, which runs the kernels over one batch of
@@ -117,10 +118,13 @@ check-examples:
 	$(GO) run ./cmd/sonata -pkts 20000 -windows 4 -workers 2 > /dev/null
 
 # Fuzz smoke: ten seconds of arbitrary MsgInstall bodies against the
-# data-plane server (FuzzDataPlaneInstall, seeded from
-# internal/drivers/testdata/fuzz); any panic fails the gate.
+# data-plane server (FuzzDataPlaneInstall), then ten of arbitrary
+# MsgEndWindow replies whose register dumps reach the emitter and the engine
+# (FuzzWindowDataDumps), each seeded from internal/drivers/testdata/fuzz;
+# any panic fails the gate.
 check-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDataPlaneInstall -fuzztime 10s ./internal/drivers
+	$(GO) test -run '^$$' -fuzz FuzzWindowDataDumps -fuzztime 10s ./internal/drivers
 
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
 # against alloc_budget.json (zero for every path but the runtime's whole

@@ -120,19 +120,12 @@ func TestAllocBudget(t *testing.T) {
 	eng.Instance(1, 0).IngestTuple(stream.SideLeft, tvals)
 	check("EngineReduceHit", func() { eng.Instance(1, 0).IngestTuple(stream.SideLeft, tvals) })
 
-	// Scalar fallback ingest: the per-tuple interpreter through a tuple-phase
-	// map into a warm reduce key. The map's output row comes from the
-	// executor's per-op scratch, so the classic path is allocation-free too.
-	scEng := allocBudgetMapEngine(t, true)
-	mvals := []tuple.Value{tuple.U64(9), tuple.U64(42), tuple.U64(1)}
-	scEng.Instance(1, 0).IngestTuple(stream.SideLeft, mvals)
-	check("EngineScalarIngest", func() { scEng.Instance(1, 0).IngestTuple(stream.SideLeft, mvals) })
-
 	// Batched ingest: tuples buffered into the column-major batch and flushed
 	// through filter+map+reduce. Each run crosses a flush boundary (300 rows
 	// against a 256-row batch), so the budget covers both the append path and
 	// the columnar flush with its bitmap, map-buffer, and bulk-probe scratch.
-	bEng := allocBudgetMapEngine(t, false)
+	mvals := []tuple.Value{tuple.U64(9), tuple.U64(42), tuple.U64(1)}
+	bEng := allocBudgetMapEngine(t)
 	for w := 0; w < 2; w++ {
 		for i := 0; i < 600; i++ {
 			mvals[0] = tuple.U64(uint64(i % 16))
@@ -477,9 +470,9 @@ func allocBudgetEngine(t testing.TB) *stream.Engine {
 }
 
 // allocBudgetMapEngine installs a chain whose tuple-phase section starts
-// with a map, so ingest exercises the map scratch (scalar) or the columnar
-// map buffers (batched) before folding into the reduce.
-func allocBudgetMapEngine(t testing.TB, scalar bool) *stream.Engine {
+// with a map, so ingest exercises the columnar map buffers before folding
+// into the reduce.
+func allocBudgetMapEngine(t testing.TB) *stream.Engine {
 	q := query.NewBuilder("qm", 3*time.Second).
 		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
 		Map(query.F(fields.SrcIP), query.F(fields.DstIP), query.ConstCol(1)).
@@ -489,7 +482,6 @@ func allocBudgetMapEngine(t testing.TB, scalar bool) *stream.Engine {
 		MustBuild()
 	q.ID = 1
 	eng := stream.NewEngine(nil)
-	eng.SetScalar(scalar)
 	if err := eng.Install(q, 0, stream.Partition{LeftStart: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,13 @@ import (
 	"time"
 
 	"repro/internal/compile"
+	"repro/internal/emitter"
 	"repro/internal/fields"
 	"repro/internal/netproto"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/query"
+	"repro/internal/stream"
 	"repro/internal/tuple"
 )
 
@@ -281,5 +283,27 @@ func FuzzDataPlaneInstall(f *testing.F) {
 		if err := srv.handle(c, netproto.MsgEndWindow, nil); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// FuzzWindowDataDumps decodes arbitrary bytes as the WindowData a remote
+// data plane answers MsgEndWindow with (DataPlaneClient.EndWindow) and hands
+// its dumps to an emitter whose engine has testQuery installed at
+// testProgram's partition, then ends the window. Whatever the bytes, nothing
+// may panic: a dump no installed op takes counts as malformed. The seed
+// corpus (testdata/fuzz) holds a valid window and seven malformed dumps.
+func FuzzWindowDataDumps(f *testing.F) {
+	q := testQuery()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var wd netproto.WindowData
+		if netproto.Decode(body, &wd) != nil {
+			return
+		}
+		engine := stream.NewEngine(nil)
+		if err := engine.Install(q, 0, stream.Partition{LeftStart: len(q.Left.Ops)}); err != nil {
+			t.Fatal(err)
+		}
+		emitter.New(engine).HandleDumps(wd.Dumps)
+		engine.EndWindow()
 	})
 }

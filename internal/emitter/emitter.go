@@ -393,11 +393,16 @@ func (e *Emitter) deliverTuples(b *pisa.MirrorBatch, inst *stream.Instance, side
 
 // HandleDumps converts the end-of-window register dumps into pre-aggregated
 // tuples merged into the engine's stateful operators — the emitter's "read
-// the aggregated value for each key" role from Section 5.
+// the aggregated value for each key" role from Section 5. Dumps may come off
+// a remote data plane's wire: one no installed instance takes — unknown
+// (qid, level), an absent side, an op that is not stateful, a key of the
+// wrong width or kinds — counts as malformed.
 func (e *Emitter) HandleDumps(dumps []pisa.RegDump) {
 	for i := range dumps {
 		d := &dumps[i]
-		e.engine.IngestAgg(d.QID, d.Level, streamSide(d.Side), d.MergeOp, d.KeyVals, d.Val)
+		if !e.engine.Instance(d.QID, d.Level).IngestAgg(streamSide(d.Side), d.MergeOp, d.KeyVals, d.Val) {
+			e.malformed(1)
+		}
 	}
 }
 

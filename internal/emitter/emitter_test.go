@@ -293,3 +293,33 @@ func TestHandleDumpsMerges(t *testing.T) {
 		t.Fatalf("results = %+v", results[0].Tuples)
 	}
 }
+
+// TestHandleDumpsRefusesMalformed hands the emitter a window's dumps in
+// which seven no installed op takes surround a valid one — as a remote data
+// plane's decoded window may: each of the seven counts as malformed, none
+// panics or merges, and the valid dump still merges.
+func TestHandleDumpsRefusesMalformed(t *testing.T) {
+	engine, em := engineWithQ1(t) // q1 at level 0, its reduce at op 2; no join
+	key := []tuple.Value{tuple.U64(5)}
+	dumps := []pisa.RegDump{
+		{QID: 9, MergeOp: 2, KeyVals: key, Val: 1},                                                     // unknown qid
+		{QID: 1, MergeOp: 99, KeyVals: key, Val: 1},                                                    // op out of range
+		{QID: 1, MergeOp: 0, KeyVals: key, Val: 1},                                                     // stateless op
+		{QID: 1, MergeOp: 2, KeyVals: key, Val: 4},                                                     // valid
+		{QID: 1, Side: pisa.SideRight, MergeOp: 2, KeyVals: key, Val: 1},                               // right side of a non-join
+		{QID: 1, MergeOp: 2, Val: 1},                                                                   // empty key
+		{QID: 1, MergeOp: 2, KeyVals: []tuple.Value{tuple.Str("5")}, Val: 1},                           // string key
+		{QID: 1, MergeOp: 2, KeyVals: []tuple.Value{tuple.U64(5), tuple.U64(1), tuple.U64(2)}, Val: 1}, // three-value key
+	}
+	em.HandleDumps(dumps)
+	if st := em.WindowStats(); st.Malformed != 7 {
+		t.Errorf("malformed = %d, want 7", st.Malformed)
+	}
+	results, m := engine.EndWindow()
+	if m.TuplesIn != 1 {
+		t.Errorf("TuplesIn = %d, want the valid dump alone", m.TuplesIn)
+	}
+	if len(results[0].Tuples) != 1 || results[0].Tuples[0][0].U != 5 || results[0].Tuples[0][1].U != 4 {
+		t.Fatalf("results = %+v, want [5 4]", results[0].Tuples)
+	}
+}

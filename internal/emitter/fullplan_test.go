@@ -77,7 +77,6 @@ func newPlanSide(t *testing.T, plan *planner.Plan, wire bool) *planSide {
 	}
 	var err error
 	if wire {
-		s.engine.SetScalar(true)
 		w := emitter.NewWireEmitter(s.engine)
 		s.em = w.Emitter
 		s.sw, err = pisa.NewSwitch(pisa.DefaultConfig(), plan.Program, w.HandleMirror)
@@ -165,13 +164,13 @@ func (s *planSide) closeWindow(plan *planner.Plan) planWindow {
 
 // TestMirrorBatchMatchesWireFullPlan is TestMirrorBatchMatchesWire over the
 // small-scale evaluation workload and its eleven-query plan: the emitter as
-// the switch's batch sink into a batched engine, and every record through
-// the wire codec's round trip into an engine running the per-tuple
-// interpreter, must leave the same results, per-instance counts, emitter
-// and switch counters after every window — each side refining its own
-// dynamic filters from its own results. With
-// TestBatchedWalksMatchProcessFullPlan in pisa, it spans the frame walk, the
-// wire codec and the per-tuple interpreter over the full workload.
+// the switch's batch sink, and every record through the wire codec's round
+// trip, each into a batched engine of its own, must leave the same results,
+// per-instance counts, emitter and switch counters after every window —
+// each side refining its own dynamic filters from its own results. With
+// TestBatchedWalksMatchProcessFullPlan in pisa and
+// TestBatchedMatchesInterpreterFullPlan in stream, it spans the frame walk,
+// the wire codec and the per-tuple interpreter over the full workload.
 func TestMirrorBatchMatchesWireFullPlan(t *testing.T) {
 	wl, plan := fullPlan(t)
 	batched, wire := newPlanSide(t, plan, false), newPlanSide(t, plan, true)

@@ -102,7 +102,9 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 					}
 					dumps, _ := sw.EndWindow()
 					for _, d := range dumps {
-						engine.IngestAgg(1, 0, stream.SideLeft, d.MergeOp, d.KeyVals, d.Val)
+						if !engine.Instance(1, 0).IngestAgg(stream.SideLeft, d.MergeOp, d.KeyVals, d.Val) {
+							t.Fatalf("dump %+v refused", d)
+						}
 					}
 					results, _ := engine.EndWindow()
 					got := renderResults(results)

@@ -1,24 +1,27 @@
 package stream
 
-// Columnar batched execution (DESIGN.md "Column execution").
+// Columnar batched execution (DESIGN.md "Column execution"), the stream
+// processor's one executor.
 //
-// Tuples entering a pipeline suffix are buffered into a column-major batch
-// (one tuple.Column per field, recycled across windows) instead of being
-// walked through the op chain one at a time. A flush runs the whole batch
-// through the chain with op dispatch amortized per batch, starting from the
-// all-ones selection: the stateless ops are internal/query's column kernels —
-// the code the switch walk runs before the partition point — so filters
-// clear bits in the selection bitmap instead of early-returning per tuple
-// and maps evaluate column-at-a-time into pooled columns; reduce/distinct
-// probe their keytab arena in a fused bulk loop.
+// Tuples entering a pipeline suffix — ingested, landed by a packet-phase
+// map, or drained from a stateful op at window close — are buffered into a
+// column-major batch (one tuple.Column per field, recycled across windows)
+// instead of being walked through the op chain one at a time. A flush runs
+// the whole batch through the chain with op dispatch amortized per batch,
+// starting from the all-ones selection: the stateless ops are
+// internal/query's column kernels — the code the switch walk runs before
+// the partition point — so filters clear bits in the selection bitmap
+// instead of early-returning per tuple and maps evaluate column-at-a-time
+// into pooled columns; reduce/distinct probe their keytab arena in a fused
+// bulk loop.
 //
-// The batch flushes whenever per-tuple semantics could otherwise diverge
-// from the scalar interpreter: at capacity, when the next tuple enters at a
-// different op, before an out-of-band mergeAgg, and at window close before
-// and between stateful drains. Because every flush preserves the arrival
-// order of its rows, keytab first-touch (insertion) order — and with it
-// every flush order, count, and report — is bit-identical to the per-tuple
-// interpreter's.
+// The batch flushes wherever a tuple-at-a-time walk would otherwise see a
+// different state: at capacity, when the next tuple enters at a different
+// op, before an out-of-band mergeAgg, and at window close before and between
+// stateful drains. Because every flush preserves the arrival order of its
+// rows, keytab first-touch (insertion) order — and with it every flush
+// order, count, and report — is bit-identical to the per-tuple interpreter
+// the package's tests keep as its oracle (interp_ref_test.go).
 
 import (
 	"fmt"
@@ -49,7 +52,7 @@ type colBatch struct {
 // caller scratch.
 func (e *pipeExec) bufferTuple(at int, vals []tuple.Value) {
 	if at >= len(e.ops) {
-		// Fell off the end before any op: identical to the scalar tail.
+		// Fell off the end before any op: the row is an output.
 		e.outCounts[len(e.ops)]++
 		e.outVals = append(e.outArena(), vals...)
 		e.outOffs = append(e.outOffs, len(e.outVals))
@@ -122,16 +125,16 @@ func (e *pipeExec) bufferCols(at int, cols []tuple.Column, sel []uint64) {
 	}
 }
 
-// ingestPackets is ingestPacket over the selected packets of pkts, op by op
-// instead of packet by packet: the kernels clear selection bits — reading the
-// header fields pkts carries as columns — the per-op counters move by
-// popcount, and the landing map evaluates the surviving packets into columns
-// that bufferCols copies into the batch. Packets are taken in ascending order
-// and the batch flushes at capacity as it does for bufferTuple, so the
-// downstream keytabs see the first-touch order of per-packet ingest. sel is
-// not modified. It returns the selection of the packets that passed every op
-// and ended the pipeline still packets (none once a map has landed them),
-// valid until the next call.
+// ingestPackets walks the selected packets of pkts through the packet-phase
+// ops from index at, op by op instead of packet by packet: the kernels clear
+// selection bits — reading the header fields pkts carries as columns — the
+// per-op counters move by popcount, and the landing map evaluates the
+// surviving packets into columns that bufferCols copies into the batch.
+// Packets are taken in ascending order and the batch flushes at capacity as
+// it does for bufferTuple, so the downstream keytabs see the first-touch
+// order of per-packet ingest. sel is not modified. It returns the selection
+// of the packets that passed every op and ended the pipeline still packets
+// (none once a map has landed them), valid until the next call.
 func (e *pipeExec) ingestPackets(at int, pkts *query.PacketBatch, sel []uint64) []uint64 {
 	e.pktSel = append(e.pktSel[:0], sel...)
 	sel = e.pktSel
@@ -162,15 +165,14 @@ func (e *pipeExec) ingestPackets(at int, pkts *query.PacketBatch, sel []uint64) 
 			panic(fmt.Sprintf("stream: stateful op %v in packet phase", o.Kind))
 		}
 	}
-	// Survivors ended the pipeline still in packet phase; record their
-	// passage as ingestPacket does.
+	// Survivors ended the pipeline still in packet phase: their passage is
+	// the pipeline's output count.
 	e.outCounts[len(e.ops)] += live
 	return sel
 }
 
 // flushBatch runs the buffered rows through the op chain column-wise. A
-// no-op on an empty batch (and therefore always in scalar mode, which never
-// buffers).
+// no-op on an empty batch.
 func (e *pipeExec) flushBatch() {
 	b := &e.batch
 	n := b.n
@@ -215,7 +217,7 @@ func (e *pipeExec) flushBatch() {
 	}
 	if live > 0 {
 		// Surviving rows fell off the end: gather each into an owned copy,
-		// in row (arrival) order, exactly as the scalar tail does.
+		// in row (arrival) order.
 		e.outCounts[len(e.ops)] += uint64(live)
 		e.bulkRows = tuple.SelRows(e.sel, e.bulkRows[:0])
 		arena := e.outArena()
@@ -274,7 +276,7 @@ func (e *pipeExec) reduceCols(o *query.Op, st *keytab.Table, cols []tuple.Column
 }
 
 // distinctCols inserts the batch's selected rows into a distinct op's
-// keytab; like the scalar path, hits are ignored.
+// keytab; hits are ignored.
 func (e *pipeExec) distinctCols(o *query.Op, st *keytab.Table, cols []tuple.Column) {
 	rows, keys, ends, idxs := e.bulkLookup(o, st, cols)
 	start := uint32(0)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fields"
+	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -84,18 +85,25 @@ func statefulOf(q *query.Query) (int, int) {
 	return -1, 0
 }
 
-// snapshotEngineWindow closes a window on e and renders everything the
+// snapshotEngineWindow closes a window on e — through the batched close, or
+// the per-tuple reference's when ref is set — and renders everything the
 // batched path must reproduce bit-identically: result tuples (already
 // deterministically sorted by the engine), the window's load metrics, and
-// the instance's per-op in/out funnels.
-func snapshotEngineWindow(t *testing.T, e *Engine, key QueryKey) string {
+// the instance's per-op in/out funnels. It also returns the result count.
+func snapshotEngineWindow(t *testing.T, e *Engine, key QueryKey, ref bool) (string, int) {
 	t.Helper()
-	results, m := e.EndWindow()
+	end := e.EndWindow
+	if ref {
+		end = e.EndWindowRef
+	}
+	results, m := end()
 	var sb strings.Builder
+	n := 0
 	st := m.Instances[slices.Index(e.order, key)]
 	fmt.Fprintf(&sb, "tuplesIn=%d perQuery=%d\n", m.TuplesIn, st.TuplesIn)
 	for _, res := range results {
 		fmt.Fprintf(&sb, "q%d/%d:", res.QID, res.Level)
+		n += len(res.Tuples)
 		for _, tp := range res.Tuples {
 			sb.WriteString(" [")
 			for j, v := range tp {
@@ -109,8 +117,80 @@ func snapshotEngineWindow(t *testing.T, e *Engine, key QueryKey) string {
 		sb.WriteByte('\n')
 	}
 	fmt.Fprintf(&sb, "in=%v out=%v\n", st.OpIn, st.OpOut)
-	return sb.String()
+	return sb.String(), n
 }
+
+// endedCount flushes e's batch and returns how many rows or packets have
+// fallen off the end of key's left pipeline this window — the count the
+// profiler reports as OutAfter[len(ops)] and InstanceStats does not carry.
+// The close starts with the same flush.
+func endedCount(e *Engine, key QueryKey) uint64 {
+	ex := e.queries[key].left
+	ex.flushBatch()
+	return ex.outCounts[len(ex.ops)]
+}
+
+// compareWindow closes a window on the reference engine and on the batched
+// one and fails when anything differs; it returns the window's results.
+func compareWindow(t *testing.T, ref, batched *Engine, key QueryKey, what string) int {
+	t.Helper()
+	if want, got := endedCount(ref, key), endedCount(batched, key); got != want {
+		t.Fatalf("%s: %d rows ended the pipeline, the per-tuple interpreter says %d", what, got, want)
+	}
+	want, _ := snapshotEngineWindow(t, ref, key, true)
+	got, n := snapshotEngineWindow(t, batched, key, false)
+	if got != want {
+		t.Fatalf("%s diverged:\n--- scalar\n%s--- batched\n%s", what, want, got)
+	}
+	return n
+}
+
+// refPair installs q at part on two engines sharing one set of dynamic
+// filter tables: the per-tuple reference's (first) and the batched
+// executor's.
+func refPair(t *testing.T, q *query.Query, part Partition) (ref, batched *Engine) {
+	t.Helper()
+	dyn := NewDynTables()
+	ref, batched = NewEngine(dyn), NewEngine(dyn)
+	for _, e := range []*Engine{ref, batched} {
+		if err := e.Install(q, 0, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref, batched
+}
+
+// randomKey is a register dump's key for a grouping key of width n.
+func randomKey(r *rand.Rand, n int) []tuple.Value {
+	kv := make([]tuple.Value, n)
+	for j := range kv {
+		kv[j] = tuple.U64(uint64(r.Intn(8)))
+	}
+	return kv
+}
+
+// fuzzDynTable names the rule set of the filter dynamicFilter turns dynamic.
+const fuzzDynTable = "fuzz.dyn"
+
+// dynamicFilter turns the first tuple-phase filter past the partition point
+// of a fuzzShape chain into a dynamic filter on column 0 (SrcIP in every
+// shape's filter input) at /32, probing fuzzDynTable, and reports whether
+// the chain had one. No planned query puts a dynamic filter past its
+// partition point, so this is the only differential the batched dynamic
+// filter (DynSet.FilterCols in flushBatch) meets.
+func dynamicFilter(q *query.Query) bool {
+	for i := 2; i < len(q.Left.Ops); i++ {
+		if o := &q.Left.Ops[i]; o.Kind == query.OpFilter {
+			o.DynFilterTable, o.DynKeyField, o.DynLevel, o.DynKeyCols = fuzzDynTable, fields.SrcIP, 32, []int{0}
+			return true
+		}
+	}
+	return false
+}
+
+// fuzzPacketBatches are the packet axis' batch lengths: empty, one, and
+// either side of a selection word and of the column batch's capacity.
+var fuzzPacketBatches = []int{0, 1, 63, 64, 65, 256, 257}
 
 // TestBatchedMatchesScalarFuzz is the batched executor's randomized
 // differential oracle: for every generated op chain, an identical tuple
@@ -118,29 +198,39 @@ func snapshotEngineWindow(t *testing.T, e *Engine, key QueryKey) string {
 // batches, window closes landing exactly on batch boundaries, mid-window
 // register-dump merges, and explicit-entry (overflow-path) tuples — must
 // produce bit-identical window snapshots from the batched engine and the
-// per-tuple scalar interpreter.
+// per-tuple interpreter (interp_ref_test.go), and so must the number of rows
+// that fell off the pipeline's end. The last round of seeds turns each
+// chain's first tuple-phase filter into a dynamic one whose rule set changes
+// every window (dynamicFilter). A packet axis installs the
+// same chains at op 0 and feeds frames — SYN and not, over small address
+// ranges — through IngestPackets in batches of fuzzPacketBatches' lengths,
+// every other batch with extracted field columns and a random selection, so
+// the packet-phase kernels and the landing map are held against per-packet
+// ingest too.
 func TestBatchedMatchesScalarFuzz(t *testing.T) {
 	const shapes = 10
+	parser := packet.NewParser(packet.ParserOptions{})
+	pktResults := 0
 	for seed := int64(0); seed < 3*shapes; seed++ {
 		shape := int(seed) % shapes
 		rng := rand.New(rand.NewSource(seed))
 		q := fuzzShape(rng, shape, uint16(shape+1))
 		key := QueryKey{q.ID, 0}
-
-		scalar := NewEngine(nil)
-		scalar.SetScalar(true)
-		batched := NewEngine(nil)
-		for _, e := range []*Engine{scalar, batched} {
-			if err := e.Install(q, 0, Partition{LeftStart: 2}); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-		}
+		// The last round of seeds turns the chain's first tuple-phase filter
+		// dynamic, where it has one.
+		dynamic := seed >= 2*shapes && dynamicFilter(q)
+		scalar, batched := refPair(t, q, Partition{LeftStart: 2})
 
 		mergeOp, keyWidth := statefulOf(q)
 		// Window sizes hit batch-boundary edges exactly and at random.
 		sizes := []int{0, 1, 255, 256, 257, 512, rng.Intn(700)}
 		for w, n := range sizes {
-			feed := func(e *Engine) {
+			feed := func(e *Engine, ref bool) {
+				inst := e.Instance(q.ID, 0)
+				ingest, ingestAt := inst.IngestTuple, inst.IngestTupleAt
+				if ref {
+					ingest, ingestAt = inst.IngestTupleRef, inst.IngestTupleAtRef
+				}
 				r := rand.New(rand.NewSource(seed*1000 + int64(w)))
 				for i := 0; i < n; i++ {
 					vals := []tuple.Value{
@@ -151,35 +241,88 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 					switch {
 					case mergeOp >= 0 && r.Intn(16) == 0:
 						// Register-dump merge into the stateful op.
-						kv := make([]tuple.Value, keyWidth)
-						for j := range kv {
-							kv[j] = tuple.U64(uint64(r.Intn(8)))
+						kv := randomKey(r, keyWidth)
+						if !inst.IngestAgg(SideLeft, mergeOp, kv, uint64(r.Intn(5)+1)) {
+							t.Fatalf("seed %d: op %d did not merge %v", seed, mergeOp, kv)
 						}
-						e.IngestAgg(q.ID, 0, SideLeft, mergeOp, kv, uint64(r.Intn(5)+1))
 					case mergeOp >= 0 && r.Intn(16) == 0:
 						// Collision-overflow path: explicit entry at the
 						// stateful op itself, with a tuple of the width it
 						// takes there.
 						vals = vals[:len(q.Left.Ops[mergeOp].InSchema())]
-						if !e.Instance(q.ID, 0).IngestTupleAt(SideLeft, mergeOp, vals) {
+						if !ingestAt(SideLeft, mergeOp, vals) {
 							t.Fatalf("seed %d: op %d did not take %v", seed, mergeOp, vals)
 						}
 					default:
-						if !e.Instance(q.ID, 0).IngestTuple(SideLeft, vals) {
+						if !ingest(SideLeft, vals) {
 							t.Fatalf("seed %d: the partition point did not take %v", seed, vals)
 						}
 					}
 				}
 			}
-			feed(scalar)
-			feed(batched)
-			want := snapshotEngineWindow(t, scalar, key)
-			got := snapshotEngineWindow(t, batched, key)
-			if got != want {
-				t.Fatalf("seed %d shape %d window %d (n=%d) diverged:\n--- scalar\n%s--- batched\n%s",
-					seed, shape, w, n, want, got)
+			if dynamic {
+				// A fresh rule set each window: about half of SrcIP's range.
+				r := rand.New(rand.NewSource(seed*1000 + 50 + int64(w)))
+				var keys []string
+				for ip := range uint64(8) {
+					if r.Intn(2) == 0 {
+						keys = append(keys, DynKeyFromValue(fields.SrcIP, tuple.U64(ip), 32))
+					}
+				}
+				batched.Dyn().Publish(fuzzDynTable, query.NewDynSet(keys))
 			}
+			feed(scalar, true)
+			feed(batched, false)
+			compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d window %d (n=%d)", seed, shape, w, n))
 		}
+
+		// The packet axis.
+		scalar, batched = refPair(t, q, Partition{})
+		var set query.FieldSet
+		set.AddOps(q.Left.Ops)
+		for w := range 3 {
+			r := rand.New(rand.NewSource(seed*1000 + 100 + int64(w)))
+			for b := range fuzzPacketBatches {
+				n := fuzzPacketBatches[(b+w)%len(fuzzPacketBatches)]
+				pkts := make([]*packet.Packet, n)
+				for i := range pkts {
+					flags := uint8(fields.FlagSYN)
+					if r.Intn(3) == 0 {
+						flags = fields.FlagACK
+					}
+					frame := packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: uint32(r.Intn(8)),
+						DstIP: uint32(r.Intn(4)), Proto: 6, TCPFlags: flags, Pad: 60})
+					pkts[i] = new(packet.Packet)
+					if err := parser.Parse(frame, pkts[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sel := tuple.SelAll(nil, n)
+				batch := query.PacketBatch{Pkts: pkts}
+				if (b+w)%2 == 0 {
+					for i := range n {
+						if r.Intn(8) == 0 {
+							sel[i>>6] &^= 1 << uint(i&63)
+						}
+					}
+					batch.Extract(&set, sel)
+				}
+				scalar.Instance(q.ID, 0).IngestPacketsRef(SideLeft, &batch, sel)
+				batched.Instance(q.ID, 0).IngestPackets(SideLeft, &batch, sel)
+				if mergeOp >= 0 && r.Intn(2) == 0 {
+					kv, agg := randomKey(r, keyWidth), uint64(r.Intn(5)+1)
+					for _, e := range []*Engine{scalar, batched} {
+						if !e.Instance(q.ID, 0).IngestAgg(SideLeft, mergeOp, kv, agg) {
+							t.Fatalf("seed %d: op %d did not merge %v", seed, mergeOp, kv)
+						}
+					}
+				}
+			}
+			pktResults += compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d packet window %d", seed, shape, w))
+		}
+	}
+	if pktResults == 0 {
+		t.Fatal("vacuous: no packet window produced a result")
 	}
 }
 

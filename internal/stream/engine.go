@@ -149,10 +149,6 @@ type Engine struct {
 	// into (nil when tracing is off). The runtime assigns each shard engine
 	// its own lane and sets the lane's parent before the window close.
 	tring *tracez.Ring
-	// scalar forces the per-tuple interpreter on every executor; the default
-	// (false) is the columnar batched path. The two are bit-identical — scalar
-	// mode exists as the differential-testing oracle and an escape hatch.
-	scalar bool
 	// readsDNS is whether some installed instance reads a DNS field
 	// (query.ReadsDNS), recomputed at Install.
 	readsDNS bool
@@ -245,14 +241,6 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 			rq.prePacket = newPipeExec(pre, part.LeftStart, e.dyn, nil)
 		}
 	}
-	rq.left.scalar = e.scalar
-	if rq.right != nil {
-		rq.right.scalar = e.scalar
-		rq.post.scalar = e.scalar
-	}
-	if rq.prePacket != nil {
-		rq.prePacket.scalar = e.scalar
-	}
 	st := InstanceStats{Key: rq.key, OpIn: make([]uint64, q.NumOps()), OpOut: make([]uint64, q.NumOps())}
 	if i := slices.Index(e.order, rq.key); i >= 0 {
 		e.stats[i] = st
@@ -268,25 +256,6 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 	return nil
 }
 
-// SetScalar switches every installed (and future) executor between the
-// columnar batched path (false, the default) and the per-tuple scalar
-// interpreter (true). Safe only between windows: switching with rows
-// buffered would strand them.
-func (e *Engine) SetScalar(v bool) {
-	e.scalar = v
-	for _, key := range e.order {
-		rq := e.queries[key]
-		rq.left.scalar = v
-		if rq.right != nil {
-			rq.right.scalar = v
-			rq.post.scalar = v
-		}
-		if rq.prePacket != nil {
-			rq.prePacket.scalar = v
-		}
-	}
-}
-
 // AttachTracez assigns the span lane EndWindow records op_eval spans into.
 // A nil ring detaches (recording becomes a no-op).
 func (e *Engine) AttachTracez(r *tracez.Ring) { e.tring = r }
@@ -295,16 +264,6 @@ func (e *Engine) AttachTracez(r *tracez.Ring) { e.tring = r }
 // installed — which a caller facing decoded bytes must check.
 func (e *Engine) Instance(qid uint16, level uint8) *Instance {
 	return e.queries[QueryKey{qid, level}]
-}
-
-// instance is Instance for callers that name instances themselves: an
-// unknown one is their bug.
-func (e *Engine) instance(qid uint16, level uint8) *Instance {
-	rq := e.Instance(qid, level)
-	if rq == nil {
-		panic(fmt.Sprintf("stream: no query instance q%d/r%d installed", qid, level))
-	}
-	return rq
 }
 
 // count books n tuples (or mirrored packets) delivered to rq.
@@ -365,16 +324,6 @@ func (rq *Instance) IngestPackets(side Side, pkts *query.PacketBatch, sel []uint
 	}
 	rq.eng.count(rq, uint64(n))
 	ex, at := rq.entry(side)
-	if ex.scalar {
-		// The per-packet reference.
-		rq.rows = tuple.SelRows(sel, rq.rows[:0])
-		for _, r := range rq.rows {
-			if ex.ingestPacket(at, pkts.Pkts[r]) && ex == rq.prePacket {
-				rq.bufferJoinLeft(pkts, int(r))
-			}
-		}
-		return
-	}
 	passed := ex.ingestPackets(at, pkts, sel)
 	if ex == rq.prePacket {
 		// The join's survivors are buffered row by row.
@@ -395,7 +344,7 @@ func (rq *Instance) IngestTuple(side Side, vals []tuple.Value) bool {
 		return false
 	}
 	rq.eng.count(rq, 1)
-	ex.feedTuple(at, vals)
+	ex.bufferTuple(at, vals)
 	return true
 }
 
@@ -406,11 +355,11 @@ func (rq *Instance) IngestTuple(side Side, vals []tuple.Value) bool {
 // side or vals is not a tuple it takes.
 func (rq *Instance) IngestTupleAt(side Side, opIdx int, vals []tuple.Value) bool {
 	ex, _ := rq.entry(side)
-	if opIdx < 0 || opIdx >= len(ex.ops) || !ex.ops[opIdx].Stateful() || !ex.takesTuple(opIdx, vals) {
+	if !ex.stateful(opIdx) || !ex.takesTuple(opIdx, vals) {
 		return false
 	}
 	rq.eng.count(rq, 1)
-	ex.feedTuple(opIdx, vals)
+	ex.bufferTuple(opIdx, vals)
 	return true
 }
 
@@ -451,12 +400,22 @@ func (rq *Instance) bufferJoinLeft(pkts *query.PacketBatch, r int) {
 // IngestAgg merges a pre-aggregated (key, value) record — a register dump
 // from the switch — into the stateful operator at index opIdx of the given
 // side, combining with any overflow packets the stream processor absorbed
-// itself during the window.
-func (e *Engine) IngestAgg(qid uint16, level uint8, side Side, opIdx int, keyVals []tuple.Value, agg uint64) {
-	rq := e.instance(qid, level)
-	e.count(rq, 1)
+// itself during the window. Like IngestTupleAt it reports false, merging and
+// counting nothing, when the side is absent (or the instance nil), opIdx is
+// not a stateful operator of that side, or keyVals is not a grouping key of
+// that operator in width and column kinds — which a caller facing decoded
+// bytes must treat as a malformed dump.
+func (rq *Instance) IngestAgg(side Side, opIdx int, keyVals []tuple.Value, agg uint64) bool {
+	if !rq.HasSide(side) {
+		return false
+	}
 	ex, _ := rq.entry(side)
+	if !ex.takesKey(opIdx, keyVals) {
+		return false
+	}
+	rq.eng.count(rq, 1)
 	ex.mergeAgg(opIdx, keyVals, agg)
+	return true
 }
 
 // EndWindow closes the current window: drains all stateful state, performs
@@ -567,7 +526,7 @@ func (rq *Instance) endJoin(res *Result) {
 		for i, keyEnd := range rq.pendKeyEnd {
 			valEnd := rq.pendValEnd[i]
 			if _, ok := idx.Lookup(rq.pendKeys[key:keyEnd]); ok {
-				rq.post.feedTuple(resume, rq.pendVals[val:valEnd])
+				rq.post.bufferTuple(resume, rq.pendVals[val:valEnd])
 			}
 			key, val = keyEnd, valEnd
 		}
@@ -600,10 +559,8 @@ func (rq *Instance) endJoin(res *Result) {
 			row = append(row, ro[i])
 		}
 		rq.joinRow = row
-		// post copies what it keeps: bufferTuple copies the row into its
-		// column batch, and the scalar interpreter's maps write per-op
-		// scratch, its stateful ops and outputs copy into their arenas.
-		rq.post.feedTuple(0, row)
+		// post copies the row into its column batch.
+		rq.post.bufferTuple(0, row)
 	}
 	res.Tuples = rq.post.endWindow()
 }

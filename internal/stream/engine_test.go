@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -96,16 +97,63 @@ func TestRegisterDumpMergesWithOverflow(t *testing.T) {
 	key := []tuple.Value{tuple.U64(7)}
 	// Overflow path: raw map-output tuples merged into the reduce (op 2).
 	for i := 0; i < 3; i++ {
-		e.IngestAgg(1, 0, SideLeft, 2, key, 1)
+		e.Instance(1, 0).IngestAgg(SideLeft, 2, key, 1)
 	}
 	// Register dump at window end: 4 more from the switch.
-	e.IngestAgg(1, 0, SideLeft, 2, key, 4)
+	e.Instance(1, 0).IngestAgg(SideLeft, 2, key, 4)
 	results, _ := e.EndWindow()
 	if len(results[0].Tuples) != 1 {
 		t.Fatalf("results = %+v", results)
 	}
 	if got := results[0].Tuples[0][1].U; got != 7 {
 		t.Errorf("merged count = %d, want 7", got)
+	}
+}
+
+// TestIngestAggRefusesMalformedDumps feeds register dumps no installed op
+// takes — as a remote data plane's gob-decoded window may carry — to q1
+// installed wholly on the switch. Each is refused, with nothing merged or
+// counted; a valid dump after them still merges.
+func TestIngestAggRefusesMalformedDumps(t *testing.T) {
+	e := NewEngine(nil)
+	if err := e.Install(query1(0), 0, Partition{LeftStart: 4}); err != nil {
+		t.Fatal(err)
+	}
+	key := []tuple.Value{tuple.U64(7)}
+	for _, c := range []struct {
+		name string
+		qid  uint16
+		side Side
+		op   int
+		key  []tuple.Value
+	}{
+		{"unknown qid", 9, SideLeft, 2, key},
+		{"op out of range", 1, SideLeft, 99, key},
+		{"stateless op", 1, SideLeft, 0, key},
+		{"stateless op, empty key", 1, SideLeft, 0, nil},
+		{"right side of a non-join", 1, SideRight, 2, key},
+		{"empty key", 1, SideLeft, 2, nil},
+		{"string key", 1, SideLeft, 2, []tuple.Value{tuple.Str("7")}},
+		{"three-value key", 1, SideLeft, 2, []tuple.Value{tuple.U64(7), tuple.U64(1), tuple.U64(2)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if e.Instance(c.qid, 0).IngestAgg(c.side, c.op, c.key, 5) {
+				t.Fatal("the dump was taken")
+			}
+			results, m := e.EndWindow()
+			st := m.Instances[0]
+			if m.TuplesIn != 0 || st.TuplesIn != 0 || len(results[0].Tuples) != 0 ||
+				slices.ContainsFunc(st.OpIn, func(n uint64) bool { return n != 0 }) {
+				t.Fatalf("a refused dump left tuples=%d results=%v op_in=%v", m.TuplesIn, results[0].Tuples, st.OpIn)
+			}
+		})
+	}
+	if !e.Instance(1, 0).IngestAgg(SideLeft, 2, key, 5) {
+		t.Fatal("a valid dump was refused")
+	}
+	results, m := e.EndWindow()
+	if m.TuplesIn != 1 || len(results[0].Tuples) != 1 || results[0].Tuples[0][1].U != 5 {
+		t.Fatalf("valid dump: tuples=%d results=%v", m.TuplesIn, results[0].Tuples)
 	}
 }
 

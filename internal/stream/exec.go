@@ -11,12 +11,10 @@
 package stream
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/fields"
 	"repro/internal/keytab"
-	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -109,10 +107,6 @@ type pipeExec struct {
 	// before it.
 	lastKeys []uint64
 
-	// scalar selects the per-tuple interpreter over the batched executor —
-	// the differential oracle mode. In scalar mode the batch is never
-	// populated, so every flush is a no-op.
-	scalar bool
 	// batch buffers tuples entering the tuple-phase op chain until a flush
 	// point (capacity, entry change, out-of-band merge, window close);
 	// flushBatch in batch.go runs the columnar walk. All batch scratch below
@@ -130,9 +124,10 @@ type pipeExec struct {
 	pool     tuple.ColumnPool
 	land     tuple.ColumnPool
 	landRows []int32
-	// mapOut[i] is op i's output-row scratch: a map's in the per-tuple walk
-	// (scalar mode), a reduce's drained row. Distinct ops get distinct
-	// buffers so a downstream map can read its input while writing its own.
+	// mapOut[i] is op i's output-row scratch: a reduce's drained row on its
+	// way into the batch, and a map's output in the per-tuple reference the
+	// tests keep, where distinct ops need distinct buffers so a downstream
+	// map can read its input while writing its own.
 	mapOut [][]tuple.Value
 	// bulkKeys/bulkEnds/bulkRows/bulkIdxs back the fused bulk probe: keys
 	// holds the batch's concatenated grouping keys, ends their end offsets,
@@ -164,110 +159,11 @@ func newPipeExec(ops []query.Op, start int, dyn *DynTables, in []bool) *pipeExec
 	return e
 }
 
-// ingestPacket pushes a raw packet through packet-phase ops starting at op
-// index at; when a map converts it to a tuple the tuple continues through
-// ingestTuple. It is the per-packet reference for ingestPackets, run in its
-// place in scalar mode, and reports what ingestPackets selects: whether the
-// packet passed every op and ended the pipeline still a packet.
-func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) bool {
-	for i := at; i < len(e.ops); i++ {
-		e.inCounts[i]++
-		o := &e.ops[i]
-		switch {
-		case !o.PacketPhase():
-			panic(fmt.Sprintf("stream: op %d (%v) is tuple-phase but received a packet", i, o.Kind))
-		case o.Kind == query.OpFilter && o.DynFilterTable != "":
-			if !e.dyn.Set(o.DynFilterTable).MatchPacket(o, pkt) {
-				return false
-			}
-			e.outCounts[i]++
-		case o.Kind == query.OpFilter:
-			for j := range o.Clauses {
-				if !o.Clauses[j].MatchPacket(pkt) {
-					return false
-				}
-			}
-			e.outCounts[i]++
-		case o.Kind == query.OpMap:
-			// A packet lacking a required field leaves no row.
-			vals := e.mapScratch(i, len(o.Cols))
-			for j := range o.Cols {
-				v, ok := o.Cols[j].Expr.EvalPacket(pkt)
-				if !ok {
-					return false
-				}
-				vals[j] = v
-			}
-			e.outCounts[i]++
-			e.ingestTuple(i+1, vals)
-			return false
-		default:
-			panic(fmt.Sprintf("stream: stateful op %v in packet phase", o.Kind))
-		}
-	}
-	// Pipeline ended while still in packet phase: the result is the packet
-	// itself; record its passage (the packet-phase join path picks the
-	// packets up from the returned selection).
-	e.outCounts[len(e.ops)]++
-	return true
-}
-
 // DynKeyFromValue builds the dynamic-filter key for a single value masked to
 // the filter's level, in the encoding query.NewDynSet takes — the install
 // side (runtime, planner training), where keys are retained.
 func DynKeyFromValue(f fields.ID, v tuple.Value, level int) string {
 	return string(tuple.AppendKeyValue(nil, query.MaskValue(f, v, level)))
-}
-
-// ingestTuple pushes a tuple through ops starting at index at, stopping at
-// the first stateful op (which absorbs it into window state).
-func (e *pipeExec) ingestTuple(at int, vals []tuple.Value) {
-	for i := at; i < len(e.ops); i++ {
-		e.inCounts[i]++
-		o := &e.ops[i]
-		switch o.Kind {
-		case query.OpFilter:
-			if o.DynFilterTable != "" {
-				if !e.dyn.Set(o.DynFilterTable).MatchTuple(o, vals) {
-					return
-				}
-			} else {
-				for j := range o.Clauses {
-					if !o.Clauses[j].MatchTuple(vals) {
-						return
-					}
-				}
-			}
-			e.outCounts[i]++
-		case query.OpMap:
-			// Per-op scratch instead of a per-tuple make: op i's buffer is
-			// never the input of op i itself (walks visit each op once, with
-			// strictly increasing indices), so reading vals while writing out
-			// is alias-free, and everything downstream copies what it keeps.
-			out := e.mapScratch(i, len(o.Cols))
-			for j := range o.Cols {
-				out[j] = o.Cols[j].Expr.EvalTuple(vals)
-			}
-			vals = out
-			e.outCounts[i]++
-		case query.OpReduce:
-			st := e.states[i]
-			e.keyScratch = tuple.AppendKey(e.keyScratch[:0], vals, o.KeyCols)
-			idx, existed := st.GetOrInsert(e.keyScratch, vals, o.KeyCols, vals[o.ValCol].U)
-			if existed {
-				st.SetAgg(idx, o.Func.Apply(st.Agg(idx), vals[o.ValCol].U))
-			}
-			return
-		case query.OpDistinct:
-			st := e.states[i]
-			e.keyScratch = tuple.AppendKey(e.keyScratch[:0], vals, o.KeyCols)
-			st.GetOrInsert(e.keyScratch, vals, o.KeyCols, 1)
-			return
-		}
-	}
-	e.outCounts[len(e.ops)]++
-	e.outVals = append(e.outArena(), vals...)
-	e.outOffs = append(e.outOffs, len(e.outVals))
 }
 
 // outArena returns the output value arena ready for one more row's values,
@@ -284,16 +180,14 @@ func (e *pipeExec) outArena() []tuple.Value {
 
 // mergeAgg folds a pre-aggregated (key, value) produced by the switch into
 // the stateful op at index at, using the op's own aggregation function so
-// switch-side and overflow-side contributions combine correctly.
+// switch-side and overflow-side contributions combine correctly. The caller
+// has established takesKey.
 func (e *pipeExec) mergeAgg(at int, keyVals []tuple.Value, agg uint64) {
 	// Folding out of band: flush buffered tuples first so the op's keytab
 	// sees them in arrival order (first-touch order is the flush order).
 	e.flushBatch()
 	e.inCounts[at]++
 	o := &e.ops[at]
-	if !o.Stateful() {
-		panic(fmt.Sprintf("stream: mergeAgg into stateless op %v", o.Kind))
-	}
 	st := e.states[at]
 	e.keyScratch = tuple.AppendKey(e.keyScratch[:0], keyVals, identityCols(len(keyVals)))
 	idx, existed := st.GetOrInsert(e.keyScratch, keyVals, nil, agg)
@@ -322,12 +216,11 @@ func (e *pipeExec) endWindow() [][]tuple.Value {
 		// flushed into this one.
 		e.lastKeys[i] = uint64(st.Len())
 		o := &e.ops[i]
-		// Feed each flushed key row — a reduce's with its aggregate as the
-		// trailing column, built in the op's own scratch — to op i+1. The
+		// Buffer each flushed key row — a reduce's with its aggregate as the
+		// trailing column, built in the op's own scratch — at op i+1. The
 		// KeyVals slices alias keytab storage, but bufferTuple copies the
-		// values immediately and the scalar walk copies what it keeps, and the
-		// explicit flush below lands everything in the downstream states
-		// before st resets.
+		// values immediately, and the explicit flush below lands everything
+		// in the downstream states before st resets.
 		for k := range st.Len() {
 			e.outCounts[i]++
 			row := st.KeyVals(k)
@@ -337,7 +230,7 @@ func (e *pipeExec) endWindow() [][]tuple.Value {
 				copy(row, kv)
 				row[len(kv)] = tuple.U64(st.Agg(k))
 			}
-			e.feedTuple(i+1, row)
+			e.bufferTuple(i+1, row)
 		}
 		e.flushBatch()
 		st.Reset()
@@ -387,6 +280,27 @@ func (e *pipeExec) takesTuple(at int, vals []tuple.Value) bool {
 	return true
 }
 
+// stateful reports whether at indexes a stateful op: one a shunted tuple or a
+// register dump may enter at.
+func (e *pipeExec) stateful(at int) bool {
+	return at >= 0 && at < len(e.ops) && e.ops[at].Stateful()
+}
+
+// takesKey reports whether keyVals can merge into the op at index at: a
+// stateful op whose grouping key has keyVals' width, each value of the kind
+// its key column is kept in.
+func (e *pipeExec) takesKey(at int, keyVals []tuple.Value) bool {
+	if !e.stateful(at) || len(keyVals) != len(e.ops[at].KeyCols) {
+		return false
+	}
+	for j, c := range e.ops[at].KeyCols {
+		if keyVals[j].Str != e.kinds[at][c] {
+			return false
+		}
+	}
+	return true
+}
+
 // takesPackets reports whether what enters at op index at is still a packet:
 // the op there is packet-phase, or the pipeline ended without a map.
 func (e *pipeExec) takesPackets(at int) bool {
@@ -394,17 +308,6 @@ func (e *pipeExec) takesPackets(at int) bool {
 		return e.ops[at].PacketPhase()
 	}
 	return at == 0 || e.ops[at-1].OutSchema() == nil
-}
-
-// feedTuple is the mode dispatch for tuples entering the op chain at index
-// at: the per-tuple interpreter in scalar (oracle) mode, the column batch
-// otherwise.
-func (e *pipeExec) feedTuple(at int, vals []tuple.Value) {
-	if e.scalar {
-		e.ingestTuple(at, vals)
-		return
-	}
-	e.bufferTuple(at, vals)
 }
 
 // mapScratch returns op i's output-row buffer, sized to n values. Buffers

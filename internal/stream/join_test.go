@@ -126,8 +126,10 @@ func sameTuples(t *testing.T, what string, got, want [][]tuple.Value) {
 // against the map-based join: numeric, string (DNS-name) and multi-column
 // keys, duplicate right keys (the first wins), empty sides, inner and
 // left-outer, the packet-phase-left semi-join with and without a post map,
-// scalar and batched executors, six windows per engine so the index is
-// reset between windows that share and do not share keys.
+// the batched executor and the per-tuple reference (scalar=true: the
+// interp_ref_test.go entry points, so the oracle is held to the map join
+// too), six windows per engine so the index is reset between windows that
+// share and do not share keys.
 func TestJoinMatchesMapOracle(t *testing.T) {
 	names := []string{"a.example.com", "b.example.com", "c.example.org", "x.y"}
 	sideTuple := func(rng *rand.Rand) []tuple.Value {
@@ -151,12 +153,15 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 					q := b.MustBuild()
 					q.ID = 3
 					e := NewEngine(nil)
-					e.SetScalar(scalar)
 					if err := e.Install(q, 0, Partition{LeftStart: len(q.Left.Ops), RightStart: len(q.Right.Ops)}); err != nil {
 						t.Fatal(err)
 					}
 					rng := rand.New(rand.NewSource(int64(len(keys))*7 + 1))
 					inst := e.Instance(3, 0)
+					ingest, end := inst.IngestTuple, e.EndWindow
+					if scalar {
+						ingest, end = inst.IngestTupleRef, e.EndWindowRef
+					}
 					joined := 0
 					for w, sizes := range joinSizes {
 						var left, rightOuts [][]tuple.Value
@@ -167,16 +172,16 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 							rightOuts = append(rightOuts, sideTuple(rng))
 						}
 						for _, v := range left {
-							if !inst.IngestTuple(SideLeft, v) {
+							if !ingest(SideLeft, v) {
 								t.Fatalf("left tuple %v refused", v)
 							}
 						}
 						for _, v := range rightOuts {
-							if !inst.IngestTuple(SideRight, v) {
+							if !ingest(SideRight, v) {
 								t.Fatalf("right tuple %v refused", v)
 							}
 						}
-						results, _ := e.EndWindow()
+						results, _ := end()
 						sameTuples(t, fmt.Sprintf("window %d", w), results[0].Tuples, oracleJoin(q, left, rightOuts))
 						joined += len(results[0].Tuples)
 						if !slices.EqualFunc(results[0].LeftOutputs, left, slices.Equal) ||
@@ -208,7 +213,6 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 					q := b.MustBuild()
 					q.ID = 4
 					e := NewEngine(nil)
-					e.SetScalar(scalar)
 					if err := e.Install(q, 0, Partition{RightStart: len(q.Right.Ops)}); err != nil {
 						t.Fatal(err)
 					}
@@ -217,6 +221,10 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 					set.Add(fields.PktLen)
 					rng := rand.New(rand.NewSource(int64(len(keys))*11 + 5))
 					inst := e.Instance(4, 0)
+					ingest, ingestPackets, end := inst.IngestTuple, inst.IngestPackets, e.EndWindow
+					if scalar {
+						ingest, ingestPackets, end = inst.IngestTupleRef, inst.IngestPacketsRef, e.EndWindowRef
+					}
 					joined := 0
 					for w, sizes := range joinSizes {
 						var pkts []*packet.Packet
@@ -246,14 +254,14 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 							if half == 0 {
 								batch.Extract(&set, sel)
 							}
-							inst.IngestPackets(SideLeft, &batch, sel)
+							ingestPackets(SideLeft, &batch, sel)
 						}
 						for _, v := range rightOuts {
-							if !inst.IngestTuple(SideRight, v) {
+							if !ingest(SideRight, v) {
 								t.Fatalf("right tuple %v refused", v)
 							}
 						}
-						results, _ := e.EndWindow()
+						results, _ := end()
 						sameTuples(t, fmt.Sprintf("window %d", w), results[0].Tuples, oracleSemiJoin(q, pkts, rightOuts))
 						joined += len(results[0].Tuples)
 					}

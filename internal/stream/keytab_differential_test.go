@@ -40,7 +40,7 @@ func TestKeytabStateMatchesMapModel(t *testing.T) {
 				key := uint64(rng.Intn(64))
 				if rng.Intn(4) == 0 {
 					v := uint64(1 + rng.Intn(5))
-					e.IngestAgg(1, 0, SideLeft, 2, []tuple.Value{tuple.U64(key)}, v)
+					e.Instance(1, 0).IngestAgg(SideLeft, 2, []tuple.Value{tuple.U64(key)}, v)
 					touch(key, v)
 				} else {
 					e.Instance(1, 0).IngestTuple(SideLeft, []tuple.Value{tuple.U64(key), tuple.U64(1)})
