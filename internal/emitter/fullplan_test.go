@@ -7,49 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/emitter"
-	"repro/internal/eval"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/planner"
-	"repro/internal/queries"
-	"repro/internal/query"
+	"repro/internal/plantest"
 	"repro/internal/stream"
 	"repro/internal/tuple"
 )
-
-// fullPlan is the small-scale evaluation workload and all eleven queries
-// planned over it, as in pisa's TestBatchedWalksMatchProcessFullPlan: trained
-// and planned as the runtime's differential tests do, with the switch
-// program's registers cut to a sixteenth so that banks overflow and shunts
-// cross the monitoring port too.
-func fullPlan(t *testing.T) (*eval.Workload, *planner.Plan) {
-	t.Helper()
-	scale := eval.SmallScale()
-	w, err := eval.NewWorkload(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := queries.All(eval.ScaledParams(scale))
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &pisa.Program{}
-	for _, spec := range plan.Program.Instances {
-		c := *spec
-		c.RegEntries = make([]int, len(spec.RegEntries))
-		for j, n := range spec.RegEntries {
-			c.RegEntries[j] = (n + 15) / 16
-		}
-		prog.Instances = append(prog.Instances, &c)
-	}
-	plan.Program = prog
-	return w, plan
-}
 
 // planSide is one deployment of the plan: a switch, its stream engine with
 // every level installed, and the emitter between them.
@@ -63,18 +27,7 @@ type planSide struct {
 func newPlanSide(t *testing.T, plan *planner.Plan, wire bool) *planSide {
 	t.Helper()
 	s := &planSide{dyn: stream.NewDynTables()}
-	s.engine = stream.NewEngine(s.dyn)
-	for _, qp := range plan.Queries {
-		for _, lp := range qp.Levels {
-			part := stream.Partition{LeftStart: lp.Left.Pipe.EntryFor(lp.Left.Cut).StartOp}
-			if lp.Right != nil {
-				part.RightStart = lp.Right.Pipe.EntryFor(lp.Right.Cut).StartOp
-			}
-			if err := s.engine.Install(lp.Aug, uint8(lp.Level), part); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	s.engine = plantest.Engine(t, plan, s.dyn)
 	var err error
 	if wire {
 		w := emitter.NewWireEmitter(s.engine)
@@ -131,34 +84,7 @@ func (s *planSide) closeWindow(plan *planner.Plan) planWindow {
 	}
 	w.report = b.String()
 
-	for _, qp := range plan.Queries {
-		f := qp.Key.Field
-		for li := 0; li+1 < len(qp.Levels); li++ {
-			from, to := qp.Levels[li].Level, qp.Levels[li+1].Level
-			var keys []string
-			add := func(rows [][]tuple.Value, schema tuple.Schema) {
-				if col := schema.Index(f); col >= 0 {
-					for _, row := range rows {
-						keys = append(keys, stream.DynKeyFromValue(f, row[col], from))
-					}
-				}
-			}
-			for _, r := range results {
-				if r.QID == qp.Query.ID && int(r.Level) == from {
-					add(r.Tuples, r.Schema)
-					add(r.LeftOutputs, r.LeftSchema)
-					add(r.RightOutputs, r.RightSchema)
-				}
-			}
-			set := query.NewDynSet(keys)
-			s.dyn.Publish(planner.DynTableName(qp.Query.ID, to), set)
-			for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
-				if tab, err := s.sw.DynTable(qp.Query.ID, uint8(to), side, 0); err == nil && tab != nil {
-					tab.Publish(set)
-				}
-			}
-		}
-	}
+	plantest.Refine(plan, results, s.dyn, s.sw)
 	return w
 }
 
@@ -172,7 +98,7 @@ func (s *planSide) closeWindow(plan *planner.Plan) planWindow {
 // TestBatchedMatchesInterpreterFullPlan in stream, it spans the frame walk,
 // the wire codec and the per-tuple interpreter over the full workload.
 func TestMirrorBatchMatchesWireFullPlan(t *testing.T) {
-	wl, plan := fullPlan(t)
+	wl, plan := plantest.FullPlan(t)
 	batched, wire := newPlanSide(t, plan, false), newPlanSide(t, plan, true)
 	parser := packet.NewParser(packet.ParserOptions{})
 	views := make([]pisa.View, 256)

@@ -6,108 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/emitter"
-	"repro/internal/eval"
 	"repro/internal/packet"
 	"repro/internal/pisa"
-	"repro/internal/planner"
-	"repro/internal/queries"
-	"repro/internal/query"
+	"repro/internal/plantest"
 	"repro/internal/stream"
-	"repro/internal/tuple"
 )
-
-// fullPlan is the small-scale evaluation workload (background traffic plus
-// the standard attack suite) and all eleven queries planned over it, trained
-// and planned as the runtime's differential tests do — except that the
-// switch program's registers are cut to a sixteenth of their planned size,
-// so that on this workload banks overflow and collision shunts cross the
-// monitoring port too.
-func fullPlan(t *testing.T) (*eval.Workload, *planner.Plan) {
-	t.Helper()
-	scale := eval.SmallScale()
-	w, err := eval.NewWorkload(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := queries.All(eval.ScaledParams(scale))
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &pisa.Program{}
-	for _, spec := range plan.Program.Instances {
-		c := *spec
-		c.RegEntries = make([]int, len(spec.RegEntries))
-		for j, n := range spec.RegEntries {
-			c.RegEntries[j] = (n + 15) / 16
-		}
-		prog.Instances = append(prog.Instances, &c)
-	}
-	plan.Program = prog
-	return w, plan
-}
-
-// planEngine installs every level of the plan into a stream engine, each
-// resuming where its switch-side cut ends.
-func planEngine(t *testing.T, plan *planner.Plan) (*stream.Engine, *stream.DynTables) {
-	t.Helper()
-	dyn := stream.NewDynTables()
-	engine := stream.NewEngine(dyn)
-	for _, qp := range plan.Queries {
-		for _, lp := range qp.Levels {
-			part := stream.Partition{LeftStart: lp.Left.Pipe.EntryFor(lp.Left.Cut).StartOp}
-			if lp.Right != nil {
-				part.RightStart = lp.Right.Pipe.EntryFor(lp.Right.Cut).StartOp
-			}
-			if err := engine.Install(lp.Aug, uint8(lp.Level), part); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return engine, dyn
-}
-
-// refine publishes, for every refinement edge of the plan, the keys the
-// coarser level reported this window as what the finer level admits next
-// window — in the stream processor's filter and every switch's — as the
-// runtime's window close does (a join's keys here are the union of what its
-// outputs carry).
-func refine(plan *planner.Plan, results []stream.Result, dyn *stream.DynTables, switches ...*pisa.Switch) {
-	for _, qp := range plan.Queries {
-		f := qp.Key.Field
-		for li := 0; li+1 < len(qp.Levels); li++ {
-			from, to := qp.Levels[li].Level, qp.Levels[li+1].Level
-			var keys []string
-			add := func(rows [][]tuple.Value, schema tuple.Schema) {
-				if col := schema.Index(f); col >= 0 {
-					for _, row := range rows {
-						keys = append(keys, stream.DynKeyFromValue(f, row[col], from))
-					}
-				}
-			}
-			for _, res := range results {
-				if res.QID == qp.Query.ID && int(res.Level) == from {
-					add(res.Tuples, res.Schema)
-					add(res.LeftOutputs, res.LeftSchema)
-					add(res.RightOutputs, res.RightSchema)
-				}
-			}
-			set := query.NewDynSet(keys)
-			dyn.Publish(planner.DynTableName(qp.Query.ID, to), set)
-			for _, sw := range switches {
-				for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
-					if tab, err := sw.DynTable(qp.Query.ID, uint8(to), side, 0); err == nil && tab != nil {
-						tab.Publish(set)
-					}
-				}
-			}
-		}
-	}
-}
 
 // walkRecords keeps each instance's records in emission order.
 type walkRecords map[string][]string
@@ -158,7 +61,7 @@ func renderWindow(dumps []pisa.RegDump, st pisa.WindowStats) string {
 // stream processor whose results refine both switches' dynamic filters for
 // the next window, so the finer levels walk real rule sets.
 func TestBatchedWalksMatchProcessFullPlan(t *testing.T) {
-	wl, plan := fullPlan(t)
+	wl, plan := plantest.FullPlan(t)
 	if err := plan.Program.CheckLowering(); err != nil {
 		t.Fatalf("the planner's program fails the check a decoded one must pass: %v", err)
 	}
@@ -168,7 +71,8 @@ func TestBatchedWalksMatchProcessFullPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, dyn := planEngine(t, plan)
+	dyn := stream.NewDynTables()
+	engine := plantest.Engine(t, plan, dyn)
 	got := teeSink{walkRecords{}, emitter.New(engine)}
 	sw, err := pisa.NewSwitchShared(cfg, plan.Program, got, nil)
 	if err != nil {
@@ -225,7 +129,7 @@ func TestBatchedWalksMatchProcessFullPlan(t *testing.T) {
 		for _, r := range res {
 			results += uint64(len(r.Tuples))
 		}
-		refine(plan, res, dyn, ref, sw)
+		plantest.Refine(plan, res, dyn, ref, sw)
 	}
 	t.Logf("%d mirrors, %d shunts, %d dumps, %d results, %d gated-level reports", mirrors, shunts, dumped, results, refined)
 	if mirrors == 0 || shunts == 0 || dumped == 0 || results == 0 || refined == 0 {

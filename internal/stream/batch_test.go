@@ -132,10 +132,14 @@ func endedCount(e *Engine, key QueryKey) uint64 {
 
 // compareWindow closes a window on the reference engine and on the batched
 // one and fails when anything differs; it returns the window's results.
-func compareWindow(t *testing.T, ref, batched *Engine, key QueryKey, what string) int {
+// When ended is set it first compares the two endedCounts, which flushes the
+// batch; otherwise the close meets whatever rows are still buffered.
+func compareWindow(t *testing.T, ref, batched *Engine, key QueryKey, what string, ended bool) int {
 	t.Helper()
-	if want, got := endedCount(ref, key), endedCount(batched, key); got != want {
-		t.Fatalf("%s: %d rows ended the pipeline, the per-tuple interpreter says %d", what, got, want)
+	if ended {
+		if want, got := endedCount(ref, key), endedCount(batched, key); got != want {
+			t.Fatalf("%s: %d rows ended the pipeline, the per-tuple interpreter says %d", what, got, want)
+		}
 	}
 	want, _ := snapshotEngineWindow(t, ref, key, true)
 	got, n := snapshotEngineWindow(t, batched, key, false)
@@ -201,7 +205,9 @@ var fuzzPacketBatches = []int{0, 1, 63, 64, 65, 256, 257}
 // per-tuple interpreter (interp_ref_test.go), and so must the number of rows
 // that fell off the pipeline's end. The last round of seeds turns each
 // chain's first tuple-phase filter into a dynamic one whose rule set changes
-// every window (dynamicFilter). A packet axis installs the
+// every window (dynamicFilter). The pipeline-end counts are compared on odd
+// windows only, since reading them flushes the batch: even windows close with
+// rows still buffered. A packet axis installs the
 // same chains at op 0 and feeds frames — SYN and not, over small address
 // ranges — through IngestPackets in batches of fuzzPacketBatches' lengths,
 // every other batch with extracted field columns and a random selection, so
@@ -211,14 +217,14 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 	const shapes = 10
 	parser := packet.NewParser(packet.ParserOptions{})
 	pktResults := 0
-	for seed := int64(0); seed < 3*shapes; seed++ {
+	for seed := int64(0); seed < 4*shapes; seed++ {
 		shape := int(seed) % shapes
 		rng := rand.New(rand.NewSource(seed))
 		q := fuzzShape(rng, shape, uint16(shape+1))
 		key := QueryKey{q.ID, 0}
 		// The last round of seeds turns the chain's first tuple-phase filter
 		// dynamic, where it has one.
-		dynamic := seed >= 2*shapes && dynamicFilter(q)
+		dynamic := seed >= 3*shapes && dynamicFilter(q)
 		scalar, batched := refPair(t, q, Partition{LeftStart: 2})
 
 		mergeOp, keyWidth := statefulOf(q)
@@ -273,7 +279,7 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 			}
 			feed(scalar, true)
 			feed(batched, false)
-			compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d window %d (n=%d)", seed, shape, w, n))
+			compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d window %d (n=%d)", seed, shape, w, n), w%2 == 1)
 		}
 
 		// The packet axis.
@@ -318,7 +324,7 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 					}
 				}
 			}
-			pktResults += compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d packet window %d", seed, shape, w))
+			pktResults += compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d packet window %d", seed, shape, w), w%2 == 1)
 		}
 	}
 	if pktResults == 0 {

@@ -5,74 +5,28 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/packet"
 	"repro/internal/pisa"
 	"repro/internal/planner"
-	"repro/internal/queries"
+	"repro/internal/plantest"
 	"repro/internal/query"
 	"repro/internal/stream"
-	"repro/internal/tuple"
 )
-
-// fullPlan is the small-scale evaluation workload and all eleven queries
-// planned over it, trained and planned as the runtime's differential tests
-// do, with the switch program's registers cut to a sixteenth so that banks
-// overflow and shunts reach the stream processor too.
-func fullPlan(t *testing.T) (*eval.Workload, *planner.Plan) {
-	t.Helper()
-	scale := eval.SmallScale()
-	w, err := eval.NewWorkload(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := queries.All(eval.ScaledParams(scale))
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &pisa.Program{}
-	for _, spec := range plan.Program.Instances {
-		c := *spec
-		c.RegEntries = make([]int, len(spec.RegEntries))
-		for j, n := range spec.RegEntries {
-			c.RegEntries[j] = (n + 15) / 16
-		}
-		prog.Instances = append(prog.Instances, &c)
-	}
-	plan.Program = prog
-	return w, plan
-}
 
 // planEngine is one stream engine with every level of the plan installed,
 // driven through the batched executor's entry points or, when ref is set,
-// the per-tuple reference's.
+// the per-tuple reference's. The plan is valid, so a record or a dump the
+// engine refuses fails t: both executors share the checks that refuse, and
+// comparing the two would not show them refusing what they should take.
 type planEngine struct {
+	t   *testing.T
 	eng *stream.Engine
 	ref bool
-	// refused counts the records no installed instance took.
-	refused uint64
 }
 
 func newPlanEngine(t *testing.T, plan *planner.Plan, dyn *stream.DynTables, ref bool) *planEngine {
 	t.Helper()
-	pe := &planEngine{eng: stream.NewEngine(dyn), ref: ref}
-	for _, qp := range plan.Queries {
-		for _, lp := range qp.Levels {
-			part := stream.Partition{LeftStart: lp.Left.Pipe.EntryFor(lp.Left.Cut).StartOp}
-			if lp.Right != nil {
-				part.RightStart = lp.Right.Pipe.EntryFor(lp.Right.Cut).StartOp
-			}
-			if err := pe.eng.Install(lp.Aug, uint8(lp.Level), part); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return pe
+	return &planEngine{t: t, eng: plantest.Engine(t, plan, dyn), ref: ref}
 }
 
 func streamSide(s pisa.Side) stream.Side {
@@ -108,7 +62,7 @@ func (pe *planEngine) deliver(m *pisa.Mirror, pkts *query.PacketBatch, sel []uin
 		inst.IngestPackets(side, pkts, sel)
 	}
 	if !ok {
-		pe.refused++
+		pe.t.Fatalf("record q%d/r%d/s%d overflow=%v merge=%d vals=%v refused", m.QID, m.Level, m.Side, m.Overflow, m.MergeOp, m.Vals)
 	}
 }
 
@@ -120,7 +74,7 @@ func (pe *planEngine) closeWindow(dumps []pisa.RegDump, plan *planner.Plan) (str
 	for i := range dumps {
 		d := &dumps[i]
 		if !pe.eng.Instance(d.QID, d.Level).IngestAgg(streamSide(d.Side), d.MergeOp, d.KeyVals, d.Val) {
-			pe.refused++
+			pe.t.Fatalf("dump q%d/r%d/s%d merge=%d key=%v refused", d.QID, d.Level, d.Side, d.MergeOp, d.KeyVals)
 		}
 	}
 	end := pe.eng.EndWindow
@@ -133,8 +87,7 @@ func (pe *planEngine) closeWindow(dumps []pisa.RegDump, plan *planner.Plan) (str
 		joins[qp.Query.ID] = qp.Query.HasJoin()
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "tuples=%d refused=%d\n", metrics.TuplesIn, pe.refused)
-	pe.refused = 0
+	fmt.Fprintf(&b, "tuples=%d\n", metrics.TuplesIn)
 	for _, in := range metrics.Instances {
 		fmt.Fprintf(&b, "q%d/r%d tuples=%d results=%d in=%v out=%v\n",
 			in.Key.QID, in.Key.Level, in.TuplesIn, in.Results, in.OpIn, in.OpOut)
@@ -150,40 +103,6 @@ func (pe *planEngine) closeWindow(dumps []pisa.RegDump, plan *planner.Plan) (str
 	return b.String(), results, all, joined
 }
 
-// refine publishes each query's next-level rule sets from this window's
-// results, into the engines' tables and the switch's, as the runtime's
-// window close does (a join's keys are the union of what its outputs carry).
-func refine(plan *planner.Plan, results []stream.Result, dyn *stream.DynTables, sw *pisa.Switch) {
-	for _, qp := range plan.Queries {
-		f := qp.Key.Field
-		for li := 0; li+1 < len(qp.Levels); li++ {
-			from, to := qp.Levels[li].Level, qp.Levels[li+1].Level
-			var keys []string
-			add := func(rows [][]tuple.Value, schema tuple.Schema) {
-				if col := schema.Index(f); col >= 0 {
-					for _, row := range rows {
-						keys = append(keys, stream.DynKeyFromValue(f, row[col], from))
-					}
-				}
-			}
-			for _, r := range results {
-				if r.QID == qp.Query.ID && int(r.Level) == from {
-					add(r.Tuples, r.Schema)
-					add(r.LeftOutputs, r.LeftSchema)
-					add(r.RightOutputs, r.RightSchema)
-				}
-			}
-			set := query.NewDynSet(keys)
-			dyn.Publish(planner.DynTableName(qp.Query.ID, to), set)
-			for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
-				if tab, err := sw.DynTable(qp.Query.ID, uint8(to), side, 0); err == nil && tab != nil {
-					tab.Publish(set)
-				}
-			}
-		}
-	}
-}
-
 // TestBatchedMatchesInterpreterFullPlan holds the batched executor against
 // the per-tuple interpreter over the small-scale workload and its
 // eleven-query plan. One switch walks every window; each record its
@@ -195,7 +114,7 @@ func refine(plan *planner.Plan, results []stream.Result, dyn *stream.DynTables, 
 // then refined from the window's results. Mirrors, shunts, dumps,
 // packet-phase records, join results and results must all occur.
 func TestBatchedMatchesInterpreterFullPlan(t *testing.T) {
-	wl, plan := fullPlan(t)
+	wl, plan := plantest.FullPlan(t)
 	dyn := stream.NewDynTables()
 	batched, ref := newPlanEngine(t, plan, dyn, false), newPlanEngine(t, plan, dyn, true)
 	dnsParser := packet.NewParser(packet.ParserOptions{DecodeDNS: batched.eng.ReadsDNS()})
@@ -237,7 +156,7 @@ func TestBatchedMatchesInterpreterFullPlan(t *testing.T) {
 		if got != want {
 			t.Fatalf("window %d: batched executor diverged from the per-tuple interpreter:\n--- interpreter\n%s--- batched\n%s", i, want, got)
 		}
-		refine(plan, res, dyn, sw)
+		plantest.Refine(plan, res, dyn, sw)
 		mirrors += st.Mirrored
 		shunts += st.Collisions
 		dumps += st.DumpTuples
