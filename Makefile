@@ -34,7 +34,8 @@ bench:
 
 # Column-kernel gate, under the race detector: the shared kernels
 # (internal/query, with internal/tuple's columns and selections and
-# internal/keytab's bulk probe) against their scalar definitions, a batch's
+# internal/keytab's one-pass column probe, against a map model) against
+# their scalar definitions, a batch's
 # header-field columns against Packet.Field and the flat rule set against a
 # map; then each
 # of their two callers against its reference — the stream executor against
@@ -60,8 +61,8 @@ bench:
 check-kernels:
 	$(GO) test -race -count=1 -run 'TestLevelShift' ./internal/fields
 	$(GO) test -race -count=1 -run 'Kernels|TestContainsKeyBatch|TestColumnKinds|TestFieldColumns|TestFieldSet|TestU64Set' ./internal/query
-	$(GO) test -race -count=1 -run 'TestAppendKeyCols|TestSelections|TestColumnPool' ./internal/tuple
-	$(GO) test -race -count=1 -run 'TestLookupBulk' ./internal/keytab
+	$(GO) test -race -count=1 -run 'TestSelections|TestColumnPool' ./internal/tuple
+	$(GO) test -race -count=1 -run 'TestUpsertRowsAgainstMap' ./internal/keytab
 	$(GO) test -race -count=1 -run 'TestBatched' ./internal/stream
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter

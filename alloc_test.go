@@ -101,17 +101,25 @@ func TestAllocBudget(t *testing.T) {
 		}
 	})
 
-	// Keyed state: GetOrInsert hit on a populated table.
-	tab := keytab.New()
-	vals := []tuple.Value{tuple.U64(7)}
-	key := tuple.AppendKey(nil, vals, []int{0})
-	tab.GetOrInsert(key, vals, []int{0}, 1)
+	// Keyed state on populated tables, a numeric key raw in its slot and a
+	// string one tagged: a batch's keys resolved in one UpsertRows pass, and
+	// a row-major GetOrInsert hit (a register dump's merge).
+	vals := []tuple.Value{tuple.U64(7), tuple.Str("x")}
+	keyCols := []tuple.Column{{U: []uint64{7, 8}}, {V: []tuple.Value{vals[1], tuple.Str("y")}}}
+	keyIdx, keyRows, keyIdxs := []int{0, 1}, []int32{0, 1}, make([]int32, 2)
+	tabs := []*keytab.Table{keytab.New([]bool{false}), keytab.New([]bool{false, true})}
+	for w, tab := range tabs {
+		tab.UpsertRows(keyCols, keyIdx[:w+1], keyRows, keyIdxs)
+	}
 	check("KeytabSteadyState", func() {
-		idx, existed := tab.GetOrInsert(key, vals, []int{0}, 1)
-		if !existed {
-			t.Fatal("warm key missing")
+		for w, tab := range tabs {
+			tab.UpsertRows(keyCols, keyIdx[:w+1], keyRows, keyIdxs)
+			idx, existed := tab.GetOrInsert(vals[:w+1], nil, 1)
+			if !existed || idx != int(keyIdxs[0]) {
+				t.Fatal("warm key missing")
+			}
+			tab.SetAgg(idx, tab.Agg(idx)+1)
 		}
-		tab.SetAgg(idx, tab.Agg(idx)+1)
 	})
 
 	// Stream processor: tuple ingest folding into an existing reduce key.
@@ -488,28 +496,28 @@ func allocBudgetMapEngine(t testing.TB) *stream.Engine {
 	return eng
 }
 
-// BenchmarkKeytabSteadyState measures the per-tuple cost of the arena-backed
-// table once every key exists: encode the grouping key into scratch, probe,
-// fold the aggregate. This is the inner loop every stateful operator (and,
-// via keytab.Store, every register bank) now runs.
+// BenchmarkKeytabSteadyState measures the per-tuple cost of a stream
+// operator's keyed state once every key exists: a batch of 256 rows resolved
+// in one UpsertRows pass, then each row's value folded into its entry's
+// aggregate — the inner loop of every reduce.
 func BenchmarkKeytabSteadyState(b *testing.B) {
-	tab := keytab.New()
-	const keys = 1024
-	vals := make([][]tuple.Value, keys)
-	var scratch []byte
-	for i := range vals {
-		vals[i] = []tuple.Value{tuple.U64(uint64(i)), tuple.U64(1)}
-		scratch = tuple.AppendKey(scratch[:0], vals[i], []int{0})
-		tab.GetOrInsert(scratch, vals[i], []int{0}, 1)
+	const keys, rows = 1024, 256
+	tab := keytab.New([]bool{false})
+	cols := []tuple.Column{{U: make([]uint64, keys)}, {U: make([]uint64, keys)}}
+	sel := make([]int32, keys)
+	for i := range keys {
+		cols[0].U[i], cols[1].U[i], sel[i] = uint64(i), 1, int32(i)
 	}
+	keyIdx, idxs := []int{0}, make([]int32, keys)
+	tab.UpsertRows(cols, keyIdx, sel, idxs)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := vals[i&(keys-1)]
-		scratch = tuple.AppendKey(scratch[:0], v, []int{0})
-		idx, existed := tab.GetOrInsert(scratch, v, []int{0}, v[1].U)
-		if existed {
-			tab.SetAgg(idx, tab.Agg(idx)+v[1].U)
+	for i := 0; i < b.N; i += rows {
+		lo := i & (keys - 1)
+		batch := sel[lo : lo+rows]
+		tab.UpsertRows(cols, keyIdx, batch, idxs)
+		for k, idx := range idxs[:rows] {
+			tab.SetAgg(int(idx), tab.Agg(int(idx))+cols[1].U[batch[k]])
 		}
 	}
 }

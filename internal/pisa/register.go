@@ -36,6 +36,12 @@ type RegisterBank struct {
 	// slots holds the d chains back to back: chain c is
 	// slots[c*entries : (c+1)*entries].
 	slots []bankSlot
+	// seeds[c] is chain c's hash seed: each chain derives its independent
+	// index from one shared key hash — keytab's column fold, the one the
+	// stream processor's tables use — mixed with its seed
+	// (keytab.Mix64(h^seed)), so the key is hashed once per update instead
+	// of once per chain, which matters because every packet reaching a
+	// stateful table pays this cost d times otherwise.
 	seeds []uint64
 	// widths is each key column's bit width; nil when the key as a whole is
 	// wider than a slot's 128 key bits, so every key is tagged.
@@ -87,20 +93,6 @@ func keyWidths(keyBits []int) []uint8 {
 	return widths
 }
 
-// mix64 is a murmur-style avalanche. Each register chain derives its
-// independent index from one shared key hash (tuple.Hash64) mixed with the
-// chain's seed — hashing the key bytes once per update instead of once per
-// chain, which matters because every packet reaching a stateful table pays
-// this cost d times otherwise.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
 // fastRange maps a full-width hash uniformly onto [0, n) with one multiply
 // (Lemire's fast alternative to modulo) — the per-chain slot index runs for
 // every packet reaching a stateful table, where a hardware divide is
@@ -108,25 +100,6 @@ func mix64(h uint64) uint64 {
 func fastRange(h uint64, n int) uint64 {
 	hi, _ := bits.Mul64(h, uint64(n))
 	return hi
-}
-
-// The key hash is an FNV-1a-style fold over each key column's content,
-// skipping any byte encoding. Hash quality affects only the collision
-// (shunt) rate, never correctness: a probe compares the full key on every
-// hit. hashU64 and hashStr are the per-column steps.
-const (
-	hashSeed  = 14695981039346656037
-	hashPrime = 1099511628211
-)
-
-func hashU64(h, u uint64) uint64 { return (h ^ u) * hashPrime }
-
-func hashStr(h uint64, s string) uint64 {
-	h = (h ^ uint64(len(s))) * hashPrime
-	for j := 0; j < len(s); j++ {
-		h = (h ^ uint64(s[j])) * hashPrime
-	}
-	return h
 }
 
 // packU64 shifts a w-bit column value into the 128-bit packed key k1:k0,
@@ -149,10 +122,11 @@ type keyCols struct {
 }
 
 // hashRows is the first half of a batch's probe: it hashes and packs the key
-// cols[keyIdx...] of every frame in rows, a column at a time. The key is
-// hashed and compared as values, never encoded to bytes: the register probe
-// is the hottest loop in the switch model, and every consumer of bank state
-// (dumps, mirrors) wants the columns anyway.
+// cols[keyIdx...] of every frame in rows, a column at a time
+// (keytab.HashU64, keytab.HashValue). The key is hashed and compared as
+// values, never encoded to bytes: the register probe is the hottest loop in
+// the switch model, and every consumer of bank state (dumps, mirrors) wants
+// the columns anyway.
 func (b *RegisterBank) hashRows(ks *keyCols, cols []tuple.Column, keyIdx []int, rows []int32) {
 	n := len(rows)
 	if cap(ks.h) < n {
@@ -163,29 +137,24 @@ func (b *RegisterBank) hashRows(ks *keyCols, cols []tuple.Column, keyIdx []int, 
 	ks.h, ks.k0, ks.k1, ks.tagged = h, k0, k1, tagged
 	packs := b.packs(len(keyIdx))
 	for k := range h {
-		h[k], k0[k], k1[k], tagged[k] = hashSeed, 0, 0, !packs
+		h[k], k0[k], k1[k], tagged[k] = keytab.HashSeed, 0, 0, !packs
 	}
 	for j, c := range keyIdx {
 		col := &cols[c]
 		switch {
 		case col.V != nil:
 			for k, r := range rows {
-				if kv := &col.V[r]; kv.Str {
-					h[k] = hashStr(h[k], kv.S)
-				} else {
-					h[k] = hashU64(h[k], kv.U)
-				}
-				tagged[k] = true
+				h[k], tagged[k] = keytab.HashValue(h[k], &col.V[r]), true
 			}
 		case !packs:
 			for k, r := range rows {
-				h[k] = hashU64(h[k], col.U[r])
+				h[k] = keytab.HashU64(h[k], col.U[r])
 			}
 		default:
 			w := b.widths[j]
 			for k, r := range rows {
 				u := col.U[r]
-				h[k] = hashU64(h[k], u)
+				h[k] = keytab.HashU64(h[k], u)
 				var fits bool
 				if k0[k], k1[k], fits = packU64(k0[k], k1[k], u, w); !fits {
 					tagged[k] = true
@@ -204,7 +173,7 @@ func (b *RegisterBank) hashRows(ks *keyCols, cols []tuple.Column, keyIdx []int, 
 func (b *RegisterBank) touch(ks *keyCols) (sum uint32) {
 	seed := b.seeds[0]
 	for _, h := range ks.h {
-		sum += b.slots[fastRange(mix64(h^seed), b.entries)].epoch
+		sum += b.slots[fastRange(keytab.Mix64(h^seed), b.entries)].epoch
 	}
 	return sum
 }
@@ -237,7 +206,7 @@ func (b *RegisterBank) fold(h, k0, k1 uint64, tagged []tuple.Value, v uint64, fn
 		flag = refTagged
 	}
 	for c, seed := range b.seeds {
-		p := c*b.entries + int(fastRange(mix64(h^seed), b.entries))
+		p := c*b.entries + int(fastRange(keytab.Mix64(h^seed), b.entries))
 		s := &b.slots[p]
 		if s.epoch != b.epoch {
 			key := tagged
@@ -246,7 +215,7 @@ func (b *RegisterBank) fold(h, k0, k1 uint64, tagged []tuple.Value, v uint64, fn
 			}
 			// Key columns are copied into the flat store only on first
 			// insert, keeping the steady-state probe allocation-free.
-			*s = bankSlot{epoch: b.epoch, ref: flag | uint32(b.store.Append(nil, key, nil, 0)),
+			*s = bankSlot{epoch: b.epoch, ref: flag | uint32(b.store.Append(key, 0)),
 				agg: v, k0: k0, k1: k1}
 			b.pos = append(b.pos, uint32(p))
 			return v, true, true

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/keytab"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -36,18 +37,18 @@ func newModelBank(n, d int) *modelBank {
 
 func (m *modelBank) update(vals []tuple.Value, keyIdx []int, v uint64, fn query.AggFunc) (uint64, bool, bool) {
 	key := make([]tuple.Value, len(keyIdx))
-	h := uint64(hashSeed)
+	h := uint64(keytab.HashSeed)
 	for j, c := range keyIdx {
 		key[j] = vals[c]
 		if key[j].Str {
-			h = hashStr(h, key[j].S)
+			h = keytab.HashStr(h, key[j].S)
 		} else {
-			h = hashU64(h, key[j].U)
+			h = keytab.HashU64(h, key[j].U)
 		}
 	}
 	for c := range m.chains {
 		seed := 0x9E3779B97F4A7C15 * uint64(c+1)
-		slot := &m.chains[c][fastRange(mix64(h^seed), m.n)]
+		slot := &m.chains[c][fastRange(keytab.Mix64(h^seed), m.n)]
 		if *slot == nil {
 			*slot = &modelEntry{key: key, val: v}
 			m.order = append(m.order, *slot)
@@ -243,7 +244,7 @@ func TestRegisterBankTagIsOnlyATag(t *testing.T) {
 	// The hash folds a column as h = (h ^ u) * prime, so for any first columns
 	// a and a2 a second column b2 exists that cancels the difference.
 	const a, a2, b, c = 7, 9, 11, 13
-	b2 := uint64(b) ^ hashU64(hashSeed, a) ^ hashU64(hashSeed, a2)
+	b2 := uint64(b) ^ keytab.HashU64(keytab.HashSeed, a) ^ keytab.HashU64(keytab.HashSeed, a2)
 	k1 := []tuple.Value{tuple.U64(a), tuple.U64(b), tuple.U64(c)}
 	k2 := []tuple.Value{tuple.U64(a2), tuple.U64(b2), tuple.U64(c)}
 	bank := NewRegisterBank(4, 2, []int{64, 64, 32}) // 160 bits: every key is tagged
@@ -265,7 +266,7 @@ func TestRegisterBankTagIsOnlyATag(t *testing.T) {
 	// key is chosen so that its 128 bits are exactly (0, that hash).
 	bank = NewRegisterBank(1, 1, []int{64, 32})
 	tagged := []tuple.Value{tuple.U64(3), tuple.U64(1 << 40)}
-	h := hashU64(hashU64(hashSeed, 3), 1<<40)
+	h := keytab.HashU64(keytab.HashU64(keytab.HashSeed, 3), 1<<40)
 	packed := []tuple.Value{tuple.U64(h >> 32), tuple.U64(h & (1<<32 - 1))}
 	bank.Update(tagged, []int{0, 1}, 1, query.AggSum)
 	if s := bank.slots[0]; s.ref&refTagged == 0 || s.k0 != h || s.k1 != 0 {

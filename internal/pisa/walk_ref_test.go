@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"repro/internal/compile"
+	"repro/internal/keytab"
 	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
@@ -163,16 +164,16 @@ func (sw *Switch) emit(st *instState, m Mirror) {
 // failure (all d chains collide) the caller shunts the packet to the stream
 // processor. newKey reports first-touch of the key this window.
 func (b *RegisterBank) Update(vals []tuple.Value, keyIdx []int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
-	h := uint64(hashSeed)
+	h := uint64(keytab.HashSeed)
 	var k0, k1 uint64
 	packed := b.packs(len(keyIdx))
 	for j, c := range keyIdx {
 		kv := &vals[c]
 		if kv.Str {
-			h, packed = hashStr(h, kv.S), false
+			h, packed = keytab.HashStr(h, kv.S), false
 			continue
 		}
-		h = hashU64(h, kv.U)
+		h = keytab.HashU64(h, kv.U)
 		if packed {
 			k0, k1, packed = packU64(k0, k1, kv.U, b.widths[j])
 		}

@@ -12,8 +12,8 @@ package stream
 // internal/query's column kernels — the code the switch walk runs before
 // the partition point — so filters clear bits in the selection bitmap
 // instead of early-returning per tuple and maps evaluate column-at-a-time
-// into pooled columns; reduce/distinct probe their keytab arena in a fused
-// bulk loop.
+// into pooled columns; reduce/distinct resolve the batch's key columns in
+// their keytab in one pass.
 //
 // The batch flushes wherever a tuple-at-a-time walk would otherwise see a
 // different state: at capacity, when the next tuple enters at a different
@@ -230,60 +230,42 @@ func (e *pipeExec) flushBatch() {
 	b.n = 0
 }
 
-// bulkLookup encodes the grouping keys of the batch's selected rows
-// back-to-back (AppendKeyCols) and resolves them in one LookupBulk pass; it
-// returns the rows, each key's end offset, and each key's entry index or -1.
-func (e *pipeExec) bulkLookup(o *query.Op, st *keytab.Table, cols []tuple.Column) (rows []int32, keys []byte, ends []uint32, idxs []int32) {
+// upsertRows resolves the grouping keys of the batch's selected rows in st
+// in one UpsertRows pass, inserting the new ones in row order; it returns
+// the rows and each one's entry index.
+func (e *pipeExec) upsertRows(o *query.Op, st *keytab.Table, cols []tuple.Column) (rows, idxs []int32) {
 	rows = tuple.SelRows(e.sel, e.bulkRows[:0])
-	keys, ends = e.bulkKeys[:0], e.bulkEnds[:0]
-	for _, r := range rows {
-		keys = tuple.AppendKeyCols(keys, cols, o.KeyCols, int(r))
-		ends = append(ends, uint32(len(keys)))
+	e.bulkRows = rows
+	if cap(e.bulkIdxs) < len(rows) {
+		e.bulkIdxs = make([]int32, len(rows))
 	}
-	e.bulkKeys, e.bulkEnds, e.bulkRows = keys, ends, rows
-	if cap(e.bulkIdxs) < len(ends) {
-		e.bulkIdxs = make([]int32, len(ends))
-	}
-	idxs = e.bulkIdxs[:len(ends)]
-	st.LookupBulk(keys, ends, idxs)
-	return rows, keys, ends, idxs
+	idxs = e.bulkIdxs[:len(rows)]
+	st.UpsertRows(cols, o.KeyCols, rows, idxs)
+	return rows, idxs
 }
 
-// reduceCols folds the batch's selected rows into a reduce op's keytab in a
-// fused bulk loop: after bulkLookup, hits fold and misses insert in row
-// order. Insertion order equals first-touch row order and the aggregation
-// functions are commutative and associative, so the resulting state is
-// bit-identical to per-tuple GetOrInsert.
+// reduceCols folds the batch's selected rows into a reduce op's keytab:
+// after upsertRows, a key's first row sets its aggregate and every later row
+// folds into it. Insertion order equals first-touch row order and the
+// aggregation functions are commutative and associative, so the resulting
+// state is bit-identical to a per-tuple GetOrInsert.
 func (e *pipeExec) reduceCols(o *query.Op, st *keytab.Table, cols []tuple.Column) {
-	rows, keys, ends, idxs := e.bulkLookup(o, st, cols)
+	first := st.Len() // the entry index the next new key gets
+	rows, idxs := e.upsertRows(o, st, cols)
 	valCol := &cols[o.ValCol]
-	start := uint32(0)
-	for i, end := range ends {
-		v := valCol.At(int(rows[i])).U
-		if idx := int(idxs[i]); idx >= 0 {
-			st.SetAgg(idx, o.Func.Apply(st.Agg(idx), v))
+	for k, idx := range idxs {
+		v := valCol.At(int(rows[k])).U
+		if int(idx) == first {
+			first++
 		} else {
-			// Absent at lookup time — either genuinely new or first seen
-			// earlier in this same batch; GetOrInsertCols re-probes and
-			// handles both.
-			idx, existed := st.GetOrInsertCols(keys[start:end], cols, o.KeyCols, int(rows[i]), v)
-			if existed {
-				st.SetAgg(idx, o.Func.Apply(st.Agg(idx), v))
-			}
+			v = o.Func.Apply(st.Agg(int(idx)), v)
 		}
-		start = end
+		st.SetAgg(int(idx), v)
 	}
 }
 
 // distinctCols inserts the batch's selected rows into a distinct op's
 // keytab; hits are ignored.
 func (e *pipeExec) distinctCols(o *query.Op, st *keytab.Table, cols []tuple.Column) {
-	rows, keys, ends, idxs := e.bulkLookup(o, st, cols)
-	start := uint32(0)
-	for i, end := range ends {
-		if idxs[i] < 0 {
-			st.GetOrInsertCols(keys[start:end], cols, o.KeyCols, int(rows[i]), 1)
-		}
-		start = end
-	}
+	e.upsertRows(o, st, cols)
 }

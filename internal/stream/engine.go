@@ -118,20 +118,18 @@ type Instance struct {
 	schema tuple.Schema
 
 	// The window close's join state, reused window after window. rightIdx
-	// indexes the right side's outputs by encoded join key: an entry holds
-	// the key bytes alone, with the output's row index as its aggregate.
-	// joinKey is the probe scratch, joinRow the joined row handed to post
-	// (which copies what it keeps), zeroRight the left-outer stand-in for an
-	// absent right output.
+	// indexes the right side's outputs by their join-key columns, with the
+	// output's row index as the entry's aggregate. joinRow is the joined row
+	// handed to post (which copies what it keeps), zeroRight the left-outer
+	// stand-in for an absent right output.
 	rightIdx  *keytab.Table
-	joinKey   []byte
 	joinRow   []tuple.Value
 	zeroRight []tuple.Value
-	// The packet-phase-left join's buffer, a flat arena reset at close: per
-	// surviving packet, its encoded join key (pendKeys up to pendKeyEnd[i])
-	// and the tuple post resumes with (pendVals up to pendValEnd[i]).
-	pendKeys   []byte
-	pendKeyEnd []uint32
+	// The packet-phase-left join's buffer, flat and reset at close: per
+	// surviving packet, its join-key values (len(JoinKeys) of them in
+	// pendKeys) and the tuple post resumes with (pendVals up to
+	// pendValEnd[i]).
+	pendKeys   []tuple.Value
 	pendVals   []tuple.Value
 	pendValEnd []uint32
 }
@@ -177,10 +175,20 @@ func (e *Engine) Dyn() *DynTables { return e.dyn }
 
 // Install registers a query instance at the given refinement level with the
 // given partition. Installing the same (QID, Level) twice replaces the
-// previous instance.
+// previous instance. Both pipelines must be ones the executor can run
+// (query.CheckOps): building the executors reads each keyed op's key
+// columns, and a query decoded from bytes guarantees nothing about them.
 func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 	if err := query.Validate(q); err != nil {
 		return err
+	}
+	if err := query.CheckOps(q.Left.Ops); err != nil {
+		return fmt.Errorf("stream: q%d left: %w", q.ID, err)
+	}
+	if q.HasJoin() {
+		if err := query.CheckOps(q.Right.Ops); err != nil {
+			return fmt.Errorf("stream: q%d right: %w", q.ID, err)
+		}
 	}
 	if part.LeftStart < 0 || part.LeftStart > len(q.Left.Ops) {
 		return fmt.Errorf("stream: left partition %d out of range", part.LeftStart)
@@ -194,12 +202,12 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 			return fmt.Errorf("stream: right partition %d out of range", part.RightStart)
 		}
 		rq.right = newPipeExec(q.Right.Ops, part.RightStart, e.dyn, nil)
-		rq.rightIdx = keytab.New()
-		rs := q.Right.OutSchema()
+		rs, rk := q.Right.OutSchema(), rq.right.kinds[len(q.Right.Ops)]
 		rq.zeroRight = make([]tuple.Value, len(rs))
 		for _, k := range q.JoinKeys {
 			rq.rightKeyIdx = append(rq.rightKeyIdx, rs.Index(k))
 		}
+		rq.rightIdx = keytab.New(keyKinds(rk, rq.rightKeyIdx))
 		if ls := q.Left.OutSchema(); ls != nil {
 			for _, k := range q.JoinKeys {
 				rq.joinKeyIdxL = append(rq.joinKeyIdxL, ls.Index(k))
@@ -208,7 +216,7 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 			rq.nonKeyR = nonKeyCols(rs, rq.rightKeyIdx)
 			// The joined tuple: join keys, the left side's other columns, the
 			// right side's.
-			lk, rk := rq.left.kinds[len(q.Left.Ops)], rq.right.kinds[len(q.Right.Ops)]
+			lk := rq.left.kinds[len(q.Left.Ops)]
 			var joined []bool
 			for _, i := range rq.joinKeyIdxL {
 				joined = append(joined, lk[i])
@@ -364,8 +372,8 @@ func (rq *Instance) IngestTupleAt(side Side, opIdx int, vals []tuple.Value) bool
 }
 
 // bufferJoinLeft is the packet-phase-left join path past its filters (left
-// ops plus post's packet filters, run by prePacket): append row r's encoded
-// join key and its post-map tuple — each field read from the batch's column
+// ops plus post's packet filters, run by prePacket): append row r's join-key
+// values and its post-map tuple — each field read from the batch's column
 // where it has one — to the buffer the right side's window output is joined
 // with at close. A row lacking a field leaves nothing behind.
 func (rq *Instance) bufferJoinLeft(pkts *query.PacketBatch, r int) {
@@ -377,7 +385,7 @@ func (rq *Instance) bufferJoinLeft(pkts *query.PacketBatch, r int) {
 			rq.pendKeys, rq.pendVals = rq.pendKeys[:keys], rq.pendVals[:vals]
 			return
 		}
-		rq.pendKeys = tuple.AppendKeyValue(rq.pendKeys, v)
+		rq.pendKeys = append(rq.pendKeys, v)
 		if !mapped {
 			rq.pendVals = append(rq.pendVals, v)
 		}
@@ -393,7 +401,6 @@ func (rq *Instance) bufferJoinLeft(pkts *query.PacketBatch, r int) {
 			rq.pendVals = append(rq.pendVals, v)
 		}
 	}
-	rq.pendKeyEnd = append(rq.pendKeyEnd, uint32(len(rq.pendKeys)))
 	rq.pendValEnd = append(rq.pendValEnd, uint32(len(rq.pendVals)))
 }
 
@@ -509,8 +516,7 @@ func (rq *Instance) endJoin(res *Result) {
 	idx := rq.rightIdx
 	idx.Reset()
 	for r, out := range rightOuts {
-		rq.joinKey = tuple.AppendKey(rq.joinKey[:0], out, rq.rightKeyIdx)
-		idx.GetOrInsert(rq.joinKey, nil, nil, uint64(r))
+		idx.GetOrInsert(out, rq.rightKeyIdx, uint64(r))
 	}
 	res.RightOutputs = rightOuts
 	res.RightSchema = rq.q.Right.OutSchema()
@@ -522,16 +528,14 @@ func (rq *Instance) endJoin(res *Result) {
 		if rq.postMapIdx < 0 {
 			resume = len(rq.q.Post.Ops)
 		}
-		var key, val uint32
-		for i, keyEnd := range rq.pendKeyEnd {
-			valEnd := rq.pendValEnd[i]
-			if _, ok := idx.Lookup(rq.pendKeys[key:keyEnd]); ok {
+		w, val := len(rq.q.JoinKeys), uint32(0)
+		for i, valEnd := range rq.pendValEnd {
+			if _, ok := idx.Lookup(rq.pendKeys[i*w:(i+1)*w], nil); ok {
 				rq.post.bufferTuple(resume, rq.pendVals[val:valEnd])
 			}
-			key, val = keyEnd, valEnd
+			val = valEnd
 		}
-		rq.pendKeys, rq.pendKeyEnd = rq.pendKeys[:0], rq.pendKeyEnd[:0]
-		rq.pendVals, rq.pendValEnd = rq.pendVals[:0], rq.pendValEnd[:0]
+		rq.pendKeys, rq.pendVals, rq.pendValEnd = rq.pendKeys[:0], rq.pendVals[:0], rq.pendValEnd[:0]
 		rq.prePacket.endWindow() // reset any state; outputs unused
 		res.Tuples = rq.post.endWindow()
 		return
@@ -541,9 +545,8 @@ func (rq *Instance) endJoin(res *Result) {
 	res.LeftOutputs = leftOuts
 	res.LeftSchema = rq.q.Left.OutSchema()
 	for _, lo := range leftOuts {
-		rq.joinKey = tuple.AppendKey(rq.joinKey[:0], lo, rq.joinKeyIdxL)
 		ro := rq.zeroRight // left-outer: absent aggregates read as zero
-		if i, ok := idx.Lookup(rq.joinKey); ok {
+		if i, ok := idx.Lookup(lo, rq.joinKeyIdxL); ok {
 			ro = rightOuts[idx.Agg(i)]
 		} else if !rq.q.JoinOuter {
 			continue

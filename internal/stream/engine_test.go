@@ -405,6 +405,33 @@ func TestInstallValidation(t *testing.T) {
 	}
 }
 
+// TestInstallRefusesMalformedKeyCols: a keyed op whose key column lies
+// outside the tuple entering it — what a query decoded from bytes may carry
+// — is refused by Install (query.CheckOps), on the left pipeline and on a
+// join's right one, rather than panicking while the executors are built.
+func TestInstallRefusesMalformedKeyCols(t *testing.T) {
+	left := query1(1)
+	left.Left.Ops[2].KeyCols = []int{5}
+	right := query.NewBuilder("right", time.Second).
+		Map(query.F(fields.DstIP), query.F(fields.PktLen)).
+		Reduce(query.AggSum, fields.DstIP)
+	join := query.NewBuilder("join", time.Second).
+		Map(query.F(fields.DstIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.DstIP).
+		Join(right, fields.DstIP).
+		MustBuild()
+	join.ID = 2
+	join.Right.Ops[1].KeyCols = []int{0, -1}
+	e := NewEngine(nil)
+	for _, q := range []*query.Query{left, join} {
+		if err := e.Install(q, 0, Partition{}); err == nil {
+			t.Errorf("q%d: key column out of range accepted", q.ID)
+		} else if e.Instance(q.ID, 0) != nil {
+			t.Errorf("q%d: refused, but installed", q.ID)
+		}
+	}
+}
+
 func TestDynTables(t *testing.T) {
 	d := NewDynTables()
 	has := func(table, key string) bool { return d.Set(table).ContainsKey([]byte(key)) }

@@ -71,10 +71,9 @@ type pipeExec struct {
 	kinds [][]bool
 
 	// states holds each stateful op's window state (nil for stateless ops):
-	// an arena-backed table keyed by the encoded grouping key, holding the
-	// running aggregate and the decoded key columns. Tables are reset, not
-	// reallocated, at window end, so a steady-state window touches no
-	// allocator.
+	// a table keyed by the grouping key's columns, holding the running
+	// aggregate and the key columns. Tables are reset, not reallocated, at
+	// window end, so a steady-state window touches no allocator.
 	states []*keytab.Table
 	// outCounts[i] counts emissions of op i this window (used by the
 	// profiler to estimate the paper's N_{q,t}, and handed over as
@@ -97,8 +96,6 @@ type pipeExec struct {
 	outOffs   []int
 	outRows   [][]tuple.Value
 	outSealed bool
-	// keyScratch avoids re-allocating key buffers on the hot path.
-	keyScratch []byte
 	// inputCount tracks packets fed this window (profiling only).
 	inputCount uint64
 	// lastKeys[i] is the key count of stateful op i at the moment the last
@@ -129,11 +126,9 @@ type pipeExec struct {
 	// tests keep, where distinct ops need distinct buffers so a downstream
 	// map can read its input while writing its own.
 	mapOut [][]tuple.Value
-	// bulkKeys/bulkEnds/bulkRows/bulkIdxs back the fused bulk probe: keys
-	// holds the batch's concatenated grouping keys, ends their end offsets,
-	// rows the selection row each key came from, idxs the LookupBulk results.
-	bulkKeys []byte
-	bulkEnds []uint32
+	// bulkRows/bulkIdxs back the keyed ops' one-pass probe: the selection
+	// rows of a flush and their UpsertRows entry indices. bulkRows also
+	// gathers the rows that fall off the end.
 	bulkRows []int32
 	bulkIdxs []int32
 	// flushes/flushRows count flushBatch invocations and the rows they
@@ -153,10 +148,21 @@ func newPipeExec(ops []query.Op, start int, dyn *DynTables, in []bool) *pipeExec
 	// of an op that nominally ran on the switch (see mergeAgg).
 	for i := range ops {
 		if ops[i].Stateful() {
-			e.states[i] = keytab.New()
+			e.states[i] = keytab.New(keyKinds(e.kinds[i], ops[i].KeyCols))
 		}
 	}
 	return e
+}
+
+// keyKinds returns which of the key columns cols are string-valued, given
+// in, the string columns of the tuple they are taken from: the kinds a
+// keytab over that key takes.
+func keyKinds(in []bool, cols []int) []bool {
+	str := make([]bool, len(cols))
+	for j, c := range cols {
+		str[j] = in[c]
+	}
+	return str
 }
 
 // DynKeyFromValue builds the dynamic-filter key for a single value masked to
@@ -189,8 +195,7 @@ func (e *pipeExec) mergeAgg(at int, keyVals []tuple.Value, agg uint64) {
 	e.inCounts[at]++
 	o := &e.ops[at]
 	st := e.states[at]
-	e.keyScratch = tuple.AppendKey(e.keyScratch[:0], keyVals, identityCols(len(keyVals)))
-	idx, existed := st.GetOrInsert(e.keyScratch, keyVals, nil, agg)
+	idx, existed := st.GetOrInsert(keyVals, nil, agg)
 	if existed {
 		st.SetAgg(idx, o.Func.Apply(st.Agg(idx), agg))
 	}
@@ -331,26 +336,4 @@ func (e *pipeExec) resetCounts() {
 	for i := range e.inCounts {
 		e.inCounts[i] = 0
 	}
-}
-
-var identityColCache = func() [][]int {
-	c := make([][]int, 9)
-	for n := range c {
-		c[n] = make([]int, n)
-		for i := 0; i < n; i++ {
-			c[n][i] = i
-		}
-	}
-	return c
-}()
-
-func identityCols(n int) []int {
-	if n < len(identityColCache) {
-		return identityColCache[n]
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }

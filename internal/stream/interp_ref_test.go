@@ -103,16 +103,14 @@ func (e *pipeExec) ingestTuple(at int, vals []tuple.Value) {
 			e.outCounts[i]++
 		case query.OpReduce:
 			st := e.states[i]
-			e.keyScratch = tuple.AppendKey(e.keyScratch[:0], vals, o.KeyCols)
-			idx, existed := st.GetOrInsert(e.keyScratch, vals, o.KeyCols, vals[o.ValCol].U)
+			idx, existed := st.GetOrInsert(vals, o.KeyCols, vals[o.ValCol].U)
 			if existed {
 				st.SetAgg(idx, o.Func.Apply(st.Agg(idx), vals[o.ValCol].U))
 			}
 			return
 		case query.OpDistinct:
 			st := e.states[i]
-			e.keyScratch = tuple.AppendKey(e.keyScratch[:0], vals, o.KeyCols)
-			st.GetOrInsert(e.keyScratch, vals, o.KeyCols, 1)
+			st.GetOrInsert(vals, o.KeyCols, 1)
 			return
 		}
 	}
@@ -222,7 +220,7 @@ func (rq *Instance) endJoinRef(res *Result) {
 	rightOuts := rq.right.endWindowRef()
 	rightBy := make(map[string][]tuple.Value, len(rightOuts))
 	for _, out := range rightOuts {
-		if k := tuple.Key(out, rq.rightKeyIdx); rightBy[k] == nil {
+		if k := encodeKey(out, rq.rightKeyIdx); rightBy[k] == nil {
 			rightBy[k] = out
 		}
 	}
@@ -234,16 +232,15 @@ func (rq *Instance) endJoinRef(res *Result) {
 		if rq.postMapIdx < 0 {
 			resume = len(rq.q.Post.Ops)
 		}
-		var key, val uint32
-		for i, keyEnd := range rq.pendKeyEnd {
-			valEnd := rq.pendValEnd[i]
-			if rightBy[string(rq.pendKeys[key:keyEnd])] != nil {
+		w, val := len(rq.q.JoinKeys), uint32(0)
+		for i, valEnd := range rq.pendValEnd {
+			key := rq.pendKeys[i*w : (i+1)*w]
+			if rightBy[encodeKey(key, allCols(w))] != nil {
 				rq.post.ingestTuple(resume, rq.pendVals[val:valEnd])
 			}
-			key, val = keyEnd, valEnd
+			val = valEnd
 		}
-		rq.pendKeys, rq.pendKeyEnd = rq.pendKeys[:0], rq.pendKeyEnd[:0]
-		rq.pendVals, rq.pendValEnd = rq.pendVals[:0], rq.pendValEnd[:0]
+		rq.pendKeys, rq.pendVals, rq.pendValEnd = rq.pendKeys[:0], rq.pendVals[:0], rq.pendValEnd[:0]
 		rq.prePacket.endWindowRef()
 		res.Tuples = rq.post.endWindowRef()
 		return
@@ -253,7 +250,7 @@ func (rq *Instance) endJoinRef(res *Result) {
 	res.LeftOutputs = leftOuts
 	res.LeftSchema = rq.q.Left.OutSchema()
 	for _, lo := range leftOuts {
-		ro, ok := rightBy[tuple.Key(lo, rq.joinKeyIdxL)]
+		ro, ok := rightBy[encodeKey(lo, rq.joinKeyIdxL)]
 		if !ok {
 			if !rq.q.JoinOuter {
 				continue

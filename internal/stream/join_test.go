@@ -13,7 +13,26 @@ import (
 	"repro/internal/tuple"
 )
 
-// oracleJoin is the window-close join as a map keyed by tuple.Key strings:
+// encodeKey is the columns vals[idx...] as a map key: their
+// tuple.AppendKeyValue encodings concatenated, which are prefix-free.
+func encodeKey(vals []tuple.Value, idx []int) string {
+	var b []byte
+	for _, i := range idx {
+		b = tuple.AppendKeyValue(b, vals[i])
+	}
+	return string(b)
+}
+
+// allCols is the column indices 0..n-1.
+func allCols(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// oracleJoin is the window-close join as a map keyed by encodeKey strings:
 // right outputs by join key, the first of equal keys kept; each left output
 // joined with its match — or, left-outer, with zeros — as keys, left
 // non-keys, right non-keys.
@@ -25,14 +44,14 @@ func oracleJoin(q *query.Query, left, right [][]tuple.Value) [][]tuple.Value {
 	}
 	rightBy := make(map[string][]tuple.Value, len(right))
 	for _, out := range right {
-		if k := tuple.Key(out, rk); rightBy[k] == nil {
+		if k := encodeKey(out, rk); rightBy[k] == nil {
 			rightBy[k] = out
 		}
 	}
 	zero := make([]tuple.Value, len(rs))
 	var out [][]tuple.Value
 	for _, lo := range left {
-		ro, ok := rightBy[tuple.Key(lo, lk)]
+		ro, ok := rightBy[encodeKey(lo, lk)]
 		if !ok {
 			if !q.JoinOuter {
 				continue
@@ -69,7 +88,7 @@ func oracleSemiJoin(q *query.Query, left []*packet.Packet, right [][]tuple.Value
 	}
 	rightBy := make(map[string]bool, len(right))
 	for _, out := range right {
-		rightBy[tuple.Key(out, rk)] = true
+		rightBy[encodeKey(out, rk)] = true
 	}
 	var out [][]tuple.Value
 	for _, p := range left {
@@ -78,7 +97,7 @@ func oracleSemiJoin(q *query.Query, left []*packet.Packet, right [][]tuple.Value
 			v, _ := p.Field(f)
 			key = append(key, v)
 		}
-		if !rightBy[tuple.Key(key, identityCols(len(key)))] {
+		if !rightBy[encodeKey(key, allCols(len(key)))] {
 			continue
 		}
 		if len(q.Post.Ops) == 0 {
@@ -198,12 +217,16 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 	}
 
 	parser := packet.NewParser(packet.ParserOptions{})
-	for _, keys := range [][]fields.ID{{fields.DstIP}, {fields.DstIP, fields.DstPort}} {
+	// The buffered packets' join-key values probe the right index: one and
+	// two numeric columns (raw in the index's slots), three, and four (a
+	// tagged key whose first three columns often agree).
+	for _, keys := range [][]fields.ID{{fields.DstIP}, {fields.DstIP, fields.DstPort},
+		{fields.DstIP, fields.DstPort, fields.SrcIP}, {fields.SrcPort, fields.DstPort, fields.DstIP, fields.SrcIP}} {
 		for _, postMap := range []bool{false, true} {
 			for _, scalar := range []bool{false, true} {
 				t.Run(fmt.Sprintf("packet-left/keys=%v/map=%v/scalar=%v", keys, postMap, scalar), func(t *testing.T) {
 					right := query.NewBuilder("right", time.Second).
-						Map(query.F(fields.DstIP), query.F(fields.DstPort), query.F(fields.PktLen))
+						Map(query.F(fields.DstIP), query.F(fields.DstPort), query.F(fields.SrcIP), query.F(fields.SrcPort), query.F(fields.PktLen))
 					b := query.NewBuilder("semi", time.Second).
 						Filter(query.Eq(fields.Proto, fields.ProtoTCP)).
 						Join(right, keys...)
@@ -230,8 +253,8 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 						var pkts []*packet.Packet
 						for range joinSize(rng, sizes[0]) {
 							p := new(packet.Packet)
-							frame := packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: uint32(rng.Intn(9)),
-								DstIP: uint32(rng.Intn(6)), Proto: 6, DstPort: uint16(rng.Intn(3)), Pad: rng.Intn(300)})
+							frame := packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: uint32(rng.Intn(3)),
+								DstIP: uint32(rng.Intn(6)), Proto: 6, SrcPort: uint16(rng.Intn(2)), DstPort: uint16(rng.Intn(3)), Pad: rng.Intn(300)})
 							if err := parser.Parse(frame, p); err != nil {
 								t.Fatal(err)
 							}
@@ -240,7 +263,8 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 						var rightOuts [][]tuple.Value
 						for range joinSize(rng, sizes[1]) {
 							rightOuts = append(rightOuts, []tuple.Value{tuple.U64(uint64(rng.Intn(6))),
-								tuple.U64(uint64(rng.Intn(3))), tuple.U64(uint64(rng.Intn(1000)))})
+								tuple.U64(uint64(rng.Intn(3))), tuple.U64(uint64(rng.Intn(3))),
+								tuple.U64(uint64(rng.Intn(2))), tuple.U64(uint64(rng.Intn(1000)))})
 						}
 						// Two batches per window: one with extracted columns for
 						// some of the fields read, one without any.
@@ -271,5 +295,42 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestJoinFirstRightRowWins: right outputs sharing a string join key — and,
+// with a four-column key, sharing its first three columns — are indexed by
+// their first row, whose non-key column every joined row carries.
+func TestJoinFirstRightRowWins(t *testing.T) {
+	for _, keys := range [][]fields.ID{{fields.DNSQName}, {fields.DstIP, fields.SrcIP, fields.SrcPort, fields.DstPort}} {
+		t.Run(fmt.Sprint(keys), func(t *testing.T) {
+			cols := []query.Column{query.F(fields.DNSQName), query.F(fields.DstIP), query.F(fields.SrcIP),
+				query.F(fields.SrcPort), query.F(fields.DstPort)}
+			right := query.NewBuilder("right", time.Second).Map(append(cols, query.F(fields.IPLen))...)
+			q := query.NewBuilder("join", time.Second).Map(append(cols, query.F(fields.PktLen))...).
+				Join(right, keys...).MustBuild()
+			q.ID = 5
+			e := NewEngine(nil)
+			if err := e.Install(q, 0, Partition{LeftStart: len(q.Left.Ops), RightStart: len(q.Right.Ops)}); err != nil {
+				t.Fatal(err)
+			}
+			row := func(name string, port, v uint64) []tuple.Value {
+				return []tuple.Value{tuple.Str(name), tuple.U64(1), tuple.U64(2), tuple.U64(3), tuple.U64(port), tuple.U64(v)}
+			}
+			inst := e.Instance(5, 0)
+			for _, v := range [][]tuple.Value{row("a.example", 80, 7), row("a.example", 80, 8), row("b.example", 81, 9), row("a.example", 80, 10)} {
+				if !inst.IngestTuple(SideRight, v) {
+					t.Fatalf("right tuple %v refused", v)
+				}
+			}
+			if !inst.IngestTuple(SideLeft, row("a.example", 80, 100)) {
+				t.Fatal("left tuple refused")
+			}
+			results, _ := e.EndWindow()
+			got := results[0].Tuples
+			if len(got) != 1 || got[0][len(got[0])-1] != tuple.U64(7) {
+				t.Fatalf("joined %v, want one row carrying the first right row's 7", got)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/tuple"
 )
 
-// TestKeytabStateMatchesMapModel drives the engine's arena-backed operator
+// TestKeytabStateMatchesMapModel drives the engine's column-keyed operator
 // state with a random workload and checks every window's output —
 // bit-identically, including order — against a naive model built on Go maps
 // plus an explicit insertion-order list. This is the differential oracle for
@@ -119,7 +119,7 @@ func TestKeytabStateMatchesMapModel(t *testing.T) {
 
 // TestIngestSteadyStateZeroAlloc pins the tentpole's core claim: once a key
 // exists in an operator's table, ingesting further tuples for it allocates
-// nothing — and neither does repopulating a reset table whose arena is
+// nothing — and neither does repopulating a reset table whose storage is
 // already sized (the steady-state window cycle).
 func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("reduce", func(t *testing.T) {
@@ -128,8 +128,8 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals := []tuple.Value{tuple.U64(42), tuple.U64(1)}
-		// Warm one full window cycle so the arena, slots, and key scratch are
-		// all sized.
+		// Warm one full window cycle so the storage, slots, and probe scratch
+		// are all sized.
 		e.Instance(1, 0).IngestTuple(SideLeft, vals)
 		e.EndWindow()
 		e.Instance(1, 0).IngestTuple(SideLeft, vals)

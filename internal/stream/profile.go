@@ -56,15 +56,15 @@ func NewProfiler(ops []query.Op, dyn *DynTables) *Profiler {
 // Reset readies the profiler for another pipeline, as NewProfiler(ops) with
 // the same dynamic tables would, except that it keeps the keyed-state tables
 // it has grown: a stateful op i of ops takes over the previous pipeline's
-// table i, emptied. A caller profiling many pipelines in turn — a planner's
-// levels and edges — so stops regrowing them. Profiles EndWindow returned
-// earlier stay valid.
+// table i, emptied and re-keyed to op i's key kinds. A caller profiling many
+// pipelines in turn — a planner's levels and edges — so stops regrowing
+// them. Profiles EndWindow returned earlier stay valid.
 func (p *Profiler) Reset(ops []query.Op) {
 	tabs := p.exec.states
 	p.ops, p.exec = ops, newPipeExec(ops, 0, p.exec.dyn, nil)
 	for i, st := range p.exec.states {
 		if st != nil && i < len(tabs) && tabs[i] != nil {
-			tabs[i].Reset()
+			tabs[i].Rekey(keyKinds(p.exec.kinds[i], ops[i].KeyCols))
 			p.exec.states[i] = tabs[i]
 		}
 	}

@@ -1,9 +1,6 @@
 package tuple
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // Column is one field of a batch of tuples, indexed by row: numeric values
 // in U, or — where the field is statically string-valued — Values in V.
@@ -36,20 +33,6 @@ func (c *Column) Set(i int, v Value) {
 func AppendRow(dst []Value, cols []Column, i int) []Value {
 	for c := range cols {
 		dst = append(dst, cols[c].At(i))
-	}
-	return dst
-}
-
-// AppendKeyCols appends the key encoding of row r's selected columns,
-// byte-identical to AppendKey over the equivalent tuple — which is what
-// lets the batched and the per-tuple engine share keytab state.
-func AppendKeyCols(dst []byte, cols []Column, idx []int, r int) []byte {
-	for _, i := range idx {
-		if c := &cols[i]; c.V != nil {
-			dst = AppendKeyValue(dst, c.V[r])
-		} else {
-			dst = binary.BigEndian.AppendUint64(append(dst, 'u'), c.U[r])
-		}
 	}
 	return dst
 }

@@ -162,60 +162,12 @@ func (t Tuple) String() string {
 	return fmt.Sprintf("q%d/r%d[%s]", t.QID, t.Level, strings.Join(parts, " "))
 }
 
-// Key encodes the values at positions idx into a compact comparable string
-// for use as a grouping key. The encoding is injective: numerics are tagged
-// 'u' followed by 8 big-endian bytes; strings are tagged 's' followed by a
-// 4-byte length and the bytes.
-func Key(vals []Value, idx []int) string {
-	var b []byte
-	b = appendKey(b, vals, idx)
-	return string(b)
-}
-
-// AppendKey appends the key encoding of the selected values to dst and
-// returns the extended slice, allowing callers to reuse a scratch buffer.
-func AppendKey(dst []byte, vals []Value, idx []int) []byte {
-	return appendKey(dst, vals, idx)
-}
-
-func appendKey(b []byte, vals []Value, idx []int) []byte {
-	if k, ok := appendKeyU64(b, vals, idx); ok {
-		return k
-	}
-	for _, i := range idx {
-		b = AppendKeyValue(b, vals[i])
-	}
-	return b
-}
-
-// appendKeyU64 writes an all-numeric key (tag 'u' + 8 big-endian bytes per
-// column, byte-identical to AppendKeyValue) straight into b's spare
-// capacity. It reports false — leaving b untouched — when a column is a
-// string or the scratch would need to grow; numeric keys over a warm
-// scratch are the per-packet steady state, so the generic append path runs
-// only on growth and string keys.
-func appendKeyU64(b []byte, vals []Value, idx []int) ([]byte, bool) {
-	n := len(idx) * 9
-	if cap(b)-len(b) < n {
-		return b, false
-	}
-	out := b[len(b) : len(b)+n]
-	j := 0
-	for _, i := range idx {
-		v := &vals[i]
-		if v.Str {
-			return b, false
-		}
-		out[j] = 'u'
-		binary.BigEndian.PutUint64(out[j+1:j+9], v.U)
-		j += 9
-	}
-	return b[:len(b)+n], true
-}
-
-// AppendKeyValue appends the key encoding of a single value to dst. It is
-// the one-column form of AppendKey, used where the column set is implicit
-// (dynamic-filter keys) and building an index slice would be wasted work.
+// AppendKeyValue appends the key encoding of a single value to dst:
+// numerics are tagged 'u' followed by 8 big-endian bytes, strings 's'
+// followed by a 4-byte length and the bytes. The encoding is prefix-free, so
+// a key of several columns is their encodings concatenated and equal bytes
+// mean equal keys — the contract the dynamic-filter rule sets
+// (query.DynSet) rely on.
 func AppendKeyValue(dst []byte, v Value) []byte {
 	if v.Str {
 		dst = append(dst, 's')
@@ -230,36 +182,8 @@ func AppendKeyValue(dst []byte, v Value) []byte {
 	return append(dst, u[:]...)
 }
 
-// Hash64 hashes an encoded key to 64 bits. The core is FNV-1a folded over
-// 8-byte little-endian chunks (fast on the per-tuple path), finished with a
-// murmur-style avalanche so that power-of-two-masked low bits are well
-// mixed — the contract internal/keytab's open-addressing tables rely on.
-// Hash quality affects only probe length, never correctness: keytab compares
-// full key bytes on every hit.
-func Hash64(b []byte) uint64 {
-	h := uint64(14695981039346656037) ^ uint64(len(b))
-	for len(b) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * 1099511628211
-		b = b[8:]
-	}
-	if len(b) > 0 {
-		var tail uint64
-		for i := len(b) - 1; i >= 0; i-- {
-			tail = tail<<8 | uint64(b[i])
-		}
-		h = (h ^ tail) * 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// DecodeKey decodes a key produced by Key back into values. It is the
-// inverse of Key for the selected columns and is used when the stream
-// processor reconstructs grouping keys from switch register dumps.
+// DecodeKey decodes a key of concatenated AppendKeyValue encodings back
+// into values — planner training re-masks dynamic-filter keys through it.
 func DecodeKey(key string) ([]Value, error) {
 	var vals []Value
 	b := []byte(key)

@@ -70,10 +70,20 @@ func TestSchemaCloneIndependent(t *testing.T) {
 	}
 }
 
+// key is the multi-column key encoding: the selected values' AppendKeyValue
+// encodings, concatenated.
+func key(vals []Value, idx []int) string {
+	var b []byte
+	for _, i := range idx {
+		b = AppendKeyValue(b, vals[i])
+	}
+	return string(b)
+}
+
 func TestKeyRoundTrip(t *testing.T) {
 	vals := []Value{U64(0xC0A80001), Str("example.com"), U64(0), Str("")}
-	key := Key(vals, []int{0, 1, 2, 3})
-	got, err := DecodeKey(key)
+	k := key(vals, []int{0, 1, 2, 3})
+	got, err := DecodeKey(k)
 	if err != nil {
 		t.Fatalf("DecodeKey: %v", err)
 	}
@@ -84,15 +94,15 @@ func TestKeyRoundTrip(t *testing.T) {
 
 func TestKeySelectsColumns(t *testing.T) {
 	vals := []Value{U64(1), U64(2), U64(3)}
-	if Key(vals, []int{0, 2}) == Key(vals, []int{0, 1}) {
+	if key(vals, []int{0, 2}) == key(vals, []int{0, 1}) {
 		t.Error("keys over different columns collided")
 	}
-	if Key(vals, []int{1}) != Key([]Value{U64(7), U64(2)}, []int{1}) {
+	if key(vals, []int{1}) != key([]Value{U64(7), U64(2)}, []int{1}) {
 		t.Error("same selected values produced different keys")
 	}
 }
 
-// Property: Key is injective over value slices (round trip through
+// Property: key is injective over value slices (round trip through
 // DecodeKey reproduces the input exactly).
 func TestKeyInjectiveProperty(t *testing.T) {
 	gen := func(r *rand.Rand) []Value {
@@ -117,7 +127,7 @@ func TestKeyInjectiveProperty(t *testing.T) {
 		for i := range idx {
 			idx[i] = i
 		}
-		got, err := DecodeKey(Key(vals, idx))
+		got, err := DecodeKey(key(vals, idx))
 		if err != nil {
 			return false
 		}
@@ -140,9 +150,9 @@ func TestKeyInjectiveProperty(t *testing.T) {
 // crafted to collide under naive separator- or concatenation-based schemes:
 // column-boundary shifts, embedded separator bytes, empty strings, strings
 // that spell out the wire encoding of other values, and numeric/string kind
-// confusion. Every pair must encode distinctly (the prefix-free property
-// keytab and the register banks rely on — equal bytes must mean equal keys)
-// and every encoding must round-trip through DecodeKey.
+// confusion. Every pair must encode distinctly (the prefix-free property the
+// dynamic-filter rule sets rely on — equal bytes must mean equal keys) and
+// every encoding must round-trip through DecodeKey.
 func TestKeyEncodingAdversarial(t *testing.T) {
 	u := func(b ...byte) string { return string(b) }
 	cases := [][]Value{
@@ -192,7 +202,7 @@ func TestKeyEncodingAdversarial(t *testing.T) {
 	}
 	keys := make([]string, len(cases))
 	for i, vals := range cases {
-		keys[i] = Key(vals, idx(len(vals)))
+		keys[i] = key(vals, idx(len(vals)))
 		got, err := DecodeKey(keys[i])
 		if err != nil {
 			t.Fatalf("case %d: DecodeKey: %v", i, err)
@@ -215,9 +225,10 @@ func TestKeyEncodingAdversarial(t *testing.T) {
 		}
 	}
 	// No encoding may be a strict prefix of another with more columns —
-	// otherwise an arena holding concatenated keys could mistake one key's
+	// otherwise a buffer holding concatenated keys could mistake one key's
 	// head for a shorter key. (Equal-length comparison makes full prefixes
-	// harmless, but keytab compares by length too; document the invariant.)
+	// harmless, but a set keyed by the bytes compares by length too;
+	// document the invariant.)
 	for i := range keys {
 		for j := range keys {
 			if i != j && len(keys[i]) < len(keys[j]) &&
@@ -235,7 +246,7 @@ func TestDecodeKeyRejectsMalformed(t *testing.T) {
 		"u\x00",                              // truncated numeric
 		"s\x00\x00\x00\x05ab",                // truncated string body
 		"s\x00\x00",                          // truncated string header
-		Key([]Value{U64(1)}, []int{0}) + "u", // trailing garbage
+		key([]Value{U64(1)}, []int{0}) + "u", // trailing garbage
 	}
 	for _, k := range bad {
 		if _, err := DecodeKey(k); err == nil {
@@ -244,15 +255,15 @@ func TestDecodeKeyRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestAppendKeyReusesBuffer(t *testing.T) {
+func TestAppendKeyValueReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 64)
-	vals := []Value{U64(42)}
-	out := AppendKey(buf, vals, []int{0})
-	if string(out) != Key(vals, []int{0}) {
-		t.Error("AppendKey and Key disagree")
+	vals := []Value{U64(42), Str("x")}
+	out := AppendKeyValue(AppendKeyValue(buf, vals[0]), vals[1])
+	if string(out) != key(vals, []int{0, 1}) {
+		t.Error("appended encodings and key disagree")
 	}
 	if cap(out) != cap(buf) {
-		t.Error("AppendKey reallocated despite sufficient capacity")
+		t.Error("AppendKeyValue reallocated despite sufficient capacity")
 	}
 }
 
@@ -288,40 +299,6 @@ func TestIPString(t *testing.T) {
 	v := U64(0xC0A80101)
 	if got := v.IPString(); got != "192.168.1.1" {
 		t.Errorf("IPString = %q", got)
-	}
-}
-
-func TestAppendKeyColsMatchesAppendKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(20) + 1
-		w := rng.Intn(4) + 1
-		// Numeric columns, string columns, and Value columns holding both.
-		cols := make([]Column, w)
-		for j := range cols {
-			kind := rng.Intn(3)
-			if kind == 0 {
-				cols[j].U = make([]uint64, n)
-			} else {
-				cols[j].V = make([]Value, n)
-			}
-			for r := 0; r < n; r++ {
-				if kind == 0 || kind == 1 && rng.Intn(2) == 0 {
-					cols[j].Set(r, U64(rng.Uint64()))
-				} else {
-					cols[j].Set(r, Str(string(rune('a'+rng.Intn(26)))))
-				}
-			}
-		}
-		idx := rng.Perm(w)[:rng.Intn(w)+1]
-		for r := 0; r < n; r++ {
-			row := AppendRow(nil, cols, r)
-			want := AppendKey(nil, row, idx)
-			got := AppendKeyCols(nil, cols, idx, r)
-			if string(got) != string(want) {
-				t.Fatalf("trial %d row %d: cols key %x != row key %x", trial, r, got, want)
-			}
-		}
 	}
 }
 
