@@ -290,8 +290,8 @@ func allocBudgetDeployedSwitch(t testing.TB, ps *pisa.Prescreen) (*pisa.Switch, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(10, 0, 0, 0))), 8)
-	if _, err := sw.UpdateDynTable(1, 16, pisa.SideLeft, 0, []string{key}); err != nil {
+	key := query.MaskValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(10, 0, 0, 0))), 8)
+	if _, err := sw.UpdateDynTable(1, 16, pisa.SideLeft, 0, []tuple.Value{key}); err != nil {
 		t.Fatal(err)
 	}
 	parser := packet.NewParser(packet.ParserOptions{})

@@ -201,9 +201,9 @@ func BenchmarkRefinementUpdateOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys := make([]string, 200)
+	keys := make([]tuple.Value, 200)
 	for i := range keys {
-		keys[i] = stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(i)<<16), 16)
+		keys[i] = query.MaskValue(fields.DstIP, tuple.U64(uint64(i)<<16), 16)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

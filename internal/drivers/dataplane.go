@@ -25,6 +25,7 @@ import (
 	"repro/internal/pisa"
 	"repro/internal/runtime"
 	"repro/internal/telemetry"
+	"repro/internal/tuple"
 )
 
 // DataPlaneServer owns a switch and serves control operations for it.
@@ -223,7 +224,7 @@ func (d *DataPlaneClient) Install(prog *pisa.Program) error {
 }
 
 // UpdateDynTable replaces a dynamic filter's entries.
-func (d *DataPlaneClient) UpdateDynTable(qid uint16, level uint8, side pisa.Side, opIdx int, keys []string) (int, error) {
+func (d *DataPlaneClient) UpdateDynTable(qid uint16, level uint8, side pisa.Side, opIdx int, keys []tuple.Value) (int, error) {
 	var res netproto.UpdateResult
 	err := d.c.Call(netproto.MsgUpdateTable, &netproto.UpdateTable{
 		QID: qid, Level: level, Side: side, OpIdx: opIdx, Keys: keys},

@@ -29,11 +29,19 @@ func testQuery() *query.Query {
 	return q
 }
 
+// testProgram runs q's whole left pipeline on the switch, a table a stage,
+// with 1024 register entries per stateful table.
 func testProgram(q *query.Query) *pisa.Program {
 	cp := compile.CompilePipeline(q.Left.Ops)
 	spec := &pisa.InstanceSpec{QID: q.ID, Ops: q.Left.Ops, Tables: cp.Tables,
-		CutAt: len(cp.Tables), StageOf: []int{0, 1, 2, 3},
-		RegEntries: []int{0, 0, 0, 1024}}
+		CutAt: len(cp.Tables), StageOf: make([]int, len(cp.Tables)),
+		RegEntries: make([]int, len(cp.Tables))}
+	for t, tab := range cp.Tables {
+		spec.StageOf[t] = t
+		if tab.Stateful {
+			spec.RegEntries[t] = 1024
+		}
+	}
 	return &pisa.Program{Instances: []*pisa.InstanceSpec{spec}}
 }
 
@@ -84,7 +92,7 @@ func TestDataPlaneDriverEndToEnd(t *testing.T) {
 
 	// Dynamic table update flows through: the program has no dyn filter, so
 	// a well-formed error must come back, not a hang or disconnect.
-	if _, err := dp.UpdateDynTable(1, 0, pisa.SideLeft, 0, []string{"k"}); err == nil {
+	if _, err := dp.UpdateDynTable(1, 0, pisa.SideLeft, 0, []tuple.Value{tuple.Str("k")}); err == nil {
 		t.Error("update on missing dyn table succeeded")
 	}
 
@@ -143,20 +151,26 @@ func TestGobRoundTripPreservesOpInternals(t *testing.T) {
 }
 
 // malformedPrograms are testProgram with its switch tables referencing what
-// the instance does not carry; installed unchecked, each panics the serving
-// goroutine in pisa.NewSwitch. (A nil instance cannot cross the wire: gob
-// does not encode nil slice elements; pisa's validation test covers it.)
+// the instance does not carry — installed unchecked, each panics the serving
+// goroutine in pisa.NewSwitch — and one whose threshold filter is a dynamic
+// filter, which the switch would key on a header field and the stream
+// processor has no key for. (A nil instance cannot cross the wire: gob does
+// not encode nil slice elements; pisa's validation test covers it.)
 func malformedPrograms() map[string]*pisa.Program {
 	mutate := func(f func(spec *pisa.InstanceSpec)) *pisa.Program {
 		prog := testProgram(testQuery())
 		f(prog.Instances[0])
 		return prog
 	}
+	dyn := testQuery()
+	o := &dyn.Left.Ops[3]
+	o.DynFilterTable, o.DynKeyField, o.DynLevel = "q1.r8", fields.DstIP, 8
 	return map[string]*pisa.Program{
-		"no register sizes": mutate(func(s *pisa.InstanceSpec) { s.RegEntries = nil }),
-		"op index":          mutate(func(s *pisa.InstanceSpec) { s.Tables[1].OpIdx = 99 }),
-		"merged filter op":  mutate(func(s *pisa.InstanceSpec) { s.Tables[3].MergedFilterOp = 99 }),
-		"no ops":            mutate(func(s *pisa.InstanceSpec) { s.Ops = nil }),
+		"tuple-phase dyn filter": testProgram(dyn),
+		"no register sizes":      mutate(func(s *pisa.InstanceSpec) { s.RegEntries = nil }),
+		"op index":               mutate(func(s *pisa.InstanceSpec) { s.Tables[1].OpIdx = 99 }),
+		"merged filter op":       mutate(func(s *pisa.InstanceSpec) { s.Tables[3].MergedFilterOp = 99 }),
+		"no ops":                 mutate(func(s *pisa.InstanceSpec) { s.Ops = nil }),
 	}
 }
 
@@ -232,7 +246,7 @@ func TestDataPlaneProcessDuringControl(t *testing.T) {
 			done = true
 		default:
 		}
-		if _, err := dp.UpdateDynTable(1, 0, pisa.SideLeft, 0, []string{"k"}); err == nil {
+		if _, err := dp.UpdateDynTable(1, 0, pisa.SideLeft, 0, []tuple.Value{tuple.Str("k")}); err == nil {
 			t.Fatal("update on missing dyn table succeeded")
 		}
 		dumps, stats, err := dp.EndWindow()
@@ -259,8 +273,9 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // FuzzDataPlaneInstall feeds arbitrary bytes to the server as a MsgInstall
 // body; when the install succeeds, a few frames walk the program and the
-// window ends. Whatever the bytes, the server must not panic. The seed
-// corpus (testdata/fuzz) holds testProgram and malformedPrograms.
+// window ends. Whatever the bytes, the server must not panic, and what it
+// installs holds no dynamic filter past the packet phase. The seed corpus
+// (testdata/fuzz) holds testProgram and malformedPrograms.
 func FuzzDataPlaneInstall(f *testing.F) {
 	frames := [][]byte{
 		packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: 1, DstIP: 9, Proto: 6, TCPFlags: fields.FlagSYN, Pad: 60}),
@@ -276,6 +291,17 @@ func FuzzDataPlaneInstall(f *testing.F) {
 		}
 		if srv.sw == nil {
 			return // rejected
+		}
+		var prog pisa.Program
+		if err := netproto.Decode(body, &prog); err != nil {
+			t.Fatalf("installed a program that does not decode: %v", err)
+		}
+		for _, inst := range prog.Instances {
+			for i := range inst.Ops {
+				if o := &inst.Ops[i]; o.DynFilterTable != "" && !o.PacketPhase() {
+					t.Fatalf("%s: installed a dynamic filter in tuple phase at op %d", inst.Name(), i)
+				}
+			}
 		}
 		for _, fr := range frames {
 			srv.Process(fr)

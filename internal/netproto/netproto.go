@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/pisa"
 	"repro/internal/telemetry"
+	"repro/internal/tuple"
 )
 
 // MsgType tags each frame.
@@ -95,15 +96,16 @@ type Hello struct {
 }
 
 // ProtocolVersion is bumped on incompatible changes.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
-// UpdateTable names a dynamic filter and its replacement entries.
+// UpdateTable names a dynamic filter and its replacement entries: values
+// masked to the filter's level.
 type UpdateTable struct {
 	QID   uint16
 	Level uint8
 	Side  pisa.Side
 	OpIdx int
-	Keys  []string
+	Keys  []tuple.Value
 }
 
 // UpdateResult reports entries written.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 
 	"repro/internal/pisa"
@@ -23,7 +24,7 @@ func TestFramingRoundTrip(t *testing.T) {
 	d := &duplex{}
 	c := NewConn(d)
 	want := UpdateTable{QID: 7, Level: 16, Side: pisa.SideRight, OpIdx: 2,
-		Keys: []string{"a", "bb", ""}}
+		Keys: []tuple.Value{tuple.U64(0x0a000000), tuple.U64(0), tuple.U64(1<<64 - 1), tuple.Str("bb.example"), tuple.Str("")}}
 	if err := c.Send(MsgUpdateTable, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +32,8 @@ func TestFramingRoundTrip(t *testing.T) {
 	if err := c.Expect(MsgUpdateTable, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.QID != 7 || got.Level != 16 || got.Side != pisa.SideRight || len(got.Keys) != 3 {
-		t.Errorf("got %+v", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got %+v, want %+v", got, want)
 	}
 }
 

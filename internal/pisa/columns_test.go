@@ -10,7 +10,6 @@ import (
 	"repro/internal/fields"
 	"repro/internal/packet"
 	"repro/internal/query"
-	"repro/internal/stream"
 	"repro/internal/tuple"
 )
 
@@ -49,7 +48,7 @@ func columnsProgram() *Program {
 // as the runtime's refinement links do for the two sides of a join.
 func publishShared(t *testing.T, sw *Switch, dst uint32) {
 	t.Helper()
-	set := query.NewDynSet([]string{stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(dst)), 8)})
+	set := query.NewDynSet([]tuple.Value{query.MaskValue(fields.DstIP, tuple.U64(uint64(dst)), 8)})
 	for _, qid := range []uint16{1, 2} {
 		tab, err := sw.DynTable(qid, 16, SideLeft, 0)
 		if err != nil || tab == nil {
@@ -262,7 +261,7 @@ func TestShardsShareColumns(t *testing.T) {
 		}
 		shards = append(shards, sw)
 	}
-	set := query.NewDynSet([]string{stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(9, 0, 0, 0))), 8)})
+	set := query.NewDynSet([]tuple.Value{query.MaskValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(9, 0, 0, 0))), 8)})
 	for _, sw := range append(shards, whole) {
 		for _, qid := range []uint16{1, 2} {
 			if tab, err := sw.DynTable(qid, 16, SideLeft, 0); err == nil && tab != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/fields"
 	"repro/internal/packet"
 	"repro/internal/query"
-	"repro/internal/stream"
 	"repro/internal/tuple"
 )
 
@@ -180,8 +179,8 @@ func oracleRun(t *testing.T, windows [][][]byte,
 	}
 	var outcomes []oracleOutcome
 	for wi, frames := range windows {
-		keys := []string{
-			stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(byte(9+wi), 0, 0, 0))), 8)}
+		keys := []tuple.Value{
+			query.MaskValue(fields.DstIP, tuple.U64(uint64(packet.IPv4Addr(byte(9+wi), 0, 0, 0))), 8)}
 		if _, err := sw.UpdateDynTable(2, 16, SideLeft, 0, keys); err != nil {
 			t.Fatal(err)
 		}

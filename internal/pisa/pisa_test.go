@@ -11,7 +11,6 @@ import (
 	"repro/internal/fields"
 	"repro/internal/packet"
 	"repro/internal/query"
-	"repro/internal/stream"
 	"repro/internal/tuple"
 )
 
@@ -293,8 +292,8 @@ func TestSwitchDynFilterGates(t *testing.T) {
 	if dumps, _ := sw.EndWindow(); len(dumps) != 0 {
 		t.Error("empty dyn table let packets through")
 	}
-	key := stream.DynKeyFromValue(fields.DstIP, tuple.U64(uint64(in)), 8)
-	if _, err := sw.UpdateDynTable(1, 16, SideLeft, 0, []string{key}); err != nil {
+	key := query.MaskValue(fields.DstIP, tuple.U64(uint64(in)), 8)
+	if _, err := sw.UpdateDynTable(1, 16, SideLeft, 0, []tuple.Value{key}); err != nil {
 		t.Fatal(err)
 	}
 	sw.Process(synFrame(1, in))

@@ -335,8 +335,8 @@ func (t *DynTable) Publish(set *query.DynSet) int {
 
 // UpdateDynTable is DynTable and Publish in one call, for a control plane
 // that names the table each time (the drivers' wire protocol). Entry keys
-// use the masked encoding of stream.DynKeyFromValue.
-func (sw *Switch) UpdateDynTable(qid uint16, level uint8, side Side, opIdx int, keys []string) (int, error) {
+// are values masked to the table's level (query.MaskValue).
+func (sw *Switch) UpdateDynTable(qid uint16, level uint8, side Side, opIdx int, keys []tuple.Value) (int, error) {
 	t, err := sw.DynTable(qid, level, side, opIdx)
 	if err != nil {
 		return 0, err

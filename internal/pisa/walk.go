@@ -167,9 +167,11 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 				tuple.SelAnd(sel, m.atoms[a])
 			}
 		case compile.TableDynFilter:
-			// One rule snapshot per batch observes every update a per-packet
-			// load would: rules change between batches, at window close. A
-			// table not yet populated admits nothing: the finer level idles.
+			// A dynamic filter is packet-phase (query.CheckOps): its key is
+			// a header field. One rule snapshot per batch observes every
+			// update a per-packet load would: rules change between batches,
+			// at window close. A table not yet populated admits nothing: the
+			// finer level idles.
 			set := st.dynRules[t].Load()
 			if set.Len() == 0 {
 				clear(sel)

@@ -59,8 +59,8 @@ func TestDNSNameAugmentationMasksLabels(t *testing.T) {
 		t.Fatalf("ungated output = %v", out.Outputs)
 	}
 	// Gate on the /2 suffix ("bad.example"): now the masked /3 name counts.
-	dyn.Publish(DynTableName(7, 3), query.NewDynSet([]string{
-		stream.DynKeyFromValue(fields.DNSQName, tuple.Str("bad.example"), 2),
+	dyn.Publish(DynTableName(7, 3), query.NewDynSet([]tuple.Value{
+		query.MaskValue(fields.DNSQName, tuple.Str("bad.example"), 2),
 	}))
 	for i := 0; i < 12; i++ {
 		feed(prof, []packet.Packet{pkt})

@@ -52,8 +52,8 @@ type QueryTraining struct {
 	// Th[r] carries the relaxed thresholds for level r.
 	Th map[int]Thresholds
 	// Satisfy[r] is the union (across windows) of keys satisfying the query
-	// at level r, in dynamic-table encoding.
-	Satisfy map[int][]string
+	// at level r, each masked to r, in order (tuple.Value.Compare).
+	Satisfy map[int][]tuple.Value
 	// Edges[{prev, level}] is the edge cost profile.
 	Edges map[[2]int]*EdgeProfile
 }
@@ -165,7 +165,7 @@ type trainer struct {
 // that selection starts every finer level's run on either side.
 func (t *trainer) learn(q *query.Query, menu []int) *QueryTraining {
 	qt := &QueryTraining{Query: q, Th: make(map[int]Thresholds),
-		Satisfy: make(map[int][]string), Edges: make(map[[2]int]*EdgeProfile)}
+		Satisfy: make(map[int][]tuple.Value), Edges: make(map[[2]int]*EdgeProfile)}
 	key, ok := query.QueryRefinementKey(q)
 	qt.Key, qt.Refinable = key, ok
 	qt.Levels = []int{key.MaxLevel} // [0] when the query is not refinable
@@ -182,7 +182,7 @@ func (t *trainer) learn(q *query.Query, menu []int) *QueryTraining {
 	}
 	coarse, finest := qt.Levels[:len(qt.Levels)-1], qt.Levels[len(qt.Levels)-1]
 
-	var finestKeys map[string]struct{}
+	var finestKeys map[tuple.Value]struct{}
 	for _, r := range append([]int{finest}, coarse...) {
 		// Until Th[r] is set this is the level at its original thresholds.
 		runs := t.openRuns(qt.AugmentedAt(LevelStar, r))
@@ -201,11 +201,11 @@ func (t *trainer) learn(q *query.Query, menu []int) *QueryTraining {
 			if r == finest {
 				finestKeys = set
 			}
-			qt.Satisfy[r] = make([]string, 0, len(set))
+			qt.Satisfy[r] = make([]tuple.Value, 0, len(set))
 			for k := range set {
 				qt.Satisfy[r] = append(qt.Satisfy[r], k)
 			}
-			slices.Sort(qt.Satisfy[r])
+			slices.SortFunc(qt.Satisfy[r], tuple.Value.Compare)
 		}
 	}
 
@@ -297,7 +297,7 @@ rows:
 // observeThresholds relaxes level r's thresholds from its open runs: per
 // side, the least aggregate the final filter saw over a key in prefixes (nil
 // when the side has no such filter, key column or key).
-func (qt *QueryTraining) observeThresholds(r int, prefixes map[string]struct{}, runs [][]stream.PipelineProfile) Thresholds {
+func (qt *QueryTraining) observeThresholds(r int, prefixes map[tuple.Value]struct{}, runs [][]stream.PipelineProfile) Thresholds {
 	var th [2]*uint64
 	for s, p := range sides(AugmentQuery(qt.Query, qt.Key, LevelStar, r, Thresholds{})) {
 		thCol, keyCol := thresholdColumn(p), keyColumnOf(p, qt.Key.Field)
@@ -306,7 +306,7 @@ func (qt *QueryTraining) observeThresholds(r int, prefixes map[string]struct{}, 
 		}
 		for _, run := range runs[s] {
 			for _, row := range run.Outputs {
-				if _, ok := prefixes[stream.DynKeyFromValue(qt.Key.Field, row[keyCol], r)]; !ok {
+				if _, ok := prefixes[query.MaskValue(qt.Key.Field, row[keyCol], r)]; !ok {
 					continue
 				}
 				if v := row[thCol].U; th[s] == nil || v < *th[s] {
@@ -319,18 +319,18 @@ func (qt *QueryTraining) observeThresholds(r int, prefixes map[string]struct{}, 
 }
 
 // satisfying is level r's satisfying-key set: the union over windows of the
-// keys (dynamic-table encoding) that every side with a key column output
-// from its closed run. A side without one, such as a packet-phase join
-// side, has no say.
-func (qt *QueryTraining) satisfying(r int, aug *query.Query, runs [][]stream.PipelineProfile) map[string]struct{} {
-	set := make(map[string]struct{})
+// keys (masked to r) that every side with a key column output from its
+// closed run. A side without one, such as a packet-phase join side, has no
+// say.
+func (qt *QueryTraining) satisfying(r int, aug *query.Query, runs [][]stream.PipelineProfile) map[tuple.Value]struct{} {
+	set := make(map[tuple.Value]struct{})
 	for w := range runs[0] {
-		seen, keyed := make(map[string]int), 0 // seen[k]: the keyed sides so far that output k
+		seen, keyed := make(map[tuple.Value]int), 0 // seen[k]: the keyed sides so far that output k
 		for s, p := range sides(aug) {
 			if col := keyColumnOf(p, qt.Key.Field); col >= 0 {
 				keyed++
 				for _, row := range runs[s][w].Outputs {
-					if k := stream.DynKeyFromValue(qt.Key.Field, row[col], r); seen[k] == keyed-1 {
+					if k := query.MaskValue(qt.Key.Field, row[col], r); seen[k] == keyed-1 {
 						seen[k] = keyed
 					}
 				}
@@ -403,16 +403,11 @@ func (t *trainer) sideCost(ops []query.Op, runs []stream.PipelineProfile) *SideC
 	return sc
 }
 
-// prefixSet masks a key set to a coarser level. Keys are stored in dyn
-// encoding, so they are decoded, re-masked, and re-encoded.
-func prefixSet(key query.RefinementKey, keys map[string]struct{}, level int) map[string]struct{} {
-	out := make(map[string]struct{}, len(keys))
+// prefixSet masks a key set to a coarser level.
+func prefixSet(key query.RefinementKey, keys map[tuple.Value]struct{}, level int) map[tuple.Value]struct{} {
+	out := make(map[tuple.Value]struct{}, len(keys))
 	for k := range keys {
-		vals, err := tuple.DecodeKey(k)
-		if err != nil || len(vals) != 1 {
-			continue
-		}
-		out[stream.DynKeyFromValue(key.Field, vals[0], level)] = struct{}{}
+		out[query.MaskValue(key.Field, k, level)] = struct{}{}
 	}
 	return out
 }

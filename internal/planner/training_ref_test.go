@@ -60,7 +60,7 @@ func feed(prof *stream.Profiler, pkts []packet.Packet) {
 
 func trainQuery(q *query.Query, menu []int, windows [][]packet.Packet) (*QueryTraining, error) {
 	qt := &QueryTraining{Query: q, Th: make(map[int]Thresholds),
-		Satisfy: make(map[int][]string), Edges: make(map[[2]int]*EdgeProfile)}
+		Satisfy: make(map[int][]tuple.Value), Edges: make(map[[2]int]*EdgeProfile)}
 	key, ok := query.QueryRefinementKey(q)
 	qt.Key, qt.Refinable = key, ok
 
@@ -89,7 +89,7 @@ func trainQuery(q *query.Query, menu []int, windows [][]packet.Packet) (*QueryTr
 	// (across windows) over prefixes of finest-satisfying keys.
 	finest := key.MaxLevel
 	qt.Th[finest] = Thresholds{}
-	finestKeys := make(map[string]struct{})
+	finestKeys := make(map[tuple.Value]struct{})
 	for _, pkts := range windows {
 		lk, rk := satisfyingKeys(qt, finest, Thresholds{}, nil, pkts)
 		for k := range intersectKeys(lk, rk) {
@@ -109,18 +109,18 @@ func trainQuery(q *query.Query, menu []int, windows [][]packet.Packet) (*QueryTr
 
 	// Phase B1: satisfying sets per level with trained thresholds.
 	for _, r := range qt.Levels {
-		set := make(map[string]struct{})
+		set := make(map[tuple.Value]struct{})
 		for _, pkts := range windows {
 			lk, rk := satisfyingKeys(qt, r, qt.Th[r], nil, pkts)
 			for k := range intersectKeys(lk, rk) {
 				set[k] = struct{}{}
 			}
 		}
-		keys := make([]string, 0, len(set))
+		keys := make([]tuple.Value, 0, len(set))
 		for k := range set {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.SortFunc(keys, tuple.Value.Compare)
 		qt.Satisfy[r] = keys
 	}
 
@@ -146,10 +146,10 @@ func trainQuery(q *query.Query, menu []int, windows [][]packet.Packet) (*QueryTr
 }
 
 // satisfyingKeys runs both sides of the query at a level and returns the
-// refinement-key sets (dyn-table encoding) passing each side's final
+// refinement-key sets (masked to the level) passing each side's final
 // filter. A nil set means "the side has no key column" (e.g. a packet-phase
 // left pipeline) and should be ignored by the caller.
-func satisfyingKeys(qt *QueryTraining, level int, th Thresholds, gate []string, pkts []packet.Packet) (left, right map[string]struct{}) {
+func satisfyingKeys(qt *QueryTraining, level int, th Thresholds, gate []tuple.Value, pkts []packet.Packet) (left, right map[tuple.Value]struct{}) {
 	aug := AugmentQuery(qt.Query, qt.Key, LevelStar, level, th)
 	left = runForKeys(qt, aug.Left, level, gate, pkts)
 	if aug.HasJoin() {
@@ -160,7 +160,7 @@ func satisfyingKeys(qt *QueryTraining, level int, th Thresholds, gate []string, 
 
 // runForKeys executes one pipeline over the window and collects the masked
 // refinement keys of its outputs.
-func runForKeys(qt *QueryTraining, p *query.Pipeline, level int, gate []string, pkts []packet.Packet) map[string]struct{} {
+func runForKeys(qt *QueryTraining, p *query.Pipeline, level int, gate []tuple.Value, pkts []packet.Packet) map[tuple.Value]struct{} {
 	col := keyColumnOf(p, qt.Key.Field)
 	if col < 0 {
 		return nil
@@ -171,16 +171,16 @@ func runForKeys(qt *QueryTraining, p *query.Pipeline, level int, gate []string, 
 	}
 	feed(prof, pkts)
 	out := prof.EndWindow()
-	set := make(map[string]struct{}, len(out.Outputs))
+	set := make(map[tuple.Value]struct{}, len(out.Outputs))
 	for _, t := range out.Outputs {
-		set[stream.DynKeyFromValue(qt.Key.Field, t[col], level)] = struct{}{}
+		set[query.MaskValue(qt.Key.Field, t[col], level)] = struct{}{}
 	}
 	return set
 }
 
 // observeThresholds runs both sides at a level with final filters disabled
 // and returns the minimum aggregate observed over satisfying prefixes.
-func observeThresholds(qt *QueryTraining, level int, prefixes map[string]struct{}, pkts []packet.Packet) (left, right *uint64) {
+func observeThresholds(qt *QueryTraining, level int, prefixes map[tuple.Value]struct{}, pkts []packet.Packet) (left, right *uint64) {
 	aug := AugmentQuery(qt.Query, qt.Key, LevelStar, level, Thresholds{})
 	left = observeSide(qt, aug.Left, level, prefixes, pkts)
 	if aug.HasJoin() {
@@ -189,7 +189,7 @@ func observeThresholds(qt *QueryTraining, level int, prefixes map[string]struct{
 	return left, right
 }
 
-func observeSide(qt *QueryTraining, p *query.Pipeline, level int, prefixes map[string]struct{}, pkts []packet.Packet) *uint64 {
+func observeSide(qt *QueryTraining, p *query.Pipeline, level int, prefixes map[tuple.Value]struct{}, pkts []packet.Packet) *uint64 {
 	thCol := thresholdColumn(p)
 	keyCol := keyColumnOf(p, qt.Key.Field)
 	if thCol < 0 || keyCol < 0 {
@@ -201,7 +201,7 @@ func observeSide(qt *QueryTraining, p *query.Pipeline, level int, prefixes map[s
 	out := prof.EndWindow()
 	var min *uint64
 	for _, t := range out.Outputs {
-		k := stream.DynKeyFromValue(qt.Key.Field, t[keyCol], level)
+		k := query.MaskValue(qt.Key.Field, t[keyCol], level)
 		if _, ok := prefixes[k]; !ok {
 			continue
 		}
@@ -216,7 +216,7 @@ func observeSide(qt *QueryTraining, p *query.Pipeline, level int, prefixes map[s
 
 // profileEdge measures the per-cut N and per-table key counts for both
 // sides of an edge, gated by the previous level's satisfying keys.
-func profileEdge(qt *QueryTraining, prev, level int, gate []string, windows [][]packet.Packet) (*EdgeProfile, error) {
+func profileEdge(qt *QueryTraining, prev, level int, gate []tuple.Value, windows [][]packet.Packet) (*EdgeProfile, error) {
 	var aug *query.Query
 	if qt.Refinable {
 		aug = AugmentQuery(qt.Query, qt.Key, prev, level, qt.Th[level])
@@ -238,7 +238,7 @@ func profileEdge(qt *QueryTraining, prev, level int, gate []string, windows [][]
 	return edge, nil
 }
 
-func profileSide(qt *QueryTraining, p *query.Pipeline, level int, gate []string, windows [][]packet.Packet) (*SideCost, error) {
+func profileSide(qt *QueryTraining, p *query.Pipeline, level int, gate []tuple.Value, windows [][]packet.Packet) (*SideCost, error) {
 	pipe := compile.CompilePipeline(p.Ops)
 	cuts := pipe.ValidPartitionPoints()
 	perCut := make([][]uint64, len(cuts))
@@ -313,14 +313,14 @@ func nForCut(pipe *compile.Pipeline, cut int, prof *stream.PipelineProfile, wind
 
 // intersectKeys intersects two optional key sets: a nil set means "no
 // signal from this side" and the other side wins.
-func intersectKeys(a, b map[string]struct{}) map[string]struct{} {
+func intersectKeys(a, b map[tuple.Value]struct{}) map[tuple.Value]struct{} {
 	if a == nil {
 		return b
 	}
 	if b == nil {
 		return a
 	}
-	out := make(map[string]struct{})
+	out := make(map[tuple.Value]struct{})
 	for k := range a {
 		if _, ok := b[k]; ok {
 			out[k] = struct{}{}

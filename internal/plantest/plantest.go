@@ -79,11 +79,11 @@ func Refine(plan *planner.Plan, results []stream.Result, dyn *stream.DynTables, 
 		f := qp.Key.Field
 		for li := 0; li+1 < len(qp.Levels); li++ {
 			from, to := qp.Levels[li].Level, qp.Levels[li+1].Level
-			var keys []string
+			var keys []tuple.Value
 			add := func(rows [][]tuple.Value, schema tuple.Schema) {
 				if col := schema.Index(f); col >= 0 {
 					for _, row := range rows {
-						keys = append(keys, stream.DynKeyFromValue(f, row[col], from))
+						keys = append(keys, query.MaskValue(f, row[col], from))
 					}
 				}
 			}

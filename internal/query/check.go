@@ -13,8 +13,9 @@ import (
 // registry and its own dispatch tables without checking again. So: every
 // kind is known, every field registered, every column reference inside the
 // tuple entering its operator, each phase's expressions are ones that phase
-// evaluates, a refinement mask names a field that has levels, and each
-// schema is as wide as the tuple it describes.
+// evaluates, a dynamic filter reads a packet, a refinement mask names a
+// field that has levels, and each schema is as wide as the tuple it
+// describes.
 func CheckOps(ops []Op) error {
 	var in []bool // the entering tuple's string columns; nil in packet phase
 	for i := range ops {
@@ -53,13 +54,11 @@ func (o *Op) check(in []bool) error {
 			}
 		}
 		if o.DynFilterTable != "" {
+			if !packetPhase {
+				return fmt.Errorf("dynamic filter in tuple phase")
+			}
 			if !fields.Valid(o.DynKeyField) || !fields.Lookup(o.DynKeyField).Hierarchical {
 				return fmt.Errorf("dynamic filter key field %d has no levels", o.DynKeyField)
-			}
-			for _, c := range o.DynKeyCols {
-				if !packetPhase && (c < 0 || c >= len(in)) {
-					return fmt.Errorf("dynamic filter key column %d of %d", c, len(in))
-				}
 			}
 		}
 	case OpMap:

@@ -15,7 +15,6 @@ type opWire struct {
 	Kind           OpKind
 	Clauses        []Clause
 	DynFilterTable string
-	DynKeyCols     []int
 	DynKeyField    fields.ID
 	DynLevel       int
 	Cols           []Column
@@ -32,8 +31,7 @@ type opWire struct {
 func (o *Op) GobEncode() ([]byte, error) {
 	w := opWire{
 		Kind: o.Kind, Clauses: o.Clauses,
-		DynFilterTable: o.DynFilterTable, DynKeyCols: o.DynKeyCols,
-		DynKeyField: o.DynKeyField, DynLevel: o.DynLevel,
+		DynFilterTable: o.DynFilterTable, DynKeyField: o.DynKeyField, DynLevel: o.DynLevel,
 		Cols: o.Cols, KeyCols: o.KeyCols, Func: o.Func, ValCol: o.ValCol,
 		InSchema: o.inSchema, OutSchema: o.outSchema, PacketPhase: o.packetPhase,
 	}
@@ -52,8 +50,7 @@ func (o *Op) GobDecode(data []byte) error {
 	}
 	*o = Op{
 		Kind: w.Kind, Clauses: w.Clauses,
-		DynFilterTable: w.DynFilterTable, DynKeyCols: w.DynKeyCols,
-		DynKeyField: w.DynKeyField, DynLevel: w.DynLevel,
+		DynFilterTable: w.DynFilterTable, DynKeyField: w.DynKeyField, DynLevel: w.DynLevel,
 		Cols: w.Cols, KeyCols: w.KeyCols, Func: w.Func, ValCol: w.ValCol,
 		inSchema: w.InSchema, outSchema: w.OutSchema, packetPhase: w.PacketPhase,
 	}

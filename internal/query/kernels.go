@@ -1,7 +1,6 @@
 package query
 
 import (
-	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/fields"
@@ -147,36 +146,35 @@ func MapCols(cols []tuple.Column, n int, exprs []Column, out []tuple.Column) {
 // the keys level To admits this window (Figure 4's red filters). The runtime
 // builds one per link at window close and publishes the same value to the
 // switch table and the stream processor's filter through atomic pointers, so
-// a probe takes no lock and never sees a half-written table. Keys arrive in
-// the masked key encoding (tuple.AppendKeyValue of MaskValue); a numeric one
-// — 'u' and 8 big-endian bytes — is decoded at construction, so probing with
-// a header field skips both the encoding and the string hash, and kept in a
-// flat table (u64Set) whose probe is one cache line. A nil set admits
-// nothing: finer levels stay idle until the coarser one reports.
+// a probe takes no lock and never sees a half-written table. A key is a
+// value already masked to the filter's level (MaskValue): a numeric one —
+// an address prefix — goes into a flat table (u64Set) whose probe is one
+// cache line, a name into a map. A nil set admits nothing: finer levels stay
+// idle until the coarser one reports.
 type DynSet struct {
 	n    int
 	nums u64Set
 	strs map[string]struct{}
 }
 
-// NewDynSet builds the set admitting keys.
-func NewDynSet(keys []string) *DynSet {
-	numeric := func(k string) bool { return len(k) == 9 && k[0] == 'u' }
+// NewDynSet builds the set admitting keys, each masked to the level of the
+// filters it is published to.
+func NewDynSet(keys []tuple.Value) *DynSet {
 	nums := 0
 	for _, k := range keys {
-		if numeric(k) {
+		if !k.Str {
 			nums++
 		}
 	}
 	s := &DynSet{n: len(keys), nums: newU64Set(nums)}
+	if nums < len(keys) {
+		s.strs = make(map[string]struct{}, len(keys)-nums)
+	}
 	for _, k := range keys {
-		if numeric(k) {
-			s.nums.add(binary.BigEndian.Uint64([]byte(k[1:])))
+		if k.Str {
+			s.strs[k.S] = struct{}{}
 		} else {
-			if s.strs == nil {
-				s.strs = make(map[string]struct{}, len(keys)-nums)
-			}
-			s.strs[k] = struct{}{}
+			s.nums.add(k.U)
 		}
 	}
 	return s
@@ -191,19 +189,6 @@ func (s *DynSet) Len() int {
 	return s.n
 }
 
-// ContainsKey reports whether an encoded key is admitted. It allocates
-// nothing; key may be a reused scratch buffer.
-func (s *DynSet) ContainsKey(key []byte) bool {
-	if s == nil {
-		return false
-	}
-	if len(key) == 9 && key[0] == 'u' {
-		return s.nums.has(binary.BigEndian.Uint64(key[1:]))
-	}
-	_, ok := s.strs[string(key)]
-	return ok
-}
-
 // MatchPacket reports whether the packet's key field, masked to dynamic
 // filter o's level, is admitted.
 func (s *DynSet) MatchPacket(o *Op, p *packet.Packet) bool {
@@ -214,19 +199,8 @@ func (s *DynSet) MatchPacket(o *Op, p *packet.Packet) bool {
 	if !v.Str {
 		return s.nums.has(fields.TruncateU64(o.DynKeyField, v.U, o.DynLevel))
 	}
-	var buf [64]byte
-	return s.ContainsKey(tuple.AppendKeyValue(buf[:0], MaskValue(o.DynKeyField, v, o.DynLevel)))
-}
-
-// MatchTuple is MatchPacket in tuple phase: the key is the tuple's
-// DynKeyCols, each masked to the filter's level.
-func (s *DynSet) MatchTuple(o *Op, vals []tuple.Value) bool {
-	var buf [64]byte
-	key := buf[:0]
-	for _, c := range o.DynKeyCols {
-		key = tuple.AppendKeyValue(key, MaskValue(o.DynKeyField, vals[c], o.DynLevel))
-	}
-	return s.ContainsKey(key)
+	_, ok = s.strs[MaskValue(o.DynKeyField, v, o.DynLevel).S]
+	return ok
 }
 
 // FilterPackets deselects every packet MatchPacket rejects. A key field the
@@ -259,41 +233,5 @@ func (s *DynSet) FilterPackets(sel []uint64, b *PacketBatch, o *Op) {
 			}
 		}
 		sel[w] = pass
-	}
-}
-
-// FilterCols deselects every row whose tuple MatchTuple rejects; only the
-// key columns of a row are read. One numeric key column — a refined address —
-// is probed like a packet's field column; any other key is encoded.
-func (s *DynSet) FilterCols(sel []uint64, cols []tuple.Column, o *Op) {
-	if s.Len() == 0 {
-		clear(sel)
-		return
-	}
-	if len(o.DynKeyCols) == 1 && cols[o.DynKeyCols[0]].V == nil {
-		vals := cols[o.DynKeyCols[0]].U
-		shift := fields.LevelShift(o.DynKeyField, o.DynLevel)
-		for w, word := range sel {
-			for rest := word; rest != 0; rest &= rest - 1 {
-				bit := bits.TrailingZeros64(rest)
-				if !s.nums.has(vals[w<<6|bit] >> shift << shift) {
-					sel[w] &^= 1 << uint(bit)
-				}
-			}
-		}
-		return
-	}
-	var buf [64]byte
-	for w, word := range sel {
-		for rest := word; rest != 0; rest &= rest - 1 {
-			bit := bits.TrailingZeros64(rest)
-			key := buf[:0]
-			for _, c := range o.DynKeyCols {
-				key = tuple.AppendKeyValue(key, MaskValue(o.DynKeyField, cols[c].At(w<<6|bit), o.DynLevel))
-			}
-			if !s.ContainsKey(key) {
-				sel[w] &^= 1 << uint(bit)
-			}
-		}
 	}
 }

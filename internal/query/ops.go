@@ -99,10 +99,10 @@ type Op struct {
 	// Col is resolved; in packet phase Col is -1.
 	Clauses []Clause
 	// DynFilterTable marks a filter whose rule set is installed at runtime
-	// by dynamic refinement (the red filters of Figure 4). Key gives the
-	// match columns; the runtime updates the allowed-value set each window.
+	// by dynamic refinement (the red filters of Figure 4). It runs in packet
+	// phase: DynKeyField masked to DynLevel is the match key, and the
+	// runtime updates the allowed-value set each window.
 	DynFilterTable string
-	DynKeyCols     []int
 	DynKeyField    fields.ID
 	DynLevel       int
 
@@ -148,7 +148,6 @@ func (o *Op) Clone() *Op {
 		}
 	}
 	c.KeyCols = append([]int(nil), o.KeyCols...)
-	c.DynKeyCols = append([]int(nil), o.DynKeyCols...)
 	c.inSchema = o.inSchema.Clone()
 	c.outSchema = o.outSchema.Clone()
 	return &c

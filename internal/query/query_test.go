@@ -415,7 +415,8 @@ func TestStringRendering(t *testing.T) {
 // TestCheckOpsRejectsWhatEvaluationCannotRun: a pipeline the builder made
 // passes CheckOps, and each way a decoded one can break what evaluation
 // indexes without checking — a kind, a field, a column, a phase, a schema —
-// is an error.
+// is an error, and so is a dynamic filter past the packet phase, which only a
+// packet's header field keys.
 func TestCheckOpsRejectsWhatEvaluationCannotRun(t *testing.T) {
 	pipeline := func() []Op {
 		q := NewBuilder("q", time.Second).
@@ -437,6 +438,7 @@ func TestCheckOpsRejectsWhatEvaluationCannotRun(t *testing.T) {
 		"packet clause field":       func(ops []Op) []Op { ops[1].Clauses[0].Field = unregistered; return ops },
 		"tuple clause column":       func(ops []Op) []Op { ops[4].Clauses[0].Col = 7; return ops },
 		"dyn filter without levels": func(ops []Op) []Op { ops[0].DynKeyField = fields.TCPFlags; return ops },
+		"dyn filter in tuple phase": func(ops []Op) []Op { ops[4].DynFilterTable, ops[4].DynKeyField = "q.r16", fields.DstIP; return ops },
 		"expression field":          func(ops []Op) []Op { ops[2].Cols[0].Expr.Sub.Field = unregistered; return ops },
 		"expression kind":           func(ops []Op) []Op { ops[2].Cols[1].Expr.Kind = 42; return ops },
 		"mask without operand":      func(ops []Op) []Op { ops[2].Cols[0].Expr.Sub = nil; return ops },

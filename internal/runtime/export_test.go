@@ -4,6 +4,7 @@ import (
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/stream"
+	"repro/internal/tuple"
 )
 
 // The refinement links, exported to the package's external tests: the
@@ -19,9 +20,9 @@ func (l *link) Resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 	return l.resolve(sp, switches...)
 }
 
-func (l *link) Keys(results []stream.Result) []string { return l.keys(results) }
+func (l *link) Keys(results []stream.Result) []tuple.Value { return l.keys(results) }
 
-func (l *link) Publish(keys []string) int {
+func (l *link) Publish(keys []tuple.Value) int {
 	n, _ := l.publish(keys)
 	return n
 }

@@ -222,7 +222,6 @@ type Runtime struct {
 	reg         *telemetry.Registry
 	m           runtimeMetrics
 	windowStart time.Time
-	fpScratch   []byte
 	// Tracing: tz collects every window's span tree (nil when disabled).
 	// lane is the orchestration lane (lane 0) carrying the window root and
 	// lifecycle-stage spans; shard engines write op spans into lanes 1..N.
@@ -252,9 +251,6 @@ type deployment struct {
 	pre    *pisa.Prescreen
 	links  []link
 	finest map[uint16]uint8
-	// lastKeys fingerprints each link's refinement key set for the
-	// transition counter.
-	lastKeys map[int]string
 	// collisionSum and packetsSum accumulate since the plan was deployed:
 	// the re-planning signal (CollisionRate).
 	collisionSum uint64
@@ -282,9 +278,12 @@ type link struct {
 	tables []*pisa.DynTable
 	// keyBuf and the side-key sets are keys' per-window scratch, reused
 	// across windows.
-	keyBuf []string
-	rset   map[string]struct{}
-	lset   map[string]struct{}
+	keyBuf []tuple.Value
+	rset   map[tuple.Value]struct{}
+	lset   map[tuple.Value]struct{}
+	// last is the key set published the window before, sorted: the
+	// refinement-transition counter's memory (changed).
+	last []tuple.Value
 }
 
 // planLinks derives a plan's refinement links, in installation order.
@@ -334,18 +333,29 @@ func (l *link) resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 	return nil
 }
 
-// publish installs keys (in stream.DynKeyFromValue's encoding) as what level
-// To admits from the next window on — one rule set, built once and shared by
-// the stream processor's filter and every switch-side table — and returns
-// the number of filter entries written, and how many of them were the
-// switches'.
-func (l *link) publish(keys []string) (entries, onSwitch int) {
+// publish installs keys, masked to level From, as what level To admits from
+// the next window on — one rule set, built once and shared by the stream
+// processor's filter and every switch-side table — and returns the number of
+// filter entries written, and how many of them were the switches'.
+func (l *link) publish(keys []tuple.Value) (entries, onSwitch int) {
 	set := query.NewDynSet(keys)
 	l.sp.Publish(l.Table, set)
 	for _, t := range l.tables {
 		onSwitch += t.Publish(set)
 	}
 	return set.Len() + onSwitch, onSwitch
+}
+
+// changed reports whether keys, this window's refinement key set, differs
+// from the previous window's, whatever its order, and keeps a copy when it
+// does. It sorts keys in place: every consumer has copied what it keeps.
+func (l *link) changed(keys []tuple.Value) bool {
+	slices.SortFunc(keys, tuple.Value.Compare)
+	if slices.Equal(keys, l.last) {
+		return false
+	}
+	l.last = append(l.last[:0], keys...)
+	return true
 }
 
 // instInfo is one planned (query, level) instance in installation order.
@@ -403,7 +413,7 @@ func (r *Runtime) Replan(plan *planner.Plan) error {
 // compile flattens a plan into installation-ordered instances and their
 // refinement links and binds them to a shard set (buildShards).
 func compile(plan *planner.Plan, cfg pisa.Config, opts Options) (deployment, error) {
-	d := deployment{plan: plan, finest: make(map[uint16]uint8), lastKeys: make(map[int]string)}
+	d := deployment{plan: plan, finest: make(map[uint16]uint8)}
 	for _, qp := range plan.Queries {
 		for li, lp := range qp.Levels {
 			part := stream.Partition{
@@ -885,7 +895,7 @@ func (r *Runtime) closeWindow() *WindowReport {
 		rep.FilterUpdates += entries
 		ct.switchEntries += uint64(onSwitch)
 		c := &r.counts[l.slot]
-		c.RefKeys, c.RefChanged = uint64(len(keys)), r.keySetChanged(li, keys)
+		c.RefKeys, c.RefChanged = uint64(len(keys)), l.changed(keys)
 		if c.RefChanged {
 			ct.transitions++
 		}
@@ -939,7 +949,7 @@ func (r *Runtime) closeWindow() *WindowReport {
 // for the finer levels") — the final post-join condition (e.g. a payload
 // keyword) must not gate refinement, or the victim would never be zoomed in
 // on.
-func (l *link) keys(results []stream.Result) []string {
+func (l *link) keys(results []stream.Result) []tuple.Value {
 	keys := l.keyBuf[:0]
 	for i := range results {
 		res := &results[i]
@@ -949,7 +959,7 @@ func (l *link) keys(results []stream.Result) []string {
 		if res.RightOutputs == nil && res.LeftOutputs == nil {
 			for _, t := range res.Tuples {
 				if l.keyCol < len(t) {
-					keys = append(keys, stream.DynKeyFromValue(l.field, t[l.keyCol], int(l.From)))
+					keys = append(keys, query.MaskValue(l.field, t[l.keyCol], int(l.From)))
 				}
 			}
 			continue
@@ -980,7 +990,7 @@ func (l *link) keys(results []stream.Result) []string {
 // sideKeySet collects a sub-pipeline's refinement keys into the reused set
 // (cleared each call); nil when the side has no outputs/schema
 // (packet-phase left sides).
-func sideKeySet(set map[string]struct{}, outs [][]tuple.Value, schema tuple.Schema, f fields.ID, level int) map[string]struct{} {
+func sideKeySet(set map[tuple.Value]struct{}, outs [][]tuple.Value, schema tuple.Schema, f fields.ID, level int) map[tuple.Value]struct{} {
 	if outs == nil || schema == nil {
 		return nil
 	}
@@ -989,13 +999,13 @@ func sideKeySet(set map[string]struct{}, outs [][]tuple.Value, schema tuple.Sche
 		return nil
 	}
 	if set == nil {
-		set = make(map[string]struct{}, len(outs))
+		set = make(map[tuple.Value]struct{}, len(outs))
 	} else {
 		clear(set)
 	}
 	for _, t := range outs {
 		if col < len(t) {
-			set[stream.DynKeyFromValue(f, t[col], level)] = struct{}{}
+			set[query.MaskValue(f, t[col], level)] = struct{}{}
 		}
 	}
 	return set

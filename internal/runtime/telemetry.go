@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sort"
 	"strconv"
 	"time"
 
@@ -275,28 +274,4 @@ func (r *Runtime) observe(rep *WindowReport, ct *closeTotals) {
 		m.ringFull[i].Add(rep.RingFull[i])
 		m.workerParks[i].Add(rep.WorkerParks[i])
 	}
-}
-
-// keySetChanged reports whether link li's refinement key set differs from
-// the previous window's, updating the stored fingerprint when it does. The
-// fingerprint is the sorted keys joined by NUL, built without steady-state
-// allocations: keys are sorted in place (safe — every consumer has already
-// copied what it keeps), the canonical form is built in a reused byte
-// scratch, the comparison against the stored fingerprint allocates nothing,
-// and a string is materialized only on an actual transition.
-func (r *Runtime) keySetChanged(li int, keys []string) bool {
-	sort.Strings(keys)
-	fp := r.fpScratch[:0]
-	for i, k := range keys {
-		if i > 0 {
-			fp = append(fp, 0)
-		}
-		fp = append(fp, k...)
-	}
-	r.fpScratch = fp
-	if string(fp) == r.lastKeys[li] {
-		return false
-	}
-	r.lastKeys[li] = string(fp)
-	return true
 }

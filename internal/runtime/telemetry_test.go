@@ -8,6 +8,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/telemetry"
 	"repro/internal/tracez"
+	"repro/internal/tuple"
 )
 
 // TestRegistryMatchesWindowReports is the consistency contract: after a
@@ -170,27 +171,32 @@ func TestInstrumentNilSafe(t *testing.T) {
 }
 
 // TestKeySetChanged drives the refinement-transition detector window by
-// window: a transition is a change of the key set, whatever its order.
+// window: a transition is a change of the key set, whatever its order. Keys
+// arrive in one reused buffer, as link.keys hands them over.
 func TestKeySetChanged(t *testing.T) {
-	r := &Runtime{deployment: deployment{lastKeys: make(map[int]string)}}
+	links := make([]link, 2)
+	a, b, c := tuple.Str("a"), tuple.U64(0), tuple.U64(1<<64-1)
 	steps := []struct {
 		link    int
-		keys    []string
+		keys    []tuple.Value
 		changed bool
 		why     string
 	}{
 		{0, nil, false, "the empty set is where every link starts"},
-		{0, []string{"b", "a", "c"}, true, "a changed set is one transition"},
-		{0, []string{"c", "b", "a"}, false, "order-independent: the same set reordered"},
-		{0, []string{"a", "b", "c"}, false, "the same set twice is no transition"},
-		{1, []string{"a", "b", "c"}, true, "distinct links are independent"},
-		{0, []string{"a", "b"}, true, "a shrunk set is a transition"},
-		{1, []string{"a", "b", "c"}, false, "link 1 kept its set while link 0 moved"},
-		{0, []string{}, true, "emptying the set is a transition"},
+		{0, []tuple.Value{b, a, c}, true, "a changed set is one transition"},
+		{0, []tuple.Value{c, b, a}, false, "order-independent: the same set reordered"},
+		{0, []tuple.Value{a, b, c}, false, "the same set twice is no transition"},
+		{1, []tuple.Value{a, b, c}, true, "distinct links are independent"},
+		{0, []tuple.Value{a, b}, true, "a shrunk set is a transition"},
+		{1, []tuple.Value{a, b, c}, false, "link 1 kept its set while link 0 moved"},
+		{1, []tuple.Value{a, tuple.Str(""), c}, true, "the empty name is not the number 0"},
+		{0, []tuple.Value{}, true, "emptying the set is a transition"},
 		{0, nil, false, "nil and empty are the same set"},
 	}
+	var buf []tuple.Value
 	for i, st := range steps {
-		if got := r.keySetChanged(st.link, st.keys); got != st.changed {
+		buf = append(buf[:0], st.keys...)
+		if got := links[st.link].changed(buf); got != st.changed {
 			t.Errorf("step %d (link %d, %v): changed=%v, want %v — %s",
 				i, st.link, st.keys, got, st.changed, st.why)
 		}

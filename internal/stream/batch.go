@@ -190,11 +190,7 @@ func (e *pipeExec) flushBatch() {
 		e.inCounts[i] += uint64(live)
 		switch o.Kind {
 		case query.OpFilter:
-			if o.DynFilterTable != "" {
-				e.dyn.Set(o.DynFilterTable).FilterCols(e.sel, cols, o)
-			} else {
-				query.FilterCols(e.sel, cols, o.Clauses)
-			}
+			query.FilterCols(e.sel, cols, o.Clauses)
 			live = tuple.SelCount(e.sel)
 			e.outCounts[i] += uint64(live)
 		case query.OpMap:

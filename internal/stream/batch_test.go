@@ -173,23 +173,17 @@ func randomKey(r *rand.Rand, n int) []tuple.Value {
 	return kv
 }
 
-// fuzzDynTable names the rule set of the filter dynamicFilter turns dynamic.
+// fuzzDynTable names the rule set of the filter dynamicFilter prepends.
 const fuzzDynTable = "fuzz.dyn"
 
-// dynamicFilter turns the first tuple-phase filter past the partition point
-// of a fuzzShape chain into a dynamic filter on column 0 (SrcIP in every
-// shape's filter input) at /32, probing fuzzDynTable, and reports whether
-// the chain had one. No planned query puts a dynamic filter past its
-// partition point, so this is the only differential the batched dynamic
-// filter (DynSet.FilterCols in flushBatch) meets.
-func dynamicFilter(q *query.Query) bool {
-	for i := 2; i < len(q.Left.Ops); i++ {
-		if o := &q.Left.Ops[i]; o.Kind == query.OpFilter {
-			o.DynFilterTable, o.DynKeyField, o.DynLevel, o.DynKeyCols = fuzzDynTable, fields.SrcIP, 32, []int{0}
-			return true
-		}
-	}
-	return false
+// dynamicFilter returns q with a dynamic filter on SrcIP at /32, probing
+// fuzzDynTable, prepended to its left pipeline, as query augmentation
+// prepends one to every finer refinement level.
+func dynamicFilter(q *query.Query) *query.Query {
+	dq, left := *q, *q.Left
+	left.Ops = append([]query.Op{query.NewDynPacketFilter(fuzzDynTable, fields.SrcIP, 32)}, q.Left.Ops...)
+	dq.Left = &left
+	return &dq
 }
 
 // fuzzPacketBatches are the packet axis' batch lengths: empty, one, and
@@ -203,28 +197,25 @@ var fuzzPacketBatches = []int{0, 1, 63, 64, 65, 256, 257}
 // register-dump merges, and explicit-entry (overflow-path) tuples — must
 // produce bit-identical window snapshots from the batched engine and the
 // per-tuple interpreter (interp_ref_test.go), and so must the number of rows
-// that fell off the pipeline's end. The last round of seeds turns each
-// chain's first tuple-phase filter into a dynamic one whose rule set changes
-// every window (dynamicFilter). The pipeline-end counts are compared on odd
-// windows only, since reading them flushes the batch: even windows close with
-// rows still buffered. A packet axis installs the
-// same chains at op 0 and feeds frames — SYN and not, over small address
-// ranges — through IngestPackets in batches of fuzzPacketBatches' lengths,
-// every other batch with extracted field columns and a random selection, so
-// the packet-phase kernels and the landing map are held against per-packet
-// ingest too.
+// that fell off the pipeline's end. The pipeline-end counts are compared on
+// odd windows only, since reading them flushes the batch: even windows close
+// with rows still buffered. A packet axis installs the same chains at op 0
+// and feeds frames — SYN and not, over small address ranges — through
+// IngestPackets in batches of fuzzPacketBatches' lengths, every other batch
+// with extracted field columns and a random selection, so the packet-phase
+// kernels and the landing map are held against per-packet ingest too. The
+// last round of seeds gates the packet axis with a dynamic filter whose rule
+// set changes every window (dynamicFilter), and some window of that round
+// must admit some of its packets but not all.
 func TestBatchedMatchesScalarFuzz(t *testing.T) {
 	const shapes = 10
 	parser := packet.NewParser(packet.ParserOptions{})
-	pktResults := 0
+	pktResults, gated := 0, false
 	for seed := int64(0); seed < 4*shapes; seed++ {
 		shape := int(seed) % shapes
 		rng := rand.New(rand.NewSource(seed))
 		q := fuzzShape(rng, shape, uint16(shape+1))
 		key := QueryKey{q.ID, 0}
-		// The last round of seeds turns the chain's first tuple-phase filter
-		// dynamic, where it has one.
-		dynamic := seed >= 3*shapes && dynamicFilter(q)
 		scalar, batched := refPair(t, q, Partition{LeftStart: 2})
 
 		mergeOp, keyWidth := statefulOf(q)
@@ -266,28 +257,32 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 					}
 				}
 			}
-			if dynamic {
-				// A fresh rule set each window: about half of SrcIP's range.
-				r := rand.New(rand.NewSource(seed*1000 + 50 + int64(w)))
-				var keys []string
-				for ip := range uint64(8) {
-					if r.Intn(2) == 0 {
-						keys = append(keys, DynKeyFromValue(fields.SrcIP, tuple.U64(ip), 32))
-					}
-				}
-				batched.Dyn().Publish(fuzzDynTable, query.NewDynSet(keys))
-			}
 			feed(scalar, true)
 			feed(batched, false)
 			compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d window %d (n=%d)", seed, shape, w, n), w%2 == 1)
 		}
 
 		// The packet axis.
+		dynamic := seed >= 3*shapes
+		if dynamic {
+			q = dynamicFilter(q)
+			mergeOp, keyWidth = statefulOf(q)
+		}
 		scalar, batched = refPair(t, q, Partition{})
 		var set query.FieldSet
 		set.AddOps(q.Left.Ops)
 		for w := range 3 {
 			r := rand.New(rand.NewSource(seed*1000 + 100 + int64(w)))
+			if dynamic {
+				// A fresh rule set each window: about half of SrcIP's range.
+				var keys []tuple.Value
+				for ip := range uint64(8) {
+					if r.Intn(2) == 0 {
+						keys = append(keys, tuple.U64(ip))
+					}
+				}
+				batched.Dyn().Publish(fuzzDynTable, query.NewDynSet(keys))
+			}
 			for b := range fuzzPacketBatches {
 				n := fuzzPacketBatches[(b+w)%len(fuzzPacketBatches)]
 				pkts := make([]*packet.Packet, n)
@@ -324,11 +319,17 @@ func TestBatchedMatchesScalarFuzz(t *testing.T) {
 					}
 				}
 			}
+			if ex := batched.queries[key].left; dynamic && ex.outCounts[0] > 0 && ex.outCounts[0] < ex.inCounts[0] {
+				gated = true
+			}
 			pktResults += compareWindow(t, scalar, batched, key, fmt.Sprintf("seed %d shape %d packet window %d", seed, shape, w), w%2 == 1)
 		}
 	}
 	if pktResults == 0 {
 		t.Fatal("vacuous: no packet window produced a result")
+	}
+	if !gated {
+		t.Fatal("vacuous: no dynamic filter window admitted some packets but not all")
 	}
 }
 

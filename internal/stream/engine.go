@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -591,16 +590,8 @@ func sortTuples(ts [][]tuple.Value) {
 	slices.SortFunc(ts, compareTuples)
 }
 
-// compareTuples orders tuples column by column (tuple.Value.Less), a prefix
-// before its extensions.
+// compareTuples orders tuples column by column (tuple.Value.Compare), a
+// prefix before its extensions.
 func compareTuples(a, b []tuple.Value) int {
-	for k := range min(len(a), len(b)) {
-		if !a[k].Equal(b[k]) {
-			if a[k].Less(b[k]) {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmp.Compare(len(a), len(b))
+	return slices.CompareFunc(a, b, tuple.Value.Compare)
 }

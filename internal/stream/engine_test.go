@@ -321,8 +321,8 @@ func TestDynamicFilterGatesTraffic(t *testing.T) {
 		t.Error("empty dyn table let traffic through")
 	}
 
-	dyn.Publish("q1.r8", query.NewDynSet([]string{
-		DynKeyFromValue(fields.DstIP, tuple.U64(uint64(inside)), 8),
+	dyn.Publish("q1.r8", query.NewDynSet([]tuple.Value{
+		query.MaskValue(fields.DstIP, tuple.U64(uint64(inside)), 8),
 	}))
 	ingestPacket(e, 1, 2, SideLeft, mkSyn(t, 1, inside))
 	ingestPacket(e, 1, 2, SideLeft, mkSyn(t, 1, outside))
@@ -432,22 +432,40 @@ func TestInstallRefusesMalformedKeyCols(t *testing.T) {
 	}
 }
 
+// TestInstallRefusesTupleDynFilter: a dynamic filter past the first map —
+// keyed on a header field the tuple no longer carries — is refused by
+// Install (query.CheckOps), which leaves nothing installed.
+func TestInstallRefusesTupleDynFilter(t *testing.T) {
+	q := query1(0)
+	o := &q.Left.Ops[3]
+	o.DynFilterTable, o.DynKeyField, o.DynLevel = "q1.r8", fields.DstIP, 8
+	e := NewEngine(NewDynTables())
+	if err := e.Install(q, 0, Partition{}); err == nil {
+		t.Error("tuple-phase dynamic filter accepted")
+	} else if e.Instance(q.ID, 0) != nil {
+		t.Error("refused, but installed")
+	}
+}
+
+// TestDynTables: a table serves exactly the set last published to it, and
+// nil — which admits nothing — before the first.
 func TestDynTables(t *testing.T) {
 	d := NewDynTables()
-	has := func(table, key string) bool { return d.Set(table).ContainsKey([]byte(key)) }
-	if has("t", "k") {
-		t.Error("empty table contained key")
+	if d.Set("t") != nil {
+		t.Error("an unpublished table has a set")
 	}
-	d.Publish("t", query.NewDynSet([]string{"a", "b"}))
-	if !has("t", "a") || !has("t", "b") || has("t", "c") {
-		t.Error("membership wrong after Publish")
+	ab := query.NewDynSet([]tuple.Value{tuple.Str("a"), tuple.Str("b")})
+	d.Publish("t", ab)
+	if d.Set("t") != ab || d.Set("u") != nil {
+		t.Error("Publish installed the wrong set")
 	}
 	if n := d.Set("t").Len(); n != 2 {
 		t.Errorf("Len = %d", n)
 	}
-	d.Publish("u", query.NewDynSet([]string{"a"}))
-	d.Publish("t", query.NewDynSet([]string{"c"}))
-	if has("t", "a") || !has("t", "c") || !has("u", "a") {
+	a, c := query.NewDynSet([]tuple.Value{tuple.Str("a")}), query.NewDynSet([]tuple.Value{tuple.U64(3)})
+	d.Publish("u", a)
+	d.Publish("t", c)
+	if d.Set("t") != c || d.Set("u") != a {
 		t.Error("Publish did not replace exactly the named table")
 	}
 }

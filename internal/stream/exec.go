@@ -13,7 +13,6 @@ package stream
 import (
 	"sync/atomic"
 
-	"repro/internal/fields"
 	"repro/internal/keytab"
 	"repro/internal/query"
 	"repro/internal/tuple"
@@ -163,13 +162,6 @@ func keyKinds(in []bool, cols []int) []bool {
 		str[j] = in[c]
 	}
 	return str
-}
-
-// DynKeyFromValue builds the dynamic-filter key for a single value masked to
-// the filter's level, in the encoding query.NewDynSet takes — the install
-// side (runtime, planner training), where keys are retained.
-func DynKeyFromValue(f fields.ID, v tuple.Value, level int) string {
-	return string(tuple.AppendKeyValue(nil, query.MaskValue(f, v, level)))
 }
 
 // outArena returns the output value arena ready for one more row's values,

@@ -78,15 +78,9 @@ func (e *pipeExec) ingestTuple(at int, vals []tuple.Value) {
 		o := &e.ops[i]
 		switch o.Kind {
 		case query.OpFilter:
-			if o.DynFilterTable != "" {
-				if !e.dyn.Set(o.DynFilterTable).MatchTuple(o, vals) {
+			for j := range o.Clauses {
+				if !o.Clauses[j].MatchTuple(vals) {
 					return
-				}
-			} else {
-				for j := range o.Clauses {
-					if !o.Clauses[j].MatchTuple(vals) {
-						return
-					}
 				}
 			}
 			e.outCounts[i]++

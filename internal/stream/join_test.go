@@ -13,12 +13,13 @@ import (
 	"repro/internal/tuple"
 )
 
-// encodeKey is the columns vals[idx...] as a map key: their
-// tuple.AppendKeyValue encodings concatenated, which are prefix-free.
+// encodeKey is the columns vals[idx...] as a map key: their String forms —
+// a number in decimal, a string quoted — each closed by a comma, which no
+// number holds and a quoted string holds only inside its quotes.
 func encodeKey(vals []tuple.Value, idx []int) string {
 	var b []byte
 	for _, i := range idx {
-		b = tuple.AppendKeyValue(b, vals[i])
+		b = append(append(b, vals[i].String()...), ',')
 	}
 	return string(b)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/fields"
+	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/tuple"
 )
@@ -163,17 +164,22 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestDynContainsKeyZeroAlloc pins the copy-on-write dynamic-filter lookup:
-// the per-tuple membership check takes no lock and allocates nothing (the
-// []byte→string conversion in the map index does not escape).
+// a packet's membership check by address, masked to the filter's level,
+// takes no lock and allocates nothing.
 func TestDynContainsKeyZeroAlloc(t *testing.T) {
 	d := NewDynTables()
-	d.Publish("t", query.NewDynSet([]string{DynKeyFromValue(fields.DstIP, tuple.U64(42), 32)}))
-	key := []byte(DynKeyFromValue(fields.DstIP, tuple.U64(42), 32))
+	d.Publish("t", query.NewDynSet([]tuple.Value{tuple.U64(uint64(packet.IPv4Addr(10, 0, 0, 0))), tuple.Str("tunnel.example")}))
+	o := query.NewDynPacketFilter("t", fields.DstIP, 8)
+	var pkt packet.Packet
+	frame := packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: 1, DstIP: packet.IPv4Addr(10, 1, 2, 3), Proto: 6, Pad: 60})
+	if err := packet.NewParser(packet.ParserOptions{}).Parse(frame, &pkt); err != nil {
+		t.Fatal(err)
+	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if !d.Set("t").ContainsKey(key) {
+		if !d.Set("t").MatchPacket(&o, &pkt) {
 			t.Fatal("installed key not found")
 		}
 	}); allocs != 0 {
-		t.Fatalf("ContainsKey allocates %.1f/op, want 0", allocs)
+		t.Fatalf("MatchPacket allocates %.1f/op, want 0", allocs)
 	}
 }

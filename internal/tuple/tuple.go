@@ -8,7 +8,7 @@
 package tuple
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -41,16 +41,22 @@ func (v Value) Equal(o Value) bool {
 	return v.U == o.U
 }
 
-// Less orders values: numerics before strings, then by content. It provides a
-// total order for deterministic result sorting.
-func (v Value) Less(o Value) bool {
-	if v.Str != o.Str {
-		return !v.Str
+// Less reports whether v orders before o (Compare).
+func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
+
+// Compare orders values — numerics before strings, then by content — as -1,
+// 0 or +1: a total order for deterministic result sorting.
+func (v Value) Compare(o Value) int {
+	switch {
+	case v.Str != o.Str:
+		if v.Str {
+			return 1
+		}
+		return -1
+	case v.Str:
+		return strings.Compare(v.S, o.S)
 	}
-	if v.Str {
-		return v.S < o.S
-	}
-	return v.U < o.U
+	return cmp.Compare(v.U, o.U)
 }
 
 // String renders the value for logs and test failures. It runs in result
@@ -160,56 +166,6 @@ func (t Tuple) String() string {
 		parts[i] = v.String()
 	}
 	return fmt.Sprintf("q%d/r%d[%s]", t.QID, t.Level, strings.Join(parts, " "))
-}
-
-// AppendKeyValue appends the key encoding of a single value to dst:
-// numerics are tagged 'u' followed by 8 big-endian bytes, strings 's'
-// followed by a 4-byte length and the bytes. The encoding is prefix-free, so
-// a key of several columns is their encodings concatenated and equal bytes
-// mean equal keys — the contract the dynamic-filter rule sets
-// (query.DynSet) rely on.
-func AppendKeyValue(dst []byte, v Value) []byte {
-	if v.Str {
-		dst = append(dst, 's')
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(v.S)))
-		dst = append(dst, l[:]...)
-		return append(dst, v.S...)
-	}
-	dst = append(dst, 'u')
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], v.U)
-	return append(dst, u[:]...)
-}
-
-// DecodeKey decodes a key of concatenated AppendKeyValue encodings back
-// into values — planner training re-masks dynamic-filter keys through it.
-func DecodeKey(key string) ([]Value, error) {
-	var vals []Value
-	b := []byte(key)
-	for len(b) > 0 {
-		switch b[0] {
-		case 'u':
-			if len(b) < 9 {
-				return nil, fmt.Errorf("tuple: truncated numeric key at byte %d", len(key)-len(b))
-			}
-			vals = append(vals, U64(binary.BigEndian.Uint64(b[1:9])))
-			b = b[9:]
-		case 's':
-			if len(b) < 5 {
-				return nil, fmt.Errorf("tuple: truncated string key header")
-			}
-			n := int(binary.BigEndian.Uint32(b[1:5]))
-			if len(b) < 5+n {
-				return nil, fmt.Errorf("tuple: truncated string key body (want %d bytes)", n)
-			}
-			vals = append(vals, Str(string(b[5:5+n])))
-			b = b[5+n:]
-		default:
-			return nil, fmt.Errorf("tuple: bad key tag %q", b[0])
-		}
-	}
-	return vals, nil
 }
 
 // Less orders tuples by QID, then Level, then values column-by-column. It

@@ -3,13 +3,12 @@ package tuple
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fields"
 )
 
+// TestValueEqualAndLess holds Equal, Less and Compare to one order.
 func TestValueEqualAndLess(t *testing.T) {
 	cases := []struct {
 		a, b        Value
@@ -22,6 +21,8 @@ func TestValueEqualAndLess(t *testing.T) {
 		{Str("a"), Str("b"), false, true},
 		{U64(99), Str("a"), false, true}, // numerics order before strings
 		{Str("a"), U64(99), false, false},
+		{Str(""), U64(0), false, false},
+		{U64(0), U64(1<<64 - 1), false, true},
 	}
 	for _, c := range cases {
 		if got := c.a.Equal(c.b); got != c.equal {
@@ -29,6 +30,16 @@ func TestValueEqualAndLess(t *testing.T) {
 		}
 		if got := c.a.Less(c.b); got != c.less {
 			t.Errorf("%v.Less(%v) = %v, want %v", c.a, c.b, got, c.less)
+		}
+		want := 1
+		switch {
+		case c.equal:
+			want = 0
+		case c.less:
+			want = -1
+		}
+		if got := c.a.Compare(c.b); got != want {
+			t.Errorf("%v.Compare(%v) = %d, want %d", c.a, c.b, got, want)
 		}
 	}
 }
@@ -67,203 +78,6 @@ func TestSchemaCloneIndependent(t *testing.T) {
 	}
 	if s.Equal(Schema{fields.DstIP}) {
 		t.Error("Equal ignored length difference")
-	}
-}
-
-// key is the multi-column key encoding: the selected values' AppendKeyValue
-// encodings, concatenated.
-func key(vals []Value, idx []int) string {
-	var b []byte
-	for _, i := range idx {
-		b = AppendKeyValue(b, vals[i])
-	}
-	return string(b)
-}
-
-func TestKeyRoundTrip(t *testing.T) {
-	vals := []Value{U64(0xC0A80001), Str("example.com"), U64(0), Str("")}
-	k := key(vals, []int{0, 1, 2, 3})
-	got, err := DecodeKey(k)
-	if err != nil {
-		t.Fatalf("DecodeKey: %v", err)
-	}
-	if !reflect.DeepEqual(got, vals) {
-		t.Errorf("round trip = %v, want %v", got, vals)
-	}
-}
-
-func TestKeySelectsColumns(t *testing.T) {
-	vals := []Value{U64(1), U64(2), U64(3)}
-	if key(vals, []int{0, 2}) == key(vals, []int{0, 1}) {
-		t.Error("keys over different columns collided")
-	}
-	if key(vals, []int{1}) != key([]Value{U64(7), U64(2)}, []int{1}) {
-		t.Error("same selected values produced different keys")
-	}
-}
-
-// Property: key is injective over value slices (round trip through
-// DecodeKey reproduces the input exactly).
-func TestKeyInjectiveProperty(t *testing.T) {
-	gen := func(r *rand.Rand) []Value {
-		n := r.Intn(5)
-		vals := make([]Value, n)
-		for i := range vals {
-			if r.Intn(2) == 0 {
-				vals[i] = U64(r.Uint64())
-			} else {
-				b := make([]byte, r.Intn(20))
-				r.Read(b)
-				vals[i] = Str(string(b))
-			}
-		}
-		return vals
-	}
-	cfg := &quick.Config{Values: func(out []reflect.Value, r *rand.Rand) {
-		out[0] = reflect.ValueOf(gen(r))
-	}}
-	f := func(vals []Value) bool {
-		idx := make([]int, len(vals))
-		for i := range idx {
-			idx[i] = i
-		}
-		got, err := DecodeKey(key(vals, idx))
-		if err != nil {
-			return false
-		}
-		if len(got) != len(vals) {
-			return len(vals) == 0 && len(got) == 0
-		}
-		for i := range vals {
-			if !got[i].Equal(vals[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestKeyEncodingAdversarial pits the key encoding against tuple lists
-// crafted to collide under naive separator- or concatenation-based schemes:
-// column-boundary shifts, embedded separator bytes, empty strings, strings
-// that spell out the wire encoding of other values, and numeric/string kind
-// confusion. Every pair must encode distinctly (the prefix-free property the
-// dynamic-filter rule sets rely on — equal bytes must mean equal keys) and
-// every encoding must round-trip through DecodeKey.
-func TestKeyEncodingAdversarial(t *testing.T) {
-	u := func(b ...byte) string { return string(b) }
-	cases := [][]Value{
-		{},
-		{Str("")},
-		{Str(""), Str("")},
-		{Str(""), Str(""), Str("")},
-		// Boundary shifts: same concatenated bytes, different splits.
-		{Str("ab"), Str("c")},
-		{Str("a"), Str("bc")},
-		{Str("abc")},
-		{Str(""), Str("abc")},
-		{Str("abc"), Str("")},
-		// Embedded separator-ish bytes: commas, NULs, pipes.
-		{Str("a,b"), Str("c")},
-		{Str("a"), Str("b,c")},
-		{Str("a\x00b")},
-		{Str("a"), Str("\x00b")},
-		{Str("a|b"), Str("|")},
-		{Str("a"), Str("|b|")},
-		// Strings spelling out the encoding of numeric values.
-		{Str(u('u', 0, 0, 0, 0, 0, 0, 0, 42))},
-		{U64(42)},
-		{Str("u")},
-		{U64('u')},
-		// Strings spelling out a string header.
-		{Str(u('s', 0, 0, 0, 1, 'x'))},
-		{Str("x")},
-		// Kind confusion: same printable bytes, different kinds.
-		{Str("42")},
-		{U64(0x3432)}, // "42" read as big-endian digits
-		{U64(0), Str("")},
-		{Str(""), U64(0)},
-		{U64(0)},
-		{U64(0), U64(0)},
-		// Length-prefix lookalikes: a string whose body starts with bytes
-		// that parse as the next column's header.
-		{Str(u('s', 0, 0, 0, 9)), U64(1)},
-		{Str(u('s', 0, 0, 0, 9, 'u', 0, 0, 0, 0, 0, 0, 0, 1))},
-	}
-	idx := func(n int) []int {
-		ix := make([]int, n)
-		for i := range ix {
-			ix[i] = i
-		}
-		return ix
-	}
-	keys := make([]string, len(cases))
-	for i, vals := range cases {
-		keys[i] = key(vals, idx(len(vals)))
-		got, err := DecodeKey(keys[i])
-		if err != nil {
-			t.Fatalf("case %d: DecodeKey: %v", i, err)
-		}
-		if len(got) != len(vals) {
-			t.Fatalf("case %d: round trip %d columns, want %d", i, len(got), len(vals))
-		}
-		for j := range vals {
-			if !got[j].Equal(vals[j]) {
-				t.Fatalf("case %d col %d: %v != %v", i, j, got[j], vals[j])
-			}
-		}
-	}
-	for i := range keys {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[i] == keys[j] {
-				t.Errorf("cases %d and %d collide: %v and %v both encode to %q",
-					i, j, cases[i], cases[j], keys[i])
-			}
-		}
-	}
-	// No encoding may be a strict prefix of another with more columns —
-	// otherwise a buffer holding concatenated keys could mistake one key's
-	// head for a shorter key. (Equal-length comparison makes full prefixes
-	// harmless, but a set keyed by the bytes compares by length too;
-	// document the invariant.)
-	for i := range keys {
-		for j := range keys {
-			if i != j && len(keys[i]) < len(keys[j]) &&
-				keys[j][:len(keys[i])] == keys[i] && len(cases[i]) >= len(cases[j]) {
-				t.Errorf("case %d (%v) is a prefix of case %d (%v) without fewer columns",
-					i, cases[i], j, cases[j])
-			}
-		}
-	}
-}
-
-func TestDecodeKeyRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"x",                                  // unknown tag
-		"u\x00",                              // truncated numeric
-		"s\x00\x00\x00\x05ab",                // truncated string body
-		"s\x00\x00",                          // truncated string header
-		key([]Value{U64(1)}, []int{0}) + "u", // trailing garbage
-	}
-	for _, k := range bad {
-		if _, err := DecodeKey(k); err == nil {
-			t.Errorf("DecodeKey(%q) accepted malformed key", k)
-		}
-	}
-}
-
-func TestAppendKeyValueReusesBuffer(t *testing.T) {
-	buf := make([]byte, 0, 64)
-	vals := []Value{U64(42), Str("x")}
-	out := AppendKeyValue(AppendKeyValue(buf, vals[0]), vals[1])
-	if string(out) != key(vals, []int{0, 1}) {
-		t.Error("appended encodings and key disagree")
-	}
-	if cap(out) != cap(buf) {
-		t.Error("AppendKeyValue reallocated despite sufficient capacity")
 	}
 }
 
