@@ -88,10 +88,12 @@ check-metrics:
 check-subscribe:
 	$(GO) test -race ./internal/subscribe
 
-# Trace-tree gate, under the race detector: the ring/rotation test hammers
-# eight single-writer lanes against concurrent window closes, and the
-# runtime-level differential test proves retained span-tree structure is
-# identical at 1/2/8 workers (plus the latency-triggered retention check).
+# Trace-tree gate, under the race detector: the tracer test races window
+# closes, each handing over a tree written into one reused slice, against the
+# /debug/trace handler, Trees, Has and Stats, and the runtime-level
+# differential test proves the span trees built at close are identical at
+# 1/2/8 workers and on the streaming path (plus the latency-triggered
+# retention check).
 check-trace:
 	$(GO) test -race ./internal/tracez
 	$(GO) test -race -run 'TestTraceTree|TestLatencyTriggered' ./internal/runtime
@@ -121,11 +123,14 @@ check-examples:
 # Fuzz smoke: ten seconds of arbitrary MsgInstall bodies against the
 # data-plane server (FuzzDataPlaneInstall), then ten of arbitrary
 # MsgEndWindow replies whose register dumps reach the emitter and the engine
-# (FuzzWindowDataDumps), each seeded from internal/drivers/testdata/fuzz;
-# any panic fails the gate.
+# (FuzzWindowDataDumps), each seeded from internal/drivers/testdata/fuzz,
+# then ten of arbitrary MsgSubscribe bodies through the subscription
+# server's HandleConn (FuzzSubscribeRequest), seeded from
+# internal/subscribe/testdata/fuzz; any panic fails the gate.
 check-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDataPlaneInstall -fuzztime 10s ./internal/drivers
 	$(GO) test -run '^$$' -fuzz FuzzWindowDataDumps -fuzztime 10s ./internal/drivers
+	$(GO) test -run '^$$' -fuzz FuzzSubscribeRequest -fuzztime 10s ./internal/subscribe
 
 # Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
 # against alloc_budget.json (zero for every path but the runtime's whole

@@ -192,23 +192,26 @@ func TestAllocBudget(t *testing.T) {
 	}
 	check("SubscribePublish", func() { srv.Publish(rep) })
 
-	// Trace recording: an op span started, attributed, and ended on a warm
-	// lane, plus the window-close bookkeeping with retention disabled. Spans
-	// are flat values in preallocated rings, so the steady state records
-	// without touching the heap.
+	// Trace scoring: one window's span tree, written into a reused slice as
+	// the runtime's close does, handed to CloseWindow with retention
+	// disabled. The tree is copied only when retained, so the steady state
+	// scores it without touching the heap.
 	tzr := tracez.New(tracez.Options{HeadEvery: -1, MinWindows: 1 << 30})
-	lane := tzr.Lane(1)
+	spans := make([]tracez.Span, 8)
+	for i := range spans {
+		spans[i] = tracez.Span{ID: uint32(i + 1), Parent: 1, Name: tracez.NameOpEval,
+			QID: 1, Level: 32, DurNS: 1_000_000}.With(tracez.AttrTuplesIn, 17)
+	}
+	spans[0].Parent, spans[0].Name = 0, tracez.NameWindow
 	win := 0
 	record := func() {
-		lane.SetContext(win, 1)
-		sp := lane.Start(tracez.NameOpEval)
-		sp.Instance(1, 32)
-		sp.Attr(tracez.AttrTuplesIn, 17)
-		sp.End()
-		tzr.CloseWindow(win, 1_000_000)
+		for i := range spans {
+			spans[i].Window = int32(win)
+		}
+		tzr.CloseWindow(win, spans)
 		win++
 	}
-	record() // warm: lane registration and estimator buckets
+	record() // warm: estimator buckets
 	check("TraceRecord", record)
 
 	// Planner training, the start-up and re-plan cost: not a zero-alloc

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/telemetry"
 )
 
 // Handler serves the recorder as /debug/queries:
@@ -49,8 +51,8 @@ func RenderText(s *Snapshot, showOps bool) string {
 		s.Window, s.Committed, s.Capacity, s.Evicted)
 	if s.WindowP99NS > 0 || s.FreshP99NS > 0 {
 		fmt.Fprintf(&b, "close p50 %s p99 %s   fresh p50 %s p99 %s\n",
-			humanNS(s.WindowP50NS), humanNS(s.WindowP99NS),
-			humanNS(s.FreshP50NS), humanNS(s.FreshP99NS))
+			telemetry.HumanNS(s.WindowP50NS), telemetry.HumanNS(s.WindowP99NS),
+			telemetry.HumanNS(s.FreshP50NS), telemetry.HumanNS(s.FreshP99NS))
 	}
 	if s.TraceURL != "" {
 		fmt.Fprintf(&b, "trace: %s\n", s.TraceURL)
@@ -79,7 +81,7 @@ func RenderText(s *Snapshot, showOps bool) string {
 			r.Mirrored, humanBytes(r.MirrorBytes), humanBytes(r.DeliveredBytes),
 			r.Collisions, r.DumpTuples,
 			reg, r.EstWork, r.ObsWork, r.Drift,
-			humanNS(r.BusyNS), humanNS(r.EvalNS), humanNS(r.FreshNS), r.Results, ref)
+			telemetry.HumanNS(r.BusyNS), telemetry.HumanNS(r.EvalNS), telemetry.HumanNS(r.FreshNS), r.Results, ref)
 		if showOps {
 			for _, op := range r.Ops {
 				fmt.Fprintf(tw, "\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t%s in=%d out=%d\t\n",
@@ -114,8 +116,8 @@ func RenderTop(prev, cur *Snapshot, elapsedSec float64) string {
 		humanBytes(totBytes))
 	fmt.Fprintf(&b, "windows committed %d   ring %d   evicted %d   close p50 %s p99 %s   fresh p50 %s p99 %s\n\n",
 		cur.Committed, cur.Capacity, cur.Evicted,
-		humanNS(cur.WindowP50NS), humanNS(cur.WindowP99NS),
-		humanNS(cur.FreshP50NS), humanNS(cur.FreshP99NS))
+		telemetry.HumanNS(cur.WindowP50NS), telemetry.HumanNS(cur.WindowP99NS),
+		telemetry.HumanNS(cur.FreshP50NS), telemetry.HumanNS(cur.FreshP99NS))
 	tw := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "QID\tLVL\tSHD\tTUPLES\tTUP/S\tREDUCE\tREG%\tCOLL\tDRIFT\tBUSY\tFRESH\tREFINE\t")
 	prevCum := map[[2]uint16]uint64{}
@@ -146,7 +148,7 @@ func RenderTop(prev, cur *Snapshot, elapsedSec float64) string {
 		fmt.Fprintf(tw, "%d\t/%d\t%d\t%d\t%s\t%s\t%s\t%d\t%.2f\t%s\t%s\t%s\t\n",
 			r.QID, r.Level, r.Shard, r.TuplesToSP, rate,
 			humanFactor(r.Reduction), regPct, r.Collisions, r.Drift,
-			humanNS(r.BusyNS), humanNS(r.FreshNS), ref)
+			telemetry.HumanNS(r.BusyNS), telemetry.HumanNS(r.FreshNS), ref)
 	}
 	tw.Flush()
 	if cur.TraceURL != "" {
@@ -176,19 +178,5 @@ func humanBytes(n uint64) string {
 		return fmt.Sprintf("%.1fkB", float64(n)/(1<<10))
 	default:
 		return fmt.Sprintf("%dB", n)
-	}
-}
-
-// humanNS renders nanoseconds as a compact duration.
-func humanNS(ns int64) string {
-	switch {
-	case ns >= 1_000_000_000:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1_000_000:
-		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
-	case ns >= 1_000:
-		return fmt.Sprintf("%.1fus", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
 	}
 }

@@ -73,30 +73,17 @@ type WindowReport struct {
 // report and its results are shared, not copied; sinks must treat them as
 // read-only and must not retain the tuple slices past Publish unless they
 // encode them first. Publish returns the bytes it queued for delivery per
-// instance, in the order of rep.Instances (nil when it queued nothing); the
-// runtime writes them into the records before the flight recorder seals the
-// window, and does not keep the slice.
+// instance, in the order of rep.Instances (nil when it queued nothing), and
+// the number of subscribers it fanned out to; the runtime writes the bytes
+// into the records before the flight recorder seals the window, does not
+// keep the slice, and puts both in the window's fan-out span.
 type ResultSink interface {
-	Publish(rep *WindowReport) []uint64
-}
-
-// TracezAttacher is implemented by sinks that record their fan-out work as
-// spans in the window's trace tree. Publish runs on the runtime's close
-// path, so the sink records into the orchestration lane; the runtime
-// re-parents the lane to the publish span for the duration of the call.
-type TracezAttacher interface {
-	AttachTracez(r *tracez.Ring)
+	Publish(rep *WindowReport) (bytes []uint64, subscribers int)
 }
 
 // SetResultSink installs (or, with nil, removes) the sink that receives each
-// closed window's report. If a tracer is already attached and the sink wants
-// a span lane, it is wired immediately.
-func (r *Runtime) SetResultSink(sink ResultSink) {
-	r.sink = sink
-	if a, ok := sink.(TracezAttacher); ok && r.lane != nil {
-		a.AttachTracez(r.lane)
-	}
-}
+// closed window's report.
+func (r *Runtime) SetResultSink(sink ResultSink) { r.sink = sink }
 
 // Options tunes a runtime's execution.
 type Options struct {
@@ -148,10 +135,6 @@ type shard struct {
 	// the epoch barrier — FIFO order guarantees every batch of the window is
 	// processed before the close runs.
 	q spscRing
-	// lane is the shard's tracez lane (lane index+1), cached at Instrument;
-	// nil when tracing is off. The caller re-parents it before each close
-	// barrier, exec records op spans into it during the close.
-	lane *tracez.Ring
 	// busy accumulates time spent processing batches this window; the close
 	// publishes it to the runtime via cr.
 	busy time.Duration
@@ -218,18 +201,15 @@ type Runtime struct {
 	sink ResultSink
 	// Telemetry: reg is the registry Instrument wired (nil until then) and m
 	// its handles (inert until Instrument). windowStart anchors the
-	// window-duration histogram and the freshness watermark.
+	// window-duration histogram, the freshness watermark and the window's
+	// span tree.
 	reg         *telemetry.Registry
 	m           runtimeMetrics
 	windowStart time.Time
-	// Tracing: tz collects every window's span tree (nil when disabled).
-	// lane is the orchestration lane (lane 0) carrying the window root and
-	// lifecycle-stage spans; shard engines write op spans into lanes 1..N.
-	// troot is the open window-root span, rootOpen whether one is open.
-	tz       *tracez.Tracer
-	lane     *tracez.Ring
-	troot    tracez.Active
-	rootOpen bool
+	// Tracing: tz scores every window's span tree (nil when disabled), which
+	// trace writes into spans at close, reused window after window.
+	tz    *tracez.Tracer
+	spans []tracez.Span
 }
 
 // deployment is what compile makes of a plan: the flattened instances, their
@@ -389,10 +369,10 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 // deployment: the new plan is compiled by the code NewWithOptions runs, so
 // a plan that fails to build leaves the old one serving. Then the old
 // workers stop, the new shard set takes over and starts its own, and what
-// is attached — registry series, tracer lanes and the flight recorder's
-// instances — is set up for it again; the result sink needs nothing. Window
-// indices carry on; the collision sums and refinement state start fresh, as
-// in a new runtime. Frames buffered in an open window are an error.
+// is attached — registry series and the flight recorder's instances — is
+// set up for it again; the result sink needs nothing. Window indices carry
+// on; the collision sums and refinement state start fresh, as in a new
+// runtime. Frames buffered in an open window are an error.
 func (r *Runtime) Replan(plan *planner.Plan) error {
 	if r.framesIn != 0 {
 		return fmt.Errorf("runtime: re-plan with %d frames of window %d buffered; re-plan between windows",
@@ -597,14 +577,11 @@ func (r *Runtime) Workers() int { return len(r.shards) }
 // the window on both components, applies refinement updates for the next
 // window, and reports.
 func (r *Runtime) ProcessWindow(frames [][]byte) *WindowReport {
-	r.markWindowStart()
-	sp := r.lane.Start(tracez.NameSwitchPass)
+	r.markWindowStart() // a zero-frame window is timed too
 	for _, f := range frames {
 		r.Process(f)
 	}
-	sp.Attr(tracez.AttrFrames, uint64(len(frames)))
-	sp.End()
-	return r.closeWindow()
+	return r.CloseWindow()
 }
 
 // Process pushes a single frame through vantage point 0: ProcessAt(0, frame).
@@ -754,30 +731,13 @@ func (s *shard) closeShard(counts []flightrec.Counts) {
 	cr.busy, s.busy = s.busy, 0
 }
 
-// markWindowStart anchors the window-duration measurement and the window
-// root span at the first frame of each window.
+// markWindowStart anchors the window-duration measurement and the window's
+// span tree at the first frame of each window.
 func (r *Runtime) markWindowStart() {
 	if r.windowStart.IsZero() {
 		r.windowStart = time.Now()
 	}
-	r.openRoot()
 }
-
-// openRoot starts the window's root span and re-parents the orchestration
-// lane under it, so every subsequent stage span becomes its child. Inert
-// when tracing is off (nil lane).
-func (r *Runtime) openRoot() {
-	if r.rootOpen {
-		return
-	}
-	r.lane.SetContext(r.window, 0)
-	r.troot = r.lane.Start(tracez.NameWindow)
-	r.lane.SetContext(r.window, r.troot.ID())
-	r.rootOpen = true
-}
-
-// CloseWindow ends the current window explicitly.
-func (r *Runtime) CloseWindow() *WindowReport { return r.closeWindow() }
 
 // Close stops the persistent workers, if any, and is safe to call at any
 // point, including mid-window and more than once. Frames already handed to
@@ -797,23 +757,17 @@ func (r *Runtime) Close() {
 	r.live = false
 }
 
-func (r *Runtime) closeWindow() *WindowReport {
-	r.openRoot() // zero-frame windows still get a (short) trace tree
+// CloseWindow ends the current window: it closes the window on every shard,
+// applies the refinement updates for the next window, publishes, and
+// reports.
+func (r *Runtime) CloseWindow() *WindowReport {
+	ct := closeTotals{start: r.windowStart, closed: time.Now()}
+	r.windowStart = time.Time{}
 	// Each shard runs register dump, dump decode, and stream-engine
 	// evaluation on the state it owns — in parallel on the workers while
 	// they are live — and the barrier hands ownership of every shard back to
 	// this goroutine. Every vantage point's tail batch goes out first; the
 	// last one rides the close message.
-	// Both stage spans wrap the whole barrier (the phases overlap across
-	// shards), and each shard lane is re-parented before the close message
-	// so op spans recorded during the close nest under this window's
-	// stream_eval span — the ring handoff publishes the lane context to the
-	// worker.
-	ed := r.lane.Start(tracez.NameEmitterDecode)
-	se := r.lane.Start(tracez.NameStreamEval)
-	for _, s := range r.shards {
-		s.lane.SetContext(r.window, se.ID())
-	}
 	last := len(r.fill) - 1
 	for vp := range last {
 		if b := r.takeFill(vp); b != nil {
@@ -855,10 +809,7 @@ func (r *Runtime) closeWindow() *WindowReport {
 	// owns the count.
 	stats.PacketsIn = r.framesIn
 	r.framesIn = 0
-	ed.Attr(tracez.AttrDumpTuples, stats.DumpTuples)
-	ed.End()
-	se.Attr(tracez.AttrTuplesIn, tuplesIn)
-	se.End()
+	ct.merged = time.Now()
 	// Register dumps become tuples at the stream processor; count them into
 	// the headline metric like any other delivered tuple.
 	rep := &WindowReport{
@@ -885,9 +836,7 @@ func (r *Runtime) closeWindow() *WindowReport {
 	// Dynamic refinement: level From's results gate level To next window.
 	// The gated (finer) instance's record notes how many keys now admit its
 	// traffic, and whether the set moved this window.
-	var ct closeTotals
-	fu := r.lane.Start(tracez.NameFilterUpdate)
-	start := time.Now()
+	ct.updated = time.Now()
 	for li := range r.links {
 		l := &r.links[li]
 		keys := l.keys(results)
@@ -900,41 +849,30 @@ func (r *Runtime) closeWindow() *WindowReport {
 			ct.transitions++
 		}
 	}
-	rep.UpdateDuration = time.Since(start)
-	fu.Attr(tracez.AttrEntries, uint64(rep.FilterUpdates))
-	fu.End()
+	rep.UpdateDuration = time.Since(ct.updated)
 
-	ct.timed = !r.windowStart.IsZero()
-	if ct.timed {
-		ct.window = time.Since(r.windowStart)
+	if ct.timed() {
+		ct.window = time.Since(ct.start)
 	}
 	// Fan the report out to subscribers; what they were queued lands in the
 	// records before the flight recorder seals the window. Publish must not
 	// block (sinks absorb slow consumers in bounded queues).
 	if r.sink != nil {
-		pub := r.lane.Start(tracez.NamePublish)
-		r.lane.SetContext(r.window, pub.ID())
-		pubStart := time.Now()
-		for i, b := range r.sink.Publish(rep) {
+		ct.pubAt = time.Now()
+		bytes, subscribers := r.sink.Publish(rep)
+		for i, b := range bytes {
 			r.counts[i].DeliveredBytes = b
 		}
-		ct.publish, ct.published = time.Since(pubStart), true
-		pub.End()
-		r.lane.SetContext(r.window, r.troot.ID())
+		ct.publish, ct.published = time.Since(ct.pubAt), true
+		ct.updates, ct.subscribers = uint64(len(bytes)), uint64(subscribers)
 	}
 	// Freshness watermark: first frame of the window → results published.
 	// Taken after publish (unlike the window time, which excludes fan-out)
 	// so it measures what a subscriber experiences.
-	if ct.timed {
-		ct.fresh = time.Since(r.windowStart)
-		r.windowStart = time.Time{}
+	if ct.timed() {
+		ct.fresh = time.Since(ct.start)
 	}
-	// Close the window's trace tree; the tracer decides retention from the
-	// root's close latency.
-	if r.rootOpen {
-		r.tz.CloseWindow(r.window, r.troot.End().Nanoseconds())
-		r.rootOpen = false
-	}
+	r.trace(rep, &ct)
 	r.observe(rep, &ct)
 	r.flight.Commit(rep.Index, stats.PacketsIn, ct.fresh.Nanoseconds(), shardBusy, r.counts)
 	r.window++

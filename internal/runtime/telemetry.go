@@ -60,29 +60,15 @@ const freshHelp = "Result freshness per window in nanoseconds: first frame to pu
 // point), the stream series per (query, level) instance and the
 // back-pressure counters per shard. The series advance once per window, at
 // close (observe): a scrape taken mid-window reads the previous close's
-// totals. The tracer's lanes are wired here too: lane 0 carries the
-// orchestration (window root and lifecycle stages), lane i+1 carries shard
-// i's op spans. Replan runs it again for the new shard set, so the series
-// carry on across a re-plan.
+// totals. The tracer is handed each window's span tree at close (trace).
+// Replan runs it again for the new shard set, so the series carry on across
+// a re-plan.
 func (r *Runtime) Instrument(reg *telemetry.Registry, tz *tracez.Tracer) {
 	stale := r.m.switches
 	if reg != r.reg {
 		stale = nil
 	}
 	r.reg, r.tz = reg, tz
-	r.lane = tz.Lane(0)
-	for i, s := range r.shards {
-		// The shard's lane is cached so the close path can re-parent it
-		// without taking the tracer's lane mutex every window. The lane
-		// outlives every window: the shard writes spans into it during each
-		// close, with the close barrier ordering its writes against the
-		// runtime's SetContext.
-		s.lane = tz.Lane(i + 1)
-		s.engine.AttachTracez(s.lane)
-	}
-	if a, ok := r.sink.(TracezAttacher); ok && r.lane != nil {
-		a.AttachTracez(r.lane)
-	}
 	r.m = runtimeMetrics{}
 	if reg == nil {
 		return
@@ -203,7 +189,77 @@ type closeTotals struct {
 	// frame to publish completion (both only when timed: the window saw a
 	// frame), publish the sink's Publish (when published).
 	window, fresh, publish time.Duration
-	timed, published       bool
+	published              bool
+	// The stage boundaries: start is the window's first frame (zero when
+	// untimed), closed the close's entry, merged the end of the shard
+	// barrier and its merge, updated the start of the refinement update and
+	// pubAt that of Publish. updates and subscribers are what Publish
+	// fanned out.
+	start, closed, merged, updated, pubAt time.Time
+	updates, subscribers                  uint64
+}
+
+// timed reports whether the window saw a frame, which anchors its start.
+func (ct *closeTotals) timed() bool { return !ct.start.IsZero() }
+
+// trace writes the window's span tree into the reused r.spans and hands it
+// to the tracer, which scores it for retention. The tree comes from the
+// report and the close's stage boundaries: the window root, the lifecycle
+// stages under it, the sink's fan-out under publish, then one op_eval per
+// instance under stream_eval, shard by shard in engine order, timed by the
+// engine's own close. Span ids are positions in the slice, from 1.
+func (r *Runtime) trace(rep *WindowReport, ct *closeTotals) {
+	if r.tz == nil {
+		return
+	}
+	const root, streamEval, publish = 1, 4, 6
+	start := ct.start
+	if !ct.timed() {
+		start = ct.closed // a zero-frame window's tree starts at its close
+	}
+	sps := append(r.spans[:0],
+		stage(tracez.NameWindow, 0, start, time.Since(start)),
+		stage(tracez.NameSwitchPass, root, start, ct.closed.Sub(start)).
+			With(tracez.AttrFrames, rep.Switch.PacketsIn),
+		stage(tracez.NameEmitterDecode, root, ct.closed, ct.merged.Sub(ct.closed)).
+			With(tracez.AttrDumpTuples, rep.Switch.DumpTuples),
+		stage(tracez.NameStreamEval, root, ct.closed, ct.merged.Sub(ct.closed)).
+			With(tracez.AttrTuplesIn, rep.TuplesToSP),
+		stage(tracez.NameFilterUpdate, root, ct.updated, rep.UpdateDuration).
+			With(tracez.AttrEntries, uint64(rep.FilterUpdates)))
+	if ct.published {
+		var bytes uint64
+		for i := range rep.Instances {
+			bytes += rep.Instances[i].DeliveredBytes
+		}
+		sps = append(sps, stage(tracez.NamePublish, root, ct.pubAt, ct.publish),
+			stage(tracez.NameSubscribeFanout, publish, ct.pubAt, ct.publish).
+				With(tracez.AttrSubscribers, ct.subscribers).
+				With(tracez.AttrUpdates, ct.updates).
+				With(tracez.AttrBytes, bytes))
+	}
+	for si, s := range r.shards {
+		for j, slot := range s.slots {
+			c, is := &rep.Instances[slot], &s.cr.metrics.Instances[j]
+			sp := stage(tracez.NameOpEval, streamEval, is.EvalStart, is.Eval).
+				With(tracez.AttrTuplesIn, c.TuplesToSP).
+				With(tracez.AttrResults, c.Results)
+			sp.Shard, sp.QID, sp.Level = int16(si), c.QID, c.Level
+			sps = append(sps, sp)
+		}
+	}
+	for i := range sps {
+		sps[i].ID, sps[i].Window = uint32(i+1), int32(rep.Index)
+	}
+	r.spans = sps
+	r.tz.CloseWindow(rep.Index, sps)
+}
+
+// stage is a span of the orchestration goroutine: name under parent, from
+// start for d.
+func stage(name uint16, parent uint32, start time.Time, d time.Duration) tracez.Span {
+	return tracez.Span{Name: name, Parent: parent, Shard: -1,
+		StartNS: start.UnixNano(), DurNS: d.Nanoseconds()}
 }
 
 // observe advances every registry series by one closed window: rep and the
@@ -260,7 +316,7 @@ func (r *Runtime) observe(rep *WindowReport, ct *closeTotals) {
 	m.filterUpdates.Add(uint64(rep.FilterUpdates))
 	m.refTransitions.Add(ct.transitions)
 	m.filterUpdateNS.ObserveDuration(rep.UpdateDuration)
-	if ct.timed {
+	if ct.timed() {
 		m.windowNS.ObserveDuration(ct.window)
 		m.freshNS.ObserveDuration(ct.fresh)
 		for _, h := range m.freshByQID {

@@ -45,7 +45,9 @@ func treeShape(t *testing.T, tree *tracez.Tree) []string {
 // workers with head sampling set to retain every window, then asserts the
 // retained span-tree structure is identical across worker counts. Query
 // instances are owner-partitioned across shards, so even the span multiset
-// must match — only shard attribution and timings may differ.
+// must match — only shard attribution and timings may differ. The streaming
+// path (Process per frame, then CloseWindow) at 1 and 2 workers must build
+// the same trees as ProcessWindow.
 func TestTraceTreeDifferentialWorkers(t *testing.T) {
 	g, train := buildWorkload(t, 4000, 5)
 	qs := []*query.Query{q1(100)}
@@ -53,30 +55,44 @@ func TestTraceTreeDifferentialWorkers(t *testing.T) {
 	plan := planFor(t, qs, train, cfg, planner.ModeSonata)
 
 	const nWindows = 4
-	shapes := map[int]map[int][]string{} // workers -> window -> shape
-	for _, workers := range []int{1, 2, 8} {
-		rt, err := NewWithOptions(plan, cfg, Options{Workers: workers})
+	type run struct {
+		workers   int
+		streaming bool
+	}
+	runs := []run{{1, false}, {2, false}, {8, false}, {1, true}, {2, true}}
+	shapes := map[run]map[int][]string{} // run -> window -> shape
+	for _, c := range runs {
+		rt, err := NewWithOptions(plan, cfg, Options{Workers: c.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tz := tracez.New(tracez.Options{HeadEvery: 1})
 		rt.Instrument(nil, tz)
 		for w := 0; w < nWindows; w++ {
-			rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+			frames := framesOf(g.WindowRecords(w))
+			if !c.streaming {
+				rt.ProcessWindow(frames)
+				continue
+			}
+			for _, f := range frames {
+				rt.Process(f)
+			}
+			rt.CloseWindow()
 		}
+		rt.Close()
 		trees := tz.Trees()
 		if len(trees) != nWindows {
-			t.Fatalf("workers=%d: retained %d trees, want %d (HeadEvery=1)",
-				workers, len(trees), nWindows)
+			t.Fatalf("%+v: retained %d trees, want %d (HeadEvery=1)",
+				c, len(trees), nWindows)
 		}
-		shapes[workers] = map[int][]string{}
+		shapes[c] = map[int][]string{}
 		for _, tree := range trees {
-			shapes[workers][tree.Window] = treeShape(t, tree)
+			shapes[c][tree.Window] = treeShape(t, tree)
 		}
 	}
 
 	for w := 0; w < nWindows; w++ {
-		base := shapes[1][w]
+		base := shapes[runs[0]][w]
 		if len(base) == 0 {
 			t.Fatalf("window %d missing from sequential run", w)
 		}
@@ -107,17 +123,17 @@ func TestTraceTreeDifferentialWorkers(t *testing.T) {
 		if opSpans == 0 {
 			t.Errorf("window %d: no op_eval spans under stream_eval; got %v", w, base)
 		}
-		for _, workers := range []int{2, 8} {
-			got := shapes[workers][w]
+		for _, c := range runs[1:] {
+			got := shapes[c][w]
 			if len(got) != len(base) {
-				t.Errorf("window %d: workers=%d retained %d spans, sequential %d\nseq: %v\ngot: %v",
-					w, workers, len(got), len(base), base, got)
+				t.Errorf("window %d: %+v retained %d spans, sequential %d\nseq: %v\ngot: %v",
+					w, c, len(got), len(base), base, got)
 				continue
 			}
 			for i := range base {
 				if got[i] != base[i] {
-					t.Errorf("window %d workers=%d: span[%d] = %q, sequential %q",
-						w, workers, i, got[i], base[i])
+					t.Errorf("window %d %+v: span[%d] = %q, sequential %q",
+						w, c, i, got[i], base[i])
 				}
 			}
 		}
@@ -131,11 +147,11 @@ type slowSink struct {
 	delay  time.Duration
 }
 
-func (s *slowSink) Publish(rep *WindowReport) []uint64 {
+func (s *slowSink) Publish(rep *WindowReport) ([]uint64, int) {
 	if rep.Index == s.slowAt {
 		time.Sleep(s.delay)
 	}
-	return nil
+	return nil, 0
 }
 
 // TestLatencyTriggeredRetention is the acceptance check for the retention

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/keytab"
 	"repro/internal/query"
-	"repro/internal/tracez"
 	"repro/internal/tuple"
 )
 
@@ -73,10 +72,11 @@ type InstanceStats struct {
 	// encoded monitoring-port volume its records arrived as (AddWireBytes).
 	TuplesIn  uint64
 	WireBytes uint64
-	// Results and Eval are the window close: result tuples and evaluation
-	// time.
-	Results uint64
-	Eval    time.Duration
+	// Results, EvalStart and Eval are the window close: result tuples, and
+	// when the evaluation started and how long it took.
+	Results   uint64
+	EvalStart time.Time
+	Eval      time.Duration
 	// OpIn and OpOut count the tuples entering and leaving each op at the
 	// stream processor, indexed over the left ops, then the right ones, then
 	// the post-join ones.
@@ -142,10 +142,6 @@ type Engine struct {
 	order   []QueryKey
 	// tuplesIn is the window's Metrics.TuplesIn so far.
 	tuplesIn uint64
-	// tring is the span lane EndWindow records per-instance op_eval spans
-	// into (nil when tracing is off). The runtime assigns each shard engine
-	// its own lane and sets the lane's parent before the window close.
-	tring *tracez.Ring
 	// readsDNS is whether some installed instance reads a DNS field
 	// (query.ReadsDNS), recomputed at Install.
 	readsDNS bool
@@ -262,10 +258,6 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 	}
 	return nil
 }
-
-// AttachTracez assigns the span lane EndWindow records op_eval spans into.
-// A nil ring detaches (recording becomes a no-op).
-func (e *Engine) AttachTracez(r *tracez.Ring) { e.tring = r }
 
 // Instance resolves an installed instance, nil when (qid, level) is not
 // installed — which a caller facing decoded bytes must check.
@@ -437,8 +429,7 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 	e.tuplesIn = 0
 	for i, key := range e.order {
 		rq, st := e.queries[key], &e.stats[i]
-		sp := e.tring.Start(tracez.NameOpEval)
-		sp.Instance(key.QID, key.Level)
+		t0 := time.Now()
 		res := Result{QID: key.QID, Level: key.Level, Schema: rq.schema}
 		if rq.q.HasJoin() {
 			rq.endJoin(&res)
@@ -446,10 +437,8 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 			res.Tuples = rq.left.endWindow()
 		}
 		sortTuples(res.Tuples)
-		sp.Attr(tracez.AttrTuplesIn, rq.tuplesIn)
-		sp.Attr(tracez.AttrResults, uint64(len(res.Tuples)))
 		st.TuplesIn, st.WireBytes = rq.tuplesIn, rq.wireBytes
-		st.Results, st.Eval = uint64(len(res.Tuples)), sp.End()
+		st.Results, st.EvalStart, st.Eval = uint64(len(res.Tuples)), t0, time.Since(t0)
 		rq.tuplesIn, rq.wireBytes = 0, 0
 		rq.takeOpCounts(st)
 		for _, ex := range []*pipeExec{rq.left, rq.right, rq.post, rq.prePacket} {

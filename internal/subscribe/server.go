@@ -12,13 +12,17 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
-	"repro/internal/tracez"
 )
 
 // DefaultQueueCap is the per-subscriber send-queue depth when the request
 // leaves QueueCap zero: deep enough to ride out a transient stall, shallow
 // enough that an evicted consumer's backlog is bounded.
 const DefaultQueueCap = 64
+
+// MaxQueueCap is the deepest send queue a subscriber may ask for. The queue
+// is allocated at attach, so a remote request's QueueCap must be bounded
+// before it sizes anything.
+const MaxQueueCap = 1 << 16
 
 // closeGrace bounds how long Close waits for a subscriber's writer to flush
 // before forcing the transport shut.
@@ -136,7 +140,8 @@ type serverMetrics struct {
 
 // Server fans window results out to subscribers. It implements
 // runtime.ResultSink: Publish also reports the bytes it queued per instance,
-// which the runtime writes into the window's per-instance records.
+// which the runtime writes into the window's per-instance records, and the
+// subscribers it fanned out to, which go into the window's span tree.
 //
 // The zero Server is not usable; call NewServer.
 type Server struct {
@@ -158,10 +163,6 @@ type Server struct {
 	depth int // frames currently queued across all subscribers
 	// delivered is Publish's return value, reused window after window.
 	delivered []uint64
-	// tring is the span lane Publish records its fan-out span into. Publish
-	// runs on the runtime's close path, so writes are single-threaded with
-	// the runtime's other lane-0 spans (nil when tracing is off).
-	tring *tracez.Ring
 }
 
 // NewServer returns an empty subscription server; wire it with
@@ -209,36 +210,21 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// AttachTracez wires the span lane Publish records its subscribe_fanout
-// span into; the runtime forwards its orchestration lane here. A nil ring
-// detaches.
-func (s *Server) AttachTracez(r *tracez.Ring) {
-	s.mu.Lock()
-	s.tring = r
-	s.mu.Unlock()
-}
-
 // Publish fans one closed window out to every subscriber. It is called on
 // the runtime's window-close path and never blocks: each matching update is
 // encoded once into a pooled, refcounted frame and enqueued without copying;
 // a full queue triggers the subscriber's eviction policy inline. It returns
 // the bytes queued for each of rep.AllResults — one per installed instance,
 // in the order of rep.Instances — frame headers included, or nil when it
-// encoded nothing; the slice is reused by the next Publish.
-func (s *Server) Publish(rep *runtime.WindowReport) []uint64 {
+// encoded nothing (the slice is reused by the next Publish), and the number
+// of subscribers attached when the fan-out began.
+func (s *Server) Publish(rep *runtime.WindowReport) ([]uint64, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil
+		return nil, 0
 	}
-	sp := s.tring.Start(tracez.NameSubscribeFanout)
-	sp.Attr(tracez.AttrSubscribers, uint64(len(s.subs)))
-	defer sp.End()
-	var fanUpdates, fanBytes uint64
-	defer func() {
-		sp.Attr(tracez.AttrUpdates, fanUpdates)
-		sp.Attr(tracez.AttrBytes, fanBytes)
-	}()
+	subscribers := len(s.subs)
 	// rep.Results carries exactly the finest-level outputs; remember each
 	// query's finest level for TargetDefined and level filtering.
 	for i := range rep.Results {
@@ -247,7 +233,7 @@ func (s *Server) Publish(rep *runtime.WindowReport) []uint64 {
 	if len(s.subs) == 0 && len(s.last) == 0 {
 		// Nobody listening and nothing retained: skip encoding entirely so
 		// an unsubscribed deployment pays nothing per window.
-		return nil
+		return nil, 0
 	}
 	now := time.Now()
 	s.delivered = append(s.delivered[:0], make([]uint64, len(rep.AllResults))...)
@@ -265,7 +251,6 @@ func (s *Server) Publish(rep *runtime.WindowReport) []uint64 {
 		changed := f.fp != s.prevFP[key] || !s.seen[key]
 		s.prevFP[key], s.seen[key] = f.fp, true
 		s.m.updates.Inc()
-		fanUpdates++
 
 		// Retain the newest frame per instance for late-joiner initial sync.
 		if old := s.last[key]; old != nil {
@@ -283,13 +268,11 @@ func (s *Server) Publish(rep *runtime.WindowReport) []uint64 {
 				enqueued++
 			}
 		}
-		n := uint64(enqueued * (len(f.buf) + frameOverhead))
-		fanBytes += n
-		s.delivered[i] = n
+		s.delivered[i] = uint64(enqueued * (len(f.buf) + frameOverhead))
 		s.releaseLocked(f)
 	}
 	s.m.queueDepth.Set(int64(s.depth))
-	return s.delivered
+	return s.delivered, subscribers
 }
 
 // enqueueLocked hands one frame to a subscriber without blocking, applying
@@ -417,6 +400,9 @@ func (s *Server) Attach(w io.Writer, req SubscribeRequest) (uint64, error) {
 func (s *Server) attach(w io.Writer, req SubscribeRequest) (*subscriber, error) {
 	if req.QueueCap <= 0 {
 		req.QueueCap = DefaultQueueCap
+	}
+	if req.QueueCap > MaxQueueCap {
+		return nil, fmt.Errorf("subscribe: queue capacity %d above the maximum %d", req.QueueCap, MaxQueueCap)
 	}
 	if req.Mode > TargetDefined {
 		return nil, fmt.Errorf("subscribe: unknown mode %d", req.Mode)

@@ -2,6 +2,7 @@ package subscribe
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -420,6 +421,37 @@ func TestHandleConnLifecycle(t *testing.T) {
 	}
 	if err := <-closed; err != nil {
 		t.Errorf("close: %v", err)
+	}
+	if acc := reg.Snapshot().Counters["sonata_subscribe_accepted_total"]; acc != 1 {
+		t.Errorf("accepted_total = %d, want 1", acc)
+	}
+}
+
+// TestHandleConnRefusesDeepQueues: a remote MsgSubscribe asking for a send
+// queue deeper than MaxQueueCap is answered with MsgError and attaches
+// nothing — the queue is allocated at attach, so 1<<62 would panic and
+// 1<<30 would ask for gigabytes — while MaxQueueCap itself is accepted.
+func TestHandleConnRefusesDeepQueues(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := NewServer()
+	s.Instrument(reg)
+	defer s.Close()
+	for _, c := range []struct {
+		queueCap int
+		want     netproto.MsgType
+	}{
+		{1 << 62, netproto.MsgError},
+		{1 << 30, netproto.MsgError},
+		{MaxQueueCap + 1, netproto.MsgError},
+		{MaxQueueCap, netproto.MsgSubscribeOK},
+	} {
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(&SubscribeRequest{Mode: OnChange, QueueCap: c.queueCap}); err != nil {
+			t.Fatal(err)
+		}
+		if got := handshake(t, s, body.Bytes()); got != c.want {
+			t.Errorf("QueueCap %d: server answered %v, want %v", c.queueCap, got, c.want)
+		}
 	}
 	if acc := reg.Snapshot().Counters["sonata_subscribe_accepted_total"]; acc != 1 {
 		t.Errorf("accepted_total = %d, want 1", acc)

@@ -119,3 +119,18 @@ func ServeDebugMux(addr string, mux *http.ServeMux) (*http.Server, net.Addr, err
 	go srv.Serve(ln)
 	return srv, ln.Addr(), nil
 }
+
+// HumanNS renders nanoseconds as a compact duration for the text views of
+// the debug endpoints.
+func HumanNS(ns int64) string {
+	switch {
+	case ns >= 1_000_000_000:
+		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
+	case ns >= 1_000_000:
+		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
+	case ns >= 1_000:
+		return fmt.Sprintf("%.1fus", float64(ns)/1e3)
+	default:
+		return fmt.Sprintf("%dns", ns)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/telemetry"
 )
 
 // spanJSON is one span in the /debug/trace JSON schema: interned ids
@@ -126,15 +128,15 @@ func spanLabel(sp *Span) string {
 
 // WriteChrome serializes retained trees in the Chrome trace-event format
 // ("X" complete events, microsecond timestamps) that Perfetto and
-// chrome://tracing load directly. Lanes map to tids: tid 0 is the window
-// close path (orchestration lane), tid i+1 worker shard i. The output is
-// deterministic for a given tree set (fixed field and attribute order), so
-// a golden file can pin the schema.
+// chrome://tracing load directly. Shards map to tids: tid 0 is the window
+// close path (the orchestration goroutine), tid i+1 worker shard i. The
+// output is deterministic for a given tree set (fixed field and attribute
+// order), so a golden file can pin the schema.
 func WriteChrome(w io.Writer, trees []*Tree) {
 	io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	io.WriteString(w, `{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"sonata window pipeline"}}`)
 	fmt.Fprintf(w, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"close path\"}}")
-	// Name every worker-shard lane that appears in the tree set.
+	// Name every worker shard that appears in the tree set.
 	shards := map[int16]bool{}
 	for _, tr := range trees {
 		for i := range tr.Spans {
@@ -154,10 +156,7 @@ func WriteChrome(w io.Writer, trees []*Tree) {
 	for _, tr := range trees {
 		for i := range tr.Spans {
 			sp := &tr.Spans[i]
-			dur := sp.DurNS
-			if dur < 0 {
-				dur = 0
-			}
+			dur := max(sp.DurNS, 0)
 			fmt.Fprintf(w, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":%q,\"cat\":%q,\"ts\":%.3f,\"dur\":%.3f,\"args\":{",
 				int(sp.Shard)+1, spanLabel(sp), tr.Reason,
 				float64(sp.StartNS)/1e3, float64(dur)/1e3)
@@ -179,18 +178,18 @@ func WriteChrome(w io.Writer, trees []*Tree) {
 // children indented under parents.
 func RenderWaterfall(st Stats, trees []*Tree) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "tracez: %d windows, %d spans (%d dropped), %d retained trees, close p50 %s p99 %s\n",
-		st.Windows, st.Spans, st.Dropped, st.Retained,
-		humanNS(st.CloseP50NS), humanNS(st.CloseP99NS))
+	fmt.Fprintf(&b, "tracez: %d windows, %d spans, %d retained trees, close p50 %s p99 %s\n",
+		st.Windows, st.Spans, st.Retained,
+		telemetry.HumanNS(st.CloseP50NS), telemetry.HumanNS(st.CloseP99NS))
 	if len(trees) == 0 {
 		b.WriteString("no retained trees\n")
 		return b.String()
 	}
 	for _, tr := range trees {
 		fmt.Fprintf(&b, "\nwindow %d  close %s  reason %s",
-			tr.Window, humanNS(tr.CloseNS), tr.Reason)
+			tr.Window, telemetry.HumanNS(tr.CloseNS), tr.Reason)
 		if tr.ThresholdNS >= 0 {
-			fmt.Fprintf(&b, "  (threshold %s)", humanNS(tr.ThresholdNS))
+			fmt.Fprintf(&b, "  (threshold %s)", telemetry.HumanNS(tr.ThresholdNS))
 		}
 		b.WriteByte('\n')
 		children := map[uint32][]*Span{}
@@ -208,7 +207,7 @@ func RenderWaterfall(st Stats, trees []*Tree) string {
 			for _, sp := range children[parent] {
 				fmt.Fprintf(&b, "  %s+%-9s %-9s %s",
 					strings.Repeat("  ", depth),
-					humanNS(sp.StartNS-tr.StartNS), humanNS(max64(sp.DurNS, 0)),
+					telemetry.HumanNS(sp.StartNS-tr.StartNS), telemetry.HumanNS(max(sp.DurNS, 0)),
 					spanLabel(sp))
 				if sp.Shard >= 0 {
 					fmt.Fprintf(&b, " [shard %d]", sp.Shard)
@@ -224,27 +223,4 @@ func RenderWaterfall(st Stats, trees []*Tree) string {
 		walk(0, 0)
 	}
 	return b.String()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// humanNS renders nanoseconds compactly (duplicated from flightrec to keep
-// the import graph acyclic: flightrec links to /debug/trace, not the other
-// way around).
-func humanNS(ns int64) string {
-	switch {
-	case ns >= 1_000_000_000:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1_000_000:
-		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
-	case ns >= 1_000:
-		return fmt.Sprintf("%.1fus", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }

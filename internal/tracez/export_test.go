@@ -141,14 +141,7 @@ func TestWaterfall(t *testing.T) {
 func TestHandler(t *testing.T) {
 	tz := New(Options{HeadEvery: 1})
 	for w := 0; w < 3; w++ {
-		r := tz.Lane(0)
-		r.SetContext(w, 0)
-		root := r.Start(NameWindow)
-		r.SetContext(w, root.ID())
-		sw := r.Start(NameSwitchPass)
-		sw.Attr(AttrFrames, 100)
-		sw.End()
-		tz.CloseWindow(w, root.End().Nanoseconds())
+		tz.CloseWindow(w, window(w, 1000))
 	}
 	h := tz.Handler()
 

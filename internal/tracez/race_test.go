@@ -1,84 +1,102 @@
 package tracez
 
 import (
+	"fmt"
+	"io"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestConcurrentLanesRace is the concurrency contract under -race (`make
-// check-trace`): 8 goroutines hammer Start/Instance/Attr/End on their own
-// lanes while the orchestration goroutine rotates the rings with
-// CloseWindow between windows. The per-window WaitGroup join models the
-// runtime's worker barrier — the happens-before edge the single-writer
-// rings rely on.
-func TestConcurrentLanesRace(t *testing.T) {
+// TestCloseWindowAgainstReaders is the concurrency contract under -race
+// (`make check-trace`): the close goroutine hands the tracer one tree per
+// window, written into a single reused slice as the runtime does, while
+// readers poll what /debug/trace and the flight recorder's trace cross-link
+// call — the Handler in all three formats, Trees, Has and Stats. Every tree
+// a reader sees must be whole: each span stamped with the tree's window,
+// which fails if the tracer kept the caller's slice instead of a copy.
+func TestCloseWindowAgainstReaders(t *testing.T) {
 	const (
-		workers      = 8
-		windows      = 50
-		spansPerLane = 200
-		ringCap      = 64 // smaller than spansPerLane: rotation under drops
+		windows = 200
+		readers = 4
 	)
-	tz := New(Options{RingCap: ringCap, HeadEvery: 5, MinWindows: 10})
-	orch := tz.Lane(0)
-	lanes := make([]*Ring, workers)
-	for i := range lanes {
-		lanes[i] = tz.Lane(i + 1)
+	tz := New(Options{HeadEvery: 3, MinWindows: 10, RetainCap: 8})
+	h := tz.Handler()
+	var done atomic.Bool
+	errs := make(chan error, readers)
+	report := func(err error) { // keeps the first few; readers carry on
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	// ready holds the second half of the windows back until every reader
+	// has made a pass, so the readers overlap the closes.
+	var wg, ready sync.WaitGroup
+	ready.Add(readers)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			formats := []string{"", "?format=text", "?format=chrome"}
+			for n := 0; !done.Load(); n++ {
+				if n == 1 {
+					ready.Done()
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace"+formats[(i+n)%3], nil))
+				io.Copy(io.Discard, rec.Body)
+				tz.Has(n % windows)
+				if st := tz.Stats(); st.Retained > 8 {
+					report(fmt.Errorf("stats report %d retained trees past the capacity of 8", st.Retained))
+				}
+				for _, tr := range tz.Trees() {
+					for _, sp := range tr.Spans {
+						if int(sp.Window) != tr.Window {
+							report(fmt.Errorf("tree of window %d holds a span of window %d", tr.Window, sp.Window))
+						}
+					}
+				}
+			}
+		}(i)
 	}
 
+	spans := make([]Span, 0, 16)
 	for w := 0; w < windows; w++ {
-		orch.SetContext(w, 0)
-		root := orch.Start(NameWindow)
-		orch.SetContext(w, root.ID())
-		se := orch.Start(NameStreamEval)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(lane *Ring) {
-				defer wg.Done()
-				lane.SetContext(w, se.ID())
-				for s := 0; s < spansPerLane; s++ {
-					sp := lane.Start(NameOpEval)
-					sp.Instance(uint16(s%7+1), uint8(s%32))
-					sp.Attr(AttrTuplesIn, uint64(s))
-					sp.End()
-				}
-			}(lanes[i])
+		if w == windows/2 {
+			ready.Wait()
 		}
-		wg.Wait()
-		se.End()
-		tz.CloseWindow(w, root.End().Nanoseconds())
+		spans = append(spans[:0], window(w, int64(1000+w%7))...)
+		for op := 0; op < 8; op++ {
+			sp := Span{Name: NameOpEval, Parent: 2, Shard: int16(op % 2), QID: uint16(op + 1)}.
+				With(AttrTuplesIn, uint64(op))
+			sp.ID, sp.Window = uint32(len(spans)+1), int32(w)
+			spans = append(spans, sp)
+		}
+		tz.CloseWindow(w, spans)
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 
 	st := tz.Stats()
-	if st.Windows != windows {
-		t.Fatalf("windows = %d, want %d", st.Windows, windows)
+	if st.Windows != windows || st.Spans != windows*11 {
+		t.Fatalf("windows/spans = %d/%d, want %d/%d", st.Windows, st.Spans, windows, windows*11)
 	}
-	// Every lane fills to capacity each window and drops the rest.
-	wantSpans := uint64(windows * (workers*ringCap + 2))
-	wantDrops := uint64(windows * workers * (spansPerLane - ringCap))
-	if st.Spans != wantSpans || st.Dropped != wantDrops {
-		t.Fatalf("spans/drops = %d/%d, want %d/%d",
-			st.Spans, st.Dropped, wantSpans, wantDrops)
+	if st.Retained != 8 {
+		t.Fatalf("retained = %d, want the capacity 8", st.Retained)
 	}
-	if st.Retained == 0 {
-		t.Fatal("head sampling retained nothing")
-	}
-	// Retained trees must be structurally sound: op spans parent to the
-	// stream_eval span of their window.
 	for _, tr := range tz.Trees() {
-		var seID uint32
-		for i := range tr.Spans {
-			if tr.Spans[i].Name == NameStreamEval {
-				seID = tr.Spans[i].ID
-			}
+		if len(tr.Spans) != 11 || !tz.Has(tr.Window) {
+			t.Fatalf("window %d: %d spans retained, want 11", tr.Window, len(tr.Spans))
 		}
-		if seID == 0 {
-			t.Fatalf("window %d tree missing stream_eval span", tr.Window)
-		}
-		for i := range tr.Spans {
-			sp := &tr.Spans[i]
-			if sp.Name == NameOpEval && sp.Parent != seID {
-				t.Fatalf("window %d op span parent %d, want %d", tr.Window, sp.Parent, seID)
+		for _, sp := range tr.Spans {
+			if int(sp.Window) != tr.Window {
+				t.Fatalf("tree of window %d holds a span of window %d", tr.Window, sp.Window)
 			}
 		}
 	}

@@ -6,29 +6,31 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestSpanTreeStructure builds one window's tree across two lanes and
-// checks ids, parenting, shard attribution, and attributes.
+// window writes a window's tree the way the runtime does at close: the
+// root (whose duration is the close latency), a stream_eval stage under it
+// and one op span on shard 0 under that, ids their positions from 1.
+func window(w int, closeNS int64) []Span {
+	spans := []Span{
+		{Name: NameWindow, Shard: -1, StartNS: 1000, DurNS: closeNS},
+		{Name: NameStreamEval, Parent: 1, Shard: -1, StartNS: 1100, DurNS: closeNS / 2},
+		Span{Name: NameOpEval, Parent: 2, QID: 7, Level: 32, StartNS: 1200, DurNS: closeNS / 4}.
+			With(AttrTuplesIn, 120).With(AttrResults, 3),
+	}
+	for i := range spans {
+		spans[i].ID, spans[i].Window = uint32(i+1), int32(w)
+	}
+	return spans
+}
+
+// TestSpanTreeStructure hands one window's tree to the tracer and checks
+// the retained copy: ids, parenting, shard attribution and attributes, the
+// close latency taken from the root, and that the caller may reuse its
+// slice.
 func TestSpanTreeStructure(t *testing.T) {
 	tz := New(Options{HeadEvery: 1}) // retain everything
-	orch, shard0 := tz.Lane(0), tz.Lane(1)
-
-	orch.SetContext(3, 0)
-	root := orch.Start(NameWindow)
-	if root.ID() == 0 {
-		t.Fatal("root span got id 0")
-	}
-	orch.SetContext(3, root.ID())
-	se := orch.Start(NameStreamEval)
-	shard0.SetContext(3, se.ID())
-	op := shard0.Start(NameOpEval)
-	op.Instance(7, 32)
-	op.Attr(AttrTuplesIn, 120)
-	op.Attr(AttrResults, 3)
-	op.End()
-	se.Attr(AttrTuplesIn, 120)
-	se.End()
-	closeNS := root.End().Nanoseconds()
-	tz.CloseWindow(3, closeNS)
+	spans := window(3, 5000)
+	tz.CloseWindow(3, spans)
+	spans[2].QID = 99 // the next window's writes must not reach the tree
 
 	trees := tz.Trees()
 	if len(trees) != 1 {
@@ -41,14 +43,7 @@ func TestSpanTreeStructure(t *testing.T) {
 	if len(tr.Spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(tr.Spans))
 	}
-	byName := map[uint16]*Span{}
-	for i := range tr.Spans {
-		byName[tr.Spans[i].Name] = &tr.Spans[i]
-	}
-	rootSp, seSp, opSp := byName[NameWindow], byName[NameStreamEval], byName[NameOpEval]
-	if rootSp == nil || seSp == nil || opSp == nil {
-		t.Fatal("missing expected spans")
-	}
+	rootSp, seSp, opSp := tr.Spans[0], tr.Spans[1], tr.Spans[2]
 	if rootSp.Parent != 0 || seSp.Parent != rootSp.ID || opSp.Parent != seSp.ID {
 		t.Errorf("bad parenting: root.parent=%d se.parent=%d (root=%d) op.parent=%d (se=%d)",
 			rootSp.Parent, seSp.Parent, rootSp.ID, opSp.Parent, seSp.ID)
@@ -57,61 +52,27 @@ func TestSpanTreeStructure(t *testing.T) {
 		t.Errorf("shard attribution: root=%d want -1, op=%d want 0", rootSp.Shard, opSp.Shard)
 	}
 	if opSp.QID != 7 || opSp.Level != 32 {
-		t.Errorf("op instance = q%d/%d, want q7/32", opSp.QID, opSp.Level)
+		t.Errorf("op instance = q%d/%d, want q7/32 (the tree must be a copy)", opSp.QID, opSp.Level)
 	}
 	if opSp.NAttr != 2 || opSp.Attrs[0] != (Attr{AttrTuplesIn, 120}) || opSp.Attrs[1] != (Attr{AttrResults, 3}) {
 		t.Errorf("op attrs = %v (n=%d)", opSp.Attrs, opSp.NAttr)
 	}
-	if rootSp.DurNS <= 0 || tr.CloseNS != rootSp.DurNS {
-		t.Errorf("root dur %d vs tree close %d", rootSp.DurNS, tr.CloseNS)
+	if tr.CloseNS != 5000 || tr.StartNS != rootSp.StartNS {
+		t.Errorf("tree close %d start %d, want the root's 5000 and %d", tr.CloseNS, tr.StartNS, rootSp.StartNS)
+	}
+	var sp Span
+	for i := 0; i < maxAttrs+1; i++ {
+		sp = sp.With(AttrBytes, uint64(i))
+	}
+	if sp.NAttr != maxAttrs || sp.Attrs[maxAttrs-1].Val != maxAttrs-1 {
+		t.Errorf("With past maxAttrs: n=%d attrs=%v, want the first %d kept", sp.NAttr, sp.Attrs, maxAttrs)
 	}
 }
 
-// TestRingDropsWhenFull: a full ring drops new spans (never overwrites)
-// and counts them; the drop surfaces in Stats after the window closes.
-func TestRingDropsWhenFull(t *testing.T) {
-	tz := New(Options{RingCap: 2, HeadEvery: -1})
-	r := tz.Lane(0)
-	r.SetContext(0, 0)
-	a, b := r.Start(NameWindow), r.Start(NameSwitchPass)
-	c := r.Start(NameStreamEval) // dropped
-	if a.ID() == 0 || b.ID() == 0 {
-		t.Fatal("first two spans should fit")
-	}
-	if c.ID() != 0 {
-		t.Fatal("third span should have been dropped")
-	}
-	if d := c.End(); d < 0 {
-		t.Fatal("inert handle must still measure elapsed time")
-	}
-	b.End()
-	a.End()
-	tz.CloseWindow(0, 1)
-	st := tz.Stats()
-	if st.Spans != 2 || st.Dropped != 1 {
-		t.Fatalf("stats = %d spans %d dropped, want 2/1", st.Spans, st.Dropped)
-	}
-	// The ring reset makes room again.
-	if sp := r.Start(NameWindow); sp.ID() == 0 {
-		t.Fatal("ring did not reset after CloseWindow")
-	}
-}
-
-// TestNilSafety: a nil tracer and nil ring no-op on every method.
+// TestNilSafety: a nil tracer no-ops on every method.
 func TestNilSafety(t *testing.T) {
 	var tz *Tracer
-	r := tz.Lane(0)
-	r.SetContext(1, 2)
-	sp := r.Start(NameWindow)
-	sp.Instance(1, 2)
-	sp.Attr(AttrFrames, 1)
-	if sp.ID() != 0 {
-		t.Error("nil ring span must have id 0")
-	}
-	if sp.End() < 0 {
-		t.Error("nil ring End must return elapsed time")
-	}
-	tz.CloseWindow(0, 1)
+	tz.CloseWindow(0, window(0, 1))
 	tz.Instrument(nil)
 	if tz.Has(0) || tz.Trees() != nil || tz.Stats() != (Stats{}) {
 		t.Error("nil tracer must report empty state")
@@ -152,13 +113,7 @@ func TestEstimator(t *testing.T) {
 // retains every Nth window regardless.
 func TestLatencyTriggeredRetention(t *testing.T) {
 	tz := New(Options{MinWindows: 8, HeadEvery: 10, RetainCap: 16})
-	closeOne := func(window int, closeNS int64) {
-		r := tz.Lane(0)
-		r.SetContext(window, 0)
-		sp := r.Start(NameWindow)
-		sp.End()
-		tz.CloseWindow(window, closeNS)
-	}
+	closeOne := func(w int, closeNS int64) { tz.CloseWindow(w, window(w, closeNS)) }
 	for w := 0; w < 25; w++ {
 		closeOne(w, 1_000_000) // typical ~1ms windows
 	}
@@ -196,11 +151,7 @@ func TestLatencyTriggeredRetention(t *testing.T) {
 func TestRetainedEvictsOldest(t *testing.T) {
 	tz := New(Options{RetainCap: 2, HeadEvery: 1})
 	for w := 0; w < 4; w++ {
-		r := tz.Lane(0)
-		r.SetContext(w, 0)
-		sp := r.Start(NameWindow)
-		sp.End()
-		tz.CloseWindow(w, 1000)
+		tz.CloseWindow(w, window(w, 1000))
 	}
 	trees := tz.Trees()
 	if len(trees) != 2 || trees[0].Window != 3 || trees[1].Window != 2 {
@@ -215,20 +166,13 @@ func TestRetainedEvictsOldest(t *testing.T) {
 // TestInstrumentCounters: the registry series mirror the tracer's
 // bookkeeping and pass the metric lint.
 func TestInstrumentCounters(t *testing.T) {
-	tz := New(Options{RingCap: 1, HeadEvery: 1})
+	tz := New(Options{HeadEvery: 1})
 	reg := telemetry.NewRegistry()
 	tz.Instrument(reg)
-	r := tz.Lane(0)
-	r.SetContext(0, 0)
-	r.Start(NameWindow).End()
-	r.Start(NameSwitchPass).End() // dropped: ring cap 1
-	tz.CloseWindow(0, 1000)
+	tz.CloseWindow(0, window(0, 1000))
 	s := reg.Snapshot()
-	if got := s.Counter("sonata_tracez_spans_total"); got != 1 {
-		t.Errorf("spans_total = %d, want 1", got)
-	}
-	if got := s.Counter("sonata_tracez_dropped_total"); got != 1 {
-		t.Errorf("dropped_total = %d, want 1", got)
+	if got := s.Counter("sonata_tracez_spans_total"); got != 3 {
+		t.Errorf("spans_total = %d, want 3", got)
 	}
 	if got := s.Counter("sonata_tracez_retained_total"); got != 1 {
 		t.Errorf("retained_total = %d, want 1", got)
