@@ -42,7 +42,9 @@ bench:
 # the per-tuple interpreter the stream tests keep (interp_ref_test.go) over
 # generated op chains entered by tuples and by packets and adversarial
 # window sizes, every batched switch walk against the frame-at-a-time walk
-# the pisa tests keep; then the boundary between the two, batch hand-off
+# the pisa tests keep, and the register probe — column hashing and packing,
+# the chain walk, the dump — against the model bank over random sequences and
+# the FuzzRegisterBank seeds; then the boundary between the two, batch hand-off
 # against the wire codec's round trip the emitter tests keep — all three
 # again over the small-scale eleven-query plan, the wire side's engine
 # batched; once, the sharded runtime at 2/8 workers against one shard
@@ -64,7 +66,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestSelections|TestColumnPool' ./internal/tuple
 	$(GO) test -race -count=1 -run 'TestUpsertRowsAgainstMap' ./internal/keytab
 	$(GO) test -race -count=1 -run 'TestBatched' ./internal/stream
-	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns' ./internal/pisa
+	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct' ./internal/planner
@@ -126,14 +128,22 @@ check-examples:
 # (FuzzWindowDataDumps), each seeded from internal/drivers/testdata/fuzz,
 # then ten of arbitrary MsgSubscribe bodies through the subscription
 # server's HandleConn (FuzzSubscribeRequest), seeded from
-# internal/subscribe/testdata/fuzz; any panic fails the gate.
+# internal/subscribe/testdata/fuzz, then ten of arbitrary capture files
+# through pcap.Reader (FuzzPcapReader) and ten of arbitrary bank shapes and
+# update streams through the register probe against the model bank
+# (FuzzRegisterBank), each seeded from its package's testdata/fuzz; any panic
+# or divergence fails the gate. FuzzRegisterBank's minimization is capped:
+# uncapped, shrinking one new input can take the whole ten seconds.
 check-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDataPlaneInstall -fuzztime 10s ./internal/drivers
 	$(GO) test -run '^$$' -fuzz FuzzWindowDataDumps -fuzztime 10s ./internal/drivers
 	$(GO) test -run '^$$' -fuzz FuzzSubscribeRequest -fuzztime 10s ./internal/subscribe
+	$(GO) test -run '^$$' -fuzz FuzzPcapReader -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz FuzzRegisterBank -fuzztime 10s -fuzzminimizetime 200x ./internal/pisa
 
-# Gating allocation budget: TestAllocBudget pins each hot path's allocs/op
-# against alloc_budget.json (zero for every path but the runtime's whole
+# Gating allocation budget: TestAllocBudget (and, for the register probe
+# beyond L2, internal/pisa's TestRegisterBankProbeAllocBudget) pins each hot
+# path's allocs/op against alloc_budget.json (zero for every path but the runtime's whole
 # window close, which allocates its report and refinement rule sets, and
 # planner training and plan selection, whose ceilings are their measured
 # counts);
@@ -144,6 +154,8 @@ check-fuzz:
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
 		-bench 'BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
+	$(GO) test -run TestRegisterBankProbeAllocBudget -benchtime 1000x -benchmem \
+		-bench 'BenchmarkRegisterBankProbe$$' ./internal/pisa
 
 # Quick perf regression probe: the benchmark harness (bench/README.md) at
 # smoke size — all four workloads, plain and traced, ~30 s — leaving the

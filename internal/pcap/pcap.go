@@ -26,6 +26,11 @@ const (
 
 	globalHeaderLen = 24
 	recordHeaderLen = 16
+
+	// maxCapLen is libpcap's MAXIMUM_SNAPLEN: no capture holds a longer
+	// record, so a longer capture length is a corrupt header, refused before
+	// anything is allocated for it — whatever the snap length says.
+	maxCapLen = 262144
 )
 
 // Header is the global file header.
@@ -150,7 +155,7 @@ func (r *Reader) Next() (Record, error) {
 	frac := r.order.Uint32(hdr[4:8])
 	capLen := r.order.Uint32(hdr[8:12])
 	origLen := r.order.Uint32(hdr[12:16])
-	if r.hdr.SnapLen > 0 && capLen > r.hdr.SnapLen+65536 {
+	if capLen > maxCapLen || r.hdr.SnapLen > 0 && capLen > r.hdr.SnapLen+65536 {
 		return Record{}, fmt.Errorf("pcap: implausible capture length %d", capLen)
 	}
 	data := make([]byte, capLen)

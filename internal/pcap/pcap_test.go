@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -153,4 +154,59 @@ func TestEmptyFileIsCleanEOF(t *testing.T) {
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("want io.EOF on empty capture, got %v", err)
 	}
+}
+
+// hugeRecord is a 40-byte capture: a global header with snap length 0 and
+// one record header claiming a 1 GiB record that the file does not hold.
+func hugeRecord() []byte {
+	raw := make([]byte, globalHeaderLen+recordHeaderLen)
+	binary.LittleEndian.PutUint32(raw[0:4], MagicMicroseconds)
+	binary.LittleEndian.PutUint32(raw[20:24], LinkTypeEthernet)
+	binary.LittleEndian.PutUint32(raw[globalHeaderLen+8:], 1<<30)
+	binary.LittleEndian.PutUint32(raw[globalHeaderLen+12:], 1<<30)
+	return raw
+}
+
+// TestHugeCaptureLengthRefused: with snap length 0 nothing in the header
+// bounds a record, so the reader must refuse a capture length past libpcap's
+// maximum before allocating it.
+func TestHugeCaptureLengthRefused(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(hugeRecord()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.Next()
+	runtime.ReadMemStats(&after)
+	if err == nil || err == io.EOF {
+		t.Fatalf("a 1 GiB capture length was accepted: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxCapLen {
+		t.Errorf("refusing the record allocated %d bytes", grew)
+	}
+}
+
+// FuzzPcapReader reads arbitrary bytes as a capture file, record after
+// record. Whatever the bytes, the reader must not panic, must end on an
+// error or io.EOF, and must hand out no record longer than libpcap's
+// maximum snap length. The seed corpus (testdata/fuzz) holds a small valid
+// capture of each byte order and resolution, truncated ones, and the
+// 40-byte file whose record header claims 1 GiB.
+func FuzzPcapReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r, err := NewReader(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				return
+			}
+			if len(rec.Data) > maxCapLen {
+				t.Fatalf("a %d-byte record", len(rec.Data))
+			}
+		}
+	})
 }

@@ -512,3 +512,50 @@ func TestEntriesFor(t *testing.T) {
 		}
 	}
 }
+
+// TestReduceOverStringValueColumn: a reduce may sum a string-valued column,
+// whose values' numeric part is zero, as the stream processor's reduce reads
+// it. The batched walk, which reads a reduce's input from the numeric column,
+// must fold the same zeros as the frame-at-a-time walk and report the same
+// running aggregates.
+func TestReduceOverStringValueColumn(t *testing.T) {
+	q := query.NewBuilder("payload_sum", time.Second).
+		Map(query.F(fields.SrcIP), query.F(fields.Payload)).
+		Reduce(query.AggSum, fields.SrcIP).
+		Map(query.C(fields.SrcIP), query.C(fields.AggVal)).
+		MustBuild()
+	var frames [][]byte
+	for i := 0; i < 12; i++ {
+		frames = append(frames, packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: uint32(1 + i%3), DstIP: 9,
+			Proto: 6, TCPFlags: fields.FlagACK, Payload: []byte{'p', byte('a' + i)}, Pad: 60}))
+	}
+	walk := func(batched bool) []string {
+		var out []string
+		sw, err := NewSwitch(DefaultConfig(), &Program{Instances: []*InstanceSpec{specFor(q, 4, 64)}},
+			func(m Mirror) { out = append(out, fmt.Sprint(m.Vals)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !batched {
+			for _, f := range frames {
+				sw.Process(f)
+			}
+			return out
+		}
+		parser, views := packet.NewParser(packet.ParserOptions{}), make([]View, len(frames))
+		for i, f := range frames {
+			views[i].Prepare(parser, f)
+		}
+		sw.ProcessViews(views)
+		return out
+	}
+	want, got := walk(false), walk(true)
+	if len(want) != len(frames) || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("batched walk reported %v, frame-at-a-time %v", got, want)
+	}
+	for _, m := range got {
+		if !strings.HasSuffix(m, " 0]") {
+			t.Fatalf("a string column summed to a non-zero aggregate: %s", m)
+		}
+	}
+}

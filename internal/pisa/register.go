@@ -13,13 +13,13 @@ import (
 // to detect hash collisions (Section 3.1.3). A slot is 32 bytes — two per
 // cache line — so a hit or a mismatch reads one line per chain: the epoch
 // stamp, the aggregate, and the key bit-packed into 128 bits at the column
-// widths the compiler charges for it. A key that does not pack (a string
-// column, more than 128 bits, a value wider than its declared field) leaves
-// a 64-bit hash tag in k0 instead and is verified against the bank's key
-// store; refTagged marks those slots.
+// widths the compiler charges for it, unpacked only if the end-of-window dump
+// emits it. A key that does not pack (a string column, more than 128 bits, a
+// value wider than its declared field) leaves a 64-bit hash tag in k0
+// instead, and ref points at its columns in the bank's store of tagged keys.
 type bankSlot struct {
 	epoch  uint32 // live when equal to the bank's epoch
-	ref    uint32 // index of the key in the bank's store; refTagged when k0 is a tag
+	ref    uint32 // 0 for a packed key; refTagged | store index for a tagged one
 	agg    uint64
 	k0, k1 uint64
 }
@@ -46,15 +46,16 @@ type RegisterBank struct {
 	// widths is each key column's bit width; nil when the key as a whole is
 	// wider than a slot's 128 key bits, so every key is tagged.
 	widths []uint8
-	// store holds each stored key's decoded columns in insertion order and
-	// pos the slot each one occupies: the store is written on first insert
-	// and read at the end-of-window dump (and to verify a tagged key), never
-	// on a packed key's probe.
+	// store holds the columns of each tagged key, written on its first
+	// insert; pos is the slot of every stored key, packed or tagged, in
+	// insertion order.
 	store keytab.Store
 	pos   []uint32
-	// key is the scratch the key columns are gathered (or unpacked) into on
-	// their way to the store.
+	// key is the scratch a tagged key's columns are gathered into.
 	key []tuple.Value
+	// dump is the arena the end-of-window dump writes key columns into;
+	// Reset truncates it.
+	dump []tuple.Value
 	// epoch stamps live slots; Reset bumps it, emptying every chain in O(1).
 	epoch uint32
 	// collisions counts failed updates this window.
@@ -102,150 +103,154 @@ func fastRange(h uint64, n int) uint64 {
 	return hi
 }
 
-// packU64 shifts a w-bit column value into the 128-bit packed key k1:k0,
-// reporting false when the value is wider than its declared field.
-func packU64(k0, k1, u uint64, w uint8) (uint64, uint64, bool) {
-	if w == 64 {
-		return u, k0, true
-	}
-	return k0<<w | u, k1<<w | k0>>(64-w), u>>w == 0
-}
-
 // packs reports whether a key of nk columns can pack at all.
 func (b *RegisterBank) packs(nk int) bool { return b.widths != nil && len(b.widths) == nk }
 
-// keyCols holds the keys of a batch's rows as hashRows leaves them: the hash
-// and the packed key of row k, or tagged[k] when that key does not pack.
+// keyCols holds the keys of a batch's rows as hashRows leaves them: row k's
+// hash, its chain-0 slot, and its slot key k1:k0 — the packed columns, or
+// the hash itself when tagged[k] (the key does not pack).
 type keyCols struct {
 	h, k0, k1 []uint64
+	p0        []uint32
 	tagged    []bool
 }
 
 // hashRows is the first half of a batch's probe: it hashes and packs the key
-// cols[keyIdx...] of every frame in rows, a column at a time
-// (keytab.HashU64, keytab.HashValue). The key is hashed and compared as
-// values, never encoded to bytes: the register probe is the hottest loop in
-// the switch model, and every consumer of bank state (dumps, mirrors) wants
-// the columns anyway.
+// cols[keyIdx...] of every frame in rows as values, a column at a time in two
+// small kernels (hashFirst, hashNext), and computes each row's chain-0 slot
+// once. Overflow is only ORed on the way: rows are tagged one by one only when
+// some value is wider than its field, or all of them when the key cannot pack.
 func (b *RegisterBank) hashRows(ks *keyCols, cols []tuple.Column, keyIdx []int, rows []int32) {
 	n := len(rows)
 	if cap(ks.h) < n {
 		ks.h, ks.k0, ks.k1 = make([]uint64, n), make([]uint64, n), make([]uint64, n)
-		ks.tagged = make([]bool, n)
+		ks.p0, ks.tagged = make([]uint32, n), make([]bool, n)
 	}
-	h, k0, k1, tagged := ks.h[:n], ks.k0[:n], ks.k1[:n], ks.tagged[:n]
-	ks.h, ks.k0, ks.k1, ks.tagged = h, k0, k1, tagged
+	h, k0, k1, p0, tagged := ks.h[:n], ks.k0[:n], ks.k1[:n], ks.p0[:n], ks.tagged[:n]
+	ks.h, ks.k0, ks.k1, ks.p0, ks.tagged = h, k0, k1, p0, tagged
 	packs := b.packs(len(keyIdx))
-	for k := range h {
-		h[k], k0[k], k1[k], tagged[k] = keytab.HashSeed, 0, 0, !packs
-	}
+	var over uint64 // the bits of every value above its field
 	for j, c := range keyIdx {
-		col := &cols[c]
+		col, w := &cols[c], uint8(64)
+		if packs {
+			w = b.widths[j]
+		}
 		switch {
 		case col.V != nil:
 			for k, r := range rows {
-				h[k], tagged[k] = keytab.HashValue(h[k], &col.V[r]), true
-			}
-		case !packs:
-			for k, r := range rows {
-				h[k] = keytab.HashU64(h[k], col.U[r])
-			}
-		default:
-			w := b.widths[j]
-			for k, r := range rows {
-				u := col.U[r]
-				h[k] = keytab.HashU64(h[k], u)
-				var fits bool
-				if k0[k], k1[k], fits = packU64(k0[k], k1[k], u, w); !fits {
-					tagged[k] = true
+				if j == 0 {
+					h[k] = keytab.HashSeed
 				}
+				h[k] = keytab.HashValue(h[k], &col.V[r])
+			}
+			packs = false
+		case j == 0:
+			over |= hashFirst(h, k0, k1, col.U, rows, w)
+		default:
+			over |= hashNext(h, k0, k1, col.U, rows, w)
+		}
+	}
+	if packs && over == 0 {
+		clear(tagged)
+	} else {
+		for k, r := range rows {
+			tag := !packs
+			for j := 0; !tag && j < len(keyIdx); j++ {
+				tag = cols[keyIdx[j]].U[r]>>b.widths[j] != 0
+			}
+			if tagged[k] = tag; tag {
+				k0[k], k1[k] = h[k], 0
 			}
 		}
 	}
+	seed, entries := b.seeds[0], b.entries
+	for k := range h {
+		p0[k] = uint32(fastRange(keytab.Mix64(h[k]^seed), entries))
+	}
 }
 
-// touch computes the first-chain slot index of every hashed row and loads
-// the slot, back to back: a loop of independent loads, so the cache misses
-// of the whole batch are in flight together — the memory-level parallelism a
-// probe loop that finishes one row before starting the next cannot expose.
-// foldRow then finds its slots on their way in. The returned sum only keeps
-// the loads alive.
+// hashFirst starts the hash and the packed key of every row from its first
+// key column u, w bits wide, returning the OR of the bits above w.
+func hashFirst(h, k0, k1, u []uint64, rows []int32, w uint8) (over uint64) {
+	hi := ^uint64(0) << w
+	for k, r := range rows {
+		v := u[r]
+		h[k], k0[k], k1[k] = keytab.HashU64(keytab.HashSeed, v), v, 0
+		over |= v & hi
+	}
+	return over
+}
+
+// hashNext folds the next key column u, w bits wide, into every row's hash
+// and shifts it into the packed key, returning the OR of the bits above w.
+// Shift counts masked below 64 keep range checks out of the loop; m clears
+// what a 64-bit column shifts out.
+func hashNext(h, k0, k1, u []uint64, rows []int32, w uint8) (over uint64) {
+	s, t, m := w&63, (64-w)&63, ^uint64(0)
+	if w == 64 {
+		m = 0
+	}
+	hi := ^uint64(0) << s & m
+	for k, r := range rows {
+		v := u[r]
+		h[k], k0[k], k1[k] = keytab.HashU64(h[k], v), k0[k]<<s&m|v, k1[k]<<s&m|k0[k]>>t
+		over |= v & hi
+	}
+	return over
+}
+
+// touch loads the chain-0 slot of every hashed row, back to back: a loop of
+// independent loads, so the cache misses of the whole batch are in flight
+// together — the memory-level parallelism a probe loop that finishes one row
+// before starting the next cannot expose. foldRow then finds its slots on
+// their way in. The returned sum only keeps the loads alive.
 func (b *RegisterBank) touch(ks *keyCols) (sum uint32) {
-	seed := b.seeds[0]
-	for _, h := range ks.h {
-		sum += b.slots[fastRange(keytab.Mix64(h^seed), b.entries)].epoch
+	for _, p := range ks.p0 {
+		sum += b.slots[p].epoch
 	}
 	return sum
 }
 
-// foldRow is the second half: the probe for row k of the keys hashRows
-// prepared, which is frame i of cols. It folds v into the key's slot using
-// fn; ok is false when all d chains collide (the caller shunts the packet to
-// the stream processor), and newKey reports the key's first touch this
-// window — the signal for one-packet-per-key reporting.
+// foldRow is the second half, the probe of row k of the keys hashRows
+// prepared, which is frame i of cols: it walks the key's d slots from its
+// chain-0 slot on and folds v into the one holding the key, using fn. A
+// packed key hits on equal words in a packed slot, reading nothing but that
+// slot's line; a tagged key must also equal a tagged slot's store entry. ok
+// is false when all d chains collide (the caller shunts the packet to the
+// stream processor); newKey reports the key's first touch this window.
 func (b *RegisterBank) foldRow(ks *keyCols, k int, cols []tuple.Column, keyIdx []int, i int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
-	if !ks.tagged[k] {
-		return b.fold(ks.h[k], ks.k0[k], ks.k1[k], nil, v, fn)
+	k0, k1, p := ks.k0[k], ks.k1[k], int(ks.p0[k])
+	var key []tuple.Value // a tagged key's columns
+	if ks.tagged[k] {
+		key = b.key[:0]
+		for _, c := range keyIdx {
+			key = append(key, cols[c].At(i))
+		}
+		b.key = key
 	}
-	key := b.key[:0]
-	for _, c := range keyIdx {
-		key = append(key, cols[c].At(i))
-	}
-	b.key = key
-	return b.fold(ks.h[k], ks.h[k], 0, key, v, fn)
-}
-
-// fold is the probe: it walks the d slots hash h selects and folds v into
-// the one holding the key — k1:k0 packed when tagged is nil, else the tag k0
-// standing for the key columns tagged, which a matching slot's store entry
-// must equal. One predicate decides a hit either way, and a packed key never
-// leaves the slot's cache line.
-func (b *RegisterBank) fold(h, k0, k1 uint64, tagged []tuple.Value, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
-	var flag uint32
-	if tagged != nil {
-		flag = refTagged
-	}
-	for c, seed := range b.seeds {
-		p := c*b.entries + int(fastRange(keytab.Mix64(h^seed), b.entries))
+	for c := 0; ; {
 		s := &b.slots[p]
 		if s.epoch != b.epoch {
-			key := tagged
-			if key == nil {
-				key = b.unpack(k0, k1)
+			var ref uint32
+			if key != nil {
+				ref = refTagged | uint32(b.store.Append(key, 0))
 			}
-			// Key columns are copied into the flat store only on first
-			// insert, keeping the steady-state probe allocation-free.
-			*s = bankSlot{epoch: b.epoch, ref: flag | uint32(b.store.Append(key, 0)),
-				agg: v, k0: k0, k1: k1}
+			*s = bankSlot{epoch: b.epoch, ref: ref, agg: v, k0: k0, k1: k1}
 			b.pos = append(b.pos, uint32(p))
 			return v, true, true
 		}
-		if s.k0 == k0 && s.k1 == k1 && s.ref&refTagged == flag &&
-			(tagged == nil || equalKey(b.store.KeyVals(int(s.ref&^refTagged)), tagged)) {
+		if s.k0 == k0 && s.k1 == k1 && (s.ref == 0) == (key == nil) &&
+			(s.ref == 0 || equalKey(b.store.KeyVals(int(s.ref&^refTagged)), key)) {
 			s.agg = fn.Apply(s.agg, v)
 			return s.agg, false, true
 		}
+		if c++; c == len(b.seeds) {
+			break
+		}
+		p = c*b.entries + int(fastRange(keytab.Mix64(ks.h[k]^b.seeds[c]), b.entries))
 	}
 	b.collisions++
 	return 0, false, false
-}
-
-// unpack decodes a packed key back into its columns (in the bank's scratch)
-// for the store.
-func (b *RegisterBank) unpack(k0, k1 uint64) []tuple.Value {
-	key := b.key[:len(b.widths)]
-	for j := len(key) - 1; j >= 0; j-- {
-		w := b.widths[j]
-		if w == 64 {
-			key[j] = tuple.U64(k0)
-			k0, k1 = k1, 0
-			continue
-		}
-		key[j] = tuple.U64(k0 & (1<<w - 1))
-		k0, k1 = k0>>w|k1<<(64-w), k1>>w
-	}
-	b.key = key
-	return key
 }
 
 func equalKey(a, b []tuple.Value) bool {
@@ -265,8 +270,7 @@ func equalKey(a, b []tuple.Value) bool {
 // returns how many rows collided in all d chains: the collision-rate model of
 // Figure 3.
 func (b *RegisterBank) FoldColumn(col tuple.Column, inc uint64, fn query.AggFunc) (collided int) {
-	n := len(col.U) + len(col.V)
-	rows := make([]int32, n)
+	rows := make([]int32, len(col.U)+len(col.V))
 	for i := range rows {
 		rows[i] = int32(i)
 	}
@@ -282,13 +286,37 @@ func (b *RegisterBank) FoldColumn(col tuple.Column, inc uint64, fn query.AggFunc
 }
 
 // Entry returns the i-th stored (key columns, value) pair in insertion
-// order, 0 <= i < Stored() — deterministic, unlike a map iteration. KeyVals
-// alias the bank's storage: they stay valid through Reset but are
-// overwritten once the next window's first keys arrive, so callers consume
-// or copy them before feeding new traffic — exactly the runtime's
-// window-close sequence.
+// order, 0 <= i < Stored() — deterministic, unlike a map iteration. Its
+// KeyVals are written into the bank's dump arena (dumpKey).
 func (b *RegisterBank) Entry(i int) DumpEntry {
-	return DumpEntry{KeyVals: b.store.KeyVals(i), Val: b.slots[b.pos[i]].agg}
+	return DumpEntry{KeyVals: b.dumpKey(i), Val: b.slots[b.pos[i]].agg}
+}
+
+// dumpKey appends stored key i's columns to the dump arena and returns them:
+// a packed key unpacked from its slot, a tagged one copied from the store.
+// They stay valid through Reset, until the next window's dump writes the
+// arena again.
+func (b *RegisterBank) dumpKey(i int) []tuple.Value {
+	s := &b.slots[b.pos[i]]
+	if s.ref == 0 {
+		return b.unpack(s.k0, s.k1)
+	}
+	start := len(b.dump)
+	b.dump = append(b.dump, b.store.KeyVals(int(s.ref&^refTagged))...)
+	return b.dump[start:len(b.dump):len(b.dump)]
+}
+
+// unpack appends the columns of the packed key k1:k0 to the dump arena and
+// returns them.
+func (b *RegisterBank) unpack(k0, k1 uint64) []tuple.Value {
+	start := len(b.dump)
+	b.dump = append(b.dump, make([]tuple.Value, len(b.widths))...)
+	key := b.dump[start:len(b.dump):len(b.dump)]
+	for j := len(key) - 1; j >= 0; j-- {
+		w := b.widths[j] // a shift by 64 leaves 0, so w == 64 needs no case
+		key[j].U, k0, k1 = k0&(1<<w-1), k0>>w|k1<<(64-w), k1>>w
+	}
+	return key
 }
 
 // poll appends every stored key's aggregate, in insertion order — the
@@ -308,7 +336,7 @@ func (b *RegisterBank) poll(dst []uint64) []uint64 {
 // windows when the epoch wraps).
 func (b *RegisterBank) Reset() uint64 {
 	b.store.Reset()
-	b.pos = b.pos[:0]
+	b.pos, b.dump = b.pos[:0], b.dump[:0]
 	b.epoch++
 	if b.epoch == 0 {
 		clear(b.slots)
@@ -319,8 +347,9 @@ func (b *RegisterBank) Reset() uint64 {
 	return col
 }
 
-// Stored returns the number of keys currently held.
-func (b *RegisterBank) Stored() int { return b.store.Len() }
+// Stored returns the number of keys currently held, packed or tagged: one
+// recorded slot position each (the store holds the tagged ones only).
+func (b *RegisterBank) Stored() int { return len(b.pos) }
 
 // Capacity returns the total slot count across all chains.
 func (b *RegisterBank) Capacity() int { return len(b.slots) }

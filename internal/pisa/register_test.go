@@ -279,3 +279,120 @@ func TestRegisterBankTagIsOnlyATag(t *testing.T) {
 		t.Fatalf("the tagged key's aggregate moved: %+v", e)
 	}
 }
+
+// fuzzBytes reads a fuzz input a byte at a time, and zeros past its end.
+type fuzzBytes []byte
+
+func (in *fuzzBytes) next() byte {
+	if len(*in) == 0 {
+		return 0
+	}
+	c := (*in)[0]
+	*in = (*in)[1:]
+	return c
+}
+
+// value reads one key value of a column w bits wide: c < 0x80 is a small
+// value (keys collide and repeat), c < 0xC0 one at or just below the top of
+// the field, and c >= 0xC0 one wider than the field — for a 64-bit column,
+// the next eight bytes. A string column takes one of four names.
+func (in *fuzzBytes) value(w int, str bool) tuple.Value {
+	c := in.next()
+	switch {
+	case str:
+		return tuple.Str(string(rune('a' + c%4)))
+	case c < 0x80:
+		return tuple.U64(uint64(c & 0x0F))
+	case c < 0xC0:
+		return tuple.U64(^uint64(0) >> (64 - w) &^ uint64(c&3))
+	case w < 64:
+		return tuple.U64(1<<w | uint64(c&0x13)<<(w/2) | uint64(c&3))
+	}
+	var u uint64
+	for i := 0; i < 8; i++ {
+		u = u<<8 | uint64(in.next())
+	}
+	return tuple.U64(u)
+}
+
+// FuzzRegisterBank runs the batched probe — hashRows, touch, then foldRow row
+// by row over a selection of a batch's frames — and the end-of-window dump
+// (Stored, Entry, poll, Reset) against modelBank, for a bank and an update
+// stream read from the input. The first bytes fix the bank: 1–4 key columns,
+// each 1–64 bits wide or string-valued, 1–3 chains of 1–16 slots, and the
+// aggregation function. Then each batch is a header byte (0xFF ends the
+// window: dump, compare, reset; else 1–32 frames), a selection byte (bit i%8
+// selects frame i; 0 selects all), and per frame its value byte and its key
+// values (fuzzBytes.value). One keyCols serves every batch, as the walk's
+// scratch does. The seed corpus (testdata/fuzz) holds keys that differ only
+// in their high packed word and keys whose values overflow their fields.
+func FuzzRegisterBank(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		in := fuzzBytes(raw)
+		nk := 1 + int(in.next()%4)
+		keyBits, str := make([]int, nk), make([]bool, nk)
+		keyIdx := make([]int, nk) // column 0 is the value
+		for j := range keyBits {
+			c := in.next()
+			keyBits[j], str[j], keyIdx[j] = 1+int(c%64), c >= 0xC0, j+1
+		}
+		d, n := 1+int(in.next()%3), 1+int(in.next()%16)
+		fn := query.AggFunc(in.next() % (uint8(query.AggBitOr) + 1))
+		bank, model := NewRegisterBank(n, d, keyBits), newModelBank(n, d)
+		var ks keyCols
+		dump := func() {
+			t.Helper()
+			if bank.Stored() != len(model.order) {
+				t.Fatalf("Stored = %d, model holds %d", bank.Stored(), len(model.order))
+			}
+			for i, want := range model.order {
+				if got := bank.Entry(i); got.Val != want.val || !equalKey(got.KeyVals, want.key) {
+					t.Fatalf("Entry(%d) = %+v, model %+v", i, got, *want)
+				}
+			}
+			if polled := bank.poll(nil); len(polled) != len(model.order) {
+				t.Fatalf("poll returned %d aggregates, model holds %d", len(polled), len(model.order))
+			}
+			if got, want := bank.Reset(), model.reset(); got != want {
+				t.Fatalf("Reset = %d collisions, model %d", got, want)
+			}
+		}
+		for len(in) > 0 {
+			h := in.next()
+			if h == 0xFF {
+				dump()
+				continue
+			}
+			frames, sel := 1+int(h%32), in.next()
+			cols := make([]tuple.Column, nk+1)
+			cols[0].U = make([]uint64, frames)
+			for j := range keyBits {
+				if str[j] {
+					cols[j+1].V = make([]tuple.Value, frames)
+				} else {
+					cols[j+1].U = make([]uint64, frames)
+				}
+			}
+			var rows []int32
+			for i := 0; i < frames; i++ {
+				cols[0].U[i] = uint64(in.next())
+				for j, w := range keyBits {
+					cols[j+1].Set(i, in.value(w, str[j]))
+				}
+				if sel == 0 || sel>>(i%8)&1 != 0 {
+					rows = append(rows, int32(i))
+				}
+			}
+			bank.hashRows(&ks, cols, keyIdx, rows)
+			bank.touch(&ks)
+			for k, r := range rows {
+				row, v := tuple.AppendRow(nil, cols, int(r)), cols[0].U[r]
+				wv, wk, wok := model.update(row, keyIdx, v, fn)
+				if gv, gk, gok := bank.foldRow(&ks, k, cols, keyIdx, int(r), v, fn); gv != wv || gk != wk || gok != wok {
+					t.Fatalf("foldRow(%v) = (%d, %v, %v), model (%d, %v, %v)", row, gv, gk, gok, wv, wk, wok)
+				}
+			}
+		}
+		dump()
+	})
+}

@@ -385,10 +385,10 @@ func statefulFunc(o *query.Op) query.AggFunc {
 
 // EndWindow dumps and resets every register bank, returning the aggregated
 // tuples (filtered by any merged threshold) and the closing window's stats.
-// The returned slices (and the KeyVals the dumps alias) are reused: they are
-// valid until the next EndWindow, and the dumps' key columns are overwritten
-// once the next window's first keys arrive — callers consume or copy before
-// feeding new traffic, exactly the runtime's window-close sequence.
+// Only a dumped entry's key is unpacked from its slot, into its bank's dump
+// arena. The returned slices and the KeyVals the dumps alias are reused:
+// they are valid until the next EndWindow, whatever traffic arrives in
+// between.
 func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
 	dumps := sw.dumpBuf[:0]
 	for k, st := range sw.insts {
@@ -407,14 +407,16 @@ func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
 					st.stats.OpIn[m] += uint64(stored)
 					clauses = spec.Ops[m].Clauses
 				}
+				nk := len(spec.Ops[tab.OpIdx].KeyCols)
 				sw.pollBuf = bank.poll(sw.pollBuf[:0])
 				for i, val := range sw.pollBuf {
-					keys := bank.store.KeyVals(i)
-					if !dumpPasses(clauses, keys, val) {
-						continue
+					if !dumpPasses(clauses, nk, nil, val) {
+						continue // the aggregate fails: the key stays packed
 					}
-					dumps = append(dumps, RegDump{QID: spec.QID, Level: spec.Level,
-						Side: spec.Side, MergeOp: tab.OpIdx, KeyVals: keys, Val: val})
+					if keys := bank.dumpKey(i); dumpPasses(clauses, nk, keys, val) {
+						dumps = append(dumps, RegDump{QID: spec.QID, Level: spec.Level,
+							Side: spec.Side, MergeOp: tab.OpIdx, KeyVals: keys, Val: val})
+					}
 				}
 			}
 			// Occupancy peaks at the window boundary: sample it before the
@@ -437,13 +439,16 @@ func (sw *Switch) EndWindow() ([]RegDump, WindowStats) {
 }
 
 // dumpPasses applies a merged threshold filter to a dump entry: a row of
-// the key columns followed by the aggregate, which is the column the filter
-// usually compares.
-func dumpPasses(clauses []query.Clause, keys []tuple.Value, val uint64) bool {
+// the nk key columns followed by the aggregate, which is the column the
+// filter usually compares. With keys nil, a clause on a key column passes.
+func dumpPasses(clauses []query.Clause, nk int, keys []tuple.Value, val uint64) bool {
 	for i := range clauses {
 		cl := &clauses[i]
 		v := tuple.U64(val)
-		if cl.Col < len(keys) {
+		if cl.Col < nk {
+			if keys == nil {
+				continue
+			}
 			v = keys[cl.Col]
 		}
 		if !cl.MatchValue(v) {

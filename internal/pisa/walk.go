@@ -247,18 +247,23 @@ func (sw *Switch) stateUpdate(st *instState, t int, sel []uint64, cols []tuple.C
 	for j, k := range o.KeyCols {
 		out[j] = cols[k]
 	}
-	var val *tuple.Column // the reduce's input value
-	var agg []uint64
+	var val, agg []uint64 // the reduce's input value and running aggregate
 	if !distinct {
 		nk := len(o.KeyCols)
 		out[nk] = ws.pool.Take(st.kinds[tab.OpIdx+1][nk:])[0]
-		val, agg = &cols[o.ValCol], out[nk].U
+		val, agg = cols[o.ValCol].U, out[nk].U
+		if in := cols[o.ValCol].V; in != nil { // string-kinded: staged in agg, read before written
+			for _, r := range rows {
+				agg[r] = in[r].U
+			}
+			val = agg
+		}
 	}
 	for k, r := range rows {
 		i := int(r)
 		var inc uint64 = 1
-		if val != nil {
-			inc = val.At(i).U
+		if !distinct {
+			inc = val[i]
 		}
 		newVal, newKey, ok := bank.foldRow(&ws.keys, k, cols, o.KeyCols, i, inc, fn)
 		switch {

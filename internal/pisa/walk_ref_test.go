@@ -178,13 +178,26 @@ func (b *RegisterBank) Update(vals []tuple.Value, keyIdx []int, v uint64, fn que
 			k0, k1, packed = packU64(k0, k1, kv.U, b.widths[j])
 		}
 	}
-	if packed {
-		return b.fold(h, k0, k1, nil, v, fn)
+	// The key as foldRow takes it: one row whose slot key is the packed
+	// columns, or the hash when the key does not pack.
+	cols := make([]tuple.Column, len(vals))
+	for c := range cols {
+		cols[c].V = vals[c : c+1]
 	}
-	key := b.key[:0]
-	for _, c := range keyIdx {
-		key = append(key, vals[c])
+	if !packed {
+		k0, k1 = h, 0
 	}
-	b.key = key
-	return b.fold(h, h, 0, key, v, fn)
+	ks := keyCols{h: []uint64{h}, k0: []uint64{k0}, k1: []uint64{k1},
+		p0: []uint32{uint32(fastRange(keytab.Mix64(h^b.seeds[0]), b.entries))}, tagged: []bool{!packed}}
+	return b.foldRow(&ks, 0, cols, keyIdx, 0, v, fn)
+}
+
+// packU64 shifts a w-bit column value into the 128-bit packed key k1:k0,
+// reporting false when the value is wider than its declared field: the
+// scalar form of hashRows' column kernels.
+func packU64(k0, k1, u uint64, w uint8) (uint64, uint64, bool) {
+	if w == 64 {
+		return u, k0, true
+	}
+	return k0<<w | u, k1<<w | k0>>(64-w), u>>w == 0
 }
