@@ -53,10 +53,12 @@ bench:
 # workers); planner training, which runs the kernels over one batch of
 # extracted columns per window, against the reference trainer that profiles
 # every level and edge separately over bare packets; and plan selection,
-# which prices each refinement edge once and builds only the cheapest 48
-# candidates, against the reference selector that builds and prices every
-# (path, cut-tier) combination — equal candidates, order included, and equal
-# plans. View batches, their prescreen masks and their field
+# which prices each refinement edge once and builds only each mode's
+# cheapest 48 candidates, against the reference selector that builds and
+# prices every (path, cut-tier) combination — equal candidates, order
+# included, and equal plans — and Sonata's plan against every restricted
+# mode's, never costlier, on random switches and on every small-scale Fig. 8
+# configuration. View batches, their prescreen masks and their field
 # columns are shared read-only across shards while each shard's emitter
 # adopts them into its own scratch; the race detector is what proves
 # "read-only" (`make race` runs the whole of the packages that hold them).
@@ -69,7 +71,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct' ./internal/planner
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
@@ -127,7 +129,9 @@ check-examples:
 # MsgEndWindow replies whose register dumps reach the emitter and the engine
 # (FuzzWindowDataDumps), each seeded from internal/drivers/testdata/fuzz,
 # then ten of arbitrary MsgSubscribe bodies through the subscription
-# server's HandleConn (FuzzSubscribeRequest), seeded from
+# server's HandleConn (FuzzSubscribeRequest) and ten of arbitrary MsgNotify
+# bodies through DecodeUpdate, the subscriber side's decoder, against
+# re-encoding (FuzzDecodeUpdate), seeded from
 # internal/subscribe/testdata/fuzz, then ten of arbitrary capture files
 # through pcap.Reader (FuzzPcapReader) and ten of arbitrary bank shapes and
 # update streams through the register probe against the model bank
@@ -138,6 +142,7 @@ check-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDataPlaneInstall -fuzztime 10s ./internal/drivers
 	$(GO) test -run '^$$' -fuzz FuzzWindowDataDumps -fuzztime 10s ./internal/drivers
 	$(GO) test -run '^$$' -fuzz FuzzSubscribeRequest -fuzztime 10s ./internal/subscribe
+	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdate -fuzztime 10s ./internal/subscribe
 	$(GO) test -run '^$$' -fuzz FuzzPcapReader -fuzztime 10s ./internal/pcap
 	$(GO) test -run '^$$' -fuzz FuzzRegisterBank -fuzztime 10s -fuzzminimizetime 200x ./internal/pisa
 

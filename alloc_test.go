@@ -222,11 +222,21 @@ func TestAllocBudget(t *testing.T) {
 	checkRuns("PlannerTrain", 3, allocBudgetTrain(t))
 
 	// Plan selection over the same trained queries at the default menu: each
-	// refinement edge priced once, candidates built for each query's cheapest
+	// refinement edge priced once, candidates built for each mode's cheapest
 	// 48 combinations only, trial programs reusing each edge's augmented
 	// query and pipelines. The plan, its program and every trial program are
-	// fresh, so its budget is the measured count too.
-	checkRuns("PlanQueries", 20, allocBudgetPlan(t, []int{8, 16, 24}))
+	// fresh, so its budget is the measured count too. With 1 Kb of metadata
+	// the greedy falls short of every query's cheapest candidate, so the
+	// restricted modes' greedies and the node-capped ILP run as well.
+	checkRuns("PlanQueries", 20, allocBudgetPlan(t, []int{8, 16, 24}, pisa.DefaultConfig()))
+	checkRuns("PlanQueriesMeta1Kb", 3, allocBudgetPlan(t, []int{8, 16, 24}, meta1Kb()))
+}
+
+// meta1Kb is the default switch with 1 Kb of PHV metadata, a Fig. 8d row.
+func meta1Kb() pisa.Config {
+	cfg := pisa.DefaultConfig()
+	cfg.MetadataBits = 1024
+	return cfg
 }
 
 // allocBudgetReport fabricates a window report with a coarse and a finest
@@ -452,8 +462,8 @@ func allocBudgetTrain(t testing.TB) func() {
 
 // allocBudgetPlan trains the header queries on the same two windows as
 // allocBudgetTrain, once, under the level menu, and returns one planning pass
-// of them for the default switch.
-func allocBudgetPlan(t testing.TB, menu []int) func() {
+// of them for the switch.
+func allocBudgetPlan(t testing.TB, menu []int, cfg pisa.Config) func() {
 	scale := eval.Scale{PacketsPerWindow: 10_000, Windows: 3, TrainWindows: 2, Hosts: 1_000, Seed: 1}
 	w, err := eval.NewWorkload(scale)
 	if err != nil {
@@ -464,7 +474,6 @@ func allocBudgetPlan(t testing.TB, menu []int) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pisa.DefaultConfig()
 	return func() {
 		if _, err := planner.PlanQueries(tr, qs, cfg, planner.DefaultOptions()); err != nil {
 			t.Fatal(err)

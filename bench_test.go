@@ -15,7 +15,6 @@
 //
 //	BenchmarkAblationRefinementOnOff    — Sonata with vs without refinement
 //	BenchmarkAblationRegisterChains     — d = 1 vs d = 3 collision shunting
-//	BenchmarkAblationPlannerILP         — greedy packer vs ILP plan selection
 //
 // Micro-benchmarks of the hot paths alloc_budget.json pins (`make bench-alloc`):
 //
@@ -27,7 +26,7 @@
 //	BenchmarkEngineJoinClose            — one window of an inner and a left-outer join, close included
 //	BenchmarkRuntimeWindowClose         — one small window of the header queries' Sonata plan, close included
 //	BenchmarkPlannerTrain               — training the header queries on two 10k-packet windows
-//	BenchmarkPlanQueries                — planning the trained header queries, per level menu
+//	BenchmarkPlanQueries                — planning the trained header queries, per level menu and at 1 Kb of metadata
 //
 // End-to-end throughput of the window loop is the harness's job: go run ./bench.
 package main
@@ -271,35 +270,6 @@ func chainName(d int) string {
 	return "d=" + string(rune('0'+d))
 }
 
-func BenchmarkAblationPlannerILP(b *testing.B) {
-	w := benchWorkload(b)
-	params := eval.ScaledParams(benchScale())
-	qs := queries.TopEight(params)[:3]
-	tr, err := planner.Train(qs, []int{8, 16, 24}, w.TrainingFrames())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := pisa.DefaultConfig()
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := planner.DefaultOptions()
-			if _, err := planner.PlanQueries(tr, qs, cfg, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ilp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := planner.DefaultOptions()
-			opts.UseILP = true
-			opts.ILPBudget = 2 * time.Second
-			if _, err := planner.PlanQueries(tr, qs, cfg, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSwitchProcessViewsDeployed is the data plane as deployed: one
 // 256-view batch per iteration through the batched walk, a populated dynamic
 // filter, warm banks (the shape TestAllocBudget pins at zero allocations).
@@ -416,19 +386,23 @@ func BenchmarkPlannerTrain(b *testing.B) {
 
 // BenchmarkPlanQueries is plan selection as the deployment pays it at
 // start-up and at every re-plan: the header queries, trained once on two
-// 10k-packet windows, planned for the default switch. One sub-benchmark per
-// level menu: the repo's default and the paper's {4, 8, …, 28}
-// (TestAllocBudget caps the default menu's allocations).
+// 10k-packet windows, planned for the default switch at the repo's level
+// menu and the paper's {4, 8, …, 28}, and for a switch with 1 Kb of
+// metadata, where the greedy falls short and the restricted greedies and
+// the ILP run (TestAllocBudget caps the allocations of the default menu's
+// two).
 func BenchmarkPlanQueries(b *testing.B) {
 	for _, menu := range []struct {
 		name   string
 		levels []int
+		cfg    pisa.Config
 	}{
-		{"menu=8-16-24", []int{8, 16, 24}},
-		{"menu=paper", []int{4, 8, 12, 16, 20, 24, 28}},
+		{"menu=8-16-24", []int{8, 16, 24}, pisa.DefaultConfig()},
+		{"menu=paper", []int{4, 8, 12, 16, 20, 24, 28}, pisa.DefaultConfig()},
+		{"menu=8-16-24/meta=1Kb", []int{8, 16, 24}, meta1Kb()},
 	} {
 		b.Run(menu.name, func(b *testing.B) {
-			plan := allocBudgetPlan(b, menu.levels)
+			plan := allocBudgetPlan(b, menu.levels, menu.cfg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -273,6 +273,40 @@ func Fig7b(w *Workload, cfg pisa.Config) (*Table, error) {
 	return t, nil
 }
 
+// fig8Sweeps are Fig. 8's four sweeps, each varying one switch resource of
+// the base configuration.
+var fig8Sweeps = []struct {
+	id, title, unit string
+	values          []any
+	apply           func(pisa.Config, any) pisa.Config
+}{
+	{"fig8a", "Effect of pipeline depth", "stages", []any{1, 2, 4, 8, 12, 16, 32},
+		func(c pisa.Config, v any) pisa.Config { c.Stages = v.(int); return c }},
+	{"fig8b", "Effect of stateful actions per stage", "actions", []any{1, 2, 4, 8, 12, 16, 32},
+		func(c pisa.Config, v any) pisa.Config { c.StatefulPerStage = v.(int); return c }},
+	{"fig8c", "Effect of register memory per stage", "memory-mb",
+		[]any{0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 32.0},
+		func(c pisa.Config, v any) pisa.Config {
+			c.RegisterBitsPerStage = int64(v.(float64) * (1 << 20))
+			c.MaxRegisterBitsPerOp = c.RegisterBitsPerStage / 2
+			return c
+		}},
+	{"fig8d", "Effect of PHV metadata budget", "metadata-kb", []any{0.25, 0.5, 1.0, 2.0, 4.0, 8.0},
+		func(c pisa.Config, v any) pisa.Config { c.MetadataBits = int(v.(float64) * 1024); return c }},
+}
+
+// Fig8Configs lists the switch configurations Fig. 8 plans for, sweep by
+// sweep, each named as its row is ("fig8b actions=2").
+func Fig8Configs(base pisa.Config) (names []string, cfgs []pisa.Config) {
+	for _, sw := range fig8Sweeps {
+		for _, v := range sw.values {
+			names = append(names, fmt.Sprintf("%s %s=%v", sw.id, sw.unit, v))
+			cfgs = append(cfgs, sw.apply(base, v))
+		}
+	}
+	return names, cfgs
+}
+
 // Fig8 reproduces the switch-constraint sweeps: stream-processor load as
 // one resource dimension varies, for Max-DP, Fix-REF, and Sonata, running
 // all eight header queries concurrently.
@@ -286,18 +320,19 @@ func Fig8(w *Workload, base pisa.Config) (map[string]*Table, error) {
 	if _, err := e.Training(); err != nil {
 		return nil, err
 	}
-	sweep := func(id, title, unit string, values []any, apply func(pisa.Config, any) pisa.Config) (*Table, error) {
-		t := &Table{ID: id, Title: title,
-			Header: []string{unit, "Max-DP", "Fix-REF", "Sonata"}}
-		rows := make([][]any, len(values))
-		err := parallelFor(len(values), func(i int) error {
-			v := values[i]
-			cfg := apply(base, v)
+	out := make(map[string]*Table)
+	for _, sw := range fig8Sweeps {
+		t := &Table{ID: sw.id, Title: sw.title,
+			Header: []string{sw.unit, "Max-DP", "Fix-REF", "Sonata"}}
+		rows := make([][]any, len(sw.values))
+		err := parallelFor(len(sw.values), func(i int) error {
+			v := sw.values[i]
+			cfg := sw.apply(base, v)
 			row := []any{v}
 			for _, mode := range modes {
 				res, err := e.Run(cfg, mode)
 				if err != nil {
-					return fmt.Errorf("%s %v %v: %w", id, v, mode, err)
+					return fmt.Errorf("%s %v %v: %w", sw.id, v, mode, err)
 				}
 				row = append(row, res.MeanTuples())
 			}
@@ -310,41 +345,7 @@ func Fig8(w *Workload, base pisa.Config) (map[string]*Table, error) {
 		for _, row := range rows {
 			t.AddRow(row...)
 		}
-		return t, nil
-	}
-
-	out := make(map[string]*Table)
-	var err error
-	out["fig8a"], err = sweep("fig8a", "Effect of pipeline depth", "stages",
-		[]any{1, 2, 4, 8, 12, 16, 32},
-		func(c pisa.Config, v any) pisa.Config { c.Stages = v.(int); return c })
-	if err != nil {
-		return nil, err
-	}
-	out["fig8b"], err = sweep("fig8b", "Effect of stateful actions per stage", "actions",
-		[]any{1, 2, 4, 8, 12, 16, 32},
-		func(c pisa.Config, v any) pisa.Config { c.StatefulPerStage = v.(int); return c })
-	if err != nil {
-		return nil, err
-	}
-	out["fig8c"], err = sweep("fig8c", "Effect of register memory per stage", "memory-mb",
-		[]any{0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 32.0},
-		func(c pisa.Config, v any) pisa.Config {
-			c.RegisterBitsPerStage = int64(v.(float64) * (1 << 20))
-			c.MaxRegisterBitsPerOp = c.RegisterBitsPerStage / 2
-			return c
-		})
-	if err != nil {
-		return nil, err
-	}
-	out["fig8d"], err = sweep("fig8d", "Effect of PHV metadata budget", "metadata-kb",
-		[]any{0.25, 0.5, 1.0, 2.0, 4.0, 8.0},
-		func(c pisa.Config, v any) pisa.Config {
-			c.MetadataBits = int(v.(float64) * 1024)
-			return c
-		})
-	if err != nil {
-		return nil, err
+		out[sw.id] = t
 	}
 	return out, nil
 }

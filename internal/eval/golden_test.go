@@ -19,10 +19,10 @@ var smallScaleFigureDigests = map[string]string{
 	"fig5":   "129ade44fce256ba5d39e74dc4da203ff081e3c5015056ceb96f0dd1c618f26b",
 	"fig7a":  "8a980d9039c8ca53e8511c959ec52e7d0c8a3de59135c239c84e0ab97bcd2a69",
 	"fig7b":  "5d8743ce13640e0cbbacfc7d5b3d62477125af57e40dae6cac6fc32b58723d22",
-	"fig8a":  "012f34bb7fd94e544fea56d3d515eb3ba10aebb755f5929468c0ee6f6ad2af08",
-	"fig8b":  "54a73fe677112a3627f258f97fb56b7565ec79bd1716e7682c267319d9338114",
+	"fig8a":  "673cf00286d1060166ee3e03155bfb97781011e308095a2b11dbe498b3fb4ab8",
+	"fig8b":  "8e6f57e553003d1135071b63b28b0bb368e737276f46b69477febbcc31df8ad0",
 	"fig8c":  "6e040eccd9d99c219eb6e8cbcb694340c56d2302d26d0b7c967d76be346e8453",
-	"fig8d":  "f71b69100ea527f6635ffcc80b176ff0d14ce13a354c4d8e68638ccbae5c3639",
+	"fig8d":  "1afd054f15aa38fd1095283bfdda2ac36044b09bd31213f381d653572a721dce",
 }
 
 // TestSmallScaleFiguresGolden pins Table 3 and Fig. 5, 7a, 7b and 8 at

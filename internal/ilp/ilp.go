@@ -2,14 +2,15 @@
 // bound over LP relaxations (package lp). It fills the role Gurobi plays in
 // the paper's query planner: Section 6.1 notes the authors capped Gurobi at
 // 20 minutes and accepted the best incumbent; this solver takes the same
-// time-budgeted, best-incumbent approach.
+// budgeted, best-incumbent approach, with a node budget in place of a
+// wall-clock one so that a solve is the same on every host.
 package ilp
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"time"
+	"slices"
 
 	"repro/internal/lp"
 )
@@ -22,13 +23,17 @@ type Problem struct {
 	Constraints []lp.Constraint
 	// Binary marks 0/1 variables by index.
 	Binary []int
+	// Incumbent is a feasible point the caller already holds (a warm
+	// start), or nil. Its objective is the cutoff: the search prunes every
+	// subproblem that cannot beat it and returns it when it finds nothing
+	// better.
+	Incumbent []float64
 }
 
 // Options tune the search.
 type Options struct {
-	// TimeBudget bounds the wall-clock search time; zero means 5 seconds.
-	TimeBudget time.Duration
-	// MaxNodes bounds the number of branch-and-bound nodes; zero means 1e6.
+	// MaxNodes bounds the number of branch-and-bound nodes, each one LP
+	// relaxation solved; zero means 1e6.
 	MaxNodes int
 }
 
@@ -38,8 +43,8 @@ type Status uint8
 const (
 	// Optimal: the search closed the tree; the incumbent is optimal.
 	Optimal Status = iota
-	// Feasible: budget exhausted with an incumbent in hand (the paper's
-	// "best possibly sub-optimal solution within 20 minutes").
+	// Feasible: node budget exhausted with an incumbent in hand (the
+	// paper's "best possibly sub-optimal solution within 20 minutes").
 	Feasible
 	// Infeasible: no integer point satisfies the constraints.
 	Infeasible
@@ -73,9 +78,6 @@ const intTol = 1e-6
 
 // Solve runs best-first branch and bound.
 func Solve(p *Problem, opts Options) (Solution, error) {
-	if opts.TimeBudget <= 0 {
-		opts.TimeBudget = 5 * time.Second
-	}
 	if opts.MaxNodes <= 0 {
 		opts.MaxNodes = 1_000_000
 	}
@@ -84,20 +86,33 @@ func Solve(p *Problem, opts Options) (Solution, error) {
 			return Solution{}, fmt.Errorf("ilp: binary index %d out of range", b)
 		}
 	}
-	isBin := make([]bool, len(p.C))
+	if p.Incumbent != nil && len(p.Incumbent) != len(p.C) {
+		return Solution{}, fmt.Errorf("ilp: incumbent has %d values for %d variables", len(p.Incumbent), len(p.C))
+	}
+	s := &search{prob: p, isBin: make([]bool, len(p.C)), bounded: make([]bool, len(p.C)),
+		maxNodes: opts.MaxNodes, bestObj: math.Inf(1)}
 	for _, b := range p.Binary {
-		isBin[b] = true
+		s.isBin[b] = true
+	}
+	// A binary needs no x <= 1 row when a <= or = row without negative
+	// coefficients bounds it already, as a one-of-n row does: fewer rows keep
+	// each relaxation's tableau small.
+	for _, c := range p.Constraints {
+		if c.Rel != lp.GE && !slices.ContainsFunc(c.Coef, func(v float64) bool { return v < 0 }) {
+			for j, v := range c.Coef {
+				s.bounded[j] = s.bounded[j] || (v > 0 && c.RHS <= v)
+			}
+		}
+	}
+	if p.Incumbent != nil {
+		s.bestX, s.bestObj = p.Incumbent, 0
+		for j, c := range p.C {
+			s.bestObj += c * p.Incumbent[j]
+		}
 	}
 
-	s := &search{prob: p, isBin: isBin, deadline: time.Now().Add(opts.TimeBudget),
-		maxNodes: opts.MaxNodes, bestObj: math.Inf(1)}
-
-	root := node{fixed: map[int]float64{}}
-	s.expand(root)
+	s.expand(node{fixed: map[int]float64{}})
 	for len(s.heap) > 0 && s.nodes < s.maxNodes {
-		if time.Now().After(s.deadline) {
-			break
-		}
 		nd := s.pop()
 		if nd.bound >= s.bestObj-1e-9 {
 			continue // pruned
@@ -129,7 +144,7 @@ type node struct {
 type search struct {
 	prob     *Problem
 	isBin    []bool
-	deadline time.Time
+	bounded  []bool
 	maxNodes int
 
 	heap    []node
@@ -203,22 +218,22 @@ func (s *search) fractional(x []float64) int {
 	return best
 }
 
-// relaxation builds the node's LP: the base constraints, 0<=x<=1 for
-// binaries, and equality pins for fixed variables.
+// relaxation builds the node's LP: the base constraints, x<=1 for binaries
+// no constraint bounds, and equality pins for fixed variables.
 func (s *search) relaxation(fixed map[int]float64) *lp.Problem {
 	p := &lp.Problem{C: s.prob.C}
 	p.Constraints = append(p.Constraints, s.prob.Constraints...)
 	for j, bin := range s.isBin {
-		if !bin {
+		v, pinned := fixed[j]
+		if !bin || (!pinned && s.bounded[j]) {
 			continue
 		}
-		coef := make([]float64, j+1)
-		coef[j] = 1
-		if v, ok := fixed[j]; ok {
-			p.Constraints = append(p.Constraints, lp.Constraint{Coef: coef, Rel: lp.EQ, RHS: v})
-		} else {
-			p.Constraints = append(p.Constraints, lp.Constraint{Coef: coef, Rel: lp.LE, RHS: 1})
+		c := lp.Constraint{Coef: make([]float64, j+1), Rel: lp.LE, RHS: 1}
+		c.Coef[j] = 1
+		if pinned {
+			c.Rel, c.RHS = lp.EQ, v
 		}
+		p.Constraints = append(p.Constraints, c)
 	}
 	return p
 }

@@ -3,9 +3,9 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -94,8 +94,9 @@ func TestExactCover(t *testing.T) {
 }
 
 func TestBudgetReturnsIncumbent(t *testing.T) {
-	// A larger knapsack; with a tiny node budget the solver must still
-	// return some feasible incumbent or Unknown, never a wrong Optimal.
+	// A larger knapsack; with a tiny node budget (the only budget there is)
+	// the solver must still return some feasible incumbent or Unknown, never
+	// a wrong Optimal.
 	r := rand.New(rand.NewSource(7))
 	n := 24
 	p := &Problem{C: make([]float64, n)}
@@ -106,7 +107,7 @@ func TestBudgetReturnsIncumbent(t *testing.T) {
 		p.Binary = append(p.Binary, j)
 	}
 	p.Constraints = []lp.Constraint{{Coef: w, Rel: lp.LE, RHS: 40}}
-	sol, err := Solve(p, Options{TimeBudget: time.Second, MaxNodes: 30})
+	sol, err := Solve(p, Options{MaxNodes: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +128,73 @@ func TestBudgetReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestIncumbentAtOptimumIsKept: a warm start at the optimum is the cutoff
+// no point beats, so the solve closes the tree and returns the incumbent.
+func TestIncumbentAtOptimumIsKept(t *testing.T) {
+	opt := []float64{0, 1, 1}
+	p := &Problem{
+		C:           []float64{-10, -13, -7},
+		Constraints: []lp.Constraint{{Coef: []float64{3, 4, 2}, Rel: lp.LE, RHS: 6}},
+		Binary:      []int{0, 1, 2},
+		Incumbent:   opt,
+	}
+	sol, err := Solve(p, Options{})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("solve: %+v %v", sol, err)
+	}
+	if sol.Objective != -20 || !slices.Equal(sol.X, opt) {
+		t.Fatalf("objective %v at %v, want the incumbent's -20 at %v", sol.Objective, sol.X, opt)
+	}
+}
+
+// TestIncumbentAboveOptimumFindsIt: warm-started at a feasible point worse
+// than the optimum, the solve still reaches the optimum, in no more nodes
+// than the same solve from scratch.
+func TestIncumbentAboveOptimumFindsIt(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 8 + r.Intn(8)
+		p := &Problem{C: make([]float64, n)}
+		w := make([]float64, n)
+		for j := range w {
+			p.C[j] = -float64(1 + r.Intn(50))
+			w[j] = float64(1 + r.Intn(20))
+			p.Binary = append(p.Binary, j)
+		}
+		p.Constraints = []lp.Constraint{{Coef: w, Rel: lp.LE, RHS: 40}}
+		cold, err := Solve(p, Options{})
+		if err != nil || cold.Status != Optimal {
+			t.Fatalf("seed %d: cold solve %+v %v", seed, cold, err)
+		}
+		// The incumbent: the lightest item alone, feasible and worse than
+		// the optimum.
+		lightest := slices.Index(w, slices.Min(w))
+		if p.C[lightest] <= cold.Objective {
+			t.Fatalf("seed %d: the lightest item alone is optimal", seed)
+		}
+		p.Incumbent = make([]float64, n)
+		p.Incumbent[lightest] = 1
+		sol, err := Solve(p, Options{})
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("seed %d: warm solve %+v %v", seed, sol, err)
+		}
+		if math.Abs(sol.Objective-cold.Objective) > 1e-6 {
+			t.Fatalf("seed %d: warm objective %v, cold %v", seed, sol.Objective, cold.Objective)
+		}
+		if sol.Nodes > cold.Nodes {
+			t.Errorf("seed %d: warm start took %d nodes, cold %d", seed, sol.Nodes, cold.Nodes)
+		}
+	}
+}
+
 func TestBadBinaryIndex(t *testing.T) {
 	p := &Problem{C: []float64{1}, Binary: []int{3}}
 	if _, err := Solve(p, Options{}); err == nil {
 		t.Error("bad binary index accepted")
+	}
+	p = &Problem{C: []float64{1, 2}, Binary: []int{0, 1}, Incumbent: []float64{1}}
+	if _, err := Solve(p, Options{}); err == nil {
+		t.Error("incumbent of the wrong length accepted")
 	}
 }
 
@@ -153,7 +217,7 @@ func TestMatchesBruteForce(t *testing.T) {
 			p.Binary = append(p.Binary, j)
 		}
 		p.Constraints = []lp.Constraint{{Coef: weights, Rel: lp.LE, RHS: cap}}
-		sol, err := Solve(p, Options{TimeBudget: 10 * time.Second})
+		sol, err := Solve(p, Options{})
 		if err != nil || sol.Status != Optimal {
 			return false
 		}

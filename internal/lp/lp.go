@@ -27,24 +27,12 @@ const (
 	EQ
 )
 
-func (r Relation) String() string {
-	switch r {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	default:
-		return "="
-	}
-}
-
 // Constraint is one linear constraint over the problem's variables. Coef
 // may be shorter than the variable count; missing entries are zero.
 type Constraint struct {
 	Coef []float64
 	Rel  Relation
 	RHS  float64
-	Name string // used in error messages
 }
 
 // Problem is a minimization LP.

@@ -3,11 +3,14 @@ package planner
 import (
 	"repro/internal/ilp"
 	"repro/internal/lp"
+	"repro/internal/pisa"
 )
 
-// solveILP selects one candidate per query by solving the plan-selection
-// ILP with the repo's branch-and-bound solver. The formulation is the
-// multiple-choice aggregation of the paper's Table 2 model:
+// ilpChoice selects one candidate per query with the plan-selection ILP,
+// solved by the repo's branch and bound from the incumbent choice under the
+// ilpNodes cap: the incumbent when it finds nothing cheaper, nil when the
+// solver ends without a point. The formulation is the multiple-choice
+// aggregation of the paper's Table 2 model:
 //
 //	min  sum_q sum_c N(q,c) * y[q,c]                 (the paper's objective)
 //	s.t. sum_c y[q,c] = 1                for each q  (one plan per query)
@@ -16,92 +19,61 @@ import (
 //	     sum metadata-bits   * y <= M                (C5)
 //	     per-instance table count <= S enforced at candidate generation (C3, C4)
 //
-// Stage-granular packing (the exact C1-C4) is then verified by the same
-// first-fit placer the greedy path uses; if the ILP's choice fails to
-// place, the greedy incumbent is kept. This mirrors the paper's practice of
-// accepting the best feasible solution found within a time budget.
-func (s *selector) solveILP(incumbent []int) ([]int, bool) {
+// resources is a candidate's switch footprint. The aggregate constraints
+// admit choices the stage-granular placer (the exact C1-C4) rejects, so the
+// caller places a choice before it keeps it; as the paper accepted the best
+// solution Gurobi found within its budget, it need not be optimal.
+func ilpChoice(cands [][]candidate, cfg pisa.Config, incumbent []int,
+	resources func(qi int, c *candidate) (stateful int, bits int64, meta int)) []int {
 	// Variable layout: one binary per (query, candidate).
-	type varRef struct{ qi, ci int }
-	var refs []varRef
-	base := make([]int, len(s.queries)+1)
-	for qi := range s.queries {
-		base[qi] = len(refs)
-		for ci := range s.cands[qi] {
-			refs = append(refs, varRef{qi, ci})
-		}
+	base := make([]int, len(cands)+1)
+	for qi := range cands {
+		base[qi+1] = base[qi] + len(cands[qi])
 	}
-	base[len(s.queries)] = len(refs)
-	n := len(refs)
-	if n == 0 {
-		return nil, false
-	}
-
-	prob := &ilp.Problem{C: make([]float64, n)}
+	n := base[len(cands)]
+	prob := &ilp.Problem{C: make([]float64, n), Incumbent: make([]float64, n)}
 	statefulCoef := make([]float64, n)
 	bitsCoef := make([]float64, n)
 	metaCoef := make([]float64, n)
-	for v, ref := range refs {
-		c := &s.cands[ref.qi][ref.ci]
-		prob.C[v] = float64(c.cost)
-		st, bits, meta := s.candidateResources(ref.qi, c)
-		statefulCoef[v] = float64(st)
-		bitsCoef[v] = float64(bits)
-		metaCoef[v] = float64(meta)
-		prob.Binary = append(prob.Binary, v)
-	}
-	// One plan per query.
-	for qi := range s.queries {
+	for qi := range cands {
 		coef := make([]float64, base[qi+1])
-		for v := base[qi]; v < base[qi+1]; v++ {
+		for ci := range cands[qi] {
+			v := base[qi] + ci
+			c := &cands[qi][ci]
+			prob.C[v] = float64(c.cost)
+			st, bits, meta := resources(qi, c)
+			statefulCoef[v] = float64(st)
+			bitsCoef[v] = float64(bits)
+			metaCoef[v] = float64(meta)
+			prob.Binary = append(prob.Binary, v)
 			coef[v] = 1
 		}
-		prob.Constraints = append(prob.Constraints, lp.Constraint{
-			Coef: coef, Rel: lp.EQ, RHS: 1, Name: "one-plan"})
+		prob.Constraints = append(prob.Constraints, lp.Constraint{Coef: coef, Rel: lp.EQ, RHS: 1})
+		prob.Incumbent[base[qi]+incumbent[qi]] = 1
 	}
-	cfg := s.cfg
 	prob.Constraints = append(prob.Constraints,
-		lp.Constraint{Coef: statefulCoef, Rel: lp.LE,
-			RHS: float64(cfg.Stages * cfg.StatefulPerStage), Name: "C2-aggregate"},
-		lp.Constraint{Coef: bitsCoef, Rel: lp.LE,
-			RHS: float64(cfg.RegisterBitsPerStage) * float64(cfg.Stages), Name: "C1-aggregate"},
-		lp.Constraint{Coef: metaCoef, Rel: lp.LE,
-			RHS: float64(cfg.MetadataBits), Name: "C5"},
-	)
+		lp.Constraint{Coef: statefulCoef, Rel: lp.LE, RHS: float64(cfg.Stages * cfg.StatefulPerStage)},
+		lp.Constraint{Coef: bitsCoef, Rel: lp.LE, RHS: float64(cfg.RegisterBitsPerStage) * float64(cfg.Stages)},
+		lp.Constraint{Coef: metaCoef, Rel: lp.LE, RHS: float64(cfg.MetadataBits)})
 
-	sol, err := ilp.Solve(prob, ilp.Options{TimeBudget: s.opts.ILPBudget})
+	sol, err := ilp.Solve(prob, ilp.Options{MaxNodes: ilpNodes})
 	if err != nil || (sol.Status != ilp.Optimal && sol.Status != ilp.Feasible) {
-		return nil, false
+		return nil
 	}
-	choice := make([]int, len(s.queries))
+	choice := make([]int, len(cands))
 	for qi := range choice {
 		choice[qi] = -1
 		for v := base[qi]; v < base[qi+1]; v++ {
 			if sol.X[v] > 0.5 {
-				choice[qi] = refs[v].ci
+				choice[qi] = v - base[qi]
 				break
 			}
 		}
 		if choice[qi] < 0 {
-			return nil, false
+			return nil
 		}
 	}
-	// Exact stage-level feasibility, and only accept an improvement.
-	if _, err := s.buildProgram(choice); err != nil {
-		return nil, false
-	}
-	if incumbent != nil && s.totalCost(choice) >= s.totalCost(incumbent) {
-		return nil, false
-	}
-	return choice, true
-}
-
-func (s *selector) totalCost(choice []int) uint64 {
-	var total uint64
-	for qi, ci := range choice {
-		total += s.cands[qi][ci].cost
-	}
-	return total
+	return choice
 }
 
 // candidateResources aggregates a candidate's switch footprint — stateful
@@ -110,7 +82,7 @@ func (s *selector) totalCost(choice []int) uint64 {
 func (s *selector) candidateResources(qi int, c *candidate) (stateful int, bits int64, meta int) {
 	s.placed = s.placements(qi, c, s.placed[:0])
 	for _, p := range s.placed {
-		pr := p.edge.at(p.side, p.cut, s.cfg)
+		pr := p.edge.at(p.side, p.cut)
 		stateful += pr.stateful
 		bits += pr.bits
 		meta += pr.meta

@@ -4,16 +4,19 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/compile"
 	"repro/internal/pisa"
 	"repro/internal/query"
 )
 
-// Mode selects which telemetry system the planner emulates (Table 4). Each
-// mode constrains the plan space exactly as the paper emulates prior
-// systems by constraining the ILP.
+// Mode selects which telemetry system the planner emulates (Table 4). As
+// the paper constrains Sonata's ILP to emulate prior systems, each
+// restricted mode's plan space filters Sonata's one enumeration of (path,
+// cuts) per query: All-SP is the finest path with nothing on the switch,
+// Filter-DP that path cut after its leading filters, Max-DP that path,
+// Fix-REF the full ladder. Sonata's list holds theirs, so its plan costs no
+// more than theirs while its delay bound admits the full ladder.
 type Mode uint8
 
 const (
@@ -32,21 +35,13 @@ const (
 	ModeFixRef
 )
 
+var modeNames = [...]string{"Sonata", "All-SP", "Filter-DP", "Max-DP", "Fix-REF"}
+
 func (m Mode) String() string {
-	switch m {
-	case ModeSonata:
-		return "Sonata"
-	case ModeAllSP:
-		return "All-SP"
-	case ModeFilterDP:
-		return "Filter-DP"
-	case ModeMaxDP:
-		return "Max-DP"
-	case ModeFixRef:
-		return "Fix-REF"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
+	if int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
 // Options configure planning.
@@ -55,17 +50,11 @@ type Options struct {
 	// MaxDelay is the default bound on refinement chain length, in windows
 	// (a query's own MaxDelay takes precedence when set).
 	MaxDelay int
-	// UseILP solves plan selection with the branch-and-bound ILP instead of
-	// the greedy packer; the greedy result seeds the incumbent either way.
-	UseILP bool
-	// ILPBudget bounds the ILP solve time (the paper capped Gurobi at 20
-	// minutes; the default here is 10 seconds).
-	ILPBudget time.Duration
 }
 
 // DefaultOptions returns the Sonata-mode defaults.
 func DefaultOptions() Options {
-	return Options{Mode: ModeSonata, MaxDelay: 4, ILPBudget: 10 * time.Second}
+	return Options{Mode: ModeSonata, MaxDelay: 4}
 }
 
 // InstancePlan is one (level, side) pipeline placed on the switch and
@@ -140,6 +129,9 @@ type candidate struct {
 	path []int    // levels, coarse to fine; empty prev handled implicitly
 	cuts [][2]int // per path element: {leftCut, rightCut}
 	cost uint64
+	// modes is the set of modes (bit 1<<Mode) whose candidate list holds
+	// this one: the planning mode's and, planning Sonata, each one's.
+	modes uint8
 }
 
 // PlanQueries chooses partitioning and refinement plans for the trained
@@ -149,13 +141,7 @@ func PlanQueries(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, op
 	if err != nil {
 		return nil, err
 	}
-	choice := sel.greedy()
-	if opts.UseILP {
-		if ilpChoice, ok := sel.solveILP(choice); ok {
-			choice = ilpChoice
-		}
-	}
-	return sel.realize(choice)
+	return sel.realize(sel.choose())
 }
 
 // selector carries the plan-selection state.
@@ -186,40 +172,14 @@ func newSelector(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, op
 		}
 		s.queries = append(s.queries, qt)
 		s.edges = append(s.edges, make(map[[2]int]*pricedEdge))
-		cands := s.candidatesFor(len(s.queries) - 1)
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("planner: no candidates for %q", q.Name)
-		}
-		s.cands = append(s.cands, cands)
+		s.cands = append(s.cands, s.candidates(len(s.queries)-1))
 	}
 	return s, nil
 }
 
-// candidatesFor enumerates the plan space of query qi under the mode.
-func (s *selector) candidatesFor(qi int) []candidate {
-	qt := s.queries[qi]
-	switch s.opts.Mode {
-	case ModeAllSP:
-		return []candidate{s.allSPCandidate(qi)}
-	case ModeFilterDP:
-		return []candidate{s.filterDPCandidate(qi)}
-	case ModeMaxDP:
-		return s.pathCandidates(qi, [][]int{finestPath(qt)})
-	case ModeFixRef:
-		return s.pathCandidates(qi, [][]int{qt.Levels})
-	default:
-		return s.pathCandidates(qi, paths(qt, s.opts.MaxDelay))
-	}
-}
-
-// finestPath is the no-refinement path: the single finest level.
-func finestPath(qt *QueryTraining) []int {
-	return []int{qt.Levels[len(qt.Levels)-1]}
-}
-
 // paths enumerates monotone level chains ending at the finest level, with
 // length bounded by the query's delay budget (maxDelay unless the query's
-// own is tighter).
+// own is tighter). The first is the finest path.
 func paths(qt *QueryTraining, maxDelay int) [][]int {
 	maxLen := maxDelay
 	if qt.Query.MaxDelay > 0 && qt.Query.MaxDelay < maxLen {
@@ -246,56 +206,46 @@ func paths(qt *QueryTraining, maxDelay int) [][]int {
 	return out
 }
 
-// allSPCandidate puts everything on the stream processor.
-func (s *selector) allSPCandidate(qi int) candidate {
-	c := candidate{path: finestPath(s.queries[qi]), cuts: [][2]int{{0, 0}}}
-	c.cost = s.pathCost(qi, &c)
-	return c
-}
-
-// filterDPCandidate cuts after the leading run of plain filter tables.
-func (s *selector) filterDPCandidate(qi int) candidate {
-	qt := s.queries[qi]
-	finest := finestPath(qt)
-	edge := qt.Edges[[2]int{LevelStar, finest[0]}]
-	cutOf := func(sc *SideCost) int {
-		if sc == nil {
-			return 0
-		}
-		cut := 0
-		for i, t := range sc.Pipe.Tables {
-			if t.Kind != compile.TableFilter || i >= sc.Pipe.CapPrefix {
-				break
-			}
-			cut = i + 1
-		}
-		return cut
-	}
-	c := candidate{path: finest, cuts: [][2]int{{cutOf(edge.Left), cutOf(edge.Right)}}}
-	c.cost = s.pathCost(qi, &c)
-	return c
-}
-
 // proxy is one (path, cut-tier combination) of a query's plan space before
 // it becomes a candidate: its cost and cut depth, summed from the edges'
-// priced tiers, and its indexes — the path's into the path list, and combo,
+// priced tiers, its indexes — the path's into the path list, and combo,
 // the per-edge tier-pair indexes in mixed radix with the first edge most
-// significant.
+// significant — and the modes whose plan space holds it.
 type proxy struct {
 	cost               uint64
 	depth, path, combo int32
+	modes              uint8
 }
 
-// pathCandidates expands each path into per-edge cut-tier combinations and
-// returns the cheapest 48 as candidates, cheapest first. Every combination
-// is an index proxy priced from the edges' tables; only the 48 kept are
-// built. Paths are distinct and so are an edge's tier pairs, so every
-// combination is a distinct candidate.
-func (s *selector) pathCandidates(qi int, paths [][]int) []candidate {
-	gated := gatedQuery(s.queries[qi])
+// maxCandidates caps a mode's candidate list: its cheapest 48 combinations
+// keep the search tractable.
+const maxCandidates = 48
+
+// candidates enumerates query qi's plan space once and returns the planning
+// mode's candidate list, cheapest first. Every (path, cut-tier combination)
+// is an index proxy priced from the edges' tables, sorted by cost, then
+// by cut depth, then in enumeration order. Each mode's list is the cheapest
+// maxCandidates combinations of its space plus the All-SP one, every list's
+// fallback (it packs on any switch); Sonata's list is the union of every
+// mode's. Only the kept combinations are built. Paths are distinct and so
+// are an edge's tiers, so every combination is a distinct candidate.
+func (s *selector) candidates(qi int) []candidate {
+	qt := s.queries[qi]
+	ps := paths(qt, s.opts.MaxDelay)
+	planning := uint8(0xff)
+	if s.opts.Mode != ModeSonata {
+		// A restricted space lies on the finest path and, for Fix-REF, on
+		// the full ladder, which the delay bound does not limit.
+		planning = 1 << s.opts.Mode
+		ps = ps[:1]
+		if s.opts.Mode == ModeFixRef && len(qt.Levels) > 1 {
+			ps = append(ps, qt.Levels)
+		}
+	}
+	gated := gatedQuery(qt)
 	s.proxies = s.proxies[:0]
 	var edges []*pricedEdge
-	for pi, path := range paths {
+	for pi, path := range ps {
 		edges = edges[:0]
 		prev := LevelStar
 		for _, level := range path {
@@ -305,7 +255,9 @@ func (s *selector) pathCandidates(qi int, paths [][]int) []candidate {
 		var rec func(i int, cost uint64, depth, combo int)
 		rec = func(i int, cost uint64, depth, combo int) {
 			if i == len(edges) {
-				s.proxies = append(s.proxies, proxy{cost, int32(depth), int32(pi), int32(combo)})
+				if modes := modesOf(qt, path, edges[0], combo); modes&planning != 0 {
+					s.proxies = append(s.proxies, proxy{cost, int32(depth), int32(pi), int32(combo), modes})
+				}
 				return
 			}
 			e := edges[i]
@@ -323,10 +275,6 @@ func (s *selector) pathCandidates(qi int, paths [][]int) []candidate {
 		}
 		rec(0, 0, 0, 0)
 	}
-	// Among equal cost and depth the order is pdqsort's over the enumeration
-	// order, the same whether it sorts proxies (slices.SortFunc) or built
-	// candidates (sort.Slice, as plan_ref_test.go's reference selector does):
-	// both are one pdqsort template.
 	slices.SortFunc(s.proxies, func(a, b proxy) int {
 		if a.cost != b.cost {
 			return cmp.Compare(a.cost, b.cost)
@@ -335,28 +283,81 @@ func (s *selector) pathCandidates(qi int, paths [][]int) []candidate {
 		// Training can only estimate the traffic it saw; when a class of
 		// traffic is absent from training, every cut costs zero and the
 		// deeper one is free insurance against workload drift.
-		return cmp.Compare(b.depth, a.depth)
+		if a.depth != b.depth {
+			return cmp.Compare(b.depth, a.depth)
+		}
+		// Then enumeration order, so that a mode's list, filtered from this
+		// order, is the order its own space sorts in.
+		return cmp.Or(cmp.Compare(a.path, b.path), cmp.Compare(a.combo, b.combo))
 	})
-	// Keep the search tractable: the cheapest few dozen candidates.
-	kept := s.proxies[:min(len(s.proxies), 48)]
-	out := make([]candidate, len(kept))
-	for k, p := range kept {
-		path := paths[p.path]
-		c := &out[k]
-		c.path, c.cuts, c.cost = path, make([][2]int, len(path)), p.cost
+	var out []candidate
+	var rank [ModeFixRef + 1]int
+	var cuts [][2]int // kept candidates' cuts, carved from shared chunks
+	for _, p := range s.proxies {
+		var modes uint8
+		for m := range rank {
+			if p.modes&planning&(1<<m) == 0 {
+				continue
+			}
+			if rank[m] < maxCandidates || p.modes&(1<<ModeAllSP) != 0 {
+				modes |= 1 << m
+			}
+			rank[m]++
+		}
+		if modes == 0 {
+			continue
+		}
+		path := ps[p.path]
+		if len(cuts) < len(path) {
+			cuts = make([][2]int, maxCandidates*len(path))
+		}
+		c := candidate{path: path, cuts: cuts[:len(path):len(path)], cost: p.cost, modes: modes | 1<<s.opts.Mode}
+		cuts = cuts[len(path):]
 		for i, combo := len(path)-1, int(p.combo); i >= 0; i-- {
 			prev := LevelStar
 			if i > 0 {
 				prev = path[i-1]
 			}
 			e := s.edge(qi, prev, path[i])
-			left, right := e.tiers[0], e.tiers[1]
-			pair := combo % (len(left) * len(right))
-			combo /= len(left) * len(right)
-			c.cuts[i] = [2]int{left[pair/len(right)].cut, right[pair%len(right)].cut}
+			pairs := len(e.tiers[0]) * len(e.tiers[1])
+			c.cuts[i] = e.cutPair(combo % pairs)
+			combo /= pairs
 		}
+		out = append(out, c)
 	}
 	return out
+}
+
+// modesOf is the set of modes whose plan space holds the combination combo
+// of path, whose first edge is first: Sonata's always; the full ladder is
+// Fix-REF's; the finest path is Max-DP's, cut after its leading filters
+// Filter-DP's, and with nothing on the switch All-SP's and, as their
+// fallback, Filter-DP's and Fix-REF's.
+func modesOf(qt *QueryTraining, path []int, first *pricedEdge, combo int) uint8 {
+	modes := uint8(1 << ModeSonata)
+	if len(path) == len(qt.Levels) {
+		modes |= 1 << ModeFixRef
+	}
+	if len(path) == 1 {
+		modes |= 1 << ModeMaxDP
+		switch first.cutPair(combo) {
+		case [2]int{}:
+			modes |= 1<<ModeAllSP | 1<<ModeFilterDP | 1<<ModeFixRef
+		case [2]int{filterCut(first.sides[0]), filterCut(first.sides[1])}:
+			modes |= 1 << ModeFilterDP
+		}
+	}
+	return modes
+}
+
+// filterCut is Filter-DP's cut of a side: after its leading run of plain
+// filter tables (0 for a missing side).
+func filterCut(sc *SideCost) int {
+	cut := 0
+	for sc != nil && cut < sc.Pipe.CapPrefix && sc.Pipe.Tables[cut].Kind == compile.TableFilter {
+		cut++
+	}
+	return cut
 }
 
 // cutDepth sums the candidate's cut positions across levels and sides.
@@ -386,10 +387,16 @@ func (s *selector) edge(qi, prev, level int) *pricedEdge {
 	if e := s.edges[qi][k]; e != nil {
 		return e
 	}
-	prof := s.queries[qi].Edges[k]
+	qt := s.queries[qi]
+	prof := qt.Edges[k]
 	e := &pricedEdge{prev: prev, level: level, sides: [2]*SideCost{prof.Left, prof.Right}}
 	for side, sc := range e.sides {
-		for _, cut := range cutTiers(sc) {
+		cuts := cutTiers(sc)
+		// The finest path's edge offers Filter-DP's cut too.
+		if f := filterCut(sc); prev == LevelStar && level == qt.Levels[len(qt.Levels)-1] && !slices.Contains(cuts, f) {
+			cuts = append(cuts, f)
+		}
+		for _, cut := range cuts {
 			e.tiers[side] = append(e.tiers[side], price(sc, cut, s.cfg))
 		}
 	}
@@ -397,15 +404,16 @@ func (s *selector) edge(qi, prev, level int) *pricedEdge {
 	return e
 }
 
-// at returns the edge's side priced at cut: one of its tiers, or, for a
-// cut outside them (Filter-DP's filter prefix), priced afresh.
-func (e *pricedEdge) at(side, cut int, cfg pisa.Config) sidePrice {
-	for _, p := range e.tiers[side] {
-		if p.cut == cut {
-			return p
-		}
-	}
-	return price(e.sides[side], cut, cfg)
+// at returns the edge's side priced at cut, which is one of its tiers.
+func (e *pricedEdge) at(side, cut int) sidePrice {
+	return e.tiers[side][slices.IndexFunc(e.tiers[side], func(p sidePrice) bool { return p.cut == cut })]
+}
+
+// cutPair is the cuts of the edge's tier pair pair, the left tier's index
+// times the right side's tier count plus the right tier's.
+func (e *pricedEdge) cutPair(pair int) [2]int {
+	right := e.tiers[1]
+	return [2]int{e.tiers[0][pair/len(right)].cut, right[pair%len(right)].cut}
 }
 
 // augment builds the edge's augmented query and compiles its sides, once.
@@ -571,23 +579,55 @@ func (s *selector) placements(qi int, c *candidate, out []placement) []placement
 	return out
 }
 
-// pathCost is the trained per-window tuple estimate of a candidate.
-func (s *selector) pathCost(qi int, c *candidate) uint64 {
+// ilpNodes caps the ILP's branch-and-bound nodes: a deterministic budget,
+// where a wall-clock one would make plans depend on the host's speed. Each
+// node solves one LP relaxation over every candidate of every query.
+const ilpNodes = 64
+
+// choose is plan selection, one choice per query. A restricted mode's is
+// the greedy's over its list. Sonata's is the greedy's over its whole list
+// when that gives every query its cheapest candidate (the zero choice),
+// which no choice beats. Otherwise the incumbent is the cheapest of that
+// and each restricted mode's greedy choice, all of which pack, and the ILP
+// searches below it; its choice is kept only if it packs too.
+func (s *selector) choose() []int {
+	choice := s.greedy(s.opts.Mode)
+	if s.opts.Mode != ModeSonata || s.totalCost(choice) == s.totalCost(make([]int, len(choice))) {
+		return choice
+	}
+	for m := ModeAllSP; m <= ModeFixRef; m++ {
+		if c := s.greedy(m); s.totalCost(c) < s.totalCost(choice) {
+			choice = c
+		}
+	}
+	if c := ilpChoice(s.cands, s.cfg, choice, s.candidateResources); c != nil && s.totalCost(c) < s.totalCost(choice) {
+		if _, err := s.buildProgram(c); err == nil {
+			choice = c
+		}
+	}
+	return choice
+}
+
+// totalCost is a choice's trained per-window tuple estimate.
+func (s *selector) totalCost(choice []int) uint64 {
 	var total uint64
-	s.placed = s.placements(qi, c, s.placed[:0])
-	for _, p := range s.placed {
-		total += p.edge.at(p.side, p.cut, s.cfg).n
+	for qi, ci := range choice {
+		total += s.cands[qi][ci].cost
 	}
 	return total
 }
 
-// greedy packs candidates: start everything at All-SP-equivalent (always
-// feasible: zero switch resources) and repeatedly adopt the single swap
-// with the largest tuple saving that still packs onto the switch.
-func (s *selector) greedy() []int {
+// greedy packs the mode's candidates: start every query at All-SP (zero
+// switch resources, so it packs on any switch) and repeatedly adopt the
+// single swap with the largest tuple saving that still packs onto the
+// switch.
+func (s *selector) greedy(mode Mode) []int {
+	in := func(c *candidate) bool { return c.modes&(1<<mode) != 0 }
 	choice := make([]int, len(s.queries))
 	for qi := range choice {
-		choice[qi] = s.fallbackIndex(qi)
+		choice[qi] = slices.IndexFunc(s.cands[qi], func(c candidate) bool {
+			return len(c.path) == 1 && c.cuts[0] == [2]int{}
+		})
 	}
 	for {
 		bestQ, bestC := -1, -1
@@ -595,7 +635,7 @@ func (s *selector) greedy() []int {
 		for qi := range s.queries {
 			cur := s.cands[qi][choice[qi]].cost
 			for ci := range s.cands[qi] {
-				if ci == choice[qi] {
+				if ci == choice[qi] || !in(&s.cands[qi][ci]) {
 					continue
 				}
 				gain := int64(cur) - int64(s.cands[qi][ci].cost)
@@ -621,7 +661,7 @@ func (s *selector) greedy() []int {
 		cur := &s.cands[qi][choice[qi]]
 		for ci := range s.cands[qi] {
 			c := &s.cands[qi][ci]
-			if ci == choice[qi] || c.cost != cur.cost || c.cutDepth() <= cur.cutDepth() {
+			if ci == choice[qi] || !in(c) || c.cost != cur.cost || c.cutDepth() <= cur.cutDepth() {
 				continue
 			}
 			old := choice[qi]
@@ -634,18 +674,6 @@ func (s *selector) greedy() []int {
 		}
 	}
 	return choice
-}
-
-// fallbackIndex finds (or appends) the all-zero-cut candidate, which is
-// feasible on any switch.
-func (s *selector) fallbackIndex(qi int) int {
-	for ci, c := range s.cands[qi] {
-		if len(c.path) == 1 && c.cuts[0] == [2]int{0, 0} {
-			return ci
-		}
-	}
-	s.cands[qi] = append(s.cands[qi], s.allSPCandidate(qi))
-	return len(s.cands[qi]) - 1
 }
 
 // realize converts a choice vector into the final plan with a validated
@@ -694,7 +722,7 @@ func gateQuery(aug *query.Query) *query.Query {
 // instance is a placement as an instance plan, with its trained N. The
 // edge must have been augmented (buildProgram does it).
 func (s *selector) instance(p placement) (InstancePlan, uint64) {
-	pr := p.edge.at(p.side, p.cut, s.cfg)
+	pr := p.edge.at(p.side, p.cut)
 	pipe := p.edge.pipes[p.side]
 	return InstancePlan{Side: p.as, Ops: pipe.Ops, Pipe: pipe, Cut: p.cut, RegEntries: pr.regs,
 		// Work estimate for the shard balancer: the trained op-level work
@@ -747,16 +775,13 @@ func (s *selector) buildProgram(choice []int) (*pisa.Program, error) {
 
 // placer assigns tables to stages first-fit under the per-stage limits.
 type placer struct {
-	cfg       Config
+	cfg       pisa.Config
 	stateful  []int
 	stateless []int
 	bits      []int64
 }
 
-// Config aliases pisa.Config for the placer.
-type Config = pisa.Config
-
-func newPlacer(cfg Config) *placer {
+func newPlacer(cfg pisa.Config) *placer {
 	return &placer{cfg: cfg,
 		stateful:  make([]int, cfg.Stages),
 		stateless: make([]int, cfg.Stages),

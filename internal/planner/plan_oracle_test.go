@@ -57,38 +57,45 @@ func oracleConfigs() []pisa.Config {
 }
 
 // TestPathCandidatesMatchReference holds candidate generation — index
-// proxies priced from per-edge tier tables, sorted, the cheapest 48 built —
-// to the reference (plan_ref_test.go), which builds and prices every
-// combination: equal candidate lists, order included, for every oracle
-// query, menu, delay bound, switch and seed.
+// proxies priced from per-edge tier tables, sorted, each mode's cheapest 48
+// built — to the reference (plan_ref_test.go), which builds and prices
+// every combination: equal candidate lists, order and mode sets included,
+// for every oracle query, menu, delay bound, switch and seed, in Sonata's
+// planning and, at the default menu, in every restricted mode's.
 func TestPathCandidatesMatchReference(t *testing.T) {
 	qs := oracleQueries()
 	for _, seed := range []int64{1, 2} {
-		for _, menu := range oracleMenus {
+		for mi, menu := range oracleMenus {
 			tr := oracleTraining(t, qs, seed, menu)
 			t.Run(fmt.Sprintf("seed%d/menu%v", seed, menu), func(t *testing.T) {
 				t.Parallel() // each selector only reads the training
+				modes := []Mode{ModeSonata}
+				if mi == 0 {
+					modes = append(modes, ModeAllSP, ModeFilterDP, ModeMaxDP, ModeFixRef)
+				}
 				overflowed := false
 				for ci, cfg := range oracleConfigs() {
-					for d := 1; d <= 4; d++ {
-						opts := DefaultOptions()
-						opts.MaxDelay = d
-						sel, err := newSelector(tr, qs, cfg, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ref := &refSelector{tr: tr, cfg: cfg, opts: opts}
-						for qi, q := range qs {
-							want := ref.candidatesFor(tr.PerQuery[q.ID])
-							if diff := candidateDiff(sel.cands[qi], want); diff != "" {
-								t.Errorf("cfg %d, MaxDelay %d, %s: %s", ci, d, q.Name, diff)
+					for _, mode := range modes {
+						for d := 1; d <= 4; d++ {
+							opts := DefaultOptions()
+							opts.Mode, opts.MaxDelay = mode, d
+							sel, err := newSelector(tr, qs, cfg, opts)
+							if err != nil {
+								t.Fatal(err)
 							}
-						}
-						for _, edges := range sel.edges {
-							for _, e := range edges {
-								for _, tiers := range e.tiers {
-									for _, p := range tiers {
-										overflowed = overflowed || p.overflow > 0
+							ref := &refSelector{tr: tr, cfg: cfg, opts: opts}
+							for qi, q := range qs {
+								want := ref.candidatesFor(tr.PerQuery[q.ID])
+								if diff := candidateDiff(sel.cands[qi], want); diff != "" {
+									t.Errorf("cfg %d, %v, MaxDelay %d, %s: %s", ci, mode, d, q.Name, diff)
+								}
+							}
+							for _, edges := range sel.edges {
+								for _, e := range edges {
+									for _, tiers := range e.tiers {
+										for _, p := range tiers {
+											overflowed = overflowed || p.overflow > 0
+										}
 									}
 								}
 							}
@@ -121,10 +128,12 @@ func candidateDiff(got, want []candidate) string {
 
 // TestPlanMatchesReference holds PlanQueries to the reference selector end
 // to end — candidates, greedy packing over trial programs that reuse each
-// edge's augmented query and pipelines, the realized plan — over the same
-// sweep, and over every mode at the default menu: equal plans, from each
-// level's cuts, instances, register sizes and work estimates to the switch
-// program.
+// edge's augmented query and pipelines, for Sonata the restricted modes'
+// greedies and the ILP, the realized plan — over the same sweep, and over
+// every mode at the default menu: equal plans, from each level's cuts,
+// instances, register sizes and work estimates to the switch program. At
+// the default menu the sweep adds a switch with 2 Kb of metadata, where the
+// ILP's choice places and is kept (on the tight switch it never places).
 func TestPlanMatchesReference(t *testing.T) {
 	qs := oracleQueries()
 	for _, seed := range []int64{1, 2} {
@@ -132,11 +141,14 @@ func TestPlanMatchesReference(t *testing.T) {
 			tr := oracleTraining(t, qs, seed, menu)
 			t.Run(fmt.Sprintf("seed%d/menu%v", seed, menu), func(t *testing.T) {
 				t.Parallel()
-				modes := []Mode{ModeSonata}
+				modes, cfgs := []Mode{ModeSonata}, oracleConfigs()
 				if mi == 0 {
 					modes = append(modes, ModeAllSP, ModeFilterDP, ModeMaxDP, ModeFixRef)
+					meta := pisa.DefaultConfig()
+					meta.MetadataBits = 2048
+					cfgs = append(cfgs, meta)
 				}
-				for ci, cfg := range oracleConfigs() {
+				for ci, cfg := range cfgs {
 					for _, mode := range modes {
 						for d := 1; d <= 4; d++ {
 							opts := DefaultOptions()

@@ -7,13 +7,18 @@ package planner
 // through a signature map and priced edge by edge through sideN, which
 // re-derives the pipeline's valid cut points on every call; every greedy
 // trial re-augments and re-compiles each placed edge. The functions below
-// are the replaced code as it was, renamed with a ref prefix; the helpers
-// the change left alone (paths, finestPath, gateOnly, gateQuery, maxEntries,
-// the placer) are shared.
+// are the replaced code, renamed with a ref prefix, extended as plan
+// selection was: each mode's list is a filter over one enumeration that
+// offers Filter-DP's cut on the finest path, Sonata's list holds every
+// mode's, and selection runs the restricted greedies and the ILP from the
+// best of them (the formulation, ilpChoice, is shared; the footprints it
+// reads are the reference's own). The helpers the change left alone
+// (paths, gateOnly, gateQuery, maxEntries, the placer) are shared.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/compile"
@@ -21,7 +26,7 @@ import (
 	"repro/internal/query"
 )
 
-// refPlanQueries is PlanQueries over the reference selector, greedy only.
+// refPlanQueries is PlanQueries over the reference selector.
 func refPlanQueries(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, opts Options) (*Plan, error) {
 	if opts.MaxDelay <= 0 {
 		opts.MaxDelay = 4
@@ -39,7 +44,7 @@ func refPlanQueries(tr *TrainingResult, queries []*query.Query, cfg pisa.Config,
 		sel.queries = append(sel.queries, qt)
 		sel.cands = append(sel.cands, cands)
 	}
-	return sel.realize(sel.greedy())
+	return sel.realize(sel.choose())
 }
 
 type refSelector struct {
@@ -50,47 +55,71 @@ type refSelector struct {
 	cands   [][]candidate
 }
 
+// candidatesFor is the planning mode's list: Sonata's paths (for a
+// restricted mode the finest path, and for Fix-REF the full ladder too),
+// every combination sorted, each mode's cheapest 48 kept, and the All-SP
+// combination whatever its rank.
 func (s *refSelector) candidatesFor(qt *QueryTraining) []candidate {
-	switch s.opts.Mode {
-	case ModeAllSP:
-		return []candidate{s.allSPCandidate(qt)}
-	case ModeFilterDP:
-		return []candidate{s.filterDPCandidate(qt)}
-	case ModeMaxDP:
-		return s.pathCandidates(qt, [][]int{finestPath(qt)})
-	case ModeFixRef:
-		return s.pathCandidates(qt, [][]int{qt.Levels})
-	default:
-		return s.pathCandidates(qt, paths(qt, s.opts.MaxDelay))
-	}
-}
-
-func (s *refSelector) allSPCandidate(qt *QueryTraining) candidate {
-	finest := finestPath(qt)
-	c := candidate{path: finest, cuts: [][2]int{{0, 0}}}
-	c.cost = s.pathCost(qt, c)
-	return c
-}
-
-func (s *refSelector) filterDPCandidate(qt *QueryTraining) candidate {
-	finest := finestPath(qt)
-	edge := qt.Edges[[2]int{LevelStar, finest[0]}]
-	cutOf := func(sc *SideCost) int {
-		if sc == nil {
-			return 0
+	ps := paths(qt, s.opts.MaxDelay)
+	if s.opts.Mode != ModeSonata {
+		ps = [][]int{{qt.Levels[len(qt.Levels)-1]}}
+		if s.opts.Mode == ModeFixRef && len(qt.Levels) > 1 {
+			ps = append(ps, qt.Levels)
 		}
-		cut := 0
-		for i, t := range sc.Pipe.Tables {
-			if t.Kind != compile.TableFilter || i >= sc.Pipe.CapPrefix {
-				break
+	}
+	var kept []candidate
+	rank := map[Mode]int{}
+	for _, c := range s.pathCandidates(qt, ps) {
+		var modes uint8
+		for m := ModeSonata; m <= ModeFixRef; m++ {
+			if c.modes&(1<<m) == 0 || (s.opts.Mode != ModeSonata && m != s.opts.Mode) {
+				continue
 			}
-			cut = i + 1
+			if rank[m] < 48 || c.modes&(1<<ModeAllSP) != 0 {
+				modes |= 1 << m
+			}
+			rank[m]++
 		}
-		return cut
+		if modes != 0 {
+			c.modes = modes | 1<<s.opts.Mode
+			kept = append(kept, c)
+		}
 	}
-	c := candidate{path: finest, cuts: [][2]int{{cutOf(edge.Left), cutOf(edge.Right)}}}
-	c.cost = s.pathCost(qt, c)
-	return c
+	return kept
+}
+
+// refModes is the set of modes whose space holds c (Table 4's emulations).
+func refModes(qt *QueryTraining, c *candidate) uint8 {
+	finest := qt.Levels[len(qt.Levels)-1]
+	modes := uint8(1 << ModeSonata)
+	if slices.Equal(c.path, qt.Levels) {
+		modes |= 1 << ModeFixRef
+	}
+	if slices.Equal(c.path, []int{finest}) {
+		modes |= 1 << ModeMaxDP
+		edge := qt.Edges[[2]int{LevelStar, finest}]
+		if c.cuts[0] == [2]int{0, 0} {
+			modes |= 1<<ModeAllSP | 1<<ModeFilterDP | 1<<ModeFixRef
+		} else if c.cuts[0] == [2]int{refFilterCut(edge.Left), refFilterCut(edge.Right)} {
+			modes |= 1 << ModeFilterDP
+		}
+	}
+	return modes
+}
+
+// refFilterCut cuts after the leading run of plain filter tables.
+func refFilterCut(sc *SideCost) int {
+	if sc == nil {
+		return 0
+	}
+	cut := 0
+	for i, t := range sc.Pipe.Tables {
+		if t.Kind != compile.TableFilter || i >= sc.Pipe.CapPrefix {
+			break
+		}
+		cut = i + 1
+	}
+	return cut
 }
 
 func (s *refSelector) pathCandidates(qt *QueryTraining, paths [][]int) []candidate {
@@ -120,7 +149,7 @@ func (s *refSelector) pathCandidates(qt *QueryTraining, paths [][]int) []candida
 		prev := LevelStar
 		for i, level := range path {
 			edge := qt.Edges[[2]int{prev, level}]
-			tiers[i] = refCutTiers(edge)
+			tiers[i] = refCutTiers(edge, prev == LevelStar && level == qt.Levels[len(qt.Levels)-1])
 			prev = level
 		}
 		// Cartesian product of tiers, bounded: paths are short (<=4) and
@@ -130,6 +159,7 @@ func (s *refSelector) pathCandidates(qt *QueryTraining, paths [][]int) []candida
 			if i == len(path) {
 				c := candidate{path: path, cuts: append([][2]int(nil), cuts...)}
 				c.cost = s.pathCost(qt, c)
+				c.modes = refModes(qt, &c)
 				if key := sig(&c); !seen[string(key)] {
 					seen[string(key)] = true
 					out = append(out, c)
@@ -142,24 +172,22 @@ func (s *refSelector) pathCandidates(qt *QueryTraining, paths [][]int) []candida
 		}
 		rec(0, nil)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].cost != out[j].cost {
-			return out[i].cost < out[j].cost
+	slices.SortStableFunc(out, func(a, b candidate) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
 		// Equal trained cost: prefer deeper cuts (more work on the switch).
 		// Training can only estimate the traffic it saw; when a class of
 		// traffic is absent from training, every cut costs zero and the
 		// deeper one is free insurance against workload drift.
-		return out[i].cutDepth() > out[j].cutDepth()
+		return cmp.Compare(b.cutDepth(), a.cutDepth())
 	})
-	// Keep the search tractable: the cheapest few dozen candidates.
-	if len(out) > 48 {
-		out = out[:48]
-	}
 	return out
 }
 
-func refCutTiers(edge *EdgeProfile) [][2]int {
+// refCutTiers is an edge's tier pairs; the finest path's edge also offers
+// each side's leading-filter cut.
+func refCutTiers(edge *EdgeProfile, finest bool) [][2]int {
 	tiersOf := func(sc *SideCost) []int {
 		if sc == nil {
 			return []int{0}
@@ -172,6 +200,9 @@ func refCutTiers(edge *EdgeProfile) [][2]int {
 		}
 		if lean != 0 && max != 0 {
 			set = append(set, 0)
+		}
+		if f := refFilterCut(sc); finest && !slices.Contains(set, f) {
+			set = append(set, f)
 		}
 		return set
 	}
@@ -269,7 +300,41 @@ func refTableInputN(sc *SideCost, t int) uint64 {
 	return best
 }
 
-func (s *refSelector) greedy() []int {
+// choose is the selection path: the mode's greedy; for Sonata short of
+// every query's cheapest candidate, the best of it and each restricted
+// mode's greedy, then the ILP's choice if it places and costs less.
+func (s *refSelector) choose() []int {
+	choice := s.greedy(s.opts.Mode)
+	if s.opts.Mode != ModeSonata {
+		return choice
+	}
+	cost := func(choice []int) (total uint64) {
+		for qi, ci := range choice {
+			total += s.cands[qi][ci].cost
+		}
+		return total
+	}
+	var floor uint64
+	for _, cands := range s.cands {
+		floor += cands[0].cost
+	}
+	if cost(choice) == floor {
+		return choice
+	}
+	for _, m := range []Mode{ModeAllSP, ModeFilterDP, ModeMaxDP, ModeFixRef} {
+		if c := s.greedy(m); cost(c) < cost(choice) {
+			choice = c
+		}
+	}
+	if c := ilpChoice(s.cands, s.cfg, choice, s.resources); c != nil && cost(c) < cost(choice) {
+		if _, err := s.buildProgram(c); err == nil {
+			choice = c
+		}
+	}
+	return choice
+}
+
+func (s *refSelector) greedy(mode Mode) []int {
 	choice := make([]int, len(s.queries))
 	for qi := range choice {
 		choice[qi] = s.fallbackIndex(qi)
@@ -280,7 +345,7 @@ func (s *refSelector) greedy() []int {
 		for qi := range s.queries {
 			cur := s.cands[qi][choice[qi]].cost
 			for ci := range s.cands[qi] {
-				if ci == choice[qi] {
+				if ci == choice[qi] || s.cands[qi][ci].modes&(1<<mode) == 0 {
 					continue
 				}
 				gain := int64(cur) - int64(s.cands[qi][ci].cost)
@@ -304,7 +369,7 @@ func (s *refSelector) greedy() []int {
 		cur := &s.cands[qi][choice[qi]]
 		for ci := range s.cands[qi] {
 			c := &s.cands[qi][ci]
-			if ci == choice[qi] || c.cost != cur.cost || c.cutDepth() <= cur.cutDepth() {
+			if ci == choice[qi] || c.modes&(1<<mode) == 0 || c.cost != cur.cost || c.cutDepth() <= cur.cutDepth() {
 				continue
 			}
 			old := choice[qi]
@@ -325,8 +390,7 @@ func (s *refSelector) fallbackIndex(qi int) int {
 			return ci
 		}
 	}
-	s.cands[qi] = append(s.cands[qi], s.allSPCandidate(s.queries[qi]))
-	return len(s.cands[qi]) - 1
+	panic("reference: no All-SP candidate")
 }
 
 func (s *refSelector) realize(choice []int) (*Plan, error) {
@@ -389,28 +453,14 @@ func refMakeInstance(side pisa.Side, ops []query.Op, sc *SideCost, cut int, cfg 
 func (s *refSelector) buildProgram(choice []int) (*pisa.Program, error) {
 	prog := &pisa.Program{}
 	place := newPlacer(s.cfg)
-	for qi, qt := range s.queries {
-		c := s.cands[qi][choice[qi]]
-		prev := LevelStar
-		for i, level := range c.path {
-			edge := qt.Edges[[2]int{prev, level}]
-			aug := qt.AugmentedAt(prev, level)
-			if gateOnly(qt, c.path, i) {
-				if err := s.placeSide(prog, place, qt, aug.Right.Ops, edge.Right, level, pisa.SideLeft, c.cuts[i][1]); err != nil {
-					return nil, err
-				}
-				prev = level
-				continue
-			}
-			if err := s.placeSide(prog, place, qt, aug.Left.Ops, edge.Left, level, pisa.SideLeft, c.cuts[i][0]); err != nil {
+	for qi := range s.queries {
+		for _, spec := range s.specs(qi, &s.cands[qi][choice[qi]]) {
+			stages, err := place.fit(spec)
+			if err != nil {
 				return nil, err
 			}
-			if edge.Right != nil {
-				if err := s.placeSide(prog, place, qt, aug.Right.Ops, edge.Right, level, pisa.SideRight, c.cuts[i][1]); err != nil {
-					return nil, err
-				}
-			}
-			prev = level
+			spec.StageOf = stages
+			prog.Instances = append(prog.Instances, spec)
 		}
 	}
 	if err := prog.Validate(s.cfg); err != nil {
@@ -419,19 +469,46 @@ func (s *refSelector) buildProgram(choice []int) (*pisa.Program, error) {
 	return prog, nil
 }
 
-func (s *refSelector) placeSide(prog *pisa.Program, place *placer, qt *QueryTraining,
-	ops []query.Op, sc *SideCost, level int, side pisa.Side, cut int) error {
-	inst := refMakeInstance(side, ops, sc, cut, s.cfg)
-	spec := &pisa.InstanceSpec{
-		QID: qt.Query.ID, Level: uint8(level), Side: side,
-		Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: cut,
-		RegEntries: inst.RegEntries,
+// resources is the switch footprint the candidate's instances take: their
+// stateful tables, register bits and metadata bits.
+func (s *refSelector) resources(qi int, c *candidate) (stateful int, bits int64, meta int) {
+	for _, spec := range s.specs(qi, c) {
+		for t := 0; t < spec.CutAt; t++ {
+			if tab := &spec.Tables[t]; tab.Stateful {
+				stateful++
+				bits += pisa.RegisterBits(spec.RegEntries[t], s.cfg.RegisterChains, tab.KeyBits, tab.ValBits)
+			}
+		}
+		meta += spec.MetaBits()
 	}
-	stages, err := place.fit(spec)
-	if err != nil {
-		return err
+	return stateful, bits, meta
+}
+
+// specs is the candidate's switch instances in program order, unplaced.
+func (s *refSelector) specs(qi int, c *candidate) []*pisa.InstanceSpec {
+	qt := s.queries[qi]
+	var out []*pisa.InstanceSpec
+	add := func(ops []query.Op, sc *SideCost, level int, side pisa.Side, cut int) {
+		inst := refMakeInstance(side, ops, sc, cut, s.cfg)
+		out = append(out, &pisa.InstanceSpec{
+			QID: qt.Query.ID, Level: uint8(level), Side: side,
+			Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: cut,
+			RegEntries: inst.RegEntries,
+		})
 	}
-	spec.StageOf = stages
-	prog.Instances = append(prog.Instances, spec)
-	return nil
+	prev := LevelStar
+	for i, level := range c.path {
+		edge := qt.Edges[[2]int{prev, level}]
+		aug := qt.AugmentedAt(prev, level)
+		if gateOnly(qt, c.path, i) {
+			add(aug.Right.Ops, edge.Right, level, pisa.SideLeft, c.cuts[i][1])
+		} else {
+			add(aug.Left.Ops, edge.Left, level, pisa.SideLeft, c.cuts[i][0])
+			if edge.Right != nil {
+				add(aug.Right.Ops, edge.Right, level, pisa.SideRight, c.cuts[i][1])
+			}
+		}
+		prev = level
+	}
+	return out
 }

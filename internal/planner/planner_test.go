@@ -223,32 +223,6 @@ func TestPlanTightSwitchForcesPartialOffload(t *testing.T) {
 	}
 }
 
-func TestPlanILPAgreesWithGreedyOnEasyInstance(t *testing.T) {
-	windows := trainingWindows(t, 1, 4000)
-	qs := []*query.Query{q1(100)}
-	tr, err := Train(qs, []int{8, 16}, windows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pisa.DefaultConfig()
-	greedyOpts := DefaultOptions()
-	gPlan, err := PlanQueries(tr, qs, cfg, greedyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ilpOpts := DefaultOptions()
-	ilpOpts.UseILP = true
-	ilpOpts.ILPBudget = 5 * time.Second
-	iPlan, err := PlanQueries(tr, qs, cfg, ilpOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The ILP may only improve on the greedy incumbent.
-	if iPlan.ExpectedN() > gPlan.ExpectedN() {
-		t.Errorf("ILP (%d) worse than greedy (%d)", iPlan.ExpectedN(), gPlan.ExpectedN())
-	}
-}
-
 func TestPlanJoinQueryUsesOnePlanForBothSides(t *testing.T) {
 	windows := trainingWindows(t, 1, 5000)
 	p := queries.DefaultParams()

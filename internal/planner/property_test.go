@@ -14,7 +14,9 @@ import (
 // program that passes the switch's own constraint validation, or fail with
 // an error — never emit an invalid program. The All-SP fallback (zero
 // switch resources) guarantees feasibility, so errors should not occur
-// either.
+// either. It is also the dominance property: Sonata's plan space holds
+// every restricted mode's, so its plan's trained estimate is never above
+// theirs.
 func TestPlansAlwaysFitRandomSwitches(t *testing.T) {
 	windows := trainingWindows(t, 1, 4000)
 	p := queries.DefaultParams()
@@ -45,6 +47,7 @@ func TestPlansAlwaysFitRandomSwitches(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("trial %d generated invalid config: %v", trial, err)
 		}
+		planned := map[Mode]uint64{}
 		for _, mode := range []Mode{ModeSonata, ModeMaxDP, ModeFixRef, ModeAllSP, ModeFilterDP} {
 			opts := DefaultOptions()
 			opts.Mode = mode
@@ -52,6 +55,10 @@ func TestPlansAlwaysFitRandomSwitches(t *testing.T) {
 			if err != nil {
 				t.Errorf("trial %d %v: planning failed despite All-SP fallback: %v", trial, mode, err)
 				continue
+			}
+			planned[mode] = plan.ExpectedN()
+			if n := planned[ModeSonata]; mode != ModeSonata && n > planned[mode] {
+				t.Errorf("trial %d: Sonata plans N %d, above %v's %d (cfg %+v)", trial, n, mode, planned[mode], cfg)
 			}
 			if err := plan.Program.Validate(cfg); err != nil {
 				t.Errorf("trial %d %v: invalid program: %v (cfg %+v)", trial, mode, err, cfg)

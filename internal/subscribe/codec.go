@@ -159,7 +159,7 @@ func (d *decoder) str() string {
 	if d.err != nil {
 		return ""
 	}
-	if uint64(d.off)+n > uint64(len(d.buf)) {
+	if n > uint64(len(d.buf)-d.off) { // not d.off+n, which a length near 2^64 wraps
 		d.err = fmt.Errorf("subscribe: string length %d exceeds frame", n)
 		return ""
 	}

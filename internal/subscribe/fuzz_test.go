@@ -2,9 +2,11 @@ package subscribe
 
 import (
 	"net"
+	"reflect"
 	"testing"
 
 	"repro/internal/netproto"
+	"repro/internal/stream"
 )
 
 // handshake sends body as a MsgSubscribe over an in-memory connection
@@ -49,6 +51,30 @@ func FuzzSubscribeRequest(f *testing.F) {
 		}
 		if req.QueueCap > MaxQueueCap || req.Mode > TargetDefined || req.Policy > Disconnect {
 			t.Fatalf("accepted %+v", req)
+		}
+	})
+}
+
+// FuzzDecodeUpdate feeds arbitrary MsgNotify bodies through DecodeUpdate,
+// which Client.Recv and the dial-out Collect run on a peer's bytes. Nothing
+// may panic, and an accepted body must describe an update that survives
+// re-encoding: encoded again and decoded, it is the same update. The seed
+// corpus (testdata/fuzz) holds encoded updates, a truncation and a string
+// length of 2^64-1.
+func FuzzDecodeUpdate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		u, err := DecodeUpdate(body)
+		if err != nil {
+			return
+		}
+		again := appendHeader(nil, u.Window, u.Key())
+		again = appendResult(again, &stream.Result{Schema: u.Schema, Tuples: u.Tuples})
+		v, err := DecodeUpdate(again)
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", u, err)
+		}
+		if !reflect.DeepEqual(u, v) {
+			t.Fatalf("re-encoding changed the update: %+v, then %+v", u, v)
 		}
 	})
 }

@@ -82,6 +82,19 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeUpdateHugeStringLength: a string value whose length is a
+// uvarint near 2^64 must be refused as exceeding the frame, not wrap the
+// bounds check around and slice past the body.
+func TestDecodeUpdateHugeStringLength(t *testing.T) {
+	// window 0, qid 1, level 0, no schema, one tuple of one string value,
+	// its length 2^64-1.
+	body := []byte{0x00, 0x01, 0x00, 0x00, 0x01, 0x01, 0x01,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	if _, err := DecodeUpdate(body); err == nil {
+		t.Fatal("a string length of 2^64-1 decoded without error")
+	}
+}
+
 // TestFingerprintIgnoresWindowHeader: the same payload in different windows
 // must fingerprint equal (that is what makes OnChange dedup across windows
 // work), while a payload change must move the fingerprint.
