@@ -153,12 +153,16 @@ check-fuzz:
 # planner training and plan selection, whose ceilings are their measured
 # counts);
 # the -benchmem run prints the same paths' current numbers for the log.
+# Plan selection at the paper's menu (~0.4 s a plan), which no budget reads,
+# is printed from a few iterations of its own.
 # Allocation counts are deterministic (training's to within a few, from map
 # hashing), so unlike bench-smoke this gate is not subject to perf noise and
 # does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
+		-bench 'BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$' .
+	$(GO) test -run '^$$' -benchtime 100x -benchmem -bench 'BenchmarkPlanQueries$$/^menu=8-16-24$$' .
+	$(GO) test -run '^$$' -benchtime 3x -benchmem -bench 'BenchmarkPlanQueries$$/^menu=paper$$' .
 	$(GO) test -run TestRegisterBankProbeAllocBudget -benchtime 1000x -benchmem \
 		-bench 'BenchmarkRegisterBankProbe$$' ./internal/pisa
 

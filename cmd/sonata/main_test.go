@@ -45,7 +45,7 @@ func capture(t *testing.T, cfg trace.Config, attacks bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WritePcap(f, g); err != nil {
+	if err := trace.WritePcap(f, g, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/trace"
@@ -55,7 +56,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WritePcap(f, g); err != nil {
+	if err := trace.WritePcap(f, g, runtime.GOMAXPROCS(0)); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "[tracegen] wrote %d windows x ~%d packets to %s\n",

@@ -47,15 +47,17 @@ func (m Mode) String() string {
 // Options configure planning.
 type Options struct {
 	Mode Mode
-	// MaxDelay is the default bound on refinement chain length, in windows
-	// (a query's own MaxDelay takes precedence when set).
-	MaxDelay int
 }
 
 // DefaultOptions returns the Sonata-mode defaults.
 func DefaultOptions() Options {
-	return Options{Mode: ModeSonata, MaxDelay: 4}
+	return Options{Mode: ModeSonata}
 }
+
+// maxDelay bounds a refinement chain's length, in windows, unless the
+// query's own MaxDelay is tighter. DefaultMenu's ladder, three levels and the
+// finest, never exceeds it.
+const maxDelay = 4
 
 // InstancePlan is one (level, side) pipeline placed on the switch and
 // stream processor.
@@ -161,9 +163,6 @@ type selector struct {
 
 // newSelector prices every query's plan space into its candidate list.
 func newSelector(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, opts Options) (*selector, error) {
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 4
-	}
 	s := &selector{tr: tr, cfg: cfg, opts: opts}
 	for _, q := range queries {
 		qt, ok := tr.PerQuery[q.ID]
@@ -178,10 +177,10 @@ func newSelector(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, op
 }
 
 // paths enumerates monotone level chains ending at the finest level, with
-// length bounded by the query's delay budget (maxDelay unless the query's
-// own is tighter). The first is the finest path.
-func paths(qt *QueryTraining, maxDelay int) [][]int {
-	maxLen := maxDelay
+// length bounded by the query's delay budget (bound unless the query's own
+// is tighter). The first is the finest path.
+func paths(qt *QueryTraining, bound int) [][]int {
+	maxLen := bound
 	if qt.Query.MaxDelay > 0 && qt.Query.MaxDelay < maxLen {
 		maxLen = qt.Query.MaxDelay
 	}
@@ -231,7 +230,7 @@ const maxCandidates = 48
 // are an edge's tiers, so every combination is a distinct candidate.
 func (s *selector) candidates(qi int) []candidate {
 	qt := s.queries[qi]
-	ps := paths(qt, s.opts.MaxDelay)
+	ps := paths(qt, maxDelay)
 	planning := uint8(0xff)
 	if s.opts.Mode != ModeSonata {
 		// A restricted space lies on the finest path and, for Fix-REF, on

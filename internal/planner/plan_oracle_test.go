@@ -43,6 +43,19 @@ func oracleTraining(t *testing.T, qs []*query.Query, seed int64, menu []int) *Tr
 	return tr
 }
 
+// withDelay is tr with every query's own MaxDelay set to d, on clones of
+// the queries: the trainings are shared by parallel subtests.
+func withDelay(tr *TrainingResult, d int) *TrainingResult {
+	c := &TrainingResult{PerQuery: make(map[uint16]*QueryTraining, len(tr.PerQuery)), WindowPackets: tr.WindowPackets}
+	for id, qt := range tr.PerQuery {
+		cq := *qt
+		cq.Query = qt.Query.Clone()
+		cq.Query.MaxDelay = d
+		c.PerQuery[id] = &cq
+	}
+	return c
+}
+
 // oracleConfigs are the default switch and a tight one, whose one-bank
 // 256-entry registers overflow on the oracle windows' keys and whose few
 // stateful slots stop most candidates from packing.
@@ -77,15 +90,14 @@ func TestPathCandidatesMatchReference(t *testing.T) {
 				for ci, cfg := range oracleConfigs() {
 					for _, mode := range modes {
 						for d := 1; d <= 4; d++ {
-							opts := DefaultOptions()
-							opts.Mode, opts.MaxDelay = mode, d
-							sel, err := newSelector(tr, qs, cfg, opts)
+							opts, trd := Options{Mode: mode}, withDelay(tr, d)
+							sel, err := newSelector(trd, qs, cfg, opts)
 							if err != nil {
 								t.Fatal(err)
 							}
-							ref := &refSelector{tr: tr, cfg: cfg, opts: opts}
+							ref := &refSelector{tr: trd, cfg: cfg, opts: opts}
 							for qi, q := range qs {
-								want := ref.candidatesFor(tr.PerQuery[q.ID])
+								want := ref.candidatesFor(trd.PerQuery[q.ID])
 								if diff := candidateDiff(sel.cands[qi], want); diff != "" {
 									t.Errorf("cfg %d, %v, MaxDelay %d, %s: %s", ci, mode, d, q.Name, diff)
 								}
@@ -151,13 +163,12 @@ func TestPlanMatchesReference(t *testing.T) {
 				for ci, cfg := range cfgs {
 					for _, mode := range modes {
 						for d := 1; d <= 4; d++ {
-							opts := DefaultOptions()
-							opts.Mode, opts.MaxDelay = mode, d
-							got, err := PlanQueries(tr, qs, cfg, opts)
+							opts, trd := Options{Mode: mode}, withDelay(tr, d)
+							got, err := PlanQueries(trd, qs, cfg, opts)
 							if err != nil {
 								t.Fatal(err)
 							}
-							want, err := refPlanQueries(tr, qs, cfg, opts)
+							want, err := refPlanQueries(trd, qs, cfg, opts)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -28,9 +28,6 @@ import (
 
 // refPlanQueries is PlanQueries over the reference selector.
 func refPlanQueries(tr *TrainingResult, queries []*query.Query, cfg pisa.Config, opts Options) (*Plan, error) {
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 4
-	}
 	sel := &refSelector{tr: tr, cfg: cfg, opts: opts}
 	for _, q := range queries {
 		qt, ok := tr.PerQuery[q.ID]
@@ -60,7 +57,7 @@ type refSelector struct {
 // every combination sorted, each mode's cheapest 48 kept, and the All-SP
 // combination whatever its rank.
 func (s *refSelector) candidatesFor(qt *QueryTraining) []candidate {
-	ps := paths(qt, s.opts.MaxDelay)
+	ps := paths(qt, maxDelay)
 	if s.opts.Mode != ModeSonata {
 		ps = [][]int{{qt.Levels[len(qt.Levels)-1]}}
 		if s.opts.Mode == ModeFixRef && len(qt.Levels) > 1 {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/query"
 	"repro/internal/trace"
+	"repro/internal/tuple"
 )
 
 func q1(th uint64) *query.Query {
@@ -260,5 +261,56 @@ func TestTrainRejectsEmptyInput(t *testing.T) {
 	}
 	if _, err := Train([]*query.Query{q1(1)}, []int{8}, nil); err == nil {
 		t.Error("no windows accepted")
+	}
+}
+
+// TestHandDown pins the refinement rule, case by case. Every case runs twice
+// through one scratch set, so a key left over from an earlier call would
+// show.
+func TestHandDown(t *testing.T) {
+	ip := func(a, b, c, d byte) tuple.Value {
+		return tuple.U64(uint64(a)<<24 | uint64(b)<<16 | uint64(c)<<8 | uint64(d))
+	}
+	x, y, z := ip(10, 0, 0, 1), ip(10, 0, 0, 2), ip(10, 0, 1, 1)
+	rows := func(keys ...tuple.Value) [][]tuple.Value {
+		out := make([][]tuple.Value, len(keys))
+		for i, k := range keys {
+			out[i] = []tuple.Value{tuple.U64(uint64(i)), k} // the key sits in column 1
+		}
+		return out
+	}
+	keyed := func(keys ...tuple.Value) KeyedRows { return KeyedRows{Rows: rows(keys...), Col: 1} }
+	cases := []struct {
+		name  string
+		level int
+		sides []KeyedRows
+		want  []tuple.Value
+	}{
+		{"without a join the rows pass through, duplicates kept", 32,
+			[]KeyedRows{keyed(x, y, x)}, []tuple.Value{x, x, y}},
+		{"keys are masked to the level", 24,
+			[]KeyedRows{keyed(x, y, z)}, []tuple.Value{ip(10, 0, 0, 0), ip(10, 0, 0, 0), ip(10, 0, 1, 0)}},
+		{"a join keeps what both sides output, once", 32,
+			[]KeyedRows{keyed(x, y, y), keyed(y, z, y)}, []tuple.Value{y}},
+		{"a join intersects after masking", 24,
+			[]KeyedRows{keyed(x, z), keyed(y)}, []tuple.Value{ip(10, 0, 0, 0)}},
+		{"a packet-phase left side leaves the right side alone", 32,
+			[]KeyedRows{{Col: -1}, keyed(x, x, z)}, []tuple.Value{x, z}},
+		{"a side without the key column has no say", 32,
+			[]KeyedRows{keyed(x, y), {Rows: rows(z), Col: -1}}, []tuple.Value{x, y}},
+		{"a side with no rows has no say", 32,
+			[]KeyedRows{keyed(x, y), {Col: 1}}, []tuple.Value{x, y}},
+		{"a join whose sides all lack the key hands down nothing", 32,
+			[]KeyedRows{{Rows: rows(x), Col: -1}, {Rows: rows(y), Col: -1}}, nil},
+	}
+	seen := make(map[tuple.Value]int)
+	for _, c := range cases {
+		for pass := 0; pass < 2; pass++ {
+			got := HandDown(nil, seen, fields.DstIP, c.level, c.sides...)
+			slices.SortFunc(got, tuple.Value.Compare)
+			if !slices.Equal(got, c.want) {
+				t.Errorf("%s (pass %d): %v, want %v", c.name, pass, got, c.want)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/compile"
+	"repro/internal/fields"
 	"repro/internal/packet"
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -98,7 +99,7 @@ func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingRes
 	}
 	res := &TrainingResult{PerQuery: make(map[uint16]*QueryTraining)}
 	t := &trainer{batches: make([]query.PacketBatch, len(windows)), all: make([][]uint64, len(windows)),
-		prof: stream.NewProfiler(nil, nil)}
+		prof: stream.NewProfiler(nil, nil), seen: make(map[tuple.Value]int), gates: make(map[fields.ID][][]uint64)}
 	counts := make([]uint64, len(windows))
 	// The fields the queries read in packet phase: their operators' and each
 	// refinement key, which gated edges filter on.
@@ -153,6 +154,10 @@ type trainer struct {
 	batches []query.PacketBatch
 	all     [][]uint64
 	prof    *stream.Profiler
+	// keys and seen are satisfying's scratch, gates gatedRuns'.
+	keys  []tuple.Value
+	seen  map[tuple.Value]int
+	gates map[fields.ID][][]uint64
 }
 
 // learn trains one query. Each level gets one ungated run per side and
@@ -161,8 +166,9 @@ type trainer struct {
 // is the least of them over prefixes of finest-level satisfying keys, and
 // applying the level's trained filter to them afterwards (closeRun) gives
 // its satisfying keys and its (*, r) edge. Then each coarser level prev
-// gates the finer ones: its dynamic filter is evaluated once per window, and
-// that selection starts every finer level's run on either side.
+// gates the finer ones through the dynamic filter AugmentQuery put at op 0
+// of their sides: evaluated once per window and key field, its selection
+// starts every finer level's run on either side.
 func (t *trainer) learn(q *query.Query, menu []int) *QueryTraining {
 	qt := &QueryTraining{Query: q, Th: make(map[int]Thresholds),
 		Satisfy: make(map[int][]tuple.Value), Edges: make(map[[2]int]*EdgeProfile)}
@@ -197,7 +203,7 @@ func (t *trainer) learn(q *query.Query, menu []int) *QueryTraining {
 		}
 		qt.Edges[[2]int{LevelStar, r}] = t.edge(LevelStar, r, aug, runs)
 		if qt.Refinable {
-			set := qt.satisfying(r, aug, runs)
+			set := t.satisfying(key.Field, r, aug, runs)
 			if r == finest {
 				finestKeys = set
 			}
@@ -210,15 +216,11 @@ func (t *trainer) learn(q *query.Query, menu []int) *QueryTraining {
 	}
 
 	for i, prev := range coarse {
-		admit, filter := query.NewDynSet(qt.Satisfy[prev]), query.NewDynPacketFilter("", key.Field, prev)
-		gates := make([][]uint64, len(t.all))
-		for w := range gates {
-			gates[w] = slices.Clone(t.all[w])
-			admit.FilterPackets(gates[w], &t.batches[w], &filter)
-		}
+		admit := query.NewDynSet(qt.Satisfy[prev])
+		clear(t.gates)
 		for _, r := range qt.Levels[i+1:] {
 			aug := qt.AugmentedAt(prev, r)
-			qt.Edges[[2]int{prev, r}] = t.edge(prev, r, aug, t.gatedRuns(aug, gates))
+			qt.Edges[[2]int{prev, r}] = t.edge(prev, r, aug, t.gatedRuns(aug, admit))
 		}
 	}
 	return qt
@@ -246,13 +248,26 @@ func (t *trainer) openRuns(aug *query.Query) [][]stream.PipelineProfile {
 }
 
 // gatedRuns profiles each side of aug over every window, [side][window].
-// Op 0 of a side is the dynamic filter whose selection over window w is
-// gates[w]: the rest of the side runs over the gate's packets, and op 0 emits
-// as many as it selects, so OutAfter and Keys are indexed by the side's ops.
-func (t *trainer) gatedRuns(aug *query.Query, gates [][]uint64) [][]stream.PipelineProfile {
+// Op 0 of a side is the dynamic filter AugmentQuery prepended, here admitting
+// the keys in admit. Its selection over each window is evaluated once per
+// key field and kept in t.gates, which the caller clears for each coarser
+// level, whose filters are the same but for their table. The rest of the
+// side runs over the gate's packets, and op 0 emits as many as it selects,
+// so OutAfter and Keys are indexed by the side's ops.
+func (t *trainer) gatedRuns(aug *query.Query, admit *query.DynSet) [][]stream.PipelineProfile {
 	runs := make([][]stream.PipelineProfile, len(sides(aug)))
 	for s, p := range sides(aug) {
-		for w, gate := range gates {
+		dyn := &p.Ops[0]
+		sels, ok := t.gates[dyn.DynKeyField]
+		if !ok {
+			sels = make([][]uint64, len(t.all))
+			for w := range sels {
+				sels[w] = slices.Clone(t.all[w])
+				admit.FilterPackets(sels[w], &t.batches[w], dyn)
+			}
+			t.gates[dyn.DynKeyField] = sels
+		}
+		for w, gate := range sels {
 			run := t.run(p.Ops[1:], w, gate)
 			run.OutAfter = slices.Insert(run.OutAfter, 0, uint64(tuple.SelCount(gate)))
 			run.Keys = slices.Insert(run.Keys, 0, 0)
@@ -319,27 +334,17 @@ func (qt *QueryTraining) observeThresholds(r int, prefixes map[tuple.Value]struc
 }
 
 // satisfying is level r's satisfying-key set: the union over windows of the
-// keys (masked to r) that every side with a key column output from its
-// closed run. A side without one, such as a packet-phase join side, has no
-// say.
-func (qt *QueryTraining) satisfying(r int, aug *query.Query, runs [][]stream.PipelineProfile) map[tuple.Value]struct{} {
+// keys its closed runs hand down (HandDown).
+func (t *trainer) satisfying(key fields.ID, r int, aug *query.Query, runs [][]stream.PipelineProfile) map[tuple.Value]struct{} {
 	set := make(map[tuple.Value]struct{})
+	var out [2]KeyedRows // per side
 	for w := range runs[0] {
-		seen, keyed := make(map[tuple.Value]int), 0 // seen[k]: the keyed sides so far that output k
 		for s, p := range sides(aug) {
-			if col := keyColumnOf(p, qt.Key.Field); col >= 0 {
-				keyed++
-				for _, row := range runs[s][w].Outputs {
-					if k := query.MaskValue(qt.Key.Field, row[col], r); seen[k] == keyed-1 {
-						seen[k] = keyed
-					}
-				}
-			}
+			out[s] = KeyedRows{runs[s][w].Outputs, keyColumnOf(p, key)}
 		}
-		for k, n := range seen {
-			if n == keyed {
-				set[k] = struct{}{}
-			}
+		t.keys = HandDown(t.keys[:0], t.seen, key, r, out[:len(runs)]...)
+		for _, k := range t.keys {
+			set[k] = struct{}{}
 		}
 	}
 	return set

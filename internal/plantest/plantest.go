@@ -13,7 +13,6 @@ import (
 	"repro/internal/queries"
 	"repro/internal/query"
 	"repro/internal/stream"
-	"repro/internal/tuple"
 )
 
 // FullPlan is the small-scale evaluation workload (background traffic plus
@@ -70,37 +69,23 @@ func Engine(tb testing.TB, plan *planner.Plan, dyn *stream.DynTables) *stream.En
 	return engine
 }
 
-// Refine publishes, for every refinement edge of plan, the keys the coarser
-// level reported this window as what the finer level admits next window —
-// in dyn and in every switch's tables — as the runtime's window close does
-// (a join's keys here are the union of what its outputs carry).
+// Refine publishes, for every refinement link of plan, the keys the coarser
+// level hands down this window (planner.Link.Keys, the rule the runtime's
+// window close applies) as what the finer level admits next window — in dyn
+// and in every switch's tables.
 func Refine(plan *planner.Plan, results []stream.Result, dyn *stream.DynTables, switches ...*pisa.Switch) {
-	for _, qp := range plan.Queries {
-		f := qp.Key.Field
-		for li := 0; li+1 < len(qp.Levels); li++ {
-			from, to := qp.Levels[li].Level, qp.Levels[li+1].Level
-			var keys []tuple.Value
-			add := func(rows [][]tuple.Value, schema tuple.Schema) {
-				if col := schema.Index(f); col >= 0 {
-					for _, row := range rows {
-						keys = append(keys, query.MaskValue(f, row[col], from))
-					}
-				}
-			}
-			for _, res := range results {
-				if res.QID == qp.Query.ID && int(res.Level) == from {
-					add(res.Tuples, res.Schema)
-					add(res.LeftOutputs, res.LeftSchema)
-					add(res.RightOutputs, res.RightSchema)
-				}
-			}
-			set := query.NewDynSet(keys)
-			dyn.Publish(planner.DynTableName(qp.Query.ID, to), set)
-			for _, sw := range switches {
-				for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
-					if tab, err := sw.DynTable(qp.Query.ID, uint8(to), side, 0); err == nil && tab != nil {
-						tab.Publish(set)
-					}
+	links, err := plan.Links()
+	if err != nil {
+		panic(err)
+	}
+	for i := range links {
+		l := &links[i]
+		set := query.NewDynSet(l.Keys(results))
+		dyn.Publish(l.Table, set)
+		for _, sw := range switches {
+			for _, side := range []pisa.Side{pisa.SideLeft, pisa.SideRight} {
+				if tab, err := sw.DynTable(l.QID, l.To, side, 0); err == nil && tab != nil {
+					tab.Publish(set)
 				}
 			}
 		}

@@ -20,9 +20,13 @@ func (l *link) Resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 	return l.resolve(sp, switches...)
 }
 
-func (l *link) Keys(results []stream.Result) []tuple.Value { return l.keys(results) }
-
 func (l *link) Publish(keys []tuple.Value) int {
 	n, _ := l.publish(keys)
 	return n
 }
+
+func (r *Runtime) Links() []Link { return r.links }
+
+// Published is the key set link i published at the last window close,
+// sorted.
+func (r *Runtime) Published(i int) []tuple.Value { return r.links[i].last }

@@ -19,24 +19,19 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 	if rec == nil {
 		return
 	}
-	refFrom := make(map[stream.QueryKey]int, len(r.links))
-	for _, l := range r.links {
-		refFrom[stream.QueryKey{QID: l.QID, Level: l.To}] = int(l.From)
-	}
 	insts := make([]flightrec.Instance, len(r.infos))
 	for i, in := range r.infos {
-		from, ok := refFrom[in.key]
-		if !ok {
-			from = -1
-		}
 		insts[i] = flightrec.Instance{
 			QID:     in.key.QID,
 			Level:   in.key.Level,
 			Shard:   r.owner[in.key],
 			EstWork: uint64(in.cost),
-			RefFrom: from,
+			RefFrom: -1,
 			Stages:  stageInfos(in.aug, in.part),
 		}
+	}
+	for _, l := range r.links {
+		insts[l.Slot].RefFrom = int(l.From)
 	}
 	rec.Reset(insts)
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/emitter"
-	"repro/internal/fields"
 	"repro/internal/flightrec"
 	"repro/internal/packet"
 	"repro/internal/pisa"
@@ -237,30 +236,15 @@ type deployment struct {
 	packetsSum   uint64
 }
 
-// link is one dynamic-refinement edge of a plan (Section 4.1): the window
-// results of query QID at level From decide which keys its level To admits
-// in the next window.
+// link is one dynamic-refinement edge of a plan (planner.Link) as the
+// runtime serves it.
 type link struct {
-	QID  uint16
-	From uint8
-	To   uint8
-	// slot is level To's installation-order position.
-	slot int
-	// Table is level To's dynamic filter table name.
-	Table    string
-	keyCol   int
-	field    fields.ID // the refinement key
-	hasRight bool      // level To has a right (joined) pipeline
+	planner.Link
 	// sp and tables are where the link's rule set is published: the stream
 	// processor's filter and the switch-side tables of level To, resolved
 	// once at construction (resolve).
 	sp     *stream.DynTables
 	tables []*pisa.DynTable
-	// keyBuf and the side-key sets are keys' per-window scratch, reused
-	// across windows.
-	keyBuf []tuple.Value
-	rset   map[tuple.Value]struct{}
-	lset   map[tuple.Value]struct{}
 	// last is the key set published the window before, sorted: the
 	// refinement-transition counter's memory (changed).
 	last []tuple.Value
@@ -268,22 +252,13 @@ type link struct {
 
 // planLinks derives a plan's refinement links, in installation order.
 func planLinks(plan *planner.Plan) ([]link, error) {
-	var links []link
-	slot := 0 // of the query's first level
-	for _, qp := range plan.Queries {
-		for li := 0; li+1 < len(qp.Levels); li++ {
-			lp, next := &qp.Levels[li], &qp.Levels[li+1]
-			keyCol := lp.Aug.FinalSchema().Index(qp.Key.Field)
-			if keyCol < 0 {
-				return nil, fmt.Errorf("runtime: q%d level %d: refinement key %s missing from result schema %s",
-					qp.Query.ID, lp.Level, qp.Key.Field, lp.Aug.FinalSchema())
-			}
-			links = append(links, link{QID: qp.Query.ID,
-				From: uint8(lp.Level), To: uint8(next.Level), slot: slot + li + 1,
-				Table:  planner.DynTableName(qp.Query.ID, next.Level),
-				keyCol: keyCol, field: qp.Key.Field, hasRight: next.Right != nil})
-		}
-		slot += len(qp.Levels)
+	pl, err := plan.Links()
+	if err != nil {
+		return nil, err
+	}
+	links := make([]link, len(pl))
+	for i := range pl {
+		links[i].Link = pl[i]
 	}
 	return links, nil
 }
@@ -296,7 +271,7 @@ func planLinks(plan *planner.Plan) ([]link, error) {
 func (l *link) resolve(sp *stream.DynTables, switches ...*pisa.Switch) error {
 	l.sp = sp
 	sides := []pisa.Side{pisa.SideLeft}
-	if l.hasRight {
+	if l.HasRight {
 		sides = append(sides, pisa.SideRight)
 	}
 	for _, sw := range switches {
@@ -839,11 +814,11 @@ func (r *Runtime) CloseWindow() *WindowReport {
 	ct.updated = time.Now()
 	for li := range r.links {
 		l := &r.links[li]
-		keys := l.keys(results)
+		keys := l.Keys(results)
 		entries, onSwitch := l.publish(keys)
 		rep.FilterUpdates += entries
 		ct.switchEntries += uint64(onSwitch)
-		c := &r.counts[l.slot]
+		c := &r.counts[l.Slot]
 		c.RefKeys, c.RefChanged = uint64(len(keys)), l.changed(keys)
 		if c.RefChanged {
 			ct.transitions++
@@ -877,76 +852,6 @@ func (r *Runtime) CloseWindow() *WindowReport {
 	r.flight.Commit(rep.Index, stats.PacketsIn, ct.fresh.Nanoseconds(), shardBusy, r.counts)
 	r.window++
 	return rep
-}
-
-// keys extracts the dyn-table keys for level To from one window's results
-// into the link's reused candidate slice (valid until the next call;
-// consumers copy what they keep). For join queries the gate is the
-// intersection of the sub-queries' outputs (the paper's Section 4.1: "their
-// output at coarser levels determines which portion of traffic to process
-// for the finer levels") — the final post-join condition (e.g. a payload
-// keyword) must not gate refinement, or the victim would never be zoomed in
-// on.
-func (l *link) keys(results []stream.Result) []tuple.Value {
-	keys := l.keyBuf[:0]
-	for i := range results {
-		res := &results[i]
-		if res.QID != l.QID || res.Level != l.From {
-			continue
-		}
-		if res.RightOutputs == nil && res.LeftOutputs == nil {
-			for _, t := range res.Tuples {
-				if l.keyCol < len(t) {
-					keys = append(keys, query.MaskValue(l.field, t[l.keyCol], int(l.From)))
-				}
-			}
-			continue
-		}
-		l.rset = sideKeySet(l.rset, res.RightOutputs, res.RightSchema, l.field, int(l.From))
-		l.lset = sideKeySet(l.lset, res.LeftOutputs, res.LeftSchema, l.field, int(l.From))
-		switch {
-		case l.lset == nil:
-			for k := range l.rset {
-				keys = append(keys, k)
-			}
-		case l.rset == nil:
-			for k := range l.lset {
-				keys = append(keys, k)
-			}
-		default:
-			for k := range l.rset {
-				if _, ok := l.lset[k]; ok {
-					keys = append(keys, k)
-				}
-			}
-		}
-	}
-	l.keyBuf = keys
-	return keys
-}
-
-// sideKeySet collects a sub-pipeline's refinement keys into the reused set
-// (cleared each call); nil when the side has no outputs/schema
-// (packet-phase left sides).
-func sideKeySet(set map[tuple.Value]struct{}, outs [][]tuple.Value, schema tuple.Schema, f fields.ID, level int) map[tuple.Value]struct{} {
-	if outs == nil || schema == nil {
-		return nil
-	}
-	col := schema.Index(f)
-	if col < 0 {
-		return nil
-	}
-	if set == nil {
-		set = make(map[tuple.Value]struct{}, len(outs))
-	} else {
-		clear(set)
-	}
-	for _, t := range outs {
-		if col < len(t) {
-			set[query.MaskValue(f, t[col], level)] = struct{}{}
-		}
-	}
-	return set
 }
 
 // CollisionRate returns the fraction of packets since the installed plan

@@ -172,7 +172,7 @@ func TestInstrumentNilSafe(t *testing.T) {
 
 // TestKeySetChanged drives the refinement-transition detector window by
 // window: a transition is a change of the key set, whatever its order. Keys
-// arrive in one reused buffer, as link.keys hands them over.
+// arrive in one reused buffer, as planner.Link.Keys hands them over.
 func TestKeySetChanged(t *testing.T) {
 	links := make([]link, 2)
 	a, b, c := tuple.Str("a"), tuple.U64(0), tuple.U64(1<<64-1)

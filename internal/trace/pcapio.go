@@ -8,17 +8,12 @@ import (
 	"repro/internal/pcap"
 )
 
-// WritePcap streams every window of g to w as a classic pcap capture.
-// Virtual timestamps are anchored at epoch, which keeps files byte-for-byte
-// reproducible.
-func WritePcap(w io.Writer, g *Generator) error {
-	return WritePcapParallel(w, g, 1)
-}
-
-// WritePcapParallel is WritePcap with window generation spread over up to
-// workers goroutines. Windows are written in order and generation is pure
-// per window, so the output bytes are identical at any worker count.
-func WritePcapParallel(w io.Writer, g *Generator, workers int) error {
+// WritePcap streams every window of g to w as a classic pcap capture, with
+// window generation spread over up to workers goroutines. Virtual timestamps
+// are anchored at epoch, windows are written in order and generation is pure
+// per window, so the bytes are reproducible and the same at any worker
+// count.
+func WritePcap(w io.Writer, g *Generator, workers int) error {
 	pw := pcap.NewWriter(w, pcap.LinkTypeEthernet, 65535)
 	var werr error
 	g.GenerateWindows(workers, func(win Window) {

@@ -56,7 +56,7 @@ func TestParallelGenerationDeterministic(t *testing.T) {
 		}
 		StandardAttackSuite(g)
 		var buf bytes.Buffer
-		if err := WritePcapParallel(&buf, g, workers); err != nil {
+		if err := WritePcap(&buf, g, workers); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -309,7 +309,7 @@ func TestPcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePcap(&buf, g); err != nil {
+	if err := WritePcap(&buf, g, 1); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadPcap(&buf)
