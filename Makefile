@@ -44,8 +44,11 @@ bench:
 # window sizes, every batched switch walk against the frame-at-a-time walk
 # the pisa tests keep, and the register probe — column hashing and packing,
 # the chain walk, the dump — against the model bank over random sequences and
-# the FuzzRegisterBank seeds; then the boundary between the two, batch hand-off
-# against the wire codec's round trip the emitter tests keep — all three
+# the FuzzRegisterBank seeds, and the switch's resource model — first-fit
+# placement under the per-stage limits and register sizing under the per-op
+# budget — against hand-placed programs; then the boundary between the two,
+# batch hand-off against the wire codec's round trip the emitter tests keep
+# — all three
 # again over the small-scale eleven-query plan, the wire side's engine
 # batched; once, the sharded runtime at 2/8 workers against one shard
 # and the runtime's vantage-point switches against the standalone
@@ -58,7 +61,10 @@ bench:
 # prices every (path, cut-tier) combination — equal candidates, order
 # included, and equal plans — and Sonata's plan against every restricted
 # mode's, never costlier, on random switches and on every small-scale Fig. 8
-# configuration. View batches, their prescreen masks and their field
+# configuration; and pisa.Program.Place, which places every program plan
+# selection builds, against the first-fit placer it replaced plus Validate
+# over those switches' trial programs — the same programs accepted, in the
+# same stages. View batches, their prescreen masks and their field
 # columns are shared read-only across shards while each shard's emitter
 # adopts them into its own scratch; the race detector is what proves
 # "read-only" (`make race` runs the whole of the packages that hold them).
@@ -68,10 +74,10 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestSelections|TestColumnPool' ./internal/tuple
 	$(GO) test -race -count=1 -run 'TestUpsertRowsAgainstMap' ./internal/keytab
 	$(GO) test -race -count=1 -run 'TestBatched' ./internal/stream
-	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank' ./internal/pisa
+	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank|TestPlaceFirstFit|TestRegisterSize' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs' ./internal/planner
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestPlaceMatchesReferencePlacer' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every

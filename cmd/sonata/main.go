@@ -284,11 +284,7 @@ func readPcapWindows(path string, window time.Duration) (windows [][][]byte, err
 		total = recs[len(recs)-1].TS + 1
 	}
 	for _, win := range trace.Slice(recs, window, total) {
-		frames := make([][]byte, 0, len(win.Records))
-		for _, r := range win.Records {
-			frames = append(frames, r.Data)
-		}
-		windows = append(windows, frames)
+		windows = append(windows, win.Frames())
 	}
 	return windows, nil
 }

@@ -60,7 +60,7 @@ func main() {
 		MustBuild()
 	q.ID = 1
 	qs := []*query.Query{q}
-	plan, err := trainAndPlan(qs, []planner.Frames{frames(lightGen, 0), frames(lightGen, 1)})
+	plan, err := trainAndPlan(qs, []planner.Frames{lightGen.WindowRecords(0).Frames(), lightGen.WindowRecords(1).Frames()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func main() {
 	replans := 0
 	fmt.Println("window  pkts     collisions  collision-rate  replanned")
 	for w := 0; w < heavyGen.Windows(); w++ {
-		fr := frames(heavyGen, w)
+		fr := heavyGen.WindowRecords(w).Frames()
 		rep := rt.ProcessWindow(fr)
 		recent = append(recent, fr)
 		if len(recent) > keepWindows {
@@ -107,13 +107,4 @@ func trainAndPlan(qs []*query.Query, windows []planner.Frames) (*planner.Plan, e
 		return nil, err
 	}
 	return planner.PlanQueries(tr, qs, pisa.DefaultConfig(), planner.DefaultOptions())
-}
-
-func frames(g *trace.Generator, i int) [][]byte {
-	win := g.WindowRecords(i)
-	out := make([][]byte, len(win.Records))
-	for j, r := range win.Records {
-		out[j] = r.Data
-	}
-	return out
 }

@@ -56,7 +56,8 @@ func main() {
 	fmt.Printf("connected to switch: S=%d stages, A=%d stateful/stage, B=%d Mb/stage\n",
 		caps.Stages, caps.StatefulPerStage, caps.RegisterBitsPerStage>>20)
 
-	// Compile Query 1 wholly onto the switch and install it remotely.
+	// Compile Query 1 wholly onto the switch, place it under the constraints
+	// the switch reported, and install it remotely.
 	q := query.NewBuilder("newly_opened_tcp_conns", 3*time.Second).
 		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
 		Map(query.F(fields.DstIP), query.ConstCol(1)).
@@ -65,11 +66,14 @@ func main() {
 		MustBuild()
 	q.ID = 1
 	cp := compile.CompilePipeline(q.Left.Ops)
-	spec := &pisa.InstanceSpec{
+	prog := &pisa.Program{Instances: []*pisa.InstanceSpec{{
 		QID: 1, Ops: q.Left.Ops, Tables: cp.Tables, CutAt: len(cp.Tables),
-		StageOf: []int{0, 1, 2, 3}, RegEntries: []int{0, 0, 0, 1 << 14},
+		RegEntries: []int{0, 0, 0, 1 << 14},
+	}}}
+	if err := prog.Place(caps); err != nil {
+		log.Fatal(err)
 	}
-	if err := dp.Install(&pisa.Program{Instances: []*pisa.InstanceSpec{spec}}); err != nil {
+	if err := dp.Install(prog); err != nil {
 		log.Fatal(err)
 	}
 	if err := engine.Install(q, 0, stream.Partition{LeftStart: len(q.Left.Ops)}); err != nil {

@@ -48,7 +48,7 @@ func main() {
 
 	var train []planner.Frames
 	for i := 0; i < 2; i++ {
-		train = append(train, frames(gen, i))
+		train = append(train, gen.WindowRecords(i).Frames())
 	}
 	tr, err := planner.Train([]*query.Query{q}, planner.DefaultMenu, train)
 	if err != nil {
@@ -85,13 +85,4 @@ func main() {
 			}
 		}
 	}
-}
-
-func frames(g *trace.Generator, i int) [][]byte {
-	win := g.WindowRecords(i)
-	out := make([][]byte, len(win.Records))
-	for j, r := range win.Records {
-		out[j] = r.Data
-	}
-	return out
 }

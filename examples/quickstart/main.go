@@ -55,7 +55,7 @@ func main() {
 	qs := []*query.Query{q}
 	var train []planner.Frames
 	for i := 0; i < 2; i++ {
-		train = append(train, frames(gen, i))
+		train = append(train, gen.WindowRecords(i).Frames())
 	}
 	tr, err := planner.Train(qs, planner.DefaultMenu, train)
 	if err != nil {
@@ -77,7 +77,7 @@ func main() {
 	// 4. Replay and report.
 	fmt.Println("\nwindow  pkts@switch  tuples@SP  detections")
 	for w := 2; w < gen.Windows(); w++ {
-		rep := rt.ProcessWindow(frames(gen, w))
+		rep := rt.ProcessWindow(gen.WindowRecords(w).Frames())
 		var hits []string
 		for _, res := range rep.Results {
 			for _, t := range res.Tuples {
@@ -87,13 +87,4 @@ func main() {
 		}
 		fmt.Printf("%6d  %11d  %9d  %v\n", w, rep.Switch.PacketsIn, rep.TuplesToSP, hits)
 	}
-}
-
-func frames(g *trace.Generator, i int) [][]byte {
-	win := g.WindowRecords(i)
-	out := make([][]byte, len(win.Records))
-	for j, r := range win.Records {
-		out[j] = r.Data
-	}
-	return out
 }

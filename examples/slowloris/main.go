@@ -44,7 +44,7 @@ func main() {
 	qs := []*query.Query{q}
 	var train []planner.Frames
 	for i := 0; i < 2; i++ {
-		train = append(train, frames(gen, i))
+		train = append(train, gen.WindowRecords(i).Frames())
 	}
 	tr, err := planner.Train(qs, planner.DefaultMenu, train)
 	if err != nil {
@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for w := 2; w < gen.Windows(); w++ {
-		rep := rt.ProcessWindow(frames(gen, w))
+		rep := rt.ProcessWindow(gen.WindowRecords(w).Frames())
 		fmt.Printf("window %d: %d tuples to SP;", w, rep.TuplesToSP)
 		for _, res := range rep.Results {
 			for _, t := range res.Tuples {
@@ -78,13 +78,4 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("expected victim: %s\n", packet.IPv4String(victim))
-}
-
-func frames(g *trace.Generator, i int) [][]byte {
-	win := g.WindowRecords(i)
-	out := make([][]byte, len(win.Records))
-	for j, r := range win.Records {
-		out[j] = r.Data
-	}
-	return out
 }

@@ -89,7 +89,7 @@ func Fig3() *Table {
 // Fig5 reproduces the refinement cost matrix for Query 1: for each
 // transition r_i -> r_{i+1}, the packets sent to the stream processor when
 // only the filter runs on the switch (N1), when the reduce also runs (N2),
-// and the register state B required.
+// and the register state B required, sized for the default switch.
 func Fig5(w *Workload, th uint64) (*Table, error) {
 	p := ScaledParams(Scale{PacketsPerWindow: w.Gen.Config().PacketsPerWindow})
 	if th > 0 {
@@ -101,7 +101,7 @@ func Fig5(w *Workload, th uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	qt := tr.PerQuery[1]
+	qt, cfg := tr.PerQuery[1], pisa.DefaultConfig()
 	t := &Table{ID: "fig5", Title: "Query 1 refinement transition costs (per window)",
 		Header: []string{"transition", "N1 (filter only)", "N2 (reduce on switch)", "B (Kb)"}}
 	label := func(prev int) string {
@@ -117,48 +117,19 @@ func Fig5(w *Workload, th uint64) (*Table, error) {
 				continue
 			}
 			sc := edge.Left
-			n1 := statelessN(sc)
+			n1 := sc.NAt(sc.StatelessCut())
 			n2 := sc.NAtCut[len(sc.NAtCut)-1]
-			bits := stateBits(sc)
+			var bits int64 // the sized registers of every stateful table
+			for t := range sc.Pipe.Tables {
+				if tab := &sc.Pipe.Tables[t]; tab.Stateful {
+					_, b, _ := cfg.RegisterSize(tab, sc.KeysAt[t])
+					bits += b
+				}
+			}
 			t.AddRow(fmt.Sprintf("%s->%d", label(prev), lv), n1, n2, float64(bits)/1024)
 		}
 	}
 	return t, nil
-}
-
-// statelessN is N at the deepest stateless cut.
-func statelessN(sc *planner.SideCost) uint64 {
-	pts := sc.Pipe.ValidPartitionPoints()
-	best := sc.NAtCut[0]
-	for i, p := range pts {
-		stateless := true
-		for t := 0; t < p; t++ {
-			if sc.Pipe.Tables[t].Stateful {
-				stateless = false
-				break
-			}
-		}
-		if stateless {
-			best = sc.NAtCut[i]
-		}
-	}
-	return best
-}
-
-// stateBits sums the sized register footprint of the side's stateful
-// tables.
-func stateBits(sc *planner.SideCost) int64 {
-	cfg := pisa.DefaultConfig()
-	var bits int64
-	for t := range sc.Pipe.Tables {
-		tab := &sc.Pipe.Tables[t]
-		if !tab.Stateful {
-			continue
-		}
-		n := pisa.EntriesFor(sc.KeysAt[t])
-		bits += pisa.RegisterBits(n, cfg.RegisterChains, tab.KeyBits, tab.ValBits)
-	}
-	return bits
 }
 
 // parallelFor runs worker(i) for i in [0, n) on up to a few goroutines —
@@ -287,8 +258,8 @@ var fig8Sweeps = []struct {
 	{"fig8c", "Effect of register memory per stage", "memory-mb",
 		[]any{0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 32.0},
 		func(c pisa.Config, v any) pisa.Config {
-			c.RegisterBitsPerStage = int64(v.(float64) * (1 << 20))
-			c.MaxRegisterBitsPerOp = c.RegisterBitsPerStage / 2
+			bits := int64(v.(float64) * (1 << 20))
+			c.RegisterBitsPerStage, c.MaxRegisterBitsPerOp = bits, bits/2
 			return c
 		}},
 	{"fig8d", "Effect of PHV metadata budget", "metadata-kb", []any{0.25, 0.5, 1.0, 2.0, 4.0, 8.0},

@@ -98,7 +98,7 @@ func (w *Workload) Frames(i int) [][]byte {
 	if f, ok := w.cache[i]; ok {
 		return f
 	}
-	f := framesOf(w.Gen.WindowRecords(i))
+	f := w.Gen.WindowRecords(i).Frames()
 	w.cache[i] = f
 	return f
 }
@@ -108,7 +108,7 @@ func (w *Workload) Frames(i int) [][]byte {
 // fills the cache with exactly the frames lazy generation would produce.
 func (w *Workload) Preload(workers int) {
 	w.Gen.GenerateWindows(workers, func(win trace.Window) {
-		f := framesOf(win)
+		f := win.Frames()
 		w.mu.Lock()
 		if w.cache == nil {
 			w.cache = make(map[int][][]byte, w.Gen.Windows())
@@ -122,14 +122,6 @@ func (w *Workload) Preload(workers int) {
 
 // Window returns the configured window duration.
 func (w *Workload) Window() time.Duration { return w.Gen.Config().Window }
-
-func framesOf(win trace.Window) [][]byte {
-	frames := make([][]byte, len(win.Records))
-	for i, r := range win.Records {
-		frames[i] = r.Data
-	}
-	return frames
-}
 
 // ScaledParams tunes query thresholds to the workload scale so the injected
 // attacks satisfy their queries while background traffic stays below

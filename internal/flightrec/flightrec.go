@@ -37,9 +37,9 @@ type StageInfo struct {
 	Label string
 	// Kind is the op kind ("filter", "map", "reduce", "distinct").
 	Kind string
-	// Stateful marks reduce/distinct ops (they weigh 4x in observed work,
-	// matching the planner's training cost model).
-	Stateful bool
+	// Weight is the observed work one record entering the op counts for:
+	// the planner's work model (planner.OpWork), which priced EstWork.
+	Weight uint64
 	// OnSwitch marks ops compiled into the data plane (before the cut).
 	OnSwitch bool
 	// Seg is the pipeline segment: 0 left, 1 right, 2 post-join. Out counts
@@ -55,8 +55,13 @@ type Instance struct {
 	// Shard is the shard owning the instance.
 	Shard int
 	// EstWork is the planner's trained per-window work estimate for the
-	// instance (InstancePlan.EstWork summed over sides, floor 1).
+	// instance (planner.LevelPlan.EstWork), at least 1.
 	EstWork uint64
+	// CollisionWork is the observed work one register collision counts for:
+	// the shunt mirror plus the stream processor's re-execution, as the
+	// planner's work model prices overflow into EstWork
+	// (planner.OverflowWork).
+	CollisionWork uint64
 	// RefFrom is the coarser refinement level gating this instance, -1 when
 	// the instance is not the target of a refinement link.
 	RefFrom int
@@ -147,10 +152,10 @@ type Record struct {
 	// shard's observed work.
 	BusyNS int64 `json:"busy_ns"`
 	// EstWork is the planner's trained estimate; ObsWork the same cost
-	// model evaluated on this window's observed per-op tuple counts
-	// (stateful ops x4, collisions x8); Drift the rolling EWMA of
-	// ObsWork/EstWork. Drift near 1.0 means the plan still matches
-	// traffic; drift far from 1.0 flags a stale plan.
+	// model evaluated on this window's observed per-op tuple counts and
+	// collisions (the instance's stage weights and CollisionWork); Drift
+	// the rolling EWMA of ObsWork/EstWork. Drift near 1.0 means the plan
+	// still matches traffic; drift far from 1.0 flags a stale plan.
 	EstWork uint64  `json:"est_work"`
 	ObsWork uint64  `json:"obs_work"`
 	Drift   float64 `json:"drift"`
@@ -383,18 +388,11 @@ func (rec *Recorder) commitRecord(j int, c *Counts, r *Record, window int, packe
 		if st[k].OnSwitch {
 			n = c.OpInSw[k]
 		}
-		if st[k].Stateful {
-			n *= 4
-		}
-		obs += n
+		obs += n * st[k].Weight
 	}
-	// Each collision costs the shunt mirror plus the SP-side re-execution —
-	// the planner prices overflow at 8x when it builds EstWork, so the
-	// observed side must too or drift would read high under collisions.
-	obs += 8 * c.Collisions
+	obs += c.Collisions * in.CollisionWork
 
-	est := max(in.EstWork, 1)
-	ratio := float64(obs) / float64(est)
+	ratio := float64(obs) / float64(in.EstWork)
 	if !cum.driftSet {
 		cum.drift, cum.driftSet = ratio, true
 	} else {

@@ -14,9 +14,9 @@ import (
 
 func testStages() []StageInfo {
 	return []StageInfo{
-		{Label: "L0 filter@sw", Kind: "filter", OnSwitch: true, Seg: 0},
-		{Label: "L1 map@sw", Kind: "map", OnSwitch: true, Seg: 0},
-		{Label: "L2 reduce@sp", Kind: "reduce", Stateful: true, Seg: 0},
+		{Label: "L0 filter@sw", Kind: "filter", Weight: 1, OnSwitch: true, Seg: 0},
+		{Label: "L1 map@sw", Kind: "map", Weight: 1, OnSwitch: true, Seg: 0},
+		{Label: "L2 reduce@sp", Kind: "reduce", Weight: 4, Seg: 0},
 	}
 }
 
@@ -159,7 +159,7 @@ func TestEvictHook(t *testing.T) {
 // drift, out derivation for switch-resident stages, and cumulative
 // counters.
 func TestCommitRecordFields(t *testing.T) {
-	in := Instance{QID: 3, Level: 16, EstWork: 100, RefFrom: 8, Stages: testStages()}
+	in := Instance{QID: 3, Level: 16, EstWork: 100, CollisionWork: 8, RefFrom: 8, Stages: testStages()}
 	rec, counts := tracked(4, nil, in)
 	c := &counts[0]
 	c.OpInSw[0], c.OpInSw[1] = 20, 10
@@ -183,7 +183,7 @@ func TestCommitRecordFields(t *testing.T) {
 	if r.Reduction != 200 {
 		t.Errorf("reduction = %v, want 200", r.Reduction)
 	}
-	// Observed work: 20 + 10 + 4*5 (stateful) + 8*1 (collision) = 58.
+	// Observed work: 20 + 10 + 4*5 (the reduce's weight) + 8*1 (a collision) = 58.
 	if r.ObsWork != 58 {
 		t.Errorf("obs work = %d, want 58", r.ObsWork)
 	}
@@ -234,7 +234,7 @@ func TestCommitRecordFields(t *testing.T) {
 // TestBusyAttribution: a shard's busy time splits across its instances in
 // proportion to observed work.
 func TestBusyAttribution(t *testing.T) {
-	stages := []StageInfo{{Label: "L0 filter@sw", Kind: "filter", OnSwitch: true}}
+	stages := []StageInfo{{Label: "L0 filter@sw", Kind: "filter", Weight: 1, OnSwitch: true}}
 	rec, counts := tracked(4, nil, Instance{QID: 1, Shard: 0, Stages: stages},
 		Instance{QID: 2, Shard: 0, Stages: stages})
 	counts[0].OpInSw[0], counts[1].OpInSw[0] = 30, 10

@@ -3,6 +3,7 @@ package pisa
 import (
 	"math/bits"
 
+	"repro/internal/compile"
 	"repro/internal/keytab"
 	"repro/internal/query"
 	"repro/internal/tuple"
@@ -360,8 +361,8 @@ type DumpEntry struct {
 	Val     uint64
 }
 
-// RegisterBits is the planner's sizing formula for a stateful operator:
-// d chains of n slots, each slot holding key and value.
+// RegisterBits is the register footprint of a stateful operator: d chains
+// of n slots, each slot holding key and value.
 func RegisterBits(n, d, keyBits, valBits int) int64 {
 	return int64(d) * int64(n) * int64(keyBits+valBits)
 }
@@ -380,4 +381,17 @@ func EntriesFor(expectedKeys uint64) int {
 		n <<= 1
 	}
 	return n
+}
+
+// RegisterSize sizes stateful table tab's registers for an expected key
+// count: EntriesFor's slot count per chain, capped at the largest power of
+// two, 256 at least, whose d chains fit the per-op budget. It returns the
+// slot count, the bits the d chains take, and whether the cap bound.
+func (c Config) RegisterSize(tab *compile.Table, expectedKeys uint64) (n int, footprint int64, capped bool) {
+	want := EntriesFor(expectedKeys)
+	n = want
+	for n > 256 && RegisterBits(n, c.RegisterChains, tab.KeyBits, tab.ValBits) > c.MaxRegisterBitsPerOp {
+		n /= 2
+	}
+	return n, RegisterBits(n, c.RegisterChains, tab.KeyBits, tab.ValBits), n < want
 }

@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"fmt"
 	"reflect"
 	goruntime "runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/pisa"
 	"repro/internal/planner"
 	"repro/internal/queries"
+	"repro/internal/query"
 )
 
 // TestSonataDominatesFig8Configs sweeps the dominance property of
@@ -60,4 +62,56 @@ func TestSonataDominatesFig8Configs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlaceMatchesReferencePlacer holds pisa.Program.Place, which places
+// every program plan selection builds, to the first-fit placer it replaced
+// followed by Validate (plan_ref_test.go), over the trial programs of the
+// random switches of TestPlansAlwaysFitRandomSwitches and of every
+// small-scale Fig. 8 configuration with the eight header queries: both
+// accept the same programs, with the same stages, and Validate accepts
+// every program Place places.
+func TestPlaceMatchesReferencePlacer(t *testing.T) {
+	check := func(t *testing.T, what string, tr *planner.TrainingResult, qs []*query.Query, names []string, cfgs []pisa.Config) {
+		var accepted, rejected int
+		for i, cfg := range cfgs {
+			t.Run(names[i], func(t *testing.T) {
+				a, r := planner.PlaceMatchesPlacer(t, tr, qs, cfg, 200)
+				accepted, rejected = accepted+a, rejected+r
+			})
+		}
+		t.Logf("%s: %d programs placed, %d refused", what, accepted, rejected)
+		if accepted == 0 || rejected == 0 {
+			t.Errorf("%s: %d programs placed and %d refused: one side of the comparison is never exercised", what, accepted, rejected)
+		}
+	}
+	tr, qs, cfgs := planner.RandomSwitches(t)
+	names := make([]string, len(cfgs))
+	for i := range names {
+		names[i] = fmt.Sprintf("random%d", i)
+	}
+	check(t, "random switches", tr, qs, names, cfgs)
+	// The same switches squeezed until every per-stage limit binds: a few
+	// stateless actions per stage, and one chain whose 256 slots of 64 bits
+	// fill a stage's register memory exactly, or half of it.
+	for i := range cfgs {
+		cfgs[i].StatelessPerStage = 1 + i%4
+		cfgs[i].RegisterChains = 1
+		cfgs[i].MaxRegisterBitsPerOp = 1 << 14
+		cfgs[i].RegisterBitsPerStage = 1 << (14 + i%2)
+	}
+	check(t, "squeezed random switches", tr, qs, names, cfgs)
+
+	scale := eval.SmallScale()
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs = queries.TopEight(eval.ScaledParams(scale))
+	tr, err = planner.Train(qs, planner.DefaultMenu, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, cfgs = eval.Fig8Configs(pisa.DefaultConfig())
+	check(t, "Fig. 8", tr, qs, names, cfgs)
 }

@@ -1,0 +1,8 @@
+package planner
+
+// The reference placer's comparison, for the external test package, whose
+// Fig. 8 configurations come from internal/eval (which imports the planner).
+var (
+	RandomSwitches     = randomSwitches
+	PlaceMatchesPlacer = placeMatchesPlacer
+)

@@ -20,7 +20,7 @@ import (
 //	     per-instance table count <= S enforced at candidate generation (C3, C4)
 //
 // resources is a candidate's switch footprint. The aggregate constraints
-// admit choices the stage-granular placer (the exact C1-C4) rejects, so the
+// admit choices pisa.Program.Place (the exact C1-C4) refuses, so the
 // caller places a choice before it keeps it; as the paper accepted the best
 // solution Gurobi found within its budget, it need not be optimal.
 func ilpChoice(cands [][]candidate, cfg pisa.Config, incumbent []int,

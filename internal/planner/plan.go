@@ -70,10 +70,30 @@ type InstancePlan struct {
 	// RegEntries sizes each stateful switch table's registers.
 	RegEntries []int
 	// EstWork is the trained estimate of this instance's per-window work in
-	// tuple-stage units: the number of tuples entering each pipeline stage,
-	// summed, as measured on the training windows (with dynamic gates
-	// applied). The runtime's shard balancer weighs instances by it.
+	// the work model's units: the tuples entering each pipeline stage, each
+	// at its op's OpWork, summed as measured on the training windows (with
+	// dynamic gates applied), plus the packets its capped registers are
+	// expected to overflow, at OverflowWork each.
 	EstWork uint64
+}
+
+// The work model, in tuple-stage units. A record entering a stateless op
+// costs 1 and one entering a stateful op (a key-value update) StatefulWork;
+// a packet a full register shunts to the stream processor — the mirror plus
+// an SP pipeline run — costs OverflowWork. Training prices EstWork with it
+// and the flight recorder prices a window's observed work with it, so their
+// ratio reads drift, not a difference of units.
+const (
+	StatefulWork = 4
+	OverflowWork = 8
+)
+
+// OpWork is the work model's weight of a record entering op o.
+func OpWork(o *query.Op) uint64 {
+	if o.Stateful() {
+		return StatefulWork
+	}
+	return 1
 }
 
 // LevelPlan is one refinement level of a query: the augmented query plus
@@ -86,6 +106,18 @@ type LevelPlan struct {
 	// ExpectedN is the trained estimate of stream-processor tuples per
 	// window contributed by this level.
 	ExpectedN uint64
+}
+
+// EstWork is the level's trained per-window work, both sides summed, at
+// least 1 so an instance that saw no training traffic still weighs
+// something: the shard balancer weighs an instance by it, and the flight
+// recorder divides by it.
+func (lp *LevelPlan) EstWork() uint64 {
+	w := lp.Left.EstWork
+	if lp.Right != nil {
+		w += lp.Right.EstWork
+	}
+	return max(w, 1)
 }
 
 // QueryPlan is the complete plan for one query.
@@ -435,7 +467,7 @@ func cutTiers(sc *SideCost) []int {
 	if sc == nil {
 		return []int{0}
 	}
-	max, lean := sc.Cuts[len(sc.Cuts)-1], statelessCut(sc)
+	max, lean := sc.Cuts[len(sc.Cuts)-1], sc.StatelessCut()
 	tiers := []int{max}
 	if lean != max {
 		tiers = append(tiers, lean)
@@ -446,8 +478,8 @@ func cutTiers(sc *SideCost) []int {
 	return tiers
 }
 
-// statelessCut is the deepest valid cut that uses no stateful tables.
-func statelessCut(sc *SideCost) int {
+// StatelessCut is the deepest valid cut that uses no stateful tables.
+func (sc *SideCost) StatelessCut() int {
 	cut := 0
 	for _, p := range sc.Cuts {
 		if slices.ContainsFunc(sc.Pipe.Tables[:p], func(t compile.Table) bool { return t.Stateful }) {
@@ -486,32 +518,29 @@ func price(sc *SideCost, cut int, cfg pisa.Config) sidePrice {
 			continue
 		}
 		keys := sc.KeysAt[t]
-		n := pisa.EntriesFor(keys)
-		if cap := maxEntries(cfg, tab.KeyBits, tab.ValBits); n > cap {
-			// Cap to the per-operator register budget. Keys beyond capacity
-			// overflow to the stream processor per packet (Section 3.3's
-			// "additional packets processed by the stream processor" term):
-			// the excess key fraction of the table's input packets, once the
-			// d chained registers' effective capacity is exceeded.
-			if capacity := uint64(float64(cap*cfg.RegisterChains) * 0.7); keys > capacity {
-				p.overflow += (keys - capacity) * sc.inputN(t) / keys
-			}
-			n = cap
+		n, bits, capped := cfg.RegisterSize(tab, keys)
+		// Keys beyond a capped register's capacity overflow to the stream
+		// processor per packet (Section 3.3's "additional packets processed
+		// by the stream processor" term): the excess key fraction of the
+		// table's input packets, once the d chained registers' effective
+		// capacity is exceeded.
+		if capacity := uint64(float64(n*cfg.RegisterChains) * 0.7); capped && keys > capacity {
+			p.overflow += (keys - capacity) * sc.inputN(t) / keys
 		}
 		p.regs[t] = n
 		p.stateful++
-		p.bits += pisa.RegisterBits(n, cfg.RegisterChains, tab.KeyBits, tab.ValBits)
+		p.bits += bits
 	}
-	p.n = sc.nAt(cut) + p.overflow
+	p.n = sc.NAt(cut) + p.overflow
 	if cut > 0 {
 		p.meta = sc.Pipe.MetaBits
 	}
 	return p
 }
 
-// nAt is the trained N for a cut (the whole window's for a cut that is not
+// NAt is the trained N for a cut (the whole window's for a cut that is not
 // a valid cut point).
-func (sc *SideCost) nAt(cut int) uint64 {
+func (sc *SideCost) NAt(cut int) uint64 {
 	if i := slices.Index(sc.Cuts, cut); i >= 0 {
 		return sc.NAtCut[i]
 	}
@@ -727,103 +756,35 @@ func (s *selector) instance(p placement) (InstancePlan, uint64) {
 		// Work estimate for the shard balancer: the trained op-level work
 		// sum plus the collision-overflow packets this cut will shunt inline
 		// to the stream processor — the profiler has unbounded registers, so
-		// Work alone misses that cost, and it is heavy (mirror encode/decode
-		// plus an SP pipeline run per packet).
-		EstWork: p.edge.sides[p.side].Work + 8*pr.overflow,
+		// Work alone misses that cost.
+		EstWork: p.edge.sides[p.side].Work + OverflowWork*pr.overflow,
 	}, pr.n
 }
 
-// maxEntries is the largest power-of-two register size fitting the per-op
-// budget.
-func maxEntries(cfg pisa.Config, keyBits, valBits int) int {
-	n := 256
-	for pisa.RegisterBits(n*2, cfg.RegisterChains, keyBits, valBits) <= cfg.MaxRegisterBitsPerOp {
-		n *= 2
-	}
-	return n
-}
-
-// buildProgram materializes the switch program for a choice vector,
-// assigning stages first-fit, and validates it against the configuration.
+// buildProgram materializes the switch program for a choice vector and
+// places it on the switch (pisa.Program.Place).
 func (s *selector) buildProgram(choice []int) (*pisa.Program, error) {
-	prog := &pisa.Program{}
-	place := newPlacer(s.cfg)
-	for qi, qt := range s.queries {
-		s.placed = s.placements(qi, &s.cands[qi][choice[qi]], s.placed[:0])
-		for _, p := range s.placed {
-			p.edge.augment(qt)
-			inst, _ := s.instance(p)
-			spec := &pisa.InstanceSpec{
-				QID: qt.Query.ID, Level: uint8(p.edge.level), Side: inst.Side,
-				Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: inst.Cut,
-				RegEntries: inst.RegEntries,
-			}
-			stages, err := place.fit(spec)
-			if err != nil {
-				return nil, err
-			}
-			spec.StageOf = stages
-			prog.Instances = append(prog.Instances, spec)
-		}
-	}
-	if err := prog.Validate(s.cfg); err != nil {
+	prog := s.program(choice)
+	if err := prog.Place(s.cfg); err != nil {
 		return nil, err
 	}
 	return prog, nil
 }
 
-// placer assigns tables to stages first-fit under the per-stage limits.
-type placer struct {
-	cfg       pisa.Config
-	stateful  []int
-	stateless []int
-	bits      []int64
-}
-
-func newPlacer(cfg pisa.Config) *placer {
-	return &placer{cfg: cfg,
-		stateful:  make([]int, cfg.Stages),
-		stateless: make([]int, cfg.Stages),
-		bits:      make([]int64, cfg.Stages)}
-}
-
-// fit places an instance's switch tables in strictly increasing stages.
-func (p *placer) fit(spec *pisa.InstanceSpec) ([]int, error) {
-	stages := make([]int, len(spec.Tables))
-	for i := range stages {
-		stages[i] = -1
-	}
-	next := 0
-	for t := 0; t < spec.CutAt; t++ {
-		tab := &spec.Tables[t]
-		placed := false
-		for st := next; st < p.cfg.Stages; st++ {
-			if tab.Stateful {
-				opBits := pisa.RegisterBits(spec.RegEntries[t], p.cfg.RegisterChains, tab.KeyBits, tab.ValBits)
-				if opBits > p.cfg.MaxRegisterBitsPerOp {
-					return nil, fmt.Errorf("planner: %s table %d needs %d bits, per-op cap %d",
-						spec.Name(), t, opBits, p.cfg.MaxRegisterBitsPerOp)
-				}
-				if p.stateful[st]+1 > p.cfg.StatefulPerStage || p.bits[st]+opBits > p.cfg.RegisterBitsPerStage {
-					continue
-				}
-				p.stateful[st]++
-				p.bits[st] += opBits
-			} else {
-				if p.stateless[st]+1 > p.cfg.StatelessPerStage {
-					continue
-				}
-				p.stateless[st]++
-			}
-			stages[t] = st
-			next = st + 1
-			placed = true
-			break
-		}
-		if !placed {
-			return nil, fmt.Errorf("planner: %s table %d does not fit in %d stages",
-				spec.Name(), t, p.cfg.Stages)
+// program is the switch program for a choice vector, not yet placed.
+func (s *selector) program(choice []int) *pisa.Program {
+	prog := &pisa.Program{}
+	for qi, qt := range s.queries {
+		s.placed = s.placements(qi, &s.cands[qi][choice[qi]], s.placed[:0])
+		for _, p := range s.placed {
+			p.edge.augment(qt)
+			inst, _ := s.instance(p)
+			prog.Instances = append(prog.Instances, &pisa.InstanceSpec{
+				QID: qt.Query.ID, Level: uint8(p.edge.level), Side: inst.Side,
+				Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: inst.Cut,
+				RegEntries: inst.RegEntries,
+			})
 		}
 	}
-	return stages, nil
+	return prog
 }

@@ -13,7 +13,11 @@ package planner
 // mode's, and selection runs the restricted greedies and the ILP from the
 // best of them (the formulation, ilpChoice, is shared; the footprints it
 // reads are the reference's own). The helpers the change left alone
-// (paths, gateOnly, gateQuery, maxEntries, the placer) are shared.
+// (paths, gateOnly, gateQuery) are shared. The reference sizes registers
+// through maxEntries and places programs with the first-fit placer below,
+// the planner's own copies before pisa.Config.RegisterSize and
+// pisa.Program.Place replaced them, so the plans compare pisa's one
+// resource model against an independent one.
 
 import (
 	"cmp"
@@ -449,18 +453,10 @@ func refMakeInstance(side pisa.Side, ops []query.Op, sc *SideCost, cut int, cfg 
 
 func (s *refSelector) buildProgram(choice []int) (*pisa.Program, error) {
 	prog := &pisa.Program{}
-	place := newPlacer(s.cfg)
 	for qi := range s.queries {
-		for _, spec := range s.specs(qi, &s.cands[qi][choice[qi]]) {
-			stages, err := place.fit(spec)
-			if err != nil {
-				return nil, err
-			}
-			spec.StageOf = stages
-			prog.Instances = append(prog.Instances, spec)
-		}
+		prog.Instances = append(prog.Instances, s.specs(qi, &s.cands[qi][choice[qi]])...)
 	}
-	if err := prog.Validate(s.cfg); err != nil {
+	if err := refPlace(prog, s.cfg); err != nil {
 		return nil, err
 	}
 	return prog, nil
@@ -508,4 +504,83 @@ func (s *refSelector) specs(qi int, c *candidate) []*pisa.InstanceSpec {
 		prev = level
 	}
 	return out
+}
+
+// maxEntries is the largest power-of-two register size fitting the per-op
+// budget.
+func maxEntries(cfg pisa.Config, keyBits, valBits int) int {
+	n := 256
+	for pisa.RegisterBits(n*2, cfg.RegisterChains, keyBits, valBits) <= cfg.MaxRegisterBitsPerOp {
+		n *= 2
+	}
+	return n
+}
+
+// refPlace assigns prog's stages with the placer below, then validates it.
+func refPlace(prog *pisa.Program, cfg pisa.Config) error {
+	place := newPlacer(cfg)
+	for _, spec := range prog.Instances {
+		stages, err := place.fit(spec)
+		if err != nil {
+			return err
+		}
+		spec.StageOf = stages
+	}
+	return prog.Validate(cfg)
+}
+
+// placer assigns tables to stages first-fit under the per-stage limits.
+type placer struct {
+	cfg       pisa.Config
+	stateful  []int
+	stateless []int
+	bits      []int64
+}
+
+func newPlacer(cfg pisa.Config) *placer {
+	return &placer{cfg: cfg,
+		stateful:  make([]int, cfg.Stages),
+		stateless: make([]int, cfg.Stages),
+		bits:      make([]int64, cfg.Stages)}
+}
+
+// fit places an instance's switch tables in strictly increasing stages.
+func (p *placer) fit(spec *pisa.InstanceSpec) ([]int, error) {
+	stages := make([]int, len(spec.Tables))
+	for i := range stages {
+		stages[i] = -1
+	}
+	next := 0
+	for t := 0; t < spec.CutAt; t++ {
+		tab := &spec.Tables[t]
+		placed := false
+		for st := next; st < p.cfg.Stages; st++ {
+			if tab.Stateful {
+				opBits := pisa.RegisterBits(spec.RegEntries[t], p.cfg.RegisterChains, tab.KeyBits, tab.ValBits)
+				if opBits > p.cfg.MaxRegisterBitsPerOp {
+					return nil, fmt.Errorf("planner: %s table %d needs %d bits, per-op cap %d",
+						spec.Name(), t, opBits, p.cfg.MaxRegisterBitsPerOp)
+				}
+				if p.stateful[st]+1 > p.cfg.StatefulPerStage || p.bits[st]+opBits > p.cfg.RegisterBitsPerStage {
+					continue
+				}
+				p.stateful[st]++
+				p.bits[st] += opBits
+			} else {
+				if p.stateless[st]+1 > p.cfg.StatelessPerStage {
+					continue
+				}
+				p.stateless[st]++
+			}
+			stages[t] = st
+			next = st + 1
+			placed = true
+			break
+		}
+		if !placed {
+			return nil, fmt.Errorf("planner: %s table %d does not fit in %d stages",
+				spec.Name(), t, p.cfg.Stages)
+		}
+	}
+	return stages, nil
 }

@@ -300,6 +300,8 @@ func TestHandDown(t *testing.T) {
 			[]KeyedRows{keyed(x, y), {Rows: rows(z), Col: -1}}, []tuple.Value{x, y}},
 		{"a side with no rows has no say", 32,
 			[]KeyedRows{keyed(x, y), {Col: 1}}, []tuple.Value{x, y}},
+		{"a left side with no rows leaves the right side's keys, masked, once each", 24,
+			[]KeyedRows{keyed(), keyed(x, y, z)}, []tuple.Value{ip(10, 0, 0, 0), ip(10, 0, 1, 0)}},
 		{"a join whose sides all lack the key hands down nothing", 32,
 			[]KeyedRows{{Rows: rows(x), Col: -1}, {Rows: rows(y), Col: -1}}, nil},
 	}

@@ -29,7 +29,7 @@ type SideCost struct {
 	// KeysAt[t] is the distinct-key count of stateful table t.
 	KeysAt map[int]uint64
 	// Work is the median per-window op-level work sum: tuples entering each
-	// pipeline op, added up. It feeds the runtime's shard balancer through
+	// pipeline op, each at its OpWork, added up. It feeds the runtime's shard balancer through
 	// InstancePlan.EstWork.
 	Work uint64
 }
@@ -387,10 +387,9 @@ func (t *trainer) sideCost(ops []query.Op, runs []stream.PipelineProfile) *SideC
 		}
 	}
 	// Op-level work: op 0 sees the whole window, op j the records op j-1
-	// emitted. With the gate applied this captures filter selectivity
-	// exactly, which cut-level counts cannot. Stateful ops (reduce/distinct
-	// key-value updates) cost several times a filter probe per record, so
-	// they weigh more.
+	// emitted, each at its op's weight in the work model. With the gate
+	// applied this captures filter selectivity exactly, which cut-level
+	// counts cannot.
 	sc.Work = median(func(run *stream.PipelineProfile, pkts uint64) uint64 {
 		var work uint64
 		for j := range ops {
@@ -398,10 +397,7 @@ func (t *trainer) sideCost(ops []query.Op, runs []stream.PipelineProfile) *SideC
 			if j > 0 {
 				entering = run.OutAfter[j-1]
 			}
-			if ops[j].Stateful() {
-				entering *= 4
-			}
-			work += entering
+			work += entering * OpWork(&ops[j])
 		}
 		return work
 	})

@@ -30,9 +30,7 @@ func oracleWindows(t *testing.T, seed int64) []Frames {
 	g.AddAttack(trace.NewZorro(0x0A420001, trace.StandardVictim, 100, 0, g.Duration(), 0))
 	out := make([]Frames, cfg.Windows)
 	for i := range out {
-		for _, r := range g.WindowRecords(i).Records {
-			out[i] = append(out[i], r.Data)
-		}
+		out[i] = g.WindowRecords(i).Frames()
 	}
 	return out
 }
@@ -58,13 +56,35 @@ func oracleQueries() []*query.Query {
 	return append(qs, dns, perProto)
 }
 
+// synFinFlood joins per-host SYN counts above th with per-host SYN+FIN
+// counts. The generator sends no SYN+FIN packet, so the join's right side
+// outputs no rows in any window and every level's satisfying keys are the
+// ones its left side hands down alone — the empty-side case the runtime's
+// refinement reaches on tcp_syn_flood's gated levels.
+func synFinFlood(th uint64) *query.Query {
+	synFins := query.NewBuilder("syn_fins", time.Second).
+		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN|fields.FlagFIN)).
+		Map(query.F(fields.DstIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.DstIP)
+	return query.NewBuilder("syn_fin_flood", time.Second).
+		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
+		Map(query.F(fields.DstIP), query.ConstCol(1)).
+		Reduce(query.AggSum, fields.DstIP).
+		Filter(query.Gt(fields.AggVal, th)).
+		Join(synFins, fields.DstIP).
+		MustBuild()
+}
+
 // TestTrainMatchesReference holds Train — one extraction per window, one
 // open run per level, one gate per coarser level — to the reference trainer
 // (training_ref_test.go), which runs every level, threshold observation and
 // edge separately over unextracted packets: every learned figure must be
-// equal, for every query, menu and seed.
+// equal, for every query, menu and seed. The queries are the oracle's plus
+// synFinFlood, whose join hands down its left side's keys at every level.
 func TestTrainMatchesReference(t *testing.T) {
-	qs := oracleQueries()
+	emptyRight := synFinFlood(40)
+	qs := append(oracleQueries(), emptyRight)
+	emptyRight.ID = uint16(len(qs))
 	menus := [][]int{{8, 16, 24}, {8, 16}, {16, 24}, {4, 8, 12, 16, 20, 24, 28}}
 	for _, seed := range []int64{1, 2} {
 		windows := oracleWindows(t, seed)
@@ -81,6 +101,11 @@ func TestTrainMatchesReference(t *testing.T) {
 				}
 				if got.WindowPackets != want.WindowPackets {
 					t.Errorf("WindowPackets = %d, reference %d", got.WindowPackets, want.WindowPackets)
+				}
+				for level, keys := range want.PerQuery[emptyRight.ID].Satisfy {
+					if len(keys) == 0 {
+						t.Errorf("%s: nothing satisfies level %d: the empty right side vetoed the left side's keys", emptyRight.Name, level)
+					}
 				}
 				gated := 0
 				for _, q := range qs {

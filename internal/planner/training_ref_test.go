@@ -311,13 +311,14 @@ func nForCut(pipe *compile.Pipeline, cut int, prof *stream.PipelineProfile, wind
 	return prof.OutAfter[last]
 }
 
-// intersectKeys intersects two optional key sets: a nil set means "no
-// signal from this side" and the other side wins.
+// intersectKeys intersects two optional key sets as HandDown does: a side
+// without the key column (a nil set) or without rows this window (an empty
+// one) has no say, and the other side's keys pass.
 func intersectKeys(a, b map[tuple.Value]struct{}) map[tuple.Value]struct{} {
-	if a == nil {
+	if len(a) == 0 {
 		return b
 	}
-	if b == nil {
+	if len(b) == 0 {
 		return a
 	}
 	out := make(map[tuple.Value]struct{})

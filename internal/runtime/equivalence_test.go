@@ -48,7 +48,7 @@ func TestSonataNeverMissesAcrossSeeds(t *testing.T) {
 
 				var train []planner.Frames
 				for i := 0; i < 2; i++ {
-					train = append(train, planner.Frames(framesOf(g.WindowRecords(i))))
+					train = append(train, planner.Frames(g.WindowRecords(i).Frames()))
 				}
 				tr, err := planner.Train([]*query.Query{q}, []int{8, 16, 24}, train)
 				if err != nil {
@@ -70,7 +70,7 @@ func TestSonataNeverMissesAcrossSeeds(t *testing.T) {
 					delay := plan.Queries[0].Delay()
 					found := map[uint64]bool{}
 					for w := 2; w < g.Windows(); w++ {
-						rep := rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+						rep := rt.ProcessWindow(g.WindowRecords(w).Frames())
 						// Skip the refinement warm-up windows.
 						if w-2 < delay-1 {
 							continue

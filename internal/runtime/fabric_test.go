@@ -25,7 +25,7 @@ func fabricWorkload(t *testing.T, windows, sources, perWindow int, th uint64) (*
 	g.AddAttack(trace.NewSYNFlood(trace.StandardVictim, sources, perWindow, 0, g.Duration()))
 	var train []planner.Frames
 	for i := 0; i < 2; i++ {
-		train = append(train, planner.Frames(framesOf(g.WindowRecords(i))))
+		train = append(train, planner.Frames(g.WindowRecords(i).Frames()))
 	}
 	tr, err := planner.Train([]*query.Query{q1(th)}, []int{8, 16}, train)
 	if err != nil {

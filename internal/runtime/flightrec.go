@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flightrec"
+	"repro/internal/planner"
 	"repro/internal/query"
 	"repro/internal/stream"
 )
@@ -22,12 +23,13 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 	insts := make([]flightrec.Instance, len(r.infos))
 	for i, in := range r.infos {
 		insts[i] = flightrec.Instance{
-			QID:     in.key.QID,
-			Level:   in.key.Level,
-			Shard:   r.owner[in.key],
-			EstWork: uint64(in.cost),
-			RefFrom: -1,
-			Stages:  stageInfos(in.aug, in.part),
+			QID:           in.key.QID,
+			Level:         in.key.Level,
+			Shard:         r.owner[in.key],
+			EstWork:       in.cost,
+			CollisionWork: planner.OverflowWork,
+			RefFrom:       -1,
+			Stages:        stageInfos(in.aug, in.part),
 		}
 	}
 	for _, l := range r.links {
@@ -67,7 +69,7 @@ func stageInfo(o *query.Op, seg byte, idx int, onSwitch bool, segNo int) flightr
 	return flightrec.StageInfo{
 		Label:    fmt.Sprintf("%c%d %s@%s", seg, idx, kind, where),
 		Kind:     kind,
-		Stateful: o.Stateful(),
+		Weight:   planner.OpWork(o),
 		OnSwitch: onSwitch,
 		Seg:      segNo,
 	}

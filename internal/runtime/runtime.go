@@ -314,14 +314,13 @@ func (l *link) changed(keys []tuple.Value) bool {
 }
 
 // instInfo is one planned (query, level) instance in installation order.
-// cost is the instance's switch-side work proxy (its cut depth): every
-// instance examines every frame, so per-packet work scales with how many
-// tables run in the data plane.
+// cost is the planner's trained work estimate for it (LevelPlan.EstWork),
+// which the shard balancer weighs it by.
 type instInfo struct {
 	key  stream.QueryKey
 	aug  *query.Query
 	part stream.Partition
-	cost int
+	cost uint64
 }
 
 // NewWithOptions wires a runtime with explicit execution options.
@@ -380,7 +379,7 @@ func compile(plan *planner.Plan, cfg pisa.Config, opts Options) (deployment, err
 			}
 			key := stream.QueryKey{QID: qp.Query.ID, Level: uint8(lp.Level)}
 			d.infos = append(d.infos, instInfo{key: key, aug: lp.Aug, part: part,
-				cost: instanceCost(&lp)})
+				cost: lp.EstWork()})
 			n := lp.Aug.NumOps()
 			d.counts = append(d.counts, flightrec.Counts{QID: key.QID, Level: key.Level,
 				OpInSw: make([]uint64, n), OpInSP: make([]uint64, n), OpOut: make([]uint64, n)})
@@ -417,7 +416,7 @@ func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
 		ord[i] = i
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return infos[ord[a]].cost > infos[ord[b]].cost })
-	load := make([]int, n)
+	load := make([]uint64, n)
 	for _, idx := range ord {
 		best := 0
 		for s := 1; s < n; s++ {
@@ -520,21 +519,6 @@ func dropDumpThresholds(prog *pisa.Program) *pisa.Program {
 		out.Instances[i] = &c
 	}
 	return out
-}
-
-// instanceCost is the weight the shard balancer assigns an instance: the
-// planner's trained per-window work estimate (tuples entering each pipeline
-// stage, gates applied — see InstancePlan.EstWork). A floor of 1 keeps
-// zero-traffic instances schedulable.
-func instanceCost(lp *planner.LevelPlan) int {
-	cost := lp.Left.EstWork
-	if lp.Right != nil {
-		cost += lp.Right.EstWork
-	}
-	if cost == 0 {
-		return 1
-	}
-	return int(cost)
 }
 
 // entryOp maps an instance plan's cut to the stream processor's resume op.

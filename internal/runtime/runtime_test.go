@@ -38,14 +38,6 @@ func buildWorkload(t *testing.T, pkts int, windows int) (*trace.Generator, []pla
 	return g, train
 }
 
-func framesOf(w trace.Window) [][]byte {
-	frames := make([][]byte, len(w.Records))
-	for i, r := range w.Records {
-		frames[i] = r.Data
-	}
-	return frames
-}
-
 func q1(th uint64) *query.Query {
 	q := query.NewBuilder("newly_opened_tcp_conns", 3*time.Second).
 		Filter(query.Eq(fields.TCPFlags, fields.FlagSYN)).
@@ -86,7 +78,7 @@ func TestEndToEndSonataDetectsFlood(t *testing.T) {
 	var detected bool
 	var maxTuples uint64
 	for w := 0; w < g.Windows(); w++ {
-		rep := rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+		rep := rt.ProcessWindow(g.WindowRecords(w).Frames())
 		if rep.TuplesToSP > maxTuples {
 			maxTuples = rep.TuplesToSP
 		}
@@ -129,7 +121,7 @@ func TestEndToEndAllSPMatchesSonataResults(t *testing.T) {
 		found := map[uint64]bool{}
 		var tuples uint64
 		for w := 0; w < g.Windows(); w++ {
-			rep := rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+			rep := rt.ProcessWindow(g.WindowRecords(w).Frames())
 			tuples += rep.TuplesToSP
 			for _, res := range rep.Results {
 				for _, tup := range res.Tuples {
@@ -178,7 +170,7 @@ func TestEndToEndJoinQuery(t *testing.T) {
 
 	var train []planner.Frames
 	for i := 0; i < 2; i++ {
-		train = append(train, planner.Frames(framesOf(g.WindowRecords(i))))
+		train = append(train, planner.Frames(g.WindowRecords(i).Frames()))
 	}
 	swCfg := pisa.DefaultConfig()
 	plan := planFor(t, []*query.Query{q}, train, swCfg, planner.ModeSonata)
@@ -188,7 +180,7 @@ func TestEndToEndJoinQuery(t *testing.T) {
 	}
 	detected := false
 	for w := 0; w < g.Windows(); w++ {
-		rep := rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+		rep := rt.ProcessWindow(g.WindowRecords(w).Frames())
 		for _, res := range rep.Results {
 			for _, tup := range res.Tuples {
 				if tup[0].U == uint64(victim) {
@@ -216,7 +208,7 @@ func TestRefinementUpdatesHappen(t *testing.T) {
 	}
 	var updates int
 	for w := 0; w < g.Windows(); w++ {
-		rep := rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+		rep := rt.ProcessWindow(g.WindowRecords(w).Frames())
 		updates += rep.FilterUpdates
 	}
 	if updates == 0 {
@@ -283,7 +275,7 @@ func TestStreamMetricsPerQueryBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := rt.ProcessWindow(framesOf(g.WindowRecords(2)))
+	rep := rt.ProcessWindow(g.WindowRecords(2).Frames())
 	if rep.TuplesToSP == 0 {
 		t.Fatal("All-SP reported zero tuples")
 	}

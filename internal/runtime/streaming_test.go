@@ -25,7 +25,7 @@ func TestStreamingAPIMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 2; w < g.Windows(); w++ {
-		frames := framesOf(g.WindowRecords(w))
+		frames := g.WindowRecords(w).Frames()
 		repA := batch.ProcessWindow(frames)
 		for _, f := range frames {
 			streaming.Process(f)
@@ -59,7 +59,7 @@ func TestStreamingShardedMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 2; w < g.Windows(); w++ {
-		frames := framesOf(g.WindowRecords(w))
+		frames := g.WindowRecords(w).Frames()
 		repA := batch.ProcessWindow(frames)
 		for _, f := range frames {
 			streaming.Process(f)
@@ -99,7 +99,7 @@ func TestStreamingWindowHistogramAnchoring(t *testing.T) {
 
 		const nWindows = 2
 		for w := 0; w < nWindows; w++ {
-			for _, f := range framesOf(g.WindowRecords(w)) {
+			for _, f := range g.WindowRecords(w).Frames() {
 				rt.Process(f)
 			}
 			rt.CloseWindow()

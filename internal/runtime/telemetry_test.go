@@ -30,7 +30,7 @@ func TestRegistryMatchesWindowReports(t *testing.T) {
 	var tuplesToSP, packets, collisions uint64
 	var filterUpdates, windows uint64
 	for w := 0; w < g.Windows(); w++ {
-		rep := rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+		rep := rt.ProcessWindow(g.WindowRecords(w).Frames())
 		tuplesToSP += rep.TuplesToSP
 		packets += rep.Switch.PacketsIn
 		collisions += rep.Switch.Collisions
@@ -97,7 +97,7 @@ func TestTracerSpansPerWindow(t *testing.T) {
 
 	const nWindows = 3
 	for w := 0; w < nWindows; w++ {
-		rt.ProcessWindow(framesOf(g.WindowRecords(w)))
+		rt.ProcessWindow(g.WindowRecords(w).Frames())
 	}
 
 	trees := tz.Trees()
@@ -164,7 +164,7 @@ func TestInstrumentNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Instrument(nil, nil)
-	rep := rt.ProcessWindow(framesOf(g.WindowRecords(2)))
+	rep := rt.ProcessWindow(g.WindowRecords(2).Frames())
 	if rep.Switch.PacketsIn == 0 {
 		t.Fatal("window did not process")
 	}

@@ -69,7 +69,7 @@ func TestTraceTreeDifferentialWorkers(t *testing.T) {
 		tz := tracez.New(tracez.Options{HeadEvery: 1})
 		rt.Instrument(nil, tz)
 		for w := 0; w < nWindows; w++ {
-			frames := framesOf(g.WindowRecords(w))
+			frames := g.WindowRecords(w).Frames()
 			if !c.streaming {
 				rt.ProcessWindow(frames)
 				continue
@@ -174,7 +174,7 @@ func TestLatencyTriggeredRetention(t *testing.T) {
 	const slowWin = 16
 	rt.SetResultSink(&slowSink{slowAt: slowWin, delay: 100 * time.Millisecond})
 	for w := 0; w < nWindows; w++ {
-		rt.ProcessWindow(framesOf(g.WindowRecords(w % g.Windows())))
+		rt.ProcessWindow(g.WindowRecords(w % g.Windows()).Frames())
 	}
 
 	if !tz.Has(slowWin) {

@@ -35,6 +35,16 @@ type Window struct {
 	Records []Record
 }
 
+// Frames returns the window's frames, in record order, sharing the
+// records' bytes.
+func (w Window) Frames() [][]byte {
+	frames := make([][]byte, len(w.Records))
+	for i, r := range w.Records {
+		frames[i] = r.Data
+	}
+	return frames
+}
+
 // AttackKind labels the injected event classes, one per telemetry query in
 // Table 3 of the paper.
 type AttackKind string
