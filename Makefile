@@ -55,11 +55,14 @@ bench:
 # network-wide fabric loop they replaced (2 and 4 vantage points at 1 and 2
 # workers); planner training, which runs the kernels over one batch of
 # extracted columns per window, against the reference trainer that profiles
-# every level and edge separately over bare packets; and plan selection,
-# which prices each refinement edge once and builds only each mode's
-# cheapest 48 candidates, against the reference selector that builds and
-# prices every (path, cut-tier) combination — equal candidates, order
-# included, and equal plans — and Sonata's plan against every restricted
+# every level and edge separately over bare packets, and at GOMAXPROCS 1
+# against 4, whose query workers share only the read-only batches; and plan
+# selection, which prices each refinement edge once and keeps, sorts and
+# builds only each mode's cheapest 48 candidates, against the reference
+# selector that builds and prices every (path, cut-tier) combination — equal
+# candidates, order included, and equal plans — its bounded per-mode
+# selection against sorting every proxy, ties at the 48th place included,
+# and Sonata's plan against every restricted
 # mode's, never costlier, on random switches and on every small-scale Fig. 8
 # configuration; and pisa.Program.Place, which places every program plan
 # selection builds, against the first-fit placer it replaced plus Validate
@@ -77,7 +80,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank|TestPlaceFirstFit|TestRegisterSize' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestPlaceMatchesReferencePlacer' ./internal/planner
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestPlaceMatchesReferencePlacer' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
@@ -158,17 +161,14 @@ check-fuzz:
 # window close, which allocates its report and refinement rule sets, and
 # planner training and plan selection, whose ceilings are their measured
 # counts);
-# the -benchmem run prints the same paths' current numbers for the log.
-# Plan selection at the paper's menu (~0.4 s a plan), which no budget reads,
-# is printed from a few iterations of its own.
+# the -benchmem run prints the same paths' current numbers for the log, plan
+# selection at the paper's menu too, which no budget reads.
 # Allocation counts are deterministic (training's to within a few, from map
 # hashing), so unlike bench-smoke this gate is not subject to perf noise and
 # does fail `make check`.
 bench-alloc:
 	$(GO) test -run TestAllocBudget -benchtime 100x -benchmem \
-		-bench 'BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$' .
-	$(GO) test -run '^$$' -benchtime 100x -benchmem -bench 'BenchmarkPlanQueries$$/^menu=8-16-24$$' .
-	$(GO) test -run '^$$' -benchtime 3x -benchmem -bench 'BenchmarkPlanQueries$$/^menu=paper$$' .
+		-bench 'BenchmarkSwitchProcessViewsDeployed$$|BenchmarkPrescreenEval$$|BenchmarkMirrorBatchIngest$$|BenchmarkEmitterRoundTrip$$|BenchmarkKeytabSteadyState$$|BenchmarkEngineJoinClose$$|BenchmarkRuntimeWindowClose$$|BenchmarkPlannerTrain$$|BenchmarkPlanQueries$$' .
 	$(GO) test -run TestRegisterBankProbeAllocBudget -benchtime 1000x -benchmem \
 		-bench 'BenchmarkRegisterBankProbe$$' ./internal/pisa
 

@@ -188,9 +188,12 @@ type selector struct {
 	// places them, each built the first time a path reaches it.
 	edges []map[[2]int]*pricedEdge
 	cands [][]candidate
-	// Scratch reused across queries and trial programs.
-	proxies []proxy
-	placed  []placement
+	// Scratch reused across queries and trial programs: per mode the
+	// cheapest proxies offered, the All-SP ones, and the kept ones sorted.
+	cheapest [ModeFixRef + 1][]proxy
+	allSP    []proxy
+	proxies  []proxy
+	placed   []placement
 }
 
 // newSelector prices every query's plan space into its candidate list.
@@ -252,14 +255,95 @@ type proxy struct {
 // keep the search tractable.
 const maxCandidates = 48
 
+// compareProxies is the order candidates are kept and listed in: cost, then
+// cut depth, deeper first, then enumeration order. Paths and combinations
+// are distinct, so it is total.
+func compareProxies(a, b proxy) int {
+	if a.cost != b.cost {
+		return cmp.Compare(a.cost, b.cost)
+	}
+	// Equal trained cost: prefer deeper cuts (more work on the switch).
+	// Training can only estimate the traffic it saw; when a class of
+	// traffic is absent from training, every cut costs zero and the
+	// deeper one is free insurance against workload drift.
+	if a.depth != b.depth {
+		return cmp.Compare(b.depth, a.depth)
+	}
+	// Then enumeration order, so that a mode's list, filtered from this
+	// order, is the order its own space sorts in.
+	return cmp.Or(cmp.Compare(a.path, b.path), cmp.Compare(a.combo, b.combo))
+}
+
+// offer files proxy p with every mode of planning whose space holds it: into
+// the mode's cheapest maxCandidates so far, a heap whose root is the costliest
+// kept, and, when p is an All-SP proxy, into allSP, which keeps them all.
+func (s *selector) offer(p proxy, planning uint8) {
+	for m := range s.cheapest {
+		if p.modes&planning&(1<<m) == 0 {
+			continue
+		}
+		h := s.cheapest[m]
+		if len(h) < maxCandidates {
+			h = append(h, p)
+			for i := len(h) - 1; i > 0; {
+				up := (i - 1) / 2
+				if compareProxies(h[up], h[i]) > 0 {
+					break
+				}
+				h[up], h[i] = h[i], h[up]
+				i = up
+			}
+			s.cheapest[m] = h
+			continue
+		}
+		if compareProxies(p, h[0]) > 0 {
+			continue
+		}
+		h[0] = p
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && compareProxies(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if compareProxies(h[i], h[c]) > 0 {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	if p.modes&(1<<ModeAllSP) != 0 {
+		s.allSP = append(s.allSP, p)
+	}
+}
+
+// kept appends to dst, once each and in compareProxies order, every proxy
+// offer kept, and empties the heaps for the next query. Each mode's
+// maxCandidates cheapest come first among its own there as in the full
+// order, so ranking the kept proxies ranks those the same.
+func (s *selector) kept(dst []proxy) []proxy {
+	for m, h := range s.cheapest {
+		dst = append(dst, h...)
+		s.cheapest[m] = h[:0]
+	}
+	dst = append(dst, s.allSP...)
+	s.allSP = s.allSP[:0]
+	slices.SortFunc(dst, compareProxies)
+	return slices.Compact(dst)
+}
+
 // candidates enumerates query qi's plan space once and returns the planning
-// mode's candidate list, cheapest first. Every (path, cut-tier combination)
-// is an index proxy priced from the edges' tables, sorted by cost, then
-// by cut depth, then in enumeration order. Each mode's list is the cheapest
-// maxCandidates combinations of its space plus the All-SP one, every list's
-// fallback (it packs on any switch); Sonata's list is the union of every
-// mode's. Only the kept combinations are built. Paths are distinct and so
-// are an edge's tiers, so every combination is a distinct candidate.
+// mode's candidate list, cheapest first (compareProxies). Every (path,
+// cut-tier combination) is an index proxy priced from the edges' tables.
+// Each mode's list is the cheapest maxCandidates combinations of its space
+// plus the All-SP one, every list's fallback (it packs on any switch);
+// Sonata's list is the union of every mode's. So only those proxies are kept
+// as they are enumerated, only they are sorted, and only they are built.
+// Paths are distinct and so are an edge's tiers, so every combination is a
+// distinct candidate.
 func (s *selector) candidates(qi int) []candidate {
 	qt := s.queries[qi]
 	ps := paths(qt, maxDelay)
@@ -274,7 +358,6 @@ func (s *selector) candidates(qi int) []candidate {
 		}
 	}
 	gated := gatedQuery(qt)
-	s.proxies = s.proxies[:0]
 	var edges []*pricedEdge
 	for pi, path := range ps {
 		edges = edges[:0]
@@ -287,7 +370,7 @@ func (s *selector) candidates(qi int) []candidate {
 		rec = func(i int, cost uint64, depth, combo int) {
 			if i == len(edges) {
 				if modes := modesOf(qt, path, edges[0], combo); modes&planning != 0 {
-					s.proxies = append(s.proxies, proxy{cost, int32(depth), int32(pi), int32(combo), modes})
+					s.offer(proxy{cost, int32(depth), int32(pi), int32(combo), modes}, planning)
 				}
 				return
 			}
@@ -306,21 +389,7 @@ func (s *selector) candidates(qi int) []candidate {
 		}
 		rec(0, 0, 0, 0)
 	}
-	slices.SortFunc(s.proxies, func(a, b proxy) int {
-		if a.cost != b.cost {
-			return cmp.Compare(a.cost, b.cost)
-		}
-		// Equal trained cost: prefer deeper cuts (more work on the switch).
-		// Training can only estimate the traffic it saw; when a class of
-		// traffic is absent from training, every cut costs zero and the
-		// deeper one is free insurance against workload drift.
-		if a.depth != b.depth {
-			return cmp.Compare(b.depth, a.depth)
-		}
-		// Then enumeration order, so that a mode's list, filtered from this
-		// order, is the order its own space sorts in.
-		return cmp.Or(cmp.Compare(a.path, b.path), cmp.Compare(a.combo, b.combo))
-	})
+	s.proxies = s.kept(s.proxies[:0])
 	var out []candidate
 	var rank [ModeFixRef + 1]int
 	var cuts [][2]int // kept candidates' cuts, carved from shared chunks

@@ -361,3 +361,63 @@ func uniq(xs []int) map[int]bool {
 	}
 	return m
 }
+
+// TestKeptProxiesAreEachModesCheapest holds the bounded per-mode selection
+// candidates keeps to sorting everything: over random proxies whose costs
+// and depths tie in crowds around the 48th place, offered in random order,
+// the kept list must be sorted and hold each planning mode's first
+// maxCandidates proxies of the full order, first among that mode's, and
+// every All-SP proxy.
+func TestKeptProxiesAreEachModesCheapest(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	s := &selector{}
+	for trial := 0; trial < 400; trial++ {
+		n := []int{1, 47, 48, 49, 97, 300, 2000}[trial%7]
+		costs, depths := 1+r.Intn(6), 1+r.Intn(4)
+		all := make([]proxy, n)
+		for i := range all {
+			all[i] = proxy{cost: uint64(r.Intn(costs)), depth: int32(r.Intn(depths)),
+				path: int32(i % 7), combo: int32(i / 7), modes: uint8(r.Intn(1<<(ModeFixRef+1))) | 1<<ModeSonata}
+		}
+		planning := uint8(0xff)
+		if m := r.Intn(int(ModeFixRef) + 2); m <= int(ModeFixRef) {
+			planning = 1 << m
+		}
+		r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		for _, p := range all {
+			if p.modes&planning != 0 {
+				s.offer(p, planning)
+			}
+		}
+		kept := s.kept(nil)
+
+		if !slices.IsSortedFunc(kept, compareProxies) {
+			t.Fatalf("trial %d: kept proxies are not sorted", trial)
+		}
+		for i := 1; i < len(kept); i++ {
+			if compareProxies(kept[i-1], kept[i]) == 0 {
+				t.Fatalf("trial %d: proxy %+v kept twice", trial, kept[i])
+			}
+		}
+		slices.SortFunc(all, compareProxies)
+		first := func(ps []proxy, m int) []proxy {
+			var out []proxy
+			for _, p := range ps {
+				if p.modes&planning&(1<<m) != 0 && len(out) < maxCandidates {
+					out = append(out, p)
+				}
+			}
+			return out
+		}
+		for m := range s.cheapest {
+			if got, want := first(kept, m), first(all, m); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (n %d, planning %#x): mode %v keeps\n%v\nwant\n%v", trial, n, planning, Mode(m), got, want)
+			}
+		}
+		for _, p := range all {
+			if p.modes&planning != 0 && p.modes&(1<<ModeAllSP) != 0 && !slices.Contains(kept, p) {
+				t.Fatalf("trial %d: All-SP proxy %+v dropped", trial, p)
+			}
+		}
+	}
+}

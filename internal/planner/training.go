@@ -1,8 +1,12 @@
 package planner
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/compile"
 	"repro/internal/fields"
@@ -88,8 +92,12 @@ var DefaultMenu = []int{8, 16, 24}
 // {8,16,24,32}); the finest level of each query's key is appended
 // automatically when missing.
 //
-// Each window is parsed and its header fields extracted once, into one batch
-// every run reads; training is serial, and keeps nothing of the windows.
+// Each window is parsed and its header fields extracted once, each window on
+// its own goroutine, into one batch every run reads. Then queries train on
+// min(GOMAXPROCS, len(queries)) workers, heaviest first, each worker with its
+// own profiler and scratch; the batches are read-only by then. A query's
+// training reads only the batches and its own runs, so the result does not
+// depend on the worker count. Train keeps nothing of the windows.
 func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingResult, error) {
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("planner: no training windows")
@@ -97,10 +105,6 @@ func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingRes
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("planner: no queries")
 	}
-	res := &TrainingResult{PerQuery: make(map[uint16]*QueryTraining)}
-	t := &trainer{batches: make([]query.PacketBatch, len(windows)), all: make([][]uint64, len(windows)),
-		prof: stream.NewProfiler(nil, nil), seen: make(map[tuple.Value]int), gates: make(map[fields.ID][][]uint64)}
-	counts := make([]uint64, len(windows))
 	// The fields the queries read in packet phase: their operators' and each
 	// refinement key, which gated edges filter on.
 	set := &query.FieldSet{}
@@ -113,43 +117,105 @@ func Train(queries []*query.Query, levels []int, windows []Frames) (*TrainingRes
 		}
 	}
 	// DNS is deep-decoded only when some query reads it.
-	parser := packet.NewParser(packet.ParserOptions{DecodeDNS: slices.ContainsFunc(queries, query.ReadsDNS)})
-	for w, frames := range windows {
-		pkts := make([]packet.Packet, 0, len(frames))
-		for _, f := range frames {
-			var pkt packet.Packet
-			if err := parser.Parse(f, &pkt); err == nil {
-				// Deep-copy DNS scratch state, which the parser reuses.
-				pkt.DNS = *cloneDNS(&pkt.DNS)
-				pkts = append(pkts, pkt)
+	opts := packet.ParserOptions{DecodeDNS: slices.ContainsFunc(queries, query.ReadsDNS)}
+	batches, all := make([]query.PacketBatch, len(windows)), make([][]uint64, len(windows))
+	counts := make([]uint64, len(windows))
+	each(len(windows), func() func(int) {
+		parser := packet.NewParser(opts)
+		return func(w int) {
+			// Each packet is parsed in place and owns its DNS slices; a
+			// frame that fails to parse leaves its slot zeroed for the next.
+			pkts := make([]packet.Packet, len(windows[w]))
+			n := 0
+			for _, f := range windows[w] {
+				if parser.Parse(f, &pkts[n]) == nil {
+					n++
+				} else {
+					pkts[n] = packet.Packet{}
+				}
 			}
+			b := &batches[w]
+			b.Pkts = make([]*packet.Packet, n)
+			for i := range b.Pkts {
+				b.Pkts[i] = &pkts[i]
+			}
+			all[w] = tuple.SelAll(nil, n)
+			b.Extract(set, all[w])
+			counts[w] = uint64(len(windows[w]))
 		}
-		for i := range pkts {
-			t.batches[w].Pkts = append(t.batches[w].Pkts, &pkts[i])
-		}
-		t.all[w] = tuple.SelAll(nil, len(pkts))
-		t.batches[w].Extract(set, t.all[w])
-		counts[w] = uint64(len(frames))
-	}
-	res.WindowPackets = medianU64(counts)
+	})
 
-	for _, q := range queries {
-		res.PerQuery[q.ID] = t.learn(q, levels)
+	// Heaviest first, so that the longest query does not start last.
+	order := make([]int, len(queries))
+	weight := make([]int, len(queries))
+	for i, q := range queries {
+		order[i], weight[i] = i, trainWeight(q, levels)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weight[b], weight[a]) })
+	learned := make([]*QueryTraining, len(queries))
+	each(len(queries), func() func(int) {
+		t := &trainer{batches: batches, all: all, prof: stream.NewProfiler(nil, nil),
+			seen: make(map[tuple.Value]int), gates: make(map[fields.ID][][]uint64)}
+		return func(i int) {
+			learned[order[i]] = t.learn(queries[order[i]], levels)
+		}
+	})
+
+	res := &TrainingResult{PerQuery: make(map[uint16]*QueryTraining), WindowPackets: medianU64(counts)}
+	for i, q := range queries {
+		res.PerQuery[q.ID] = learned[i]
 	}
 	return res, nil
 }
 
-func cloneDNS(d *packet.DNS) *packet.DNS {
-	c := *d
-	c.Questions = append([]packet.DNSQuestion(nil), d.Questions...)
-	c.Answers = append([]packet.DNSRecord(nil), d.Answers...)
-	return &c
+// each calls do(i) for every i in [0, n) on min(GOMAXPROCS, n) goroutines,
+// each taking the next i as it finishes one. worker is called once per
+// goroutine, on the caller's, and returns that goroutine's do, so a worker's
+// scratch is its own.
+func each(n int, worker func() func(int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		do := worker()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
-// trainer holds one Train call's windows — per window, a batch of its
-// parsed packets with the queries' fields extracted, and the selection of
-// all of them — and the profiler every run goes through, whose keyed-state
-// tables carry over from run to run.
+// trainWeight is a static estimate of what training q costs, to order the
+// queries by: its sides, times the levels it trains at, times its stateful
+// ops (at least one).
+func trainWeight(q *query.Query, menu []int) int {
+	levels := 1
+	if key, ok := query.QueryRefinementKey(q); ok {
+		for _, l := range menu {
+			if l > 0 && l < key.MaxLevel {
+				levels++
+			}
+		}
+	}
+	stateful := 0
+	for _, p := range sides(q) {
+		for i := range p.Ops {
+			if p.Ops[i].Stateful() {
+				stateful++
+			}
+		}
+	}
+	return len(sides(q)) * levels * max(stateful, 1)
+}
+
+// trainer holds one training worker's view of a Train call's windows — per
+// window, a batch of its parsed packets with the queries' fields extracted,
+// and the selection of all of them, both shared read-only with every other
+// worker — and the worker's own profiler, through which every run goes and
+// whose keyed-state tables carry over from run to run.
 type trainer struct {
 	batches []query.PacketBatch
 	all     [][]uint64

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -204,6 +205,37 @@ func TestTrainLadderHasNoSelfEdge(t *testing.T) {
 	for k, e := range qt.Edges {
 		if e.Prev == e.Level {
 			t.Errorf("edge %v gates level %d on itself", k, e.Level)
+		}
+	}
+}
+
+// TestTrainSameAtAnyWorkerCount: Train parses windows and trains queries on
+// up to GOMAXPROCS workers, each with its own profiler and scratch over the
+// shared read-only batches, so one worker and four must learn the same,
+// figure for figure, on either seed. Under -race, four workers over the
+// oracle's thirteen queries also show that they share nothing writable.
+func TestTrainSameAtAnyWorkerCount(t *testing.T) {
+	qs := oracleQueries()
+	for _, seed := range []int64{1, 2} {
+		windows := oracleWindows(t, seed)
+		var got [2]*TrainingResult
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			tr, err := Train(qs, DefaultMenu, windows)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = tr
+		}
+		if len(got[0].PerQuery) != len(qs) {
+			t.Fatalf("seed %d: %d queries trained, want %d", seed, len(got[0].PerQuery), len(qs))
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			for _, q := range qs {
+				compareTraining(t, fmt.Sprintf("seed %d: %s", seed, q.Name), got[1].PerQuery[q.ID], got[0].PerQuery[q.ID])
+			}
+			t.Errorf("seed %d: training at GOMAXPROCS 4 differs from GOMAXPROCS 1", seed)
 		}
 	}
 }

@@ -49,6 +49,13 @@ func refTrain(queries []*query.Query, levels []int, windows []Frames) (*Training
 	return res, nil
 }
 
+func cloneDNS(d *packet.DNS) *packet.DNS {
+	c := *d
+	c.Questions = append([]packet.DNSQuestion(nil), d.Questions...)
+	c.Answers = append([]packet.DNSRecord(nil), d.Answers...)
+	return &c
+}
+
 // feed pushes every packet of pkts into prof, no field extracted.
 func feed(prof *stream.Profiler, pkts []packet.Packet) {
 	b := query.PacketBatch{Pkts: make([]*packet.Packet, len(pkts))}
