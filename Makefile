@@ -64,7 +64,11 @@ bench:
 # selection against sorting every proxy, ties at the 48th place included,
 # and Sonata's plan against every restricted
 # mode's, never costlier, on random switches and on every small-scale Fig. 8
-# configuration; and pisa.Program.Place, which places every program plan
+# configuration; each plan's levels against its switch program — every
+# level side the program instance at its position, in order, and nothing
+# else in the program, which the runtime's shard assembly relies on — for
+# all eleven queries on every Fig. 8 configuration and the default switch in
+# every mode; and pisa.Program.Place, which places every program plan
 # selection builds, against the first-fit placer it replaced plus Validate
 # over those switches' trial programs — the same programs accepted, in the
 # same stages. View batches, their prescreen masks and their field
@@ -80,7 +84,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank|TestPlaceFirstFit|TestRegisterSize' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestPlaceMatchesReferencePlacer' ./internal/planner
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestLevelsAreProgramInstances|TestPlaceMatchesReferencePlacer' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every

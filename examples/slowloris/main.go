@@ -57,8 +57,8 @@ func main() {
 	for _, qp := range plan.Queries {
 		for _, lp := range qp.Levels {
 			fmt.Printf("level /%d: left sub-query cut after %d/%d tables; right after %d/%d\n",
-				lp.Level, lp.Left.Cut, len(lp.Left.Pipe.Tables),
-				lp.Right.Cut, len(lp.Right.Pipe.Tables))
+				lp.Level, lp.Left.CutAt, len(lp.Left.Tables),
+				lp.Right.CutAt, len(lp.Right.Tables))
 		}
 	}
 

@@ -168,29 +168,3 @@ func (p *Pipeline) ValidPartitionPoints() []int {
 	}
 	return points
 }
-
-// SPEntry describes how the stream processor resumes a pipeline cut after
-// the first n tables.
-type SPEntry struct {
-	// StartOp is the first dataflow op the stream processor executes.
-	StartOp int
-	// AggMerge reports that the switch's last table was stateful: register
-	// dumps must merge into the stateful op at MergeOp rather than entering
-	// at StartOp.
-	AggMerge bool
-	MergeOp  int
-}
-
-// EntryFor computes the SP entry point for a cut after n tables.
-func (p *Pipeline) EntryFor(n int) SPEntry {
-	if n == 0 {
-		return SPEntry{StartOp: 0}
-	}
-	last := &p.Tables[n-1]
-	e := SPEntry{StartOp: last.LastOp() + 1}
-	if last.Stateful {
-		e.AggMerge = true
-		e.MergeOp = last.OpIdx
-	}
-	return e
-}

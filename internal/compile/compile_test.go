@@ -75,18 +75,6 @@ func TestMetaBitsIncludesOverhead(t *testing.T) {
 	}
 }
 
-func TestEntryForStatelessCut(t *testing.T) {
-	cp := CompilePipeline(q1().Left.Ops)
-	e := cp.EntryFor(2) // filter+map on switch
-	if e.AggMerge || e.StartOp != 2 {
-		t.Errorf("entry = %+v", e)
-	}
-	e0 := cp.EntryFor(0)
-	if e0.StartOp != 0 || e0.AggMerge {
-		t.Errorf("zero-cut entry = %+v", e0)
-	}
-}
-
 func TestGenerateP4Structure(t *testing.T) {
 	cp := CompilePipeline(q1().Left.Ops)
 	code := GenerateP4("q1", []Instance{{Level: 32, Pipe: cp, CutAt: len(cp.Tables)}})

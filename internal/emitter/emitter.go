@@ -370,9 +370,6 @@ func (e *Emitter) deliverTuples(b *pisa.MirrorBatch, inst *stream.Instance, side
 		for rest := b.Tail[w] | b.Shunt[w]; rest != 0; rest &= rest - 1 {
 			bit := bits.TrailingZeros64(rest)
 			i := w<<6 | bit
-			if b.NeedsPacket {
-				wire += packetWireLen(len(b.Views[i].Frame))
-			}
 			if b.Shunt[w]>>uint(bit)&1 != 0 {
 				mergeOp, vals := b.ShuntAt(i)
 				wire += valsWireLen(vals)

@@ -63,11 +63,11 @@ func TestSwitchMatchesStreamProcessor(t *testing.T) {
 				cp := compile.CompilePipeline(q.Left.Ops)
 				for _, cut := range cp.ValidPartitionPoints() {
 					// Switch + engine with the cut.
+					spec := &InstanceSpec{QID: 1, Ops: q.Left.Ops, Tables: cp.Tables, CutAt: cut}
 					engine := stream.NewEngine(nil)
-					if err := engine.Install(q, 0, stream.Partition{LeftStart: cp.EntryFor(cut).StartOp}); err != nil {
+					if err := engine.Install(q, 0, stream.Partition{LeftStart: spec.EntryOp()}); err != nil {
 						t.Fatal(err)
 					}
-					spec := &InstanceSpec{QID: 1, Ops: q.Left.Ops, Tables: cp.Tables, CutAt: cut}
 					spec.StageOf = make([]int, len(cp.Tables))
 					spec.RegEntries = make([]int, len(cp.Tables))
 					for i := range cp.Tables {

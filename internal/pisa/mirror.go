@@ -20,12 +20,11 @@ import (
 type MirrorBatch struct {
 	// The instance's static identity, as every one of its Mirror records
 	// carries it. EntryOp is where the stream processor resumes for tail
-	// reports; NeedsPacket says tuple-phase records carry the frame too.
-	QID         uint16
-	Level       uint8
-	Side        Side
-	EntryOp     int
-	NeedsPacket bool
+	// reports (InstanceSpec.EntryOp).
+	QID     uint16
+	Level   uint8
+	Side    Side
+	EntryOp int
 
 	Views []View
 	// Packets is the views' packets with the batch's header-field columns, as
@@ -106,7 +105,7 @@ func (b *MirrorBatch) records(fn func(Mirror)) {
 			i := w<<6 | bit
 			if b.Shunt[w]>>uint(bit)&1 != 0 {
 				mergeOp, vals := b.ShuntAt(i)
-				fn(b.shuntMirror(&b.Views[i], mergeOp, vals))
+				fn(b.shuntMirror(mergeOp, vals))
 				continue
 			}
 			b.row = b.TailVals(i, b.row[:0])
@@ -118,32 +117,23 @@ func (b *MirrorBatch) records(fn func(Mirror)) {
 // shuntMirror is the record for a packet whose key collided in all d
 // registers of the stateful op mergeOp: the stream processor executes the op
 // itself on the tuple the table saw.
-func (b *MirrorBatch) shuntMirror(pv *View, mergeOp int, vals []tuple.Value) Mirror {
-	m := Mirror{QID: b.QID, Level: b.Level, Side: b.Side,
+func (b *MirrorBatch) shuntMirror(mergeOp int, vals []tuple.Value) Mirror {
+	return Mirror{QID: b.QID, Level: b.Level, Side: b.Side,
 		Overflow: true, MergeOp: mergeOp, Vals: vals}
-	if b.NeedsPacket {
-		m.attach(pv)
-	}
-	return m
 }
 
-// tailMirror is the record for a packet that survived every switch table.
+// tailMirror is the record for a packet that survived every switch table:
+// past the first map it carries the metadata tuple, before it the original
+// frame, with the switch's parse of it when the frame decoded fully.
 func (b *MirrorBatch) tailMirror(pv *View, vals []tuple.Value, inTuplePhase bool) Mirror {
 	m := Mirror{QID: b.QID, Level: b.Level, Side: b.Side, EntryOp: b.EntryOp}
 	if inTuplePhase {
 		m.Vals = vals
+		return m
 	}
-	if !inTuplePhase || b.NeedsPacket {
-		m.attach(pv)
-	}
-	return m
-}
-
-// attach makes the mirror carry the original frame, with the switch's parse
-// of it when the frame decoded fully.
-func (m *Mirror) attach(pv *View) {
 	m.Packet = pv.Frame
 	if pv.clean {
 		m.Parsed = &pv.Pkt
 	}
+	return m
 }

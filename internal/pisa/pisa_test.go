@@ -84,9 +84,25 @@ func TestCompileQuery1Tables(t *testing.T) {
 	if fmt.Sprint(pts) != fmt.Sprint(want) {
 		t.Errorf("partition points = %v, want %v", pts, want)
 	}
-	entry := cp.EntryFor(4)
-	if !entry.AggMerge || entry.MergeOp != 2 || entry.StartOp != 4 {
-		t.Errorf("entry = %+v", entry)
+	spec := &InstanceSpec{Ops: query1(40).Left.Ops, Tables: cp.Tables, CutAt: 4}
+	if op := spec.EntryOp(); op != 4 {
+		t.Errorf("entry op = %d, want 4 (past the merged threshold)", op)
+	}
+}
+
+// TestEntryOpStatelessCut: the stream processor resumes right after the
+// last switch table's op when the cut is stateless, and at op 0 when nothing
+// runs on the switch.
+func TestEntryOpStatelessCut(t *testing.T) {
+	q := query1(40)
+	cp := compile.CompilePipeline(q.Left.Ops)
+	spec := &InstanceSpec{Ops: q.Left.Ops, Tables: cp.Tables, CutAt: 2} // filter+map on switch
+	if op := spec.EntryOp(); op != 2 {
+		t.Errorf("entry op = %d, want 2", op)
+	}
+	spec.CutAt = 0
+	if op := spec.EntryOp(); op != 0 {
+		t.Errorf("zero-cut entry op = %d, want 0", op)
 	}
 }
 

@@ -35,15 +35,21 @@ type InstanceSpec struct {
 	StageOf []int
 	// RegEntries[t] is the per-chain slot count n for stateful table t.
 	RegEntries []int
-	// NeedsPacket asks the mirror to carry the original frame because the
-	// stream processor's portion parses it further (payload queries,
-	// packet-phase joins).
-	NeedsPacket bool
 }
 
 // Name identifies the instance in logs and dynamic table updates.
 func (s *InstanceSpec) Name() string {
 	return fmt.Sprintf("q%d/r%d/s%d", s.QID, s.Level, s.Side)
+}
+
+// EntryOp is the dataflow op where the stream processor resumes the
+// pipeline: the one after the last op the switch tables cover (a merged
+// threshold filter included), 0 when nothing runs on the switch.
+func (s *InstanceSpec) EntryOp() int {
+	if s.CutAt == 0 {
+		return 0
+	}
+	return s.Tables[s.CutAt-1].LastOp() + 1
 }
 
 // MetaBits is the instance's PHV footprint when any table runs on the

@@ -29,8 +29,8 @@ type Mirror struct {
 	// Vals is the metadata tuple at the partition point (nil when the
 	// pipeline was still packet-phase).
 	Vals []tuple.Value
-	// Packet is the original frame, present when the instance requested it
-	// or the pipeline was packet-phase.
+	// Packet is the original frame, present when the pipeline was still
+	// packet-phase.
 	Packet []byte
 	// Parsed is the switch's header parse of Packet, attached only when the
 	// frame decoded fully. It is a process-local sidecar — never serialized
@@ -284,9 +284,7 @@ func NewSwitchShared(cfg Config, prog *Program, sink MirrorSink, ps *Prescreen) 
 				st.outCols[t] = make([]tuple.Column, len(st.kinds[tab.OpIdx+1]))
 			}
 		}
-		cp := compile.Pipeline{Ops: spec.Ops, Tables: spec.Tables}
-		st.out = MirrorBatch{QID: spec.QID, Level: spec.Level, Side: spec.Side,
-			EntryOp: cp.EntryFor(spec.CutAt).StartOp, NeedsPacket: spec.NeedsPacket}
+		st.out = MirrorBatch{QID: spec.QID, Level: spec.Level, Side: spec.Side, EntryOp: spec.EntryOp()}
 		sw.insts = append(sw.insts, st)
 		closed := st.stats
 		closed.OpIn = make([]uint64, len(spec.Ops))

@@ -113,7 +113,7 @@ func (sw *Switch) processInstance(st *instState, pv *View) bool {
 				// Collision overflow: shunt to the stream processor, which
 				// executes the stateful op itself for this packet.
 				sw.shunted(st)
-				sw.emit(st, st.out.shuntMirror(pv, tab.OpIdx, vals))
+				sw.emit(st, st.out.shuntMirror(tab.OpIdx, vals))
 				return true
 			}
 			if t == spec.CutAt-1 {

@@ -115,3 +115,54 @@ func TestPlaceMatchesReferencePlacer(t *testing.T) {
 	names, cfgs = eval.Fig8Configs(pisa.DefaultConfig())
 	check(t, "Fig. 8", tr, qs, names, cfgs)
 }
+
+// TestLevelsAreProgramInstances: a plan's levels are its switch program.
+// Walking every query's levels, each level's Left and then its Right is the
+// pointer at the next position of Plan.Program.Instances, and the program
+// holds nothing else — for all eleven queries planned together at small
+// scale, on every Fig. 8 configuration and the default switch, in every
+// mode. The runtime assembles each shard's switch program from the levels
+// it owns, in installation order, on the strength of this.
+func TestLevelsAreProgramInstances(t *testing.T) {
+	scale := eval.SmallScale()
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := queries.All(eval.ScaledParams(scale))
+	tr, err := planner.Train(qs, planner.DefaultMenu, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, cfgs := eval.Fig8Configs(pisa.DefaultConfig())
+	names, cfgs = append(names, "default"), append(cfgs, pisa.DefaultConfig())
+	for i, cfg := range cfgs {
+		for _, mode := range []planner.Mode{planner.ModeSonata, planner.ModeAllSP, planner.ModeFilterDP, planner.ModeMaxDP, planner.ModeFixRef} {
+			opts := planner.DefaultOptions()
+			opts.Mode = mode
+			plan, err := planner.PlanQueries(tr, qs, cfg, opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", names[i], mode, err)
+			}
+			next := 0
+			side := func(qp *planner.QueryPlan, lp *planner.LevelPlan, what string, spec *pisa.InstanceSpec) {
+				if next >= len(plan.Program.Instances) || plan.Program.Instances[next] != spec {
+					t.Errorf("%s %v: %s level %d %s is not program instance %d", names[i], mode, qp.Query.Name, lp.Level, what, next)
+				}
+				next++
+			}
+			for _, qp := range plan.Queries {
+				for li := range qp.Levels {
+					lp := &qp.Levels[li]
+					side(qp, lp, "left", lp.Left)
+					if lp.Right != nil {
+						side(qp, lp, "right", lp.Right)
+					}
+				}
+			}
+			if next != len(plan.Program.Instances) {
+				t.Errorf("%s %v: levels hold %d sides, the program %d instances", names[i], mode, next, len(plan.Program.Instances))
+			}
+		}
+	}
+}

@@ -59,24 +59,6 @@ func DefaultOptions() Options {
 // finest, never exceeds it.
 const maxDelay = 4
 
-// InstancePlan is one (level, side) pipeline placed on the switch and
-// stream processor.
-type InstancePlan struct {
-	Side pisa.Side
-	Ops  []query.Op
-	Pipe compile.Pipeline
-	// Cut is the number of tables on the switch.
-	Cut int
-	// RegEntries sizes each stateful switch table's registers.
-	RegEntries []int
-	// EstWork is the trained estimate of this instance's per-window work in
-	// the work model's units: the tuples entering each pipeline stage, each
-	// at its op's OpWork, summed as measured on the training windows (with
-	// dynamic gates applied), plus the packets its capped registers are
-	// expected to overflow, at OverflowWork each.
-	EstWork uint64
-}
-
 // The work model, in tuple-stage units. A record entering a stateless op
 // costs 1 and one entering a stateful op (a key-value update) StatefulWork;
 // a packet a full register shunts to the stream processor — the mirror plus
@@ -96,28 +78,28 @@ func OpWork(o *query.Op) uint64 {
 	return 1
 }
 
-// LevelPlan is one refinement level of a query: the augmented query plus
-// the per-side partitioning.
+// LevelPlan is one refinement level of a query: the augmented query and
+// its per-side pipelines as the switch program installs them.
 type LevelPlan struct {
 	Prev, Level int
 	Aug         *query.Query
-	Left        InstancePlan
-	Right       *InstancePlan // nil without join
+	// Left and Right are the level's pipelines: the instances at their
+	// positions in Plan.Program.Instances (the same pointers), whose CutAt is
+	// where the stream processor takes over and RegEntries how the switch
+	// registers are sized. Right is nil without a join.
+	Left, Right *pisa.InstanceSpec
 	// ExpectedN is the trained estimate of stream-processor tuples per
 	// window contributed by this level.
 	ExpectedN uint64
-}
-
-// EstWork is the level's trained per-window work, both sides summed, at
-// least 1 so an instance that saw no training traffic still weighs
-// something: the shard balancer weighs an instance by it, and the flight
-// recorder divides by it.
-func (lp *LevelPlan) EstWork() uint64 {
-	w := lp.Left.EstWork
-	if lp.Right != nil {
-		w += lp.Right.EstWork
-	}
-	return max(w, 1)
+	// EstWork is the trained estimate of the level's per-window work in the
+	// work model's units, both sides summed: the tuples entering each
+	// pipeline stage, each at its op's OpWork, as measured on the training
+	// windows (with dynamic gates applied), plus the packets its capped
+	// registers are expected to overflow, at OverflowWork each. It is at
+	// least 1, so a level that saw no training traffic still weighs
+	// something: the shard balancer weighs a level by it, and the flight
+	// recorder divides by it.
+	EstWork uint64
 }
 
 // QueryPlan is the complete plan for one query.
@@ -144,7 +126,8 @@ type Plan struct {
 	Queries []*QueryPlan
 	Mode    Mode
 	// Program is the switch-side program realizing the plan, with stages
-	// assigned.
+	// assigned: every level's sides, query by query, each level's left
+	// before its right, and nothing else.
 	Program *pisa.Program
 }
 
@@ -773,23 +756,32 @@ func (s *selector) greedy(mode Mode) []int {
 	return choice
 }
 
-// realize converts a choice vector into the final plan with a validated
-// switch program.
+// realize converts a choice vector into the final plan: the placed switch
+// program, and each query's levels over its instances, in program order.
 func (s *selector) realize(choice []int) (*Plan, error) {
 	prog, err := s.buildProgram(choice)
 	if err != nil {
 		return nil, fmt.Errorf("planner: chosen plan does not fit the switch: %w", err)
 	}
 	plan := &Plan{Mode: s.opts.Mode, Program: prog}
+	specs := prog.Instances
 	for qi, qt := range s.queries {
 		qp := &QueryPlan{Query: qt.Query, Key: qt.Key}
 		s.placed = s.placements(qi, &s.cands[qi][choice[qi]], s.placed[:0])
 		for _, p := range s.placed {
-			inst, n := s.instance(p)
+			spec := specs[0]
+			specs = specs[1:]
+			pr := p.edge.at(p.side, p.cut)
+			// The trained op-level work sum plus the collision-overflow
+			// packets this cut will shunt inline to the stream processor:
+			// the profiler has unbounded registers, so Work alone misses
+			// that cost.
+			work := p.edge.sides[p.side].Work + OverflowWork*pr.overflow
 			if p.as == pisa.SideRight {
 				lp := &qp.Levels[len(qp.Levels)-1]
-				lp.Right = &inst
-				lp.ExpectedN += n
+				lp.Right = spec
+				lp.ExpectedN += pr.n
+				lp.EstWork += work
 				continue
 			}
 			// A level's left pipeline opens its entry. Gate-only levels
@@ -800,7 +792,10 @@ func (s *selector) realize(choice []int) (*Plan, error) {
 				aug = gateQuery(aug)
 			}
 			qp.Levels = append(qp.Levels, LevelPlan{Prev: p.edge.prev, Level: p.edge.level,
-				Aug: aug, Left: inst, ExpectedN: n})
+				Aug: aug, Left: spec, ExpectedN: pr.n, EstWork: work})
+		}
+		for li := range qp.Levels {
+			qp.Levels[li].EstWork = max(qp.Levels[li].EstWork, 1)
 		}
 		plan.Queries = append(plan.Queries, qp)
 	}
@@ -814,20 +809,6 @@ func gateQuery(aug *query.Query) *query.Query {
 		ID: aug.ID, Name: aug.Name + "#gate", Window: aug.Window,
 		MaxDelay: aug.MaxDelay, Left: aug.Right,
 	}
-}
-
-// instance is a placement as an instance plan, with its trained N. The
-// edge must have been augmented (buildProgram does it).
-func (s *selector) instance(p placement) (InstancePlan, uint64) {
-	pr := p.edge.at(p.side, p.cut)
-	pipe := p.edge.pipes[p.side]
-	return InstancePlan{Side: p.as, Ops: pipe.Ops, Pipe: pipe, Cut: p.cut, RegEntries: pr.regs,
-		// Work estimate for the shard balancer: the trained op-level work
-		// sum plus the collision-overflow packets this cut will shunt inline
-		// to the stream processor — the profiler has unbounded registers, so
-		// Work alone misses that cost.
-		EstWork: p.edge.sides[p.side].Work + OverflowWork*pr.overflow,
-	}, pr.n
 }
 
 // buildProgram materializes the switch program for a choice vector and
@@ -847,11 +828,11 @@ func (s *selector) program(choice []int) *pisa.Program {
 		s.placed = s.placements(qi, &s.cands[qi][choice[qi]], s.placed[:0])
 		for _, p := range s.placed {
 			p.edge.augment(qt)
-			inst, _ := s.instance(p)
+			pipe := p.edge.pipes[p.side]
 			prog.Instances = append(prog.Instances, &pisa.InstanceSpec{
-				QID: qt.Query.ID, Level: uint8(p.edge.level), Side: inst.Side,
-				Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: inst.Cut,
-				RegEntries: inst.RegEntries,
+				QID: qt.Query.ID, Level: uint8(p.edge.level), Side: p.as,
+				Ops: pipe.Ops, Tables: pipe.Tables, CutAt: p.cut,
+				RegEntries: p.edge.at(p.side, p.cut).regs,
 			})
 		}
 	}

@@ -197,8 +197,8 @@ func planDiff(got, want *Plan) string {
 			g, w := &gq.Levels[li], &wq.Levels[li]
 			if !reflect.DeepEqual(g, w) {
 				return fmt.Sprintf("%s level %d: prev %d cut %d regs %v work %d N %d, reference prev %d cut %d regs %v work %d N %d",
-					wq.Query.Name, w.Level, g.Prev, g.Left.Cut, g.Left.RegEntries, g.Left.EstWork, g.ExpectedN,
-					w.Prev, w.Left.Cut, w.Left.RegEntries, w.Left.EstWork, w.ExpectedN)
+					wq.Query.Name, w.Level, g.Prev, g.Left.CutAt, g.Left.RegEntries, g.EstWork, g.ExpectedN,
+					w.Prev, w.Left.CutAt, w.Left.RegEntries, w.EstWork, w.ExpectedN)
 			}
 		}
 	}

@@ -400,12 +400,13 @@ func (s *refSelector) realize(choice []int) (*Plan, error) {
 		return nil, fmt.Errorf("planner: chosen plan does not fit the switch: %w", err)
 	}
 	plan := &Plan{Mode: s.opts.Mode, Program: prog}
+	specs := prog.Instances
 	for qi, qt := range s.queries {
 		c := s.cands[qi][choice[qi]]
 		qp := &QueryPlan{Query: qt.Query, Key: qt.Key}
 		prev := LevelStar
 		for i, level := range c.path {
-			lp := s.levelPlan(qt, prev, level, c.cuts[i], gateOnly(qt, c.path, i))
+			lp := s.levelPlan(qt, prev, level, c.cuts[i], gateOnly(qt, c.path, i), &specs)
 			qp.Levels = append(qp.Levels, lp)
 			prev = level
 		}
@@ -414,41 +415,58 @@ func (s *refSelector) realize(choice []int) (*Plan, error) {
 	return plan, nil
 }
 
-func (s *refSelector) levelPlan(qt *QueryTraining, prev, level int, cuts [2]int, gate bool) LevelPlan {
+// levelPlan assembles one level over the next of the program's instances,
+// taken from the front of *specs: its left side, then its right.
+func (s *refSelector) levelPlan(qt *QueryTraining, prev, level int, cuts [2]int, gate bool, specs *[]*pisa.InstanceSpec) LevelPlan {
+	next := func() *pisa.InstanceSpec {
+		spec := (*specs)[0]
+		*specs = (*specs)[1:]
+		return spec
+	}
 	edge := qt.Edges[[2]int{prev, level}]
 	aug := qt.AugmentedAt(prev, level)
-	lp := LevelPlan{Prev: prev, Level: level, Aug: aug}
+	lp := LevelPlan{Prev: prev, Level: level, Aug: aug, Left: next()}
 	if gate {
 		lp.Aug = gateQuery(aug)
-		lp.Left = refMakeInstance(pisa.SideLeft, lp.Aug.Left.Ops, edge.Right, cuts[1], s.cfg)
 		lp.ExpectedN = refSideN(edge.Right, cuts[1], s.cfg)
+		lp.EstWork = max(refWork(edge.Right, cuts[1], s.cfg), 1)
 		return lp
 	}
-	lp.Left = refMakeInstance(pisa.SideLeft, aug.Left.Ops, edge.Left, cuts[0], s.cfg)
 	lp.ExpectedN = refSideN(edge.Left, cuts[0], s.cfg)
+	lp.EstWork = refWork(edge.Left, cuts[0], s.cfg)
 	if edge.Right != nil {
-		r := refMakeInstance(pisa.SideRight, aug.Right.Ops, edge.Right, cuts[1], s.cfg)
-		lp.Right = &r
+		lp.Right = next()
 		lp.ExpectedN += refSideN(edge.Right, cuts[1], s.cfg)
+		lp.EstWork += refWork(edge.Right, cuts[1], s.cfg)
 	}
+	lp.EstWork = max(lp.EstWork, 1)
 	return lp
 }
 
-func refMakeInstance(side pisa.Side, ops []query.Op, sc *SideCost, cut int, cfg pisa.Config) InstancePlan {
-	inst := InstancePlan{Side: side, Ops: ops, Pipe: compile.CompilePipeline(ops), Cut: cut}
-	inst.EstWork = sc.Work + 8*refOverflowN(sc, cut, cfg)
-	inst.RegEntries = make([]int, len(inst.Pipe.Tables))
-	for t := range inst.Pipe.Tables {
-		if inst.Pipe.Tables[t].Stateful && t < cut {
-			tab := &inst.Pipe.Tables[t]
+// refWork is a side's trained work at the cut: its op-level work sum plus
+// its expected register overflow at 8 each.
+func refWork(sc *SideCost, cut int, cfg pisa.Config) uint64 {
+	return sc.Work + 8*refOverflowN(sc, cut, cfg)
+}
+
+// refMakeInstance is one side's switch instance, unplaced, its registers
+// sized to the trained keys under the per-op budget.
+func refMakeInstance(qid uint16, level int, side pisa.Side, ops []query.Op, sc *SideCost, cut int, cfg pisa.Config) *pisa.InstanceSpec {
+	pipe := compile.CompilePipeline(ops)
+	spec := &pisa.InstanceSpec{QID: qid, Level: uint8(level), Side: side,
+		Ops: ops, Tables: pipe.Tables, CutAt: cut}
+	spec.RegEntries = make([]int, len(pipe.Tables))
+	for t := range pipe.Tables {
+		if pipe.Tables[t].Stateful && t < cut {
+			tab := &pipe.Tables[t]
 			n := pisa.EntriesFor(sc.KeysAt[t])
 			if cap := maxEntries(cfg, tab.KeyBits, tab.ValBits); n > cap {
 				n = cap
 			}
-			inst.RegEntries[t] = n
+			spec.RegEntries[t] = n
 		}
 	}
-	return inst
+	return spec
 }
 
 func (s *refSelector) buildProgram(choice []int) (*pisa.Program, error) {
@@ -482,12 +500,7 @@ func (s *refSelector) specs(qi int, c *candidate) []*pisa.InstanceSpec {
 	qt := s.queries[qi]
 	var out []*pisa.InstanceSpec
 	add := func(ops []query.Op, sc *SideCost, level int, side pisa.Side, cut int) {
-		inst := refMakeInstance(side, ops, sc, cut, s.cfg)
-		out = append(out, &pisa.InstanceSpec{
-			QID: qt.Query.ID, Level: uint8(level), Side: side,
-			Ops: inst.Ops, Tables: inst.Pipe.Tables, CutAt: cut,
-			RegEntries: inst.RegEntries,
-		})
+		out = append(out, refMakeInstance(qt.Query.ID, level, side, ops, sc, cut, s.cfg))
 	}
 	prev := LevelStar
 	for i, level := range c.path {

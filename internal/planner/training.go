@@ -34,7 +34,7 @@ type SideCost struct {
 	KeysAt map[int]uint64
 	// Work is the median per-window op-level work sum: tuples entering each
 	// pipeline op, each at its OpWork, added up. It feeds the runtime's shard balancer through
-	// InstancePlan.EstWork.
+	// LevelPlan.EstWork.
 	Work uint64
 }
 

@@ -18,9 +18,9 @@ import (
 // FullPlan is the small-scale evaluation workload (background traffic plus
 // the standard attack suite) and all eleven queries planned over it, trained
 // and planned as the runtime's differential tests do — except that the
-// switch program's registers are cut to a sixteenth of their planned size,
-// so that on this workload banks overflow and collision shunts cross the
-// monitoring port too.
+// switch program's registers, which the plan's levels share, are cut to a
+// sixteenth of their planned size, so that on this workload banks overflow
+// and collision shunts cross the monitoring port too.
 func FullPlan(tb testing.TB) (*eval.Workload, *planner.Plan) {
 	tb.Helper()
 	scale := eval.SmallScale()
@@ -37,16 +37,14 @@ func FullPlan(tb testing.TB) (*eval.Workload, *planner.Plan) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	prog := &pisa.Program{}
 	for _, spec := range plan.Program.Instances {
-		c := *spec
-		c.RegEntries = make([]int, len(spec.RegEntries))
+		// A fresh slice: the planned one may be shared with other specs.
+		regs := make([]int, len(spec.RegEntries))
 		for j, n := range spec.RegEntries {
-			c.RegEntries[j] = (n + 15) / 16
+			regs[j] = (n + 15) / 16
 		}
-		prog.Instances = append(prog.Instances, &c)
+		spec.RegEntries = regs
 	}
-	plan.Program = prog
 	return w, plan
 }
 
@@ -57,9 +55,9 @@ func Engine(tb testing.TB, plan *planner.Plan, dyn *stream.DynTables) *stream.En
 	engine := stream.NewEngine(dyn)
 	for _, qp := range plan.Queries {
 		for _, lp := range qp.Levels {
-			part := stream.Partition{LeftStart: lp.Left.Pipe.EntryFor(lp.Left.Cut).StartOp}
+			part := stream.Partition{LeftStart: lp.Left.EntryOp()}
 			if lp.Right != nil {
-				part.RightStart = lp.Right.Pipe.EntryFor(lp.Right.Cut).StartOp
+				part.RightStart = lp.Right.EntryOp()
 			}
 			if err := engine.Install(lp.Aug, uint8(lp.Level), part); err != nil {
 				tb.Fatal(err)

@@ -94,9 +94,9 @@ func newFabricRef(plan *planner.Plan, cfg pisa.Config, n int) (*fabricRef, error
 	}
 	for _, qp := range plan.Queries {
 		for li, lp := range qp.Levels {
-			part := stream.Partition{LeftStart: lp.Left.Pipe.EntryFor(lp.Left.Cut).StartOp}
+			part := stream.Partition{LeftStart: lp.Left.EntryOp()}
 			if lp.Right != nil {
-				part.RightStart = lp.Right.Pipe.EntryFor(lp.Right.Cut).StartOp
+				part.RightStart = lp.Right.EntryOp()
 			}
 			if err := engine.Install(lp.Aug, uint8(lp.Level), part); err != nil {
 				return nil, fmt.Errorf("fabric: installing q%d level %d: %w", qp.Query.ID, lp.Level, err)

@@ -25,7 +25,7 @@ func (r *Runtime) AttachFlightRecorder(rec *flightrec.Recorder) {
 		insts[i] = flightrec.Instance{
 			QID:           in.key.QID,
 			Level:         in.key.Level,
-			Shard:         r.owner[in.key],
+			Shard:         r.owner[i],
 			EstWork:       in.cost,
 			CollisionWork: planner.OverflowWork,
 			RefFrom:       -1,

@@ -150,7 +150,17 @@ func TestAdaptiveReplanReleasesWorkers(t *testing.T) {
 	}
 	qs := []*query.Query{superspreader()}
 	plan := planAll(t, qs, []planner.Frames{framesWin(lightGen, 0), framesWin(lightGen, 1)}, pisa.DefaultConfig())
+	// Training's workers have signalled but may not have exited yet: count
+	// once the number stops falling.
 	before := goruntime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n := goruntime.NumGoroutine()
+		if n >= before {
+			break
+		}
+		before = n
+	}
 	rt, err := runtime.NewWithOptions(plan, pisa.DefaultConfig(), runtime.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -414,12 +424,27 @@ func TestReplanFailureKeepsPlan(t *testing.T) {
 	}
 	defer twin.Close()
 
-	// The new plan's program with one more instance, of a query the plan
-	// does not hold: the build fails once links and instances are derived.
+	// The new plan with the stages of its last switch-cut level's left
+	// instance lost: the build fails once links and instances are derived,
+	// when the switch program is installed.
 	bad := *rw.to
-	extra := *rw.to.Program.Instances[0]
-	extra.QID = 99
-	bad.Program = &pisa.Program{Instances: append(slices.Clone(rw.to.Program.Instances), &extra)}
+	bad.Queries = slices.Clone(rw.to.Queries)
+	broken := false
+	for qi := len(bad.Queries) - 1; qi >= 0 && !broken; qi-- {
+		qp := *bad.Queries[qi]
+		qp.Levels = slices.Clone(qp.Levels)
+		for li := len(qp.Levels) - 1; li >= 0 && !broken; li-- {
+			if lp := &qp.Levels[li]; lp.Left.CutAt > 0 {
+				left := *lp.Left
+				left.StageOf = nil
+				lp.Left, broken = &left, true
+			}
+		}
+		bad.Queries[qi] = &qp
+	}
+	if !broken {
+		t.Fatal("the new plan runs nothing on the switch")
+	}
 
 	for i := 0; i < rw.w.Gen.Windows(); i++ {
 		frames := rw.w.Frames(i)
@@ -427,7 +452,7 @@ func TestReplanFailureKeepsPlan(t *testing.T) {
 		switch i {
 		case replanAt + 1:
 			if err := rt.Replan(&bad); err == nil {
-				t.Fatal("Replan of a plan with an unplanned program instance succeeded")
+				t.Fatal("Replan of a plan with an unplaced instance succeeded")
 			}
 			got = rt.ProcessWindow(frames)
 		case replanAt + 2:

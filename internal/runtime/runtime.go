@@ -96,7 +96,7 @@ type Options struct {
 	// leaves as future work (Section 8). Each shard owns one switch per
 	// vantage point, all feeding its one emitter and engine, and ProcessAt
 	// routes a frame to one of them; 0 or 1 deploys one. With more than one,
-	// the switches dump raw partial aggregates (dropDumpThresholds), so a
+	// the switches dump raw partial aggregates (rawDump), so a
 	// heavy hitter split across vantage points is still detected.
 	VantagePoints int
 }
@@ -157,7 +157,8 @@ type closeResult struct {
 }
 
 // viewBatch is a refcounted batch of frames parsed once and shared
-// read-only by every shard; the last shard to finish a batch recycles it.
+// read-only by every shard; the last shard to finish a batch puts it back on
+// the runtime's free list.
 // For the batched walk fanOut evaluates the runnable bitmap and the static
 // leading-filter atoms once into masks and every shard consumes them
 // read-only. vp is the vantage point whose switches walk it.
@@ -178,11 +179,15 @@ type Runtime struct {
 	cfg  pisa.Config
 	opts Options
 	// parser is the shared parse-once front end.
-	parser    *packet.Parser
-	batchPool *sync.Pool
-	fill      []*viewBatch // batch being filled, one per vantage point (len is their count)
-	framesIn  uint64       // frames ingested this window (PacketsIn)
-	touched   uint32       // sink for fanOut's frame loads
+	parser *packet.Parser
+	// free holds the view batches no shard reads any more. It has room for
+	// every batch that can be in flight — one filling per vantage point, a
+	// full ring and one executing — so after warm-up a window allocates
+	// none; being the runtime's, unlike a sync.Pool, it survives a GC.
+	free     chan *viewBatch
+	fill     []*viewBatch // batch being filled, one per vantage point (len is their count)
+	framesIn uint64       // frames ingested this window (PacketsIn)
+	touched  uint32       // sink for fanOut's frame loads
 	// live reports whether persistent workers are draining the shards'
 	// rings: true from start with more than one shard until Close has joined
 	// them. While false, fanOut executes shard messages on the calling
@@ -217,10 +222,10 @@ type Runtime struct {
 type deployment struct {
 	plan *planner.Plan
 	// shards carries the execution state; every instance is owned by exactly
-	// one (owner), and infos keeps global installation order so merged
+	// one (owner[slot]), and infos keeps global installation order so merged
 	// results come out in the order one engine would produce them.
 	shards []*shard
-	owner  map[stream.QueryKey]int
+	owner  []int
 	infos  []instInfo
 	// counts holds the per-instance records of WindowReport.Instances,
 	// parallel to infos and refilled at every close.
@@ -314,13 +319,15 @@ func (l *link) changed(keys []tuple.Value) bool {
 }
 
 // instInfo is one planned (query, level) instance in installation order.
-// cost is the planner's trained work estimate for it (LevelPlan.EstWork),
-// which the shard balancer weighs it by.
+// sides are its switch instances, left then right (the plan level's Left
+// and Right), and cost is the planner's trained work estimate for it
+// (LevelPlan.EstWork), which the shard balancer weighs it by.
 type instInfo struct {
-	key  stream.QueryKey
-	aug  *query.Query
-	part stream.Partition
-	cost uint64
+	key   stream.QueryKey
+	aug   *query.Query
+	part  stream.Partition
+	sides []*pisa.InstanceSpec
+	cost  uint64
 }
 
 // NewWithOptions wires a runtime with explicit execution options.
@@ -329,12 +336,11 @@ func NewWithOptions(plan *planner.Plan, cfg pisa.Config, opts Options) (*Runtime
 	if err != nil {
 		return nil, err
 	}
+	vps := max(1, opts.VantagePoints)
 	r := &Runtime{deployment: d, cfg: cfg, opts: opts,
-		fill:   make([]*viewBatch, max(1, opts.VantagePoints)),
-		parser: packet.NewParser(packet.ParserOptions{}),
-		batchPool: &sync.Pool{New: func() any {
-			return &viewBatch{views: make([]pisa.View, DefaultBatchSize)}
-		}}}
+		fill:   make([]*viewBatch, vps),
+		free:   make(chan *viewBatch, vps+shardQueueDepth+1),
+		parser: packet.NewParser(packet.ParserOptions{})}
 	r.start()
 	return r, nil
 }
@@ -370,16 +376,14 @@ func compile(plan *planner.Plan, cfg pisa.Config, opts Options) (deployment, err
 	d := deployment{plan: plan, finest: make(map[uint16]uint8)}
 	for _, qp := range plan.Queries {
 		for li, lp := range qp.Levels {
-			part := stream.Partition{
-				LeftStart:  entryOp(&lp.Left),
-				RightStart: 0,
-			}
-			if lp.Right != nil {
-				part.RightStart = entryOp(lp.Right)
-			}
 			key := stream.QueryKey{QID: qp.Query.ID, Level: uint8(lp.Level)}
-			d.infos = append(d.infos, instInfo{key: key, aug: lp.Aug, part: part,
-				cost: lp.EstWork()})
+			in := instInfo{key: key, aug: lp.Aug, part: stream.Partition{LeftStart: lp.Left.EntryOp()},
+				sides: []*pisa.InstanceSpec{lp.Left}, cost: lp.EstWork}
+			if lp.Right != nil {
+				in.part.RightStart = lp.Right.EntryOp()
+				in.sides = append(in.sides, lp.Right)
+			}
+			d.infos = append(d.infos, in)
 			n := lp.Aug.NumOps()
 			d.counts = append(d.counts, flightrec.Counts{QID: key.QID, Level: key.Level,
 				OpInSw: make([]uint64, n), OpInSP: make([]uint64, n), OpOut: make([]uint64, n)})
@@ -398,8 +402,9 @@ func compile(plan *planner.Plan, cfg pisa.Config, opts Options) (deployment, err
 // buildShards partitions the instances across opts.Workers shards (at least
 // one, at most one per instance). Each shard gets the switch program slice
 // (on one switch per vantage point), emitter, and engine instances for the
-// keys it owns; both sides of a join instance share a key and so land on the
-// same shard.
+// levels it owns; both sides of a join instance belong to one level and so
+// land on the same shard. A shard's switch program is its levels' sides in
+// installation order, which is the plan program's order.
 //
 // Assignment is greedy longest-processing-time over each instance's cost:
 // instance costs are heavily skewed (a coarse level with a deep cut runs
@@ -410,7 +415,7 @@ func compile(plan *planner.Plan, cfg pisa.Config, opts Options) (deployment, err
 func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
 	infos := d.infos
 	n := max(1, min(opts.Workers, len(infos)))
-	d.owner = make(map[stream.QueryKey]int, len(infos))
+	d.owner = make([]int, len(infos))
 	ord := make([]int, len(infos))
 	for i := range ord {
 		ord[i] = i
@@ -425,42 +430,25 @@ func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
 			}
 		}
 		load[best] += infos[idx].cost
-		d.owner[infos[idx].key] = best
+		d.owner[idx] = best
 	}
 	vps := max(1, opts.VantagePoints)
-	prog := d.plan.Program
-	if vps > 1 {
-		prog = dropDumpThresholds(prog)
-	}
-	progs := make([]*pisa.Program, n)
-	for i := range progs {
-		progs[i] = &pisa.Program{}
-	}
-	for _, spec := range prog.Instances {
-		si, ok := d.owner[stream.QueryKey{QID: spec.QID, Level: spec.Level}]
-		if !ok {
-			return fmt.Errorf("runtime: program instance %s has no planned level", spec.Name())
-		}
-		progs[si].Instances = append(progs[si].Instances, spec)
-	}
-	slotOf := make(map[stream.QueryKey]int, len(infos))
+	progs := make([]pisa.Program, n)
 	for i, in := range infos {
-		slotOf[in.key] = i
+		for _, spec := range in.sides {
+			if vps > 1 {
+				spec = rawDump(spec)
+			}
+			progs[d.owner[i]].Instances = append(progs[d.owner[i]].Instances, spec)
+		}
 	}
 	d.pre = pisa.NewPrescreen()
-	for i := 0; i < n; i++ {
+	for i := range progs {
 		engine := stream.NewEngine(stream.NewDynTables())
 		s := &shard{engine: engine, em: emitter.New(engine)}
 		s.cr.sws = make([]pisa.WindowStats, vps)
-		for _, spec := range progs[i].Instances {
-			slot, base := slotOf[stream.QueryKey{QID: spec.QID, Level: spec.Level}], 0
-			if spec.Side == pisa.SideRight {
-				base = len(infos[slot].aug.Left.Ops)
-			}
-			s.swSlots, s.swBase = append(s.swSlots, slot), append(s.swBase, base)
-		}
 		for range vps {
-			sw, err := pisa.NewSwitchShared(cfg, progs[i], s.em, d.pre)
+			sw, err := pisa.NewSwitchShared(cfg, &progs[i], s.em, d.pre)
 			if err != nil {
 				return fmt.Errorf("runtime: installing shard %d program: %w", i, err)
 			}
@@ -469,7 +457,15 @@ func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
 		d.shards = append(d.shards, s)
 	}
 	for i, in := range infos {
-		s := d.shards[d.owner[in.key]]
+		s := d.shards[d.owner[i]]
+		for k := range in.sides {
+			// A right side's ops follow the left ones in the level's stages.
+			base := 0
+			if k == 1 {
+				base = len(in.aug.Left.Ops)
+			}
+			s.swSlots, s.swBase = append(s.swSlots, i), append(s.swBase, base)
+		}
 		if err := s.engine.Install(in.aug, in.key.Level, in.part); err != nil {
 			return fmt.Errorf("runtime: installing q%d level %d: %w", in.key.QID, in.key.Level, err)
 		}
@@ -477,7 +473,7 @@ func (d *deployment) buildShards(cfg pisa.Config, opts Options) error {
 	}
 	for li := range d.links {
 		l := &d.links[li]
-		s := d.shards[d.owner[stream.QueryKey{QID: l.QID, Level: l.To}]]
+		s := d.shards[d.owner[l.Slot]]
 		if err := l.resolve(s.engine.Dyn(), s.sws...); err != nil {
 			return err
 		}
@@ -500,30 +496,22 @@ func (r *Runtime) start() {
 	}
 }
 
-// dropDumpThresholds copies the program with threshold filters removed from
-// dump-boundary stateful tables. A per-switch threshold would suppress keys
-// whose traffic is split across vantage points and only crosses the
-// threshold in aggregate — the defining difficulty of network-wide heavy
-// hitter detection. Switches instead dump raw partial aggregates; the
-// stream engine's drain path re-applies the original threshold after
-// merging, so results are identical to a single switch observing the union
-// of the traffic.
-func dropDumpThresholds(prog *pisa.Program) *pisa.Program {
-	out := &pisa.Program{Instances: make([]*pisa.InstanceSpec, len(prog.Instances))}
-	for i, spec := range prog.Instances {
-		c := *spec
-		c.Tables = slices.Clone(spec.Tables)
-		if c.CutAt > 0 && c.Tables[c.CutAt-1].Stateful {
-			c.Tables[c.CutAt-1].MergedFilterOp = -1
-		}
-		out.Instances[i] = &c
+// rawDump is spec with the threshold filter removed from its dump-boundary
+// stateful table, copied; spec itself when it has none there. A per-switch
+// threshold would suppress keys whose traffic is split across vantage
+// points and only crosses the threshold in aggregate — the defining
+// difficulty of network-wide heavy hitter detection. Switches instead dump
+// raw partial aggregates; the stream engine's drain path re-applies the
+// original threshold after merging, so results are identical to a single
+// switch observing the union of the traffic.
+func rawDump(spec *pisa.InstanceSpec) *pisa.InstanceSpec {
+	if spec.CutAt == 0 || !spec.Tables[spec.CutAt-1].Stateful {
+		return spec
 	}
-	return out
-}
-
-// entryOp maps an instance plan's cut to the stream processor's resume op.
-func entryOp(inst *planner.InstancePlan) int {
-	return inst.Pipe.EntryFor(inst.Cut).StartOp
+	c := *spec
+	c.Tables = slices.Clone(spec.Tables)
+	c.Tables[c.CutAt-1].MergedFilterOp = -1
+	return &c
 }
 
 // Plan returns the installed plan.
@@ -557,7 +545,11 @@ func (r *Runtime) ProcessAt(vp int, frame []byte) {
 	r.framesIn++
 	b := r.fill[vp]
 	if b == nil {
-		b = r.batchPool.Get().(*viewBatch)
+		select {
+		case b = <-r.free:
+		default:
+			b = &viewBatch{views: make([]pisa.View, DefaultBatchSize)}
+		}
 		b.n, b.vp = 0, vp
 		r.fill[vp] = b
 	}
@@ -570,7 +562,7 @@ func (r *Runtime) ProcessAt(vp int, frame []byte) {
 
 // takeFill detaches vp's filling batch (nil when no frame is buffered). The
 // batch is read-only from here on; the last shard to finish it returns it
-// to the pool.
+// to the free list.
 func (r *Runtime) takeFill(vp int) *viewBatch {
 	b := r.fill[vp]
 	r.fill[vp] = nil
@@ -630,7 +622,10 @@ func (s *shard) exec(r *Runtime, m shardMsg) bool {
 		s.sws[b.vp].ProcessViewsPre(b.views[:b.n], &b.masks)
 		s.busy += time.Since(t0)
 		if b.refs.Add(-1) == 0 {
-			r.batchPool.Put(b)
+			select {
+			case r.free <- b:
+			default: // no room: the list already holds every batch in flight
+			}
 		}
 	}
 	switch m.kind {
@@ -861,8 +856,8 @@ func (r *Runtime) EntrySummary() []string {
 	for _, qp := range r.plan.Queries {
 		for _, lp := range qp.Levels {
 			out = append(out, fmt.Sprintf("q%-2d %-24s level /%-2d cut=%d/%d spEntry=op%d expectedN=%d",
-				qp.Query.ID, qp.Query.Name, lp.Level, lp.Left.Cut,
-				len(lp.Left.Pipe.Tables), entryOp(&lp.Left), lp.ExpectedN))
+				qp.Query.ID, qp.Query.Name, lp.Level, lp.Left.CutAt,
+				len(lp.Left.Tables), lp.Left.EntryOp(), lp.ExpectedN))
 		}
 	}
 	return out

@@ -37,8 +37,8 @@ const frameOverhead = 5
 
 // frame is one encoded (query, level) window update, refcounted so the
 // publisher, the retained last-state slot, and every subscriber queue share
-// the same bytes. Frames are pooled; release recycles when the last
-// reference drops. The count is plain (not atomic) by design: it is only
+// the same bytes. Frames are recycled: the last reference dropped puts the
+// frame on the server's free list. The count is plain (not atomic) by design: it is only
 // touched under the server mutex (Publish, enqueue, drop-oldest) or by the
 // single writer goroutine draining a queue, and writers release through
 // Server.release which takes the mutex.
@@ -158,7 +158,9 @@ type Server struct {
 	last   map[stream.QueryKey]*frame
 	finest map[uint16]uint8
 
-	pool  sync.Pool // *frame
+	// free holds the frames no one references any more, for Publish to
+	// reuse (under mu, like every release).
+	free  []*frame
 	m     serverMetrics
 	depth int // frames currently queued across all subscribers
 	// delivered is Publish's return value, reused window after window.
@@ -176,7 +178,6 @@ func NewServer() *Server {
 		last:   make(map[stream.QueryKey]*frame),
 		finest: make(map[uint16]uint8),
 	}
-	s.pool.New = func() any { return &frame{} }
 	return s
 }
 
@@ -212,7 +213,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 
 // Publish fans one closed window out to every subscriber. It is called on
 // the runtime's window-close path and never blocks: each matching update is
-// encoded once into a pooled, refcounted frame and enqueued without copying;
+// encoded once into a recycled, refcounted frame and enqueued without copying;
 // a full queue triggers the subscriber's eviction policy inline. It returns
 // the bytes queued for each of rep.AllResults — one per installed instance,
 // in the order of rep.Instances — frame headers included, or nil when it
@@ -242,7 +243,12 @@ func (s *Server) Publish(rep *runtime.WindowReport) ([]uint64, int) {
 		key := stream.QueryKey{QID: res.QID, Level: res.Level}
 		isFinest := s.finest[res.QID] == res.Level
 
-		f := s.pool.Get().(*frame)
+		var f *frame
+		if n := len(s.free); n > 0 {
+			f, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			f = &frame{}
+		}
 		f.key, f.window, f.refs = key, rep.Index, 1
 		f.buf = appendHeader(f.buf[:0], rep.Index, key)
 		f.payloadOff = len(f.buf)
@@ -330,12 +336,12 @@ func (s *Server) evictLocked(sub *subscriber) {
 	close(sub.q)
 }
 
-// releaseLocked drops one reference; the last reference recycles the frame
-// into the pool. Caller holds s.mu.
+// releaseLocked drops one reference; the last reference puts the frame on
+// the free list. Caller holds s.mu.
 func (s *Server) releaseLocked(f *frame) {
 	f.refs--
 	if f.refs == 0 {
-		s.pool.Put(f)
+		s.free = append(s.free, f)
 	}
 }
 
