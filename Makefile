@@ -44,7 +44,9 @@ bench:
 # window sizes, every batched switch walk against the frame-at-a-time walk
 # the pisa tests keep, and the register probe — column hashing and packing,
 # the chain walk, the dump — against the model bank over random sequences and
-# the FuzzRegisterBank seeds, and the switch's resource model — first-fit
+# the FuzzRegisterBank seeds, its batch pass (fused hash-and-pack kernels, the
+# inline chain-0 hit) against the column-at-a-time, row-by-row probe the pisa
+# tests keep, bit for bit, and the switch's resource model — first-fit
 # placement under the per-stage limits and register sizing under the per-op
 # budget — against hand-placed programs; then the boundary between the two,
 # batch hand-off against the wire codec's round trip the emitter tests keep
@@ -81,7 +83,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestSelections|TestColumnPool' ./internal/tuple
 	$(GO) test -race -count=1 -run 'TestUpsertRowsAgainstMap' ./internal/keytab
 	$(GO) test -race -count=1 -run 'TestBatched' ./internal/stream
-	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank|TestPlaceFirstFit|TestRegisterSize' ./internal/pisa
+	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank|TestFoldRowsMatchesReference|TestPlaceFirstFit|TestRegisterSize' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestLevelsAreProgramInstances|TestPlaceMatchesReferencePlacer' ./internal/planner

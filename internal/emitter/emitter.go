@@ -393,11 +393,16 @@ func (e *Emitter) deliverTuples(b *pisa.MirrorBatch, inst *stream.Instance, side
 // the aggregated value for each key" role from Section 5. Dumps may come off
 // a remote data plane's wire: one no installed instance takes — unknown
 // (qid, level), an absent side, an op that is not stateful, a key of the
-// wrong width or kinds — counts as malformed.
+// wrong width or kinds — counts as malformed. A switch dumps instance by
+// instance, so the instance is looked up once per run of equal (qid, level).
 func (e *Emitter) HandleDumps(dumps []pisa.RegDump) {
+	var inst *stream.Instance
 	for i := range dumps {
 		d := &dumps[i]
-		if !e.engine.Instance(d.QID, d.Level).IngestAgg(streamSide(d.Side), d.MergeOp, d.KeyVals, d.Val) {
+		if i == 0 || d.QID != dumps[i-1].QID || d.Level != dumps[i-1].Level {
+			inst = e.engine.Instance(d.QID, d.Level)
+		}
+		if !inst.IngestAgg(streamSide(d.Side), d.MergeOp, d.KeyVals, d.Val) {
 			e.malformed(1)
 		}
 	}

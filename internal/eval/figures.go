@@ -78,7 +78,7 @@ func Fig3() *Table {
 			for i := range keys {
 				keys[i] = r.Uint64()
 			}
-			fails := bank.FoldColumn(tuple.Column{U: keys}, 1, query.AggSum)
+			fails := bank.FoldColumn(tuple.Column{U: keys})
 			row = append(row, float64(fails)/float64(len(keys)))
 		}
 		t.AddRow(row...)

@@ -61,6 +61,8 @@ type RegisterBank struct {
 	epoch uint32
 	// collisions counts failed updates this window.
 	collisions uint64
+	// touched only keeps touch's loads alive.
+	touched uint32
 }
 
 // NewRegisterBank allocates d chains of n slots each for keys whose columns
@@ -107,94 +109,218 @@ func fastRange(h uint64, n int) uint64 {
 // packs reports whether a key of nk columns can pack at all.
 func (b *RegisterBank) packs(nk int) bool { return b.widths != nil && len(b.widths) == nk }
 
-// keyCols holds the keys of a batch's rows as hashRows leaves them: row k's
-// hash, its chain-0 slot, and its slot key k1:k0 — the packed columns, or
-// the hash itself when tagged[k] (the key does not pack).
-type keyCols struct {
-	h, k0, k1 []uint64
-	p0        []uint32
-	tagged    []bool
+// rowKey is one row's key as hashRows leaves it: its hash, its chain-0
+// slot, and its slot key k1:k0 — the packed columns, or the hash itself when
+// tagged (the key does not pack). A batch's keys are one array of these, so
+// the probe loop reads a row's key from one place.
+type rowKey struct {
+	h, k0, k1 uint64
+	p0        uint32
+	tagged    bool
 }
 
-// hashRows is the first half of a batch's probe: it hashes and packs the key
-// cols[keyIdx...] of every frame in rows as values, a column at a time in two
-// small kernels (hashFirst, hashNext), and computes each row's chain-0 slot
-// once. Overflow is only ORed on the way: rows are tagged one by one only when
-// some value is wider than its field, or all of them when the key cannot pack.
-func (b *RegisterBank) hashRows(ks *keyCols, cols []tuple.Column, keyIdx []int, rows []int32) {
-	n := len(rows)
-	if cap(ks.h) < n {
-		ks.h, ks.k0, ks.k1 = make([]uint64, n), make([]uint64, n), make([]uint64, n)
-		ks.p0, ks.tagged = make([]uint32, n), make([]bool, n)
-	}
-	h, k0, k1, p0, tagged := ks.h[:n], ks.k0[:n], ks.k1[:n], ks.p0[:n], ks.tagged[:n]
-	ks.h, ks.k0, ks.k1, ks.p0, ks.tagged = h, k0, k1, p0, tagged
-	packs := b.packs(len(keyIdx))
-	var over uint64 // the bits of every value above its field
-	for j, c := range keyIdx {
-		col, w := &cols[c], uint8(64)
-		if packs {
-			w = b.widths[j]
+// rowFold is one stateful table's batch as foldRows takes it: the rows of
+// cols to fold, what each folds, and what the table does with them. keys
+// and collided are scratch a caller reuses from batch to batch.
+type rowFold struct {
+	cols   []tuple.Column
+	keyIdx []int
+	rows   []int32
+	// inc is the frame-indexed value each row folds; nil folds 1 (a
+	// distinct's bit, a packet count).
+	inc []uint64
+	fn  query.AggFunc
+	// sel is the batch's selection. A row that stops at the table clears its
+	// bit: every row when last (its keys report through the dump), a hit when
+	// distinct (a mid-pipeline distinct passes first occurrences), and a
+	// collided row, which is appended to collided instead.
+	sel            []uint64
+	last, distinct bool
+	// agg, when not nil, is the frame-indexed column a mid-pipeline reduce
+	// writes each passing row's running aggregate into.
+	agg      []uint64
+	keys     []rowKey
+	collided []int32
+}
+
+// foldRows runs a stateful table over a batch of rows: hashRows hashes and
+// packs every key, touch loads the chain-0 slots back to back, and one loop
+// folds the rows into the bank in row order. A packed key's chain-0 hit — a
+// live slot holding a packed key with both words equal — is decided inline;
+// only inserts, tagged keys and later chains take foldRow's chain walk.
+func (b *RegisterBank) foldRows(f *rowFold) {
+	f.keys = b.hashRows(f.keys, f.cols, f.keyIdx, f.rows)
+	b.touched += b.touch(f.keys)
+	slots, epoch, fn, stop := b.slots, b.epoch, f.fn, f.last || f.distinct
+	keys := f.keys[:len(f.rows)]
+	for k, r := range f.rows {
+		i := int(r)
+		v := uint64(1)
+		if f.inc != nil {
+			v = f.inc[i]
 		}
-		switch {
-		case col.V != nil:
-			for k, r := range rows {
-				if j == 0 {
-					h[k] = keytab.HashSeed
+		key := &keys[k]
+		if s := &slots[key.p0]; s.epoch == epoch && s.ref == 0 && !key.tagged && s.k0 == key.k0 && s.k1 == key.k1 {
+			s.agg = fn.Apply(s.agg, v)
+			if stop {
+				f.sel[i>>6] &^= 1 << uint(i&63)
+				continue
+			}
+			v = s.agg
+		} else {
+			newVal, newKey, ok := b.foldRow(key, f.cols, f.keyIdx, i, v, fn)
+			if !ok || f.last || f.distinct && !newKey {
+				if !ok {
+					f.collided = append(f.collided, r)
 				}
-				h[k] = keytab.HashValue(h[k], &col.V[r])
+				f.sel[i>>6] &^= 1 << uint(i&63)
+				continue
 			}
-			packs = false
-		case j == 0:
-			over |= hashFirst(h, k0, k1, col.U, rows, w)
-		default:
-			over |= hashNext(h, k0, k1, col.U, rows, w)
+			v = newVal
 		}
-	}
-	if packs && over == 0 {
-		clear(tagged)
-	} else {
-		for k, r := range rows {
-			tag := !packs
-			for j := 0; !tag && j < len(keyIdx); j++ {
-				tag = cols[keyIdx[j]].U[r]>>b.widths[j] != 0
-			}
-			if tagged[k] = tag; tag {
-				k0[k], k1[k] = h[k], 0
-			}
+		if f.agg != nil {
+			f.agg[i] = v
 		}
-	}
-	seed, entries := b.seeds[0], b.entries
-	for k := range h {
-		p0[k] = uint32(fastRange(keytab.Mix64(h[k]^seed), entries))
 	}
 }
 
-// hashFirst starts the hash and the packed key of every row from its first
-// key column u, w bits wide, returning the OR of the bits above w.
-func hashFirst(h, k0, k1, u []uint64, rows []int32, w uint8) (over uint64) {
-	hi := ^uint64(0) << w
+// hashRows returns in keys, grown if need be, the key cols[keyIdx...] of
+// every frame in rows, hashed and packed as values, with its chain-0 slot.
+// A key of one to three numeric columns takes one fused pass
+// (hashPack1..3); a string key or a wider one goes a column at a time.
+// Overflow is only ORed on the way: rows are tagged one by one only when
+// some value is wider than its field, or all of them when the key cannot
+// pack.
+func (b *RegisterBank) hashRows(keys []rowKey, cols []tuple.Column, keyIdx []int, rows []int32) []rowKey {
+	if cap(keys) < len(rows) {
+		keys = make([]rowKey, len(rows))
+	}
+	keys = keys[:len(rows)]
+	packs := b.packs(len(keyIdx))
+	var w [3]uint8 // the fused kernels' column widths; 64 when the key cannot pack
+	numeric := len(keyIdx) <= len(w)
+	for j, c := range keyIdx {
+		if numeric = numeric && cols[c].V == nil; !numeric {
+			break
+		}
+		if w[j] = 64; packs {
+			w[j] = b.widths[j]
+		}
+	}
+	var over uint64 // the bits of every value above its field
+	seed, entries := b.seeds[0], b.entries
+	switch {
+	case numeric && len(keyIdx) == 1:
+		over = hashPack1(keys, cols[keyIdx[0]].U, rows, w[0], seed, entries)
+	case numeric && len(keyIdx) == 2:
+		over = hashPack2(keys, cols[keyIdx[0]].U, cols[keyIdx[1]].U, rows, w[0], w[1], seed, entries)
+	case numeric && len(keyIdx) == 3:
+		over = hashPack3(keys, cols[keyIdx[0]].U, cols[keyIdx[1]].U, cols[keyIdx[2]].U, rows, w, seed, entries)
+	default:
+		for k := range keys {
+			keys[k] = rowKey{h: keytab.HashSeed}
+		}
+		for j, c := range keyIdx {
+			col := &cols[c]
+			if col.V != nil {
+				for k, r := range rows {
+					keys[k].h = keytab.HashValue(keys[k].h, &col.V[r])
+				}
+				packs = false
+				continue
+			}
+			wj := uint8(64)
+			if packs {
+				wj = b.widths[j]
+			}
+			over |= hashNext(keys, col.U, rows, wj)
+		}
+		for k := range keys {
+			keys[k].p0 = uint32(fastRange(keytab.Mix64(keys[k].h^seed), entries))
+		}
+	}
+	if !packs || over != 0 {
+		for k, r := range rows {
+			key := &keys[k]
+			key.tagged = !packs
+			for j := 0; !key.tagged && j < len(keyIdx); j++ {
+				key.tagged = cols[keyIdx[j]].U[r]>>b.widths[j] != 0
+			}
+			if key.tagged {
+				key.k0, key.k1 = key.h, 0
+			}
+		}
+	}
+	return keys
+}
+
+// hashPack1 hashes and packs a key of one numeric column a, wa bits wide,
+// for every row, with its chain-0 slot; it returns the OR of the bits above
+// the field.
+func hashPack1(keys []rowKey, a []uint64, rows []int32, wa uint8, seed uint64, entries int) (over uint64) {
+	hiA := ^uint64(0) << wa
+	keys = keys[:len(rows)]
 	for k, r := range rows {
-		v := u[r]
-		h[k], k0[k], k1[k] = keytab.HashU64(keytab.HashSeed, v), v, 0
-		over |= v & hi
+		va := a[r]
+		h := keytab.HashU64(keytab.HashSeed, va)
+		keys[k] = rowKey{h: h, k0: va, p0: uint32(fastRange(keytab.Mix64(h^seed), entries))}
+		over |= va & hiA
 	}
 	return over
 }
 
-// hashNext folds the next key column u, w bits wide, into every row's hash
-// and shifts it into the packed key, returning the OR of the bits above w.
-// Shift counts masked below 64 keep range checks out of the loop; m clears
-// what a 64-bit column shifts out.
-func hashNext(h, k0, k1, u []uint64, rows []int32, w uint8) (over uint64) {
-	s, t, m := w&63, (64-w)&63, ^uint64(0)
+// hashPack2 is hashPack1 for a key of two numeric columns: b shifts in
+// below a, as hashNext shifts a next column in.
+func hashPack2(keys []rowKey, a, b []uint64, rows []int32, wa, wb uint8, seed uint64, entries int) (over uint64) {
+	sb, tb, mb := shifts(wb)
+	hiA, hiB := ^uint64(0)<<wa, ^uint64(0)<<sb&mb
+	keys = keys[:len(rows)]
+	for k, r := range rows {
+		va, vb := a[r], b[r]
+		h := keytab.HashU64(keytab.HashU64(keytab.HashSeed, va), vb)
+		keys[k] = rowKey{h: h, k0: va<<sb&mb | vb, k1: va >> tb, p0: uint32(fastRange(keytab.Mix64(h^seed), entries))}
+		over |= va&hiA | vb&hiB
+	}
+	return over
+}
+
+// hashPack3 is hashPack1 for a key of three numeric columns a, b, c, w[j]
+// bits wide.
+func hashPack3(keys []rowKey, a, b, c []uint64, rows []int32, w [3]uint8, seed uint64, entries int) (over uint64) {
+	sb, tb, mb := shifts(w[1])
+	sc, tc, mc := shifts(w[2])
+	hiA, hiB, hiC := ^uint64(0)<<w[0], ^uint64(0)<<sb&mb, ^uint64(0)<<sc&mc
+	keys = keys[:len(rows)]
+	for k, r := range rows {
+		va, vb, vc := a[r], b[r], c[r]
+		h := keytab.HashU64(keytab.HashU64(keytab.HashU64(keytab.HashSeed, va), vb), vc)
+		lo := va<<sb&mb | vb
+		keys[k] = rowKey{h: h, k0: lo<<sc&mc | vc, k1: va>>tb<<sc&mc | lo>>tc, p0: uint32(fastRange(keytab.Mix64(h^seed), entries))}
+		over |= va&hiA | vb&hiB | vc&hiC
+	}
+	return over
+}
+
+// shifts returns how a next key column w bits wide shifts into a packed key
+// k1:k0 — k0<<s&m | v and k1<<s&m | k0>>t. Counts masked below 64 keep range
+// checks out of the loops; m clears what a 64-bit column shifts out.
+func shifts(w uint8) (s, t uint8, m uint64) {
+	s, t, m = w&63, (64-w)&63, ^uint64(0)
 	if w == 64 {
 		m = 0
 	}
+	return s, t, m
+}
+
+// hashNext folds the next key column u, w bits wide, into every row's hash
+// and shifts it into the packed key, returning the OR of the bits above w.
+func hashNext(keys []rowKey, u []uint64, rows []int32, w uint8) (over uint64) {
+	s, t, m := shifts(w)
 	hi := ^uint64(0) << s & m
+	keys = keys[:len(rows)]
 	for k, r := range rows {
-		v := u[r]
-		h[k], k0[k], k1[k] = keytab.HashU64(h[k], v), k0[k]<<s&m|v, k1[k]<<s&m|k0[k]>>t
+		v, key := u[r], &keys[k]
+		key.h, key.k0, key.k1 = keytab.HashU64(key.h, v), key.k0<<s&m|v, key.k1<<s&m|key.k0>>t
 		over |= v & hi
 	}
 	return over
@@ -203,26 +329,26 @@ func hashNext(h, k0, k1, u []uint64, rows []int32, w uint8) (over uint64) {
 // touch loads the chain-0 slot of every hashed row, back to back: a loop of
 // independent loads, so the cache misses of the whole batch are in flight
 // together — the memory-level parallelism a probe loop that finishes one row
-// before starting the next cannot expose. foldRow then finds its slots on
+// before starting the next cannot expose. The fold then finds its slots on
 // their way in. The returned sum only keeps the loads alive.
-func (b *RegisterBank) touch(ks *keyCols) (sum uint32) {
-	for _, p := range ks.p0 {
-		sum += b.slots[p].epoch
+func (b *RegisterBank) touch(keys []rowKey) (sum uint32) {
+	for k := range keys {
+		sum += b.slots[keys[k].p0].epoch
 	}
 	return sum
 }
 
-// foldRow is the second half, the probe of row k of the keys hashRows
-// prepared, which is frame i of cols: it walks the key's d slots from its
-// chain-0 slot on and folds v into the one holding the key, using fn. A
-// packed key hits on equal words in a packed slot, reading nothing but that
-// slot's line; a tagged key must also equal a tagged slot's store entry. ok
-// is false when all d chains collide (the caller shunts the packet to the
-// stream processor); newKey reports the key's first touch this window.
-func (b *RegisterBank) foldRow(ks *keyCols, k int, cols []tuple.Column, keyIdx []int, i int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
-	k0, k1, p := ks.k0[k], ks.k1[k], int(ks.p0[k])
+// foldRow is the chain walk of a row's key, which is frame i of cols: it
+// walks the key's d slots from its chain-0 slot on and folds v into the one
+// holding the key, using fn. A packed key hits on equal words in a packed
+// slot, reading nothing but that slot's line; a tagged key must also equal a
+// tagged slot's store entry. ok is false when all d chains collide (the
+// caller shunts the packet to the stream processor); newKey reports the
+// key's first touch this window.
+func (b *RegisterBank) foldRow(rk *rowKey, cols []tuple.Column, keyIdx []int, i int, v uint64, fn query.AggFunc) (newVal uint64, newKey, ok bool) {
+	k0, k1, p := rk.k0, rk.k1, int(rk.p0)
 	var key []tuple.Value // a tagged key's columns
-	if ks.tagged[k] {
+	if rk.tagged {
 		key = b.key[:0]
 		for _, c := range keyIdx {
 			key = append(key, cols[c].At(i))
@@ -248,7 +374,7 @@ func (b *RegisterBank) foldRow(ks *keyCols, k int, cols []tuple.Column, keyIdx [
 		if c++; c == len(b.seeds) {
 			break
 		}
-		p = c*b.entries + int(fastRange(keytab.Mix64(ks.h[k]^b.seeds[c]), b.entries))
+		p = c*b.entries + int(fastRange(keytab.Mix64(rk.h^b.seeds[c]), b.entries))
 	}
 	b.collisions++
 	return 0, false, false
@@ -266,24 +392,19 @@ func equalKey(a, b []tuple.Value) bool {
 	return true
 }
 
-// FoldColumn folds inc into the slot of every row's key — col is a
-// one-column key — in row order, by the probe the batched walk runs, and
-// returns how many rows collided in all d chains: the collision-rate model of
+// FoldColumn counts a packet into the slot of every row's key — col is a
+// one-column key — in row order, by the probe the switch runs, and returns
+// how many rows collided in all d chains: the collision-rate model of
 // Figure 3.
-func (b *RegisterBank) FoldColumn(col tuple.Column, inc uint64, fn query.AggFunc) (collided int) {
-	rows := make([]int32, len(col.U)+len(col.V))
-	for i := range rows {
-		rows[i] = int32(i)
+func (b *RegisterBank) FoldColumn(col tuple.Column) (collided int) {
+	n := len(col.U) + len(col.V)
+	f := rowFold{cols: []tuple.Column{col}, keyIdx: []int{0}, rows: make([]int32, n),
+		fn: query.AggSum, sel: make([]uint64, (n+63)/64), last: true}
+	for i := range f.rows {
+		f.rows[i] = int32(i)
 	}
-	cols, keyIdx := []tuple.Column{col}, []int{0}
-	var ks keyCols
-	b.hashRows(&ks, cols, keyIdx, rows)
-	for k := range rows {
-		if _, _, ok := b.foldRow(&ks, k, cols, keyIdx, k, inc, fn); !ok {
-			collided++
-		}
-	}
-	return collided
+	b.foldRows(&f)
+	return len(f.collided)
 }
 
 // Entry returns the i-th stored (key columns, value) pair in insertion

@@ -21,9 +21,8 @@ type probeWorkload struct {
 	batchCols []tuple.Column // the current batch's frames of cols
 	keyIdx    []int
 	rows      []int32 // one batch's selection: every other frame
-	ks        keyCols
-	off       int    // the next batch's first frame
-	touched   uint32 // keeps touch's loads alive, as Switch.stateUpdate does
+	fold      rowFold
+	off       int // the next batch's first frame
 }
 
 const (
@@ -56,11 +55,13 @@ func newProbeWorkload() *probeWorkload {
 	for i := 0; i < 2*probeBatch; i += 2 {
 		w.rows = append(w.rows, int32(i))
 	}
+	w.fold.sel = make([]uint64, 2*probeBatch/64)
 	return w
 }
 
 // batch probes every bank with the next probeBatch rows the way
-// Switch.stateUpdate does, resetting the banks at the end of a window.
+// Switch.stateUpdate does for the last table on the switch, resetting the
+// banks at the end of a window.
 func (w *probeWorkload) batch() (collided int) {
 	if w.off+2*probeBatch > 2*probeWindow {
 		for _, b := range w.banks {
@@ -72,14 +73,12 @@ func (w *probeWorkload) batch() (collided int) {
 	for c := range cols {
 		cols[c].U = w.cols[c].U[w.off:]
 	}
+	f := &w.fold
 	for _, b := range w.banks {
-		b.hashRows(&w.ks, cols, w.keyIdx, w.rows)
-		w.touched += b.touch(&w.ks)
-		for k, r := range w.rows {
-			if _, _, ok := b.foldRow(&w.ks, k, cols, w.keyIdx, int(r), cols[0].U[r], query.AggSum); !ok {
-				collided++
-			}
-		}
+		*f = rowFold{cols: cols, keyIdx: w.keyIdx, rows: w.rows, inc: cols[0].U, fn: query.AggSum,
+			sel: f.sel, last: true, keys: f.keys, collided: f.collided[:0]}
+		b.foldRows(f)
+		collided += len(f.collided)
 	}
 	w.off += 2 * probeBatch
 	return collided

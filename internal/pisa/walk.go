@@ -42,13 +42,12 @@ type walkScratch struct {
 	sel       []uint64         // the instance's current selection
 	pool      tuple.ColumnPool // the columns of one instance's walk
 	rows      []int32          // selected frames entering a stateful table
-	keys      keyCols          // their hashed and packed keys
+	fold      rowFold          // their batch probe; its collided rows become shunts
 	shuntMask []uint64
 	shuntAt   []shuntRec // by frame; valid where shuntMask is set
 	shuntVals []tuple.Value
-	shunts    int    // bits set in shuntMask
-	handed    bool   // the sink has seen this view batch
-	touched   uint32 // sink for RegisterBank.touch
+	shunts    int  // bits set in shuntMask
+	handed    bool // the sink has seen this view batch
 	// dyn memoises this batch's dynamic-filter match bitmaps; the first nDyn
 	// are valid. begin forgets them: a bitmap is over one batch's frames.
 	dyn  []dynMatch
@@ -74,7 +73,12 @@ func (ws *walkScratch) begin(n int) {
 	}
 	ws.sel, ws.shuntMask = ws.sel[:words], ws.shuntMask[:words]
 	if cap(ws.shuntAt) < n {
+		// A stateful table's rows, their keys and its collided rows are at
+		// most the batch's frames: sized once, they never grow mid-window.
 		ws.shuntAt = make([]shuntRec, n)
+		ws.rows = make([]int32, 0, n)
+		ws.fold.keys = make([]rowKey, n)
+		ws.fold.collided = make([]int32, 0, n)
 	}
 	ws.shuntAt = ws.shuntAt[:n]
 }
@@ -219,27 +223,24 @@ func (sw *Switch) walkInstance(st *instState, vs []View, m *PrescreenMasks) (rep
 	return reports, entered
 }
 
-// stateUpdate runs stateful table t over the selected frames: it hashes and
-// packs every key into columns first, then probes the register bank in frame
-// order — iterations whose slot loads do not depend on one another, so the
-// cache misses of a batch overlap. A frame whose key collides in all d
-// chains is set aside as a shunt; the last table on the switch lets nothing
-// through (its keys report via the end-of-window dump); a mid-pipeline
-// distinct passes first occurrences and a reduce the running aggregate. It
-// returns the tuples the table emits: the key columns, plus the aggregate
-// for a reduce.
+// stateUpdate runs stateful table t over the selected frames in one batch
+// probe of its register bank (RegisterBank.foldRows), in frame order. A frame
+// whose key collides in all d chains is set aside as a shunt; the last table
+// on the switch lets nothing through (its keys report via the end-of-window
+// dump); a mid-pipeline distinct passes first occurrences and a reduce the
+// running aggregate. It returns the tuples the table emits: the key columns,
+// plus the aggregate for a reduce.
 func (sw *Switch) stateUpdate(st *instState, t int, sel []uint64, cols []tuple.Column, last bool) []tuple.Column {
 	ws := &sw.walk
 	tab := &st.spec.Tables[t]
 	o := &st.spec.Ops[tab.OpIdx]
-	bank := st.banks[t]
 	distinct := o.Kind == query.OpDistinct
-	fn := statefulFunc(o)
 
 	rows := tuple.SelRows(sel, ws.rows[:0])
 	ws.rows = rows
-	bank.hashRows(&ws.keys, cols, o.KeyCols, rows)
-	ws.touched += bank.touch(&ws.keys)
+	f := &ws.fold
+	*f = rowFold{cols: cols, keyIdx: o.KeyCols, rows: rows, fn: statefulFunc(o),
+		sel: sel, last: last, distinct: distinct, keys: f.keys, collided: f.collided[:0]}
 
 	// The table's output columns: the keys pass through by aliasing, a
 	// reduce's running aggregate is the one column written here.
@@ -247,41 +248,31 @@ func (sw *Switch) stateUpdate(st *instState, t int, sel []uint64, cols []tuple.C
 	for j, k := range o.KeyCols {
 		out[j] = cols[k]
 	}
-	var val, agg []uint64 // the reduce's input value and running aggregate
 	if !distinct {
 		nk := len(o.KeyCols)
 		out[nk] = ws.pool.Take(st.kinds[tab.OpIdx+1][nk:])[0]
-		val, agg = cols[o.ValCol].U, out[nk].U
+		f.inc = cols[o.ValCol].U
 		if in := cols[o.ValCol].V; in != nil { // string-kinded: staged in agg, read before written
 			for _, r := range rows {
-				agg[r] = in[r].U
+				out[nk].U[r] = in[r].U
 			}
-			val = agg
+			f.inc = out[nk].U
+		}
+		if !last {
+			f.agg = out[nk].U
 		}
 	}
-	for k, r := range rows {
+	st.banks[t].foldRows(f)
+	// Collision overflow: shunt to the stream processor, which executes the
+	// stateful op itself for these packets.
+	for _, r := range f.collided {
 		i := int(r)
-		var inc uint64 = 1
-		if !distinct {
-			inc = val[i]
-		}
-		newVal, newKey, ok := bank.foldRow(&ws.keys, k, cols, o.KeyCols, i, inc, fn)
-		switch {
-		case !ok:
-			// Collision overflow: shunt to the stream processor, which
-			// executes the stateful op itself for this packet.
-			sw.shunted(st)
-			off := len(ws.shuntVals)
-			ws.shuntVals = tuple.AppendRow(ws.shuntVals, cols, i)
-			ws.shuntAt[i] = shuntRec{mergeOp: tab.OpIdx, off: off, end: len(ws.shuntVals)}
-			ws.shuntMask[i>>6] |= 1 << uint(i&63)
-			ws.shunts++
-			sel[i>>6] &^= 1 << uint(i&63)
-		case last || distinct && !newKey:
-			sel[i>>6] &^= 1 << uint(i&63)
-		case !distinct:
-			agg[i] = newVal
-		}
+		sw.shunted(st)
+		off := len(ws.shuntVals)
+		ws.shuntVals = tuple.AppendRow(ws.shuntVals, cols, i)
+		ws.shuntAt[i] = shuntRec{mergeOp: tab.OpIdx, off: off, end: len(ws.shuntVals)}
+		ws.shuntMask[i>>6] |= 1 << uint(i&63)
+		ws.shunts++
 	}
 	return out
 }

@@ -187,9 +187,8 @@ func (b *RegisterBank) Update(vals []tuple.Value, keyIdx []int, v uint64, fn que
 	if !packed {
 		k0, k1 = h, 0
 	}
-	ks := keyCols{h: []uint64{h}, k0: []uint64{k0}, k1: []uint64{k1},
-		p0: []uint32{uint32(fastRange(keytab.Mix64(h^b.seeds[0]), b.entries))}, tagged: []bool{!packed}}
-	return b.foldRow(&ks, 0, cols, keyIdx, 0, v, fn)
+	key := rowKey{h: h, k0: k0, k1: k1, p0: uint32(fastRange(keytab.Mix64(h^b.seeds[0]), b.entries)), tagged: !packed}
+	return b.foldRow(&key, cols, keyIdx, 0, v, fn)
 }
 
 // packU64 shifts a w-bit column value into the 128-bit packed key k1:k0,

@@ -181,13 +181,21 @@ type tracezMetrics struct {
 // *Tracer is a no-op everywhere, so an untraced deployment pays only nil
 // checks.
 type Tracer struct {
-	mu       sync.Mutex
-	opts     Options
-	est      *Estimator
-	retained []*Tree
-	windows  uint64
-	spans    uint64
-	m        tracezMetrics
+	mu   sync.Mutex
+	opts Options
+	est  *Estimator
+	// ring holds the retained trees, the oldest at head, n of them: a fixed
+	// RetainCap of trees whose spans live in arena, stride spans per tree.
+	// The arena grows only when a window has more spans than any retained
+	// before it, which is fixed per deployment, so steady retention
+	// allocates nothing.
+	ring    []Tree
+	head, n int
+	arena   []Span
+	stride  int
+	windows uint64
+	spans   uint64
+	m       tracezMetrics
 }
 
 // New returns a tracer with the given options.
@@ -215,9 +223,9 @@ func (t *Tracer) Instrument(reg *telemetry.Registry) {
 
 // CloseWindow scores one closed window's span tree: spans[0] is the window
 // root, whose duration is the close latency the estimator and the retention
-// decision use. The tree is copied only when retained, so the caller reuses
-// spans from window to window; the steady (non-retained) path is
-// allocation-free.
+// decision use. The tree is copied only when retained, into the tracer's
+// ring, so the caller reuses spans from window to window; once the ring's
+// arena holds a window's spans, closes allocate nothing, retained or not.
 func (t *Tracer) CloseWindow(window int, spans []Span) {
 	if t == nil {
 		return
@@ -252,20 +260,47 @@ func (t *Tracer) CloseWindow(window int, spans []Span) {
 	if reason == "" {
 		return
 	}
-	// Retention is rare by construction, so the copy may allocate.
-	tree := &Tree{Window: window, CloseNS: closeNS, ThresholdNS: threshold,
-		Reason: reason, Spans: slices.Clone(spans)}
+	tree := Tree{Window: window, CloseNS: closeNS, ThresholdNS: threshold, Reason: reason}
 	if len(spans) > 0 {
 		tree.StartNS = spans[0].StartNS
 	}
 	t.m.retained.Inc()
-	if len(t.retained) < t.opts.RetainCap {
-		t.retained = append(t.retained, tree)
-		return
-	}
-	copy(t.retained, t.retained[1:])
-	t.retained[len(t.retained)-1] = tree
+	t.retain(tree, spans)
 }
+
+// retain puts tree, with a copy of spans, in the ring's next place, evicting
+// the oldest tree when the ring is full.
+func (t *Tracer) retain(tree Tree, spans []Span) {
+	if t.ring == nil {
+		t.ring = make([]Tree, t.opts.RetainCap)
+	}
+	if len(spans) > t.stride {
+		t.grow(len(spans))
+	}
+	i := (t.head + t.n) % len(t.ring)
+	if t.n == len(t.ring) {
+		t.head = (t.head + 1) % len(t.ring)
+	} else {
+		t.n++
+	}
+	tree.Spans = t.arena[i*t.stride : i*t.stride+len(spans) : (i+1)*t.stride]
+	copy(tree.Spans, spans)
+	t.ring[i] = tree
+}
+
+// grow moves the ring onto an arena of stride spans per tree.
+func (t *Tracer) grow(stride int) {
+	arena := make([]Span, stride*len(t.ring))
+	for i := range t.ring {
+		spans := arena[i*stride : i*stride+len(t.ring[i].Spans) : (i+1)*stride]
+		copy(spans, t.ring[i].Spans)
+		t.ring[i].Spans = spans
+	}
+	t.arena, t.stride = arena, stride
+}
+
+// retained returns the k-th retained tree, oldest first.
+func (t *Tracer) retained(k int) *Tree { return &t.ring[(t.head+k)%len(t.ring)] }
 
 // Has reports whether a retained tree exists for the given window (the
 // flight recorder uses this for its trace cross-link).
@@ -275,25 +310,27 @@ func (t *Tracer) Has(window int) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, tr := range t.retained {
-		if tr.Window == window {
+	for k := 0; k < t.n; k++ {
+		if t.retained(k).Window == window {
 			return true
 		}
 	}
 	return false
 }
 
-// Trees returns the retained trees, newest first. Trees are immutable
-// once retained; only the slice is copied.
+// Trees returns copies of the retained trees, newest first: the ring
+// reuses a tree's storage once it is evicted, so a reader gets its own.
 func (t *Tracer) Trees() []*Tree {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]*Tree, len(t.retained))
-	for i, tr := range t.retained {
-		out[len(out)-1-i] = tr
+	out := make([]*Tree, t.n)
+	for k := range out {
+		tree := *t.retained(k)
+		tree.Spans = slices.Clone(tree.Spans)
+		out[len(out)-1-k] = &tree
 	}
 	return out
 }
@@ -319,7 +356,7 @@ func (t *Tracer) Stats() Stats {
 	return Stats{
 		Windows:    t.windows,
 		Spans:      t.spans,
-		Retained:   len(t.retained),
+		Retained:   t.n,
 		CloseP50NS: t.est.Quantile(0.50),
 		CloseP99NS: t.est.Quantile(retainQuantile),
 	}

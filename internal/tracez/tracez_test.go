@@ -184,3 +184,40 @@ func TestInstrumentCounters(t *testing.T) {
 		t.Errorf("metric lint: %s", problem)
 	}
 }
+
+// TestRetentionAllocatesNothing: once the ring has retained one window, a
+// close retained for latency copies into the ring's own storage and
+// allocates nothing — so what a process allocates per window does not
+// depend on how many windows happen to be slow. A close past the
+// estimator's last bound always exceeds its rolling p99, so every close
+// measured here is retained for latency; readers still get trees of their
+// own.
+func TestRetentionAllocatesNothing(t *testing.T) {
+	tz := New(Options{MinWindows: 8, HeadEvery: -1, RetainCap: 4})
+	fast, slow := window(0, 1_000_000), window(1, 3600_000_000_000)
+	for w := 0; w < 8; w++ {
+		tz.CloseWindow(w, fast)
+	}
+	tz.CloseWindow(8, slow)
+	if st := tz.Stats(); st.Retained != 1 {
+		t.Fatalf("retained %d trees after the first slow window, want 1", st.Retained)
+	}
+	before := tz.Trees()
+	w := 9
+	close := func() {
+		slow[0].Window = int32(w) // the caller reuses its spans
+		tz.CloseWindow(w, slow)
+		w++
+	}
+	if allocs := testing.AllocsPerRun(100, close); allocs != 0 {
+		t.Errorf("a close retained for latency allocates %.1f times, want 0", allocs)
+	}
+	trees := tz.Trees()
+	if len(trees) != 4 || trees[0].Window != w-1 || trees[0].Reason != "latency" || len(trees[0].Spans) != len(slow) {
+		t.Fatalf("newest of %d trees: window %d reason %q, %d spans; want window %d, latency, %d spans",
+			len(trees), trees[0].Window, trees[0].Reason, len(trees[0].Spans), w-1, len(slow))
+	}
+	if got := before[0].Spans[0].Window; got != 1 || trees[0].Spans[0].Window != int32(w-1) {
+		t.Errorf("a reader's tree of window 8 now has the spans of window %d", got)
+	}
+}
