@@ -66,7 +66,13 @@ bench:
 # selection against sorting every proxy, ties at the 48th place included,
 # and Sonata's plan against every restricted
 # mode's, never costlier, on random switches and on every small-scale Fig. 8
-# configuration; each plan's levels against its switch program — every
+# configuration; on the same switches, the swap search that improves on
+# Sonata's incumbent — moves of one or two queries tried through Place,
+# largest saving first, after a prune that drops a move whose summed
+# footprint exceeds the switch's totals — against brute force: its choice
+# places and costs no more than the incumbent, and where it ends short of
+# its cap no cheaper one- or two-query move places, unpruned, so the prune
+# drops nothing that places; each plan's levels against its switch program — every
 # level side the program instance at its position, in order, and nothing
 # else in the program, which the runtime's shard assembly relies on — for
 # all eleven queries on every Fig. 8 configuration and the default switch in
@@ -86,7 +92,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank|TestFoldRowsMatchesReference|TestPlaceFirstFit|TestRegisterSize' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestLevelsAreProgramInstances|TestPlaceMatchesReferencePlacer' ./internal/planner
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestSwapSearchIsPairwiseOptimal|TestLevelsAreProgramInstances|TestPlaceMatchesReferencePlacer' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every

@@ -227,7 +227,7 @@ func TestAllocBudget(t *testing.T) {
 	// query and pipelines. The plan, its program and every trial program are
 	// fresh, so its budget is the measured count too. With 1 Kb of metadata
 	// the greedy falls short of every query's cheapest candidate, so the
-	// restricted modes' greedies and the node-capped ILP run as well.
+	// restricted modes' greedies and the capped swap search run as well.
 	checkRuns("PlanQueries", 20, allocBudgetPlan(t, []int{8, 16, 24}, pisa.DefaultConfig()))
 	checkRuns("PlanQueriesMeta1Kb", 3, allocBudgetPlan(t, []int{8, 16, 24}, meta1Kb()))
 }

@@ -389,8 +389,8 @@ func BenchmarkPlannerTrain(b *testing.B) {
 // 10k-packet windows, planned for the default switch at the repo's level
 // menu and the paper's {4, 8, …, 28}, and for a switch with 1 Kb of
 // metadata, where the greedy falls short and the restricted greedies and
-// the ILP run (TestAllocBudget caps the allocations of the default menu's
-// two).
+// the swap search run (TestAllocBudget caps the allocations of the default
+// menu's two).
 func BenchmarkPlanQueries(b *testing.B) {
 	for _, menu := range []struct {
 		name   string

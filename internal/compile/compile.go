@@ -1,7 +1,7 @@
 // Package compile lowers dataflow pipelines to the match-action table model
 // of a PISA switch (Section 3.1.2 of the paper) and computes the static
 // resource footprint of each table. The planner combines these static costs
-// with workload profiles to solve the partitioning ILP; the pisa package
+// with workload profiles to choose partitioning plans; the pisa package
 // executes the resulting table programs.
 package compile
 

@@ -20,9 +20,9 @@ var smallScaleFigureDigests = map[string]string{
 	"fig7a":  "8a980d9039c8ca53e8511c959ec52e7d0c8a3de59135c239c84e0ab97bcd2a69",
 	"fig7b":  "5d8743ce13640e0cbbacfc7d5b3d62477125af57e40dae6cac6fc32b58723d22",
 	"fig8a":  "673cf00286d1060166ee3e03155bfb97781011e308095a2b11dbe498b3fb4ab8",
-	"fig8b":  "8e6f57e553003d1135071b63b28b0bb368e737276f46b69477febbcc31df8ad0",
+	"fig8b":  "9f71b9cd420facd48b75bac2b424d9769a7be9e1882c921c46dcbdeb75d05630",
 	"fig8c":  "6e040eccd9d99c219eb6e8cbcb694340c56d2302d26d0b7c967d76be346e8453",
-	"fig8d":  "1afd054f15aa38fd1095283bfdda2ac36044b09bd31213f381d653572a721dce",
+	"fig8d":  "97c1c9a8696089644ead017604fbca16fc162d61349a21684aa21277e9750222",
 }
 
 // TestSmallScaleFiguresGolden pins Table 3 and Fig. 5, 7a, 7b and 8 at

@@ -108,7 +108,7 @@ func (p *Program) Place(cfg Config) error { return p.check(cfg, true) }
 
 // Validate checks a program whose stages are given (one decoded from a
 // control connection is untrusted input) against the switch constraints —
-// the runtime analogue of the planner's ILP constraints C1-C5 — replaying
+// the runtime analogue of the paper's Table 2 constraints C1-C5 — replaying
 // its StageOf through the per-stage accounting Place fills, and that its
 // switch-side tables reference what the instance carries.
 func (p *Program) Validate(cfg Config) error { return p.check(cfg, false) }

@@ -3,8 +3,8 @@
 // down to the next (Section 4.1), estimates per-table workload costs from
 // training traffic (Section 3.3), and chooses joint partitioning and
 // refinement plans under the switch's resource constraints (Sections 3.3
-// and 4.2): a greedy packing first, then the ILP formulation, solved by the
-// repo's branch-and-bound solver from the greedy's plan.
+// and 4.2): a greedy packing first, then a pairwise-swap search from the
+// greedy's plan that moves only to plans pisa.Program.Place places.
 package planner
 
 import (

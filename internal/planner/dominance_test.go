@@ -116,6 +116,56 @@ func TestPlaceMatchesReferencePlacer(t *testing.T) {
 	check(t, "Fig. 8", tr, qs, names, cfgs)
 }
 
+// TestSwapSearchIsPairwiseOptimal holds Sonata's swap search, on the
+// random switches of TestPlansAlwaysFitRandomSwitches and on every
+// small-scale Fig. 8 configuration with the eight header queries, to what
+// it promises (planner.SwapSearchIsPairwiseOptimal): its choice places and
+// costs no more than the incumbent, and where it stopped short of its cap,
+// brute force over every cheaper one- and two-query move, unpruned, finds
+// none that places.
+func TestSwapSearchIsPairwiseOptimal(t *testing.T) {
+	var searched, improved, finished int
+	check := func(t *testing.T, tr *planner.TrainingResult, qs []*query.Query, names []string, cfgs []pisa.Config) {
+		for i, cfg := range cfgs {
+			t.Run(names[i], func(t *testing.T) {
+				s, imp, capped := planner.SwapSearchIsPairwiseOptimal(t, tr, qs, cfg)
+				if s {
+					searched++
+				}
+				if imp {
+					improved++
+				}
+				if s && !capped {
+					finished++
+				}
+			})
+		}
+	}
+	tr, qs, cfgs := planner.RandomSwitches(t)
+	names := make([]string, len(cfgs))
+	for i := range names {
+		names[i] = fmt.Sprintf("random%d", i)
+	}
+	check(t, tr, qs, names, cfgs)
+
+	scale := eval.SmallScale()
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs = queries.TopEight(eval.ScaledParams(scale))
+	tr, err = planner.Train(qs, planner.DefaultMenu, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, cfgs = eval.Fig8Configs(pisa.DefaultConfig())
+	check(t, tr, qs, names, cfgs)
+	t.Logf("search ran on %d switches, improved on %d, ended short of its cap on %d", searched, improved, finished)
+	if improved == 0 || finished == 0 {
+		t.Errorf("search ran on %d switches, improved on %d and ended short of its cap on %d: a check is never exercised", searched, improved, finished)
+	}
+}
+
 // TestLevelsAreProgramInstances: a plan's levels are its switch program.
 // Walking every query's levels, each level's Left and then its Right is the
 // pointer at the next position of Plan.Program.Instances, and the program

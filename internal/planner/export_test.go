@@ -1,8 +1,10 @@
 package planner
 
-// The reference placer's comparison, for the external test package, whose
-// Fig. 8 configurations come from internal/eval (which imports the planner).
+// The reference placer's comparison and the swap search's check, for the
+// external test package, whose Fig. 8 configurations come from
+// internal/eval (which imports the planner).
 var (
-	RandomSwitches     = randomSwitches
-	PlaceMatchesPlacer = placeMatchesPlacer
+	RandomSwitches              = randomSwitches
+	PlaceMatchesPlacer          = placeMatchesPlacer
+	SwapSearchIsPairwiseOptimal = swapSearchIsPairwiseOptimal
 )

@@ -11,7 +11,7 @@ import (
 )
 
 // Mode selects which telemetry system the planner emulates (Table 4). As
-// the paper constrains Sonata's ILP to emulate prior systems, each
+// the paper emulates prior systems by constraints added to Sonata's, each
 // restricted mode's plan space filters Sonata's one enumeration of (path,
 // cuts) per query: All-SP is the finest path with nothing on the switch,
 // Filter-DP that path cut after its leading filters, Max-DP that path,
@@ -659,33 +659,170 @@ func (s *selector) placements(qi int, c *candidate, out []placement) []placement
 	return out
 }
 
-// ilpNodes caps the ILP's branch-and-bound nodes: a deterministic budget,
-// where a wall-clock one would make plans depend on the host's speed. Each
-// node solves one LP relaxation over every candidate of every query.
-const ilpNodes = 64
-
 // choose is plan selection, one choice per query. A restricted mode's is
 // the greedy's over its list. Sonata's is the greedy's over its whole list
 // when that gives every query its cheapest candidate (the zero choice),
 // which no choice beats. Otherwise the incumbent is the cheapest of that
-// and each restricted mode's greedy choice, all of which pack, and the ILP
-// searches below it; its choice is kept only if it packs too.
+// and each restricted mode's greedy choice, all of which place, and the
+// swap search improves on it through placeable choices only.
 func (s *selector) choose() []int {
-	choice := s.greedy(s.opts.Mode)
+	choice, final := s.incumbent()
+	if !final {
+		choice, _ = swapSearch(s.cands, s.cfg, choice, s.candidateResources, s.places)
+	}
+	return choice
+}
+
+// incumbent is the mode's greedy choice, final when the mode is restricted
+// or the choice is Sonata's zero choice, and otherwise the cheapest of it
+// and every restricted mode's greedy choice.
+func (s *selector) incumbent() (choice []int, final bool) {
+	choice = s.greedy(s.opts.Mode)
 	if s.opts.Mode != ModeSonata || s.totalCost(choice) == s.totalCost(make([]int, len(choice))) {
-		return choice
+		return choice, true
 	}
 	for m := ModeAllSP; m <= ModeFixRef; m++ {
 		if c := s.greedy(m); s.totalCost(c) < s.totalCost(choice) {
 			choice = c
 		}
 	}
-	if c := ilpChoice(s.cands, s.cfg, choice, s.candidateResources); c != nil && s.totalCost(c) < s.totalCost(choice) {
-		if _, err := s.buildProgram(c); err == nil {
-			choice = c
+	return choice, false
+}
+
+// places reports whether a choice's program places on the switch.
+func (s *selector) places(choice []int) bool {
+	_, err := s.buildProgram(choice)
+	return err == nil
+}
+
+// candidateResources sums a candidate's switch footprint — stateful table
+// count, register bits, and metadata bits — over the pipelines it places,
+// from the edges' priced tiers.
+func (s *selector) candidateResources(qi int, c *candidate) (stateful int, bits int64, meta int) {
+	s.placed = s.placements(qi, c, s.placed[:0])
+	for _, p := range s.placed {
+		pr := p.edge.at(p.side, p.cut)
+		stateful += pr.stateful
+		bits += pr.bits
+		meta += pr.meta
+	}
+	return stateful, bits, meta
+}
+
+// swapCap caps the placements the swap search tries: a deterministic
+// budget, where a wall-clock one would make plans depend on the host's
+// speed.
+const swapCap = 4096
+
+// swapMove sets query q[k] to candidate c[k], for one query (q[1] < 0) or
+// two, and saves saving of the choice's trained cost.
+type swapMove struct {
+	saving uint64
+	q, c   [2]int32
+}
+
+// compareMoves orders moves by saving, largest first, then one-query moves
+// before two-query ones, then by queries and candidates: a total order, so
+// the search is deterministic.
+func compareMoves(a, b swapMove) int {
+	return cmp.Or(cmp.Compare(b.saving, a.saving), cmp.Compare(min(a.q[1], 0), min(b.q[1], 0)),
+		cmp.Compare(a.q[0], b.q[0]), cmp.Compare(a.c[0], b.c[0]),
+		cmp.Compare(a.q[1], b.q[1]), cmp.Compare(a.c[1], b.c[1]))
+}
+
+// swapSearch improves a placeable choice over cands, each query's list
+// sorted by cost, in rounds. A round lists every move of one query, or of
+// two together, whose summed trained cost is below the choice's; drops each
+// whose summed footprint (resources) exceeds the switch's totals — S·A
+// stateful tables, S·B register bits and M metadata bits, Table 2's C2, C1
+// and C5 summed over stages, which every placed program meets, so the drop
+// only skips moves that cannot place; and adopts the first of the rest, in
+// compareMoves order, that places. Whether a move fits is decided by places
+// alone. The search ends when a round places nothing or swapCap placements
+// are spent, which capped reports; the choice it returns places.
+func swapSearch(cands [][]candidate, cfg pisa.Config, choice []int,
+	resources func(qi int, c *candidate) (stateful int, bits int64, meta int),
+	places func(choice []int) bool) (out []int, capped bool) {
+	foot := make([][][3]int64, len(cands))
+	for qi := range cands {
+		foot[qi] = make([][3]int64, len(cands[qi]))
+		for ci := range cands[qi] {
+			st, bits, meta := resources(qi, &cands[qi][ci])
+			foot[qi][ci] = [3]int64{int64(st), bits, int64(meta)}
 		}
 	}
-	return choice
+	limit := [3]int64{int64(cfg.Stages * cfg.StatefulPerStage), int64(cfg.Stages) * cfg.RegisterBitsPerStage, int64(cfg.MetadataBits)}
+	cost := func(qi, ci int) int64 { return int64(cands[qi][ci].cost) }
+	choice, trial := slices.Clone(choice), make([]int, len(choice))
+	var moves []swapMove
+	for spent := 0; ; {
+		var total [3]int64
+		for qi, ci := range choice {
+			for r := range total {
+				total[r] += foot[qi][ci][r]
+			}
+		}
+		// fits is the prune: the choice's footprint with query qi moved
+		// from its candidate to ci, and qj (when not negative) to cj.
+		fits := func(qi, ci, qj, cj int) bool {
+			for r, t := range total {
+				t += foot[qi][ci][r] - foot[qi][choice[qi]][r]
+				if qj >= 0 {
+					t += foot[qj][cj][r] - foot[qj][choice[qj]][r]
+				}
+				if t > limit[r] {
+					return false
+				}
+			}
+			return true
+		}
+		moves = moves[:0]
+		for qi := range cands {
+			cur := cost(qi, choice[qi])
+			for ci := 0; ci < len(cands[qi]) && cost(qi, ci) < cur; ci++ {
+				if fits(qi, ci, -1, 0) {
+					moves = append(moves, swapMove{uint64(cur - cost(qi, ci)), [2]int32{int32(qi), -1}, [2]int32{int32(ci), 0}})
+				}
+			}
+		}
+		for qi := range cands {
+			for qj := qi + 1; qj < len(cands); qj++ {
+				cur := cost(qi, choice[qi]) + cost(qj, choice[qj])
+				for ci := 0; ci < len(cands[qi]) && cost(qi, ci)+cost(qj, 0) < cur; ci++ {
+					if ci == choice[qi] {
+						continue
+					}
+					for cj := 0; cj < len(cands[qj]) && cost(qi, ci)+cost(qj, cj) < cur; cj++ {
+						if cj != choice[qj] && fits(qi, ci, qj, cj) {
+							moves = append(moves, swapMove{uint64(cur - cost(qi, ci) - cost(qj, cj)),
+								[2]int32{int32(qi), int32(qj)}, [2]int32{int32(ci), int32(cj)}})
+						}
+					}
+				}
+			}
+		}
+		slices.SortFunc(moves, compareMoves)
+		adopted := false
+		for _, m := range moves {
+			if spent == swapCap {
+				return choice, true
+			}
+			spent++
+			copy(trial, choice)
+			for k, qi := range m.q {
+				if qi >= 0 {
+					trial[qi] = int(m.c[k])
+				}
+			}
+			if adopted = places(trial); adopted {
+				choice, trial = trial, choice
+				break
+			}
+		}
+		if !adopted {
+			return choice, false
+		}
+	}
 }
 
 // totalCost is a choice's trained per-window tuple estimate.

@@ -141,11 +141,11 @@ func candidateDiff(got, want []candidate) string {
 // TestPlanMatchesReference holds PlanQueries to the reference selector end
 // to end — candidates, greedy packing over trial programs that reuse each
 // edge's augmented query and pipelines, for Sonata the restricted modes'
-// greedies and the ILP, the realized plan — over the same sweep, and over
-// every mode at the default menu: equal plans, from each level's cuts,
-// instances, register sizes and work estimates to the switch program. At
-// the default menu the sweep adds a switch with 2 Kb of metadata, where the
-// ILP's choice places and is kept (on the tight switch it never places).
+// greedies and the swap search, the realized plan — over the same sweep,
+// and over every mode at the default menu: equal plans, from each level's
+// cuts, instances, register sizes and work estimates to the switch program.
+// At the default menu the sweep adds a switch with 2 Kb of metadata; there
+// and on the tight switch the search improves on the incumbent.
 func TestPlanMatchesReference(t *testing.T) {
 	qs := oracleQueries()
 	for _, seed := range []int64{1, 2} {
@@ -214,11 +214,13 @@ func planDiff(got, want *Plan) string {
 	return "plans differ"
 }
 
-// TestCandidateResourcesMatchProgram: the footprint the ILP charges a
-// candidate is what buildProgram places for it — stateful tables, register
-// bits and metadata bits summed over the placed instances — for every
-// candidate of every oracle query, gate-only levels included, on a switch
-// roomy enough to place them all.
+// TestCandidateResourcesMatchProgram: the footprint the swap search prunes
+// moves by is what buildProgram places for a candidate — stateful tables,
+// register bits and metadata bits summed over the placed instances — for
+// every candidate of every oracle query, gate-only levels included, on a
+// switch roomy enough to place them all. So the prune, which drops a move
+// only when that footprint exceeds the switch's totals, drops none that
+// places.
 func TestCandidateResourcesMatchProgram(t *testing.T) {
 	qs := oracleQueries()
 	cfg := pisa.DefaultConfig()

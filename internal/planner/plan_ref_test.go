@@ -10,9 +10,10 @@ package planner
 // are the replaced code, renamed with a ref prefix, extended as plan
 // selection was: each mode's list is a filter over one enumeration that
 // offers Filter-DP's cut on the finest path, Sonata's list holds every
-// mode's, and selection runs the restricted greedies and the ILP from the
-// best of them (the formulation, ilpChoice, is shared; the footprints it
-// reads are the reference's own). The helpers the change left alone
+// mode's, and selection runs the restricted greedies and the swap search
+// from the best of them (the search, swapSearch, is shared; the footprints
+// it prunes by and the placer it places with are the reference's own). The
+// helpers the change left alone
 // (paths, gateOnly, gateQuery) are shared. The reference sizes registers
 // through maxEntries and places programs with the first-fit placer below,
 // the planner's own copies before pisa.Config.RegisterSize and
@@ -303,7 +304,7 @@ func refTableInputN(sc *SideCost, t int) uint64 {
 
 // choose is the selection path: the mode's greedy; for Sonata short of
 // every query's cheapest candidate, the best of it and each restricted
-// mode's greedy, then the ILP's choice if it places and costs less.
+// mode's greedy, improved by the swap search.
 func (s *refSelector) choose() []int {
 	choice := s.greedy(s.opts.Mode)
 	if s.opts.Mode != ModeSonata {
@@ -327,11 +328,10 @@ func (s *refSelector) choose() []int {
 			choice = c
 		}
 	}
-	if c := ilpChoice(s.cands, s.cfg, choice, s.resources); c != nil && cost(c) < cost(choice) {
-		if _, err := s.buildProgram(c); err == nil {
-			choice = c
-		}
-	}
+	choice, _ = swapSearch(s.cands, s.cfg, choice, s.resources, func(choice []int) bool {
+		_, err := s.buildProgram(choice)
+		return err == nil
+	})
 	return choice
 }
 

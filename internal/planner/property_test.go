@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pisa"
@@ -69,4 +70,57 @@ func TestPlansAlwaysFitRandomSwitches(t *testing.T) {
 			}
 		}
 	}
+}
+
+// swapSearchIsPairwiseOptimal checks Sonata's swap search on cfg from the
+// incumbent choose hands it: the choice it returns places and costs no more
+// than the incumbent, and, when the search ended short of its cap, no
+// cheaper choice one or two queries away places — found by trying every
+// one without the footprint prune, so the prune never dropped a move that
+// places. It reports whether the search ran, whether it improved on the
+// incumbent, and whether it spent its cap.
+func swapSearchIsPairwiseOptimal(t *testing.T, tr *TrainingResult, qs []*query.Query, cfg pisa.Config) (searched, improved, capped bool) {
+	t.Helper()
+	s, err := newSelector(tr, qs, cfg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	incumbent, final := s.incumbent()
+	if final {
+		return false, false, false
+	}
+	choice, capped := swapSearch(s.cands, s.cfg, incumbent, s.candidateResources, s.places)
+	if !s.places(choice) {
+		t.Fatalf("search choice %v does not place", choice)
+	}
+	cost := s.totalCost(choice)
+	if cost > s.totalCost(incumbent) {
+		t.Fatalf("search choice %v costs %d, incumbent %v %d", choice, cost, incumbent, s.totalCost(incumbent))
+	}
+	if capped {
+		return true, cost < s.totalCost(incumbent), true
+	}
+	trial := slices.Clone(choice)
+	placesCheaper := func() {
+		if s.totalCost(trial) < cost && s.places(trial) {
+			t.Fatalf("choice %v costs %d and places, search stopped at %v costing %d", trial, s.totalCost(trial), choice, cost)
+		}
+	}
+	for qi := range s.cands {
+		for ci := range s.cands[qi] {
+			trial[qi] = ci
+			placesCheaper()
+			for qj := qi + 1; qj < len(s.cands) && ci != choice[qi]; qj++ {
+				for cj := range s.cands[qj] {
+					if cj != choice[qj] {
+						trial[qj] = cj
+						placesCheaper()
+					}
+				}
+				trial[qj] = choice[qj]
+			}
+		}
+		trial[qi] = choice[qi]
+	}
+	return true, cost < s.totalCost(incumbent), false
 }
