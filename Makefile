@@ -69,10 +69,13 @@ bench:
 # configuration; on the same switches, the swap search that improves on
 # Sonata's incumbent — moves of one or two queries tried through Place,
 # largest saving first, after a prune that drops a move whose summed
-# footprint exceeds the switch's totals — against brute force: its choice
+# footprint exceeds the switch's totals or a pipeline longer than its
+# stages — against brute force: its choice
 # places and costs no more than the incumbent, and where it ends short of
 # its cap no cheaper one- or two-query move places, unpruned, so the prune
-# drops nothing that places; each plan's levels against its switch program — every
+# drops nothing that places, and from the All-SP choice on one- to
+# four-stage switches, where the best candidates fill every stage, so a
+# stage prune that dropped one of them fails; each plan's levels against its switch program — every
 # level side the program instance at its position, in order, and nothing
 # else in the program, which the runtime's shard assembly relies on — for
 # all eleven queries on every Fig. 8 configuration and the default switch in
@@ -92,7 +95,7 @@ check-kernels:
 	$(GO) test -race -count=1 -run 'TestBatchedWalksMatchProcess|TestShuntMaskClearedAcrossBatchLengths|TestFieldColumnsClearedAcrossBatchLengths|TestDynFilterProbesThePublishedSet|TestShardsShareColumns|TestRegisterBankMatchesModel|FuzzRegisterBank|TestFoldRowsMatchesReference|TestPlaceFirstFit|TestRegisterSize' ./internal/pisa
 	$(GO) test -race -count=1 -run 'TestMirrorBatchMatchesWire' ./internal/emitter
 	$(GO) test -race -count=1 -run 'TestShardedMatchesSequential|TestVantagePointsMatchFabric' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestSwapSearchIsPairwiseOptimal|TestLevelsAreProgramInstances|TestPlaceMatchesReferencePlacer' ./internal/planner
+	$(GO) test -race -count=1 -run 'TestTrainMatchesReference|TestTrainLadderHasNoSelfEdge|TestTrainSameAtAnyWorkerCount|TestKeptProxiesAreEachModesCheapest|TestPathCandidatesMatchReference|TestPlanMatchesReference|TestCutTiersAndPathsAreDistinct|TestPlansAlwaysFitRandomSwitches|TestSonataDominatesFig8Configs|TestSwapSearchIsPairwiseOptimal|TestSwapSearchFromAllSPOnShallowSwitches|TestLevelsAreProgramInstances|TestPlaceMatchesReferencePlacer' ./internal/planner
 
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
@@ -107,8 +110,9 @@ check-metrics:
 # Subscription delivery gate: the whole package under the race detector. The
 # differential test proves concurrent subscribers, dial-in and dial-out alike,
 # observe the one-shard runtime's per-window result sequence bit-identically
-# at 1/2/8 workers; the backpressure test proves a stalled consumer is evicted
-# without delaying window close; and the dial-out tests race the redialing
+# at 1/2/8 workers; the backpressure tests prove a stalled consumer is evicted
+# without delaying window close and pin drop-oldest's counts exactly with a
+# writer holding a window in hand; and the dial-out tests race the redialing
 # transport's writer against Close.
 check-subscribe:
 	$(GO) test -race ./internal/subscribe
@@ -154,10 +158,14 @@ check-examples:
 # bodies through DecodeUpdate, the subscriber side's decoder, against
 # re-encoding (FuzzDecodeUpdate), seeded from
 # internal/subscribe/testdata/fuzz, then ten of arbitrary capture files
-# through pcap.Reader (FuzzPcapReader) and ten of arbitrary bank shapes and
+# through pcap.Reader (FuzzPcapReader), ten of arbitrary bank shapes and
 # update streams through the register probe against the model bank
-# (FuzzRegisterBank), each seeded from its package's testdata/fuzz; any panic
-# or divergence fails the gate. FuzzRegisterBank's minimization is capped:
+# (FuzzRegisterBank), ten of arbitrary byte streams through netproto's frame
+# reader, each frame read against re-sending it (FuzzRecvRaw), and ten of
+# arbitrary frames through the header and DNS parsers, every registered
+# field read from both and from the adopted header parse (FuzzParse), each
+# seeded from its package's testdata/fuzz; any panic or divergence fails the
+# gate. FuzzRegisterBank's minimization is capped:
 # uncapped, shrinking one new input can take the whole ten seconds.
 check-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDataPlaneInstall -fuzztime 10s ./internal/drivers
@@ -166,6 +174,8 @@ check-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdate -fuzztime 10s ./internal/subscribe
 	$(GO) test -run '^$$' -fuzz FuzzPcapReader -fuzztime 10s ./internal/pcap
 	$(GO) test -run '^$$' -fuzz FuzzRegisterBank -fuzztime 10s -fuzzminimizetime 200x ./internal/pisa
+	$(GO) test -run '^$$' -fuzz FuzzRecvRaw -fuzztime 10s ./internal/netproto
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/packet
 
 # Gating allocation budget: TestAllocBudget (and, for the register probe
 # beyond L2, internal/pisa's TestRegisterBankProbeAllocBudget) pins each hot

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"os"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -170,11 +172,15 @@ func TestAllocBudget(t *testing.T) {
 	check("RuntimeWindowClose", closeRuntime)
 
 	// Result delivery: one window published through the subscription server
-	// with a stalled drop-oldest subscriber. Encode-once into pooled frames
-	// plus drop-oldest recycling keeps the publish path allocation-free once
-	// the frame buffers and dedup maps are warm; the subscriber's writer
-	// goroutine sits blocked in a pipe write, so nothing else runs during the
-	// measurement.
+	// with a stalled drop-oldest subscriber and a draining one. Encode-once
+	// into pooled frames plus drop-oldest recycling keeps the publish path
+	// allocation-free once the frame buffers and dedup maps are warm. The
+	// stalled subscriber's writer sits blocked in a pipe write; the draining
+	// one's runs during the measurement, taking each window's frames in one
+	// exchange and writing them to io.Discard, and allocates nothing either.
+	// AllocsPerRun measures at GOMAXPROCS 1, so each run yields after
+	// Publish: the woken writer drains the window and parks on its next
+	// wake-up before the run returns, as it would on a core of its own.
 	srv := subscribe.NewServer()
 	srv.Instrument(telemetry.NewRegistry())
 	defer srv.Close()
@@ -186,11 +192,20 @@ func TestAllocBudget(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep := allocBudgetReport()
-	for i := 0; i < 4; i++ {
-		srv.Publish(rep) // warm: grow every circulating frame buffer, fill the queue
+	if _, err := srv.Attach(io.Discard, subscribe.SubscribeRequest{
+		Mode: subscribe.Sample, Policy: subscribe.DropOldest, AllLevels: true,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	check("SubscribePublish", func() { srv.Publish(rep) })
+	rep := allocBudgetReport()
+	publish := func() {
+		srv.Publish(rep)
+		goruntime.Gosched()
+	}
+	for i := 0; i < 4; i++ {
+		publish() // warm: grow every circulating frame buffer, fill the stalled queue
+	}
+	check("SubscribePublish", publish)
 
 	// Trace scoring: one window's span tree, written into a reused slice as
 	// the runtime's close does, handed to CloseWindow with retention

@@ -15,6 +15,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/pisa"
@@ -89,6 +90,10 @@ func (t MsgType) String() string {
 
 // maxFrame bounds a control frame; programs and dumps stay far below this.
 const maxFrame = 64 << 20
+
+// bodyChunk is the most a frame body is allocated ahead of the bytes that
+// have arrived: a header's length is the peer's claim, not a fact.
+const bodyChunk = 64 << 10
 
 // Hello is the client's opening message.
 type Hello struct {
@@ -233,8 +238,8 @@ func (c *Conn) RecvRaw() (MsgType, []byte, error) {
 		return 0, nil, fmt.Errorf("netproto: bad frame length %d", n)
 	}
 	t := MsgType(hdr[4])
-	body := make([]byte, n-1)
-	if _, err := io.ReadFull(c.rw, body); err != nil {
+	body, err := readBody(c.rw, int(n-1))
+	if err != nil {
 		return t, nil, fmt.Errorf("netproto: reading %v body: %w", t, io.ErrUnexpectedEOF)
 	}
 	c.m.framesRecv.Inc()
@@ -247,6 +252,25 @@ func (c *Conn) RecvRaw() (MsgType, []byte, error) {
 		return t, nil, fmt.Errorf("netproto: remote error: %s", e.Text)
 	}
 	return t, body, nil
+}
+
+// readBody reads an n-byte frame body, growing it as bytes arrive: the
+// first bodyChunk bytes, then doubling up to n. A header that claims
+// maxFrame and is followed by nothing costs one chunk, not maxFrame; a body
+// that does arrive is copied at most once per doubling.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, min(n, bodyChunk))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		m, err := io.ReadFull(r, body[len(body):min(cap(body), n)])
+		body = body[:len(body)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // Decode unmarshals a frame payload.

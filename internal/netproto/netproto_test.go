@@ -2,9 +2,11 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/pisa"
@@ -159,6 +161,28 @@ func TestRejectsOversizedFrame(t *testing.T) {
 	c := NewConn(d)
 	if _, _, err := c.RecvRaw(); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// TestHugeClaimedBodyAllocatesAsItArrives: a header claiming the largest
+// frame allowed, followed by EOF, is refused without allocating the claimed
+// 64 MB — the body is allocated as its bytes arrive.
+func TestHugeClaimedBodyAllocatesAsItArrives(t *testing.T) {
+	d := &duplex{}
+	var hdr [5]byte
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame)
+	hdr[4] = byte(MsgWindowData)
+	d.buf.Write(hdr[:])
+	c := NewConn(d)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := c.RecvRaw()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body cut short by EOF was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing the frame allocated %d bytes", grew)
 	}
 }
 

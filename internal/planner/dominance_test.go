@@ -166,6 +166,33 @@ func TestSwapSearchIsPairwiseOptimal(t *testing.T) {
 	}
 }
 
+// TestSwapSearchSkipsOverlongCuts: on small-scale Fig. 8a's shallowest
+// pipelines the swap search drops every move onto a candidate with more
+// switch tables in one pipeline than the switch has stages, which cannot
+// place, so it ends short of its placement cap instead of spending it all
+// on such moves.
+func TestSwapSearchSkipsOverlongCuts(t *testing.T) {
+	scale := eval.SmallScale()
+	w, err := eval.NewWorkload(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := queries.TopEight(eval.ScaledParams(scale))
+	tr, err := planner.Train(qs, planner.DefaultMenu, w.TrainingFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stages := range []int{1, 2, 4} {
+		cfg := pisa.DefaultConfig()
+		cfg.Stages = stages
+		n, searched := planner.SwapPlacements(t, tr, qs, cfg)
+		t.Logf("fig8a stages=%d: searched %v, %d placements", stages, searched, n)
+		if searched && n >= planner.SwapCap {
+			t.Errorf("fig8a stages=%d: the swap search spent its whole cap (%d placements)", stages, n)
+		}
+	}
+}
+
 // TestLevelsAreProgramInstances: a plan's levels are its switch program.
 // Walking every query's levels, each level's Left and then its Right is the
 // pointer at the next position of Plan.Program.Instances, and the program

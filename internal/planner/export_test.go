@@ -7,4 +7,8 @@ var (
 	RandomSwitches              = randomSwitches
 	PlaceMatchesPlacer          = placeMatchesPlacer
 	SwapSearchIsPairwiseOptimal = swapSearchIsPairwiseOptimal
+	SwapPlacements              = swapPlacements
 )
+
+// SwapCap is the swap search's placement budget.
+const SwapCap = swapCap

@@ -695,18 +695,28 @@ func (s *selector) places(choice []int) bool {
 	return err == nil
 }
 
-// candidateResources sums a candidate's switch footprint — stateful table
-// count, register bits, and metadata bits — over the pipelines it places,
-// from the edges' priced tiers.
-func (s *selector) candidateResources(qi int, c *candidate) (stateful int, bits int64, meta int) {
+// footprint is what a candidate takes of the switch: stateful tables,
+// register bits and metadata bits summed over the pipelines it places, and
+// the most switch tables any one of those pipelines runs (its longest cut).
+type footprint struct {
+	stateful int
+	bits     int64
+	meta     int
+	cut      int
+}
+
+// candidateResources is a candidate's footprint over the pipelines it
+// places, from the edges' priced tiers.
+func (s *selector) candidateResources(qi int, c *candidate) (fp footprint) {
 	s.placed = s.placements(qi, c, s.placed[:0])
 	for _, p := range s.placed {
 		pr := p.edge.at(p.side, p.cut)
-		stateful += pr.stateful
-		bits += pr.bits
-		meta += pr.meta
+		fp.stateful += pr.stateful
+		fp.bits += pr.bits
+		fp.meta += pr.meta
+		fp.cut = max(fp.cut, p.cut)
 	}
-	return stateful, bits, meta
+	return fp
 }
 
 // swapCap caps the placements the swap search tries: a deterministic
@@ -733,22 +743,27 @@ func compareMoves(a, b swapMove) int {
 // swapSearch improves a placeable choice over cands, each query's list
 // sorted by cost, in rounds. A round lists every move of one query, or of
 // two together, whose summed trained cost is below the choice's; drops each
-// whose summed footprint (resources) exceeds the switch's totals — S·A
-// stateful tables, S·B register bits and M metadata bits, Table 2's C2, C1
-// and C5 summed over stages, which every placed program meets, so the drop
-// only skips moves that cannot place; and adopts the first of the rest, in
-// compareMoves order, that places. Whether a move fits is decided by places
-// alone. The search ends when a round places nothing or swapCap placements
-// are spent, which capped reports; the choice it returns places.
+// that takes a candidate with a pipeline of more switch tables than the
+// switch has stages (a pipeline's tables take strictly increasing stages,
+// C4) or whose summed footprint (resources) exceeds the switch's totals —
+// S·A stateful tables, S·B register bits and M metadata bits, Table 2's C2,
+// C1 and C5 summed over stages. Every placed program meets both, so the
+// drop only skips moves that cannot place. It adopts the first of the
+// rest, in compareMoves order, that places. Whether a move fits is decided
+// by places alone. The search ends when a round places nothing or swapCap
+// placements are spent, which capped reports; the choice it returns places.
 func swapSearch(cands [][]candidate, cfg pisa.Config, choice []int,
-	resources func(qi int, c *candidate) (stateful int, bits int64, meta int),
+	resources func(qi int, c *candidate) footprint,
 	places func(choice []int) bool) (out []int, capped bool) {
 	foot := make([][][3]int64, len(cands))
+	short := make([][]bool, len(cands)) // every pipeline fits the stages
 	for qi := range cands {
 		foot[qi] = make([][3]int64, len(cands[qi]))
+		short[qi] = make([]bool, len(cands[qi]))
 		for ci := range cands[qi] {
-			st, bits, meta := resources(qi, &cands[qi][ci])
-			foot[qi][ci] = [3]int64{int64(st), bits, int64(meta)}
+			fp := resources(qi, &cands[qi][ci])
+			foot[qi][ci] = [3]int64{int64(fp.stateful), fp.bits, int64(fp.meta)}
+			short[qi][ci] = fp.cut <= cfg.Stages
 		}
 	}
 	limit := [3]int64{int64(cfg.Stages * cfg.StatefulPerStage), int64(cfg.Stages) * cfg.RegisterBitsPerStage, int64(cfg.MetadataBits)}
@@ -762,9 +777,13 @@ func swapSearch(cands [][]candidate, cfg pisa.Config, choice []int,
 				total[r] += foot[qi][ci][r]
 			}
 		}
-		// fits is the prune: the choice's footprint with query qi moved
-		// from its candidate to ci, and qj (when not negative) to cj.
+		// fits is the prune: both candidates' pipelines fit the stages, and
+		// the choice's footprint with query qi moved from its candidate to
+		// ci, and qj (when not negative) to cj, fits the totals.
 		fits := func(qi, ci, qj, cj int) bool {
+			if !short[qi][ci] || qj >= 0 && !short[qj][cj] {
+				return false
+			}
 			for r, t := range total {
 				t += foot[qi][ci][r] - foot[qi][choice[qi]][r]
 				if qj >= 0 {

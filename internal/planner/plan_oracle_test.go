@@ -216,11 +216,11 @@ func planDiff(got, want *Plan) string {
 
 // TestCandidateResourcesMatchProgram: the footprint the swap search prunes
 // moves by is what buildProgram places for a candidate — stateful tables,
-// register bits and metadata bits summed over the placed instances — for
-// every candidate of every oracle query, gate-only levels included, on a
-// switch roomy enough to place them all. So the prune, which drops a move
-// only when that footprint exceeds the switch's totals, drops none that
-// places.
+// register bits and metadata bits summed over the placed instances, and the
+// longest instance cut — for every candidate of every oracle query,
+// gate-only levels included, on a switch roomy enough to place them all. So
+// the prune, which drops a move only when that footprint exceeds the
+// switch's totals or a cut its stages, drops none that places.
 func TestCandidateResourcesMatchProgram(t *testing.T) {
 	qs := oracleQueries()
 	cfg := pisa.DefaultConfig()
@@ -241,10 +241,10 @@ func TestCandidateResourcesMatchProgram(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s candidate %v %v: %v", q.Name, c.path, c.cuts, err)
 				}
-				var st int
+				var st, meta, cut int
 				var bits int64
-				var meta int
 				for _, spec := range prog.Instances {
+					cut = max(cut, spec.CutAt)
 					for tb := 0; tb < spec.CutAt; tb++ {
 						if tab := &spec.Tables[tb]; tab.Stateful {
 							st++
@@ -253,10 +253,10 @@ func TestCandidateResourcesMatchProgram(t *testing.T) {
 					}
 					meta += spec.MetaBits()
 				}
-				gst, gbits, gmeta := sel.candidateResources(0, c)
-				if gst != st || gbits != bits || gmeta != meta {
-					t.Errorf("%s candidate %v %v: resources %d/%d/%d, placed %d/%d/%d",
-						q.Name, c.path, c.cuts, gst, gbits, gmeta, st, bits, meta)
+				g := sel.candidateResources(0, c)
+				if g != (footprint{st, bits, meta, cut}) {
+					t.Errorf("%s candidate %v %v: resources %+v, placed %d/%d/%d, cut %d",
+						q.Name, c.path, c.cuts, g, st, bits, meta, cut)
 				}
 				for i := range c.path {
 					if gateOnly(qt, c.path, i) && c.cuts[i][0] > 0 {

@@ -481,18 +481,19 @@ func (s *refSelector) buildProgram(choice []int) (*pisa.Program, error) {
 }
 
 // resources is the switch footprint the candidate's instances take: their
-// stateful tables, register bits and metadata bits.
-func (s *refSelector) resources(qi int, c *candidate) (stateful int, bits int64, meta int) {
+// stateful tables, register bits and metadata bits, and the longest cut.
+func (s *refSelector) resources(qi int, c *candidate) (fp footprint) {
 	for _, spec := range s.specs(qi, c) {
 		for t := 0; t < spec.CutAt; t++ {
 			if tab := &spec.Tables[t]; tab.Stateful {
-				stateful++
-				bits += pisa.RegisterBits(spec.RegEntries[t], s.cfg.RegisterChains, tab.KeyBits, tab.ValBits)
+				fp.stateful++
+				fp.bits += pisa.RegisterBits(spec.RegEntries[t], s.cfg.RegisterChains, tab.KeyBits, tab.ValBits)
 			}
 		}
-		meta += spec.MetaBits()
+		fp.meta += spec.MetaBits()
+		fp.cut = max(fp.cut, spec.CutAt)
 	}
-	return stateful, bits, meta
+	return fp
 }
 
 // specs is the candidate's switch instances in program order, unplaced.

@@ -100,6 +100,15 @@ func swapSearchIsPairwiseOptimal(t *testing.T, tr *TrainingResult, qs []*query.Q
 	if capped {
 		return true, cost < s.totalCost(incumbent), true
 	}
+	noCheaperMovePlaces(t, s, choice)
+	return true, cost < s.totalCost(incumbent), false
+}
+
+// noCheaperMovePlaces fails t when a choice one or two queries away from
+// choice costs less and places, trying every one (no prune).
+func noCheaperMovePlaces(t *testing.T, s *selector, choice []int) {
+	t.Helper()
+	cost := s.totalCost(choice)
 	trial := slices.Clone(choice)
 	placesCheaper := func() {
 		if s.totalCost(trial) < cost && s.places(trial) {
@@ -122,5 +131,56 @@ func swapSearchIsPairwiseOptimal(t *testing.T, tr *TrainingResult, qs []*query.Q
 		}
 		trial[qi] = choice[qi]
 	}
-	return true, cost < s.totalCost(incumbent), false
+}
+
+// swapPlacements runs Sonata's swap search on cfg from the incumbent choose
+// hands it and counts the placements it tries. It reports whether the
+// search ran at all (a final incumbent skips it).
+func swapPlacements(t *testing.T, tr *TrainingResult, qs []*query.Query, cfg pisa.Config) (placements int, searched bool) {
+	t.Helper()
+	s, err := newSelector(tr, qs, cfg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	incumbent, final := s.incumbent()
+	if final {
+		return 0, false
+	}
+	swapSearch(s.cands, s.cfg, incumbent, s.candidateResources, func(choice []int) bool {
+		placements++
+		return s.places(choice)
+	})
+	return placements, true
+}
+
+// TestSwapSearchFromAllSPOnShallowSwitches runs the swap search from the
+// All-SP choice, which always places, on switches one to four stages deep,
+// where the best candidates run as many switch tables as there are stages:
+// the search must end short of its cap, and no cheaper choice one or two
+// queries away from where it ends may place. A stage prune that dropped a
+// candidate whose longest pipeline exactly fills the stages fails here.
+func TestSwapSearchFromAllSPOnShallowSwitches(t *testing.T) {
+	tr, qs, _ := randomSwitches(t)
+	for stages := 1; stages <= 4; stages++ {
+		cfg := pisa.DefaultConfig()
+		cfg.Stages = stages
+		s, err := newSelector(tr, qs, cfg, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allSP := make([]int, len(qs))
+		for qi := range allSP {
+			allSP[qi] = slices.IndexFunc(s.cands[qi], func(c candidate) bool {
+				return len(c.path) == 1 && c.cuts[0] == [2]int{}
+			})
+		}
+		choice, capped := swapSearch(s.cands, s.cfg, allSP, s.candidateResources, s.places)
+		if capped {
+			t.Fatalf("stages=%d: the search spent its cap", stages)
+		}
+		if s.totalCost(choice) >= s.totalCost(allSP) {
+			t.Errorf("stages=%d: the search did not improve on All-SP (%d)", stages, s.totalCost(allSP))
+		}
+		noCheaperMovePlaces(t, s, choice)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"text/tabwriter"
 )
@@ -40,14 +39,14 @@ func (s *Server) Snapshot() Snapshot {
 		Instances:   len(s.last),
 		Subscribers: make([]SubSnapshot, 0, len(s.subs)),
 	}
-	for _, sub := range s.subs {
+	for _, sub := range s.subs { // attach order is id order
 		ss := SubSnapshot{
 			ID:        sub.id,
 			Mode:      sub.req.Mode.String(),
 			Policy:    sub.req.Policy.String(),
 			Queries:   sub.req.Queries,
 			AllLevels: sub.req.AllLevels,
-			QueueLen:  len(sub.q),
+			QueueLen:  len(sub.pending),
 			QueueCap:  sub.req.QueueCap,
 			Highwater: sub.highwater,
 			Delivered: sub.delivered,
@@ -58,9 +57,6 @@ func (s *Server) Snapshot() Snapshot {
 		}
 		snap.Subscribers = append(snap.Subscribers, ss)
 	}
-	sort.Slice(snap.Subscribers, func(i, j int) bool {
-		return snap.Subscribers[i].ID < snap.Subscribers[j].ID
-	})
 	return snap
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,8 +21,9 @@ import (
 const DefaultQueueCap = 64
 
 // MaxQueueCap is the deepest send queue a subscriber may ask for. The queue
-// is allocated at attach, so a remote request's QueueCap must be bounded
-// before it sizes anything.
+// and its writer's spare are allocated at full depth when the subscriber
+// attaches, so a remote request's QueueCap must be bounded before it sizes
+// anything.
 const MaxQueueCap = 1 << 16
 
 // closeGrace bounds how long Close waits for a subscriber's writer to flush
@@ -38,10 +40,9 @@ const frameOverhead = 5
 // frame is one encoded (query, level) window update, refcounted so the
 // publisher, the retained last-state slot, and every subscriber queue share
 // the same bytes. Frames are recycled: the last reference dropped puts the
-// frame on the server's free list. The count is plain (not atomic) by design: it is only
-// touched under the server mutex (Publish, enqueue, drop-oldest) or by the
-// single writer goroutine draining a queue, and writers release through
-// Server.release which takes the mutex.
+// frame on the server's free list. The count is plain (not atomic) by
+// design: it is only touched under the server mutex, by Publish, enqueue,
+// drop-oldest and the writers' releases.
 type frame struct {
 	buf        []byte
 	payloadOff int // header ends here; fingerprint covers buf[payloadOff:]
@@ -60,7 +61,14 @@ type subscriber struct {
 	closer   io.Closer      // underlying transport, when it can be closed
 	deadline writeDeadliner // non-nil when the transport supports write deadlines
 
-	q    chan *frame
+	// pending is the send queue, oldest first and at most req.QueueCap
+	// long, guarded by the server mutex. The writer takes it whole in
+	// exchange for a spare of the same capacity, so neither ever grows.
+	pending []*frame
+	// wake tells the writer that pending went non-empty or the queue ended.
+	// It has one slot and is sent to without blocking, so a burst of
+	// frames costs one wake-up and a stale token only one empty pass.
+	wake chan struct{}
 	done chan struct{} // closed when the writer goroutine exits
 
 	// lastSamp paces Sample-mode delivery per (query, level); touched only
@@ -68,7 +76,9 @@ type subscriber struct {
 	lastSamp map[stream.QueryKey]time.Time
 
 	// Stats below are written under the server mutex; the debug endpoint
-	// reads them the same way.
+	// reads them the same way. evicted also ends the queue: the writer
+	// exits once it has written (or, after a failed write, released)
+	// everything queued.
 	evicted   bool
 	highwater int
 	delivered uint64
@@ -146,7 +156,7 @@ type serverMetrics struct {
 // The zero Server is not usable; call NewServer.
 type Server struct {
 	mu     sync.Mutex
-	subs   map[uint64]*subscriber
+	subs   []*subscriber // the fan-out set, in attach (so id) order
 	nextID uint64
 	closed bool
 
@@ -165,13 +175,16 @@ type Server struct {
 	depth int // frames currently queued across all subscribers
 	// delivered is Publish's return value, reused window after window.
 	delivered []uint64
+	// woken collects the subscribers whose queue this Publish took from
+	// empty to non-empty, so their writers are woken once the mutex is
+	// released. Like delivered, only Publish touches it.
+	woken []*subscriber
 }
 
 // NewServer returns an empty subscription server; wire it with
 // rt.SetResultSink(s) and (optionally) Instrument.
 func NewServer() *Server {
 	s := &Server{
-		subs:   make(map[uint64]*subscriber),
 		nextID: 1,
 		prevFP: make(map[stream.QueryKey]uint64),
 		seen:   make(map[stream.QueryKey]bool),
@@ -213,15 +226,28 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 
 // Publish fans one closed window out to every subscriber. It is called on
 // the runtime's window-close path and never blocks: each matching update is
-// encoded once into a recycled, refcounted frame and enqueued without copying;
-// a full queue triggers the subscriber's eviction policy inline. It returns
+// encoded once into a recycled, refcounted frame and appended to the
+// subscribers' pending queues without copying; a full queue triggers the
+// subscriber's eviction policy inline. Each writer whose queue went from
+// empty to non-empty is woken once, after the mutex is released. It returns
 // the bytes queued for each of rep.AllResults — one per installed instance,
 // in the order of rep.Instances — frame headers included, or nil when it
-// encoded nothing (the slice is reused by the next Publish), and the number
-// of subscribers attached when the fan-out began.
+// encoded nothing, and the number of subscribers attached when the fan-out
+// began. The slice is reused by the next Publish; calls must not overlap
+// (the runtime makes one per closed window).
 func (s *Server) Publish(rep *runtime.WindowReport) ([]uint64, int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	delivered, subscribers := s.publishLocked(rep)
+	s.mu.Unlock()
+	for i, sub := range s.woken {
+		wake(sub)
+		s.woken[i] = nil
+	}
+	s.woken = s.woken[:0]
+	return delivered, subscribers
+}
+
+func (s *Server) publishLocked(rep *runtime.WindowReport) ([]uint64, int) {
 	if s.closed {
 		return nil, 0
 	}
@@ -266,12 +292,18 @@ func (s *Server) Publish(rep *runtime.WindowReport) ([]uint64, int) {
 		s.last[key] = f
 
 		enqueued := 0
-		for _, sub := range s.subs {
-			if !sub.matches(key, isFinest) || !sub.wants(key, changed, isFinest, now) {
-				continue
+		for j := 0; j < len(s.subs); {
+			sub := s.subs[j]
+			if sub.matches(key, isFinest) && sub.wants(key, changed, isFinest, now) {
+				if len(sub.pending) == 0 {
+					s.woken = append(s.woken, sub)
+				}
+				if s.enqueueLocked(sub, f) {
+					enqueued++
+				}
 			}
-			if s.enqueueLocked(sub, f) {
-				enqueued++
+			if !sub.evicted { // an overflow eviction removed s.subs[j]
+				j++
 			}
 		}
 		s.delivered[i] = uint64(enqueued * (len(f.buf) + frameOverhead))
@@ -281,59 +313,70 @@ func (s *Server) Publish(rep *runtime.WindowReport) ([]uint64, int) {
 	return s.delivered, subscribers
 }
 
-// enqueueLocked hands one frame to a subscriber without blocking, applying
-// its backpressure policy on overflow. Reports whether the frame was
-// queued. Caller holds s.mu.
+// enqueueLocked appends one frame to a subscriber's pending queue, applying
+// its backpressure policy on overflow: DropOldest recycles the oldest queued
+// frame to make room, Disconnect evicts the subscriber. Reports whether the
+// frame was queued. Caller holds s.mu.
 func (s *Server) enqueueLocked(sub *subscriber, f *frame) bool {
-	f.refs++
-	for {
-		select {
-		case sub.q <- f:
-			s.depth++
-			if d := len(sub.q); d > sub.highwater {
-				sub.highwater = d
-				if int64(d) > s.m.highwater.Value() {
-					s.m.highwater.Set(int64(d))
-				}
-			}
-			return true
-		default:
-		}
+	if len(sub.pending) == sub.req.QueueCap {
 		if sub.req.Policy == Disconnect {
-			f.refs--
 			s.evictLocked(sub)
 			return false
 		}
-		// DropOldest: pop one (racing benignly with the writer, which may
-		// drain it first) and retry. Dropping shrinks the queue by one, so
-		// the retry can only go around once per concurrent writer read.
-		select {
-		case old := <-sub.q:
-			s.depth--
-			sub.dropped++
-			s.m.dropped.Inc()
-			s.releaseLocked(old)
-		default:
+		old := sub.pending[0]
+		n := copy(sub.pending, sub.pending[1:])
+		sub.pending[n] = nil
+		sub.pending = sub.pending[:n]
+		s.depth--
+		sub.dropped++
+		s.m.dropped.Inc()
+		s.releaseLocked(old)
+	}
+	f.refs++
+	sub.pending = append(sub.pending, f)
+	s.depth++
+	if d := len(sub.pending); d > sub.highwater {
+		sub.highwater = d
+		if int64(d) > s.m.highwater.Value() {
+			s.m.highwater.Set(int64(d))
 		}
 	}
+	return true
+}
+
+// wake signals a subscriber's writer without blocking; a token already in
+// the slot covers this one.
+func wake(sub *subscriber) {
+	select {
+	case sub.wake <- struct{}{}:
+	default:
+	}
+}
+
+// removeLocked takes a subscriber out of the fan-out set, keeping the rest in
+// attach order. Caller holds s.mu.
+func (s *Server) removeLocked(sub *subscriber) {
+	if i := slices.Index(s.subs, sub); i >= 0 {
+		s.subs = slices.Delete(s.subs, i, i+1)
+	}
+	s.m.active.Set(int64(len(s.subs)))
 }
 
 // evictLocked forcibly removes a subscriber: it is deleted from the fan-out
 // set, its transport is closed (unblocking a writer stalled mid-Write), and
-// its queue is closed so the writer drains and exits. Never blocks; caller
+// its queue is ended so the writer drains and exits. Never blocks; caller
 // holds s.mu.
 func (s *Server) evictLocked(sub *subscriber) {
 	if sub.evicted {
 		return
 	}
 	sub.evicted = true
-	delete(s.subs, sub.id)
+	s.removeLocked(sub)
 	s.m.evictions.Inc()
-	s.m.active.Set(int64(len(s.subs)))
 	if sub.closer != nil {
 		sub.closer.Close()
 	}
-	close(sub.q)
+	wake(sub)
 }
 
 // releaseLocked drops one reference; the last reference puts the frame on
@@ -345,46 +388,65 @@ func (s *Server) releaseLocked(f *frame) {
 	}
 }
 
-// release is releaseLocked for the writer goroutines.
-func (s *Server) release(f *frame) {
-	s.mu.Lock()
-	s.releaseLocked(f)
-	s.mu.Unlock()
+// releaseAllLocked releases every frame in fs and clears the slots. Caller
+// holds s.mu.
+func (s *Server) releaseAllLocked(fs []*frame) {
+	for i, f := range fs {
+		s.releaseLocked(f)
+		fs[i] = nil
+	}
+	s.depth -= len(fs)
 }
 
-// writer drains one subscriber's queue onto its transport. Frames are
-// written verbatim (the fan-out shares one encoding); a failed write evicts
-// the subscriber and the remaining queue is released unsent.
+// writer drains one subscriber's queue onto its transport. Each pass takes
+// everything pending in one exchange under the mutex, writes it one frame
+// per Write (a redialing transport resends a failed Write whole, so a write
+// never spans frames), then takes the mutex once more to release the frames.
+// Frames are written verbatim (the fan-out shares one encoding); a failed
+// write evicts the subscriber and what remains, in hand or pending, is
+// released unsent. The writer exits when the queue has ended and is empty.
 func (s *Server) writer(sub *subscriber) {
 	defer close(sub.done)
-	for f := range sub.q {
-		start := time.Now()
-		err := sub.pc.SendRaw(netproto.MsgNotify, f.buf)
-		s.m.sendNS.ObserveDuration(time.Since(start))
-		n := len(f.buf) + frameOverhead
+	batch := make([]*frame, 0, sub.req.QueueCap)
+	for {
 		s.mu.Lock()
-		s.depth--
-		s.releaseLocked(f)
-		if err == nil {
-			sub.delivered++
+		batch, sub.pending = sub.pending, batch
+		ended := sub.evicted
+		s.mu.Unlock()
+		if len(batch) == 0 {
+			if ended {
+				return
+			}
+			<-sub.wake
+			continue
+		}
+		sent, n := 0, 0
+		var err error
+		for _, f := range batch {
+			start := time.Now()
+			err = sub.pc.SendRaw(netproto.MsgNotify, f.buf)
+			s.m.sendNS.ObserveDuration(time.Since(start))
+			if err != nil {
+				break
+			}
+			sent++
+			n += len(f.buf) + frameOverhead
+		}
+		s.mu.Lock()
+		sub.delivered += uint64(sent)
+		s.releaseAllLocked(batch)
+		batch = batch[:0]
+		if err != nil {
+			s.evictLocked(sub)
+			s.releaseAllLocked(sub.pending)
+			sub.pending = sub.pending[:0]
 		}
 		s.mu.Unlock()
+		s.m.delivered.Add(uint64(sent))
+		s.m.sentBytes.Add(uint64(n))
 		if err != nil {
-			s.mu.Lock()
-			if !sub.evicted {
-				s.evictLocked(sub)
-			}
-			s.mu.Unlock()
-			for g := range sub.q {
-				s.mu.Lock()
-				s.depth--
-				s.releaseLocked(g)
-				s.mu.Unlock()
-			}
 			return
 		}
-		s.m.delivered.Inc()
-		s.m.sentBytes.Add(uint64(n))
 	}
 }
 
@@ -419,7 +481,8 @@ func (s *Server) attach(w io.Writer, req SubscribeRequest) (*subscriber, error) 
 	sub := &subscriber{
 		req:      req,
 		pc:       netproto.NewConn(writeOnly{w}),
-		q:        make(chan *frame, req.QueueCap),
+		pending:  make([]*frame, 0, req.QueueCap),
+		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		lastSamp: make(map[stream.QueryKey]time.Time),
 	}
@@ -436,11 +499,13 @@ func (s *Server) attach(w io.Writer, req SubscribeRequest) (*subscriber, error) 
 	}
 	sub.id = s.nextID
 	s.nextID++
-	s.subs[sub.id] = sub
+	s.subs = append(s.subs, sub)
 	s.m.accepted.Inc()
 	s.m.active.Set(int64(len(s.subs)))
 	// Initial sync: the retained newest frame per matching instance, so an
 	// OnChange subscriber starts from current state, not from the next diff.
+	// The writer looks at its queue before it first waits, so these need no
+	// wake-up.
 	for key, f := range s.last {
 		if sub.matches(key, s.finest[key.QID] == key.Level) {
 			s.enqueueLocked(sub, f)
@@ -451,19 +516,15 @@ func (s *Server) attach(w io.Writer, req SubscribeRequest) (*subscriber, error) 
 }
 
 // abort tears down a subscriber whose writer was never started (a failed
-// handshake): it is removed from the fan-out set and its queue drained.
+// handshake): it is removed from the fan-out set and its queue released.
 func (s *Server) abort(sub *subscriber) {
 	s.mu.Lock()
 	if !sub.evicted {
 		sub.evicted = true
-		delete(s.subs, sub.id)
-		s.m.active.Set(int64(len(s.subs)))
-		close(sub.q)
+		s.removeLocked(sub)
 	}
-	for f := range sub.q {
-		s.depth--
-		s.releaseLocked(f)
-	}
+	s.releaseAllLocked(sub.pending)
+	sub.pending = sub.pending[:0]
 	s.mu.Unlock()
 	close(sub.done)
 }
@@ -473,14 +534,15 @@ func (s *Server) abort(sub *subscriber) {
 // transport is closed.
 func (s *Server) Detach(id uint64) {
 	s.mu.Lock()
-	sub, ok := s.subs[id]
-	if ok {
-		delete(s.subs, id)
-		s.m.active.Set(int64(len(s.subs)))
+	i := slices.IndexFunc(s.subs, func(sub *subscriber) bool { return sub.id == id })
+	var sub *subscriber
+	if i >= 0 {
+		sub = s.subs[i]
+		s.removeLocked(sub)
 		endLocked(sub)
 	}
 	s.mu.Unlock()
-	if ok {
+	if sub != nil {
 		finish(sub)
 	}
 }
@@ -543,11 +605,8 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	subs := make([]*subscriber, 0, len(s.subs))
-	for _, sub := range s.subs {
-		subs = append(subs, sub)
-	}
-	s.subs = map[uint64]*subscriber{}
+	subs := s.subs
+	s.subs = nil
 	for key, f := range s.last {
 		s.releaseLocked(f)
 		delete(s.last, key)
@@ -563,12 +622,12 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// endLocked closes a subscriber's queue, so its writer exits once the queue
+// endLocked ends a subscriber's queue, so its writer exits once the queue
 // drains, and bounds that flush: a stalled peer unblocks with a timeout
 // error. Caller holds s.mu.
 func endLocked(sub *subscriber) {
 	sub.evicted = true // bar re-eviction; not counted as one
-	close(sub.q)
+	wake(sub)
 	if sub.deadline != nil {
 		sub.deadline.SetWriteDeadline(time.Now().Add(closeGrace))
 	}

@@ -330,6 +330,82 @@ func TestPublishNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestDropOldestExactCounts pins the pending queue's arithmetic with a
+// writer that stalls on its first write: it takes window 0's F frames in
+// hand, and the W-1 windows after it go to a drop-oldest queue of 4, which
+// keeps the newest 4 and drops the rest one at a time. A healthy neighbour
+// receives every frame, byte for byte and in order, and once the stalled
+// peer reads, it receives what its writer held and then the newest 4.
+func TestDropOldestExactCounts(t *testing.T) {
+	const W, F, queueCap = 10, 3, 4
+	reg := telemetry.NewRegistry()
+	s := NewServer()
+	s.Instrument(reg)
+	defer s.Close()
+	stalled, peer := net.Pipe()
+	defer peer.Close()
+	id, err := s.Attach(stalled, SubscribeRequest{Mode: Sample, AllLevels: true,
+		Policy: DropOldest, QueueCap: queueCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := &collectWriter{}
+	if _, err := s.Attach(healthy, SubscribeRequest{Mode: Sample, AllLevels: true,
+		QueueCap: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	queueLen := func() int {
+		for _, ss := range s.Snapshot().Subscribers {
+			if ss.ID == id {
+				return ss.QueueLen
+			}
+		}
+		t.Fatal("stalled subscriber missing from the snapshot")
+		return 0
+	}
+	var want [][]byte // every frame body, in publish order
+	for i := 0; i < W; i++ {
+		rep := fakeReport(i, uint64(i))
+		for k := range rep.AllResults {
+			res := &rep.AllResults[k]
+			want = append(want, appendResult(appendHeader(nil, i, stream.QueryKey{QID: res.QID, Level: res.Level}), res))
+		}
+		s.Publish(rep)
+		if i > 0 {
+			continue
+		}
+		// Window 0 is in hand once the stalled writer has emptied its queue.
+		for deadline := time.Now().Add(5 * time.Second); queueLen() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the stalled writer never took window 0")
+			}
+		}
+	}
+
+	if got, wantDropped := reg.Snapshot().Counters["sonata_subscribe_dropped_total"], uint64((W-1)*F-queueCap); got != wantDropped {
+		t.Errorf("dropped_total = %d, want %d", got, wantDropped)
+	}
+	if got := queueLen(); got != queueCap {
+		t.Errorf("stalled QueueLen = %d, want %d", got, queueCap)
+	}
+	fs := healthy.waitFrames(t, W*F)
+	if len(fs) != W*F {
+		t.Fatalf("healthy subscriber got %d frames, want %d", len(fs), W*F)
+	}
+	for i := range fs {
+		if !bytes.Equal(fs[i], want[i]) {
+			t.Fatalf("healthy frame %d differs from the %dth published", i, i)
+		}
+	}
+	pc := netproto.NewConn(peer)
+	for i, w := range append(want[:F:F], want[len(want)-queueCap:]...) {
+		typ, body, err := pc.RecvRaw()
+		if err != nil || typ != netproto.MsgNotify || !bytes.Equal(body, w) {
+			t.Fatalf("stalled peer's frame %d: %v %v, or not the frame expected", i, typ, err)
+		}
+	}
+}
+
 func TestDebugSubscribersEndpoint(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
