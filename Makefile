@@ -100,12 +100,15 @@ check-kernels:
 # Metric-naming lint: instruments a full deployment (runtime + flight
 # recorder) into one registry and runs telemetry.Registry.Lint over every
 # family (sonata_ prefix, counter/gauge/histogram suffix rules, HELP text).
-# Then the observer golden: /metrics, /debug/queries and the retained trace
+# Then the exposition's grouping (TestPrometheusFamiliesAreGroups): families
+# registered interleaved still render as one group each under one HELP and
+# one TYPE line, which the text format requires. Then the observer golden:
+# /metrics, /debug/queries and the retained trace
 # trees of a fully observed small-scale run at 1 and 2 workers, byte-equal to
 # internal/runtime/testdata (every series advances from the WindowReport at
 # window close, so a dropped or doubled count shows here).
 check-metrics:
-	$(GO) test -run 'TestMetricsLint|TestLint|TestObserverGolden' ./internal/runtime ./internal/telemetry
+	$(GO) test -run 'TestMetricsLint|TestLint|TestPrometheusFamiliesAreGroups|TestObserverGolden' ./internal/runtime ./internal/telemetry
 
 # Subscription delivery gate: the whole package under the race detector. The
 # differential test proves concurrent subscribers, dial-in and dial-out alike,

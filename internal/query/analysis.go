@@ -213,6 +213,18 @@ func NewDynPacketFilter(table string, key fields.ID, level int) Op {
 		DynLevel: level, packetPhase: true}
 }
 
+// NewPacketMap constructs a packet-phase map producing cols, its output
+// schema their names. Unlike Builder.Map it allows two columns of one name:
+// the stream processor lands a packet-phase join side through one, as the
+// join keys followed by the post-join map's columns, which may repeat a key.
+func NewPacketMap(cols []Column) Op {
+	out := make([]fields.ID, len(cols))
+	for i := range cols {
+		out[i] = cols[i].Name
+	}
+	return Op{Kind: OpMap, Cols: cols, outSchema: out, packetPhase: true}
+}
+
 // Validate performs whole-query consistency checks beyond what the builder
 // enforces, for queries constructed or rewritten programmatically.
 func Validate(q *Query) error {

@@ -195,33 +195,20 @@ type Expr struct {
 }
 
 // EvalPacket evaluates a packet-phase expression.
-func (e *Expr) EvalPacket(p *packet.Packet) (tuple.Value, bool) { return e.evalPacket(nil, p, 0) }
-
-// EvalPacketAt is EvalPacket on row r of a batch, reading each field through
-// PacketBatch.FieldAt: from the batch's column where it has one.
-func (e *Expr) EvalPacketAt(b *PacketBatch, r int) (tuple.Value, bool) {
-	return e.evalPacket(b, b.Pkts[r], r)
-}
-
-// evalPacket reads fields from row r of b when b is non-nil, from p
-// otherwise.
-func (e *Expr) evalPacket(b *PacketBatch, p *packet.Packet, r int) (tuple.Value, bool) {
+func (e *Expr) EvalPacket(p *packet.Packet) (tuple.Value, bool) {
 	switch e.Kind {
 	case ExprField:
-		if b != nil {
-			return b.FieldAt(e.Field, r)
-		}
 		return p.Field(e.Field)
 	case ExprConst:
 		return tuple.U64(e.Const), true
 	case ExprMask:
-		v, ok := e.Sub.evalPacket(b, p, r)
+		v, ok := e.Sub.EvalPacket(p)
 		if !ok {
 			return tuple.Value{}, false
 		}
 		return MaskValue(e.Field, v, e.Level), true
 	case ExprShiftRound:
-		v, ok := e.Sub.evalPacket(b, p, r)
+		v, ok := e.Sub.EvalPacket(p)
 		if !ok || v.Str {
 			return tuple.Value{}, false
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fields"
 	"repro/internal/packet"
-	"repro/internal/tuple"
 )
 
 // FieldSet interns the header fields a deployment extracts into columns once
@@ -130,16 +129,6 @@ func (b *PacketBatch) Slice(dst *PacketBatch, lo, hi int) {
 		dst.vals = append(dst.vals, b.vals[k][lo:hi])
 		dst.has = append(dst.has, b.has[k][lo>>6:(hi+63)>>6])
 	}
-}
-
-// FieldAt is row r's value of field f: read from f's column when the batch
-// extracted it, from the packet otherwise. Row r must be one the columns were
-// extracted over.
-func (b *PacketBatch) FieldAt(f fields.ID, r int) (tuple.Value, bool) {
-	if vals, has, ok := b.Column(f); ok {
-		return tuple.U64(vals[r]), has[r>>6]>>uint(r&63)&1 != 0
-	}
-	return b.Pkts[r].Field(f)
 }
 
 // Column returns field f's values by row and the rows that carry it, both

@@ -26,13 +26,11 @@ type runtimeMetrics struct {
 	// The monitoring port.
 	emFrames, emMalformed, emBytes, emBatches, emDeepDecodes, emDumps *telemetry.Counter
 	// The orchestration. freshNS is the freshness watermark: first frame of
-	// a window to publish completion, the staleness a subscriber observes;
-	// freshByQID carries the same observation per query for `sonata -top`.
+	// a window to publish completion, the staleness a subscriber observes.
 	// ringFull and workerParks are the shards' back-pressure, by shard.
 	windows, tuplesToSP, filterUpdates, refTransitions *telemetry.Counter
 	windowNS, filterUpdateNS, publishNS, freshNS       *telemetry.Histogram
 	windowIndex                                        *telemetry.Gauge
-	freshByQID                                         []*telemetry.Histogram
 	ringFull, workerParks                              []*telemetry.Counter
 }
 
@@ -165,10 +163,6 @@ func (r *Runtime) Instrument(reg *telemetry.Registry, tz *tracez.Tracer) {
 		"Index of the most recently closed window.")
 	m.freshNS = reg.Histogram("sonata_freshness_ns", freshHelp,
 		telemetry.DurationBuckets)
-	for _, qp := range r.plan.Queries {
-		m.freshByQID = append(m.freshByQID, reg.Histogram("sonata_freshness_ns", freshHelp,
-			telemetry.DurationBuckets, "qid", strconv.Itoa(int(qp.Query.ID))))
-	}
 	for i := range r.shards {
 		m.ringFull = append(m.ringFull, reg.Counter("sonata_runtime_ring_full_total",
 			"Times the dispatch side parked on a shard's full ring.", "shard", strconv.Itoa(i)))
@@ -319,9 +313,6 @@ func (r *Runtime) observe(rep *WindowReport, ct *closeTotals) {
 	if ct.timed() {
 		m.windowNS.ObserveDuration(ct.window)
 		m.freshNS.ObserveDuration(ct.fresh)
-		for _, h := range m.freshByQID {
-			h.ObserveDuration(ct.fresh)
-		}
 	}
 	if ct.published {
 		m.publishNS.ObserveDuration(ct.publish)

@@ -132,10 +132,8 @@ func (e *pipeExec) bufferCols(at int, cols []tuple.Column, sel []uint64) {
 // surviving packets into columns that bufferCols copies into the batch.
 // Packets are taken in ascending order and the batch flushes at capacity as
 // it does for bufferTuple, so the downstream keytabs see the first-touch
-// order of per-packet ingest. sel is not modified. It returns the selection
-// of the packets that passed every op and ended the pipeline still packets
-// (none once a map has landed them), valid until the next call.
-func (e *pipeExec) ingestPackets(at int, pkts *query.PacketBatch, sel []uint64) []uint64 {
+// order of per-packet ingest. sel is not modified.
+func (e *pipeExec) ingestPackets(at int, pkts *query.PacketBatch, sel []uint64) {
 	e.pktSel = append(e.pktSel[:0], sel...)
 	sel = e.pktSel
 	live := uint64(tuple.SelCount(sel))
@@ -159,8 +157,7 @@ func (e *pipeExec) ingestPackets(at int, pkts *query.PacketBatch, sel []uint64) 
 			query.MapPackets(sel, pkts, o.Cols, out)
 			e.outCounts[i] += uint64(tuple.SelCount(sel))
 			e.bufferCols(i+1, out, sel)
-			clear(sel)
-			return sel
+			return
 		default:
 			panic(fmt.Sprintf("stream: stateful op %v in packet phase", o.Kind))
 		}
@@ -168,7 +165,6 @@ func (e *pipeExec) ingestPackets(at int, pkts *query.PacketBatch, sel []uint64) 
 	// Survivors ended the pipeline still in packet phase: their passage is
 	// the pipeline's output count.
 	e.outCounts[len(e.ops)] += live
-	return sel
 }
 
 // flushBatch runs the buffered rows through the op chain column-wise. A

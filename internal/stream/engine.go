@@ -102,14 +102,15 @@ type Instance struct {
 	right *pipeExec // nil without join
 	post  *pipeExec // nil without join
 
-	// Packet-phase-left join support: prePacketOps run at ingest (left ops
-	// plus post's packet-phase filters); postMap is post's first map.
+	// A packet-phase left side (packetLeftOps) ends in a landing map: each
+	// landed row is the join keys followed by the post-map tuple, which post
+	// resumes with at op resume — the row from column valsFrom on (zero when
+	// post has no map and the keys are that tuple).
 	packetLeft  bool
-	prePacket   *pipeExec
-	postMapIdx  int     // index of the map within Post.Ops; -1 if none
-	rows        []int32 // IngestPackets' selected rows
-	joinKeyIdxL []int   // join key columns in left output schema (tuple-left)
-	rightKeyIdx []int   // join key columns in right output schema
+	resume      int
+	valsFrom    int
+	joinKeyIdxL []int // join key columns in left output schema (tuple-left)
+	rightKeyIdx []int // join key columns in right output schema
 	// nonKeyL and nonKeyR are the other columns of each side's output schema
 	// (tuple-left): the joined tuple is keys, nonKeyL, nonKeyR.
 	nonKeyL, nonKeyR []int
@@ -124,13 +125,6 @@ type Instance struct {
 	rightIdx  *keytab.Table
 	joinRow   []tuple.Value
 	zeroRight []tuple.Value
-	// The packet-phase-left join's buffer, flat and reset at close: per
-	// surviving packet, its join-key values (len(JoinKeys) of them in
-	// pendKeys) and the tuple post resumes with (pendVals up to
-	// pendValEnd[i]).
-	pendKeys   []tuple.Value
-	pendVals   []tuple.Value
-	pendValEnd []uint32
 }
 
 // Engine hosts the installed query instances and processes one window at a
@@ -224,24 +218,13 @@ func (e *Engine) Install(q *query.Query, level uint8, part Partition) error {
 			}
 			rq.post = newPipeExec(q.Post.Ops, 0, e.dyn, joined)
 		} else {
-			rq.post = newPipeExec(q.Post.Ops, 0, e.dyn, nil)
-			rq.packetLeft = true
-			rq.postMapIdx = -1
-			// Build the pre-packet executor: left ops plus post's
-			// packet-phase filter prefix (they commute with the semi-join).
-			pre := append([]query.Op(nil), q.Left.Ops...)
-			for i := range q.Post.Ops {
-				o := &q.Post.Ops[i]
-				if o.Kind == query.OpMap {
-					rq.postMapIdx = i
-					break
-				}
-				if !o.PacketPhase() || o.Kind != query.OpFilter {
-					return fmt.Errorf("stream: unsupported post-join op %v before map", o.Kind)
-				}
-				pre = append(pre, *o)
+			ops, err := rq.packetLeftOps()
+			if err != nil {
+				return err
 			}
-			rq.prePacket = newPipeExec(pre, part.LeftStart, e.dyn, nil)
+			rq.packetLeft = true
+			rq.left = newPipeExec(ops, part.LeftStart, e.dyn, nil)
+			rq.post = newPipeExec(q.Post.Ops, 0, e.dyn, nil)
 		}
 	}
 	st := InstanceStats{Key: rq.key, OpIn: make([]uint64, q.NumOps()), OpOut: make([]uint64, q.NumOps())}
@@ -287,18 +270,46 @@ func (rq *Instance) HasSide(side Side) bool {
 	return rq != nil && (side == SideLeft || side == SideRight && rq.right != nil)
 }
 
+// packetLeftOps sets up the semi-join of a packet-phase left side and
+// returns the ops its packets walk: the left ops, then post's packet-phase
+// filters, which commute with the semi-join, then a landing map of one
+// column per join key followed by post's map columns, if post has a map.
+func (rq *Instance) packetLeftOps() ([]query.Op, error) {
+	q := rq.q
+	ops := slices.Clone(q.Left.Ops)
+	var land []query.Column
+	for _, k := range q.JoinKeys {
+		land = append(land, query.F(k))
+	}
+	rq.resume = len(q.Post.Ops)
+	for i := range q.Post.Ops {
+		o := &q.Post.Ops[i]
+		if o.Kind == query.OpMap {
+			land = append(land, o.Cols...)
+			rq.resume, rq.valsFrom = i+1, len(q.JoinKeys)
+			break
+		}
+		if !o.PacketPhase() || o.Kind != query.OpFilter {
+			return nil, fmt.Errorf("stream: unsupported post-join op %v before map", o.Kind)
+		}
+		ops = append(ops, *o)
+	}
+	ops = append(ops, query.NewPacketMap(land))
+	if err := query.CheckOps(ops); err != nil {
+		return nil, fmt.Errorf("stream: q%d left and post: %w", q.ID, err)
+	}
+	return ops, nil
+}
+
 // entry returns the executor records of the given side enter and the op index
 // they enter at: the installed partition point. The caller has established
 // HasSide.
 func (rq *Instance) entry(side Side) (*pipeExec, int) {
-	switch {
-	case side == SideRight:
+	if side == SideRight {
 		if rq.right == nil {
 			panic(fmt.Sprintf("stream: q%d has no right pipeline", rq.key.QID))
 		}
 		return rq.right, rq.part.RightStart
-	case rq.packetLeft:
-		return rq.prePacket, rq.part.LeftStart
 	}
 	return rq.left, rq.part.LeftStart
 }
@@ -323,14 +334,7 @@ func (rq *Instance) IngestPackets(side Side, pkts *query.PacketBatch, sel []uint
 	}
 	rq.eng.count(rq, uint64(n))
 	ex, at := rq.entry(side)
-	passed := ex.ingestPackets(at, pkts, sel)
-	if ex == rq.prePacket {
-		// The join's survivors are buffered row by row.
-		rq.rows = tuple.SelRows(passed, rq.rows[:0])
-		for _, r := range rq.rows {
-			rq.bufferJoinLeft(pkts, int(r))
-		}
-	}
+	ex.ingestPackets(at, pkts, sel)
 }
 
 // IngestTuple delivers a tuple entering at the installed partition point of
@@ -360,39 +364,6 @@ func (rq *Instance) IngestTupleAt(side Side, opIdx int, vals []tuple.Value) bool
 	rq.eng.count(rq, 1)
 	ex.bufferTuple(opIdx, vals)
 	return true
-}
-
-// bufferJoinLeft is the packet-phase-left join path past its filters (left
-// ops plus post's packet filters, run by prePacket): append row r's join-key
-// values and its post-map tuple — each field read from the batch's column
-// where it has one — to the buffer the right side's window output is joined
-// with at close. A row lacking a field leaves nothing behind.
-func (rq *Instance) bufferJoinLeft(pkts *query.PacketBatch, r int) {
-	keys, vals := len(rq.pendKeys), len(rq.pendVals)
-	mapped := rq.postMapIdx >= 0
-	for _, f := range rq.q.JoinKeys {
-		v, ok := pkts.FieldAt(f, r)
-		if !ok {
-			rq.pendKeys, rq.pendVals = rq.pendKeys[:keys], rq.pendVals[:vals]
-			return
-		}
-		rq.pendKeys = append(rq.pendKeys, v)
-		if !mapped {
-			rq.pendVals = append(rq.pendVals, v)
-		}
-	}
-	if mapped {
-		mapOp := &rq.q.Post.Ops[rq.postMapIdx]
-		for j := range mapOp.Cols {
-			v, ok := mapOp.Cols[j].Expr.EvalPacketAt(pkts, r)
-			if !ok {
-				rq.pendKeys, rq.pendVals = rq.pendKeys[:keys], rq.pendVals[:vals]
-				return
-			}
-			rq.pendVals = append(rq.pendVals, v)
-		}
-	}
-	rq.pendValEnd = append(rq.pendValEnd, uint32(len(rq.pendVals)))
 }
 
 // IngestAgg merges a pre-aggregated (key, value) record — a register dump
@@ -441,7 +412,7 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 		st.Results, st.EvalStart, st.Eval = uint64(len(res.Tuples)), t0, time.Since(t0)
 		rq.tuplesIn, rq.wireBytes = 0, 0
 		rq.takeOpCounts(st)
-		for _, ex := range []*pipeExec{rq.left, rq.right, rq.post, rq.prePacket} {
+		for _, ex := range []*pipeExec{rq.left, rq.right, rq.post} {
 			if ex != nil {
 				m.Flushes += ex.flushes
 				m.FlushRows += ex.flushRows
@@ -456,9 +427,10 @@ func (e *Engine) EndWindow() ([]Result, Metrics) {
 
 // takeOpCounts moves each executor's per-op window counters into st under
 // the stage indexing of InstanceStats (left ops, then right, then post) and
-// resets them. The packet-phase-left path needs a remap: its pre-packet
-// executor holds the left ops followed by post's packet-filter prefix, so
-// indices past the left pipeline belong to the post segment.
+// resets them. A packet-phase left side needs a remap: its executor holds
+// the left ops followed by post's packet-filter prefix, so indices past the
+// left pipeline belong to the post segment, and its landing map is no op of
+// the query's and goes unreported.
 func (rq *Instance) takeOpCounts(st *InstanceStats) {
 	clear(st.OpIn)
 	clear(st.OpOut)
@@ -466,19 +438,19 @@ func (rq *Instance) takeOpCounts(st *InstanceStats) {
 	if rq.right != nil {
 		nRight = len(rq.right.ops)
 	}
-	left := rq.left
+	reported := len(rq.left.ops)
 	if rq.packetLeft {
-		left = rq.prePacket
+		reported--
 	}
-	for i := range left.ops {
+	for i := range reported {
 		stage := i
 		if i >= nLeft {
 			stage += nRight
 		}
-		st.OpIn[stage] += left.inCounts[i]
-		st.OpOut[stage] += left.outCounts[i]
+		st.OpIn[stage] += rq.left.inCounts[i]
+		st.OpOut[stage] += rq.left.outCounts[i]
 	}
-	left.resetCounts()
+	rq.left.resetCounts()
 	if rq.right != nil {
 		st.addOps(rq.right, nLeft)
 		st.addOps(rq.post, nLeft+nRight)
@@ -498,7 +470,7 @@ func (st *InstanceStats) addOps(ex *pipeExec, base int) {
 // endJoin performs the window-end join and post pipeline for the instance,
 // filling the result's final tuples and both sides' pre-join outputs. The
 // right outputs are indexed by join key (the first of equal keys wins) and
-// each left output — or buffered packet-phase left tuple — probes the index.
+// each left output — or landed packet-phase left row — probes the index.
 func (rq *Instance) endJoin(res *Result) {
 	rightOuts := rq.right.endWindow()
 	idx := rq.rightIdx
@@ -510,21 +482,14 @@ func (rq *Instance) endJoin(res *Result) {
 	res.RightSchema = rq.q.Right.OutSchema()
 
 	if rq.packetLeft {
-		// Semi-join the buffered packet-derived tuples, then resume the
-		// post pipeline after its map.
-		resume := rq.postMapIdx + 1
-		if rq.postMapIdx < 0 {
-			resume = len(rq.q.Post.Ops)
-		}
-		w, val := len(rq.q.JoinKeys), uint32(0)
-		for i, valEnd := range rq.pendValEnd {
-			if _, ok := idx.Lookup(rq.pendKeys[i*w:(i+1)*w], nil); ok {
-				rq.post.bufferTuple(resume, rq.pendVals[val:valEnd])
+		// Semi-join the landed rows on their key columns; post resumes after
+		// its map with the rest.
+		w := len(rq.q.JoinKeys)
+		for _, row := range rq.left.endWindow() {
+			if _, ok := idx.Lookup(row[:w], nil); ok {
+				rq.post.bufferTuple(rq.resume, row[rq.valsFrom:])
 			}
-			val = valEnd
 		}
-		rq.pendKeys, rq.pendVals, rq.pendValEnd = rq.pendKeys[:0], rq.pendVals[:0], rq.pendValEnd[:0]
-		rq.prePacket.endWindow() // reset any state; outputs unused
 		res.Tuples = rq.post.endWindow()
 		return
 	}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/packet"
 	"repro/internal/query"
@@ -23,11 +24,10 @@ import (
 // batch.
 
 // ingestPacket pushes a raw packet through packet-phase ops starting at op
-// index at; when a map converts it to a tuple the tuple continues through
-// ingestTuple. It is the per-packet reference for ingestPackets and reports
-// what ingestPackets selects: whether the packet passed every op and ended
-// the pipeline still a packet.
-func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) bool {
+// index at; when a map converts it to a tuple — each field read from the
+// packet — the tuple continues through ingestTuple. It is the per-packet
+// reference for ingestPackets.
+func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) {
 	for i := at; i < len(e.ops); i++ {
 		e.inCounts[i]++
 		o := &e.ops[i]
@@ -36,13 +36,13 @@ func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) bool {
 			panic(fmt.Sprintf("stream: op %d (%v) is tuple-phase but received a packet", i, o.Kind))
 		case o.Kind == query.OpFilter && o.DynFilterTable != "":
 			if !e.dyn.Set(o.DynFilterTable).MatchPacket(o, pkt) {
-				return false
+				return
 			}
 			e.outCounts[i]++
 		case o.Kind == query.OpFilter:
 			for j := range o.Clauses {
 				if !o.Clauses[j].MatchPacket(pkt) {
-					return false
+					return
 				}
 			}
 			e.outCounts[i]++
@@ -52,22 +52,20 @@ func (e *pipeExec) ingestPacket(at int, pkt *packet.Packet) bool {
 			for j := range o.Cols {
 				v, ok := o.Cols[j].Expr.EvalPacket(pkt)
 				if !ok {
-					return false
+					return
 				}
 				vals[j] = v
 			}
 			e.outCounts[i]++
 			e.ingestTuple(i+1, vals)
-			return false
+			return
 		default:
 			panic(fmt.Sprintf("stream: stateful op %v in packet phase", o.Kind))
 		}
 	}
 	// Pipeline ended while still in packet phase: the result is the packet
-	// itself; record its passage (the packet-phase join path picks the
-	// packets up from the returned selection).
+	// itself; record its passage.
 	e.outCounts[len(e.ops)]++
-	return true
 }
 
 // ingestTuple pushes a tuple through ops starting at index at, stopping at
@@ -142,8 +140,7 @@ func (e *pipeExec) endWindowRef() [][]tuple.Value {
 	return e.sealOutputs()
 }
 
-// IngestPacketsRef is IngestPackets a packet at a time through ingestPacket;
-// a packet-phase-left join buffers each survivor as IngestPackets does.
+// IngestPacketsRef is IngestPackets a packet at a time through ingestPacket.
 func (rq *Instance) IngestPacketsRef(side Side, pkts *query.PacketBatch, sel []uint64) {
 	rows := tuple.SelRows(sel, nil)
 	if len(rows) == 0 {
@@ -152,9 +149,7 @@ func (rq *Instance) IngestPacketsRef(side Side, pkts *query.PacketBatch, sel []u
 	rq.eng.count(rq, uint64(len(rows)))
 	ex, at := rq.entry(side)
 	for _, r := range rows {
-		if ex.ingestPacket(at, pkts.Pkts[r]) && ex == rq.prePacket {
-			rq.bufferJoinLeft(pkts, int(r))
-		}
+		ex.ingestPacket(at, pkts.Pkts[r])
 	}
 }
 
@@ -208,8 +203,8 @@ func (e *Engine) EndWindowRef() ([]Result, Metrics) {
 
 // endJoinRef is endJoin with the right outputs indexed in a Go map (the
 // first of equal keys wins) and every joined row — or, for a packet-phase
-// left, every buffered left tuple whose key a right output carries — fed to
-// post through ingestTuple.
+// left, the post-map tuple of every landed row whose keys a right output
+// carries — fed to post through ingestTuple.
 func (rq *Instance) endJoinRef(res *Result) {
 	rightOuts := rq.right.endWindowRef()
 	rightBy := make(map[string][]tuple.Value, len(rightOuts))
@@ -222,20 +217,18 @@ func (rq *Instance) endJoinRef(res *Result) {
 	res.RightSchema = rq.q.Right.OutSchema()
 
 	if rq.packetLeft {
-		resume := rq.postMapIdx + 1
-		if rq.postMapIdx < 0 {
-			resume = len(rq.q.Post.Ops)
+		// Each landed row is the join keys, then the post-map tuple — the
+		// keys themselves when post has no map.
+		w := len(rq.q.JoinKeys)
+		resume, vals := len(rq.q.Post.Ops), 0
+		if m := slices.IndexFunc(rq.q.Post.Ops, func(o query.Op) bool { return o.Kind == query.OpMap }); m >= 0 {
+			resume, vals = m+1, w
 		}
-		w, val := len(rq.q.JoinKeys), uint32(0)
-		for i, valEnd := range rq.pendValEnd {
-			key := rq.pendKeys[i*w : (i+1)*w]
-			if rightBy[encodeKey(key, allCols(w))] != nil {
-				rq.post.ingestTuple(resume, rq.pendVals[val:valEnd])
+		for _, row := range rq.left.endWindowRef() {
+			if rightBy[encodeKey(row, allCols(w))] != nil {
+				rq.post.ingestTuple(resume, row[vals:])
 			}
-			val = valEnd
 		}
-		rq.pendKeys, rq.pendVals, rq.pendValEnd = rq.pendKeys[:0], rq.pendVals[:0], rq.pendValEnd[:0]
-		rq.prePacket.endWindowRef()
 		res.Tuples = rq.post.endWindowRef()
 		return
 	}

@@ -79,8 +79,9 @@ func oracleJoin(q *query.Query, left, right [][]tuple.Value) [][]tuple.Value {
 }
 
 // oracleSemiJoin is the packet-phase-left join as a map: each left packet
-// whose join-key values a right output carries yields its post-map tuple, or
-// the key values themselves when post has no map.
+// that passes post's filters before its map and whose join-key values a
+// right output carries yields its post-map tuple, or the key values
+// themselves when post has no map.
 func oracleSemiJoin(q *query.Query, left []*packet.Packet, right [][]tuple.Value) [][]tuple.Value {
 	rs := q.Right.OutSchema()
 	var rk []int
@@ -92,7 +93,19 @@ func oracleSemiJoin(q *query.Query, left []*packet.Packet, right [][]tuple.Value
 		rightBy[encodeKey(out, rk)] = true
 	}
 	var out [][]tuple.Value
+	post := q.Post.Ops
+	for len(post) > 0 && post[0].Kind == query.OpFilter {
+		post = post[1:]
+	}
+packets:
 	for _, p := range left {
+		for _, o := range q.Post.Ops[:len(q.Post.Ops)-len(post)] {
+			for _, cl := range o.Clauses {
+				if !cl.MatchPacket(p) {
+					continue packets
+				}
+			}
+		}
 		var key []tuple.Value
 		for _, f := range q.JoinKeys {
 			v, _ := p.Field(f)
@@ -101,12 +114,12 @@ func oracleSemiJoin(q *query.Query, left []*packet.Packet, right [][]tuple.Value
 		if !rightBy[encodeKey(key, allCols(len(key)))] {
 			continue
 		}
-		if len(q.Post.Ops) == 0 {
+		if len(post) == 0 {
 			out = append(out, key)
 			continue
 		}
 		var row []tuple.Value
-		for _, c := range q.Post.Ops[0].Cols {
+		for _, c := range post[0].Cols {
 			v, _ := c.Expr.EvalPacket(p)
 			row = append(row, v)
 		}
@@ -145,11 +158,13 @@ func sameTuples(t *testing.T, what string, got, want [][]tuple.Value) {
 // over random outputs of both sides, and checks every window's results
 // against the map-based join: numeric, string (DNS-name) and multi-column
 // keys, duplicate right keys (the first wins), empty sides, inner and
-// left-outer, the packet-phase-left semi-join with and without a post map,
-// the batched executor and the per-tuple reference (scalar=true: the
-// interp_ref_test.go entry points, so the oracle is held to the map join
-// too), six windows per engine so the index is reset between windows that
-// share and do not share keys.
+// left-outer, the packet-phase-left semi-join with and without a post map —
+// behind no post filter, a numeric one or a payload match as in Zorro, and
+// entered at op 0 or past the left ops — the batched executor and the
+// per-tuple reference (scalar=true: the interp_ref_test.go entry points, so
+// the oracle is held to the map join too), six windows per engine so the
+// index is reset between windows that share and do not share keys. A batched
+// semi-join runs beside the reference, whose per-op counts it must match.
 func TestJoinMatchesMapOracle(t *testing.T) {
 	names := []string{"a.example.com", "b.example.com", "c.example.org", "x.y"}
 	sideTuple := func(rng *rand.Rand) []tuple.Value {
@@ -218,82 +233,122 @@ func TestJoinMatchesMapOracle(t *testing.T) {
 	}
 
 	parser := packet.NewParser(packet.ParserOptions{})
-	// The buffered packets' join-key values probe the right index: one and
-	// two numeric columns (raw in the index's slots), three, and four (a
-	// tagged key whose first three columns often agree).
+	// The landed packets' join-key values probe the right index: one and two
+	// numeric columns (raw in the index's slots), three, and four (a tagged
+	// key whose first three columns often agree). The first variant is the
+	// semi-join alone.
+	variants := []struct {
+		name  string
+		post  []query.Clause
+		entry bool // past the left ops, at the first post filter or the landing
+	}{
+		{"", nil, false},
+		{"/post=len", []query.Clause{query.Gt(fields.PktLen, 150)}, false},
+		{"/post=payload", []query.Clause{query.Contains(fields.Payload, "zorro")}, false},
+		{"/post=payload/entry=post", []query.Clause{query.Contains(fields.Payload, "zorro")}, true},
+		{"/entry=post", nil, true},
+	}
 	for _, keys := range [][]fields.ID{{fields.DstIP}, {fields.DstIP, fields.DstPort},
 		{fields.DstIP, fields.DstPort, fields.SrcIP}, {fields.SrcPort, fields.DstPort, fields.DstIP, fields.SrcIP}} {
 		for _, postMap := range []bool{false, true} {
-			for _, scalar := range []bool{false, true} {
-				t.Run(fmt.Sprintf("packet-left/keys=%v/map=%v/scalar=%v", keys, postMap, scalar), func(t *testing.T) {
-					right := query.NewBuilder("right", time.Second).
-						Map(query.F(fields.DstIP), query.F(fields.DstPort), query.F(fields.SrcIP), query.F(fields.SrcPort), query.F(fields.PktLen))
-					b := query.NewBuilder("semi", time.Second).
-						Filter(query.Eq(fields.Proto, fields.ProtoTCP)).
-						Join(right, keys...)
-					if postMap {
-						b = b.Map(query.F(fields.DstIP), query.F(fields.SrcIP), query.RoundF(fields.PktLen, 64))
-					}
-					q := b.MustBuild()
-					q.ID = 4
-					e := NewEngine(nil)
-					if err := e.Install(q, 0, Partition{RightStart: len(q.Right.Ops)}); err != nil {
-						t.Fatal(err)
-					}
-					var set query.FieldSet
-					set.Add(fields.DstIP)
-					set.Add(fields.PktLen)
-					rng := rand.New(rand.NewSource(int64(len(keys))*11 + 5))
-					inst := e.Instance(4, 0)
-					ingest, ingestPackets, end := inst.IngestTuple, inst.IngestPackets, e.EndWindow
-					if scalar {
-						ingest, ingestPackets, end = inst.IngestTupleRef, inst.IngestPacketsRef, e.EndWindowRef
-					}
-					joined := 0
-					for w, sizes := range joinSizes {
-						var pkts []*packet.Packet
-						for range joinSize(rng, sizes[0]) {
-							p := new(packet.Packet)
-							frame := packet.BuildFrame(nil, &packet.FrameSpec{SrcIP: uint32(rng.Intn(3)),
-								DstIP: uint32(rng.Intn(6)), Proto: 6, SrcPort: uint16(rng.Intn(2)), DstPort: uint16(rng.Intn(3)), Pad: rng.Intn(300)})
-							if err := parser.Parse(frame, p); err != nil {
-								t.Fatal(err)
-							}
-							pkts = append(pkts, p)
+			for _, vr := range variants {
+				for _, scalar := range []bool{false, true} {
+					t.Run(fmt.Sprintf("packet-left/keys=%v/map=%v%s/scalar=%v", keys, postMap, vr.name, scalar), func(t *testing.T) {
+						right := query.NewBuilder("right", time.Second).
+							Map(query.F(fields.DstIP), query.F(fields.DstPort), query.F(fields.SrcIP), query.F(fields.SrcPort), query.F(fields.PktLen))
+						b := query.NewBuilder("semi", time.Second).
+							Filter(query.Eq(fields.Proto, fields.ProtoTCP)).
+							Join(right, keys...)
+						if vr.post != nil {
+							b = b.Filter(vr.post...)
 						}
-						var rightOuts [][]tuple.Value
-						for range joinSize(rng, sizes[1]) {
-							rightOuts = append(rightOuts, []tuple.Value{tuple.U64(uint64(rng.Intn(6))),
-								tuple.U64(uint64(rng.Intn(3))), tuple.U64(uint64(rng.Intn(3))),
-								tuple.U64(uint64(rng.Intn(2))), tuple.U64(uint64(rng.Intn(1000)))})
+						if postMap {
+							b = b.Map(query.F(fields.DstIP), query.F(fields.SrcIP), query.RoundF(fields.PktLen, 64))
 						}
-						// Two batches per window: one with extracted columns for
-						// some of the fields read, one without any.
-						for half, lo := range []int{0, len(pkts) / 2} {
-							hi := len(pkts)
-							if half == 0 {
-								hi = len(pkts) / 2
-							}
-							batch := query.PacketBatch{Pkts: pkts[lo:hi]}
-							sel := tuple.SelAll(nil, hi-lo)
-							if half == 0 {
-								batch.Extract(&set, sel)
-							}
-							ingestPackets(SideLeft, &batch, sel)
+						q := b.MustBuild()
+						q.ID = 4
+						part := Partition{RightStart: len(q.Right.Ops)}
+						if vr.entry {
+							part.LeftStart = len(q.Left.Ops)
 						}
-						for _, v := range rightOuts {
-							if !ingest(SideRight, v) {
-								t.Fatalf("right tuple %v refused", v)
+						// The reference engine runs beside the batched one
+						// only to hold its per-op counts.
+						ref, e := refPair(t, q, part)
+						if scalar {
+							e, ref = ref, nil
+						}
+						var set query.FieldSet
+						set.Add(fields.DstIP)
+						set.Add(fields.PktLen)
+						rng := rand.New(rand.NewSource(int64(len(keys))*11 + 5))
+						inst := e.Instance(4, 0)
+						ingest, ingestPackets, end := inst.IngestTuple, inst.IngestPackets, e.EndWindow
+						if scalar {
+							ingest, ingestPackets, end = inst.IngestTupleRef, inst.IngestPacketsRef, e.EndWindowRef
+						}
+						joined := 0
+						for w, sizes := range joinSizes {
+							var pkts []*packet.Packet
+							for range joinSize(rng, sizes[0]) {
+								p := new(packet.Packet)
+								spec := &packet.FrameSpec{SrcIP: uint32(rng.Intn(3)), DstIP: uint32(rng.Intn(6)), Proto: 6,
+									SrcPort: uint16(rng.Intn(2)), DstPort: uint16(rng.Intn(3)), Pad: rng.Intn(300)}
+								if rng.Intn(2) == 0 {
+									spec.Payload = []byte("login zorro")
+								}
+								if err := parser.Parse(packet.BuildFrame(nil, spec), p); err != nil {
+									t.Fatal(err)
+								}
+								pkts = append(pkts, p)
+							}
+							var rightOuts [][]tuple.Value
+							for range joinSize(rng, sizes[1]) {
+								rightOuts = append(rightOuts, []tuple.Value{tuple.U64(uint64(rng.Intn(6))),
+									tuple.U64(uint64(rng.Intn(3))), tuple.U64(uint64(rng.Intn(3))),
+									tuple.U64(uint64(rng.Intn(2))), tuple.U64(uint64(rng.Intn(1000)))})
+							}
+							// Two batches per window: one with extracted columns for
+							// some of the fields read, one without any.
+							for half, lo := range []int{0, len(pkts) / 2} {
+								hi := len(pkts)
+								if half == 0 {
+									hi = len(pkts) / 2
+								}
+								batch := query.PacketBatch{Pkts: pkts[lo:hi]}
+								sel := tuple.SelAll(nil, hi-lo)
+								if half == 0 {
+									batch.Extract(&set, sel)
+								}
+								ingestPackets(SideLeft, &batch, sel)
+								if ref != nil {
+									ref.Instance(4, 0).IngestPacketsRef(SideLeft, &batch, sel)
+								}
+							}
+							for _, v := range rightOuts {
+								if !ingest(SideRight, v) {
+									t.Fatalf("right tuple %v refused", v)
+								}
+								if ref != nil && !ref.Instance(4, 0).IngestTupleRef(SideRight, v) {
+									t.Fatalf("right tuple %v refused by the reference", v)
+								}
+							}
+							results, m := end()
+							sameTuples(t, fmt.Sprintf("window %d", w), results[0].Tuples, oracleSemiJoin(q, pkts, rightOuts))
+							joined += len(results[0].Tuples)
+							if ref != nil {
+								_, rm := ref.EndWindowRef()
+								got, want := m.Instances[0], rm.Instances[0]
+								if !slices.Equal(got.OpIn, want.OpIn) || !slices.Equal(got.OpOut, want.OpOut) {
+									t.Fatalf("window %d: per-op counts in=%v out=%v, the per-tuple interpreter says in=%v out=%v",
+										w, got.OpIn, got.OpOut, want.OpIn, want.OpOut)
+								}
 							}
 						}
-						results, _ := end()
-						sameTuples(t, fmt.Sprintf("window %d", w), results[0].Tuples, oracleSemiJoin(q, pkts, rightOuts))
-						joined += len(results[0].Tuples)
-					}
-					if joined == 0 {
-						t.Fatal("vacuous: no window joined anything")
-					}
-				})
+						if joined == 0 {
+							t.Fatal("vacuous: no window joined anything")
+						}
+					})
+				}
 			}
 		}
 	}

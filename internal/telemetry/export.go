@@ -12,8 +12,9 @@ import (
 )
 
 // WritePrometheus renders every registered series in the Prometheus text
-// exposition format (version 0.0.4). Families keep registration order;
-// HELP/TYPE headers are emitted once per family.
+// exposition format (version 0.0.4). Families keep the order of their first
+// registration, each one group of its series in registration order under
+// one HELP/TYPE header, however registrations of families interleaved.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	lastFamily := ""
 	r.each(func(m *metric) {

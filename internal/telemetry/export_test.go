@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -67,6 +68,50 @@ func TestPrometheusLabeledHistogram(t *testing.T) {
 		if !strings.Contains(b.String(), line+"\n") {
 			t.Errorf("output missing %q\ngot:\n%s", line, b.String())
 		}
+	}
+}
+
+// TestPrometheusFamiliesAreGroups registers the series of three families
+// interleaved, as a deployment registering per-instance series in turn does,
+// and requires the text exposition format's grouping: one HELP and one TYPE
+// line per family, every sample of a family contiguous and under its header,
+// families in the order of their first registration and each family's
+// series in registration order.
+func TestPrometheusFamiliesAreGroups(t *testing.T) {
+	reg := NewRegistry()
+	for _, qid := range []string{"1", "2"} {
+		reg.Counter("sonata_in_total", "tuples in", "qid", qid).Inc()
+		reg.Histogram("sonata_eval_ns", "eval time", []uint64{10}, "qid", qid).Observe(5)
+		reg.Gauge("sonata_depth", "queue depth", "qid", qid).Set(3)
+	}
+	reg.Counter("sonata_in_total", "tuples in").Inc()
+
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	var families []string
+	headers := make(map[string]int)
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(f)[0])
+		}
+		if f, ok := strings.CutPrefix(line, "# "); ok {
+			headers[f[:4]+" "+strings.Fields(f)[1]]++
+			continue
+		}
+		if len(families) == 0 || !strings.HasPrefix(line, families[len(families)-1]) {
+			t.Errorf("sample %q outside its family's group", line)
+		}
+	}
+	if want := []string{"sonata_in_total", "sonata_eval_ns", "sonata_depth"}; !slices.Equal(families, want) {
+		t.Errorf("families %v, want %v", families, want)
+	}
+	for h, n := range headers {
+		if n != 1 {
+			t.Errorf("%q appears %d times", h, n)
+		}
+	}
+	if want := "sonata_in_total{qid=\"1\"} 1\nsonata_in_total{qid=\"2\"} 1\nsonata_in_total 1\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("sonata_in_total's series out of registration order:\n%s", b.String())
 	}
 }
 

@@ -14,6 +14,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -278,7 +279,17 @@ func (r *Registry) register(family, help string, k kind, labels []string, mk fun
 	m := &metric{family: family, labels: ls, help: help, kind: k}
 	mk(m)
 	r.byName[m.name()] = m
-	r.order = append(r.order, m)
+	// A new series goes after its family's last one, so that each family is
+	// one group, as the text exposition format requires, and families keep
+	// the order of their first registration.
+	at := len(r.order)
+	for i := len(r.order) - 1; i >= 0; i-- {
+		if r.order[i].family == family {
+			at = i + 1
+			break
+		}
+	}
+	r.order = slices.Insert(r.order, at, m)
 	return m
 }
 
@@ -331,7 +342,9 @@ func (r *Registry) Histogram(name, help string, bounds []uint64, labels ...strin
 	}).h
 }
 
-// each visits registered metrics in registration order under the lock.
+// each visits registered metrics — families in the order of their first
+// registration, each family's series together in registration order — with
+// the order copied under the lock.
 func (r *Registry) each(fn func(*metric)) {
 	if r == nil {
 		return
